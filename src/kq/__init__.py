@@ -1,20 +1,21 @@
 """Exact computation of K-theoretic Q-functions and their duals.
 
-Everything is exact arithmetic over Q(b), b the deformation parameter.
+Everything is exact arithmetic over Q[b], b the deformation parameter:
+every object the package computes is a polynomial in b, and no library path
+divides by a polynomial in b, so no rational functions of b are needed.
 The package computes the one-parameter family GQ_lambda through four
 independent routes (two Pfaffian formulas, a free-fermion contraction, a
 finite-variable symmetrization) and the dual family (o_lambda, gp_lambda),
 together with the bilinear pairing that makes the two families dual bases.
 """
 
-from .scalars import BETA, ONE, ZERO, BetaScalar, Rational, binom_general
+from .scalars import BETA, ONE, ZERO, BetaScalar, binom_general
 
 __all__ = [
     "BETA",
     "ONE",
     "ZERO",
     "BetaScalar",
-    "Rational",
     "binom_general",
 ]
 

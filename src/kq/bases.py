@@ -110,5 +110,6 @@ def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScal
             out[key] = val
             correction = correction + _image_partition(flavor, key, bound) * val
         rep = rep - correction
-    assert rep.is_zero(), "triangular elimination left a residue"
+    if not rep.is_zero():
+        raise ArithmeticError("triangular elimination left a residue")
     return {k: v for k, v in sorted(out.items(), key=lambda kv: graded_key(kv[0])) if v}

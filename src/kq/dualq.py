@@ -33,6 +33,7 @@ from .hexpansion import vacuum_expectation
 from .laurent import g_table
 from .partitions import (
     check_partition,
+    check_strict_weight,
     contains,
     row_count,
     sub_strict_partitions,
@@ -132,16 +133,9 @@ def o_two_index(a, b, degree_bound):
     return acc * Fraction(1, 4)
 
 
-def _checked(lam, degree_bound):
-    lam = check_partition(lam, strict=True)
-    if sum(lam) > degree_bound:
-        raise ValueError("degree bound is below |lambda|")
-    return lam
-
-
 def o_pfaffian_1(lam, degree_bound):
     """o_lambda = 2^{-r} Pf(zeta) from g-table contractions of q^[b] rows."""
-    lam = _checked(lam, degree_bound)
+    lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
     r = len(lam)
     if r == 0:
@@ -180,7 +174,7 @@ def o_pfaffian_2(lam, degree_bound):
     kappa_{i,r+1} = sum_{k <= lambda_i} C(1-i, k) b^k o_{lambda_i - k}.
     No overall power of 2: the quarter in o_two_index absorbs it.
     """
-    lam = _checked(lam, degree_bound)
+    lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
     r = len(lam)
     if r == 0:
@@ -222,7 +216,7 @@ def o_fermionic(lam, degree_bound):
     acting on |0>, with a trailing e^{-theta} phihat_0 when r is odd; the
     contraction against <0| e^{H^[b]} runs in the bracket flavor.
     """
-    lam = _checked(lam, degree_bound)
+    lam = check_strict_weight(lam, degree_bound)
     r = len(lam)
     ops = list(lam) + ([0] if r % 2 else [])
     state = fock.vacuum_ket()
@@ -342,7 +336,7 @@ def gp(lam, degree_bound):
     lambda (the empty partition included), the mu-row correction
     (-b)^{|lambda|-|mu|} 2^{-row_count(lambda, mu)} gp_mu.
     """
-    lam = _checked(lam, degree_bound)
+    lam = check_strict_weight(lam, degree_bound)
     return _gp_cached(lam, degree_bound)
 
 

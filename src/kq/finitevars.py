@@ -137,7 +137,8 @@ class FinitePoly:
 
 
 def power_sum_poly(k: int, nvars: int) -> FinitePoly:
-    assert k >= 1
+    if k < 1:
+        raise ValueError("power sums are indexed by positive integers")
     terms = {}
     for i in range(nvars):
         e = [0] * nvars

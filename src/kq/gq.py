@@ -34,7 +34,7 @@ from . import fock
 from .finitevars import eval_finite
 from .hexpansion import HBraExpansion
 from .laurent import f_table, kernel_coefficient
-from .partitions import check_partition
+from .partitions import check_strict_weight
 from .pfaffian import pfaffian_from_upper
 from .pseries import PSeries, z_exp
 from .scalars import BetaScalar, ONE, binom_general
@@ -159,13 +159,6 @@ def gq_two_index(a, b, degree_bound):
     return acc
 
 
-def _check_weight(lam, degree_bound):
-    lam = check_partition(lam, strict=True)
-    if sum(lam) > degree_bound:
-        raise ValueError("degree bound is below |lambda|")
-    return lam
-
-
 def gq_pfaffian_1(lam, degree_bound):
     """GQ_lambda as a Pfaffian of f-table contractions of one-row series.
 
@@ -174,7 +167,7 @@ def gq_pfaffian_1(lam, degree_bound):
     lambda_i is exact because GQ_n is zero past the bound; tests re-run
     one entry with a doubled window to confirm that.
     """
-    lam = _check_weight(lam, degree_bound)
+    lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
     one = PSeries.one(D)
     r = len(lam)
@@ -216,7 +209,7 @@ def gq_pfaffian_2(lam, degree_bound):
     factor.  Since GQ_(a,b) vanishes for a + b > D, the window stops at
     k + l = D - lambda_i - lambda_j.
     """
-    lam = _check_weight(lam, degree_bound)
+    lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
     r = len(lam)
     if r == 0:
@@ -260,7 +253,7 @@ def gq_fermionic(lam, degree_bound):
     against |0>.  Odd-length partitions get the usual phi^(beta)_0 e^Theta
     padding factor on the right.
     """
-    lam = _check_weight(lam, degree_bound)
+    lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
     ops = list(lam) + ([0] if len(lam) % 2 else [])
     total = PSeries.zero(D)
@@ -304,8 +297,6 @@ def check_kq_cancellation(f, degree_bound, nvars):
         if tpow == 0:
             # t-free sources cancel exactly against the t = 0 part
             continue
-        if len(c.den) > 1:
-            raise ArithmeticError("coefficient with a beta denominator")
         tail = exps[2:]
         sgn = -1 if exps[1] % 2 else 1
         # t^{e0} tbar^{e1} -> (-1)^{e1} t^{e0+e1} (1+beta t)^{D-e1};

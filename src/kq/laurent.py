@@ -200,14 +200,6 @@ class LaurentBlock:
         return f"LaurentBlock({win}; {len(self.terms)} terms)"
 
 
-def block_multiply(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
-    return a * b
-
-
-def coefficient_extract(block: LaurentBlock, exps):
-    return block.coefficient(exps)
-
-
 # -- the two kernels -------------------------------------------------------
 
 def kernel_coefficient(p: int, q: int) -> BetaScalar:

@@ -26,7 +26,11 @@ degree of anything worth keeping by T - |lambda|.
 
 Monomials are packed into single integers, six bits per exponent, with the
 beta exponent above the variables and the total x-degree on top, so that
-multiplication of monomials is integer addition.
+multiplication of monomials is integer addition.  A field that overflowed
+would carry into its neighbour and silently change the answer, so both
+entry points raise ValueError when an intermediate could need an exponent
+above 63.  The beta exponent of a monomial never exceeds its x-degree, so
+bounding the x-degree bounds every field.
 
 This module is the package's independent referee: it never touches Fock
 space, power sums, kernels, or Pfaffians.
@@ -50,6 +54,20 @@ def _mono(n, beta, exps):
     for i, e in enumerate(exps):
         key |= e << (_W * i)
     return key
+
+
+def _check_fits(top):
+    """Raise unless exponents up to top fit the key fields."""
+    if top > _MASK:
+        raise ValueError(f"exponents up to {top} do not fit the oracle's "
+                         f"{_W}-bit key fields (at most {_MASK})")
+
+
+def _p0_degree(lam, n):
+    """Top x-degree of P0: [[x_i]]^{l_i} has l_i + 1, each pair factor 3."""
+    r = len(lam)
+    pairs = r * n - r * (r + 1) // 2
+    return sum(lam) + r + 3 * pairs
 
 
 def _one(n):
@@ -236,7 +254,9 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
     if r > nvars or sum(lam) > trunc:
         return FinitePoly.zero(nvars)
     word = _coset_word(nvars, r)
-    cap = trunc + len(word)
+    # divided differences only lower the degree, so nothing exceeds P0's
+    cap = min(trunc + len(word), _p0_degree(lam, nvars))
+    _check_fits(cap)
     bcap = trunc - sum(lam)
     poly = _one(nvars)
     for i, part in enumerate(lam):
@@ -263,8 +283,10 @@ def gq_oracle_literal(lam, nvars: int) -> FinitePoly:
         raise ValueError("more rows than variables")
     if nvars > 4:
         raise ValueError("literal symmetrization is kept to tiny sizes")
-    cap = 1 << 30
     all_pairs = list(combinations(range(nvars), 2))
+    # each term is P0's factors times some of the degree-one pair factors
+    _check_fits(_p0_degree(lam, nvars) + len(all_pairs))
+    cap = 1 << 30
     total = {}
     for w in permutations(range(nvars)):
         term = _one(nvars)

@@ -23,6 +23,14 @@ def check_partition(parts, strict=False) -> tuple[int, ...]:
     return p
 
 
+def check_strict_weight(lam, degree_bound) -> tuple[int, ...]:
+    """lam as a strict partition, checked to fit under the degree bound."""
+    lam = check_partition(lam, strict=True)
+    if sum(lam) > degree_bound:
+        raise ValueError("degree bound is below |lambda|")
+    return lam
+
+
 def is_strict(p) -> bool:
     return all(a > b for a, b in zip(p, p[1:]))
 

@@ -1,7 +1,8 @@
 """Pfaffians of small skew-symmetric matrices over any commutative ring.
 
 Entries only need +, -, * (and scalar multiples), so the same routine serves
-rational matrices, Q(b) matrices, and matrices of truncated power series.
+rational matrices, Q[b] matrices, and matrices of truncated power series;
+no division is needed, which is one reason Q[b] suffices as the scalar ring.
 Sizes beyond 10 are rejected: every Pfaffian in this package comes from a
 partition of length <= 7, padded to even size at most 8.
 """

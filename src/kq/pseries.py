@@ -1,10 +1,11 @@
-"""Truncated symmetric functions in the power-sum basis over Q(b).
+"""Truncated symmetric functions in the power-sum basis over Q[b].
 
 A PSeries stores finitely many coefficients c_lambda of sum c_lambda p_lambda
 together with a degree bound D: the object represents its class modulo
 (terms of degree > D), where deg p_lambda = |lambda|.  All arithmetic
 truncates at D, so the bound is part of the value and mixed-bound arithmetic
-is a bug (it raises).
+is a bug (it raises).  Coefficients are BetaScalars, polynomials in b: no
+operation here divides by anything but a rational constant (the 1/k! of exp).
 """
 
 from __future__ import annotations
@@ -250,20 +251,6 @@ class PSeries:
         return " + ".join(bits).replace("+ -", "- ")
 
     __repr__ = __str__
-
-    def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for k, v in self.sorted_items():
-            mon = "" if not k else "p_{" + ",".join(map(str, k)) + "}"
-            bits.append(f"\\left({v.latex()}\\right) {mon}")
-        return " + ".join(bits)
-
-
-def pseries_basis_dump(f: PSeries):
-    """(partition, coeff) rows in graded-lex order; used by golden tests."""
-    return [(k, v) for k, v in f.sorted_items()]
 
 
 def z_exp(parts):

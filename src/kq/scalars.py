@@ -1,13 +1,17 @@
 """Exact scalar arithmetic in the deformation parameter.
 
-The ground ring for everything in this package is Q(b): rational functions
-in a single formal parameter b (the K-theory deformation).  Setting b = 0
-recovers the classical (cohomological) objects, b = -1 the connective ones.
+The ground ring for everything in this package is Q[b]: polynomials with
+rational coefficients in a single formal parameter b (the K-theory
+deformation).  Setting b = 0 recovers the classical (cohomological) objects,
+b = -1 the connective ones.
 
-A BetaScalar is a reduced fraction of dense Q[b] polynomials with a monic
-denominator, so equality is structural and hashing is safe.  Almost every
-scalar that actually occurs is a polynomial; the rational-function generality
-exists for intermediate values (matrix elimination, specializations).
+Q[b] is enough because no library path divides by a polynomial in b: every
+object computed here is a polynomial in b, and the only divisions are by
+nonzero rational constants.  Dividing by a scalar that depends on b, or
+raising one to a negative power, raises instead of leaving the ring.
+
+A BetaScalar is a dense coefficient tuple with no trailing zeros, so
+equality is structural and hashing is safe.
 """
 
 from __future__ import annotations
@@ -15,13 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-Rational = Fraction
-
 # -- dense Q[b] helpers ------------------------------------------------------
 # polynomials are tuples of Fraction, index = exponent, no trailing zeros
 
 _ZERO: tuple[Fraction, ...] = ()
-_ONE: tuple[Fraction, ...] = (Fraction(1),)
 
 
 def _trim(c: list[Fraction]) -> tuple[Fraction, ...]:
@@ -40,10 +41,6 @@ def _padd(a, b):
     return _trim(out)
 
 
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
 def _pmul(a, b):
     if not a or not b:
         return _ZERO
@@ -56,119 +53,37 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pscale(a, s: Fraction):
-    if not s:
-        return _ZERO
-    return tuple(x * s for x in a)
-
-
-def _pdivmod(a, b):
-    """Division with remainder in Q[b].  b must be nonzero."""
-    assert b, "division by the zero polynomial"
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    inv = 1 / b[-1]
-    while len(r) >= len(b):
-        c = r[-1] * inv
-        if c:
-            q[len(r) - len(b)] = c
-            for i, y in enumerate(b):
-                r[len(r) - len(b) + i] -= c * y
-        # top coefficient is now exactly zero
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-    return _trim(q), _trim(r)
-
-
-def _pgcd(a, b):
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = _pscale(a, 1 / a[-1])  # monic representative
-    return a
-
-
-def _peval(a, v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * v + c
-    return acc
-
-
 class BetaScalar:
-    """An element of Q(b), stored as num/den with den monic and gcd 1."""
+    """An element of Q[b], stored as its coefficient tuple num."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num",)
 
-    def __init__(self, num=0, den=None):
+    def __init__(self, num=0):
         if isinstance(num, BetaScalar):
-            assert den is None
-            self.num, self.den = num.num, num.den
-            self._hash = None
-            return
-        num = self._coerce_poly(num)
-        den = _ONE if den is None else self._coerce_poly(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in BetaScalar")
-        if not num:
-            self.num, self.den = _ZERO, _ONE
-            self._hash = None
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = _pscale(num, 1 / lead)
-            den = _pscale(den, 1 / lead)
-        self.num, self.den = num, den
-        self._hash = None
-
-    @staticmethod
-    def _coerce_poly(v) -> tuple[Fraction, ...]:
-        if isinstance(v, tuple):
-            return _trim([Fraction(x) for x in v])
-        if isinstance(v, (int, Fraction)):
-            v = Fraction(v)
-            return (v,) if v else _ZERO
-        raise TypeError(f"cannot build BetaScalar from {type(v).__name__}")
-
-    # -- constructors --------------------------------------------------------
+            self.num = num.num
+        elif isinstance(num, tuple):
+            self.num = _trim([Fraction(x) for x in num])
+        elif isinstance(num, (int, Fraction)):
+            num = Fraction(num)
+            self.num = (num,) if num else _ZERO
+        else:
+            raise TypeError(f"cannot build BetaScalar from {type(num).__name__}")
 
     @classmethod
     def beta_power(cls, k: int, coeff=1) -> "BetaScalar":
         """coeff * b^k as a scalar; k must be >= 0."""
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"b^{k} is not in Q[b]")
         c = Fraction(coeff)
         if not c:
             return cls(0)
         return cls((Fraction(0),) * k + (c,))
 
-    # -- predicates ----------------------------------------------------------
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == _ONE
-
-    def is_polynomial(self) -> bool:
-        return self.den == _ONE
-
     def as_polynomial(self) -> tuple[Fraction, ...]:
-        if self.den != _ONE:
-            raise ValueError(f"{self} is not a polynomial in b")
         return self.num
-
-    def as_rational(self) -> Fraction:
-        p = self.as_polynomial()
-        if len(p) > 1:
-            raise ValueError(f"{self} depends on b")
-        return p[0] if p else Fraction(0)
 
     # -- ring operations -----------------------------------------------------
 
@@ -176,17 +91,12 @@ class BetaScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return BetaScalar(_padd(self.num, other.num), self.den)
-        return BetaScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        return BetaScalar(_padd(self.num, other.num))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BetaScalar(_pneg(self.num), self.den)
+        return BetaScalar(tuple(-x for x in self.num))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -204,27 +114,25 @@ class BetaScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BetaScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return BetaScalar(_pmul(self.num, other.num))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Division by a nonzero rational constant, the only one Q[b] needs."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero BetaScalar")
-        return BetaScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        if len(other.num) > 1:
+            raise ArithmeticError(f"cannot divide by {other}: it depends on b")
+        inv = 1 / other.num[0]
+        return BetaScalar(tuple(x * inv for x in self.num))
 
     def __pow__(self, k: int):
         if k < 0:
-            return (ONE / self) ** (-k)
+            raise ValueError(f"negative power {k} is not in Q[b]")
         out = ONE
         base = self
         while k:
@@ -238,79 +146,51 @@ class BetaScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash(self.num)
 
     # -- specialization and display -----------------------------------------
 
     def specialize(self, value) -> Fraction:
-        """Evaluate at a rational b = value.  Raises on a denominator zero."""
+        """Evaluate at a rational b = value."""
         value = Fraction(value)
-        d = _peval(self.den, value)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at b = {value}")
-        return _peval(self.num, value) / d
+        acc = Fraction(0)
+        for c in reversed(self.num):
+            acc = acc * value + c
+        return acc
 
-    def beta_degree(self) -> int:
-        """Degree of the numerator minus degree of the denominator; -1 for 0."""
+    def __str__(self):
         if not self.num:
-            return -1
-        return (len(self.num) - 1) - (len(self.den) - 1)
-
-    @staticmethod
-    def _poly_str(p, symbol="b") -> str:
-        if not p:
             return "0"
         bits = []
-        for e, c in enumerate(p):
+        for e, c in enumerate(self.num):
             if not c:
                 continue
             if e == 0:
                 bits.append(str(c))
             else:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                bits.append(f"{head}{symbol}" + (f"^{e}" if e > 1 else ""))
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
-
-    def __str__(self):
-        ns = self._poly_str(self.num)
-        if self.den == _ONE:
-            return ns
-        return f"({ns})/({self._poly_str(self.den)})"
+                bits.append(f"{head}b" + (f"^{e}" if e > 1 else ""))
+        return " + ".join(bits).replace("+ -", "- ")
 
     __repr__ = __str__
-
-    def latex(self) -> str:
-        ns = self._poly_str(self.num, symbol="\\beta")
-        if self.den == _ONE:
-            return ns
-        return "\\frac{%s}{%s}" % (ns, self._poly_str(self.den, symbol="\\beta"))
 
     # -- JSON ------------------------------------------------------------
 
     def to_json(self):
-        return {
-            "num": [[e, str(c)] for e, c in enumerate(self.num) if c],
-            "den": [[e, str(c)] for e, c in enumerate(self.den) if c],
-        }
+        return {"num": [[e, str(c)] for e, c in enumerate(self.num) if c]}
 
     @classmethod
     def from_json(cls, data) -> "BetaScalar":
-        def build(entries):
-            if not entries:
-                return _ZERO
-            top = max(e for e, _ in entries)
-            out = [Fraction(0)] * (top + 1)
-            for e, c in entries:
-                out[e] = Fraction(c)
-            return _trim(out)
-
-        return cls(build(data["num"]), build(data["den"]))
+        if set(data) != {"num"}:
+            raise ValueError(f"expected a single 'num' entry, got keys {sorted(data)}")
+        entries = data["num"]
+        out = [Fraction(0)] * (max((e for e, _ in entries), default=-1) + 1)
+        for e, c in entries:
+            out[e] = Fraction(c)
+        return cls(tuple(out))
 
 
 def _coerce(v):
@@ -341,17 +221,4 @@ def binom_general(a, k: int) -> Fraction:
     for i in range(k):
         out *= (a - i)
         out /= i + 1
-    return out
-
-
-def expand_binomial_power(k: int, order: int) -> list[BetaScalar]:
-    """Coefficients of (1 + b t)^k in t, up to and including t^order.
-
-    k may be negative (geometric-type expansion).  Entry j is C(k, j) b^j.
-    """
-    assert order >= 0
-    out = []
-    for j in range(order + 1):
-        c = binom_general(k, j)
-        out.append(BetaScalar.beta_power(j, c) if c else ZERO)
     return out

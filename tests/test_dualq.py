@@ -23,7 +23,7 @@ from kq.dualq import (
     q_bracket_series,
 )
 from kq.finitevars import eval_finite
-from kq.gq import gq_pfaffian_1
+from kq.gq import gq_fermionic, gq_pfaffian_1
 from kq.partitions import (
     even_ceil,
     odd_parts_only,
@@ -458,10 +458,23 @@ def test_gp_monomial_coefficients_are_integral():
     for lam in strict_partitions_upto(5):
         g = eval_finite(gp(lam, D), 6)
         for exps, sc in g.terms.items():
-            assert len(sc.den) == 1 and sc.den[0] == 1
             assert all(q.denominator == 1 for q in sc.num)
             if lam:
                 assert any(exps)
+
+
+@pytest.mark.parametrize("route, sign", [(gq_fermionic, 1), (o_pfaffian_1, -1), (gp, -1)],
+                         ids=["gq_fermionic", "o_pfaffian_1", "gp"])
+def test_coefficients_are_homogeneous_in_b(route, sign):
+    # with deg b = -1 each family is homogeneous of degree |lambda|, so the
+    # p_mu coefficient is a single monomial c b^{sign (|mu| - |lambda|)}
+    D = 6
+    for lam in strict_partitions_upto(5):
+        f = route(lam, D)
+        assert f.terms, lam
+        for mu, c in f.terms.items():
+            support = [e for e, x in enumerate(c.num) if x]
+            assert support == [sign * (sum(mu) - sum(lam))], (lam, mu, c)
 
 
 def test_gp_rejects_bad_input():

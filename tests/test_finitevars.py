@@ -13,6 +13,8 @@ from kq.scalars import BETA, ONE, BetaScalar
 def test_power_sum_poly():
     p2 = power_sum_poly(2, 3)
     assert p2.terms == {(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE}
+    with pytest.raises(ValueError):
+        power_sum_poly(0, 3)
 
 
 def test_eval_finite_products():

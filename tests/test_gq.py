@@ -294,19 +294,17 @@ def test_odd_power_sum_support():
 
 
 def test_observed_coefficient_denominators():
-    # representation allows arbitrary BetaScalar; what actually shows up
+    # Q[b] allows any rational coefficients; what actually shows up
     # for GQ_(2,1) at D = 5 is denominators {1, 3, 5} in the p-basis and
     # plain Z[beta] after expanding into x-monomials
     D = 5
     f = gq_pfaffian_1((2, 1), D)
     dens = set()
     for _, c in f.terms.items():
-        assert len(c.den) == 1
         dens.update(fr.denominator for fr in c.num)
     assert dens == {1, 3, 5}
     g = eval_finite(f, D)
     for c in g.terms.values():
-        assert len(c.den) == 1
         assert all(fr.denominator == 1 for fr in c.num)
 
 

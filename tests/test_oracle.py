@@ -6,7 +6,7 @@ import pytest
 from kq.finitevars import FinitePoly, eval_finite
 from kq.hexpansion import classical_q
 from kq.oracle import gq_oracle, gq_oracle_literal
-from kq.scalars import BETA, ONE, BetaScalar
+from kq.scalars import BETA, ZERO, BetaScalar
 
 FULL = 10**6
 
@@ -77,16 +77,28 @@ def test_stability_under_last_variable_zero():
 
 
 def test_q_cancellation_property():
-    # appending (t, an inverse of t under x+y+bxy) changes nothing
+    # appending (t, tbar), tbar = -t/(1 + b t) the inverse of t under
+    # x+y+bxy, changes nothing.  Multiplying by (1 + b t)^N, N the top
+    # tbar degree, clears every denominator and keeps the check in Q[b].
     lam = (2, 1)
     inner = gq_oracle(lam, 2, trunc=FULL)
     outer = gq_oracle(lam, 4, trunc=FULL)
+    top = max(k[1] for k in outer.terms)
     for t in (Fraction(1, 2), Fraction(2), Fraction(-1, 3)):
-        bar = BetaScalar((-t,), (1, t))  # -t / (1 + b t)
-        for tail in [(Fraction(1, 3), Fraction(5, 7)), (Fraction(2), Fraction(0))]:
-            got = outer.specialize_vars([BetaScalar(t), bar, *map(BetaScalar, tail)])
-            expect = inner.specialize_vars([BetaScalar(v) for v in tail])
-            assert got == expect
+        clear = 1 + t * BETA
+        for u, v in [(Fraction(1, 3), Fraction(5, 7)), (Fraction(2), Fraction(0))]:
+            got = ZERO
+            for (e1, e2, e3, e4), c in outer.terms.items():
+                val = t ** e1 * (-t) ** e2 * u ** e3 * v ** e4
+                got = got + c * val * clear ** (top - e2)
+            assert got == inner.specialize_vars([u, v]) * clear ** top
+
+
+def test_key_field_overflow_raises():
+    # b x^64 needs a 7-bit exponent, which would carry into the b field
+    with pytest.raises(ValueError):
+        gq_oracle((63,), 1, 64)
+    assert gq_oracle((62,), 1, 63) == FinitePoly(1, {(62,): 2, (63,): BETA})
 
 
 def test_padding_row_of_zero_rejected():
