@@ -39,7 +39,7 @@ from .partitions import (
     sub_strict_partitions,
     z_lambda,
 )
-from .pfaffian import pfaffian_from_upper
+from .pfaffian import check_pfaffian_length, pfaffian_from_upper
 from .pseries import PSeries, z_exp
 from .scalars import BetaScalar, ONE, ZERO, binom_general
 
@@ -136,6 +136,7 @@ def o_two_index(a, b, degree_bound):
 def o_pfaffian_1(lam, degree_bound):
     """o_lambda = 2^{-r} Pf(zeta) from g-table contractions of q^[b] rows."""
     lam = check_strict_weight(lam, degree_bound)
+    check_pfaffian_length(lam)
     D = degree_bound
     r = len(lam)
     if r == 0:
@@ -175,6 +176,7 @@ def o_pfaffian_2(lam, degree_bound):
     No overall power of 2: the quarter in o_two_index absorbs it.
     """
     lam = check_strict_weight(lam, degree_bound)
+    check_pfaffian_length(lam)
     D = degree_bound
     r = len(lam)
     if r == 0:

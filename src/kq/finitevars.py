@@ -1,9 +1,12 @@
 """Bridge between power-sum series and honest polynomials in x_1..x_n.
 
-eval_finite substitutes p_k -> x_1^k + ... + x_n^k.  from_finite inverts it:
-given a symmetric polynomial in enough variables (n >= degree bound, so that
-no partition of the target degree is cut off), it recovers the power-sum
-coordinates by eliminating monomial classes from the refinement-minimal end.
+eval_finite substitutes p_k -> x_1^k + ... + x_n^k.  from_finite inverts it
+with one pass over the terms and a triangular solve.  The pass checks
+symmetry and reads each class's m-coordinate off its dominant monomial
+x^lam.  The solve uses that x^lam occurs in p_mu only when lam coarsens mu,
+with coefficient prod m_i(mu)! at lam = mu and an integer that does not
+depend on n otherwise (Macdonald, Symmetric Functions and Hall Polynomials,
+I.6).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .partitions import multiplicities
+from .partitions import multiplicities, partitions_upto
 from .pseries import PSeries
 from .scalars import BetaScalar, ONE, ZERO
 
@@ -163,16 +166,58 @@ def eval_finite(f: PSeries, nvars: int) -> FinitePoly:
     return out
 
 
-def _monomial_for(partition, nvars) -> tuple[int, ...]:
-    return tuple(partition) + (0,) * (nvars - len(partition))
+def _class_of(exps) -> tuple[int, ...]:
+    """The partition of a monomial: its nonzero exponents, sorted down."""
+    return tuple(sorted((e for e in exps if e), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(lam: tuple[int, ...], nvars: int) -> int:
+    """Monomials in the class of lam: nvars! / prod m_i!, zeros counted."""
+    out = factorial(nvars) // factorial(nvars - len(lam))
+    for m in multiplicities(lam).values():
+        out //= factorial(m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _p_to_m(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{lam: coefficient of x^lam in p_mu}, for any number of variables.
+
+    Only the first len(mu) variables can be reached, so the count does not
+    depend on nvars.  The DP assigns parts of mu to slots one at a time and
+    keeps sorted slot-sum tuples: a sorted state stands for its whole orbit,
+    and from any member of it each slot holding value v leads to the same
+    sorted successor.  The count reaching a sorted state is spread evenly
+    over its orbit, so dividing by the orbit size leaves the count of the
+    single monomial x^lam.
+    """
+    r = len(mu)
+    states = {(0,) * r: 1}
+    for part in mu:
+        grown: dict[tuple[int, ...], int] = {}
+        for state, count in states.items():
+            for v, m in multiplicities(state).items():
+                i = state.index(v)
+                nxt = tuple(sorted(state[:i] + (v + part,) + state[i + 1:],
+                                   reverse=True))
+                grown[nxt] = grown.get(nxt, 0) + count * m
+        states = grown
+    out = {}
+    for state, count in states.items():
+        lam = _class_of(state)
+        out[lam] = count // _orbit_size(lam, r)
+    return out
 
 
 def from_finite(g: FinitePoly, degree_bound: int) -> PSeries:
     """Recover power-sum coordinates of a symmetric polynomial.
 
-    Requires nvars >= degree_bound so the p_lambda with |lambda| <= bound stay
-    linearly independent.  Raises ValueError when g has degrees above the
-    bound or is not symmetric (the elimination then cannot terminate cleanly).
+    Requires nvars >= degree_bound so the p_lambda with |lambda| <= bound
+    stay linearly independent, and total degree <= bound.  g is symmetric
+    exactly when each monomial class lam (nonzero exponents sorted down) has
+    all of its nvars! / prod m_i! members, zeros counted as a part, and each
+    carries the coefficient of x^lam; anything else raises ValueError.
     """
     n = g.nvars
     if n < degree_bound:
@@ -181,28 +226,32 @@ def from_finite(g: FinitePoly, degree_bound: int) -> PSeries:
     if top is not None and top > degree_bound:
         raise ValueError(f"degree {top} exceeds the requested bound {degree_bound}")
 
-    residual = g
+    seen: dict[tuple[int, ...], int] = {}
+    a: dict[tuple[int, ...], BetaScalar] = {}
+    for exps, c in g.terms.items():
+        lam = _class_of(exps)
+        if lam not in seen:
+            seen[lam] = 0
+            a[lam] = g.coefficient(lam + (0,) * (n - len(lam)))
+        if c != a[lam]:
+            raise ValueError("input is not a symmetric polynomial")
+        seen[lam] += 1
+    if any(k != _orbit_size(lam, n) for lam, k in seen.items()):
+        raise ValueError("input is not a symmetric polynomial")
+
+    # p_mu meets m_lam only for lam = mu or lam coarser (so shorter), hence
+    # a_mu is final once every longer partition has been solved.  A class
+    # absent from g has m-coordinate 0, yet finer p_mu can leave a nonzero
+    # remainder there, so the walk covers every partition up to the bound.
     coeffs: dict[tuple[int, ...], BetaScalar] = {}
-    # Monomial classes of p_mu are mergings of mu, so each class's finest
-    # (longest, then lex-smallest) surviving partition can only come from
-    # p of that exact shape.  Peel those off until nothing remains.
-    while residual:
-        candidates = set()
-        for exps in residual.terms:
-            lam = tuple(sorted((e for e in exps if e), reverse=True))
-            candidates.add(lam)
-        lam = max(candidates, key=lambda t: (len(t), tuple(-x for x in t)))
-        mono = _monomial_for(lam, n)
-        c = residual.coefficient(mono)
-        if not c:
-            raise ValueError("input is not a symmetric polynomial")
-        scale = 1
-        for m in multiplicities(lam).values():
-            scale *= factorial(m)
-        c = c / scale
-        coeffs[lam] = c
-        residual = residual - eval_finite(PSeries({lam: c}, degree_bound), n)
-        if any(tuple(sorted((e for e in k if e), reverse=True)) == lam
-               for k in residual.terms):
-            raise ValueError("input is not a symmetric polynomial")
+    for mu in sorted(partitions_upto(degree_bound), key=len, reverse=True):
+        rest = a.pop(mu, None)
+        if not rest:
+            continue
+        row = _p_to_m(mu)
+        c = rest / row[mu]
+        coeffs[mu] = c
+        for lam, k in row.items():
+            if lam != mu:
+                a[lam] = a.get(lam, ZERO) - c * k
     return PSeries(coeffs, degree_bound)

@@ -35,7 +35,7 @@ from .finitevars import eval_finite
 from .hexpansion import HBraExpansion
 from .laurent import f_table, kernel_coefficient
 from .partitions import check_strict_weight
-from .pfaffian import pfaffian_from_upper
+from .pfaffian import check_pfaffian_length, pfaffian_from_upper
 from .pseries import PSeries, z_exp
 from .scalars import BetaScalar, ONE, binom_general
 
@@ -168,6 +168,7 @@ def gq_pfaffian_1(lam, degree_bound):
     one entry with a doubled window to confirm that.
     """
     lam = check_strict_weight(lam, degree_bound)
+    check_pfaffian_length(lam)
     D = degree_bound
     one = PSeries.one(D)
     r = len(lam)
@@ -210,6 +211,7 @@ def gq_pfaffian_2(lam, degree_bound):
     k + l = D - lambda_i - lambda_j.
     """
     lam = check_strict_weight(lam, degree_bound)
+    check_pfaffian_length(lam)
     D = degree_bound
     r = len(lam)
     if r == 0:

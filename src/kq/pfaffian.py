@@ -3,13 +3,24 @@
 Entries only need +, -, * (and scalar multiples), so the same routine serves
 rational matrices, Q[b] matrices, and matrices of truncated power series;
 no division is needed, which is one reason Q[b] suffices as the scalar ring.
-Sizes beyond 10 are rejected: every Pfaffian in this package comes from a
-partition of length <= 7, padded to even size at most 8.
+Sizes beyond MAX_SIZE = 10 are rejected.  Every Pfaffian in this package
+comes from a strict partition padded to even length, so the Pfaffian routes
+take length at most 10; they call check_pfaffian_length before building any
+table, so a longer partition fails at once and by name.
 """
 
 from __future__ import annotations
 
+from .partitions import even_ceil
+
 MAX_SIZE = 10
+
+
+def check_pfaffian_length(lam):
+    """Raise ValueError naming lam if its padded length exceeds MAX_SIZE."""
+    if even_ceil(len(lam)) > MAX_SIZE:
+        raise ValueError(f"lambda = {lam} has length {len(lam)}; the Pfaffian "
+                         f"routes take at most {MAX_SIZE} parts")
 
 
 def pfaffian(matrix, one=1):

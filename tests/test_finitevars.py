@@ -39,10 +39,10 @@ def pseries_strategy(bound, nparts=3):
     ).map(lambda d: PSeries(d, bound))
 
 
-@given(pseries_strategy(4))
+@given(pseries_strategy(4), st.sampled_from([4, 6]))
 @settings(max_examples=30, deadline=None)
-def test_round_trip(f):
-    n = 4
+def test_round_trip(f, n):
+    # orbit sizes depend on n, so also take more variables than the bound
     assert from_finite(eval_finite(f, n), 4) == f
 
 
@@ -61,6 +61,14 @@ def test_round_trip_with_beta_coefficients():
     assert from_finite(eval_finite(f, 3), 3) == f
 
 
+def test_round_trip_through_a_zero_monomial_coordinate():
+    # m_(3) = 1 + 1 - 2 = 0, so x^(3,0,0) is absent, yet p_3 is not
+    f = PSeries({(3,): 1, (2, 1): 1, (1, 1, 1): -2}, 3)
+    g = eval_finite(f, 3)
+    assert g.coefficient((3, 0, 0)) == 0
+    assert from_finite(g, 3) == f
+
+
 def test_from_finite_rejects_asymmetric():
     g = FinitePoly(3, {(2, 0, 0): 1, (0, 2, 0): 1})  # missing the z^2 orbit
     with pytest.raises(ValueError):
@@ -68,6 +76,17 @@ def test_from_finite_rejects_asymmetric():
     g2 = FinitePoly(2, {(1, 0): 1, (0, 1): 2})
     with pytest.raises(ValueError):
         from_finite(g2, 2)
+    # a full orbit of (2,1) whose non-dominant member (0,1,2) is off by one
+    full = eval_finite(PSeries({(2, 1): 1}, 3), 3)
+    off = dict(full.terms)
+    off[(0, 1, 2)] = off[(0, 1, 2)] + 1
+    with pytest.raises(ValueError):
+        from_finite(FinitePoly(3, off), 3)
+    # the same orbit with one non-dominant member missing
+    short = dict(full.terms)
+    del short[(0, 1, 2)]
+    with pytest.raises(ValueError):
+        from_finite(FinitePoly(3, short), 3)
 
 
 def test_from_finite_rejects_too_few_vars():

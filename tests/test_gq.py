@@ -268,6 +268,12 @@ def test_routes_against_oracle_deeper():
     assert gq_pfaffian_1(lam, D) == want
 
 
+@pytest.mark.parametrize("lam", [(2, 1), (3, 2, 1), (4, 3)])
+def test_fermionic_against_oracle_at_seven(lam):
+    D = 7
+    assert from_finite(gq_oracle(lam, D), D) == gq_fermionic(lam, D)
+
+
 # -- fermionic route ----------------------------------------------------------
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.pfaffian import pfaffian, pfaffian_from_upper
+from kq.dualq import o_pfaffian_1, o_pfaffian_2
+from kq.gq import gq_pfaffian_1, gq_pfaffian_2
+from kq.pfaffian import check_pfaffian_length, pfaffian, pfaffian_from_upper
 from kq.scalars import BETA, ONE, BetaScalar
 
 
@@ -134,6 +136,15 @@ def test_validation():
         pfaffian([[1, 1], [-1, 0]])  # diagonal
     with pytest.raises(ValueError):
         pfaffian([[0] * 12 for _ in range(12)])  # beyond supported size
+
+
+@pytest.mark.parametrize(
+    "route", [gq_pfaffian_1, gq_pfaffian_2, o_pfaffian_1, o_pfaffian_2])
+def test_routes_reject_long_partitions_before_building_tables(route):
+    lam = tuple(range(11, 0, -1))  # weight 66 fits D = 66, length 11 does not
+    with pytest.raises(ValueError, match=r"\(11, 10, 9"):
+        route(lam, 66)
+    check_pfaffian_length(tuple(range(10, 0, -1)))  # padded length 10 fits
 
 
 def test_from_upper_pads_to_even():
