@@ -39,7 +39,7 @@ from .partitions import (
     sub_strict_partitions,
     z_lambda,
 )
-from .pfaffian import check_pfaffian_length, pfaffian_from_upper
+from .pfaffian import padded_pfaffian
 from .pseries import PSeries, z_exp
 from .scalars import BetaScalar, ONE, ZERO, binom_general
 
@@ -136,33 +136,25 @@ def o_two_index(a, b, degree_bound):
 def o_pfaffian_1(lam, degree_bound):
     """o_lambda = 2^{-r} Pf(zeta) from g-table contractions of q^[b] rows."""
     lam = check_strict_weight(lam, degree_bound)
-    check_pfaffian_length(lam)
     D = degree_bound
     r = len(lam)
-    if r == 0:
-        return PSeries.one(D)
-    rp = r + r % 2
-    parts = lam + (0,) * (rp - r)
-    qb = q_bracket_series(D)
-    upper = {}
-    for i in range(1, rp + 1):
-        li = parts[i - 1]
-        for j in range(i + 1, rp + 1):
-            acc = PSeries.zero(D)
-            if j == r + 1:
-                tab = g_table(i, j, r, (li, 0))
-                for p, c in tab.entries.items():
-                    acc = acc + qb[li - p] * c
-            else:
-                lj = parts[j - 1]
-                tab = g_table(i, j, r, (li, lj))
-                for (p, q), c in tab.entries.items():
-                    ai, bj = li - p, lj - q
-                    if ai >= 0 and bj >= 0:
-                        acc = acc + (qb[ai] * qb[bj]) * c
-            upper[(i - 1, j - 1)] = acc
-    pf = pfaffian_from_upper(upper, one=PSeries.one(D))
-    return pf * Fraction(1, 2 ** r)
+
+    def entry(i, j, li, lj):
+        qb = q_bracket_series(D)
+        acc = PSeries.zero(D)
+        if lj is None:
+            tab = g_table(i, j, r, (li, 0))
+            for p, c in tab.entries.items():
+                acc = acc + qb[li - p] * c
+            return acc
+        tab = g_table(i, j, r, (li, lj))
+        for (p, q), c in tab.entries.items():
+            ai, bj = li - p, lj - q
+            if ai >= 0 and bj >= 0:
+                acc = acc + (qb[ai] * qb[bj]) * c
+        return acc
+
+    return padded_pfaffian(lam, PSeries.one(D), entry) * Fraction(1, 2 ** r)
 
 
 def o_pfaffian_2(lam, degree_bound):
@@ -176,39 +168,31 @@ def o_pfaffian_2(lam, degree_bound):
     No overall power of 2: the quarter in o_two_index absorbs it.
     """
     lam = check_strict_weight(lam, degree_bound)
-    check_pfaffian_length(lam)
     D = degree_bound
-    r = len(lam)
-    if r == 0:
-        return PSeries.one(D)
-    rp = r + r % 2
-    parts = lam + (0,) * (rp - r)
-    osr = o_series(D)
-    upper = {}
-    for i in range(1, rp + 1):
-        li = parts[i - 1]
-        for j in range(i + 1, rp + 1):
-            acc = PSeries.zero(D)
-            if j == r + 1:
-                for k in range(li + 1):
-                    ck = binom_general(1 - i, k)
-                    if ck:
-                        acc = acc + osr.coefficient(li - k) * BetaScalar.beta_power(k, ck)
-            else:
-                lj = parts[j - 1]
-                for l in range(lj + 1):
-                    cl = binom_general(2 - j, l)
-                    if not cl:
-                        continue
-                    for k in range(li + lj - l + 1):
-                        ck = binom_general(1 - i, k)
-                        if not ck:
-                            continue
-                        val = o_two_index(li - k, lj - l, D)
-                        if not val.is_zero():
-                            acc = acc + val * BetaScalar.beta_power(k + l, ck * cl)
-            upper[(i - 1, j - 1)] = acc
-    return pfaffian_from_upper(upper, one=PSeries.one(D))
+
+    def entry(i, j, li, lj):
+        acc = PSeries.zero(D)
+        if lj is None:
+            osr = o_series(D)
+            for k in range(li + 1):
+                ck = binom_general(1 - i, k)
+                if ck:
+                    acc = acc + osr.coefficient(li - k) * BetaScalar.beta_power(k, ck)
+            return acc
+        for l in range(lj + 1):
+            cl = binom_general(2 - j, l)
+            if not cl:
+                continue
+            for k in range(li + lj - l + 1):
+                ck = binom_general(1 - i, k)
+                if not ck:
+                    continue
+                val = o_two_index(li - k, lj - l, D)
+                if not val.is_zero():
+                    acc = acc + val * BetaScalar.beta_power(k + l, ck * cl)
+        return acc
+
+    return padded_pfaffian(lam, PSeries.one(D), entry)
 
 
 def o_fermionic(lam, degree_bound):

@@ -7,11 +7,20 @@ with 0 >= m_1 > ... > m_k); a ket word is strictly decreasing nonnegative
 every other mode squares to 0, <0|phi_n = 0 for n > 0 and phi_{-n}|0> = 0 for
 n > 0; <0|phi_0|0> = 0.
 
+Normal ordering is written once, for bras.  Kets are computed as star images
+of bras: star sends <0|phi_{m_1}..phi_{m_k} to (-1)^{sum m}
+phi_{-m_k}..phi_{-m_1}|0>, is its own inverse, and turns a right action on
+bras into the starred left action on kets:
+
+    ket_apply_phi(v, n)       = (-1)^n star(bra_apply_phi(star(v), -n))
+    ket_apply_b(v, m)         = star(bra_apply_b(star(v), -m))
+    ket_apply_phihat(v, n)    = star(bra_apply_phihat_star(star(v), n))
+    ket_apply_theta_exp(v, s) = star(bra_apply_theta_exp(star(v), s))
+
 Infinite operator tails (the beta-deformed modes, the theta exponentials)
 truncate exactly by grading: a bra word of grade s is killed by any phi_m
-with s + m > 0, and a ket word of grade s by any phi_{-m} with m > s.
-Heisenberg generators b_m exist for odd m only; b_0 is not normal-ordered
-and is rejected.
+with s + m > 0.  Heisenberg generators b_m exist for odd m only; b_0 is not
+normal-ordered and is rejected.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .pfaffian import padded_pfaffian
 from .scalars import BetaScalar, ONE, ZERO, binom_general
 
 BraState = dict  # canonical bra word -> BetaScalar
@@ -71,25 +81,6 @@ def _bra_insert(word, n):
     return {w: c for w, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def _ket_insert(n, word):
-    """phi_n word |0> in canonical form."""
-    if not word:
-        return {(n,): 1} if n >= 0 else {}
-    if n > word[0]:
-        return {(n,) + word: 1}
-    if n == word[0]:
-        return {word[1:]: 1} if n == 0 else {}
-    m = word[0]
-    out = {}
-    for w, c in _ket_insert(n, word[1:]).items():
-        out[(m,) + w] = -c
-    if m + n == 0:
-        prev = out.get(word[1:], 0)
-        out[word[1:]] = prev + (2 if n % 2 == 0 else -2)
-    return {w: c for w, c in out.items() if c}
-
-
 def bra_apply_phi(state: BraState, n: int) -> BraState:
     out = {}
     for word, coeff in state.items():
@@ -99,10 +90,9 @@ def bra_apply_phi(state: BraState, n: int) -> BraState:
 
 
 def ket_apply_phi(state: KetState, n: int) -> KetState:
-    out = {}
-    for word, coeff in state.items():
-        for w, c in _ket_insert(n, word).items():
-            _merge(out, w, coeff * c)
+    out = star_bra(bra_apply_phi(star_ket(state), -n))
+    if n % 2:
+        out = {w: -c for w, c in out.items()}
     return out
 
 
@@ -143,30 +133,9 @@ def bra_apply_phihat_star(state: BraState, n: int) -> BraState:
     return out
 
 
-def _phihat_modes(n, cutoff):
-    """(index, coefficient) pairs of phi-hat_n with plain modes >= -cutoff."""
-    if n > 0:
-        for m in range(1, n + 1):
-            c = binom_general(-m, n - m)
-            if c:
-                yield m, BetaScalar.beta_power(n - m, c * _HALF ** (n - m))
-    elif n == 0:
-        for m in range(0, cutoff + 1):
-            yield -m, BetaScalar.beta_power(m, _HALF ** m)
-    else:
-        k = -n
-        for m in range(k, cutoff + 1):
-            yield -m, BetaScalar.beta_power(m - k, binom_general(m, k) * _HALF ** (m - k))
-
-
 def ket_apply_phihat(state: KetState, n: int) -> KetState:
     """Left action of the dual deformed mode phi-hat_n on ket states."""
-    out = {}
-    for word, coeff in state.items():
-        for m, scal in _phihat_modes(n, grade(word)):
-            for w, c in _ket_insert(m, word).items():
-                _merge(out, w, coeff * scal * c)
-    return out
+    return star_bra(bra_apply_phihat_star(star_ket(state), n))
 
 
 # -- Heisenberg generators --------------------------------------------------
@@ -192,22 +161,6 @@ def _bra_vacuum_b(m):
 
 
 @lru_cache(maxsize=None)
-def _ket_vacuum_b(m):
-    """b_m |0> as a state; nonzero only for m < 0."""
-    if m > 0:
-        return {}
-    out = {}
-    quarter = Fraction(1, 4)
-    for i in range(0, -m + 1):
-        sgn = quarter if i % 2 == 0 else -quarter
-        inner = _ket_insert(i, ())
-        for w, c in inner.items():
-            for w2, c2 in _ket_insert(-i - m, w).items():
-                _merge(out, w2, BetaScalar(sgn * c * c2))
-    return out
-
-
-@lru_cache(maxsize=None)
 def _bra_word_b(word, m):
     """<0| word b_m via [b_m, phi_n] = phi_{n-m}, peeling from the right."""
     if not word:
@@ -222,21 +175,6 @@ def _bra_word_b(word, m):
     return out
 
 
-@lru_cache(maxsize=None)
-def _ket_word_b(m, word):
-    """b_m word |0>, peeling from the left."""
-    if not word:
-        return _ket_vacuum_b(m)
-    n, tail = word[0], word[1:]
-    out = {}
-    for w, c in _ket_word_b(m, tail).items():
-        for w2, c2 in _ket_insert(n, w).items():
-            _merge(out, w2, c * c2)
-    for w, c in _ket_insert(n - m, tail).items():
-        _merge(out, w, BetaScalar(c))
-    return out
-
-
 def bra_apply_b(state: BraState, m: int) -> BraState:
     _check_heisenberg_index(m)
     out = {}
@@ -247,38 +185,32 @@ def bra_apply_b(state: BraState, m: int) -> BraState:
 
 
 def ket_apply_b(state: KetState, m: int) -> KetState:
-    _check_heisenberg_index(m)
-    out = {}
-    for word, coeff in state.items():
-        for w, c in _ket_word_b(m, word).items():
-            _merge(out, w, coeff * c)
-    return out
+    return star_bra(bra_apply_b(star_ket(state), -m))
 
 
 # -- theta exponentials -----------------------------------------------------
 #
 # Theta = 2 sum_{n odd>0} (beta/2)^n b_{-n}/n raises bra grades toward zero,
-# its adjoint theta = Theta^* does the same for ket grades, so both
-# exponentials terminate on every state.
+# so its exponential terminates on every bra state; its adjoint
+# theta = Theta^* acts on kets through the star.
 
-def _apply_theta_once(state, sign, bra_side):
+def _apply_theta_once(state, sign):
     out = {}
     for word, coeff in state.items():
-        bound = -grade(word) if bra_side else grade(word)
-        for n in range(1, bound + 1, 2):
+        for n in range(1, -grade(word) + 1, 2):
             scal = BetaScalar.beta_power(n, Fraction(sign, n * 2 ** (n - 1)))
-            src = _bra_word_b(word, -n) if bra_side else _ket_word_b(n, word)
-            for w, c in src.items():
+            for w, c in _bra_word_b(word, -n).items():
                 _merge(out, w, coeff * scal * c)
     return out
 
 
-def _theta_exp(state, sign, bra_side):
+def bra_apply_theta_exp(state: BraState, sign: int = 1) -> BraState:
+    """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1)."""
     total = dict(state)
     term = state
     k = 1
     while term:
-        term = _apply_theta_once(term, sign, bra_side)
+        term = _apply_theta_once(term, sign)
         if not term:
             break
         term = {w: c / k for w, c in term.items()}
@@ -288,14 +220,9 @@ def _theta_exp(state, sign, bra_side):
     return total
 
 
-def bra_apply_theta_exp(state: BraState, sign: int = 1) -> BraState:
-    """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1)."""
-    return _theta_exp(state, sign, bra_side=True)
-
-
 def ket_apply_theta_exp(state: KetState, sign: int = 1) -> KetState:
     """Left action of e^{theta} (sign=+1) or e^{-theta} (sign=-1)."""
-    return _theta_exp(state, sign, bra_side=False)
+    return star_bra(bra_apply_theta_exp(star_ket(state), sign))
 
 
 # -- duality and pairing ----------------------------------------------------
@@ -309,12 +236,8 @@ def star_bra(state: BraState) -> KetState:
     return out
 
 
-def star_ket(state: KetState) -> BraState:
-    out = {}
-    for word, coeff in state.items():
-        new = tuple(-m for m in reversed(word))
-        _merge(out, new, -coeff if grade(word) % 2 else coeff)
-    return out
+# the same formula sends a ket back to its bra
+star_ket = star_bra
 
 
 def pair(bra: BraState, ket: KetState) -> BetaScalar:
@@ -358,9 +281,5 @@ def wick_expectation(letters) -> BetaScalar:
     letters = tuple(letters)
     if len(letters) % 2:
         return ZERO
-    from .pfaffian import pfaffian_from_upper
-    upper = {}
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            upper[(i, j)] = two_point(letters[i], letters[j])
-    return BetaScalar(pfaffian_from_upper(upper, one=Fraction(1)))
+    return BetaScalar(padded_pfaffian(
+        letters, Fraction(1), lambda i, j, a, b: two_point(a, b)))

@@ -34,8 +34,8 @@ from . import fock
 from .finitevars import eval_finite
 from .hexpansion import HBraExpansion
 from .laurent import f_table, kernel_coefficient
-from .partitions import check_strict_weight
-from .pfaffian import check_pfaffian_length, pfaffian_from_upper
+from .partitions import check_strict_weight, even_ceil
+from .pfaffian import padded_pfaffian
 from .pseries import PSeries, z_exp
 from .scalars import BetaScalar, ONE, binom_general
 
@@ -65,24 +65,23 @@ def _exp_parts(degree_bound):
 class GQSeries:
     """Laurent coefficients of GQ(z), one PSeries per exponent.
 
-    coefficients maps n -> GQ_n for n_min <= n <= degree_bound.  Above the
-    bound GQ_n has lowest degree n > D and truncates to zero, so
-    coefficient() answers zero without storing anything; below n_min the
-    instance extends itself on demand.  Invariants, checked in tests:
-    lowest degree of GQ_n is >= max(n, 0), and at x = 0 the value is
-    (-beta)^{-n} for n <= 0 and 0 for n >= 1.
+    coefficients maps n -> GQ_n for -degree_bound <= n <= degree_bound,
+    built once and never changed afterwards, so one instance can be shared.
+    Above the bound GQ_n has lowest degree n > D and truncates to zero, so
+    coefficient() answers zero; below -D it assembles GQ_n afresh without
+    storing it.  Invariants, checked in tests: lowest degree of GQ_n is
+    >= max(n, 0), and at x = 0 the value is (-beta)^{-n} for n <= 0 and 0
+    for n >= 1.
     """
 
-    __slots__ = ("degree_bound", "n_min", "coefficients")
+    __slots__ = ("degree_bound", "coefficients")
 
-    def __init__(self, degree_bound, n_min):
+    def __init__(self, degree_bound):
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
         self.degree_bound = degree_bound
-        self.n_min = n_min
-        self.coefficients = {}
-        for n in range(n_min, degree_bound + 1):
-            self.coefficients[n] = self._assemble(n)
+        self.coefficients = {n: self._assemble(n)
+                             for n in range(-degree_bound, degree_bound + 1)}
 
     def _assemble(self, n):
         # GQ_n = sum_k (-beta)^k Exp_{n+k}, k from max(0, -n); Exp_j for
@@ -97,29 +96,19 @@ class GQSeries:
     def coefficient(self, n):
         if n > self.degree_bound:
             return PSeries.zero(self.degree_bound)
-        if n < self.n_min:
-            for m in range(self.n_min - 1, n - 1, -1):
-                self.coefficients[m] = self._assemble(m)
-            self.n_min = n
+        if n < -self.degree_bound:
+            return self._assemble(n)
         return self.coefficients[n]
 
 
 @lru_cache(maxsize=None)
-def _shared_series(degree_bound):
-    return GQSeries(degree_bound, -degree_bound)
+def gq_series(degree_bound):
+    """The GQSeries at this bound, one shared instance per bound.
 
-
-def gq_series(degree_bound, n_min=None):
-    """The GQSeries at this bound, computed down to n_min.
-
-    Instances are shared per bound and extend downward on demand; the
-    default n_min = -degree_bound already covers every index the Pfaffian
-    windows can reach.
+    Its table spans [-degree_bound, degree_bound], which covers every
+    index the Pfaffian windows can reach.
     """
-    series = _shared_series(degree_bound)
-    if n_min is not None and n_min < series.n_min:
-        series.coefficient(n_min)
-    return series
+    return GQSeries(degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -168,38 +157,31 @@ def gq_pfaffian_1(lam, degree_bound):
     one entry with a doubled window to confirm that.
     """
     lam = check_strict_weight(lam, degree_bound)
-    check_pfaffian_length(lam)
     D = degree_bound
-    one = PSeries.one(D)
     r = len(lam)
-    if r == 0:
-        return one
-    rp = r + r % 2
-    parts = lam + (0,) * (rp - r)
-    series = gq_series(D)
-    upper = {}
-    for i in range(1, rp + 1):
-        li = parts[i - 1]
-        for j in range(i + 1, rp + 1):
-            lj = parts[j - 1]
-            acc = PSeries.zero(D)
-            if j == r + 1:
-                tab = f_table(i, j, r, rp, (D - li, 0))
-                for p, c in tab.entries.items():
-                    gi = series.coefficient(li + p)
-                    if not gi.is_zero():
-                        acc = acc + gi * c
-            else:
-                tab = f_table(i, j, r, rp, (D - li, D - lj))
-                for (p, q), c in tab.entries.items():
-                    gi = series.coefficient(li + p)
-                    if gi.is_zero():
-                        continue
-                    gj = series.coefficient(lj + q)
-                    if not gj.is_zero():
-                        acc = acc + gi * gj * c
-            upper[(i - 1, j - 1)] = acc
-    return pfaffian_from_upper(upper, one=one)
+    rp = even_ceil(r)
+
+    def entry(i, j, li, lj):
+        series = gq_series(D)
+        acc = PSeries.zero(D)
+        if lj is None:
+            tab = f_table(i, j, r, rp, (D - li, 0))
+            for p, c in tab.entries.items():
+                gi = series.coefficient(li + p)
+                if not gi.is_zero():
+                    acc = acc + gi * c
+            return acc
+        tab = f_table(i, j, r, rp, (D - li, D - lj))
+        for (p, q), c in tab.entries.items():
+            gi = series.coefficient(li + p)
+            if gi.is_zero():
+                continue
+            gj = series.coefficient(lj + q)
+            if not gj.is_zero():
+                acc = acc + gi * gj * c
+        return acc
+
+    return padded_pfaffian(lam, PSeries.one(D), entry)
 
 
 def gq_pfaffian_2(lam, degree_bound):
@@ -211,39 +193,32 @@ def gq_pfaffian_2(lam, degree_bound):
     k + l = D - lambda_i - lambda_j.
     """
     lam = check_strict_weight(lam, degree_bound)
-    check_pfaffian_length(lam)
     D = degree_bound
-    r = len(lam)
-    if r == 0:
-        return PSeries.one(D)
-    rp = r + r % 2
-    parts = lam + (0,) * (rp - r)
-    series = gq_series(D)
-    upper = {}
-    for i in range(1, rp + 1):
-        li = parts[i - 1]
-        for j in range(i + 1, rp + 1):
-            lj = parts[j - 1]
-            acc = PSeries.zero(D)
-            if j == r + 1:
-                for k in range(D - li + 1):
-                    c = binom_general(i + 1 - rp, k)
-                    if c:
-                        acc = acc + series.coefficient(li + k) * BetaScalar.beta_power(k, c)
-            else:
-                for k in range(D - li - lj + 1):
-                    ck = binom_general(i + 1 - rp, k)
-                    if not ck:
-                        continue
-                    for l in range(D - li - lj - k + 1):
-                        cl = binom_general(j - rp, l)
-                        if not cl:
-                            continue
-                        val = gq_two_index(li + k, lj + l, D)
-                        if not val.is_zero():
-                            acc = acc + val * BetaScalar.beta_power(k + l, ck * cl)
-            upper[(i - 1, j - 1)] = acc
-    return pfaffian_from_upper(upper, one=PSeries.one(D))
+    rp = even_ceil(len(lam))
+
+    def entry(i, j, li, lj):
+        acc = PSeries.zero(D)
+        if lj is None:
+            series = gq_series(D)
+            for k in range(D - li + 1):
+                c = binom_general(i + 1 - rp, k)
+                if c:
+                    acc = acc + series.coefficient(li + k) * BetaScalar.beta_power(k, c)
+            return acc
+        for k in range(D - li - lj + 1):
+            ck = binom_general(i + 1 - rp, k)
+            if not ck:
+                continue
+            for l in range(D - li - lj - k + 1):
+                cl = binom_general(j - rp, l)
+                if not cl:
+                    continue
+                val = gq_two_index(li + k, lj + l, D)
+                if not val.is_zero():
+                    acc = acc + val * BetaScalar.beta_power(k + l, ck * cl)
+        return acc
+
+    return padded_pfaffian(lam, PSeries.one(D), entry)
 
 
 def gq_fermionic(lam, degree_bound):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .bases import from_deformed_basis, q_series
 from .partitions import check_partition, strict_partitions_upto
-from .pfaffian import pfaffian
+from .pfaffian import padded_pfaffian
 from .pseries import PSeries
 from .scalars import BetaScalar
 
@@ -49,20 +49,9 @@ def two_row_q(a: int, b: int, degree_bound: int) -> PSeries:
 def classical_q(mu, degree_bound: int) -> PSeries:
     """Schur Q_mu in the power-sum basis via the two-row Pfaffian."""
     mu = check_partition(mu, strict=True)
-    if not mu:
-        return PSeries.one(degree_bound)
-    if len(mu) == 1:
-        return two_row_q(mu[0], 0, degree_bound)
-    padded = mu if len(mu) % 2 == 0 else mu + (0,)
-    n = len(padded)
-    zero = PSeries.zero(degree_bound)
-    matrix = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = two_row_q(padded[i], padded[j], degree_bound)
-            matrix[i][j] = entry
-            matrix[j][i] = -entry
-    return pfaffian(matrix, one=PSeries.one(degree_bound))
+    return padded_pfaffian(
+        mu, PSeries.one(degree_bound),
+        lambda i, j, li, lj: two_row_q(li, lj or 0, degree_bound))
 
 
 def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import BetaScalar, ONE, ZERO, binom_general
+from .scalars import BetaScalar, ZERO, binom_general
 
 _INF = 10 ** 9
 
@@ -339,17 +339,6 @@ class KernelCoeffTable:
                 raise ValueError("univariate table takes a single exponent")
             return self.entries.get(p, ZERO)
         return self.entries.get((p, q), ZERO)
-
-    def rows(self):
-        """CSV-ish dump rows (i, j, p, q, value-string) for inspection."""
-        out = []
-        if self.univariate:
-            for p in sorted(self.entries):
-                out.append((self.i, self.j, p, None, str(self.entries[p])))
-        else:
-            for p, q in sorted(self.entries):
-                out.append((self.i, self.j, p, q, str(self.entries[(p, q)])))
-        return out
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,16 @@ tuples directly, so canonical form is enforced at the boundary.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import factorial
 
 
 def check_partition(parts, strict=False) -> tuple[int, ...]:
-    p = tuple(int(x) for x in parts)
+    try:
+        p = tuple(map(operator.index, parts))
+    except TypeError:
+        raise ValueError(f"partition parts must be integers, got {parts!r}") from None
     for x in p:
         if x <= 0:
             raise ValueError(f"partition parts must be positive, got {p}")

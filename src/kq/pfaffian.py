@@ -3,10 +3,11 @@
 Entries only need +, -, * (and scalar multiples), so the same routine serves
 rational matrices, Q[b] matrices, and matrices of truncated power series;
 no division is needed, which is one reason Q[b] suffices as the scalar ring.
-Sizes beyond MAX_SIZE = 10 are rejected.  Every Pfaffian in this package
-comes from a strict partition padded to even length, so the Pfaffian routes
-take length at most 10; they call check_pfaffian_length before building any
-table, so a longer partition fails at once and by name.
+Sizes beyond MAX_SIZE = 10 are rejected.  Every Pfaffian formula in this
+package runs over the rows of a partition padded with a zero part to even
+length; padded_pfaffian is the only place that pads.  It calls
+check_pfaffian_length before asking for any entry, so a partition longer
+than 10 fails at once and by name, before any table is built.
 """
 
 from __future__ import annotations
@@ -21,6 +22,22 @@ def check_pfaffian_length(lam):
     if even_ceil(len(lam)) > MAX_SIZE:
         raise ValueError(f"lambda = {lam} has length {len(lam)}; the Pfaffian "
                          f"routes take at most {MAX_SIZE} parts")
+
+
+def padded_pfaffian(lam, one, entry):
+    """Pf of the triangle entry(i, j, lam_i, lam_j), 1 <= i < j <= r'.
+
+    r' is len(lam) rounded up to even; an odd lam gets a zero part, seen
+    by entry as lam_j = None in the padding column.  i and j are 1-based,
+    as the formulas write them.  The empty partition gives `one`.
+    """
+    check_pfaffian_length(lam)
+    rows = tuple(lam) + (None,) * (len(lam) % 2)
+    upper = {}
+    for i, li in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            upper[(i, j)] = entry(i + 1, j + 1, li, rows[j])
+    return pfaffian_from_upper(upper, one=one)
 
 
 def pfaffian(matrix, one=1):
@@ -72,8 +89,8 @@ def pfaffian(matrix, one=1):
 def pfaffian_from_upper(upper, one=1):
     """Pfaffian given only entries above the diagonal.
 
-    upper[(i, j)] for i < j; missing pairs are treated as zero.  Convenience
-    wrapper used by the Pfaffian formulas, which build one triangle.
+    upper[(i, j)] for i < j; missing pairs are treated as zero.  The
+    padded_pfaffian builder hands its triangle to this.
     """
     n = 0
     for i, j in upper:

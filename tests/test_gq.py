@@ -71,7 +71,7 @@ def test_series_beta_zero_is_classical_q():
 def test_series_x_zero_specialization():
     # constant term: (-beta)^{-n} for n <= 0, nothing for n >= 1
     D = 6
-    s = gq_series(D, n_min=-D)
+    s = gq_series(D)
     for n in range(-D, 0 + 1):
         want = BetaScalar.beta_power(-n, -1 if n % 2 else 1)
         assert s.coefficient(n).coefficient(()) == want
@@ -93,8 +93,15 @@ def test_series_vanishes_above_bound():
 
 
 def test_series_extends_below_default_window():
-    s = gq_series(4, n_min=-9)
+    s = gq_series(4)
     assert s.coefficient(-9).coefficient(()) == BetaScalar.beta_power(9, -1)
+
+
+def test_shared_series_is_not_grown_by_requests():
+    s = gq_series(4)
+    before = len(s.coefficients)
+    s.coefficient(-9)
+    assert len(gq_series(4).coefficients) == before
 
 
 def test_series_coefficient_zero_is_one():

@@ -305,10 +305,3 @@ def test_g_table_block_cross_check():
     for a in range(zlo, zhi + 1):
         for b in range(wlo, whi + 1):
             assert prod.coefficient((a, b)) == target.coefficient((a, b))
-
-
-def test_table_rows_dump():
-    t = f_table(1, 2, 2, 2, (1, 1))
-    rows = t.rows()
-    assert (1, 2, 0, 0, "1") in rows
-    assert all(len(r) == 5 for r in rows)

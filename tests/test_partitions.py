@@ -1,6 +1,8 @@
 import pytest
 
 from kq import partitions as pt
+from kq.gq import gq_fermionic
+from kq.pseries import PSeries
 
 
 def test_check_partition():
@@ -13,6 +15,19 @@ def test_check_partition():
         pt.check_partition([2, 0])
     with pytest.raises(ValueError):
         pt.check_partition([2, 2], strict=True)
+
+
+@pytest.mark.parametrize("parts", [(2.5, 1), ("3",), (2.0, 1)])
+def test_check_partition_rejects_non_integer_parts(parts):
+    with pytest.raises(ValueError, match=r"integers, got \("):
+        pt.check_partition(parts)
+
+
+def test_non_integer_parts_fail_at_the_routes():
+    with pytest.raises(ValueError, match=r"\(2\.9, 1\)"):
+        gq_fermionic((2.9, 1), 4)
+    with pytest.raises(ValueError):
+        PSeries({(1.7,): 1}, 3)
 
 
 def test_counts():
