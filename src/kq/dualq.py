@@ -32,6 +32,7 @@ from .finitevars import eval_finite
 from .hexpansion import vacuum_expectation
 from .laurent import g_table
 from .partitions import (
+    check_degree_bound,
     check_partition,
     check_strict_weight,
     contains,
@@ -75,18 +76,16 @@ class OSeries:
     """One-row duals o_n at a fixed degree bound.
 
     o_n = (1/2) sum_{k=0}^{n} (-b)^k q^[b]_{n-k}, the u^n coefficient of
-    (1/2) (1 + b u)^{-1} q^[b](u).  Entries below n_floor = 0 are zero;
-    asking above the bound is refused rather than silently truncated,
-    since o_n has top degree exactly n.
+    (1/2) (1 + b u)^{-1} q^[b](u).  o_n for n < 0 is zero; asking above
+    the bound is refused rather than silently truncated, since o_n has top
+    degree exactly n.
     """
 
-    __slots__ = ("degree_bound", "n_floor", "coefficients")
+    __slots__ = ("degree_bound", "coefficients")
 
     def __init__(self, degree_bound):
-        if degree_bound < 0:
-            raise ValueError("degree bound must be nonnegative")
+        degree_bound = check_degree_bound(degree_bound)
         self.degree_bound = degree_bound
-        self.n_floor = 0
         qb = q_bracket_series(degree_bound)
         self.coefficients = {}
         for n in range(degree_bound + 1):
@@ -97,7 +96,7 @@ class OSeries:
             self.coefficients[n] = acc
 
     def coefficient(self, n):
-        if n < self.n_floor:
+        if n < 0:
             return PSeries.zero(self.degree_bound)
         if n > self.degree_bound:
             raise ValueError("o_n above the degree bound is not computed")

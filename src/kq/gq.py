@@ -34,7 +34,7 @@ from . import fock
 from .finitevars import eval_finite
 from .hexpansion import HBraExpansion
 from .laurent import f_table, kernel_coefficient
-from .partitions import check_strict_weight, even_ceil
+from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, z_exp
 from .scalars import BetaScalar, ONE, binom_general
@@ -77,8 +77,7 @@ class GQSeries:
     __slots__ = ("degree_bound", "coefficients")
 
     def __init__(self, degree_bound):
-        if degree_bound < 0:
-            raise ValueError("degree bound must be nonnegative")
+        degree_bound = check_degree_bound(degree_bound)
         self.degree_bound = degree_bound
         self.coefficients = {n: self._assemble(n)
                              for n in range(-degree_bound, degree_bound + 1)}

@@ -27,8 +27,21 @@ def check_partition(parts, strict=False) -> tuple[int, ...]:
     return p
 
 
+def check_degree_bound(degree_bound) -> int:
+    """degree_bound as an int, checked to be >= 0."""
+    try:
+        d = operator.index(degree_bound)
+    except TypeError:
+        raise ValueError(
+            f"degree bound must be an integer, got {degree_bound!r}") from None
+    if d < 0:
+        raise ValueError(f"degree bound must be >= 0, got {d}")
+    return d
+
+
 def check_strict_weight(lam, degree_bound) -> tuple[int, ...]:
     """lam as a strict partition, checked to fit under the degree bound."""
+    degree_bound = check_degree_bound(degree_bound)
     lam = check_partition(lam, strict=True)
     if sum(lam) > degree_bound:
         raise ValueError("degree bound is below |lambda|")

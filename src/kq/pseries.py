@@ -6,13 +6,22 @@ together with a degree bound D: the object represents its class modulo
 truncates at D, so the bound is part of the value and mixed-bound arithmetic
 is a bug (it raises).  Coefficients are BetaScalars, polynomials in b: no
 operation here divides by anything but a rational constant (the 1/k! of exp).
+
+Invariant: degree_bound is an int >= 0, and terms maps partitions in the
+canonical form of check_partition, each of weight <= degree_bound, to
+nonzero BetaScalars.  The public constructor enforces it on any input.
+Sums, negation and products of series that meet it build term dicts that
+meet it too: merge keeps keys canonical, the product skips pairs above the
+bound, zero sums are dropped, and Q[b] has no zero divisors, so a product
+of nonzero coefficients is nonzero.  So those results are wrapped by the
+private PSeries._trusted, which skips the checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import check_partition, graded_key, merge
+from .partitions import check_degree_bound, check_partition, graded_key, merge
 from .scalars import BetaScalar, ONE, ZERO
 
 
@@ -24,8 +33,7 @@ class PSeries:
     __slots__ = ("terms", "degree_bound")
 
     def __init__(self, terms, degree_bound: int):
-        if degree_bound < 0:
-            raise ValueError("degree bound must be >= 0")
+        degree_bound = check_degree_bound(degree_bound)
         self.degree_bound = degree_bound
         clean: dict[tuple[int, ...], BetaScalar] = {}
         for key, val in terms.items():
@@ -36,6 +44,17 @@ class PSeries:
             if val:
                 clean[key] = val
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms, degree_bound: int) -> "PSeries":
+        """Wrap terms and degree_bound, which must already meet the invariant.
+
+        Only this module calls it, on dicts its own arithmetic built.
+        """
+        out = object.__new__(cls)
+        out.terms = terms
+        out.degree_bound = degree_bound
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -105,12 +124,13 @@ class PSeries:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return PSeries(out, self.degree_bound)
+        return PSeries._trusted(out, self.degree_bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PSeries({k: -v for k, v in self.terms.items()}, self.degree_bound)
+        return PSeries._trusted({k: -v for k, v in self.terms.items()},
+                                self.degree_bound)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, BetaScalar)):
@@ -127,25 +147,29 @@ class PSeries:
             c = _coeff(other)
             if not c:
                 return PSeries.zero(self.degree_bound)
-            return PSeries({k: v * c for k, v in self.terms.items()},
-                           self.degree_bound)
+            return PSeries._trusted({k: v * c for k, v in self.terms.items()},
+                                    self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
         self._check_bound(other)
         bound = self.degree_bound
+        # the right operand's terms by degree, once: each left term then
+        # stops at the first degree that would pass the bound (keys are
+        # distinct, so the sort never compares coefficients)
+        right = sorted((sum(kb), kb, vb) for kb, vb in other.terms.items())
         out: dict[tuple[int, ...], BetaScalar] = {}
         for ka, va in self.terms.items():
-            da = sum(ka)
-            for kb, vb in other.terms.items():
-                if da + sum(kb) > bound:
-                    continue
+            room = bound - sum(ka)
+            for db, kb, vb in right:
+                if db > room:
+                    break
                 k = merge(ka, kb)
                 s = out.get(k, ZERO) + va * vb
                 if s:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return PSeries(out, bound)
+        return PSeries._trusted(out, bound)
 
     __rmul__ = __mul__
 

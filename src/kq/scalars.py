@@ -12,6 +12,13 @@ raising one to a negative power, raises instead of leaving the ring.
 
 A BetaScalar is a dense coefficient tuple with no trailing zeros, so
 equality is structural and hashing is safe.
+
+Invariant: num is a tuple of Fraction whose last entry, if any, is nonzero.
+The public constructor enforces it on any input.  The ring operations build
+tuples that already meet it: _padd and _pmul keep Fraction entries and
+trim, and negation or division by a nonzero constant cannot make the top
+entry zero.  So they wrap their results with the private
+BetaScalar._trusted, which skips the checks.
 """
 
 from __future__ import annotations
@@ -23,33 +30,37 @@ from math import comb
 # polynomials are tuples of Fraction, index = exponent, no trailing zeros
 
 _ZERO: tuple[Fraction, ...] = ()
+_F0 = Fraction(0)
 
 
 def _trim(c: list[Fraction]) -> tuple[Fraction, ...]:
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
+    # a coefficient is mostly one monomial c*b^k: add only its nonzero entries
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, x in enumerate(b):
-        out[i] += x
+        if x:
+            out[i] += x
     return _trim(out)
 
 
 def _pmul(a, b):
     if not a or not b:
         return _ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    # a slot still holding the shared _F0 takes the product as it is
+    out = [_F0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] += x * y
+                    p = x * y
+                    out[i + j] = p if out[i + j] is _F0 else out[i + j] + p
     return _trim(out)
 
 
@@ -70,14 +81,24 @@ class BetaScalar:
             raise TypeError(f"cannot build BetaScalar from {type(num).__name__}")
 
     @classmethod
+    def _trusted(cls, num: tuple[Fraction, ...]) -> "BetaScalar":
+        """Wrap num, which must already be a trimmed tuple of Fraction.
+
+        Only this module calls it, on tuples its own arithmetic built.
+        """
+        out = object.__new__(cls)
+        out.num = num
+        return out
+
+    @classmethod
     def beta_power(cls, k: int, coeff=1) -> "BetaScalar":
         """coeff * b^k as a scalar; k must be >= 0."""
         if k < 0:
             raise ValueError(f"b^{k} is not in Q[b]")
         c = Fraction(coeff)
         if not c:
-            return cls(0)
-        return cls((Fraction(0),) * k + (c,))
+            return ZERO
+        return cls._trusted((_F0,) * k + (c,))
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -91,12 +112,12 @@ class BetaScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BetaScalar(_padd(self.num, other.num))
+        return BetaScalar._trusted(_padd(self.num, other.num))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BetaScalar(tuple(-x for x in self.num))
+        return BetaScalar._trusted(tuple(-x for x in self.num))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -114,7 +135,7 @@ class BetaScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BetaScalar(_pmul(self.num, other.num))
+        return BetaScalar._trusted(_pmul(self.num, other.num))
 
     __rmul__ = __mul__
 
@@ -128,7 +149,7 @@ class BetaScalar:
         if len(other.num) > 1:
             raise ArithmeticError(f"cannot divide by {other}: it depends on b")
         inv = 1 / other.num[0]
-        return BetaScalar(tuple(x * inv for x in self.num))
+        return BetaScalar._trusted(tuple(x * inv for x in self.num))
 
     def __pow__(self, k: int):
         if k < 0:

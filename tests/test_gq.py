@@ -16,6 +16,7 @@ from kq.gq import (
 from kq.hexpansion import HBraExpansion, classical_q, two_row_q
 from kq.laurent import f_table, kernel_coefficient
 from kq.oracle import gq_oracle
+from kq.partitions import strict_partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import ONE, BetaScalar, binom_general
 
@@ -261,11 +262,11 @@ def test_pfaffian_2_beta_zero_is_classical():
 
 
 def test_pfaffian_routes_agree():
-    D = 6
-    for lam in [(1,), (2, 1), (4, 2), (3, 2, 1)]:
+    D = 7
+    for lam in strict_partitions_upto(D):
         a = gq_pfaffian_1(lam, D)
-        assert a == gq_pfaffian_2(lam, D)
-        assert a == gq_fermionic(lam, D)
+        assert a == gq_pfaffian_2(lam, D), lam
+        assert a == gq_fermionic(lam, D), lam
 
 
 def test_routes_against_oracle_deeper():

@@ -34,3 +34,26 @@ def test_library_imports_are_used():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert not found, found
+
+
+def test_trusted_constructors_stay_in_their_module():
+    # a _trusted constructor skips the checks of __init__, so only the
+    # module that defines it may call it, on values its own code built
+    definers, uses = {}, []
+    for path in sorted(Path(kq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "_trusted"
+                    for f in node.body):
+                definers[node.name] = path.name
+            elif isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                uses.append((path.name, node.lineno, owner))
+            elif isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "_trusted" for alias in node.names):
+                uses.append((path.name, node.lineno, None))
+    assert set(definers.values()) == {"scalars.py", "pseries.py"}, definers
+    found = [f"{name}:{line}" for name, line, owner in uses
+             if owner not in ("cls", "self") and definers.get(owner) != name]
+    assert not found, found

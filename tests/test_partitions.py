@@ -30,6 +30,22 @@ def test_non_integer_parts_fail_at_the_routes():
         PSeries({(1.7,): 1}, 3)
 
 
+def test_negative_degree_bound_is_named_at_the_routes():
+    # |()| = 0 fits any bound; the bound itself is what is wrong
+    with pytest.raises(ValueError, match=r">= 0, got -1"):
+        gq_fermionic((), -1)
+
+
+def test_non_integer_degree_bound_fails_at_the_routes():
+    with pytest.raises(ValueError, match=r"integer, got 2\.5"):
+        gq_fermionic((1,), 2.5)
+
+
+def test_non_integer_degree_bound_fails_at_the_series_constructor():
+    with pytest.raises(ValueError, match=r"integer, got 2\.5"):
+        PSeries.p(1, 2.5)
+
+
 def test_counts():
     # partition numbers 1, 1, 2, 3, 5, 7, 11 and strict 1, 1, 1, 2, 2, 3, 4
     assert [len(pt.partitions_of(n)) for n in range(7)] == [1, 1, 2, 3, 5, 7, 11]

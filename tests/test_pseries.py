@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.partitions import partitions_upto
+from kq.partitions import check_partition, partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 
@@ -17,6 +17,55 @@ def series(bound=D):
     return st.dictionaries(st.sampled_from(keys), coeff, max_size=4).map(
         lambda d: PSeries(d, bound)
     )
+
+
+def beta_series(bound=D):
+    # coefficients c*b^k, as the library's generators have, and sums of them
+    keys = list(partitions_upto(bound))
+    mono = st.builds(BetaScalar.beta_power, st.integers(0, 3), st.integers(-3, 3))
+    coeff = st.lists(mono, min_size=1, max_size=2).map(sum)
+    return st.dictionaries(st.sampled_from(keys), coeff, max_size=8).map(
+        lambda d: PSeries(d, bound)
+    )
+
+
+def assert_invariants(f):
+    # what PSeries.__init__ guarantees; results built without it must agree
+    assert type(f.degree_bound) is int and f.degree_bound >= 0
+    for key, val in f.terms.items():
+        assert type(key) is tuple and check_partition(key) == key
+        assert sum(key) <= f.degree_bound
+        assert isinstance(val, BetaScalar) and val
+        assert val == BetaScalar(val.num) and all(type(c) is Fraction for c in val.num)
+    assert f == PSeries(f.terms, f.degree_bound)
+
+
+def all_pairs_product(a, b):
+    # the product as the definition reads: every pair, then the bound
+    out = {}
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
+            if sum(ka) + sum(kb) <= a.degree_bound:
+                k = tuple(sorted(ka + kb, reverse=True))
+                out[k] = out.get(k, ZERO) + va * vb
+    return PSeries(out, a.degree_bound)
+
+
+@given(beta_series(), beta_series(), st.integers(-2, 2), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_results_meet_the_invariants(a, b, n, k):
+    results = [a + b, a - b, a + (-a), -a, a * b, b * a, a * (b - b),
+               a * n, n * a, a * BETA, a * (BETA - 1), a + n, n - a, a ** k]
+    for f in results:
+        assert_invariants(f)
+
+
+@given(beta_series(), beta_series())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_all_pairs(a, b):
+    assert (a * b).terms == all_pairs_product(a, b).terms
+    f = a + PSeries.one(D)
+    assert (f * f * f).terms == all_pairs_product(all_pairs_product(f, f), f).terms
 
 
 def test_constructor_truncates_and_prunes():

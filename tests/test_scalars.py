@@ -11,6 +11,20 @@ polys = st.lists(fracs, max_size=4).map(tuple)
 scalars = polys.map(BetaScalar)
 
 
+# the coefficients the library builds are mostly single monomials c*b^k
+nonzero = fracs.filter(bool)
+monomials = st.builds(BetaScalar.beta_power, st.integers(0, 5), nonzero)
+mixed = st.one_of(scalars, monomials)
+
+
+def assert_normal_form(x):
+    # what the public constructor would make of the same tuple
+    y = BetaScalar(x.num)
+    assert x == y and x.num == y.num and hash(x) == hash(y)
+    assert all(type(c) is Fraction for c in x.num)
+    assert not x.num or x.num[-1] != 0
+
+
 def test_normal_form():
     # trailing zero coefficients are trimmed, so equality is structural
     s = BetaScalar((1, 0, Fraction(0)))
@@ -55,6 +69,18 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert a - a == ZERO
     assert a * ONE == a
+
+
+@given(mixed, mixed, nonzero, st.integers(0, 4), st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_ring_results_are_in_normal_form(a, b, c, k, n):
+    # the ring operations skip the constructor's checks, so their results
+    # must already be what the constructor would build
+    results = [a + b, a - b, b - a, a + (-a), -a, a * b, a * (b - b),
+               a + n, n + a, a - n, n - a, a * n, n * a, a / c, a / n if n else a,
+               a ** k, BetaScalar.beta_power(k, c), BetaScalar.beta_power(k, 0)]
+    for x in results:
+        assert_normal_form(x)
 
 
 @given(scalars)
