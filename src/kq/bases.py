@@ -8,6 +8,12 @@ that control the K-theoretic family and its dual:
     bracket: p_n shifted by b/2 in each letter      (finite downward sum)
 Both are unitriangular over the p basis, one from below, one from above,
 which is what makes exact basis conversion possible degree by degree.
+
+Memoised here: the image of each deformed p_lambda, per (flavor, lambda,
+bound), in process-wide tables; and the coordinates to_deformed_basis
+computes, on the series they describe (its private _deformed slot, one
+entry per flavor), so they live exactly as long as that series object.
+The memo relies on series never being mutated after construction.
 """
 
 from __future__ import annotations
@@ -93,10 +99,22 @@ def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScal
 
     Exact modulo the degree bound: paren images only feed upward in degree
     and bracket images only feed downward, so one sweep in the right
-    direction eliminates everything.
+    direction eliminates everything.  The first call per flavor stores the
+    coordinates on f; every call returns a fresh dict the caller may keep
+    or change.  A conversion that raises stores nothing.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
+    memo = f._deformed
+    if memo is None:
+        memo = f._deformed = {}
+    coords = memo.get(flavor)
+    if coords is None:
+        coords = memo[flavor] = _eliminate(f, flavor)
+    return dict(coords)
+
+
+def _eliminate(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScalar]:
     bound = f.degree_bound
     degrees = range(bound + 1) if flavor == "paren" else range(bound, -1, -1)
     rep = f

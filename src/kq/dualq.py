@@ -276,8 +276,14 @@ def bilinear_pair(f, g):
     on a partition with an even part means the argument left its ring and
     is rejected.  Matching monomials are weighed by z_lambda / 2^{l}.
     f must not be truncated below the top degree of g, or coordinates
-    that pair against g would already be lost.
+    that pair against g would already be lost.  The coordinates of each
+    argument are computed once per series object and kept on it, so
+    pairing the same series again costs only the sum.
     """
+    for name, arg in (("f", f), ("g", g)):
+        if not isinstance(arg, PSeries):
+            raise TypeError(f"bilinear_pair needs PSeries arguments, "
+                            f"got {type(arg).__name__} for {name}")
     top = g.top_degree()
     if top is not None and f.degree_bound < top:
         raise ValueError("first argument is truncated below deg of the second")
@@ -287,12 +293,13 @@ def bilinear_pair(f, g):
         for mu in coords:
             if any(part % 2 == 0 for part in mu):
                 raise ValueError(f"support on even partition {mu}")
-    total = ZERO
+    total = None
     for mu, a in cf.items():
         b = cg.get(mu)
         if b is not None:
-            total = total + a * b * Fraction(z_lambda(mu), 2 ** len(mu))
-    return total
+            term = a * b * Fraction(z_lambda(mu), 2 ** len(mu))
+            total = term if total is None else total + term
+    return ZERO if total is None else total
 
 
 def inner_product_formula(lam, mu):

@@ -11,15 +11,21 @@ classical Schur Q-function evaluated at the deformed power sums:
 with word(mu) the reversed negated padding of mu.  Pairing a ket against
 this row is therefore a finite weight lookup, which is how every symmetric
 function in this package leaves Fock space.
+
+Memoised for the life of the process: Q_mu, Q_mu(p^flavor) per (mu,
+flavor, bound), and the rows of <0|e^H per (row_bound, flavor, bound).
+Every caller gets the same series objects, so none may mutate them; the
+rows come as a read-only mapping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .bases import from_deformed_basis, q_series
-from .partitions import check_partition, strict_partitions_upto
+from .partitions import check_degree_bound, check_partition, strict_partitions_upto
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries
 from .scalars import BetaScalar
@@ -61,7 +67,12 @@ def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
     degree max(bound, |mu|) before truncating; paren images only feed
     upward and need no widening.
     """
-    mu = check_partition(mu, strict=True)
+    return _deformed_q(check_partition(mu, strict=True), flavor,
+                       check_degree_bound(degree_bound))
+
+
+@lru_cache(maxsize=None)
+def _deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
     inner = degree_bound
     if flavor == "bracket":
         inner = max(degree_bound, sum(mu))
@@ -94,25 +105,18 @@ class HBraExpansion:
     row_bound caps which basis rows are kept and degree_bound caps the
     power-sum degree of each coefficient; they agree for the upward-feeding
     paren flavor but the bracket flavor pushes weight downward, so exact
-    low-degree output can require rows far above the degree bound.
+    low-degree output can require rows far above the degree bound.  The
+    rows are built once per (row_bound, flavor, degree_bound) and shared,
+    read-only, by every expansion with those arguments.
     """
 
     def __init__(self, row_bound: int, flavor: str, degree_bound: int | None = None):
-        if degree_bound is None:
-            degree_bound = row_bound
+        row_bound = check_degree_bound(row_bound)
+        degree_bound = row_bound if degree_bound is None else check_degree_bound(degree_bound)
         self.row_bound = row_bound
         self.flavor = flavor
         self.degree_bound = degree_bound
-        self.rows = {}
-        for mu in strict_partitions_upto(row_bound):
-            padded = mu if len(mu) % 2 == 0 else mu + (0,)
-            word = tuple(-m for m in reversed(padded))
-            coeff = deformed_q(mu, flavor, degree_bound) * BetaScalar(
-                Fraction(1, 2 ** len(mu))
-            )
-            if sum(mu) % 2:
-                coeff = -coeff
-            self.rows[word] = coeff
+        self.rows = _h_rows(row_bound, flavor, degree_bound)
 
     def coefficient(self, word) -> PSeries:
         got = self.rows.get(tuple(word))
@@ -126,3 +130,18 @@ class HBraExpansion:
                     f"ket reaches weight {sum(word)} beyond row bound {self.row_bound}"
                 )
         return vacuum_expectation(ket_state, self.flavor, self.degree_bound)
+
+
+@lru_cache(maxsize=None)
+def _h_rows(row_bound: int, flavor: str, degree_bound: int):
+    rows = {}
+    for mu in strict_partitions_upto(row_bound):
+        padded = mu if len(mu) % 2 == 0 else mu + (0,)
+        word = tuple(-m for m in reversed(padded))
+        coeff = deformed_q(mu, flavor, degree_bound) * BetaScalar(
+            Fraction(1, 2 ** len(mu))
+        )
+        if sum(mu) % 2:
+            coeff = -coeff
+        rows[word] = coeff
+    return MappingProxyType(rows)

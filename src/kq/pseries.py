@@ -15,6 +15,14 @@ meet it too: merge keeps keys canonical, the product skips pairs above the
 bound, zero sums are dropped, and Q[b] has no zero divisors, so a product
 of nonzero coefficients is nonzero.  So those results are wrapped by the
 private PSeries._trusted, which skips the checks.
+
+A series is a value: terms must not be mutated after construction.  Shared
+tables (gq_series, the lru_cached generators, the rows of HBraExpansion)
+hand the same object to every caller, and each series carries a private
+memo, the _deformed slot, that bases.to_deformed_basis fills with the
+series' deformed-basis coordinates per flavor.  The memo lives exactly as
+long as the series object; it is never part of == or hash, and only
+pseries and bases touch it.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ def _coeff(v) -> BetaScalar:
 
 
 class PSeries:
-    __slots__ = ("terms", "degree_bound")
+    __slots__ = ("terms", "degree_bound", "_deformed")
 
     def __init__(self, terms, degree_bound: int):
         degree_bound = check_degree_bound(degree_bound)
@@ -44,6 +52,7 @@ class PSeries:
             if val:
                 clean[key] = val
         self.terms = clean
+        self._deformed = None
 
     @classmethod
     def _trusted(cls, terms, degree_bound: int) -> "PSeries":
@@ -54,6 +63,7 @@ class PSeries:
         out = object.__new__(cls)
         out.terms = terms
         out.degree_bound = degree_bound
+        out._deformed = None
         return out
 
     # -- constructors ---------------------------------------------------
@@ -119,11 +129,12 @@ class PSeries:
         self._check_bound(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
+            prev = out.get(k)
+            s = v if prev is None else prev + v
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
+                del out[k]
         return PSeries._trusted(out, self.degree_bound)
 
     __radd__ = __add__
@@ -164,11 +175,12 @@ class PSeries:
                 if db > room:
                     break
                 k = merge(ka, kb)
-                s = out.get(k, ZERO) + va * vb
+                prev = out.get(k)
+                s = va * vb if prev is None else prev + va * vb
                 if s:
                     out[k] = s
                 else:
-                    out.pop(k, None)
+                    del out[k]
         return PSeries._trusted(out, bound)
 
     __rmul__ = __mul__

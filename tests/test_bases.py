@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kq import bases
 from kq.bases import (
     from_deformed_basis,
     p_beta,
@@ -108,6 +109,40 @@ def test_to_deformed_basis_spot_values():
     g = PSeries.p(2, 2)
     coeffs = to_deformed_basis(g, "bracket")
     assert coeffs == {(1,): -BETA, (2,): ONE}
+
+
+def test_returned_coordinates_are_the_callers_to_change():
+    f = PSeries({(1,): 1, (2, 1): 3}, 4)
+    first = to_deformed_basis(f, "paren")
+    want = dict(first)
+    first[(1,)] = BETA
+    first.clear()
+    assert to_deformed_basis(f, "paren") == want
+    assert from_deformed_basis(want, "paren", 4) == f
+
+
+def _no_image(flavor, key, bound):
+    return PSeries.zero(bound)
+
+
+def _bad_image(flavor, key, bound):
+    raise ValueError("no image")
+
+
+@pytest.mark.parametrize("image, error", [(_no_image, ArithmeticError),
+                                          (_bad_image, ValueError)])
+def test_failed_conversion_stores_nothing(monkeypatch, image, error):
+    # images that eliminate nothing leave a residue, and an image that
+    # raises stops the sweep; coordinates stored by the failed call would
+    # hide the second failure
+    f = PSeries({(1,): 1, (3,): 2}, 3)
+    monkeypatch.setattr(bases, "_image_partition", image)
+    for _ in range(2):
+        with pytest.raises(error):
+            to_deformed_basis(f, "bracket")
+    monkeypatch.undo()
+    coords = to_deformed_basis(f, "bracket")
+    assert from_deformed_basis(coords, "bracket", 3) == f
 
 
 def test_unknown_flavor_rejected():

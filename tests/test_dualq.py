@@ -294,6 +294,31 @@ def test_bilinear_pair_guards():
         bilinear_pair(p_beta(1, 5), PSeries.p(2, 2))
 
 
+def test_bilinear_pair_rejects_non_series():
+    with pytest.raises(TypeError, match="int for f"):
+        bilinear_pair(1, gp((1,), 3))
+    with pytest.raises(TypeError, match="dict for g"):
+        bilinear_pair(gp((1,), 3), {(1,): 1})
+
+
+def test_bilinear_pair_repeats_match_a_fresh_reference():
+    # the coordinates kept on each series must give what a fresh
+    # conversion gives, however often the same objects are paired
+    D = 5
+    f = gq_fermionic((2, 1), D) * gq_fermionic((1,), D)
+    g = gp((3, 1), D)
+    cf = to_deformed_basis(PSeries(f.terms, f.degree_bound), "paren")
+    cg = to_deformed_basis(PSeries(g.terms, g.degree_bound), "bracket")
+    want = ZERO
+    for mu, a in cf.items():
+        for nu, b in cg.items():
+            if mu == nu:
+                want = want + a * b * Fraction(z_lambda(mu), 2 ** len(mu))
+    assert want
+    assert bilinear_pair(f, g) == want
+    assert bilinear_pair(f, g) == want
+
+
 def test_duality_delta_small_sweep():
     D = 5
     plist = list(strict_partitions_upto(4))

@@ -57,3 +57,19 @@ def test_trusted_constructors_stay_in_their_module():
     found = [f"{name}:{line}" for name, line, owner in uses
              if owner not in ("cls", "self") and definers.get(owner) != name]
     assert not found, found
+
+
+def test_series_memo_stays_in_two_modules():
+    # the coordinates kept on a series are valid only while its terms are
+    # the ones they were computed from, so only the module that builds
+    # series and the one that fills the memo may touch the slot
+    found = []
+    for path in sorted(Path(kq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Attribute) and node.attr == "_deformed"
+                     or isinstance(node, ast.Constant) and node.value == "_deformed")
+            if named and path.name not in ("pseries.py", "bases.py"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+    assert "_deformed" in kq.pseries.PSeries.__slots__

@@ -161,6 +161,22 @@ def test_expectation_row_guard():
     assert exp.expectation({(2, 1): ONE}) == deformed_q((2, 1), "paren", 3)
 
 
+@pytest.mark.parametrize("bound", [-1, 2.5])
+def test_bad_bounds_rejected(bound):
+    with pytest.raises(ValueError, match=str(bound)):
+        HBraExpansion(bound, "paren")
+    with pytest.raises(ValueError, match=str(bound)):
+        HBraExpansion(3, "paren", bound)
+
+
+def test_rows_are_shared_and_read_only():
+    rows = HBraExpansion(4, "bracket", 3).rows
+    assert HBraExpansion(4, "bracket", 3).rows is rows
+    with pytest.raises(TypeError):
+        rows[()] = PSeries.zero(3)
+    assert HBraExpansion(4, "bracket", 3).coefficient(()) == PSeries.one(3)
+
+
 def test_row_lookup():
     exp = HBraExpansion(4, "paren")
     assert exp.coefficient((0, -1)) == deformed_q((1,), "paren", 4) * Fraction(-1, 2)

@@ -54,10 +54,16 @@ def all_pairs_product(a, b):
 @given(beta_series(), beta_series(), st.integers(-2, 2), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_results_meet_the_invariants(a, b, n, k):
-    results = [a + b, a - b, a + (-a), -a, a * b, b * a, a * (b - b),
-               a * n, n * a, a * BETA, a * (BETA - 1), a + n, n - a, a ** k]
+    # (a + b) - b and (a + b) * (a - b) cancel terms exactly: a new key is
+    # stored as it comes, a key whose sum reaches zero is dropped
+    results = [a + b, a - b, a + (-a), (a + b) + (-b), -a, a * b, b * a,
+               a * (b - b), (a + b) * (a - b), a * n, n * a, a * BETA,
+               a * (BETA - 1), a + n, n - a, a ** k]
     for f in results:
         assert_invariants(f)
+    assert (a + (-a)).is_zero()
+    assert (a + b) + (-b) == a
+    assert (a + b) * (a - b) == a * a - b * b
 
 
 @given(beta_series(), beta_series())
@@ -66,6 +72,17 @@ def test_product_matches_all_pairs(a, b):
     assert (a * b).terms == all_pairs_product(a, b).terms
     f = a + PSeries.one(D)
     assert (f * f * f).terms == all_pairs_product(all_pairs_product(f, f), f).terms
+    u, v = a + b, a - b
+    assert (u * v).terms == all_pairs_product(u, v).terms
+
+
+def test_product_drops_pairs_that_cancel():
+    # p1 * p2 and p2 * (-p1) land on one key and cancel; p1 * p1 and
+    # p2 * p2 stay
+    p1, p2 = PSeries.p(1, D), PSeries.p(2, D)
+    got = (p1 + p2) * (p2 - p1)
+    assert got.terms == {(2, 2): ONE, (1, 1): -ONE}
+    assert_invariants(got)
 
 
 def test_constructor_truncates_and_prunes():
