@@ -28,6 +28,12 @@ from .scalars import BetaScalar, binom_general
 FLAVORS = ("paren", "bracket")
 
 
+def check_flavor(flavor):
+    """Raise ValueError unless flavor names one of the deformed bases."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
+
+
 def q_series(degree_bound: int) -> list[PSeries]:
     """[q_0, q_1, ..., q_bound], each exact (they are homogeneous)."""
     out = [PSeries.one(degree_bound)]
@@ -73,9 +79,7 @@ def p_bracket(n: int, degree_bound: int | None = None) -> PSeries:
 def _image_part(flavor: str, n: int, degree_bound: int) -> PSeries:
     if flavor == "paren":
         return p_beta(n, degree_bound)
-    if flavor == "bracket":
-        return p_bracket(n, degree_bound)
-    raise ValueError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
+    return p_bracket(n, degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +92,7 @@ def _image_partition(flavor: str, key: tuple[int, ...], degree_bound: int) -> PS
 
 def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
     """sum coeffs[lambda] * (deformed p_lambda), as an ordinary PSeries."""
+    check_flavor(flavor)
     out = PSeries.zero(degree_bound)
     for key, val in coeffs.items():
         out = out + _image_partition(flavor, tuple(key), degree_bound) * val
@@ -103,8 +108,7 @@ def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScal
     coordinates on f; every call returns a fresh dict the caller may keep
     or change.  A conversion that raises stores nothing.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
+    check_flavor(flavor)
     memo = f._deformed
     if memo is None:
         memo = f._deformed = {}

@@ -14,13 +14,8 @@ with zbar = -z / (1 + b z).  Three routes compute o_lambda:
   * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>.
 
 gp_lambda is produced from o_lambda by inverting the unitriangular pairing
-matrix <GQ_lambda, o_mu>, whose closed form is inner_product_formula.  The
-pairing itself (bilinear_pair) weighs matching odd power-sum monomials by
-z_lambda / 2^{l(lambda)}; fock_pairing evaluates its Fock-space avatar
-^g<mu|lambda>^G and cross-checks the product formula prod_i I(mu_i,
-lambda_i).  check_dual_cancellation tests the substitution x_1 = t,
-x_2 = -t - b that carves out the dual ring; it is exact, with no
-truncation caveat, because its inputs are polynomials.
+matrix <GQ_lambda, o_mu>.  The pairing itself (bilinear_pair) weighs
+matching odd power-sum monomials by z_lambda / 2^{l(lambda)}.
 """
 
 from fractions import Fraction
@@ -28,21 +23,18 @@ from functools import lru_cache
 
 from . import fock
 from .bases import to_deformed_basis
-from .finitevars import eval_finite
 from .hexpansion import vacuum_expectation
 from .laurent import g_table
 from .partitions import (
     check_degree_bound,
-    check_partition,
     check_strict_weight,
-    contains,
     row_count,
     sub_strict_partitions,
     z_lambda,
 )
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, z_exp
-from .scalars import BetaScalar, ONE, ZERO, binom_general
+from .scalars import BetaScalar, ZERO, binom_general
 
 
 @lru_cache(maxsize=None)
@@ -211,64 +203,6 @@ def o_fermionic(lam, degree_bound):
     return vacuum_expectation(state, "bracket", degree_bound) * Fraction(1, 2 ** r)
 
 
-def pairing_i(m, n):
-    """I(m, n), the elementary pairing of one bra row against one ket row.
-
-    Zero for m < n; 1 at m = n = 0; 2 on the rest of the diagonal;
-    (-b)^{m-n} above it.
-    """
-    if m < n:
-        return ZERO
-    if m == n:
-        return ONE if m == 0 else BetaScalar(2)
-    return BetaScalar.beta_power(m - n, -1 if (m - n) % 2 else 1)
-
-
-def _check_word(word, name):
-    for s, t in zip(word, word[1:]):
-        if s <= t:
-            raise ValueError(f"{name} must be strictly decreasing")
-    if word and word[-1] < 0:
-        raise ValueError(f"{name} must have nonnegative parts")
-
-
-def fock_pairing(mu, lam):
-    """^g<mu|lambda>^G: the dual bra against the GQ-side ket.
-
-    mu and lam are strictly decreasing words of nonnegative integers (a
-    strict partition, optionally padded by one zero).  The bra is
-    <0| (phihat_{mu_r})* e^{-Theta} ... (phihat_{mu_1})* e^{-Theta}; the
-    ket is phi^(b)_{lam_1} e^{Theta} ... phi^(b)_{lam_s} e^{Theta} |0>.
-    The value must match prod_i I(mu_i, lam_i) after zero-extending the
-    shorter word, and is zero when the lengths differ in parity.  A bare
-    length mismatch does not force zero: Theta does not annihilate the
-    vacuum, so the empty ket behaves like a reservoir of zero rows
-    (e.g. ^g<1,0|empty>^G = I(1,0) I(0,0) = -b).  Disagreement between
-    the Fock evaluation and the product raises.
-    """
-    mu, lam = tuple(mu), tuple(lam)
-    _check_word(mu, "mu")
-    _check_word(lam, "lam")
-    state = fock.vacuum_bra()
-    for n in reversed(mu):
-        state = fock.bra_apply_phihat_star(state, n)
-        state = fock.bra_apply_theta_exp(state, sign=-1)
-    for n in lam:
-        state = fock.bra_apply_phi_beta(state, n)
-        state = fock.bra_apply_theta_exp(state, sign=1)
-    got = state.get((), ZERO)
-    if (len(mu) - len(lam)) % 2:
-        want = ZERO
-    else:
-        size = max(len(mu), len(lam))
-        want = ONE
-        for m, n in zip(mu + (0,) * (size - len(mu)), lam + (0,) * (size - len(lam))):
-            want = want * pairing_i(m, n)
-    if got != want:
-        raise ArithmeticError("Fock pairing disagrees with the I product")
-    return got
-
-
 def bilinear_pair(f, g):
     """<f, g> for f in the paren ring and g (a polynomial) in the bracket ring.
 
@@ -302,31 +236,14 @@ def bilinear_pair(f, g):
     return ZERO if total is None else total
 
 
-def inner_product_formula(lam, mu):
-    """Closed form of <GQ_lambda, o_mu>.
-
-    (-b)^{|mu| - |lambda|} / 2^{rows of mu strictly above lambda} when mu
-    contains lambda, else 0.  Containment is the whole condition: no
-    length restriction cuts the support further, since o_mu carries the
-    nonzero constant term (-b)^{|mu|} / 2^{len(mu)} and therefore pairs
-    nontrivially with 1 = GQ_empty.
-    """
-    lam = check_partition(lam, strict=True)
-    mu = check_partition(mu, strict=True)
-    if not contains(mu, lam):
-        return ZERO
-    d = sum(mu) - sum(lam)
-    c = Fraction(-1 if d % 2 else 1, 2 ** row_count(mu, lam))
-    return BetaScalar.beta_power(d, c)
-
-
 def gp(lam, degree_bound):
     """gp_lambda, the dual basis to GQ: <GQ_lambda, gp_mu> = delta_{lambda,mu}.
 
     Obtained from the o family by inverting the unitriangular matrix
-    inner_product_formula: subtract, for every strict mu strictly inside
-    lambda (the empty partition included), the mu-row correction
-    (-b)^{|lambda|-|mu|} 2^{-row_count(lambda, mu)} gp_mu.
+    <GQ_mu, o_lambda> = (-b)^{|lambda|-|mu|} 2^{-row_count(lambda, mu)},
+    zero unless lambda contains mu: subtract that multiple of gp_mu from
+    o_lambda for every strict mu strictly inside lambda, the empty
+    partition included.
     """
     lam = check_strict_weight(lam, degree_bound)
     return _gp_cached(lam, degree_bound)
@@ -342,33 +259,3 @@ def _gp_cached(lam, degree_bound):
         c = Fraction(-1 if d % 2 else 1, 2 ** row_count(lam, mu))
         acc = acc - _gp_cached(mu, degree_bound) * BetaScalar.beta_power(d, c)
     return acc
-
-
-def check_dual_cancellation(g, nvars):
-    """Does g(t, -t - b, x_3, ..., x_n) not depend on t?
-
-    Exact (no truncation caveat: members of the dual ring are
-    polynomials).  Requires nvars >= deg g + 2 so the surviving variables
-    still determine g.  Returns False as soon as some t^b (b >= 1) slice
-    of the substituted polynomial fails to cancel.
-    """
-    top = g.top_degree()
-    if top is None:
-        return True
-    if nvars < top + 2:
-        raise ValueError("need nvars >= deg g + 2")
-    h = eval_finite(g, nvars)
-    slices = {}
-    for exps, c in h.terms.items():
-        e0, e1, tail = exps[0], exps[1], exps[2:]
-        # (-t-b)^{e1} spreads x_2^{e1} over t^j b^{e1-j} with sign (-1)^{e1}
-        for j in range(e1 + 1):
-            tpow = e0 + j
-            if tpow == 0:
-                continue
-            cb = binom_general(e1, j)
-            add = c * BetaScalar.beta_power(e1 - j, -cb if e1 % 2 else cb)
-            key = (tpow, tail)
-            prev = slices.get(key)
-            slices[key] = add if prev is None else prev + add
-    return not any(slices.values())

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .partitions import multiplicities, partitions_upto
+from .partitions import check_degree_bound, multiplicities, partitions_upto
 from .pseries import PSeries
 from .scalars import BetaScalar, ONE, ZERO
 
@@ -28,6 +28,7 @@ class FinitePoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        nvars = check_degree_bound(nvars, "variable count")
         self.nvars = nvars
         clean = {}
         for k, v in (terms or {}).items():
@@ -45,12 +46,6 @@ class FinitePoly:
     @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, i, power=1):
-        e = [0] * nvars
-        e[i] = power
-        return cls(nvars, {tuple(e): ONE})
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -105,26 +100,8 @@ class FinitePoly:
     def total_degree(self):
         return max((sum(k) for k in self.terms), default=None)
 
-    def truncate_degree(self, bound: int) -> "FinitePoly":
-        return FinitePoly(self.nvars,
-                          {k: v for k, v in self.terms.items() if sum(k) <= bound})
-
     def coefficient(self, exps) -> BetaScalar:
         return self.terms.get(tuple(exps), ZERO)
-
-    def specialize_vars(self, values) -> BetaScalar:
-        """Evaluate at x_i = values[i] (BetaScalar or rational)."""
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of values")
-        vals = [v if isinstance(v, BetaScalar) else BetaScalar(v) for v in values]
-        total = ZERO
-        for k, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, k):
-                if e:
-                    term = term * v ** e
-            total = total + term
-        return total
 
     def __str__(self):
         if not self.terms:

@@ -12,15 +12,13 @@ of bras: star sends <0|phi_{m_1}..phi_{m_k} to (-1)^{sum m}
 phi_{-m_k}..phi_{-m_1}|0>, is its own inverse, and turns a right action on
 bras into the starred left action on kets:
 
-    ket_apply_phi(v, n)       = (-1)^n star(bra_apply_phi(star(v), -n))
-    ket_apply_b(v, m)         = star(bra_apply_b(star(v), -m))
     ket_apply_phihat(v, n)    = star(bra_apply_phihat_star(star(v), n))
     ket_apply_theta_exp(v, s) = star(bra_apply_theta_exp(star(v), s))
 
 Infinite operator tails (the beta-deformed modes, the theta exponentials)
 truncate exactly by grading: a bra word of grade s is killed by any phi_m
-with s + m > 0.  Heisenberg generators b_m exist for odd m only; b_0 is not
-normal-ordered and is rejected.
+with s + m > 0.  Heisenberg generators b_m enter only through Theta, which
+uses odd m; b_0 is not normal-ordered and never built.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .pfaffian import padded_pfaffian
-from .scalars import BetaScalar, ONE, ZERO, binom_general
+from .scalars import BetaScalar, ONE, binom_general
 
 BraState = dict  # canonical bra word -> BetaScalar
 KetState = dict  # canonical ket word -> BetaScalar
@@ -46,10 +43,6 @@ def _merge(target, word, coeff):
         target[word] = total
     elif prev is not None:
         del target[word]
-
-
-def vacuum_bra() -> BraState:
-    return {(): ONE}
 
 
 def vacuum_ket() -> KetState:
@@ -79,21 +72,6 @@ def _bra_insert(word, n):
         prev = out.get(word[:-1], 0)
         out[word[:-1]] = prev + (2 if m % 2 == 0 else -2)
     return {w: c for w, c in out.items() if c}
-
-
-def bra_apply_phi(state: BraState, n: int) -> BraState:
-    out = {}
-    for word, coeff in state.items():
-        for w, c in _bra_insert(word, n).items():
-            _merge(out, w, coeff * c)
-    return out
-
-
-def ket_apply_phi(state: KetState, n: int) -> KetState:
-    out = star_bra(bra_apply_phi(star_ket(state), -n))
-    if n % 2:
-        out = {w: -c for w, c in out.items()}
-    return out
 
 
 # -- beta-deformed modes ----------------------------------------------------
@@ -140,11 +118,6 @@ def ket_apply_phihat(state: KetState, n: int) -> KetState:
 
 # -- Heisenberg generators --------------------------------------------------
 
-def _check_heisenberg_index(m):
-    if m % 2 == 0:
-        raise ValueError("b_m is defined for odd m only")
-
-
 @lru_cache(maxsize=None)
 def _bra_vacuum_b(m):
     """<0| b_m as a state; (1/4) sum_{i=-m}^{0} (-1)^i <0| phi_{-i-m} phi_i."""
@@ -173,19 +146,6 @@ def _bra_word_b(word, m):
     for w, c in _bra_insert(head, n - m).items():
         _merge(out, w, BetaScalar(-c))
     return out
-
-
-def bra_apply_b(state: BraState, m: int) -> BraState:
-    _check_heisenberg_index(m)
-    out = {}
-    for word, coeff in state.items():
-        for w, c in _bra_word_b(word, m).items():
-            _merge(out, w, coeff * c)
-    return out
-
-
-def ket_apply_b(state: KetState, m: int) -> KetState:
-    return star_bra(bra_apply_b(star_ket(state), -m))
 
 
 # -- theta exponentials -----------------------------------------------------
@@ -225,7 +185,7 @@ def ket_apply_theta_exp(state: KetState, sign: int = 1) -> KetState:
     return star_bra(bra_apply_theta_exp(star_ket(state), sign))
 
 
-# -- duality and pairing ----------------------------------------------------
+# -- duality ----------------------------------------------------------------
 
 def star_bra(state: BraState) -> KetState:
     """<0|phi_{m_1}..phi_{m_k}  |->  (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>."""
@@ -238,48 +198,3 @@ def star_bra(state: BraState) -> KetState:
 
 # the same formula sends a ket back to its bra
 star_ket = star_bra
-
-
-def pair(bra: BraState, ket: KetState) -> BetaScalar:
-    """Vacuum expectation <w|v>; this is where <0|phi_0|0> = 0 lives."""
-    total = ZERO
-    for kword, kcoeff in ket.items():
-        folded = bra
-        for n in kword:
-            folded = bra_apply_phi(folded, n)
-            if not folded:
-                break
-        else:
-            c = folded.get(())
-            if c is not None:
-                total = total + kcoeff * c
-    return total
-
-
-def vev_direct(letters) -> BetaScalar:
-    """<0| phi_{n_1} ... phi_{n_k} |0> by normal ordering, no Pfaffian."""
-    state = vacuum_bra()
-    for n in letters:
-        state = bra_apply_phi(state, n)
-        if not state:
-            return ZERO
-    c = state.get(())
-    return c if c is not None else ZERO
-
-
-def two_point(a: int, b: int):
-    """<0| phi_a phi_b |0>."""
-    if a == b == 0:
-        return Fraction(1)
-    if a + b == 0 and a < 0:
-        return Fraction(2 if a % 2 == 0 else -2)
-    return Fraction(0)
-
-
-def wick_expectation(letters) -> BetaScalar:
-    """<0| phi_{n_1} ... phi_{n_{2r}} |0> as the Pfaffian of two-points."""
-    letters = tuple(letters)
-    if len(letters) % 2:
-        return ZERO
-    return BetaScalar(padded_pfaffian(
-        letters, Fraction(1), lambda i, j, a, b: two_point(a, b)))

@@ -21,17 +21,12 @@ them through from_finite.  Note that GQ_emptyset is the constant 1 by the
 empty-Pfaffian convention, while the z^0 coefficient of GQ(z) is a separate
 computed object; the two are never interchanged even though the computed
 value of the latter also comes out as 1.
-
-check_kq_cancellation tests membership in the ring carved out by the
-K-theoretic cancellation property: f(t, -t/(1+beta t), x_3, ...) does not
-depend on t.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from . import fock
-from .finitevars import eval_finite
 from .hexpansion import HBraExpansion
 from .laurent import f_table, kernel_coefficient
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
@@ -242,45 +237,3 @@ def gq_fermionic(lam, degree_bound):
         if val:
             total = total + weight * val
     return total
-
-
-def check_kq_cancellation(f, degree_bound, nvars):
-    """Does f have the K-theoretic cancellation property, up to the bound?
-
-    Evaluates f in nvars variables, substitutes x_1 = t and
-    x_2 = -t/(1 + beta t), clears (1 + beta t)^D, and subtracts the t = 0
-    value times the same clearing factor.  A source monomial of x-degree m
-    only produces cleared monomials of total (t, x)-degree >= m, so the
-    coefficients at total degree <= D are exactly determined by f and must
-    all vanish; heavier ones belong to the discarded part of the series
-    and are ignored.  Returns True iff every trusted coefficient is zero.
-
-    f must carry every degree up to the bound (f.degree_bound >= D), and
-    nvars >= D + 2 keeps the remaining-variable window faithful.
-    """
-    D = degree_bound
-    if nvars < D + 2:
-        raise ValueError("need nvars >= degree_bound + 2")
-    if f.degree_bound < D:
-        raise ValueError("f is truncated below the requested bound")
-    g = eval_finite(f, nvars)
-    cleared = {}
-    for exps, c in g.terms.items():
-        m = sum(exps)
-        if m > D:
-            continue
-        tpow = exps[0] + exps[1]
-        if tpow == 0:
-            # t-free sources cancel exactly against the t = 0 part
-            continue
-        tail = exps[2:]
-        sgn = -1 if exps[1] % 2 else 1
-        # t^{e0} tbar^{e1} -> (-1)^{e1} t^{e0+e1} (1+beta t)^{D-e1};
-        # binomial index j beyond D - m leaves the trusted zone.
-        for j in range(D - m + 1):
-            cb = binom_general(D - exps[1], j)
-            key = (tpow + j, tail)
-            add = c * BetaScalar.beta_power(j, cb * sgn)
-            prev = cleared.get(key)
-            cleared[key] = add if prev is None else prev + add
-    return not any(cleared.values())

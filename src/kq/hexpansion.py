@@ -122,15 +122,6 @@ class HBraExpansion:
         got = self.rows.get(tuple(word))
         return PSeries.zero(self.degree_bound) if got is None else got
 
-    def expectation(self, ket_state) -> PSeries:
-        """Pair against a ket; rows beyond row_bound must not be needed."""
-        for word in ket_state:
-            if len(word) % 2 == 0 and sum(word) > self.row_bound:
-                raise ValueError(
-                    f"ket reaches weight {sum(word)} beyond row bound {self.row_bound}"
-                )
-        return vacuum_expectation(ket_state, self.flavor, self.degree_bound)
-
 
 @lru_cache(maxsize=None)
 def _h_rows(row_bound: int, flavor: str, degree_bound: int):

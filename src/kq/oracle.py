@@ -27,8 +27,8 @@ degree of anything worth keeping by T - |lambda|.
 Monomials are packed into single integers, six bits per exponent, with the
 beta exponent above the variables and the total x-degree on top, so that
 multiplication of monomials is integer addition.  A field that overflowed
-would carry into its neighbour and silently change the answer, so both
-entry points raise ValueError when an intermediate could need an exponent
+would carry into its neighbour and silently change the answer, so
+gq_oracle raises ValueError when an intermediate could need an exponent
 above 63.  The beta exponent of a monomial never exceeds its x-degree, so
 bounding the x-degree bounds every field.
 
@@ -38,10 +38,8 @@ space, power sums, kernels, or Pfaffians.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-
 from .finitevars import FinitePoly
-from .partitions import check_partition
+from .partitions import check_degree_bound, check_partition
 from .scalars import BetaScalar
 
 # key layout, least significant first: x_0 .. x_{n-1}, beta, total x-degree
@@ -99,14 +97,6 @@ def _one_plus_beta(n, b):
     eb = [0] * n
     eb[b] = 1
     return {0: 1, _mono(n, 1, eb): 1}
-
-
-def _pair_difference(n, c, d):
-    ec = [0] * n
-    ec[c] = 1
-    ed = [0] * n
-    ed[d] = 1
-    return {_mono(n, 0, ec): 1, _mono(n, 0, ed): -1}
 
 
 def _mul(a, b, n, cap, bcap=None):
@@ -244,12 +234,13 @@ def _to_finite(raw, n) -> FinitePoly:
 def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
     """GQ_lambda(x_0..x_{nvars-1}), exact for total x-degree <= trunc.
 
-    trunc defaults to nvars.  The result carries no terms above trunc.
-    Zero when the partition has more rows than there are variables.
+    trunc defaults to nvars; both must be integers >= 0.  The result
+    carries no terms above trunc.  Zero when the partition has more rows
+    than there are variables.
     """
     lam = check_partition(lam, strict=True)
-    if trunc is None:
-        trunc = nvars
+    nvars = check_degree_bound(nvars, "variable count")
+    trunc = nvars if trunc is None else check_degree_bound(trunc)
     r = len(lam)
     if r > nvars or sum(lam) > trunc:
         return FinitePoly.zero(nvars)
@@ -270,54 +261,3 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
         remaining -= 1
         poly = _divide_pair(_si_difference(poly, i), i, i + 1, nvars, trunc + remaining)
     return _to_finite(poly, nvars)
-
-
-def gq_oracle_literal(lam, nvars: int) -> FinitePoly:
-    """The defining factorial symmetrization, workable for nvars <= 4.
-
-    Independent of the divided-difference route; used to referee the referee.
-    """
-    lam = check_partition(lam, strict=True)
-    r = len(lam)
-    if r > nvars:
-        raise ValueError("more rows than variables")
-    if nvars > 4:
-        raise ValueError("literal symmetrization is kept to tiny sizes")
-    all_pairs = list(combinations(range(nvars), 2))
-    # each term is P0's factors times some of the degree-one pair factors
-    _check_fits(_p0_degree(lam, nvars) + len(all_pairs))
-    cap = 1 << 30
-    total = {}
-    for w in permutations(range(nvars)):
-        term = _one(nvars)
-        for i in range(r):
-            term = _mul(term, _bracket_power(nvars, w[i], lam[i]), nvars, cap)
-        sign = 1
-        seen = set()
-        for i in range(r):
-            for j in range(i + 1, nvars):
-                term = _mul(term, _oplus(nvars, w[i], w[j]), nvars, cap)
-                term = _mul(term, _one_plus_beta(nvars, w[j]), nvars, cap)
-                pair = (min(w[i], w[j]), max(w[i], w[j]))
-                seen.add(pair)
-                if w[i] > w[j]:
-                    sign = -sign
-        for pair in all_pairs:
-            if pair not in seen:
-                term = _mul(term, _pair_difference(nvars, *pair), nvars, cap)
-        if sign < 0:
-            term = {k: -v for k, v in term.items()}
-        _add_into(total, term)
-    for c, d in all_pairs:
-        total = _divide_pair(total, c, d, nvars, cap)
-    scale = 1
-    for k in range(2, nvars - r + 1):
-        scale *= k
-    out = {}
-    for k, v in total.items():
-        q, rem = divmod(v, scale)
-        if rem:
-            raise ArithmeticError("factorial prefactor does not divide")
-        if q:
-            out[k] = q
-    return _to_finite(out, nvars)

@@ -27,15 +27,14 @@ def check_partition(parts, strict=False) -> tuple[int, ...]:
     return p
 
 
-def check_degree_bound(degree_bound) -> int:
-    """degree_bound as an int, checked to be >= 0."""
+def check_degree_bound(degree_bound, what="degree bound") -> int:
+    """degree_bound as an int, checked to be >= 0; what names it in errors."""
     try:
         d = operator.index(degree_bound)
     except TypeError:
-        raise ValueError(
-            f"degree bound must be an integer, got {degree_bound!r}") from None
+        raise ValueError(f"{what} must be an integer, got {degree_bound!r}") from None
     if d < 0:
-        raise ValueError(f"degree bound must be >= 0, got {d}")
+        raise ValueError(f"{what} must be >= 0, got {d}")
     return d
 
 
@@ -46,18 +45,6 @@ def check_strict_weight(lam, degree_bound) -> tuple[int, ...]:
     if sum(lam) > degree_bound:
         raise ValueError("degree bound is below |lambda|")
     return lam
-
-
-def is_strict(p) -> bool:
-    return all(a > b for a, b in zip(p, p[1:]))
-
-
-def weight(p) -> int:
-    return sum(p)
-
-
-def length(p) -> int:
-    return len(p)
 
 
 def even_ceil(n: int) -> int:
@@ -151,10 +138,6 @@ def sub_strict_partitions(p):
                 grown.add((v,) + tail)
         out |= grown
     return sorted(out, key=graded_key)
-
-
-def odd_parts_only(p) -> bool:
-    return all(x % 2 for x in p)
 
 
 def merge(p, q) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ together with a degree bound D: the object represents its class modulo
 (terms of degree > D), where deg p_lambda = |lambda|.  All arithmetic
 truncates at D, so the bound is part of the value and mixed-bound arithmetic
 is a bug (it raises).  Coefficients are BetaScalars, polynomials in b: no
-operation here divides by anything but a rational constant (the 1/k! of exp).
+operation here divides by anything but a rational constant (the 1/m of
+z_exp).
 
 Invariant: degree_bound is an int >= 0, and terms maps partitions in the
 canonical form of check_partition, each of weight <= degree_bound, to
@@ -95,19 +96,10 @@ class PSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lowest_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(sum(k) for k in self.terms)
-
     def top_degree(self) -> int | None:
         if not self.terms:
             return None
         return max(sum(k) for k in self.terms)
-
-    def homogeneous_part(self, d: int) -> "PSeries":
-        return PSeries({k: v for k, v in self.terms.items() if sum(k) == d},
-                       self.degree_bound)
 
     def truncate(self, new_bound: int) -> "PSeries":
         if new_bound > self.degree_bound:
@@ -210,69 +202,10 @@ class PSeries:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- analytic-style helpers -------------------------------------------
-
-    def exp(self) -> "PSeries":
-        """exp of a series with no constant term (checked)."""
-        if () in self.terms:
-            raise ValueError("exp needs a series with zero constant term")
-        out = PSeries.one(self.degree_bound)
-        power = PSeries.one(self.degree_bound)
-        kfac = 1
-        for k in range(1, self.degree_bound + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            kfac *= k
-            out = out + power * Fraction(1, kfac)
-        return out
-
-    def specialize_beta(self, value) -> "PSeries":
-        """Substitute a rational value for b in every coefficient."""
-        return PSeries(
-            {k: BetaScalar(v.specialize(value)) for k, v in self.terms.items()},
-            self.degree_bound,
-        )
-
-    def substitute_power_sums(self, image) -> "PSeries":
-        """Ring substitution p_n -> image(n); image returns a PSeries."""
-        out = PSeries.zero(self.degree_bound)
-        cache: dict[int, PSeries] = {}
-        for key, val in self.terms.items():
-            term = PSeries.constant(val, self.degree_bound)
-            for part in key:
-                if part not in cache:
-                    img = image(part)
-                    self._check_bound(img)
-                    cache[part] = img
-                term = term * cache[part]
-            out = out + term
-        return out
-
-    # -- serialization and display -----------------------------------------
+    # -- ordered view and display ---------------------------------------------
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: graded_key(kv[0]))
-
-    def to_json(self):
-        return {
-            "basis": "p",
-            "degree_bound": self.degree_bound,
-            "terms": [
-                {"partition": list(k), "coeff": v.to_json()}
-                for k, v in self.sorted_items()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "PSeries":
-        if data.get("basis") != "p":
-            raise ValueError("unsupported basis tag")
-        terms = {
-            tuple(t["partition"]): BetaScalar.from_json(t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(terms, data["degree_bound"])
 
     def __str__(self):
         if not self.terms:

@@ -172,15 +172,7 @@ class BetaScalar:
     def __hash__(self):
         return hash(self.num)
 
-    # -- specialization and display -----------------------------------------
-
-    def specialize(self, value) -> Fraction:
-        """Evaluate at a rational b = value."""
-        value = Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.num):
-            acc = acc * value + c
-        return acc
+    # -- display ------------------------------------------------------------
 
     def __str__(self):
         if not self.num:
@@ -197,21 +189,6 @@ class BetaScalar:
         return " + ".join(bits).replace("+ -", "- ")
 
     __repr__ = __str__
-
-    # -- JSON ------------------------------------------------------------
-
-    def to_json(self):
-        return {"num": [[e, str(c)] for e, c in enumerate(self.num) if c]}
-
-    @classmethod
-    def from_json(cls, data) -> "BetaScalar":
-        if set(data) != {"num"}:
-            raise ValueError(f"expected a single 'num' entry, got keys {sorted(data)}")
-        entries = data["num"]
-        out = [Fraction(0)] * (max((e for e, _ in entries), default=-1) + 1)
-        for e, c in entries:
-            out[e] = Fraction(c)
-        return cls(tuple(out))
 
 
 def _coerce(v):

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import kq
+from kq.pseries import PSeries
 
 
 def test_library_has_no_asserts():
@@ -72,4 +73,69 @@ def test_series_memo_stays_in_two_modules():
             if named and path.name not in ("pseries.py", "bases.py"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
-    assert "_deformed" in kq.pseries.PSeries.__slots__
+    assert "_deformed" in PSeries.__slots__
+
+
+
+
+def _reads(nodes):
+    """Identifiers the nodes read, as names or as attributes."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            or isinstance(sub, ast.Attribute)}
+
+
+def unreached_public_names(package, roots):
+    """Public functions, classes and methods of the package that no chain of
+    references from the root identifiers reaches.
+
+    An identifier reaches every definition of that name.  A function then
+    reads its decorators, signature and body; a class its bases, class-level
+    statements and dunder methods.  Module-level statements other than
+    definitions run at import, so what they read is reached too.
+    """
+    defs = {}  # identifier -> [(label, nodes read once it is reached)]
+    pending = set(roots)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            label = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append((label, [node]))
+            elif isinstance(node, ast.ClassDef):
+                own = [*node.bases, *node.decorator_list]
+                for item in node.body:
+                    name = getattr(item, "name", "__")
+                    if name.startswith("__") and name.endswith("__"):
+                        own.append(item)
+                    else:
+                        defs.setdefault(name, []).append((f"{label}.{name}", [item]))
+                defs.setdefault(node.name, []).append((label, own))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                pending |= _reads([node])
+    seen = set()
+    while pending:
+        name = pending.pop()
+        if name not in seen:
+            seen.add(name)
+            for _, nodes in defs.get(name, ()):
+                pending |= _reads(nodes)
+    return sorted(label for name, entries in defs.items()
+                  if name not in seen and not name.startswith("_")
+                  for label, _ in entries)
+
+
+def test_public_names_are_reached():
+    # library code that only tests call belongs in tests/: every public name
+    # must be reached from kq.__all__, the kq command or the benchmark, which
+    # names routes and traced functions in strings ("gq.gq_series")
+    package = Path(kq.__file__).parent
+    roots = set(kq.__all__) | {"main"}
+    for path in (package.parent.parent / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                roots.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                roots.update(node.value.split("."))
+    found = unreached_public_names(package, roots)
+    assert not found, found

@@ -5,17 +5,19 @@ import pytest
 
 from kq.finitevars import FinitePoly, eval_finite
 from kq.hexpansion import classical_q
-from kq.oracle import gq_oracle, gq_oracle_literal
-from kq.scalars import BETA, ZERO, BetaScalar
+from kq.oracle import gq_oracle
+from kq.scalars import BETA, ZERO
+from referees import at_b, gq_oracle_literal
 
 FULL = 10**6
 
 
 def beta_zero(fp):
-    return FinitePoly(
-        fp.nvars,
-        {k: BetaScalar(v.specialize(0)) for k, v in fp.terms.items()},
-    )
+    return FinitePoly(fp.nvars, {k: at_b(v, 0) for k, v in fp.terms.items()})
+
+
+def truncated(fp, bound):
+    return FinitePoly(fp.nvars, {k: v for k, v in fp.terms.items() if sum(k) <= bound})
 
 
 def permuted(fp, perm):
@@ -32,6 +34,7 @@ def test_one_variable_one_row():
 
 def test_one_variable_two_rows_is_zero():
     assert gq_oracle((2, 1), 1, trunc=FULL) == FinitePoly.zero(1)
+    assert gq_oracle((2, 1), 1) == FinitePoly.zero(1)
 
 
 def test_more_rows_than_variables_vanishes():
@@ -49,7 +52,7 @@ def test_divided_differences_match_literal(lam, n):
 def test_truncation_is_exact_prefix():
     full = gq_oracle_literal((2, 1), 4)
     for t in (3, 4, 5, 6):
-        assert gq_oracle((2, 1), 4, trunc=t) == full.truncate_degree(t)
+        assert gq_oracle((2, 1), 4, trunc=t) == truncated(full, t)
 
 
 @pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 2), (4, 1)])
@@ -57,7 +60,7 @@ def test_beta_zero_is_classical_q(lam):
     n = 5
     w = sum(lam)
     got = beta_zero(gq_oracle(lam, n, trunc=w))
-    expect = eval_finite(classical_q(lam, w), n).truncate_degree(w)
+    expect = truncated(eval_finite(classical_q(lam, w), n), w)
     assert got == expect
 
 
@@ -91,7 +94,10 @@ def test_q_cancellation_property():
             for (e1, e2, e3, e4), c in outer.terms.items():
                 val = t ** e1 * (-t) ** e2 * u ** e3 * v ** e4
                 got = got + c * val * clear ** (top - e2)
-            assert got == inner.specialize_vars([u, v]) * clear ** top
+            want = ZERO
+            for (e3, e4), c in inner.terms.items():
+                want = want + c * (u ** e3 * v ** e4)
+            assert got == want * clear ** top
 
 
 def test_key_field_overflow_raises():
@@ -104,3 +110,11 @@ def test_key_field_overflow_raises():
 def test_padding_row_of_zero_rejected():
     with pytest.raises(ValueError):
         gq_oracle((2, 0), 3)
+
+
+@pytest.mark.parametrize("args, bad", [(((), 3, -2), "-2"), (((1,), -1), "-1"),
+                                       (((1,), 2.5), r"2\.5")])
+def test_bad_counts_rejected(args, bad):
+    # GQ_empty is 1, so the zero of a negative bound would be a wrong answer
+    with pytest.raises(ValueError, match=bad):
+        gq_oracle(*args)

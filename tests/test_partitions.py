@@ -53,7 +53,7 @@ def test_counts():
     # every strict partition is strict and of the right weight
     for n in range(9):
         for p in pt.strict_partitions_of(n):
-            assert pt.is_strict(p) and sum(p) == n
+            assert all(a > b for a, b in zip(p, p[1:])) and sum(p) == n
 
 
 def test_strict_upto_matches_acceptance_inventory():
@@ -98,12 +98,10 @@ def test_sub_strict_partitions():
     # no duplicates, all strict, all contained
     assert len(set(subs)) == len(subs)
     for q in subs:
-        assert pt.is_strict(q) and pt.contains((3, 1), q)
+        assert all(a > b for a, b in zip(q, q[1:])) and pt.contains((3, 1), q)
     assert pt.sub_strict_partitions(()) == [()]
 
 
 def test_merge_and_misc():
     assert pt.merge((3, 1), (2, 1)) == (3, 2, 1, 1)
-    assert pt.odd_parts_only((5, 3, 3, 1))
-    assert not pt.odd_parts_only((4, 1))
     assert pt.multiplicities((3, 1, 1)) == {3: 1, 1: 2}

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq.scalars import BETA, ONE, ZERO, BetaScalar, binom_general
+from referees import at_b
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 polys = st.lists(fracs, max_size=4).map(tuple)
@@ -53,8 +55,6 @@ def test_no_rational_functions():
         BETA ** -1
     with pytest.raises(ValueError):
         BetaScalar.beta_power(-1)
-    with pytest.raises(ValueError):
-        BetaScalar.from_json({"num": [[0, "1"]], "den": [[0, "1"]]})
     with pytest.raises(TypeError):
         BetaScalar((1,), (1, 1))
 
@@ -93,16 +93,16 @@ def test_hash_consistency(a):
 @given(scalars, st.fractions(min_value=-6, max_value=6, max_denominator=3))
 @settings(max_examples=60, deadline=None)
 def test_specialize_is_a_homomorphism(a, v):
-    av = a.specialize(v)
-    assert (a + a).specialize(v) == 2 * av
-    assert (a * a).specialize(v) == av * av
+    av = at_b(a, v)
+    assert at_b(a + a, v) == 2 * av
+    assert at_b(a * a, v) == av * av
 
 
 def test_specialize_values():
     s = BETA ** 2 + 2 * BETA - Fraction(1, 2)
-    assert s.specialize(0) == Fraction(-1, 2)
-    assert s.specialize(3) == Fraction(29, 2)
-    assert s.specialize(Fraction(-1, 2)) == Fraction(-5, 4)
+    assert at_b(s, 0) == Fraction(-1, 2)
+    assert at_b(s, 3) == Fraction(29, 2)
+    assert at_b(s, Fraction(-1, 2)) == Fraction(-5, 4)
 
 
 def test_power_including_negative():
@@ -134,7 +134,9 @@ def test_binom_pascal(a, k):
 @given(scalars)
 @settings(max_examples=60, deadline=None)
 def test_json_round_trip(a):
-    assert BetaScalar.from_json(a.to_json()) == a
+    # a scalar leaves the library through as_polynomial
+    form = json.dumps([str(x) for x in a.as_polynomial()])
+    assert BetaScalar(tuple(Fraction(x) for x in json.loads(form))) == a
 
 
 def test_str_forms():
