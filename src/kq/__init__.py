@@ -7,6 +7,11 @@ The package computes the one-parameter family GQ_lambda through four
 independent routes (two Pfaffian formulas, a free-fermion contraction, a
 finite-variable symmetrization) and the dual family (o_lambda, gp_lambda),
 together with the bilinear pairing that makes the two families dual bases.
+
+Power-sum series, Fock states and finite polynomials store one Fraction per
+(key, power of b), so the arithmetic inside them is plain Fraction
+arithmetic.  BetaScalar, the public Q[b] scalar, is what a coefficient
+becomes once it leaves them, and the type of constants such as BETA.
 """
 
 from .scalars import BETA, ONE, ZERO, BetaScalar, binom_general

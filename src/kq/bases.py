@@ -14,6 +14,10 @@ bound), in process-wide tables; and the coordinates to_deformed_basis
 computes, on the series they describe (its private _deformed slot, one
 entry per flavor), so they live exactly as long as that series object.
 The memo relies on series never being mutated after construction.
+
+Coordinates are kept flat, as series terms are: {(lambda, k): Fraction}
+for the term c*b^k times the deformed p_lambda.  to_deformed_basis hands
+them out as {lambda: BetaScalar}; the pairing reads the flat memo.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import graded_key
 from .pseries import PSeries
-from .scalars import BetaScalar, binom_general
+from .scalars import BetaScalar, _monomials, binom_general
 
 FLAVORS = ("paren", "bracket")
 
@@ -90,13 +93,22 @@ def _image_partition(flavor: str, key: tuple[int, ...], degree_bound: int) -> PS
             * _image_part(flavor, key[-1], degree_bound))
 
 
-def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
-    """sum coeffs[lambda] * (deformed p_lambda), as an ordinary PSeries."""
+def _image_sum(flat, flavor: str, degree_bound: int) -> PSeries:
+    """sum c b^k (deformed p_lambda) over flat coordinates {(lambda, k): c}."""
     check_flavor(flavor)
     out = PSeries.zero(degree_bound)
-    for key, val in coeffs.items():
-        out = out + _image_partition(flavor, tuple(key), degree_bound) * val
+    for (key, k), c in flat.items():
+        out = out + _image_partition(flavor, key, degree_bound) * BetaScalar.beta_power(k, c)
     return out
+
+
+def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
+    """sum coeffs[lambda] * (deformed p_lambda), as an ordinary PSeries.
+
+    coeffs maps partitions to int, Fraction or BetaScalar values.
+    """
+    flat = {(tuple(key), k): c for key, val in coeffs.items() for k, c in _monomials(val)}
+    return _image_sum(flat, flavor, degree_bound)
 
 
 def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScalar]:
@@ -105,9 +117,16 @@ def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScal
     Exact modulo the degree bound: paren images only feed upward in degree
     and bracket images only feed downward, so one sweep in the right
     direction eliminates everything.  The first call per flavor stores the
-    coordinates on f; every call returns a fresh dict the caller may keep
-    or change.  A conversion that raises stores nothing.
+    coordinates on f; every call returns a fresh dict {lambda: BetaScalar},
+    in graded order, that the caller may keep or change.  A conversion that
+    raises stores nothing.
     """
+    return dict(_coordinates(f, flavor).sorted_items())
+
+
+def _coordinates(f: PSeries, flavor: str) -> PSeries:
+    """The memoised coordinates of f, as a series whose terms are the flat
+    coordinates; shared, so the caller must not change it."""
     check_flavor(flavor)
     memo = f._deformed
     if memo is None:
@@ -115,23 +134,20 @@ def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScal
     coords = memo.get(flavor)
     if coords is None:
         coords = memo[flavor] = _eliminate(f, flavor)
-    return dict(coords)
+    return coords
 
 
-def _eliminate(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScalar]:
+def _eliminate(f: PSeries, flavor: str) -> PSeries:
     bound = f.degree_bound
     degrees = range(bound + 1) if flavor == "paren" else range(bound, -1, -1)
     rep = f
-    out: dict[tuple[int, ...], BetaScalar] = {}
+    out = {}
     for d in degrees:
-        level = [(k, v) for k, v in rep.terms.items() if sum(k) == d]
+        level = {key: c for key, c in rep.terms.items() if sum(key[0]) == d}
         if not level:
             continue
-        correction = PSeries.zero(bound)
-        for key, val in level:
-            out[key] = val
-            correction = correction + _image_partition(flavor, key, bound) * val
-        rep = rep - correction
+        out.update(level)
+        rep = rep - _image_sum(level, flavor, bound)
     if not rep.is_zero():
         raise ArithmeticError("triangular elimination left a residue")
-    return {k: v for k, v in sorted(out.items(), key=lambda kv: graded_key(kv[0])) if v}
+    return PSeries._from_flat(out, bound)

@@ -20,9 +20,10 @@ matching odd power-sum monomials by z_lambda / 2^{l(lambda)}.
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import fock
-from .bases import to_deformed_basis
+from .bases import _coordinates
 from .hexpansion import vacuum_expectation
 from .laurent import g_table
 from .partitions import (
@@ -34,7 +35,7 @@ from .partitions import (
 )
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, z_exp
-from .scalars import BetaScalar, ZERO, binom_general
+from .scalars import BetaScalar, _from_monomials, binom_general
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +71,8 @@ class OSeries:
     o_n = (1/2) sum_{k=0}^{n} (-b)^k q^[b]_{n-k}, the u^n coefficient of
     (1/2) (1 + b u)^{-1} q^[b](u).  o_n for n < 0 is zero; asking above
     the bound is refused rather than silently truncated, since o_n has top
-    degree exactly n.
+    degree exactly n.  coefficients is read-only: o_series shares one
+    instance per bound.
     """
 
     __slots__ = ("degree_bound", "coefficients")
@@ -79,13 +81,14 @@ class OSeries:
         degree_bound = check_degree_bound(degree_bound)
         self.degree_bound = degree_bound
         qb = q_bracket_series(degree_bound)
-        self.coefficients = {}
+        coefficients = {}
         for n in range(degree_bound + 1):
             acc = PSeries.zero(degree_bound)
             for k in range(n + 1):
                 half = Fraction(-1 if k % 2 else 1, 2)
                 acc = acc + qb[n - k] * BetaScalar.beta_power(k, half)
-            self.coefficients[n] = acc
+            coefficients[n] = acc
+        self.coefficients = MappingProxyType(coefficients)
 
     def coefficient(self, n):
         if n < 0:
@@ -117,7 +120,7 @@ def o_two_index(a, b, degree_bound):
     qb = _q_bracket_upto(max(a + b, b), degree_bound)
     tab = g_table(1, 2, 2, (a, b))
     acc = PSeries.zero(degree_bound)
-    for (p, q), c in tab.entries.items():
+    for (p, q), c in tab.items():
         ai, bj = a - p, b - q
         if ai >= 0 and bj >= 0:
             acc = acc + (qb[ai] * qb[bj]) * c
@@ -135,11 +138,11 @@ def o_pfaffian_1(lam, degree_bound):
         acc = PSeries.zero(D)
         if lj is None:
             tab = g_table(i, j, r, (li, 0))
-            for p, c in tab.entries.items():
+            for p, c in tab.items():
                 acc = acc + qb[li - p] * c
             return acc
         tab = g_table(i, j, r, (li, lj))
-        for (p, q), c in tab.entries.items():
+        for (p, q), c in tab.items():
             ai, bj = li - p, lj - q
             if ai >= 0 and bj >= 0:
                 acc = acc + (qb[ai] * qb[bj]) * c
@@ -221,19 +224,23 @@ def bilinear_pair(f, g):
     top = g.top_degree()
     if top is not None and f.degree_bound < top:
         raise ValueError("first argument is truncated below deg of the second")
-    cf = to_deformed_basis(f, "paren")
-    cg = to_deformed_basis(g, "bracket")
+    cf = _coordinates(f, "paren").terms
+    cg = _coordinates(g, "bracket").terms
+    right: dict = {}
     for coords in (cf, cg):
-        for mu in coords:
+        for mu, _ in coords:
             if any(part % 2 == 0 for part in mu):
                 raise ValueError(f"support on even partition {mu}")
-    total = None
-    for mu, a in cf.items():
-        b = cg.get(mu)
-        if b is not None:
-            term = a * b * Fraction(z_lambda(mu), 2 ** len(mu))
-            total = term if total is None else total + term
-    return ZERO if total is None else total
+    for (mu, k), c in cg.items():
+        right.setdefault(mu, []).append((k, c))
+    total: dict = {}
+    for (mu, ka), a in cf.items():
+        got = right.get(mu)
+        if got is not None:
+            weight = a * Fraction(z_lambda(mu), 2 ** len(mu))
+            for kb, b in got:
+                total[ka + kb] = total.get(ka + kb, 0) + weight * b
+    return _from_monomials(total.items())
 
 
 def gp(lam, degree_bound):

@@ -7,37 +7,57 @@ x^lam.  The solve uses that x^lam occurs in p_mu only when lam coarsens mu,
 with coefficient prod m_i(mu)! at lam = mu and an integer that does not
 depend on n otherwise (Macdonald, Symmetric Functions and Hall Polynomials,
 I.6).
+
+A FinitePoly keeps one Fraction per (exponent tuple, power of b), as a
+PSeries does per (partition, power of b).  Symmetry and the solve hold one
+power of b at a time, so from_finite works on Fractions throughout; only
+coefficient() and the constructor's input are BetaScalars.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .partitions import check_degree_bound, multiplicities, partitions_upto
 from .pseries import PSeries
-from .scalars import BetaScalar, ONE, ZERO
+from .scalars import BetaScalar, _from_monomials, _grouped, _monomials
 
 
 class FinitePoly:
-    """Polynomial in x_0..x_{nvars-1} with BetaScalar coefficients.
+    """Polynomial in x_0..x_{nvars-1} with coefficients in Q[b].
 
-    terms maps full-length exponent tuples to coefficients.
+    terms is flat, as in PSeries: it maps (exps, k), exps a full-length
+    exponent tuple and k an int >= 0, to the nonzero Fraction c of the term
+    c*b^k*x^exps.  The constructor takes {exps: int, Fraction or
+    BetaScalar}, and coefficient() hands a coefficient out as a BetaScalar.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        flat = {}
+        for exps, v in (terms or {}).items():
+            for k, c in _monomials(v):
+                flat[(tuple(exps), k)] = c
+        self._fill(nvars, flat)
+
+    @classmethod
+    def _from_flat(cls, nvars: int, terms) -> "FinitePoly":
+        """A polynomial from flat terms {(exps, k): Fraction}, checked as
+        the constructor checks; zero values are dropped."""
+        out = object.__new__(cls)
+        out._fill(nvars, terms)
+        return out
+
+    def _fill(self, nvars, flat):
         nvars = check_degree_bound(nvars, "variable count")
+        for exps, k in flat:
+            if len(exps) != nvars or any(e < 0 for e in exps) or k < 0:
+                raise ValueError(f"bad term x^{exps} b^{k} for {nvars} variables")
         self.nvars = nvars
-        clean = {}
-        for k, v in (terms or {}).items():
-            if len(k) != nvars or any(e < 0 for e in k):
-                raise ValueError(f"bad exponent tuple {k} for {nvars} variables")
-            v = v if isinstance(v, BetaScalar) else BetaScalar(v)
-            if v:
-                clean[tuple(k)] = v
-        self.terms = clean
+        self.terms = {key: c for key, c in flat.items() if c}
 
     @classmethod
     def zero(cls, nvars):
@@ -55,17 +75,17 @@ class FinitePoly:
         if isinstance(other, FinitePoly):
             self._check(other)
             out = dict(self.terms)
-            for k, v in other.terms.items():
-                s = out.get(k, ZERO) + v
+            for key, c in other.terms.items():
+                s = out.get(key, 0) + c
                 if s:
-                    out[k] = s
+                    out[key] = s
                 else:
-                    out.pop(k, None)
-            return FinitePoly(self.nvars, out)
+                    out.pop(key, None)
+            return FinitePoly._from_flat(self.nvars, out)
         return NotImplemented
 
     def __neg__(self):
-        return FinitePoly(self.nvars, {k: -v for k, v in self.terms.items()})
+        return FinitePoly._from_flat(self.nvars, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -73,19 +93,24 @@ class FinitePoly:
     def __mul__(self, other):
         if isinstance(other, FinitePoly):
             self._check(other)
-            out: dict[tuple[int, ...], BetaScalar] = {}
-            for ka, va in self.terms.items():
-                for kb, vb in other.terms.items():
-                    k = tuple(a + b for a, b in zip(ka, kb))
-                    s = out.get(k, ZERO) + va * vb
+            pairs = [(kb, eb, cb) for (kb, eb), cb in other.terms.items()]
+            out: dict = {}
+            for (ka, ea), ca in self.terms.items():
+                for kb, eb, cb in pairs:
+                    key = (tuple(a + b for a, b in zip(ka, kb)), ea + eb)
+                    s = out.get(key, 0) + ca * cb
                     if s:
-                        out[k] = s
+                        out[key] = s
                     else:
-                        out.pop(k, None)
-            return FinitePoly(self.nvars, out)
-        if isinstance(other, (int, BetaScalar)):
-            c = other if isinstance(other, BetaScalar) else BetaScalar(other)
-            return FinitePoly(self.nvars, {k: v * c for k, v in self.terms.items()})
+                        out.pop(key, None)
+            return FinitePoly._from_flat(self.nvars, out)
+        if isinstance(other, (int, Fraction, BetaScalar)):
+            out = {}
+            for e, c in _monomials(other):
+                for (exps, k), v in self.terms.items():
+                    key = (exps, k + e)
+                    out[key] = out.get(key, 0) + v * c
+            return FinitePoly._from_flat(self.nvars, out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -98,19 +123,21 @@ class FinitePoly:
         return bool(self.terms)
 
     def total_degree(self):
-        return max((sum(k) for k in self.terms), default=None)
+        return max((sum(exps) for exps, _ in self.terms), default=None)
 
     def coefficient(self, exps) -> BetaScalar:
-        return self.terms.get(tuple(exps), ZERO)
+        exps = tuple(exps)
+        return _from_monomials((k, c) for (e, k), c in self.terms.items() if e == exps)
 
     def __str__(self):
         if not self.terms:
             return "0"
+        coeffs = _grouped(self.terms)
         bits = []
-        for k in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
+        for k in sorted(coeffs, key=lambda t: (sum(t), t), reverse=True):
             mon = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}"
                            for i, e in enumerate(k) if e) or "1"
-            bits.append(f"({self.terms[k]})*{mon}")
+            bits.append(f"({coeffs[k]})*{mon}")
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -123,7 +150,7 @@ def power_sum_poly(k: int, nvars: int) -> FinitePoly:
     for i in range(nvars):
         e = [0] * nvars
         e[i] = k
-        terms[tuple(e)] = ONE
+        terms[tuple(e)] = 1
     return FinitePoly(nvars, terms)
 
 
@@ -137,10 +164,12 @@ def _partition_power_poly(lam: tuple[int, ...], nvars: int) -> FinitePoly:
 
 def eval_finite(f: PSeries, nvars: int) -> FinitePoly:
     """Substitute each p_k by the k-th power sum in nvars variables."""
-    out = FinitePoly.zero(nvars)
-    for key, val in f.terms.items():
-        out = out + _partition_power_poly(key, nvars) * val
-    return out
+    out: dict = {}
+    for (key, k), c in f.terms.items():
+        for (exps, e), v in _partition_power_poly(key, nvars).terms.items():
+            got = (exps, e + k)
+            out[got] = out.get(got, 0) + v * c
+    return FinitePoly._from_flat(nvars, out)
 
 
 def _class_of(exps) -> tuple[int, ...]:
@@ -203,32 +232,41 @@ def from_finite(g: FinitePoly, degree_bound: int) -> PSeries:
     if top is not None and top > degree_bound:
         raise ValueError(f"degree {top} exceeds the requested bound {degree_bound}")
 
-    seen: dict[tuple[int, ...], int] = {}
-    a: dict[tuple[int, ...], BetaScalar] = {}
-    for exps, c in g.terms.items():
+    # symmetry holds one power of b at a time, so classes are (lam, k);
+    # rest[lam][k] starts as the coefficient of x^lam b^k
+    seen: dict = {}
+    rest: dict = {}
+    terms = g.terms
+    for (exps, k), c in terms.items():
         lam = _class_of(exps)
-        if lam not in seen:
-            seen[lam] = 0
-            a[lam] = g.coefficient(lam + (0,) * (n - len(lam)))
-        if c != a[lam]:
+        if (lam, k) not in seen:
+            seen[(lam, k)] = 0
+            dominant = terms.get((lam + (0,) * (n - len(lam)), k), 0)
+            rest.setdefault(lam, {})[k] = dominant
+        if c != rest[lam][k]:
             raise ValueError("input is not a symmetric polynomial")
-        seen[lam] += 1
-    if any(k != _orbit_size(lam, n) for lam, k in seen.items()):
+        seen[(lam, k)] += 1
+    if any(count != _orbit_size(lam, n) for (lam, _), count in seen.items()):
         raise ValueError("input is not a symmetric polynomial")
 
     # p_mu meets m_lam only for lam = mu or lam coarser (so shorter), hence
     # a_mu is final once every longer partition has been solved.  A class
     # absent from g has m-coordinate 0, yet finer p_mu can leave a nonzero
     # remainder there, so the walk covers every partition up to the bound.
-    coeffs: dict[tuple[int, ...], BetaScalar] = {}
+    coeffs: dict = {}
     for mu in sorted(partitions_upto(degree_bound), key=len, reverse=True):
-        rest = a.pop(mu, None)
-        if not rest:
+        powers = rest.pop(mu, None)
+        if not powers:
             continue
         row = _p_to_m(mu)
-        c = rest / row[mu]
-        coeffs[mu] = c
-        for lam, k in row.items():
-            if lam != mu:
-                a[lam] = a.get(lam, ZERO) - c * k
-    return PSeries(coeffs, degree_bound)
+        lead = row[mu]
+        for k, r in powers.items():
+            if not r:
+                continue
+            c = r / lead
+            coeffs[(mu, k)] = c
+            for lam, count in row.items():
+                if lam != mu:
+                    got = rest.setdefault(lam, {})
+                    got[k] = got.get(k, 0) - c * count
+    return PSeries._from_flat(coeffs, degree_bound)

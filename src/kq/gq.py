@@ -25,6 +25,7 @@ value of the latter also comes out as 1.
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import fock
 from .hexpansion import HBraExpansion
@@ -32,7 +33,7 @@ from .laurent import f_table, kernel_coefficient
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, z_exp
-from .scalars import BetaScalar, ONE, binom_general
+from .scalars import BetaScalar, binom_general
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +62,7 @@ class GQSeries:
     """Laurent coefficients of GQ(z), one PSeries per exponent.
 
     coefficients maps n -> GQ_n for -degree_bound <= n <= degree_bound,
-    built once and never changed afterwards, so one instance can be shared.
+    built once and handed out read-only, so one instance can be shared.
     Above the bound GQ_n has lowest degree n > D and truncates to zero, so
     coefficient() answers zero; below -D it assembles GQ_n afresh without
     storing it.  Invariants, checked in tests: lowest degree of GQ_n is
@@ -74,8 +75,8 @@ class GQSeries:
     def __init__(self, degree_bound):
         degree_bound = check_degree_bound(degree_bound)
         self.degree_bound = degree_bound
-        self.coefficients = {n: self._assemble(n)
-                             for n in range(-degree_bound, degree_bound + 1)}
+        self.coefficients = MappingProxyType(
+            {n: self._assemble(n) for n in range(-degree_bound, degree_bound + 1)})
 
     def _assemble(self, n):
         # GQ_n = sum_k (-beta)^k Exp_{n+k}, k from max(0, -n); Exp_j for
@@ -127,7 +128,7 @@ def gq_two_index(a, b, degree_bound):
     # prefactor and the kernel coefficient at z1^{-mp}; on the z2 side the
     # kernel contributes z2^q with 0 <= q <= mp against GQ_{b-q}.
     for s in range(max(-1, D - a) + 1):
-        sc = BetaScalar.beta_power(s, -1 if s % 2 else 1)
+        part = PSeries.zero(D)
         for mp in range(D - a - s + 1):
             gi = series.coefficient(a + s + mp)
             if gi.is_zero():
@@ -138,7 +139,9 @@ def gq_two_index(a, b, degree_bound):
                     continue
                 gj = series.coefficient(b - q)
                 if not gj.is_zero():
-                    acc = acc + gi * gj * (kc * sc)
+                    part = part + gi * gj * kc
+        if not part.is_zero():
+            acc = acc + part * BetaScalar.beta_power(s, -1 if s % 2 else 1)
     return acc
 
 
@@ -160,13 +163,13 @@ def gq_pfaffian_1(lam, degree_bound):
         acc = PSeries.zero(D)
         if lj is None:
             tab = f_table(i, j, r, rp, (D - li, 0))
-            for p, c in tab.entries.items():
+            for p, c in tab.items():
                 gi = series.coefficient(li + p)
                 if not gi.is_zero():
                     acc = acc + gi * c
             return acc
         tab = f_table(i, j, r, rp, (D - li, D - lj))
-        for (p, q), c in tab.entries.items():
+        for (p, q), c in tab.items():
             gi = series.coefficient(li + p)
             if gi.is_zero():
                 continue
@@ -229,11 +232,11 @@ def gq_fermionic(lam, degree_bound):
     ops = list(lam) + ([0] if len(lam) % 2 else [])
     total = PSeries.zero(D)
     for word, weight in HBraExpansion(D, "paren").rows.items():
-        state = {word: ONE}
+        state = {(word, 0): Fraction(1)}
         for n in ops:
             state = fock.bra_apply_phi_beta(state, n)
             state = fock.bra_apply_theta_exp(state)
-        val = state.get(())
-        if val:
-            total = total + weight * val
+        for (w, k), c in state.items():
+            if not w:
+                total = total + weight * BetaScalar.beta_power(k, c)
     return total

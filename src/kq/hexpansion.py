@@ -12,10 +12,11 @@ with word(mu) the reversed negated padding of mu.  Pairing a ket against
 this row is therefore a finite weight lookup, which is how every symmetric
 function in this package leaves Fock space.
 
-Memoised for the life of the process: Q_mu, Q_mu(p^flavor) per (mu,
-flavor, bound), and the rows of <0|e^H per (row_bound, flavor, bound).
-Every caller gets the same series objects, so none may mutate them; the
-rows come as a read-only mapping.
+Memoised for the life of the process: the q_n row and Q_mu per bound,
+Q_mu(p^flavor) per (mu, flavor, bound), and the rows of <0|e^H per
+(row_bound, flavor, bound).  Every caller gets the same series objects, so
+none may mutate them; the q_n row is a tuple and the rows come as a
+read-only mapping.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .bases import from_deformed_basis, q_series
+from .bases import _image_sum, q_series
 from .partitions import check_degree_bound, check_partition, strict_partitions_upto
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries
@@ -33,7 +34,7 @@ from .scalars import BetaScalar
 
 @lru_cache(maxsize=None)
 def _q_row(degree_bound: int):
-    return q_series(degree_bound)
+    return tuple(q_series(degree_bound))
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +77,7 @@ def _deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
     inner = degree_bound
     if flavor == "bracket":
         inner = max(degree_bound, sum(mu))
-    coords = classical_q(mu, inner).terms
-    image = from_deformed_basis(coords, flavor, inner)
+    image = _image_sum(classical_q(mu, inner).terms, flavor, inner)
     return image.truncate(degree_bound) if inner > degree_bound else image
 
 
@@ -86,16 +86,18 @@ def _strip_padding(word):
 
 
 def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
-    """<0| e^H |v> for a ket state in the canonical padded basis.
+    """<0| e^H |v> for a flat ket state {(word, k): c} in the canonical
+    padded basis.
 
     Odd-length words pair to zero; an even word w contributes
-    coeff * Q_{mu(w)}(p^flavor), mu(w) the word with its padding removed.
+    c b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding removed.
     """
     out = PSeries.zero(degree_bound)
-    for word, coeff in ket_state.items():
+    for (word, k), c in ket_state.items():
         if len(word) % 2:
             continue
-        out = out + deformed_q(_strip_padding(word), flavor, degree_bound) * coeff
+        q = deformed_q(_strip_padding(word), flavor, degree_bound)
+        out = out + q * BetaScalar.beta_power(k, c)
     return out
 
 
@@ -129,10 +131,6 @@ def _h_rows(row_bound: int, flavor: str, degree_bound: int):
     for mu in strict_partitions_upto(row_bound):
         padded = mu if len(mu) % 2 == 0 else mu + (0,)
         word = tuple(-m for m in reversed(padded))
-        coeff = deformed_q(mu, flavor, degree_bound) * BetaScalar(
-            Fraction(1, 2 ** len(mu))
-        )
-        if sum(mu) % 2:
-            coeff = -coeff
-        rows[word] = coeff
+        sign = -1 if sum(mu) % 2 else 1
+        rows[word] = deformed_q(mu, flavor, degree_bound) * Fraction(sign, 2 ** len(mu))
     return MappingProxyType(rows)

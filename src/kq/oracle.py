@@ -38,9 +38,10 @@ space, power sums, kernels, or Pfaffians.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .finitevars import FinitePoly
 from .partitions import check_degree_bound, check_partition
-from .scalars import BetaScalar
 
 # key layout, least significant first: x_0 .. x_{n-1}, beta, total x-degree
 _W = 6
@@ -218,17 +219,12 @@ def _coset_word(n, r):
 
 
 def _to_finite(raw, n) -> FinitePoly:
-    grouped = {}
+    """The packed {key: int} polynomial as a FinitePoly, one term per key."""
+    terms = {}
     for k, c in raw.items():
         xkey = tuple((k >> (_W * i)) & _MASK for i in range(n))
-        grouped.setdefault(xkey, []).append(((k >> (_W * n)) & _MASK, c))
-    terms = {}
-    for xkey, entries in grouped.items():
-        dense = [0] * (max(e for e, _ in entries) + 1)
-        for e, c in entries:
-            dense[e] += c
-        terms[xkey] = BetaScalar(tuple(dense))
-    return FinitePoly(n, terms)
+        terms[(xkey, (k >> (_W * n)) & _MASK)] = Fraction(c)
+    return FinitePoly._from_flat(n, terms)
 
 
 def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:

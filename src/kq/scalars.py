@@ -10,6 +10,19 @@ object computed here is a polynomial in b, and the only divisions are by
 nonzero rational constants.  Dividing by a scalar that depends on b, or
 raising one to a negative power, raises instead of leaving the ring.
 
+Series, Fock states and finite polynomials store no BetaScalar: they keep
+one Fraction per (key, b-power), the term c*b^k*X under the key (X, k).
+Almost every coefficient the package builds is a single monomial c*b^k, so
+a product or sum of two terms is one Fraction operation and an int add for
+the b-power.
+
+BetaScalar is the public scalar: the type of a coefficient once it leaves a
+series (coefficient, sorted_items, the deformed-basis coordinates, the value
+of the pairing), and of the few cold constants callers write down (BETA,
+BetaScalar.beta_power).  The private helpers _monomials, _from_monomials and
+_grouped convert between BetaScalars and (b-power, Fraction) pairs; they are
+the only bridge between the two forms.
+
 A BetaScalar is a dense coefficient tuple with no trailing zeros, so
 equality is structural and hashing is safe.
 
@@ -24,6 +37,7 @@ BetaScalar._trusted, which skips the checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 # -- dense Q[b] helpers ------------------------------------------------------
@@ -40,27 +54,21 @@ def _trim(c: list[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _padd(a, b):
-    # a coefficient is mostly one monomial c*b^k: add only its nonzero entries
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, x in enumerate(b):
-        if x:
-            out[i] += x
+        out[i] += x
     return _trim(out)
 
 
 def _pmul(a, b):
     if not a or not b:
         return _ZERO
-    # a slot still holding the shared _F0 takes the product as it is
     out = [_F0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    p = x * y
-                    out[i + j] = p if out[i + j] is _F0 else out[i + j] + p
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return _trim(out)
 
 
@@ -204,11 +212,52 @@ ONE = BetaScalar(1)
 BETA = BetaScalar.beta_power(1)
 
 
+# -- the bridge to the flat (key, b-power) form ---------------------------------
+
+def _monomials(v) -> list[tuple[int, Fraction]]:
+    """The (k, c) pairs, c nonzero, of a scalar v = sum c*b^k.
+
+    v is an int, a Fraction or a BetaScalar; anything else raises TypeError.
+    """
+    if isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+        return [(0, v)] if v else []
+    if not isinstance(v, BetaScalar):
+        v = BetaScalar(v)
+    return [(k, c) for k, c in enumerate(v.num) if c]
+
+
+def _from_monomials(pairs) -> BetaScalar:
+    """sum c*b^k over (k, c) pairs of an int k >= 0 and a Fraction c."""
+    dense: list[Fraction] = []
+    for k, c in pairs:
+        if k >= len(dense):
+            dense.extend([_F0] * (k + 1 - len(dense)))
+        dense[k] += c
+    return BetaScalar._trusted(_trim(dense))
+
+
+def _grouped(flat) -> dict:
+    """{key: BetaScalar} from flat {(key, k): Fraction} terms, zeros dropped."""
+    pairs: dict = {}
+    for (key, k), c in flat.items():
+        pairs.setdefault(key, []).append((k, c))
+    out = {}
+    for key, got in pairs.items():
+        value = _from_monomials(got)
+        if value:
+            out[key] = value
+    return out
+
+
+@lru_cache(maxsize=None)
 def binom_general(a, k: int) -> Fraction:
     """Binomial coefficient C(a, k) for arbitrary integer or rational a.
 
     C(a, k) = a(a-1)...(a-k+1)/k! for k >= 0, and 0 for k < 0.  Negative
     upper entries follow the usual reflection C(-n, k) = (-1)^k C(n+k-1, k).
+    Memoised: the tables of the package ask for the same few hundred values
+    over and over.
     """
     if k < 0:
         return Fraction(0)

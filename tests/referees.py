@@ -9,6 +9,8 @@ referees: generic Laurent blocks that cross-check the closed-form kernel
 tables, a literal symmetrization that checks the oracle, plain fermion modes
 and Wick's theorem, and the paper's theorems (the cancellation properties,
 the Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks.
+The first section reads and writes the library's flat (key, b-power) terms
+as BetaScalars.
 """
 
 from __future__ import annotations
@@ -19,13 +21,54 @@ from itertools import combinations, permutations
 from kq import fock
 from kq.finitevars import eval_finite
 from kq.fock import _bra_insert, _bra_word_b, _merge
-from kq.laurent import dual_kernel_coefficient, kernel_coefficient
+from kq.laurent import _dual_kernel_rational, kernel_coefficient
 from kq.oracle import (_add_into, _bracket_power, _check_fits, _divide_pair, _mono, _mul,
                        _one, _one_plus_beta, _oplus, _p0_degree, _to_finite)
 from kq.partitions import check_partition, contains, row_count
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries
 from kq.scalars import BetaScalar, ONE, ZERO, binom_general
+
+
+# -- the flat (key, b-power) terms, read and written as BetaScalars -----------
+#
+# Series, finite polynomials and Fock states keep one Fraction per (key,
+# b-power).  These helpers move between that form and {key: BetaScalar}
+# with public BetaScalar arithmetic only, independently of the library's
+# own conversions.
+
+def scalar_terms(flat):
+    """{key: BetaScalar} from flat {(key, k): c} terms, or from an object's
+    .terms; zero sums are left out."""
+    flat = getattr(flat, "terms", flat)
+    out = {}
+    for (key, k), c in flat.items():
+        out[key] = out.get(key, ZERO) + BetaScalar.beta_power(k, c)
+    return {key: v for key, v in out.items() if v}
+
+
+def flat_terms(mapping):
+    """Flat {(key, k): Fraction} terms from {key: scalar}, zeros left out."""
+    out = {}
+    for key, v in mapping.items():
+        for k, c in enumerate(BetaScalar(v).as_polynomial()):
+            if c:
+                out[(key, k)] = c
+    return out
+
+
+def vacuum_part(state) -> BetaScalar:
+    """The coefficient of the empty word in a flat Fock state."""
+    return scalar_terms(state).get((), ZERO)
+
+
+def dual_kernel_coefficient(p: int, q: int) -> BetaScalar:
+    """[z^p w^q] of (z-w)/(z+w+bzw) expanded on |z| >> |w|, ascending in w.
+
+    The library keeps only the rational part; the power of b is p+q.
+    """
+    c = _dual_kernel_rational(p, q)
+    return BetaScalar.beta_power(p + q, c) if c else ZERO
 
 
 # -- evaluation at a value of b --------------------------------------------
@@ -40,14 +83,14 @@ def at_b(f, value):
     value = Fraction(value)
     if isinstance(f, BetaScalar):
         return sum((c * value ** e for e, c in enumerate(f.as_polynomial())), Fraction(0))
-    return PSeries({k: at_b(v, value) for k, v in f.terms.items()}, f.degree_bound)
+    return PSeries({k: at_b(v, value) for k, v in f.sorted_items()}, f.degree_bound)
 
 
 # -- pseries: the exponential of a series ------------------------------------
 
 def exp(f: PSeries) -> PSeries:
     """exp of a series with no constant term (checked)."""
-    if () in f.terms:
+    if f.coefficient(()):
         raise ValueError("exp needs a series with zero constant term")
     out = PSeries.one(f.degree_bound)
     power = PSeries.one(f.degree_bound)
@@ -333,46 +376,43 @@ def binomial_block(variables, index: int, k: int, depth: int,
 
 def bra_apply_phi(state, n):
     out = {}
-    for word, coeff in state.items():
+    for (word, k), coeff in state.items():
         for w, c in _bra_insert(word, n).items():
-            _merge(out, w, coeff * c)
+            _merge(out, (w, k), coeff * c)
     return out
 
 
 def bra_apply_b(state, m):
     """Right action of the Heisenberg generator b_m, m odd."""
     out = {}
-    for word, coeff in state.items():
+    for (word, k), coeff in state.items():
         for w, c in _bra_word_b(word, m).items():
-            _merge(out, w, coeff * c)
+            _merge(out, (w, k), coeff * c)
     return out
 
 
 def pair(bra, ket) -> BetaScalar:
     """Vacuum expectation <w|v>; this is where <0|phi_0|0> = 0 lives."""
     total = ZERO
-    for kword, kcoeff in ket.items():
+    for (kword, k), kcoeff in ket.items():
         folded = bra
         for n in kword:
             folded = bra_apply_phi(folded, n)
             if not folded:
                 break
         else:
-            c = folded.get(())
-            if c is not None:
-                total = total + kcoeff * c
+            total = total + BetaScalar.beta_power(k, kcoeff) * vacuum_part(folded)
     return total
 
 
 def vev_direct(letters) -> BetaScalar:
     """<0| phi_{n_1} ... phi_{n_k} |0> by normal ordering, no Pfaffian."""
-    state = {(): ONE}
+    state = {((), 0): Fraction(1)}
     for n in letters:
         state = bra_apply_phi(state, n)
         if not state:
             return ZERO
-    c = state.get(())
-    return c if c is not None else ZERO
+    return vacuum_part(state)
 
 
 def two_point(a: int, b: int):
@@ -419,7 +459,7 @@ def check_kq_cancellation(f, degree_bound, nvars):
         raise ValueError("f is truncated below the requested bound")
     g = eval_finite(f, nvars)
     cleared = {}
-    for exps, c in g.terms.items():
+    for exps, c in scalar_terms(g).items():
         m = sum(exps)
         if m > D:
             continue
@@ -480,14 +520,14 @@ def fock_pairing(mu, lam):
     mu, lam = tuple(mu), tuple(lam)
     _check_word(mu, "mu")
     _check_word(lam, "lam")
-    state = {(): ONE}
+    state = {((), 0): Fraction(1)}
     for n in reversed(mu):
         state = fock.bra_apply_phihat_star(state, n)
         state = fock.bra_apply_theta_exp(state, sign=-1)
     for n in lam:
         state = fock.bra_apply_phi_beta(state, n)
         state = fock.bra_apply_theta_exp(state, sign=1)
-    got = state.get((), ZERO)
+    got = vacuum_part(state)
     if (len(mu) - len(lam)) % 2:
         want = ZERO
     else:
@@ -533,7 +573,7 @@ def check_dual_cancellation(g, nvars):
         raise ValueError("need nvars >= deg g + 2")
     h = eval_finite(g, nvars)
     slices = {}
-    for exps, c in h.terms.items():
+    for exps, c in scalar_terms(h).items():
         e0, e1, tail = exps[0], exps[1], exps[2:]
         # (-t-b)^{e1} spreads x_2^{e1} over t^j b^{e1-j} with sign (-1)^{e1}
         for j in range(e1 + 1):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,12 @@ from kq.finitevars import FinitePoly, eval_finite, from_finite, power_sum_poly
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, BetaScalar
+from referees import scalar_terms
 
 
 def test_power_sum_poly():
     p2 = power_sum_poly(2, 3)
-    assert p2.terms == {(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE}
+    assert scalar_terms(p2) == {(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE}
     with pytest.raises(ValueError):
         power_sum_poly(0, 3)
 
@@ -44,7 +47,7 @@ def test_eval_is_a_ring_map(f, g):
     n = 3
     # PSeries multiplication truncates at the bound, FinitePoly's does not
     prod = eval_finite(f, n) * eval_finite(g, n)
-    low = {k: v for k, v in prod.terms.items() if sum(k) <= 3}
+    low = {k: v for k, v in scalar_terms(prod).items() if sum(k) <= 3}
     assert eval_finite(f * g, n) == FinitePoly(n, low)
     assert eval_finite(f + g, n) == eval_finite(f, n) + eval_finite(g, n)
 
@@ -71,12 +74,12 @@ def test_from_finite_rejects_asymmetric():
         from_finite(g2, 2)
     # a full orbit of (2,1) whose non-dominant member (0,1,2) is off by one
     full = eval_finite(PSeries({(2, 1): 1}, 3), 3)
-    off = dict(full.terms)
+    off = scalar_terms(full)
     off[(0, 1, 2)] = off[(0, 1, 2)] + 1
     with pytest.raises(ValueError):
         from_finite(FinitePoly(3, off), 3)
     # the same orbit with one non-dominant member missing
-    short = dict(full.terms)
+    short = scalar_terms(full)
     del short[(0, 1, 2)]
     with pytest.raises(ValueError):
         from_finite(FinitePoly(3, short), 3)
@@ -98,3 +101,24 @@ def test_from_finite_rejects_overflow_degree():
 def test_bad_variable_count_rejected(nvars):
     with pytest.raises(ValueError, match=str(nvars)):
         FinitePoly(nvars, {})
+
+
+def test_scalar_multiples():
+    # int, Fraction and BetaScalar factors, on either side
+    g = FinitePoly(2, {(1, 0): 1, (0, 1): BETA + 1})
+    half = FinitePoly(2, {(1, 0): Fraction(1, 2), (0, 1): (BETA + 1) / 2})
+    assert g * Fraction(1, 2) == half
+    assert Fraction(1, 2) * g == half
+    assert g * 2 == g + g
+    assert g * (BETA - 1) == FinitePoly(2, {(1, 0): BETA - 1, (0, 1): BETA ** 2 - 1})
+    assert g * 0 == FinitePoly.zero(2)
+    with pytest.raises(TypeError):
+        g * 0.5
+
+
+def test_flat_terms_are_checked():
+    g = FinitePoly._from_flat(2, {((1, 0), 1): Fraction(2), ((0, 1), 0): 0})
+    assert g == FinitePoly(2, {(1, 0): 2 * BETA})
+    for bad in ({((1,), 0): 1}, {((1, -1), 0): 1}, {((1, 0), -1): 1}):
+        with pytest.raises(ValueError):
+            FinitePoly._from_flat(2, bad)

@@ -1,40 +1,53 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq import fock
 from kq.partitions import strict_partitions_upto
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
-from referees import bra_apply_b, bra_apply_phi, pair, two_point, vev_direct, wick_expectation
+from referees import (
+    bra_apply_b,
+    bra_apply_phi,
+    pair,
+    scalar_terms,
+    two_point,
+    vev_direct,
+    wick_expectation,
+)
 
 B = BetaScalar
+
+# states are flat: {(word, b-power): Fraction}
 
 
 def add(s, t):
     out = dict(s)
-    for w, c in t.items():
-        tot = out.get(w, ZERO) + c
+    for key, c in t.items():
+        tot = out.get(key, 0) + c
         if tot:
-            out[w] = tot
+            out[key] = tot
         else:
-            out.pop(w, None)
+            out.pop(key, None)
     return out
 
 
 def scale(s, c):
-    c = B(c)
-    if not c:
-        return {}
-    return {w: c * v for w, v in s.items()}
+    # c times s, one shift of the b-powers per monomial of c
+    out = {}
+    for e, ce in enumerate(B(c).as_polynomial()):
+        if ce:
+            out = add(out, {(w, k + e): ce * v for (w, k), v in s.items()})
+    return out
 
 
 def bra_word(word):
-    return {tuple(word): ONE}
+    return {(tuple(word), 0): Fraction(1)}
 
 
 def ket_word(word):
-    return {tuple(word): ONE}
+    return {(tuple(word), 0): Fraction(1)}
 
 
 bra_words = st.lists(st.integers(-6, 0), max_size=4, unique=True).map(
@@ -143,7 +156,7 @@ def test_pairing_respects_star(bword, kword)  :
 
 def test_vacuum_b_one():
     got = bra_apply_b(bra_word(()), 1)
-    assert got == {(0, -1): B(Fraction(-1, 2))}
+    assert scalar_terms(got) == {(0, -1): B(Fraction(-1, 2))}
     assert bra_apply_b(bra_word(()), -1) == {}
 
 
@@ -183,7 +196,7 @@ def test_b_star(word, sign):
 def test_b_shifts_grade():
     for m in (-3, -1, 1, 3):
         for word in [(0, -2, -5), (-1,)]:
-            for w in bra_apply_b(bra_word(word), m):
+            for w, _ in bra_apply_b(bra_word(word), m):
                 assert fock.grade(w) == fock.grade(word) - m
 
 
@@ -192,38 +205,38 @@ def test_b_shifts_grade():
 
 def test_phi_beta_negative_modes_frozen():
     got = fock.bra_apply_phi_beta(bra_word(()), -2)
-    assert got == {(-2,): ONE, (-1,): -BETA / 2}
+    assert scalar_terms(got) == {(-2,): ONE, (-1,): -BETA / 2}
     got = fock.bra_apply_phi_beta(bra_word(()), -3)
-    assert got == {(-3,): ONE, (-2,): -BETA, (-1,): BETA**2 / 4}
+    assert scalar_terms(got) == {(-3,): ONE, (-2,): -BETA, (-1,): BETA**2 / 4}
 
 
 def test_phi_beta_zero_on_vacuum():
-    assert fock.bra_apply_phi_beta(bra_word(()), 0) == {(0,): ONE}
+    assert scalar_terms(fock.bra_apply_phi_beta(bra_word(()), 0)) == {(0,): ONE}
 
 
 def test_phi_beta_positive_mode_contracts():
     # <0|phi_{-3} phi^(b)_1 keeps only the m = 3 term of the ascending tail
     s = bra_word((-3,))
     got = fock.bra_apply_phi_beta(s, 1)
-    assert got == {(): BETA**2 * Fraction(-3, 2)}
+    assert scalar_terms(got) == {(): BETA**2 * Fraction(-3, 2)}
 
 
 def test_phihat_positive_modes_frozen():
     got = fock.ket_apply_phihat(fock.vacuum_ket(), 2)
-    assert got == {(2,): ONE, (1,): -BETA / 2}
+    assert scalar_terms(got) == {(2,): ONE, (1,): -BETA / 2}
     got = fock.ket_apply_phihat(fock.vacuum_ket(), 3)
-    assert got == {(3,): ONE, (2,): -BETA, (1,): BETA**2 / 4}
+    assert scalar_terms(got) == {(3,): ONE, (2,): -BETA, (1,): BETA**2 / 4}
 
 
 def test_phihat_zero_is_phi_zero_on_vacuum():
-    assert fock.ket_apply_phihat(fock.vacuum_ket(), 0) == {(0,): ONE}
+    assert scalar_terms(fock.ket_apply_phihat(fock.vacuum_ket(), 0)) == {(0,): ONE}
 
 
 def test_phihat_negative_mode_contracts():
     # phi-hat_{-1} on phi_3|0> keeps only the contracting m = 3 term
     v = ket_word((3,))
     got = fock.ket_apply_phihat(v, -1)
-    assert got == {(): BETA**2 * Fraction(-3, 2)}
+    assert scalar_terms(got) == {(): BETA**2 * Fraction(-3, 2)}
 
 
 def test_phihat_star_is_phi_minus_beta():
@@ -332,3 +345,15 @@ def test_inner_product_pairing_table(word, m, n):
     else:
         expect = scale(s, (-BETA) ** (m - n))
     assert lhs == expect
+
+
+def test_normal_ordering_tables_are_read_only():
+    # the memoised tables are shared by every later call
+    with pytest.raises(TypeError):
+        fock._bra_insert((-1,), 1)[()] = 99
+    with pytest.raises(TypeError):
+        fock._bra_word_b((-2,), -1)[()] = 99
+    with pytest.raises(TypeError):
+        fock._bra_word_b((), 1)[()] = 99
+    got = fock.bra_apply_phi_beta(bra_word((-1,)), 1)
+    assert scalar_terms(got) == {(): B(-2)}

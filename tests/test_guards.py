@@ -1,8 +1,14 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import kq
+from kq import fock
+from kq.finitevars import from_finite
+from kq.gq import GQSeries, gq_pfaffian_1
+from kq.oracle import gq_oracle
 from kq.pseries import PSeries
+from kq.scalars import BetaScalar
 
 
 def test_library_has_no_asserts():
@@ -139,3 +145,33 @@ def test_public_names_are_reached():
                 roots.update(node.value.split("."))
     found = unreached_public_names(package, roots)
     assert not found, found
+
+
+RING_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__neg__", "__truediv__", "__pow__")
+
+
+def test_kernels_do_no_scalar_arithmetic(monkeypatch):
+    # series, Fock states and finite polynomials keep one Fraction per
+    # (key, b-power); a BetaScalar is only built where a value leaves them,
+    # so no ring operation of BetaScalar may run inside the kernels
+    def refuse(*args):
+        raise AssertionError("BetaScalar arithmetic inside a kernel")
+
+    series = GQSeries(6)
+    want_product = series.coefficient(1) * series.coefficient(2)
+    want_sum = series.coefficient(-1) + series.coefficient(3)
+    state = {((-3, -5), 0): Fraction(1)}
+    want_state = fock.bra_apply_theta_exp(fock.bra_apply_phi_beta(state, 2))
+    want_poly = gq_oracle((2, 1), 4)
+    want_gq = gq_pfaffian_1((2, 1), 4)
+    for name in RING_DUNDERS:
+        monkeypatch.setattr(BetaScalar, name, refuse)
+    fresh = GQSeries(6)
+    assert fresh.coefficient(1) * fresh.coefficient(2) == want_product
+    assert fresh.coefficient(-1) + fresh.coefficient(3) == want_sum
+    assert fock.bra_apply_theta_exp(fock.bra_apply_phi_beta(state, 2)) == want_state
+    assert want_state
+    poly = gq_oracle((2, 1), 4)
+    assert poly == want_poly
+    assert from_finite(poly, 4) == want_gq

@@ -32,21 +32,28 @@ def beta_series(bound=D):
 
 
 def assert_invariants(f):
-    # what PSeries.__init__ guarantees; results built without it must agree
+    # what PSeries.__init__ guarantees; results built without it must agree:
+    # flat terms (partition, b-power) -> nonzero Fraction, and BetaScalars
+    # in normal form where the coefficients leave the series
     assert type(f.degree_bound) is int and f.degree_bound >= 0
-    for key, val in f.terms.items():
+    for (key, k), c in f.terms.items():
         assert type(key) is tuple and check_partition(key) == key
         assert sum(key) <= f.degree_bound
+        assert type(k) is int and k >= 0
+        assert type(c) is Fraction and c
+    for key, val in f.sorted_items():
         assert isinstance(val, BetaScalar) and val
-        assert val == BetaScalar(val.num) and all(type(c) is Fraction for c in val.num)
-    assert f == PSeries(f.terms, f.degree_bound)
+        assert val == BetaScalar(val.as_polynomial())
+        assert all(type(c) is Fraction for c in val.as_polynomial())
+        assert f.coefficient(key) == val
+    assert f == PSeries(dict(f.sorted_items()), f.degree_bound)
 
 
 def all_pairs_product(a, b):
     # the product as the definition reads: every pair, then the bound
     out = {}
-    for ka, va in a.terms.items():
-        for kb, vb in b.terms.items():
+    for ka, va in a.sorted_items():
+        for kb, vb in b.sorted_items():
             if sum(ka) + sum(kb) <= a.degree_bound:
                 k = tuple(sorted(ka + kb, reverse=True))
                 out[k] = out.get(k, ZERO) + va * vb
@@ -83,14 +90,13 @@ def test_product_drops_pairs_that_cancel():
     # p2 * p2 stay
     p1, p2 = PSeries.p(1, D), PSeries.p(2, D)
     got = (p1 + p2) * (p2 - p1)
-    assert got.terms == {(2, 2): ONE, (1, 1): -ONE}
+    assert dict(got.sorted_items()) == {(2, 2): ONE, (1, 1): -ONE}
     assert_invariants(got)
 
 
 def test_constructor_truncates_and_prunes():
     f = PSeries({(6,): 1, (2,): 0, (1,): 3}, 5)
-    assert (6,) not in f.terms
-    assert (2,) not in f.terms
+    assert [k for k, _ in f.sorted_items()] == [(1,)]
     assert f.coefficient((1,)) == BetaScalar(3)
 
 
@@ -179,3 +185,14 @@ def test_json_ordering_is_graded_lex():
     f = PSeries({(2,): 1, (1, 1): 1, (1,): 1, (): 1}, 3)
     keys = [k for k, _ in f.sorted_items()]
     assert keys == [(), (1,), (1, 1), (2,)]
+
+
+def test_flat_constructor_checks_like_the_public_one():
+    # modules that build flat terms themselves go through these checks
+    f = PSeries._from_flat({((2, 1), 1): Fraction(3), ((4,), 0): 1, ((1,), 2): 0}, 3)
+    assert f == PSeries({(2, 1): 3 * BETA}, 3)
+    assert_invariants(f)
+    with pytest.raises(ValueError):
+        PSeries._from_flat({((1, 2), 0): 1}, 3)
+    with pytest.raises(ValueError):
+        PSeries._from_flat({((1,), -1): 1}, 3)
