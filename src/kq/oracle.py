@@ -17,20 +17,35 @@ The factorials cancel, leaving
   GQ_lambda = d_u(P0),
 
 a composition of only len(u) = n(n-1)/2 - (n-r)(n-r-1)/2 steps
-f -> (f - s_i f)/(x_i - x_{i+1}), each an exact synthetic division that
-lowers degree by one.  Truncation is sound because every step is
-degree-homogeneous: a cap of T at the output needs T + (steps remaining)
-along the way.  Every monomial of P0 satisfies
-x-degree - beta-degree = |lambda| + len(u), which also bounds the beta
-degree of anything worth keeping by T - |lambda|.
+d_i f = (f - s_i f)/(x_i - x_{i+1}).  Each step has a closed form on a
+monomial (Macdonald, Notes on Schubert Polynomials, 1991): with a, c the
+exponents of x_i, x_{i+1},
 
-Monomials are packed into single integers, six bits per exponent, with the
-beta exponent above the variables and the total x-degree on top, so that
-multiplication of monomials is integer addition.  A field that overflowed
-would carry into its neighbour and silently change the answer, so
-gq_oracle raises ValueError when an intermediate could need an exponent
-above 63.  The beta exponent of a monomial never exceeds its x-degree, so
-bounding the x-degree bounds every field.
+  d_i(x_i^a x_{i+1}^c) = (x_i x_{i+1})^min(a,c) sum_{t<|a-c|} x_i^{|a-c|-1-t} x_{i+1}^t,
+
+negated when c > a and zero when a = c, so a step is one pass over the
+monomials and lowers the x-degree of each by exactly one.
+
+Truncation is therefore decided once, on P0.  The output's x-degree <= T
+part comes from P0's x-degree <= T + len(u) part and from nothing else.
+Every factor of P0 has x-degree - beta-degree constant on its monomials
+(l_i for [[x_i]]^{l_i}, 1 for x_i + x_j + b x_i x_j, 0 for 1 + b x_j), and
+these constants add up to |lambda| + len(u).  So on P0, beta-degree
+<= T - |lambda| is the same as x-degree <= T + len(u).  The beta-degree
+only grows as factors are multiplied in, so gq_oracle drops every term of
+a partial product above that beta cap and keeps the rest, and no later
+step needs a cap.
+
+Monomials are packed into single integers, six bits per x exponent, with
+the beta exponent above them on top, so that multiplication of monomials
+is integer addition.  A field that overflowed would carry into its
+neighbour and silently change the answer, so gq_oracle raises ValueError
+unless min(T + len(u), top x-degree of P0) fits in a field.  A raw product
+of two kept monomials can still overflow when P0 is of higher degree, but
+it cannot survive.  Its x-degree then exceeds T + len(u), and since a
+partial product has x-degree - beta-degree <= |lambda| + len(u), its
+beta-degree exceeds the cap.  A carry only raises the beta field, which is
+read as everything above the x fields, so the beta check drops the term.
 
 This module is the package's independent referee: it never touches Fock
 space, power sums, kernels, or Pfaffians.
@@ -43,13 +58,13 @@ from fractions import Fraction
 from .finitevars import FinitePoly
 from .partitions import check_degree_bound, check_partition
 
-# key layout, least significant first: x_0 .. x_{n-1}, beta, total x-degree
+# key layout, least significant first: x_0 .. x_{n-1}, then beta on top
 _W = 6
 _MASK = (1 << _W) - 1
 
 
 def _mono(n, beta, exps):
-    key = (sum(exps) << (_W * (n + 1))) | (beta << (_W * n))
+    key = beta << (_W * n)
     for i, e in enumerate(exps):
         key |= e << (_W * i)
     return key
@@ -100,16 +115,18 @@ def _one_plus_beta(n, b):
     return {0: 1, _mono(n, 1, eb): 1}
 
 
-def _mul(a, b, n, cap, bcap=None):
-    degs = _W * (n + 1)
+def _mul(a, b, n, bcap):
+    """Product of packed polynomials without the terms of beta degree > bcap.
+
+    The beta field is read as everything above the x fields, so a carry
+    out of an overflowing x field can only make it read higher.
+    """
     betas = _W * n
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = ka + kb
-            if key >> degs > cap:
-                continue
-            if bcap is not None and (key >> betas) & _MASK > bcap:
+            if key >> betas > bcap:
                 continue
             c = out.get(key, 0) + ca * cb
             if c:
@@ -119,83 +136,38 @@ def _mul(a, b, n, cap, bcap=None):
     return out
 
 
-def _add_into(acc, term):
-    for k, c in term.items():
-        s = acc.get(k, 0) + c
-        if s:
-            acc[k] = s
-        else:
-            del acc[k]
+def _divided_difference(poly, i):
+    """(f - s_i f)/(x_i - x_{i+1}) by the closed form, one pass over f.
 
-
-def _si_difference(poly, i):
-    """f - s_i f with s_i swapping x_i and x_{i+1}."""
-    sa = _W * i
-    sb = _W * (i + 1)
+    A monomial with exponents a, c of x_i, x_{i+1} yields |a - c| monomials
+    one key step apart, negated when c > a.
+    """
+    lo = _W * i
+    hi = lo + _W
+    step = (1 << hi) - (1 << lo)  # x_{i+1} / x_i
     out = {}
     for k, v in poly.items():
-        ea = (k >> sa) & _MASK
-        eb = (k >> sb) & _MASK
-        if ea == eb:
+        a = (k >> lo) & _MASK
+        c = (k >> hi) & _MASK
+        if a > c:
+            key = k - (1 << lo)
+            move = step
+            count = a - c
+        elif c > a:
+            key = k - (1 << hi)
+            move = -step
+            v = -v
+            count = c - a
+        else:
             continue
-        kt = k + ((eb - ea) << sa) + ((ea - eb) << sb)
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-        s = out.get(kt, 0) - v
-        if s:
-            out[kt] = s
-        else:
-            del out[kt]
-    return out
-
-
-def _divide_pair(poly, c, d, n, prec):
-    """Exact quotient poly / (x_c - x_d), certified for x-degree <= prec.
-
-    Bottom-up in the x_c exponent: x_d Q_0 = -P_0 and
-    x_d Q_m = x_c-shift of Q_{m-1} minus P_m.  Terms that fail to divide
-    by x_d must come from the dropped zone above prec + 1; anything lower
-    is a genuine non-divisibility and raises.
-    """
-    sc = _W * c
-    sd = _W * d
-    degs = _W * (n + 1)
-    lift = (1 << sc) + (1 << degs)
-    drop = (1 << sd) + (1 << degs)
-    layers = {}
-    for k, v in poly.items():
-        layers.setdefault((k >> sc) & _MASK, {})[k] = v
-    top = max(layers) if layers else 0
-    quotient = {}
-    prev = {}
-    for m in range(top + 1):
-        numer = {k + lift: v for k, v in prev.items()}
-        for k, v in layers.get(m, {}).items():
-            s = numer.get(k, 0) - v
+        for _ in range(count):
+            s = out.get(key, 0) + v
             if s:
-                numer[k] = s
+                out[key] = s
             else:
-                numer.pop(k, None)
-        qm = {}
-        for k, v in numer.items():
-            if (k >> sd) & _MASK == 0:
-                if k >> degs <= prec + 1:
-                    raise ArithmeticError(
-                        f"non-exact division by (x_{c} - x_{d})"
-                    )
-                continue
-            if k >> degs > prec + 1:
-                continue
-            qm[k - drop] = v
-        _add_into(quotient, qm)
-        prev = qm
-    for k in prev:
-        if k >> degs <= prec:
-            raise ArithmeticError("division left a residue")
-    return {k: v for k, v in quotient.items() if k >> degs <= prec}
+                del out[key]
+            key += move
+    return out
 
 
 def _coset_word(n, r):
@@ -223,7 +195,7 @@ def _to_finite(raw, n) -> FinitePoly:
     terms = {}
     for k, c in raw.items():
         xkey = tuple((k >> (_W * i)) & _MASK for i in range(n))
-        terms[(xkey, (k >> (_W * n)) & _MASK)] = Fraction(c)
+        terms[(xkey, k >> (_W * n))] = Fraction(c)
     return FinitePoly._from_flat(n, terms)
 
 
@@ -241,19 +213,17 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
     if r > nvars or sum(lam) > trunc:
         return FinitePoly.zero(nvars)
     word = _coset_word(nvars, r)
-    # divided differences only lower the degree, so nothing exceeds P0's
-    cap = min(trunc + len(word), _p0_degree(lam, nvars))
-    _check_fits(cap)
+    # the beta cap keeps P0 to x-degree <= trunc + len(word), all that the
+    # output's x-degree <= trunc part comes from
+    _check_fits(min(trunc + len(word), _p0_degree(lam, nvars)))
     bcap = trunc - sum(lam)
     poly = _one(nvars)
     for i, part in enumerate(lam):
-        poly = _mul(poly, _bracket_power(nvars, i, part), nvars, cap, bcap)
+        poly = _mul(poly, _bracket_power(nvars, i, part), nvars, bcap)
     for i in range(r):
         for j in range(i + 1, nvars):
-            poly = _mul(poly, _oplus(nvars, i, j), nvars, cap, bcap)
-            poly = _mul(poly, _one_plus_beta(nvars, j), nvars, cap, bcap)
-    remaining = len(word)
+            poly = _mul(poly, _oplus(nvars, i, j), nvars, bcap)
+            poly = _mul(poly, _one_plus_beta(nvars, j), nvars, bcap)
     for i in word:
-        remaining -= 1
-        poly = _divide_pair(_si_difference(poly, i), i, i + 1, nvars, trunc + remaining)
+        poly = _divided_difference(poly, i)
     return _to_finite(poly, nvars)

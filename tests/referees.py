@@ -22,8 +22,8 @@ from kq import fock
 from kq.finitevars import eval_finite
 from kq.fock import _bra_insert, _bra_word_b, _merge
 from kq.laurent import _dual_kernel_rational, kernel_coefficient
-from kq.oracle import (_add_into, _bracket_power, _check_fits, _divide_pair, _mono, _mul,
-                       _one, _one_plus_beta, _oplus, _p0_degree, _to_finite)
+from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _mono, _mul, _one,
+                       _one_plus_beta, _oplus, _p0_degree, _to_finite)
 from kq.partitions import check_partition, contains, row_count
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries
@@ -590,6 +590,53 @@ def check_dual_cancellation(g, nvars):
 
 # -- oracle: the defining symmetrization, literally ---------------------------
 
+def _add_into(acc, term):
+    for k, c in term.items():
+        s = acc.get(k, 0) + c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+
+
+def _divide_pair(poly, c, d):
+    """Exact quotient of a packed polynomial by (x_c - x_d).
+
+    Bottom-up in the x_c exponent: x_d Q_0 = -P_0 and
+    x_d Q_m = x_c-shift of Q_{m-1} minus P_m.  A term that fails to divide
+    by x_d, or a quotient layer left over above the top of poly, means
+    poly is not a multiple of (x_c - x_d), and raises.
+    """
+    sc = _W * c
+    sd = _W * d
+    lift = 1 << sc
+    drop = 1 << sd
+    layers = {}
+    for k, v in poly.items():
+        layers.setdefault((k >> sc) & _MASK, {})[k] = v
+    top = max(layers) if layers else 0
+    quotient = {}
+    prev = {}
+    for m in range(top + 1):
+        numer = {k + lift: v for k, v in prev.items()}
+        for k, v in layers.get(m, {}).items():
+            s = numer.get(k, 0) - v
+            if s:
+                numer[k] = s
+            else:
+                numer.pop(k, None)
+        qm = {}
+        for k, v in numer.items():
+            if (k >> sd) & _MASK == 0:
+                raise ArithmeticError(f"non-exact division by (x_{c} - x_{d})")
+            qm[k - drop] = v
+        _add_into(quotient, qm)
+        prev = qm
+    if prev:
+        raise ArithmeticError("division left a residue")
+    return quotient
+
+
 def _pair_difference(n, c, d):
     ec = [0] * n
     ec[c] = 1
@@ -635,7 +682,7 @@ def gq_oracle_literal(lam, nvars: int):
             term = {k: -v for k, v in term.items()}
         _add_into(total, term)
     for c, d in all_pairs:
-        total = _divide_pair(total, c, d, nvars, cap)
+        total = _divide_pair(total, c, d)
     scale = 1
     for k in range(2, nvars - r + 1):
         scale *= k

@@ -147,6 +147,23 @@ def test_public_names_are_reached():
     assert not found, found
 
 
+def test_private_functions_are_used_in_the_library():
+    # the private counterpart of the guard above: a module-level _function
+    # that no library code reads any more, only tests, belongs in tests/
+    defined, read = {}, set()
+    for path in sorted(Path(kq.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _reads([node])
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                defined[node.name] = f"{path.stem}.{node.name}"
+                names.discard(node.name)
+            read |= names
+    assert defined
+    found = sorted(label for name, label in defined.items() if name not in read)
+    assert not found, found
+
+
 RING_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                 "__neg__", "__truediv__", "__pow__")
 

@@ -2,12 +2,15 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kq.finitevars import FinitePoly, eval_finite
 from kq.hexpansion import classical_q
-from kq.oracle import gq_oracle
+from kq.oracle import _MASK, _W, _divided_difference, _mono, _mul, gq_oracle
 from kq.scalars import BETA, ZERO
-from referees import at_b, gq_oracle_literal, scalar_terms
+from referees import (_add_into, _divide_pair, _pair_difference, at_b, gq_oracle_literal,
+                      scalar_terms)
 
 FULL = 10**6
 
@@ -53,6 +56,54 @@ def test_truncation_is_exact_prefix():
     full = gq_oracle_literal((2, 1), 4)
     for t in (3, 4, 5, 6):
         assert gq_oracle((2, 1), 4, trunc=t) == truncated(full, t)
+
+
+@pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 2, 1)])
+def test_truncation_is_exact_prefix_in_six_variables(lam):
+    # P0 is pruned by its b-degree alone, which must keep every monomial
+    # the degree <= trunc part of the result comes from
+    full = gq_oracle(lam, 6, trunc=10)
+    for t in (6, 7, 8, 9):
+        assert gq_oracle(lam, 6, trunc=t) == truncated(full, t)
+
+
+def swapped(poly, i):
+    """s_i f: x_i and x_{i+1} trade exponents in every packed key."""
+    lo, hi = _W * i, _W * (i + 1)
+    out = {}
+    for k, v in poly.items():
+        a, c = (k >> lo) & _MASK, (k >> hi) & _MASK
+        out[k + ((c - a) << lo) + ((a - c) << hi)] = v
+    return out
+
+
+def minus_swapped(poly, i):
+    """f - s_i f."""
+    out = dict(poly)
+    _add_into(out, {k: -v for k, v in swapped(poly, i).items()})
+    return out
+
+
+@st.composite
+def packed_polys(draw):
+    n = draw(st.integers(3, 5))
+    monomials = st.tuples(st.integers(0, 3), st.tuples(*[st.integers(0, 7)] * n))
+    terms = draw(st.dictionaries(monomials, st.integers(-9, 9).filter(bool), max_size=12))
+    return n, {_mono(n, b, exps): c for (b, exps), c in terms.items()}
+
+
+@given(packed_polys(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_divided_difference_kernel(case, data):
+    n, f = case
+    i = data.draw(st.integers(0, n - 3))
+    dd = _divided_difference
+    for j in (i, i + 1):
+        quotient = dd(f, j)
+        assert _mul(_pair_difference(n, j, j + 1), quotient, n, FULL) == minus_swapped(f, j)
+        assert quotient == _divide_pair(minus_swapped(f, j), j, j + 1)
+        assert dd(quotient, j) == {}
+    assert dd(dd(dd(f, i), i + 1), i) == dd(dd(dd(f, i + 1), i), i + 1)
 
 
 @pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 2), (4, 1)])
@@ -105,6 +156,14 @@ def test_key_field_overflow_raises():
     with pytest.raises(ValueError):
         gq_oracle((63,), 1, 64)
     assert gq_oracle((62,), 1, 63) == FinitePoly(1, {(62,): 2, (63,): BETA})
+
+
+def test_field_carry_is_dropped_with_its_b_degree():
+    # Q_(62)(x, y): P0 reaches x-degree 66 but trunc + len(u) = 63 fits, so
+    # the raw product term b x_0^64, which would carry into x_1's field,
+    # must go for its b-degree
+    want = {(62, 0): 2, (0, 62): 2} | {(a, 62 - a): 4 for a in range(1, 62)}
+    assert gq_oracle((62,), 2, 62) == FinitePoly(2, want)
 
 
 def test_padding_row_of_zero_rejected():
