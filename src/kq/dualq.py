@@ -10,7 +10,8 @@ with zbar = -z / (1 + b z).  Three routes compute o_lambda:
 
   * o_pfaffian_1: 2^{-r} Pf of g-table contractions of the q^[b]_n;
   * o_pfaffian_2: Pf of binomially twisted two-index blocks o_(a,b),
-    quarter-normalized so that no global 2-power survives;
+    each a quarter of route one's r = 2 entry and computed by the same
+    contraction; the quarter leaves no global 2-power;
   * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>.
 
 gp_lambda is produced from o_lambda by inverting the unitriangular pairing
@@ -103,6 +104,27 @@ def o_series(degree_bound):
     return OSeries(degree_bound)
 
 
+def _g_entry(i, j, r, li, lj, degree_bound):
+    """Entry (i, j) of zeta: q^[b]_{li-p} q^[b]_{lj-q} contracted against
+    g_table(i, j, r).
+
+    lj is None in the padding column, which contracts q^[b]_{li-p} against
+    the univariate table.  The window (li, lj) keeps both indices >= 0,
+    and they reach li + lj: the row of q^[b] runs to max(D, li + lj),
+    truncated past D, which is the routes' own row unless li + lj > D.
+    """
+    D = degree_bound
+    qb = _q_bracket_upto(max(D, li + (lj or 0)), D)
+    acc = PSeries.zero(D)
+    if lj is None:
+        for p, c in g_table(i, j, r, (li, 0)).items():
+            acc = acc + qb[li - p] * c
+        return acc
+    for (p, q), c in g_table(i, j, r, (li, lj)).items():
+        acc = acc + (qb[li - p] * qb[lj - q]) * c
+    return acc
+
+
 @lru_cache(maxsize=None)
 def o_two_index(a, b, degree_bound):
     """The two-row dual o_(a,b): a quarter of [u^a v^b] of the block
@@ -110,21 +132,14 @@ def o_two_index(a, b, degree_bound):
         Psi(u,v) = (1+bu)^{-1} (1+bv)^{-2} q^[b](u) q^[b](v)
                    (u - v) / (u + v + b u v),
 
-    v ascending.  Zero whenever b < 0 or a + b < 0: every row of the
-    kernel table sits on q >= 0, p >= -q, and q^[b] has no negative
-    indices.  The 1/4 makes o_(a,b) = o_{(a,b)} for a > b >= 0 and lets
-    the second Pfaffian formula run without a global scale.
+    v ascending: a quarter of zeta's entry at (i, j, r) = (1, 2, 2), the
+    entry o_pfaffian_1 builds for lambda = (a, b).  Zero whenever b < 0 or
+    a + b < 0: every row of the kernel table sits on q >= 0, p >= -q, and
+    q^[b] has no negative indices.  The 1/4 makes o_(a,b) = o_{(a,b)} for
+    a > b >= 0 and lets the second Pfaffian formula run without a global
+    scale.
     """
-    if b < 0 or a + b < 0:
-        return PSeries.zero(degree_bound)
-    qb = _q_bracket_upto(max(a + b, b), degree_bound)
-    tab = g_table(1, 2, 2, (a, b))
-    acc = PSeries.zero(degree_bound)
-    for (p, q), c in tab.items():
-        ai, bj = a - p, b - q
-        if ai >= 0 and bj >= 0:
-            acc = acc + (qb[ai] * qb[bj]) * c
-    return acc * Fraction(1, 4)
+    return _g_entry(1, 2, 2, a, b, degree_bound) * Fraction(1, 4)
 
 
 def o_pfaffian_1(lam, degree_bound):
@@ -132,23 +147,9 @@ def o_pfaffian_1(lam, degree_bound):
     lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
     r = len(lam)
-
-    def entry(i, j, li, lj):
-        qb = q_bracket_series(D)
-        acc = PSeries.zero(D)
-        if lj is None:
-            tab = g_table(i, j, r, (li, 0))
-            for p, c in tab.items():
-                acc = acc + qb[li - p] * c
-            return acc
-        tab = g_table(i, j, r, (li, lj))
-        for (p, q), c in tab.items():
-            ai, bj = li - p, lj - q
-            if ai >= 0 and bj >= 0:
-                acc = acc + (qb[ai] * qb[bj]) * c
-        return acc
-
-    return padded_pfaffian(lam, PSeries.one(D), entry) * Fraction(1, 2 ** r)
+    pf = padded_pfaffian(lam, PSeries.one(D),
+                         lambda i, j, li, lj: _g_entry(i, j, r, li, lj, D))
+    return pf * Fraction(1, 2 ** r)
 
 
 def o_pfaffian_2(lam, degree_bound):

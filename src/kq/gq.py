@@ -9,18 +9,22 @@ starting from the one-row generating function
 where theta(a) = exp(sum_{n>=1} p_n a^n / n).  Three routes produce
 GQ_lambda for a strict partition lambda:
 
-  * gq_pfaffian_1 contracts pairs of one-row coefficients through the
-    f-coefficient tables of module laurent and takes a Pfaffian;
-  * gq_pfaffian_2 takes a Pfaffian of binomially twisted two-index values
-    GQ_(a,b), themselves coefficients of the r = 2 kernel block;
+  * gq_pfaffian_1 (formula I) contracts pairs of one-row coefficients
+    through the f-coefficient tables of module laurent and takes a
+    Pfaffian;
+  * gq_pfaffian_2 (formula II) takes a Pfaffian of binomially twisted
+    two-index values GQ_(a,b), each of them the r = 2 entry of formula I,
+    computed by the same contraction;
   * gq_fermionic evaluates <0| e^{H^(beta)} prod_i (phi^(beta)_{lambda_i}
     e^Theta) |0> on the neutral-fermion Fock space.
 
 The finite-variable symmetrization oracle (module oracle) referees all of
-them through from_finite.  Note that GQ_emptyset is the constant 1 by the
-empty-Pfaffian convention, while the z^0 coefficient of GQ(z) is a separate
-computed object; the two are never interchanged even though the computed
-value of the latter also comes out as 1.
+them through from_finite, and tests/test_gq.py re-expands GQ_(a,b) from
+its definition, independently of the f-tables.  Note that GQ_emptyset is
+the constant 1 by the empty-Pfaffian convention, while the z^0
+coefficient of GQ(z) is a separate computed object; the two are never
+interchanged even though the computed value of the latter also comes out
+as 1.
 """
 
 from fractions import Fraction
@@ -29,7 +33,7 @@ from types import MappingProxyType
 
 from . import fock
 from .hexpansion import HBraExpansion
-from .laurent import f_table, kernel_coefficient
+from .laurent import f_table
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, z_exp
@@ -106,79 +110,69 @@ def gq_series(degree_bound):
     return GQSeries(degree_bound)
 
 
+def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
+    """Entry (i, j) of formula I: GQ_{li+p} GQ_{lj+q} contracted against
+    f_table(i, j, r, r').
+
+    lj is None in the padding column, which contracts GQ_{li+p} against
+    the univariate table.  The window p <= D - li (and q <= D - lj) is
+    exact because GQ_n is zero past the bound; tests re-run one entry with
+    a doubled window to confirm that.
+    """
+    D = degree_bound
+    series = gq_series(D)
+    acc = PSeries.zero(D)
+    if lj is None:
+        tab = f_table(i, j, r, r_prime, (D - li, 0))
+        for p, c in tab.items():
+            gi = series.coefficient(li + p)
+            if not gi.is_zero():
+                acc = acc + gi * c
+        return acc
+    tab = f_table(i, j, r, r_prime, (D - li, D - lj))
+    for (p, q), c in tab.items():
+        gi = series.coefficient(li + p)
+        if gi.is_zero():
+            continue
+        gj = series.coefficient(lj + q)
+        if not gj.is_zero():
+            acc = acc + gi * gj * c
+    return acc
+
+
 @lru_cache(maxsize=None)
 def gq_two_index(a, b, degree_bound):
-    """Two-index function GQ_(a,b), the r = 2 block of the Pfaffian routes.
+    """Two-index function GQ_(a,b), the r = 2 entry of Pfaffian formula I.
 
     Defined as [z1^a z2^b] of
 
         (1 + beta z1^{-1})^{-1} GQ(z1) GQ(z2) (z1 - z2)/(z1 + z2 + beta)
 
-    expanded with |z1| > |z2|.  For a > b >= 1 this is GQ_{(a,b)}; for
-    general integers it is the raw entry the second Pfaffian formula
-    consumes.  Every summand below has lowest degree >= a + b, so the
-    result vanishes once a + b > D and the windows are exact.
+    expanded with |z1| > |z2|.  At t = 1/z this is the f-table product at
+    (i, j, r, r') = (1, 2, 2, 2), so GQ_(a,b) is formula I's entry at
+    lambda = (a, b).  For a > b >= 1 it is GQ_{(a,b)}; for general
+    integers it is the raw entry the second Pfaffian formula consumes.
+    Every summand has lowest degree >= a + b, so the result vanishes once
+    a + b > D.  tests/test_gq.py keeps the direct expansion of the
+    definition as an independent check.
     """
-    D = degree_bound
-    if a + b > D:
-        return PSeries.zero(D)
-    series = gq_series(D)
-    acc = PSeries.zero(D)
-    # z1-exponent bookkeeping: GQ_{a+s+mp} picks up (-beta)^s from the
-    # prefactor and the kernel coefficient at z1^{-mp}; on the z2 side the
-    # kernel contributes z2^q with 0 <= q <= mp against GQ_{b-q}.
-    for s in range(max(-1, D - a) + 1):
-        part = PSeries.zero(D)
-        for mp in range(D - a - s + 1):
-            gi = series.coefficient(a + s + mp)
-            if gi.is_zero():
-                continue
-            for q in range(mp + 1):
-                kc = kernel_coefficient(-mp, q)
-                if not kc:
-                    continue
-                gj = series.coefficient(b - q)
-                if not gj.is_zero():
-                    part = part + gi * gj * kc
-        if not part.is_zero():
-            acc = acc + part * BetaScalar.beta_power(s, -1 if s % 2 else 1)
-    return acc
+    if a + b > degree_bound:
+        return PSeries.zero(degree_bound)
+    return _f_entry(1, 2, 2, 2, a, b, degree_bound)
 
 
 def gq_pfaffian_1(lam, degree_bound):
     """GQ_lambda as a Pfaffian of f-table contractions of one-row series.
 
     Rows of odd-length partitions are padded with a zero part; the extra
-    column contracts against the univariate table.  The window p <= D -
-    lambda_i is exact because GQ_n is zero past the bound; tests re-run
-    one entry with a doubled window to confirm that.
+    column contracts against the univariate table.
     """
     lam = check_strict_weight(lam, degree_bound)
-    D = degree_bound
     r = len(lam)
     rp = even_ceil(r)
-
-    def entry(i, j, li, lj):
-        series = gq_series(D)
-        acc = PSeries.zero(D)
-        if lj is None:
-            tab = f_table(i, j, r, rp, (D - li, 0))
-            for p, c in tab.items():
-                gi = series.coefficient(li + p)
-                if not gi.is_zero():
-                    acc = acc + gi * c
-            return acc
-        tab = f_table(i, j, r, rp, (D - li, D - lj))
-        for (p, q), c in tab.items():
-            gi = series.coefficient(li + p)
-            if gi.is_zero():
-                continue
-            gj = series.coefficient(lj + q)
-            if not gj.is_zero():
-                acc = acc + gi * gj * c
-        return acc
-
-    return padded_pfaffian(lam, PSeries.one(D), entry)
+    return padded_pfaffian(
+        lam, PSeries.one(degree_bound),
+        lambda i, j, li, lj: _f_entry(i, j, r, rp, li, lj, degree_bound))
 
 
 def gq_pfaffian_2(lam, degree_bound):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .bases import _image_sum, q_series
+from .bases import _image_sum, check_flavor, q_series
 from .partitions import check_degree_bound, check_partition, strict_partitions_upto
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries
@@ -91,7 +91,10 @@ def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
 
     Odd-length words pair to zero; an even word w contributes
     c b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding removed.
+    The flavor is checked first, so a ket with no even word cannot hide
+    a bad one.
     """
+    check_flavor(flavor)
     out = PSeries.zero(degree_bound)
     for (word, k), c in ket_state.items():
         if len(word) % 2:

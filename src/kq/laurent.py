@@ -1,14 +1,16 @@
-"""The two kernels and the coefficient tables of the Pfaffian formulas.
+"""The kernel of the Pfaffian formulas and its coefficient tables.
 
-A rational kernel like (z-w)/(z+w+b) has different Laurent expansions in
-different regions; which one is meant is part of the object, not a detail.
-Each kernel here is expanded in one fixed region, given with its closed
-form.  The f/g coefficient tables that feed the Pfaffian formulas are
-assembled from those closed forms; tests/referees.py cross-checks the
-tables against generic region-committed block expansions.
+Both Pfaffian formulas, for GQ_lambda and for the duals, rest on one
+kernel, (z-w)/(z+w+bzw), expanded on |z| >> |w|, ascending in w; the GQ
+side uses it at t = 1/z.  _dual_kernel_rational is its only closed form,
+and _kernel_table the only table built from it: the coefficients of the
+kernel times the prefactors (1+bz)^{-a} (1+bw)^{-c}.  g_table is that
+table; f_table is the same table at the complementary exponents with its
+keys transposed.  tests/referees.py cross-checks both against generic
+region-committed block expansions.
 
 Every coefficient here is a single monomial c*b^k whose b-power is known
-from the exponents alone (-p-q, p+q), so the sums behind the tables add
+from the exponents alone (p+q), so the sums behind the tables add
 Fractions and attach the power once.  A table is a read-only mapping from
 (p, q), or p for the univariate padding column, to a BetaScalar; it is
 memoised and shared by every caller.
@@ -19,29 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .scalars import BetaScalar, ZERO, binom_general
-
-
-# -- the two kernels -------------------------------------------------------
-
-def kernel_coefficient(p: int, q: int) -> BetaScalar:
-    """[z^p w^q] of (z-w)/(z+w+b) expanded on |z| >> |w| >> |b|.
-
-    Derived from (z+w+b)^{-1} = sum_k (-1)^k (w+b)^k z^{-k-1}; support is
-    p <= 0 <= q with q <= -p.  Both parts of the sum carry b^{-p-q}.
-    """
-    if p > 0 or q < 0 or q > -p:
-        return ZERO
-    k1 = -p
-    total = 0
-    if q <= k1:
-        c = binom_general(k1, q)
-        total = -c if k1 % 2 else c
-    k2 = -p - 1
-    if k2 >= 0 and 1 <= q <= k2 + 1:
-        c = binom_general(k2, q - 1)
-        total += c if k2 % 2 else -c
-    return BetaScalar.beta_power(-p - q, total) if total else ZERO
+from .scalars import BetaScalar, binom_general
 
 
 def _dual_kernel_rational(p: int, q: int):
@@ -57,7 +37,35 @@ def _dual_kernel_rational(p: int, q: int):
     return -c if q % 2 else c
 
 
-# -- coefficient tables for the Pfaffian formulas ---------------------------
+@lru_cache(maxsize=None)
+def _kernel_table(a: int, c: int, windows) -> MappingProxyType:
+    """Coefficients of z^x w^y in (1+bz)^{-a} (1+bw)^{-c} (z-w)/(z+w+bzw).
+
+    Kernel region as in _dual_kernel_rational; windows = (x_max, y_max),
+    and the table covers 0 <= y <= y_max, -y <= x <= x_max, the whole
+    support there.  Entry (x, y) is a multiple of b^{x+y}.
+    """
+    x_max, y_max = windows
+    entries = {}
+    for y in range(y_max + 1):
+        for x in range(-y, x_max + 1):
+            # z picks s from (1+bz)^{-a}, w picks l from (1+bw)^{-c}
+            total = 0
+            for s in range(max(0, x), x + y + 1):
+                cs = binom_general(-a, s)
+                if not cs:
+                    continue
+                for l in range(0, min(y, x + y - s) + 1):
+                    cl = binom_general(-c, l)
+                    if not cl:
+                        continue
+                    k = _dual_kernel_rational(x - s, y - l)
+                    if k:
+                        total += cs * cl * k
+            if total:
+                entries[(x, y)] = BetaScalar.beta_power(x + y, total)
+    return MappingProxyType(entries)
+
 
 def _univariate(top: int, a) -> MappingProxyType:
     """{p: C(a, p) b^p} for 0 <= p <= top, zeros left out."""
@@ -75,37 +83,19 @@ def f_table(i: int, j: int, r: int, r_prime: int, windows) -> MappingProxyType:
 
     The generating product is
         (1+b t_i)^{-(r'-i)} (1+b t_j)^{-(r'-j)} (t_j-t_i)/(t_i+t_j+b t_i t_j)
-    expanded with t_i small, t_j large; the padding column j = r+1 expands
-    (1+b t_i)^{-(r'-i-1)} alone and is keyed by p.  windows = (p_max,
-    q_max).  Every entry (p, q) is a multiple of b^{p+q}.
+    expanded with t_i small, t_j large: the kernel table at exponents
+    (r'-j, r'-i), z = t_j and w = t_i, with its keys transposed.  The
+    padding column j = r+1 expands (1+b t_i)^{-(r'-i-1)} alone and is keyed
+    by p.  windows = (p_max, q_max).  Every entry (p, q) is a multiple of
+    b^{p+q}.
     """
     if not 1 <= i < j <= r_prime:
         raise ValueError("need 1 <= i < j <= r'")
     p_max, q_max = windows
     if j == r + 1:
         return _univariate(p_max, i + 1 - r_prime)
-    di = r_prime - i
-    dj = r_prime - j
-    entries = {}
-    for p in range(p_max + 1):
-        for q in range(-p, q_max + 1):
-            # fold prefactor expansions into the kernel closed form:
-            # t_i picks s from (1+b t_i)^{-di}, t_j picks l from the other
-            total = 0
-            for s in range(p + 1):
-                cs = binom_general(-di, s)
-                if not cs:
-                    continue
-                for l in range(max(0, q), p + q - s + 1):
-                    cl = binom_general(-dj, l)
-                    if not cl:
-                        continue
-                    k = _dual_kernel_rational(q - l, p - s)
-                    if k:
-                        total += cs * cl * k
-            if total:
-                entries[(p, q)] = BetaScalar.beta_power(p + q, total)
-    return MappingProxyType(entries)
+    table = _kernel_table(r_prime - j, r_prime - i, (q_max, p_max))
+    return MappingProxyType({(p, q): c for (q, p), c in table.items()})
 
 
 @lru_cache(maxsize=None)
@@ -113,30 +103,14 @@ def g_table(i: int, j: int, r: int, windows) -> MappingProxyType:
     """Coefficients of z^p w^q in the dual-side kernel product.
 
     The generating product is (1+b z)^{-i} (1+b w)^{-j} (z-w)/(z+w+bzw) with
-    z large and w ascending; the padding column j = r+1 expands (1+b z)^{-i}
-    and is keyed by p.  windows = (p_max, q_max); rows live on q >= 0,
-    p+q >= 0, and every entry (p, q) is a multiple of b^{p+q}.
+    z large and w ascending, the kernel table at exponents (i, j); the
+    padding column j = r+1 expands (1+b z)^{-i} and is keyed by p.
+    windows = (p_max, q_max); rows live on q >= 0, p+q >= 0, and every
+    entry (p, q) is a multiple of b^{p+q}.
     """
     p_max, q_max = windows
     if j == r + 1:
         return _univariate(p_max, -i)
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
-    entries = {}
-    for q in range(q_max + 1):
-        for p in range(-q, p_max + 1):
-            total = 0
-            for s in range(max(0, p), p + q + 1):
-                cs = binom_general(-i, s)
-                if not cs:
-                    continue
-                for l in range(0, min(q, p + q - s) + 1):
-                    cl = binom_general(-j, l)
-                    if not cl:
-                        continue
-                    k = _dual_kernel_rational(p - s, q - l)
-                    if k:
-                        total += cs * cl * k
-            if total:
-                entries[(p, q)] = BetaScalar.beta_power(p + q, total)
-    return MappingProxyType(entries)
+    return _kernel_table(i, j, windows)

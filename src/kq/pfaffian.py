@@ -1,13 +1,17 @@
 """Pfaffians of small skew-symmetric matrices over any commutative ring.
 
-Entries only need +, -, * (and scalar multiples), so the same routine serves
-rational matrices, Q[b] matrices, and matrices of truncated power series;
-no division is needed, which is one reason Q[b] suffices as the scalar ring.
-Sizes beyond MAX_SIZE = 10 are rejected.  Every Pfaffian formula in this
-package runs over the rows of a partition padded with a zero part to even
-length; padded_pfaffian is the only place that pads.  It calls
-check_pfaffian_length before asking for any entry, so a partition longer
-than 10 fails at once and by name, before any table is built.
+A matrix is given by its strict upper triangle only, as a dict
+{(i, j): entry} with i < j; the expansion never reads anything else, so
+there is no full-matrix form and no lower triangle to build or check.
+Entries only need +, -, * (and scalar multiples), so the same routine
+serves rational matrices, Q[b] matrices, and matrices of truncated power
+series; no division is needed, which is one reason Q[b] suffices as the
+scalar ring.  Sizes beyond MAX_SIZE = 10 are rejected.  Every Pfaffian
+formula in this package runs over the rows of a partition padded with a
+zero part to even length; padded_pfaffian is the only place that pads.
+It calls check_pfaffian_length before asking for any entry, so a
+partition longer than 10 fails at once and by name, before any table is
+built.
 """
 
 from __future__ import annotations
@@ -40,29 +44,24 @@ def padded_pfaffian(lam, one, entry):
     return pfaffian_from_upper(upper, one=one)
 
 
-def pfaffian(matrix, one=1):
+def pfaffian_from_upper(upper, one=1):
     """Pfaffian by expansion along the first remaining row, memoized.
 
-    INPUT:  matrix -- square list-of-lists, skew-symmetric (checked when
-            entries support __eq__ against their negation), even size.
+    INPUT:  upper -- {(i, j): entry} for 0 <= i < j; missing pairs are
+            zero, and the size is the largest index plus one, rounded up
+            to even (an odd size pads with a zero row).
             one -- multiplicative unit of the entry ring, returned for the
             empty matrix.
-    OUTPUT: ring element.  Pf of the 0x0 matrix is `one`.
+    OUTPUT: ring element.
     """
-    n = len(matrix)
+    n = 0
+    for i, j in upper:
+        if not i < j:
+            raise ValueError("upper-triangle key with i >= j")
+        n = max(n, j + 1)
+    n = even_ceil(n)
     if n > MAX_SIZE:
         raise ValueError(f"matrix size {n} exceeds supported bound {MAX_SIZE}")
-    if n % 2:
-        raise ValueError("Pfaffian requires even size")
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    for i in range(n):
-        if matrix[i][i] != matrix[i][i] * 0:
-            raise ValueError("nonzero diagonal entry")
-        for j in range(i + 1, n):
-            if matrix[i][j] != -matrix[j][i]:
-                raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
     cache = {}
 
     def pf(idx):
@@ -71,37 +70,15 @@ def pfaffian(matrix, one=1):
         if idx in cache:
             return cache[idx]
         a = idx[0]
-        acc = None
+        acc = one * 0
         # Pf = sum_j (-1)^j A[i0][ij] Pf(rest), j the position of the partner
         for pos in range(1, len(idx)):
-            entry = matrix[a][idx[pos]]
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = entry * pf(rest)
-            if pos % 2 == 0:
-                term = -term
-            acc = term if acc is None else acc + term
+            entry = upper.get((a, idx[pos]))
+            if entry is None:
+                continue
+            term = entry * pf(idx[1:pos] + idx[pos + 1:])
+            acc = acc - term if pos % 2 == 0 else acc + term
         cache[idx] = acc
         return acc
 
     return pf(tuple(range(n)))
-
-
-def pfaffian_from_upper(upper, one=1):
-    """Pfaffian given only entries above the diagonal.
-
-    upper[(i, j)] for i < j; missing pairs are treated as zero.  The
-    padded_pfaffian builder hands its triangle to this.
-    """
-    n = 0
-    for i, j in upper:
-        if not i < j:
-            raise ValueError("upper-triangle key with i >= j")
-        n = max(n, j + 1)
-    if n % 2:
-        n += 1
-    zero = one * 0
-    matrix = [[zero] * n for _ in range(n)]
-    for (i, j), v in upper.items():
-        matrix[i][j] = v
-        matrix[j][i] = -v
-    return pfaffian(matrix, one=one)

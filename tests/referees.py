@@ -5,9 +5,10 @@ with `from referees import ...`, which works because tests/ has no
 __init__.py, so pytest puts this directory on sys.path.
 
 None of this is production code.  Each section names the library module it
-referees: generic Laurent blocks that cross-check the closed-form kernel
-tables, a literal symmetrization that checks the oracle, plain fermion modes
-and Wick's theorem, and the paper's theorems (the cancellation properties,
+referees: the kernel (z-w)/(z+w+b) in a closed form of its own and
+generic Laurent blocks that cross-check the closed-form kernel tables, a
+literal symmetrization that checks the oracle, plain fermion modes and
+Wick's theorem, and the paper's theorems (the cancellation properties,
 the Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks.
 The first section reads and writes the library's flat (key, b-power) terms
 as BetaScalars.
@@ -21,7 +22,7 @@ from itertools import combinations, permutations
 from kq import fock
 from kq.finitevars import eval_finite
 from kq.fock import _bra_insert, _bra_word_b, _merge
-from kq.laurent import _dual_kernel_rational, kernel_coefficient
+from kq.laurent import _dual_kernel_rational
 from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _mono, _mul, _one,
                        _one_plus_beta, _oplus, _p0_degree, _to_finite)
 from kq.partitions import check_partition, contains, row_count
@@ -60,6 +61,26 @@ def flat_terms(mapping):
 def vacuum_part(state) -> BetaScalar:
     """The coefficient of the empty word in a flat Fock state."""
     return scalar_terms(state).get((), ZERO)
+
+
+def kernel_coefficient(p: int, q: int) -> BetaScalar:
+    """[z^p w^q] of (z-w)/(z+w+b) expanded on |z| >> |w| >> |b|.
+
+    Derived from (z+w+b)^{-1} = sum_k (-1)^k (w+b)^k z^{-k-1}; support is
+    p <= 0 <= q with q <= -p.  Both parts of the sum carry b^{-p-q}.
+    """
+    if p > 0 or q < 0 or q > -p:
+        return ZERO
+    k1 = -p
+    total = 0
+    if q <= k1:
+        c = binom_general(k1, q)
+        total = -c if k1 % 2 else c
+    k2 = -p - 1
+    if k2 >= 0 and 1 <= q <= k2 + 1:
+        c = binom_general(k2, q - 1)
+        total += c if k2 % 2 else -c
+    return BetaScalar.beta_power(-p - q, total) if total else ZERO
 
 
 def dual_kernel_coefficient(p: int, q: int) -> BetaScalar:

@@ -13,12 +13,13 @@ from kq.gq import (
     gq_two_index,
 )
 from kq.hexpansion import HBraExpansion, classical_q, two_row_q
-from kq.laurent import f_table, kernel_coefficient
+from kq.laurent import f_table
 from kq.oracle import gq_oracle
 from kq.partitions import strict_partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import ONE, BetaScalar, binom_general
-from referees import at_b, check_kq_cancellation, exp, scalar_terms, vacuum_part
+from referees import (at_b, check_kq_cancellation, exp, kernel_coefficient, scalar_terms,
+                      vacuum_part)
 
 
 def zpoly_exp(parts, D):
@@ -219,7 +220,9 @@ def test_window_widening_changes_nothing():
 
 
 def raw_two_index(a, b, D, slack):
-    """gq_two_index recomputed with every window pushed out by slack."""
+    """GQ_(a,b) expanded from its definition, every window pushed out by
+    slack: (-beta)^s from the prefactor, the kernel (z1-z2)/(z1+z2+beta)
+    at z1^{-mp} z2^q from the referee's own closed form, and no f-table."""
     s = gq_series(D)
     acc = PSeries.zero(D)
     for sp in range(max(0, D - a) + slack + 1):
@@ -244,6 +247,17 @@ def test_two_index_window_widening():
     assert raw_two_index(3, 2, D, 2) == gq_two_index(3, 2, D)
     # past the bound the wide loop still sums to zero, term by term
     assert raw_two_index(4, 2, D, 2).is_zero()
+
+
+@pytest.mark.parametrize("D", [4, 5, 7])
+def test_two_index_matches_independent_loop(D):
+    # the library reads GQ_(a,b) off formula I's f-table; the loop above
+    # never touches laurent, so the two agree only if the tables are right
+    for a in range(-2, D + 2):
+        for b in range(-2, D + 2):
+            want = gq_two_index(a, b, D)
+            for slack in (0, 2):
+                assert raw_two_index(a, b, D, slack) == want, (a, b, slack)
 
 
 def test_two_index_beta_zero_is_two_row_q():

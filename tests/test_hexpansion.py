@@ -167,6 +167,17 @@ def test_unknown_flavor_rejected():
         vacuum_expectation(fock.vacuum_ket(), "curly", 3)
 
 
+def test_vacuum_expectation_checks_flavor_before_any_word():
+    # no even word ever reaches deformed_q here, so only an up-front check
+    # can see the flavor: the empty ket and a ket of odd words
+    with pytest.raises(ValueError, match="bogus"):
+        vacuum_expectation({}, "bogus", 4)
+    odd = flat_terms({(3,): ONE, (2, 1, 0): BETA})
+    with pytest.raises(ValueError, match="bogus"):
+        vacuum_expectation(odd, "bogus", 4)
+    assert vacuum_expectation(odd, "paren", 4).is_zero()
+
+
 @pytest.mark.parametrize("bound", [-1, 2.5])
 def test_bad_bounds_rejected(bound):
     with pytest.raises(ValueError, match=str(bound)):

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kq.laurent import f_table, g_table, kernel_coefficient
+from kq.laurent import _dual_kernel_rational, f_table, g_table
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     LaurentBlock,
@@ -11,6 +12,7 @@ from referees import (
     binomial_block,
     dual_kernel_coefficient,
     dual_two_point_kernel,
+    kernel_coefficient,
     two_point_kernel,
 )
 
@@ -75,6 +77,15 @@ def test_dual_kernel_recurrence(p, q):
            + BETA * dual_kernel_coefficient(p - 1, q - 1))
     rhs = ONE if (p, q) == (1, 0) else (-ONE if (p, q) == (0, 1) else ZERO)
     assert lhs == rhs
+
+
+def test_kernel_is_the_dual_kernel_at_inverted_exponents():
+    # (z-w)/(z+w+b) at (z, w) = (1/w', 1/z') is (z'-w')/(z'+w'+bz'w'), so
+    # the referee's own closed form is the library's one kernel transposed
+    for p in range(-8, 3):
+        for q in range(-2, 9):
+            c = _dual_kernel_rational(-q, -p)
+            assert kernel_coefficient(p, q) == (B(-p - q, c) if c else ZERO), (p, q)
 
 
 def test_kernels_specialize_to_classical_at_beta_zero():
@@ -233,30 +244,6 @@ def test_f_table_window_widening_consistent():
         assert large[key] == c
 
 
-def test_f_table_block_cross_check():
-    # (1+bt_i)^di (1+bt_j)^dj (t_i+t_j+bt_it_j) F  ==  t_j - t_i
-    r, r_prime = 3, 4
-    i, j = 1, 2
-    di, dj = r_prime - i, r_prime - j
-    P = 6
-    t = f_table(i, j, r, r_prime, (P, P))
-    variables = ("tj", "ti")
-    fblock = LaurentBlock(
-        variables, ((-P, P), (0, P)),
-        {(q, p): c for (p, q), c in t.items()},
-        ZERO, known_below=(True, True), known_above=(False, False))
-    prod = fblock * poly_block(variables,
-                               {(1, 0): ONE, (0, 1): ONE, (1, 1): BETA})
-    prod = prod * binomial_block(variables, 1, di, di)
-    prod = prod * binomial_block(variables, 0, dj, dj)
-    target = poly_block(variables, {(1, 0): ONE, (0, 1): -ONE})
-    (jlo, jhi), (ilo, ihi) = prod.window
-    assert jhi >= 1 and ihi >= 1
-    for a in range(jlo, jhi + 1):
-        for b in range(ilo, ihi + 1):
-            assert prod.coefficient((a, b)) == target.coefficient((a, b))
-
-
 # ---------------------------------------------------------------- g-table
 
 def test_g_table_spot_values():
@@ -287,23 +274,49 @@ def test_g_table_beta_zero_is_classical():
             assert v == 0
 
 
-def test_g_table_block_cross_check():
-    # (1+bz)^i (1+bw)^j (z+w+bzw) G  ==  z - w
-    i, j = 1, 2
+# ------------------------------------------------- both tables, one identity
+
+def kernel_cases():
+    """Every non-padding f_table(i, j, r', r') with r' <= 6, and every
+    g_table(i, j) with j <= 6 (g does not depend on r off the padding)."""
+    for rp in (2, 4, 6):
+        for i, j in combinations(range(1, rp + 1), 2):
+            yield pytest.param("f", i, j, rp, id=f"f-{i}-{j}-{rp}")
+    for i, j in combinations(range(1, 7), 2):
+        yield pytest.param("g", i, j, 6, id=f"g-{i}-{j}")
+
+
+def kernel_block(kind, i, j, rp, P):
+    """The table as a block on (big, small) variables, and its exponents.
+
+    f_table(i, j) expands (1+b t_j)^{-(r'-j)} (1+b t_i)^{-(r'-i)} times
+    the kernel with t_j big; g_table(i, j) expands (1+bz)^{-i} (1+bw)^{-j}
+    times the kernel with z big.  Either way the block reads z^x w^y.
+    """
+    if kind == "f":
+        t = f_table(i, j, rp, rp, (P, P))
+        terms = {(q, p): c for (p, q), c in t.items()}
+        return ("tj", "ti"), terms, rp - j, rp - i
+    t = g_table(i, j, rp, (P, P))
+    return ("z", "w"), dict(t.items()), i, j
+
+
+@pytest.mark.parametrize("kind, i, j, rp", kernel_cases())
+def test_kernel_table_block_cross_check(kind, i, j, rp):
+    # (1+bz)^a (1+bw)^c (z+w+bzw) T  ==  z - w, with z the big variable;
+    # for f at j = r' the exponent a is 0 and its factor is 1
     P = 6
-    t = g_table(i, j, 2, (P, P))
-    variables = ("z", "w")
-    gblock = LaurentBlock(
-        variables, ((-P, P), (0, P)),
-        dict(t.items()),
+    variables, terms, a, c = kernel_block(kind, i, j, rp, P)
+    block = LaurentBlock(
+        variables, ((-P, P), (0, P)), terms,
         ZERO, known_below=(True, True), known_above=(False, False))
-    prod = gblock * poly_block(variables,
-                               {(1, 0): ONE, (0, 1): ONE, (1, 1): BETA})
-    prod = prod * binomial_block(variables, 0, i, i)
-    prod = prod * binomial_block(variables, 1, j, j)
+    prod = block * poly_block(variables,
+                              {(1, 0): ONE, (0, 1): ONE, (1, 1): BETA})
+    prod = prod * binomial_block(variables, 0, a, a)
+    prod = prod * binomial_block(variables, 1, c, c)
     target = poly_block(variables, {(1, 0): ONE, (0, 1): -ONE})
     (zlo, zhi), (wlo, whi) = prod.window
     assert zhi >= 1 and whi >= 1
-    for a in range(zlo, zhi + 1):
-        for b in range(wlo, whi + 1):
-            assert prod.coefficient((a, b)) == target.coefficient((a, b))
+    for x in range(zlo, zhi + 1):
+        for y in range(wlo, whi + 1):
+            assert prod.coefficient((x, y)) == target.coefficient((x, y))
