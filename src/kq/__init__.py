@@ -8,10 +8,11 @@ independent routes (two Pfaffian formulas, a free-fermion contraction, a
 finite-variable symmetrization) and the dual family (o_lambda, gp_lambda),
 together with the bilinear pairing that makes the two families dual bases.
 
-Power-sum series, Fock states and finite polynomials store one Fraction per
-(key, power of b), so the arithmetic inside them is plain Fraction
-arithmetic.  BetaScalar, the public Q[b] scalar, is what a coefficient
-becomes once it leaves them, and the type of constants such as BETA.
+Power-sum series store an int per (partition, power of b) on the basis
+p_lambda / z_lambda over one denominator; Fock states and finite polynomials
+store a Fraction per (key, power of b).  BetaScalar, the public Q[b]
+scalar, is what a coefficient becomes once it leaves them, and the type of
+constants such as BETA.
 """
 
 from .scalars import BETA, ONE, ZERO, BetaScalar, binom_general

@@ -15,9 +15,10 @@ computes, on the series they describe (its private _deformed slot, one
 entry per flavor), so they live exactly as long as that series object.
 The memo relies on series never being mutated after construction.
 
-Coordinates are kept flat, as series terms are: {(lambda, k): Fraction}
-for the term c*b^k times the deformed p_lambda.  to_deformed_basis hands
-them out as {lambda: BetaScalar}; the pairing reads the flat memo.
+Coordinates are kept as a PSeries whose coefficients are the coordinates,
+so its numerators stand on the images of p_lambda / z_lambda.
+to_deformed_basis hands them out as {lambda: BetaScalar}; the pairing
+reads the numerators of the memo.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .pseries import PSeries
+from .partitions import z_lambda
+from .pseries import PSeries, exp_power_sums
 from .scalars import BetaScalar, _monomials, binom_general
 
 FLAVORS = ("paren", "bracket")
@@ -38,15 +40,10 @@ def check_flavor(flavor):
 
 
 def q_series(degree_bound: int) -> list[PSeries]:
-    """[q_0, q_1, ..., q_bound], each exact (they are homogeneous)."""
-    out = [PSeries.one(degree_bound)]
-    for n in range(1, degree_bound + 1):
-        # n E_n = sum_{k odd} 2 p_k E_{n-k}, from E' = A' E
-        acc = PSeries.zero(degree_bound)
-        for k in range(1, n + 1, 2):
-            acc = acc + PSeries.p(k, degree_bound) * out[n - k] * 2
-        out.append(acc * Fraction(1, n))
-    return out
+    """[q_0, q_1, ..., q_bound], each exact (they are homogeneous): the
+    exponential of sum_n c_n p_n / n with c_n = 2 z^n for odd n."""
+    logs = {n: {(n, 0): 2} for n in range(1, degree_bound + 1, 2)}
+    return exp_power_sums(logs, degree_bound, degree_bound)
 
 
 def p_beta(n: int, degree_bound: int) -> PSeries:
@@ -87,19 +84,23 @@ def _image_part(flavor: str, n: int, degree_bound: int) -> PSeries:
 
 @lru_cache(maxsize=None)
 def _image_partition(flavor: str, key: tuple[int, ...], degree_bound: int) -> PSeries:
+    """The image of p~_key: the deformed p_key divided by z_key."""
     if not key:
         return PSeries.one(degree_bound)
-    return (_image_partition(flavor, key[:-1], degree_bound)
-            * _image_part(flavor, key[-1], degree_bound))
+    head = key[:-1]
+    return (_image_partition(flavor, head, degree_bound)
+            * _image_part(flavor, key[-1], degree_bound)
+            * Fraction(z_lambda(head), z_lambda(key)))
 
 
-def _image_sum(flat, flavor: str, degree_bound: int) -> PSeries:
-    """sum c b^k (deformed p_lambda) over flat coordinates {(lambda, k): c}."""
+def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
+    """sum (c / den) b^k (image of p~_lambda) over flat coordinates
+    {(lambda, k): c}."""
     check_flavor(flavor)
     out = PSeries.zero(degree_bound)
     for (key, k), c in flat.items():
         out = out + _image_partition(flavor, key, degree_bound) * BetaScalar.beta_power(k, c)
-    return out
+    return out * Fraction(1, den)
 
 
 def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
@@ -107,8 +108,9 @@ def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
 
     coeffs maps partitions to int, Fraction or BetaScalar values.
     """
-    flat = {(tuple(key), k): c for key, val in coeffs.items() for k, c in _monomials(val)}
-    return _image_sum(flat, flavor, degree_bound)
+    flat = {(tuple(key), k): c * z_lambda(tuple(key))
+            for key, val in coeffs.items() for k, c in _monomials(val)}
+    return _image_sum(flat, 1, flavor, degree_bound)
 
 
 def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScalar]:
@@ -146,8 +148,8 @@ def _eliminate(f: PSeries, flavor: str) -> PSeries:
         level = {key: c for key, c in rep.terms.items() if sum(key[0]) == d}
         if not level:
             continue
-        out.update(level)
-        rep = rep - _image_sum(level, flavor, bound)
+        out.update({key: Fraction(c, rep.den * z_lambda(key[0])) for key, c in level.items()})
+        rep = rep - _image_sum(level, rep.den, flavor, bound)
     if not rep.is_zero():
         raise ArithmeticError("triangular elimination left a residue")
     return PSeries._from_flat(out, bound)

@@ -19,8 +19,10 @@ matrix <GQ_lambda, o_mu>.  The pairing itself (bilinear_pair) weighs
 matching odd power-sum monomials by z_lambda / 2^{l(lambda)}.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
 
 from . import fock
@@ -35,7 +37,7 @@ from .partitions import (
     z_lambda,
 )
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries, z_exp
+from .pseries import PSeries, exp_power_sums
 from .scalars import BetaScalar, _from_monomials, binom_general
 
 
@@ -43,22 +45,19 @@ from .scalars import BetaScalar, _from_monomials, binom_general
 def _q_bracket_upto(top, degree_bound):
     """q^[b]_0..q^[b]_top, all truncated past degree_bound.
 
-    log q^[b](z) has z^j coefficient
-        sum_{n<=j} (p_n/n) (delta_{nj} + (-1)^{j+1} C(j-1, j-n) b^{j-n}),
-    every term of p-weight <= j, so q^[b]_j is a polynomial of top degree
-    at most j and the truncation only matters for j > degree_bound.
+    log q^[b](z) = sum_n (p_n/n) c_n with
+        c_n = sum_{j>=n} (delta_{nj} + (-1)^{j+1} C(j-1, j-n) b^{j-n}) z^j,
+    cut at z^top, so the closed form of exp_power_sums applies.  Every
+    term of the z^j part has p-weight <= j, so q^[b]_j is a polynomial of
+    top degree at most j and the truncation only matters for j > degree_bound.
     """
-    ex = [PSeries.zero(degree_bound) for _ in range(top + 1)]
-    for n in range(1, top + 1):
-        pn = PSeries.p(n, degree_bound) if n <= degree_bound else None
-        if pn is None or pn.is_zero():
-            continue
-        w = Fraction(1, n)
-        for j in range(n, top + 1):
-            c = binom_general(j - 1, j - n) * w
-            ex[j] = ex[j] + pn * BetaScalar.beta_power(j - n, -c if j % 2 == 0 else c)
-        ex[n] = ex[n] + pn * w
-    return tuple(z_exp(ex))
+    logs = {}
+    for n in range(1, min(top, degree_bound) + 1):
+        c = {(j, j - n): (1 if j % 2 else -1) * comb(j - 1, j - n)
+             for j in range(n, top + 1)}
+        c[(n, 0)] += 1
+        logs[n] = c
+    return tuple(exp_power_sums(logs, top, degree_bound))
 
 
 def q_bracket_series(degree_bound):
@@ -92,6 +91,7 @@ class OSeries:
         self.coefficients = MappingProxyType(coefficients)
 
     def coefficient(self, n):
+        n = operator.index(n)
         if n < 0:
             return PSeries.zero(self.degree_bound)
         if n > self.degree_bound:
@@ -118,10 +118,10 @@ def _g_entry(i, j, r, li, lj, degree_bound):
     acc = PSeries.zero(D)
     if lj is None:
         for p, c in g_table(i, j, r, (li, 0)).items():
-            acc = acc + qb[li - p] * c
+            acc = acc + qb[li - p] * BetaScalar.beta_power(p, c)
         return acc
     for (p, q), c in g_table(i, j, r, (li, lj)).items():
-        acc = acc + (qb[li - p] * qb[lj - q]) * c
+        acc = acc + (qb[li - p] * qb[lj - q]) * BetaScalar.beta_power(p + q, c)
     return acc
 
 
@@ -225,20 +225,23 @@ def bilinear_pair(f, g):
     top = g.top_degree()
     if top is not None and f.degree_bound < top:
         raise ValueError("first argument is truncated below deg of the second")
-    cf = _coordinates(f, "paren").terms
-    cg = _coordinates(g, "bracket").terms
+    cf = _coordinates(f, "paren")
+    cg = _coordinates(g, "bracket")
     right: dict = {}
     for coords in (cf, cg):
-        for mu, _ in coords:
+        for mu, _ in coords.terms:
             if any(part % 2 == 0 for part in mu):
                 raise ValueError(f"support on even partition {mu}")
-    for (mu, k), c in cg.items():
+    for (mu, k), c in cg.terms.items():
         right.setdefault(mu, []).append((k, c))
+    # coordinates are n / (den z_mu) in the p basis, so the weight z_mu / 2^l
+    # of two of them is 1 / (z_mu 2^l) on their numerators, over both dens
+    scale = cf.den * cg.den
     total: dict = {}
-    for (mu, ka), a in cf.items():
+    for (mu, ka), a in cf.terms.items():
         got = right.get(mu)
         if got is not None:
-            weight = a * Fraction(z_lambda(mu), 2 ** len(mu))
+            weight = Fraction(a, z_lambda(mu) * 2 ** len(mu) * scale)
             for kb, b in got:
                 total[ka + kb] = total.get(ka + kb, 0) + weight * b
     return _from_monomials(total.items())
@@ -247,7 +250,7 @@ def bilinear_pair(f, g):
 def gp(lam, degree_bound):
     """gp_lambda, the dual basis to GQ: <GQ_lambda, gp_mu> = delta_{lambda,mu}.
 
-    Obtained from the o family by inverting the unitriangular matrix
+    Obtained from o_fermionic's o_lambda by inverting the unitriangular matrix
     <GQ_mu, o_lambda> = (-b)^{|lambda|-|mu|} 2^{-row_count(lambda, mu)},
     zero unless lambda contains mu: subtract that multiple of gp_mu from
     o_lambda for every strict mu strictly inside lambda, the empty
@@ -259,7 +262,7 @@ def gp(lam, degree_bound):
 
 @lru_cache(maxsize=None)
 def _gp_cached(lam, degree_bound):
-    acc = o_pfaffian_1(lam, degree_bound)
+    acc = o_fermionic(lam, degree_bound)
     for mu in sub_strict_partitions(lam):
         if mu == lam:
             continue

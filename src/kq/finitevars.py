@@ -8,8 +8,8 @@ with coefficient prod m_i(mu)! at lam = mu and an integer that does not
 depend on n otherwise (Macdonald, Symmetric Functions and Hall Polynomials,
 I.6).
 
-A FinitePoly keeps one Fraction per (exponent tuple, power of b), as a
-PSeries does per (partition, power of b).  Symmetry and the solve hold one
+A FinitePoly keeps one Fraction per (exponent tuple, power of b); a PSeries
+keeps an int per (partition, power of b).  Symmetry and the solve hold one
 power of b at a time, so from_finite works on Fractions throughout; only
 coefficient() and the constructor's input are BetaScalars.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .partitions import check_degree_bound, multiplicities, partitions_upto
+from .partitions import check_degree_bound, multiplicities, partitions_upto, z_lambda
 from .pseries import PSeries
 from .scalars import BetaScalar, _from_monomials, _grouped, _monomials
 
@@ -28,7 +28,7 @@ from .scalars import BetaScalar, _from_monomials, _grouped, _monomials
 class FinitePoly:
     """Polynomial in x_0..x_{nvars-1} with coefficients in Q[b].
 
-    terms is flat, as in PSeries: it maps (exps, k), exps a full-length
+    terms is flat: it maps (exps, k), exps a full-length
     exponent tuple and k an int >= 0, to the nonzero Fraction c of the term
     c*b^k*x^exps.  The constructor takes {exps: int, Fraction or
     BetaScalar}, and coefficient() hands a coefficient out as a BetaScalar.
@@ -165,7 +165,8 @@ def _partition_power_poly(lam: tuple[int, ...], nvars: int) -> FinitePoly:
 def eval_finite(f: PSeries, nvars: int) -> FinitePoly:
     """Substitute each p_k by the k-th power sum in nvars variables."""
     out: dict = {}
-    for (key, k), c in f.terms.items():
+    for (key, k), n in f.terms.items():
+        c = Fraction(n, f.den * z_lambda(key))
         for (exps, e), v in _partition_power_poly(key, nvars).terms.items():
             got = (exps, e + k)
             out[got] = out.get(got, 0) + v * c

@@ -23,11 +23,11 @@ truncate exactly by grading: a bra word of grade s is killed by any phi_m
 with s + m > 0.  Heisenberg generators b_m enter only through Theta, which
 uses odd m; b_0 is not normal-ordered and never built.
 
-States are flat, as series are: a state maps (word, k) to the nonzero
-Fraction c of the term c*b^k*word.  Every coefficient an operator here
-contributes is a single monomial c*b^e (the deformed modes, the theta
-terms) or a rational constant (normal ordering, b_m), so applying it to a
-term is one Fraction product and an int add.  No BetaScalar is built.
+States are flat: a state maps (word, k) to the nonzero Fraction c of the
+term c*b^k*word; series keep ints instead (module pseries).  Every
+coefficient an operator here contributes is a single monomial c*b^e or a
+rational constant (normal ordering, b_m), so applying it to a term is one
+Fraction product and an int add.  No BetaScalar is built.
 """
 
 from __future__ import annotations

@@ -27,8 +27,10 @@ interchanged even though the computed value of the latter also comes out
 as 1.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
 
 from . import fock
@@ -36,7 +38,7 @@ from .hexpansion import HBraExpansion
 from .laurent import f_table
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries, z_exp
+from .pseries import PSeries, exp_power_sums
 from .scalars import BetaScalar, binom_general
 
 
@@ -44,22 +46,20 @@ from .scalars import BetaScalar, binom_general
 def _exp_parts(degree_bound):
     """z^0..z^D coefficients of theta(z) / (theta(-beta) theta(-z-beta)).
 
-    The log has z^j coefficient sum_n (p_n/n) [(-1)^{n+1} C(n,j) beta^{n-j}],
-    plus p_n/n at j = n from theta(z) and a second (-1)^{n+1} beta^n / n at
-    j = 0 from 1/theta(-beta).  The z^j part has lowest p-weight >= j, so
+    The log is sum_n (p_n/n) c_n with c_n = z^n - (-beta)^n - (-z-beta)^n,
+    homogeneous of degree n in z and beta, so the closed form of
+    exp_power_sums applies.  The z^j part has lowest p-weight >= j, so
     cutting z-degrees and p-weights at D together loses nothing that the
     assembled GQ_n (n <= D) could see.
     """
-    D = degree_bound
-    ex = [PSeries.zero(D) for _ in range(D + 1)]
-    for n in range(1, D + 1):
-        pn = PSeries.p(n, D)
-        w = Fraction(1 if n % 2 else -1, n)
-        for j in range(n + 1):
-            ex[j] = ex[j] + pn * BetaScalar.beta_power(n - j, w * binom_general(n, j))
-        ex[0] = ex[0] + pn * BetaScalar.beta_power(n, w)
-        ex[n] = ex[n] + pn * Fraction(1, n)
-    return tuple(z_exp(ex))
+    logs = {}
+    for n in range(1, degree_bound + 1):
+        sign = 1 if n % 2 else -1  # (-1)^(n+1)
+        c = {(j, n - j): sign * comb(n, j) for j in range(n + 1)}
+        c[(0, n)] += sign
+        c[(n, 0)] += 1
+        logs[n] = c
+    return tuple(exp_power_sums(logs, degree_bound, degree_bound))
 
 
 class GQSeries:
@@ -93,6 +93,7 @@ class GQSeries:
         return acc
 
     def coefficient(self, n):
+        n = operator.index(n)
         if n > self.degree_bound:
             return PSeries.zero(self.degree_bound)
         if n < -self.degree_bound:
@@ -127,7 +128,7 @@ def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
         for p, c in tab.items():
             gi = series.coefficient(li + p)
             if not gi.is_zero():
-                acc = acc + gi * c
+                acc = acc + gi * BetaScalar.beta_power(p, c)
         return acc
     tab = f_table(i, j, r, r_prime, (D - li, D - lj))
     for (p, q), c in tab.items():
@@ -136,7 +137,7 @@ def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
             continue
         gj = series.coefficient(lj + q)
         if not gj.is_zero():
-            acc = acc + gi * gj * c
+            acc = acc + gi * gj * BetaScalar.beta_power(p + q, c)
     return acc
 
 

@@ -9,8 +9,8 @@ classical Schur Q-function evaluated at the deformed power sums:
     <0|e^H = sum_mu (-1)^{|mu|} 2^{-l(mu)} Q_mu(p^flavor) <word(mu)|
 
 with word(mu) the reversed negated padding of mu.  Pairing a ket against
-this row is therefore a finite weight lookup, which is how every symmetric
-function in this package leaves Fock space.
+this row is a finite weight lookup: every symmetric function leaves Fock
+space there, its Fractions becoming the int numerators of a PSeries.
 
 Memoised for the life of the process: the q_n row and Q_mu per bound,
 Q_mu(p^flavor) per (mu, flavor, bound), and the rows of <0|e^H per
@@ -77,7 +77,8 @@ def _deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
     inner = degree_bound
     if flavor == "bracket":
         inner = max(degree_bound, sum(mu))
-    image = _image_sum(classical_q(mu, inner).terms, flavor, inner)
+    q = classical_q(mu, inner)
+    image = _image_sum(q.terms, q.den, flavor, inner)
     return image.truncate(degree_bound) if inner > degree_bound else image
 
 

@@ -28,7 +28,9 @@ def check_partition(parts, strict=False) -> tuple[int, ...]:
 
 
 def check_degree_bound(degree_bound, what="degree bound") -> int:
-    """degree_bound as an int, checked to be >= 0; what names it in errors."""
+    """degree_bound as an int >= 0, never a bool; what names it in errors."""
+    if isinstance(degree_bound, bool):
+        raise ValueError(f"{what} must be an integer, got {degree_bound!r}")
     try:
         d = operator.index(degree_bound)
     except TypeError:
@@ -59,6 +61,7 @@ def multiplicities(p) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def z_lambda(p) -> int:
     """Order of the centralizer of a permutation of cycle type p.
 

@@ -1,30 +1,31 @@
 """Truncated symmetric functions in the power-sum basis over Q[b].
 
-A PSeries stores finitely many coefficients c_lambda of sum c_lambda p_lambda
-together with a degree bound D: the object represents its class modulo
-(terms of degree > D), where deg p_lambda = |lambda|.  All arithmetic
-truncates at D, so the bound is part of the value and mixed-bound arithmetic
-is a bug (it raises).  Coefficients are polynomials in b: no operation here
-divides by anything but a rational constant (the 1/m of z_exp).
+A PSeries stands for sum c_lambda p_lambda together with a degree bound D:
+the object represents its class modulo (terms of degree > D), where
+deg p_lambda = |lambda|.  All arithmetic truncates at D, so the bound is
+part of the value and mixed-bound arithmetic is a bug (it raises).
 
-The terms are flat: terms maps (lambda, k) to the nonzero Fraction c of the
-term c*b^k*p_lambda, so a coefficient with several powers of b occupies
-several keys.  A product or sum of two terms is then one Fraction operation
-and an int add for the b-power; no BetaScalar is built inside the ring
-operations.  BetaScalar appears only at the boundary: the public constructor
-and the scalar operands of +, - and * accept int, Fraction or BetaScalar,
-and coefficient() and sorted_items() hand coefficients out as BetaScalars.
-A series times a BetaScalar walks the scalar's monomials, one shift of the
-b-powers each.
+The store is integral, in the basis p~_lambda = p_lambda / z_lambda, where
+GQ_lambda, gp_lambda and the one-row tables have coordinates in Z[b], and
+o_lambda and the deformed images a power of 2 below them: terms maps
+(lambda, k) to the nonzero int n of the term (n / den) b^k p~_lambda, with
+one int den >= 1 per series.  There p~_mu p~_nu = prod_i C(m_i(mu) +
+m_i(nu), m_i(mu)) p~_(mu u nu), a multiplicity cached once per pair of
+partitions, so a product multiplies ints; a sum rescales to the lcm of the
+two dens; a scalar multiplies numerators and den; and exponentials are
+closed forms (exp_power_sums).  Fractions and BetaScalars appear only at
+the boundary: the public constructor and _from_flat take coefficients of
+p_lambda, and coefficient() and sorted_items() hand them out as BetaScalars.
 
-Invariant: degree_bound is an int >= 0, and terms maps pairs (lambda, k),
+Invariant: degree_bound is an int >= 0; terms maps pairs (lambda, k),
 lambda a partition in the canonical form of check_partition of weight <=
-degree_bound and k an int >= 0, to nonzero Fractions.  The public
-constructor enforces it on any input.  Sums, negation and products of series
-that meet it build term dicts that meet it too: merge keeps keys canonical,
-the product skips pairs above the bound, zero sums are dropped, and a
-product of two nonzero Fractions is nonzero.  So those results are wrapped
-by the private PSeries._trusted, which skips the checks.
+degree_bound and k an int >= 0, to nonzero ints; den is an int >= 1 with
+gcd(den, *numerators) == 1, so 1 for the zero series, and == and hash
+compare values.  The public constructor enforces it on any input.  The
+ring operations keep it, once _reduced has divided out a common factor:
+the pair cache keeps keys canonical, the product skips pairs above the
+bound, and zero sums are dropped.  So their results are wrapped by the
+private PSeries._trusted, which skips the checks.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators, the rows of HBraExpansion)
@@ -39,69 +40,77 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 
-from .partitions import check_degree_bound, check_partition, graded_key, merge
-from .scalars import BetaScalar, _from_monomials, _grouped, _monomials
+from .partitions import (check_degree_bound, check_partition, graded_key, merge,
+                         partitions_upto, z_lambda)
+from .scalars import BetaScalar, _from_monomials, _monomials
 
 _SCALARS = (int, Fraction, BetaScalar)
 
+# mu -> {nu: (mu u nu, z_(mu u nu) / (z_mu z_nu))}, filled by products
+_PAIRS: dict = {}
+
 
 def _by_partition(terms):
-    """{lambda: [(k, c), ...]} from flat terms."""
+    """{lambda: [(k, n), ...]} from flat terms."""
     groups: dict = {}
     for (mu, k), c in terms.items():
-        got = groups.get(mu)
-        if got is None:
-            groups[mu] = [(k, c)]
-        else:
-            got.append((k, c))
+        groups.setdefault(mu, []).append((k, c))
     return groups
 
 
+def _reduced(terms, den):
+    """(terms, den) divided by gcd(den, *terms); the zero series gets den 1."""
+    if den == 1 or not terms:
+        return terms, 1
+    g = den
+    for v in terms.values():
+        g = gcd(g, v)
+        if g == 1:
+            return terms, den
+    return {key: v // g for key, v in terms.items()}, den // g
+
+
 class PSeries:
-    __slots__ = ("terms", "degree_bound", "_deformed")
+    __slots__ = ("terms", "den", "degree_bound", "_deformed")
 
     def __init__(self, terms, degree_bound: int):
         """terms maps partitions to int, Fraction or BetaScalar values."""
-        degree_bound = check_degree_bound(degree_bound)
-        self.degree_bound = degree_bound
-        clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for key, val in terms.items():
-            key = check_partition(key)
-            if sum(key) > degree_bound:
-                continue
-            for k, c in _monomials(val):
-                clean[(key, k)] = c
-        self.terms = clean
+        flat = {(check_partition(key), k): c
+                for key, val in terms.items() for k, c in _monomials(val)}
+        made = PSeries._from_flat(flat, degree_bound)
+        self.terms, self.den, self.degree_bound = made.terms, made.den, made.degree_bound
         self._deformed = None
 
     @classmethod
-    def _trusted(cls, terms, degree_bound: int) -> "PSeries":
-        """Wrap terms and degree_bound, which must already meet the invariant.
-
-        Only this module calls it, on dicts its own arithmetic built.
-        """
+    def _trusted(cls, terms, den: int, degree_bound: int) -> "PSeries":
+        """Wrap terms, den and degree_bound, which must already meet the
+        invariant; only this module calls it, on dicts its own arithmetic built."""
         out = object.__new__(cls)
         out.terms = terms
+        out.den = den
         out.degree_bound = degree_bound
         out._deformed = None
         return out
 
     @classmethod
     def _from_flat(cls, terms, degree_bound: int) -> "PSeries":
-        """A series from flat terms {(lambda, k): rational}, checked as the
-        public constructor checks: keys canonical, k >= 0, terms above the
-        bound and zero values dropped."""
+        """A series from flat terms {(lambda, k): rational coefficient of
+        b^k p_lambda}, checked as the public constructor checks: keys
+        canonical, k >= 0, terms above the bound and zero values dropped."""
         degree_bound = check_degree_bound(degree_bound)
-        clean = {}
+        scaled = {}
         for (key, k), c in terms.items():
             key = check_partition(key)
             k = operator.index(k)
             if k < 0:
                 raise ValueError(f"b^{k} is not in Q[b]")
             if sum(key) <= degree_bound and c:
-                clean[(key, k)] = Fraction(c)
-        return cls._trusted(clean, degree_bound)
+                scaled[(key, k)] = Fraction(c) * z_lambda(key)
+        den = lcm(*(c.denominator for c in scaled.values()))
+        terms = {key: c.numerator * (den // c.denominator) for key, c in scaled.items()}
+        return cls._trusted(*_reduced(terms, den), degree_bound)
 
     # -- constructors ---------------------------------------------------
 
@@ -128,7 +137,9 @@ class PSeries:
 
     def coefficient(self, key) -> BetaScalar:
         key = check_partition(key)
-        return _from_monomials((k, c) for (mu, k), c in self.terms.items() if mu == key)
+        scale = self.den * z_lambda(key)
+        return _from_monomials((k, Fraction(n, scale))
+                               for (mu, k), n in self.terms.items() if mu == key)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,8 +153,8 @@ class PSeries:
         new_bound = check_degree_bound(new_bound)
         if new_bound > self.degree_bound:
             raise ValueError("cannot raise a degree bound after the fact")
-        return PSeries._trusted({key: c for key, c in self.terms.items()
-                                 if sum(key[0]) <= new_bound}, new_bound)
+        kept = {key: c for key, c in self.terms.items() if sum(key[0]) <= new_bound}
+        return PSeries._trusted(*_reduced(kept, self.den), new_bound)
 
     def _check_bound(self, other: "PSeries"):
         if self.degree_bound != other.degree_bound:
@@ -158,24 +169,25 @@ class PSeries:
         if not isinstance(other, PSeries):
             return NotImplemented
         self._check_bound(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
+        den, out, theirs = self.den, dict(self.terms), other.terms
+        if other.den != den:
+            den = lcm(den, other.den)
+            mine, scale = den // self.den, den // other.den
+            out = {key: c * mine for key, c in out.items()}
+            theirs = {key: c * scale for key, c in theirs.items()}
+        for key, c in theirs.items():
+            s = out.get(key, 0) + c  # c is nonzero, so s == 0 only on a stored key
+            if s:
+                out[key] = s
             else:
-                s = prev + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return PSeries._trusted(out, self.degree_bound)
+                del out[key]
+        return PSeries._trusted(*_reduced(out, den), self.degree_bound)
 
     __radd__ = __add__
 
     def __neg__(self):
         return PSeries._trusted({key: -c for key, c in self.terms.items()},
-                                self.degree_bound)
+                                self.den, self.degree_bound)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -198,47 +210,41 @@ class PSeries:
         # partition then stops at the first degree that would pass the
         # bound (keys are distinct, so the sort never compares the lists)
         right = sorted((sum(kb), kb, vb) for kb, vb in _by_partition(other.terms).items())
-        out: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        out: dict[tuple[tuple[int, ...], int], int] = {}
         for ka, va in _by_partition(self.terms).items():
             room = bound - sum(ka)
+            pairs = _PAIRS.setdefault(ka, {})
             for db, kb, vb in right:
                 if db > room:
                     break
-                mu = merge(ka, kb)
+                got = pairs.get(kb)
+                if got is None:
+                    mu = merge(ka, kb)
+                    got = pairs[kb] = (mu, z_lambda(mu) // (z_lambda(ka) * z_lambda(kb)))
+                mu, m = got
                 for ea, ca in va:
+                    ca *= m
                     for eb, cb in vb:
                         key = (mu, ea + eb)
-                        p = ca * cb
-                        prev = out.get(key)
-                        if prev is None:
-                            out[key] = p
+                        s = out.get(key, 0) + ca * cb
+                        if s:
+                            out[key] = s
                         else:
-                            s = prev + p
-                            if s:
-                                out[key] = s
-                            else:
-                                del out[key]
-        return PSeries._trusted(out, bound)
+                            del out[key]
+        return PSeries._trusted(*_reduced(out, self.den * other.den), bound)
 
     __rmul__ = __mul__
 
     def _scaled(self, monomials) -> "PSeries":
-        """self * sum c*b^e over the (e, c) pairs, one shift per pair."""
-        terms = self.terms
-        if len(monomials) == 1:
-            e, c = monomials[0]
-            return PSeries._trusted({(mu, k + e): v * c for (mu, k), v in terms.items()},
-                                    self.degree_bound)
-        out = {}
-        for e, c in monomials:
-            for (mu, k), v in terms.items():
-                key = (mu, k + e)
-                s = out.get(key, 0) + v * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return PSeries._trusted(out, self.degree_bound)
+        """self * sum c*b^e over the (e, c) pairs, c a nonzero Fraction."""
+        if len(monomials) != 1:
+            out = PSeries.zero(self.degree_bound)
+            for pair in monomials:
+                out = out + self._scaled([pair])
+            return out
+        (e, c), = monomials
+        terms = {(mu, k + e): v * c.numerator for (mu, k), v in self.terms.items()}
+        return PSeries._trusted(*_reduced(terms, self.den * c.denominator), self.degree_bound)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -257,10 +263,11 @@ class PSeries:
             other = PSeries.constant(other, self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
-        return self.degree_bound == other.degree_bound and self.terms == other.terms
+        return (self.degree_bound == other.degree_bound and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.degree_bound, frozenset(self.terms.items())))
+        return hash((self.degree_bound, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -269,7 +276,10 @@ class PSeries:
 
     def sorted_items(self):
         """(lambda, BetaScalar coefficient) pairs, graded lex in lambda."""
-        return sorted(_grouped(self.terms).items(), key=lambda kv: graded_key(kv[0]))
+        return [(mu, _from_monomials((k, Fraction(n, self.den * z_lambda(mu)))
+                                     for k, n in got))
+                for mu, got in sorted(_by_partition(self.terms).items(),
+                                      key=lambda kv: graded_key(kv[0]))]
 
     def __str__(self):
         if not self.terms:
@@ -286,32 +296,25 @@ class PSeries:
     __repr__ = __str__
 
 
-def z_exp(parts):
-    """Exponentiate sum_j parts[j] z^j within the same z-window.
+def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:
+    """The z^0..z^cap coefficients of exp(sum_n c_n p_n / n), at degree_bound.
 
-    parts is a nonempty list of PSeries at one degree bound, each with zero
-    constant term so the sum is nilpotent modulo the bound.  Returns the
-    list of z^0..z^cap coefficients of the exponential, cap = len(parts)-1.
+    logs maps n to c_n as {(j, e): int coefficient of z^j b^e}, j, e >= 0, or
+    leaves c_n = 0 out.  The closed form is sum_mu (prod_i c_(mu_i)) p~_mu
+    (Macdonald, Symmetric Functions and Hall Polynomials, I (2.14)); each
+    product extends that of mu without its last part, cut at z^cap.
     """
-    if not parts:
-        raise ValueError("z_exp needs at least the z^0 slot")
-    bound = parts[0].degree_bound
-    cap = len(parts) - 1
-    for f in parts:
-        if any(not mu for mu, _ in f.terms):
-            raise ValueError("z_exp needs coefficients with zero constant term")
-    out = [PSeries.one(bound)] + [PSeries.zero(bound) for _ in range(cap)]
-    term = list(out)
-    for m in range(1, bound + 1):
-        nxt = [PSeries.zero(bound) for _ in range(cap + 1)]
-        for a, t in enumerate(term):
-            if t.is_zero():
-                continue
-            for b in range(cap + 1 - a):
-                if not parts[b].is_zero():
-                    nxt[a + b] = nxt[a + b] + t * parts[b]
-        term = [t * Fraction(1, m) for t in nxt]
-        if all(t.is_zero() for t in term):
-            break
-        out = [s + t for s, t in zip(out, term)]
-    return out
+    degree_bound = check_degree_bound(degree_bound)
+    slots: list[dict] = [{} for _ in range(cap + 1)]
+    products = {(): {(0, 0): 1}}
+    for mu in partitions_upto(degree_bound):
+        if mu:
+            prod: dict = {}
+            for (j, e), u in products[mu[:-1]].items():
+                for (jn, en), v in logs.get(mu[-1], {}).items():
+                    if j + jn <= cap:
+                        prod[(j + jn, e + en)] = prod.get((j + jn, e + en), 0) + u * v
+            products[mu] = {key: v for key, v in prod.items() if v}
+        for (j, e), u in products[mu].items():
+            slots[j][(mu, e)] = u
+    return [PSeries._trusted(terms, 1, degree_bound) for terms in slots]

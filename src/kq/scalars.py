@@ -11,10 +11,9 @@ nonzero rational constants.  Dividing by a scalar that depends on b, or
 raising one to a negative power, raises instead of leaving the ring.
 
 Series, Fock states and finite polynomials store no BetaScalar: they keep
-one Fraction per (key, b-power), the term c*b^k*X under the key (X, k).
-Almost every coefficient the package builds is a single monomial c*b^k, so
-a product or sum of two terms is one Fraction operation and an int add for
-the b-power.
+one number per (key, b-power), the term c*b^k*X under the key (X, k), an
+int over the series' denominator in a series and a Fraction otherwise, so
+a product or sum of two terms is one operation and an int add.
 
 BetaScalar is the public scalar: the type of a coefficient once it leaves a
 series (coefficient, sorted_items, the deformed-basis coordinates, the value

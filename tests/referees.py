@@ -5,11 +5,13 @@ with `from referees import ...`, which works because tests/ has no
 __init__.py, so pytest puts this directory on sys.path.
 
 None of this is production code.  Each section names the library module it
-referees: the kernel (z-w)/(z+w+b) in a closed form of its own and
-generic Laurent blocks that cross-check the closed-form kernel tables, a
-literal symmetrization that checks the oracle, plain fermion modes and
-Wick's theorem, and the paper's theorems (the cancellation properties,
-the Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks.
+referees: the exponential of a series, and of a z-graded family of them
+(z_exp), term by term against the closed forms; the kernel (z-w)/(z+w+b)
+in a closed form of its own and generic Laurent blocks that cross-check
+the closed-form kernel tables, a literal symmetrization that checks the
+oracle, plain fermion modes and Wick's theorem, and the paper's theorems
+(the cancellation properties, the Fock pairing, the closed form of
+<GQ_lambda, o_mu>) as executable checks.
 The first section reads and writes the library's flat (key, b-power) terms
 as BetaScalars.
 """
@@ -33,14 +35,17 @@ from kq.scalars import BetaScalar, ONE, ZERO, binom_general
 
 # -- the flat (key, b-power) terms, read and written as BetaScalars -----------
 #
-# Series, finite polynomials and Fock states keep one Fraction per (key,
-# b-power).  These helpers move between that form and {key: BetaScalar}
-# with public BetaScalar arithmetic only, independently of the library's
-# own conversions.
+# Finite polynomials and Fock states keep one Fraction per (key, b-power).
+# These helpers move between that form and {key: BetaScalar} with public
+# BetaScalar arithmetic only, independently of the library's own
+# conversions.  Series are read through sorted_items instead.
 
 def scalar_terms(flat):
     """{key: BetaScalar} from flat {(key, k): c} terms, or from an object's
-    .terms; zero sums are left out."""
+    .terms; zero sums are left out.  A PSeries is refused: its terms are
+    ints over its den on p_lambda / z_lambda, read through sorted_items."""
+    if isinstance(flat, PSeries):
+        raise TypeError("read a PSeries through sorted_items")
     flat = getattr(flat, "terms", flat)
     out = {}
     for (key, k), c in flat.items():
@@ -107,7 +112,7 @@ def at_b(f, value):
     return PSeries({k: at_b(v, value) for k, v in f.sorted_items()}, f.degree_bound)
 
 
-# -- pseries: the exponential of a series ------------------------------------
+# -- pseries: the exponential of a series, and of a z-graded one ---------------
 
 def exp(f: PSeries) -> PSeries:
     """exp of a series with no constant term (checked)."""
@@ -122,6 +127,37 @@ def exp(f: PSeries) -> PSeries:
             break
         kfac *= k
         out = out + power * Fraction(1, kfac)
+    return out
+
+
+def z_exp(parts):
+    """Exponentiate sum_j parts[j] z^j within the same z-window.
+
+    parts is a nonempty list of PSeries at one degree bound, each with zero
+    constant term so the sum is nilpotent modulo the bound.  Returns the
+    list of z^0..z^cap coefficients of the exponential, cap = len(parts)-1.
+    """
+    if not parts:
+        raise ValueError("z_exp needs at least the z^0 slot")
+    bound = parts[0].degree_bound
+    cap = len(parts) - 1
+    for f in parts:
+        if any(not mu for mu, _ in f.terms):
+            raise ValueError("z_exp needs coefficients with zero constant term")
+    out = [PSeries.one(bound)] + [PSeries.zero(bound) for _ in range(cap)]
+    term = list(out)
+    for m in range(1, bound + 1):
+        nxt = [PSeries.zero(bound) for _ in range(cap + 1)]
+        for a, t in enumerate(term):
+            if t.is_zero():
+                continue
+            for b in range(cap + 1 - a):
+                if not parts[b].is_zero():
+                    nxt[a + b] = nxt[a + b] + t * parts[b]
+        term = [t * Fraction(1, m) for t in nxt]
+        if all(t.is_zero() for t in term):
+            break
+        out = [s + t for s, t in zip(out, term)]
     return out
 
 

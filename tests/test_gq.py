@@ -210,7 +210,8 @@ def test_window_widening_changes_nothing():
         tab = f_table(1, 2, 2, 2, (pw, qw))
         acc = PSeries.zero(D)
         for (p, q), c in tab.items():
-            acc = acc + s.coefficient(li + p) * s.coefficient(lj + q) * c
+            term = s.coefficient(li + p) * s.coefficient(lj + q)
+            acc = acc + term * BetaScalar.beta_power(p + q, c)
         return acc
 
     assert entry(D - li, D - lj) == entry(2 * D, 2 * D)

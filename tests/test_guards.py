@@ -169,8 +169,8 @@ RING_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul
 
 
 def test_kernels_do_no_scalar_arithmetic(monkeypatch):
-    # series, Fock states and finite polynomials keep one Fraction per
-    # (key, b-power); a BetaScalar is only built where a value leaves them,
+    # series, Fock states and finite polynomials keep one int or Fraction
+    # per (key, b-power); a BetaScalar is only built where a value leaves them,
     # so no ring operation of BetaScalar may run inside the kernels
     def refuse(*args):
         raise AssertionError("BetaScalar arithmetic inside a kernel")

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from kq.laurent import _dual_kernel_rational, f_table, g_table
+from kq.laurent import (_KERNEL_TABLES, _dual_kernel_rational, _kernel_entries, _kernel_table,
+                        f_table, g_table)
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     LaurentBlock,
@@ -22,8 +23,11 @@ def B(k, c=1):
 
 
 def value(table, *key):
-    """Entry of a kernel table: keyed by p alone in the padding column."""
-    return table.get(key[0] if len(key) == 1 else key, ZERO)
+    """Entry of a kernel table as a scalar.  A table stores the int
+    coefficient of b^(p+q) under (p, q), and of b^p under p alone in the
+    padding column."""
+    c = table.get(key[0] if len(key) == 1 else key, 0)
+    return BetaScalar.beta_power(sum(key), c) if c else ZERO
 
 
 def poly_block(variables, terms):
@@ -227,8 +231,8 @@ def test_f_table_padding_column():
 
 def test_f_table_beta_zero_is_classical():
     t = f_table(1, 2, 4, 4, (5, 5))
-    for (p, q), c in t.items():
-        v = at_b(c, 0)
+    for p, q in t:
+        v = at_b(value(t, p, q), 0)
         if p == q == 0:
             assert v == 1
         elif q == -p:
@@ -242,6 +246,15 @@ def test_f_table_window_widening_consistent():
     large = f_table(1, 2, 3, 4, (6, 6))
     for key, c in small.items():
         assert large[key] == c
+
+
+def test_windows_are_cut_from_one_table_per_exponent_pair():
+    # a window cut from a wider table, and a table rebuilt wider when a
+    # window passes it, hold exactly what a build at that window holds
+    for windows in ((3, 2), (6, 6), (2, 5), (4, 1), (7, 0)):
+        assert dict(_kernel_table(1, 2, windows)) == _kernel_entries(1, 2, *windows)
+    x_top, y_top, _ = _KERNEL_TABLES[(1, 2)]
+    assert x_top >= 7 and y_top >= 6
 
 
 # ---------------------------------------------------------------- g-table
@@ -264,8 +277,8 @@ def test_g_table_padding_column():
 
 def test_g_table_beta_zero_is_classical():
     t = g_table(1, 2, 2, (5, 5))
-    for (p, q), c in t.items():
-        v = at_b(c, 0)
+    for p, q in t:
+        v = at_b(value(t, p, q), 0)
         if p == q == 0:
             assert v == 1
         elif p == -q:
@@ -295,10 +308,10 @@ def kernel_block(kind, i, j, rp, P):
     """
     if kind == "f":
         t = f_table(i, j, rp, rp, (P, P))
-        terms = {(q, p): c for (p, q), c in t.items()}
+        terms = {(q, p): value(t, p, q) for p, q in t}
         return ("tj", "ti"), terms, rp - j, rp - i
     t = g_table(i, j, rp, (P, P))
-    return ("z", "w"), dict(t.items()), i, j
+    return ("z", "w"), {key: value(t, *key) for key in t}, i, j
 
 
 @pytest.mark.parametrize("kind, i, j, rp", kernel_cases())

@@ -1,7 +1,8 @@
 import pytest
 
 from kq import partitions as pt
-from kq.gq import gq_fermionic
+from kq.dualq import o_series
+from kq.gq import gq_fermionic, gq_series
 from kq.pseries import PSeries
 
 
@@ -39,6 +40,23 @@ def test_negative_degree_bound_is_named_at_the_routes():
 def test_non_integer_degree_bound_fails_at_the_routes():
     with pytest.raises(ValueError, match=r"integer, got 2\.5"):
         gq_fermionic((1,), 2.5)
+
+
+def test_bool_degree_bound_fails_at_the_routes():
+    # operator.index reads True as 1, so a flag passed by mistake would
+    # silently compute at D = 1
+    with pytest.raises(ValueError, match=r"integer, got True"):
+        gq_fermionic((1,), True)
+    with pytest.raises(ValueError, match=r"integer, got False"):
+        PSeries.one(False)
+
+
+def test_non_integer_index_fails_at_the_one_row_tables():
+    # a float index used to miss the table and raise KeyError
+    with pytest.raises(TypeError, match="float"):
+        gq_series(3).coefficient(1.5)
+    with pytest.raises(TypeError, match="float"):
+        o_series(3).coefficient(1.5)
 
 
 def test_non_integer_degree_bound_fails_at_the_series_constructor():

@@ -1,14 +1,18 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.partitions import check_partition, partitions_upto
+from kq.bases import q_series
+from kq.dualq import _q_bracket_upto, gp, o_fermionic
+from kq.gq import _exp_parts, gq_fermionic, gq_series
+from kq.partitions import check_partition, partitions_upto, strict_partitions_upto
 from kq.pseries import PSeries
-from kq.scalars import BETA, ONE, ZERO, BetaScalar
-from referees import at_b, exp
+from kq.scalars import BETA, ONE, ZERO, BetaScalar, binom_general
+from referees import at_b, exp, z_exp
 
 D = 5
 
@@ -31,16 +35,31 @@ def beta_series(bound=D):
     )
 
 
+def fraction_series(bound=D):
+    # rational coefficients c*b^k with small denominators, and sums of them,
+    # so that sums and products meet series of different denominators
+    keys = list(partitions_upto(bound))
+    frac = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 8]))
+    mono = st.builds(BetaScalar.beta_power, st.integers(0, 3), frac)
+    coeff = st.lists(mono, min_size=1, max_size=2).map(sum)
+    return st.dictionaries(st.sampled_from(keys), coeff, max_size=6).map(
+        lambda d: PSeries(d, bound)
+    )
+
+
 def assert_invariants(f):
     # what PSeries.__init__ guarantees; results built without it must agree:
-    # flat terms (partition, b-power) -> nonzero Fraction, and BetaScalars
-    # in normal form where the coefficients leave the series
+    # flat terms (partition, b-power) -> nonzero int numerators over one
+    # positive den, reduced so that == and hash compare values, and
+    # BetaScalars in normal form where the coefficients leave the series
     assert type(f.degree_bound) is int and f.degree_bound >= 0
+    assert type(f.den) is int and f.den >= 1
+    assert gcd(f.den, *f.terms.values()) == 1
     for (key, k), c in f.terms.items():
         assert type(key) is tuple and check_partition(key) == key
         assert sum(key) <= f.degree_bound
         assert type(k) is int and k >= 0
-        assert type(c) is Fraction and c
+        assert type(c) is int and c
     for key, val in f.sorted_items():
         assert isinstance(val, BetaScalar) and val
         assert val == BetaScalar(val.as_polynomial())
@@ -75,14 +94,63 @@ def test_results_meet_the_invariants(a, b, n, k):
     assert (a + b) * (a - b) == a * a - b * b
 
 
-@given(beta_series(), beta_series())
+@given(beta_series(), fraction_series())
 @settings(max_examples=60, deadline=None)
 def test_product_matches_all_pairs(a, b):
-    assert (a * b).terms == all_pairs_product(a, b).terms
+    # read through sorted_items only, so the check does not rest on the store
+    assert (a * b).sorted_items() == all_pairs_product(a, b).sorted_items()
     f = a + PSeries.one(D)
-    assert (f * f * f).terms == all_pairs_product(all_pairs_product(f, f), f).terms
+    assert ((f * f * f).sorted_items()
+            == all_pairs_product(all_pairs_product(f, f), f).sorted_items())
     u, v = a + b, a - b
-    assert (u * v).terms == all_pairs_product(u, v).terms
+    assert (u * v).sorted_items() == all_pairs_product(u, v).sorted_items()
+
+
+@given(st.dictionaries(st.sampled_from(list(partitions_upto(D))),
+                       st.builds(Fraction, st.integers(-50, 50).filter(bool),
+                                 st.integers(1, 60)), max_size=6),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_fractions_come_back_unchanged(coeffs, k):
+    # the constructor moves each value into the integral store and
+    # coefficient moves it back: nothing may be lost on the way
+    f = PSeries({key: BetaScalar.beta_power(k, c) for key, c in coeffs.items()}, D)
+    for key, c in coeffs.items():
+        assert f.coefficient(key) == BetaScalar.beta_power(k, c)
+    assert_invariants(f)
+
+
+@given(fraction_series(), fraction_series(), fraction_series())
+@settings(max_examples=40, deadline=None)
+def test_values_with_denominators_compare_and_hash_as_values(a, b, c):
+    left, right = (a * b) * c, a * (b * c)
+    assert left == right and hash(left) == hash(right)
+    back = (a + b) - b
+    assert back == a and hash(back) == hash(a)
+    for f in (left, back, a * Fraction(2, 3), (a + b) * Fraction(1, 2) * 2):
+        assert_invariants(f)
+
+
+def test_den_is_reduced_after_cancellation():
+    # 1/2 p1 + 1/2 p1 is p1: the sum must not keep the den of its summands
+    half = PSeries({(1,): Fraction(1, 2)}, D)
+    assert (half + half).den == 1
+    assert (half + half) == PSeries.p(1, D)
+    assert (half * 2).den == 1 and (half * Fraction(2, 3)).den == 3
+    assert (half - half).den == 1 and (half - half).is_zero()
+    assert half.truncate(0).den == 1
+
+
+def test_generated_series_are_integral():
+    # the speed of the store rests on this: GQ_lambda, gp_lambda and the
+    # one-row table have integral coordinates in the basis p_mu / z_mu,
+    # and o_lambda is 2^-l(lambda) times an integral series
+    D = 10
+    assert all(gq_series(D).coefficient(n).den == 1 for n in range(-D, D + 1))
+    for lam in strict_partitions_upto(7):
+        assert gq_fermionic(lam, D).den == 1, lam
+        assert gp(lam, D).den == 1, lam
+        assert 2 ** len(lam) % o_fermionic(lam, D).den == 0, lam
 
 
 def test_product_drops_pairs_that_cancel():
@@ -196,3 +264,50 @@ def test_flat_constructor_checks_like_the_public_one():
         PSeries._from_flat({((1, 2), 0): 1}, 3)
     with pytest.raises(ValueError):
         PSeries._from_flat({((1,), -1): 1}, 3)
+
+
+# -- the closed-form exponentials against the z-graded exponential ----------
+
+
+def gq_log_parts(D):
+    # z^j coefficients of log theta(z) / (theta(-b) theta(-z-b)), term by term
+    ex = [PSeries.zero(D) for _ in range(D + 1)]
+    for n in range(1, D + 1):
+        pn = PSeries.p(n, D)
+        w = Fraction(1 if n % 2 else -1, n)
+        for j in range(n + 1):
+            ex[j] = ex[j] + pn * BetaScalar.beta_power(n - j, w * binom_general(n, j))
+        ex[0] = ex[0] + pn * BetaScalar.beta_power(n, w)
+        ex[n] = ex[n] + pn * Fraction(1, n)
+    return ex
+
+
+def q_bracket_log_parts(top, D):
+    # z^j coefficients of log q^[b](z), cut at z^top
+    ex = [PSeries.zero(D) for _ in range(top + 1)]
+    for n in range(1, min(top, D) + 1):
+        pn = PSeries.p(n, D)
+        w = Fraction(1, n)
+        for j in range(n, top + 1):
+            c = binom_general(j - 1, j - n) * w
+            ex[j] = ex[j] + pn * BetaScalar.beta_power(j - n, -c if j % 2 == 0 else c)
+        ex[n] = ex[n] + pn * w
+    return ex
+
+
+def q_log_parts(D):
+    # z^n coefficients of 2 sum_{n odd} p_n z^n / n
+    return [PSeries.p(n, D) * Fraction(2, n) if n % 2 else PSeries.zero(D)
+            for n in range(D + 1)]
+
+
+@pytest.mark.parametrize("D", range(11))
+def test_closed_form_exponentials_match_z_exp(D):
+    assert _exp_parts(D) == tuple(z_exp(gq_log_parts(D)))
+    assert _q_bracket_upto(D, D) == tuple(z_exp(q_bracket_log_parts(D, D)))
+    assert q_series(D) == z_exp(q_log_parts(D))
+
+
+def test_closed_form_cuts_z_past_the_degree_bound():
+    # the g-entries ask for q^[b]_j with j > D, truncated at D
+    assert _q_bracket_upto(9, 5) == tuple(z_exp(q_bracket_log_parts(9, 5)))
