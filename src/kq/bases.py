@@ -16,9 +16,9 @@ entry per flavor), so they live exactly as long as that series object.
 The memo relies on series never being mutated after construction.
 
 Coordinates are kept as a PSeries whose coefficients are the coordinates,
-so its numerators stand on the images of p_lambda / z_lambda.
-to_deformed_basis hands them out as {lambda: BetaScalar}; the pairing
-reads the numerators of the memo.
+so its numerators stand on the images of p_lambda / z_lambda, and a sum of
+images is one pseries.combination.  to_deformed_basis hands them out as
+{lambda: BetaScalar}; the pairing reads the numerators of the memo.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import z_lambda
-from .pseries import PSeries, exp_power_sums
+from .pseries import PSeries, combination, exp_power_sums
 from .scalars import BetaScalar, _monomials, binom_general
 
 FLAVORS = ("paren", "bracket")
@@ -50,13 +50,9 @@ def p_beta(n: int, degree_bound: int) -> PSeries:
     """Deformed power sum, paren flavor: p_n + higher-degree corrections."""
     if n < 1:
         raise ValueError("power sums are indexed by positive integers")
-    terms = {}
-    for m in range(n, degree_bound + 1):
-        c = binom_general(m - 1, m - n) * Fraction(1, 2) ** (m - n)
-        if (m - n) % 2:
-            c = -c
-        terms[(m,)] = BetaScalar.beta_power(m - n, c)
-    return PSeries(terms, degree_bound)
+    return PSeries._from_flat(
+        {((m,), m - n): binom_general(m - 1, m - n) * Fraction(-1, 2) ** (m - n)
+         for m in range(n, degree_bound + 1)}, degree_bound)
 
 
 def p_bracket(n: int, degree_bound: int | None = None) -> PSeries:
@@ -68,11 +64,9 @@ def p_bracket(n: int, degree_bound: int | None = None) -> PSeries:
         raise ValueError("power sums are indexed by positive integers")
     if degree_bound is None:
         degree_bound = n
-    terms = {}
-    for i in range(1, n + 1):
-        c = binom_general(n, i) * Fraction(1, 2) ** (n - i)
-        terms[(i,)] = BetaScalar.beta_power(n - i, c)
-    return PSeries(terms, degree_bound)
+    return PSeries._from_flat(
+        {((i,), n - i): binom_general(n, i) * Fraction(1, 2) ** (n - i)
+         for i in range(1, n + 1)}, degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +91,8 @@ def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
     """sum (c / den) b^k (image of p~_lambda) over flat coordinates
     {(lambda, k): c}."""
     check_flavor(flavor)
-    out = PSeries.zero(degree_bound)
-    for (key, k), c in flat.items():
-        out = out + _image_partition(flavor, key, degree_bound) * BetaScalar.beta_power(k, c)
-    return out * Fraction(1, den)
+    return combination(((_image_partition(flavor, key, degree_bound), k, Fraction(c, den))
+                        for (key, k), c in flat.items()), degree_bound)
 
 
 def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:

@@ -15,30 +15,26 @@ with zbar = -z / (1 + b z).  Three routes compute o_lambda:
   * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>.
 
 gp_lambda is produced from o_lambda by inverting the unitriangular pairing
-matrix <GQ_lambda, o_mu>.  The pairing itself (bilinear_pair) weighs
-matching odd power-sum monomials by z_lambda / 2^{l(lambda)}.
+matrix <GQ_lambda, o_mu>; these sums, like the route entries, are each one
+pseries.combination.  The pairing itself (bilinear_pair) weighs matching
+odd power-sum monomials by z_lambda / 2^{l(lambda)}, summing ints.
 """
 
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 
 from . import fock
 from .bases import _coordinates
 from .hexpansion import vacuum_expectation
 from .laurent import g_table
-from .partitions import (
-    check_degree_bound,
-    check_strict_weight,
-    row_count,
-    sub_strict_partitions,
-    z_lambda,
-)
+from .partitions import (check_degree_bound, check_strict_weight, row_count,
+                         sub_strict_partitions, z_lambda)
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries, exp_power_sums
-from .scalars import BetaScalar, _from_monomials, binom_general
+from .pseries import PSeries, combination, exp_power_sums
+from .scalars import _from_monomials, binom_general
 
 
 @lru_cache(maxsize=None)
@@ -81,14 +77,10 @@ class OSeries:
         degree_bound = check_degree_bound(degree_bound)
         self.degree_bound = degree_bound
         qb = q_bracket_series(degree_bound)
-        coefficients = {}
-        for n in range(degree_bound + 1):
-            acc = PSeries.zero(degree_bound)
-            for k in range(n + 1):
-                half = Fraction(-1 if k % 2 else 1, 2)
-                acc = acc + qb[n - k] * BetaScalar.beta_power(k, half)
-            coefficients[n] = acc
-        self.coefficients = MappingProxyType(coefficients)
+        self.coefficients = MappingProxyType({
+            n: combination(((qb[n - k], k, Fraction(-1 if k % 2 else 1, 2))
+                            for k in range(n + 1)), degree_bound)
+            for n in range(degree_bound + 1)})
 
     def coefficient(self, n):
         n = operator.index(n)
@@ -115,14 +107,11 @@ def _g_entry(i, j, r, li, lj, degree_bound):
     """
     D = degree_bound
     qb = _q_bracket_upto(max(D, li + (lj or 0)), D)
-    acc = PSeries.zero(D)
     if lj is None:
-        for p, c in g_table(i, j, r, (li, 0)).items():
-            acc = acc + qb[li - p] * BetaScalar.beta_power(p, c)
-        return acc
-    for (p, q), c in g_table(i, j, r, (li, lj)).items():
-        acc = acc + (qb[li - p] * qb[lj - q]) * BetaScalar.beta_power(p + q, c)
-    return acc
+        return combination(((qb[li - p], p, c)
+                            for p, c in g_table(i, j, r, (li, 0)).items()), D)
+    return combination(((qb[li - p] * qb[lj - q], p + q, c)
+                        for (p, q), c in g_table(i, j, r, (li, lj)).items()), D)
 
 
 @lru_cache(maxsize=None)
@@ -166,26 +155,15 @@ def o_pfaffian_2(lam, degree_bound):
     D = degree_bound
 
     def entry(i, j, li, lj):
-        acc = PSeries.zero(D)
         if lj is None:
-            osr = o_series(D)
-            for k in range(li + 1):
-                ck = binom_general(1 - i, k)
-                if ck:
-                    acc = acc + osr.coefficient(li - k) * BetaScalar.beta_power(k, ck)
-            return acc
-        for l in range(lj + 1):
-            cl = binom_general(2 - j, l)
-            if not cl:
-                continue
-            for k in range(li + lj - l + 1):
-                ck = binom_general(1 - i, k)
-                if not ck:
-                    continue
-                val = o_two_index(li - k, lj - l, D)
-                if not val.is_zero():
-                    acc = acc + val * BetaScalar.beta_power(k + l, ck * cl)
-        return acc
+            get = o_series(D).coefficient
+            return combination(((get(li - k), k, binom_general(1 - i, k))
+                                for k in range(li + 1)), D)
+        # no two-index block is computed under a zero binomial weight
+        return combination(
+            ((o_two_index(li - k, lj - l, D), k + l, ck * cl)
+             for l in range(lj + 1) if (cl := binom_general(2 - j, l))
+             for k in range(li + lj - l + 1) if (ck := binom_general(1 - i, k))), D)
 
     return padded_pfaffian(lam, PSeries.one(D), entry)
 
@@ -228,23 +206,30 @@ def bilinear_pair(f, g):
     cf = _coordinates(f, "paren")
     cg = _coordinates(g, "bracket")
     right: dict = {}
-    for coords in (cf, cg):
-        for mu, _ in coords.terms:
-            if any(part % 2 == 0 for part in mu):
-                raise ValueError(f"support on even partition {mu}")
     for (mu, k), c in cg.terms.items():
+        if mu not in right:
+            _check_odd(mu)
         right.setdefault(mu, []).append((k, c))
     # coordinates are n / (den z_mu) in the p basis, so the weight z_mu / 2^l
-    # of two of them is 1 / (z_mu 2^l) on their numerators, over both dens
-    scale = cf.den * cg.den
+    # of two of them is 1 / (z_mu 2^l) on their numerators, over both dens:
+    # int sums over one common denominator, one Fraction per b-power
+    common = lcm(*(z_lambda(mu) << len(mu) for mu in right))
     total: dict = {}
     for (mu, ka), a in cf.terms.items():
         got = right.get(mu)
-        if got is not None:
-            weight = Fraction(a, z_lambda(mu) * 2 ** len(mu) * scale)
-            for kb, b in got:
-                total[ka + kb] = total.get(ka + kb, 0) + weight * b
-    return _from_monomials(total.items())
+        if got is None:  # the keys of right passed the check already
+            _check_odd(mu)
+            continue
+        a *= common // (z_lambda(mu) << len(mu))
+        for kb, b in got:
+            total[ka + kb] = total.get(ka + kb, 0) + a * b
+    scale = common * cf.den * cg.den
+    return _from_monomials((k, Fraction(n, scale)) for k, n in total.items())
+
+
+def _check_odd(mu):
+    if not all(part % 2 for part in mu):
+        raise ValueError(f"support on even partition {mu}")
 
 
 def gp(lam, degree_bound):
@@ -262,11 +247,12 @@ def gp(lam, degree_bound):
 
 @lru_cache(maxsize=None)
 def _gp_cached(lam, degree_bound):
-    acc = o_fermionic(lam, degree_bound)
-    for mu in sub_strict_partitions(lam):
-        if mu == lam:
-            continue
-        d = sum(lam) - sum(mu)
-        c = Fraction(-1 if d % 2 else 1, 2 ** row_count(lam, mu))
-        acc = acc - _gp_cached(mu, degree_bound) * BetaScalar.beta_power(d, c)
-    return acc
+    def parts():
+        yield o_fermionic(lam, degree_bound), 0, 1
+        for mu in sub_strict_partitions(lam):
+            if mu != lam:
+                d = sum(lam) - sum(mu)
+                yield (_gp_cached(mu, degree_bound), d,
+                       Fraction(1 if d % 2 else -1, 2 ** row_count(lam, mu)))
+
+    return combination(parts(), degree_bound)

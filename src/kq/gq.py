@@ -18,6 +18,9 @@ GQ_lambda for a strict partition lambda:
   * gq_fermionic evaluates <0| e^{H^(beta)} prod_i (phi^(beta)_{lambda_i}
     e^Theta) |0> on the neutral-fermion Fock space.
 
+Each sum over one-row coefficients, table entries or vacuum terms is one
+pseries.combination of (series, b-power, rational) triples.
+
 The finite-variable symmetrization oracle (module oracle) referees all of
 them through from_finite, and tests/test_gq.py re-expands GQ_(a,b) from
 its definition, independently of the f-tables.  Note that GQ_emptyset is
@@ -38,8 +41,8 @@ from .hexpansion import HBraExpansion
 from .laurent import f_table
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries, exp_power_sums
-from .scalars import BetaScalar, binom_general
+from .pseries import PSeries, combination, exp_power_sums
+from .scalars import binom_general
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +90,8 @@ class GQSeries:
         # j > D has lowest p-weight > D, so the sum stops at k = D - n.
         D = self.degree_bound
         parts = _exp_parts(D)
-        acc = PSeries.zero(D)
-        for k in range(max(0, -n), D - n + 1):
-            acc = acc + parts[n + k] * BetaScalar.beta_power(k, -1 if k % 2 else 1)
-        return acc
+        return combination(((parts[n + k], k, -1 if k % 2 else 1)
+                            for k in range(max(0, -n), D - n + 1)), D)
 
     def coefficient(self, n):
         n = operator.index(n)
@@ -121,24 +122,14 @@ def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
     a doubled window to confirm that.
     """
     D = degree_bound
-    series = gq_series(D)
-    acc = PSeries.zero(D)
+    get = gq_series(D).coefficient
     if lj is None:
         tab = f_table(i, j, r, r_prime, (D - li, 0))
-        for p, c in tab.items():
-            gi = series.coefficient(li + p)
-            if not gi.is_zero():
-                acc = acc + gi * BetaScalar.beta_power(p, c)
-        return acc
+        return combination(((get(li + p), p, c) for p, c in tab.items()), D)
     tab = f_table(i, j, r, r_prime, (D - li, D - lj))
-    for (p, q), c in tab.items():
-        gi = series.coefficient(li + p)
-        if gi.is_zero():
-            continue
-        gj = series.coefficient(lj + q)
-        if not gj.is_zero():
-            acc = acc + gi * gj * BetaScalar.beta_power(p + q, c)
-    return acc
+    # GQ_{lj+q} is not looked up, nor the product taken, when GQ_{li+p} is zero
+    return combination(((gi * gj, p + q, c) for (p, q), c in tab.items()
+                        if (gi := get(li + p)) and (gj := get(lj + q))), D)
 
 
 @lru_cache(maxsize=None)
@@ -189,26 +180,16 @@ def gq_pfaffian_2(lam, degree_bound):
     rp = even_ceil(len(lam))
 
     def entry(i, j, li, lj):
-        acc = PSeries.zero(D)
         if lj is None:
-            series = gq_series(D)
-            for k in range(D - li + 1):
-                c = binom_general(i + 1 - rp, k)
-                if c:
-                    acc = acc + series.coefficient(li + k) * BetaScalar.beta_power(k, c)
-            return acc
-        for k in range(D - li - lj + 1):
-            ck = binom_general(i + 1 - rp, k)
-            if not ck:
-                continue
-            for l in range(D - li - lj - k + 1):
-                cl = binom_general(j - rp, l)
-                if not cl:
-                    continue
-                val = gq_two_index(li + k, lj + l, D)
-                if not val.is_zero():
-                    acc = acc + val * BetaScalar.beta_power(k + l, ck * cl)
-        return acc
+            get = gq_series(D).coefficient
+            return combination(((get(li + k), k, binom_general(i + 1 - rp, k))
+                                for k in range(D - li + 1)), D)
+        # no two-index value is computed under a zero binomial weight
+        top = D - li - lj
+        return combination(
+            ((gq_two_index(li + k, lj + l, D), k + l, ck * cl)
+             for k in range(top + 1) if (ck := binom_general(i + 1 - rp, k))
+             for l in range(top - k + 1) if (cl := binom_general(j - rp, l))), D)
 
     return padded_pfaffian(lam, PSeries.one(D), entry)
 
@@ -225,13 +206,12 @@ def gq_fermionic(lam, degree_bound):
     lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
     ops = list(lam) + ([0] if len(lam) % 2 else [])
-    total = PSeries.zero(D)
-    for word, weight in HBraExpansion(D, "paren").rows.items():
-        state = {(word, 0): Fraction(1)}
-        for n in ops:
-            state = fock.bra_apply_phi_beta(state, n)
-            state = fock.bra_apply_theta_exp(state)
-        for (w, k), c in state.items():
-            if not w:
-                total = total + weight * BetaScalar.beta_power(k, c)
-    return total
+
+    def vacuum_terms():
+        for word, weight in HBraExpansion(D, "paren").rows.items():
+            state = {(word, 0): Fraction(1)}
+            for n in ops:
+                state = fock.bra_apply_theta_exp(fock.bra_apply_phi_beta(state, n))
+            yield from ((weight, k, c) for (w, k), c in state.items() if not w)
+
+    return combination(vacuum_terms(), D)

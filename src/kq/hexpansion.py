@@ -10,7 +10,7 @@ classical Schur Q-function evaluated at the deformed power sums:
 
 with word(mu) the reversed negated padding of mu.  Pairing a ket against
 this row is a finite weight lookup: every symmetric function leaves Fock
-space there, its Fractions becoming the int numerators of a PSeries.
+space there, as one pseries.combination of the Q_mu(p^flavor).
 
 Memoised for the life of the process: the q_n row and Q_mu per bound,
 Q_mu(p^flavor) per (mu, flavor, bound), and the rows of <0|e^H per
@@ -28,8 +28,7 @@ from types import MappingProxyType
 from .bases import _image_sum, check_flavor, q_series
 from .partitions import check_degree_bound, check_partition, strict_partitions_upto
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries
-from .scalars import BetaScalar
+from .pseries import PSeries, combination
 
 
 @lru_cache(maxsize=None)
@@ -43,13 +42,9 @@ def two_row_q(a: int, b: int, degree_bound: int) -> PSeries:
     if not a > b >= 0:
         raise ValueError("two-row entries need a > b >= 0")
     q = _q_row(degree_bound)
-    out = q[a] * q[b] if a <= degree_bound else PSeries.zero(degree_bound)
-    for i in range(1, b + 1):
-        if a + i > degree_bound:
-            break
-        term = q[a + i] * q[b - i] * 2
-        out = out - term if i % 2 else out + term
-    return out
+    # Q_(a,b) = q_a q_b + 2 sum_(i>=1) (-1)^i q_(a+i) q_(b-i), q_n = 0 past the bound
+    return combination(((q[a + i] * q[b - i], 0, (-2 if i % 2 else 2) if i else 1)
+                        for i in range(min(b, degree_bound - a) + 1)), degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -96,13 +91,9 @@ def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
     a bad one.
     """
     check_flavor(flavor)
-    out = PSeries.zero(degree_bound)
-    for (word, k), c in ket_state.items():
-        if len(word) % 2:
-            continue
-        q = deformed_q(_strip_padding(word), flavor, degree_bound)
-        out = out + q * BetaScalar.beta_power(k, c)
-    return out
+    return combination(((deformed_q(_strip_padding(word), flavor, degree_bound), k, c)
+                        for (word, k), c in ket_state.items() if len(word) % 2 == 0),
+                       degree_bound)
 
 
 class HBraExpansion:

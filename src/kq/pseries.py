@@ -11,8 +11,9 @@ o_lambda and the deformed images a power of 2 below them: terms maps
 (lambda, k) to the nonzero int n of the term (n / den) b^k p~_lambda, with
 one int den >= 1 per series.  There p~_mu p~_nu = prod_i C(m_i(mu) +
 m_i(nu), m_i(mu)) p~_(mu u nu), a multiplicity cached once per pair of
-partitions, so a product multiplies ints; a sum rescales to the lcm of the
-two dens; a scalar multiplies numerators and den; and exponentials are
+partitions, so a product multiplies ints; a sum of two series rescales to
+the lcm of their dens; every other sum c b^e f, a scalar multiple included,
+is one pass of combination with one running den; and exponentials are
 closed forms (exp_power_sums).  Fractions and BetaScalars appear only at
 the boundary: the public constructor and _from_flat take coefficients of
 p_lambda, and coefficient() and sorted_items() hand them out as BetaScalars.
@@ -24,8 +25,8 @@ gcd(den, *numerators) == 1, so 1 for the zero series, and == and hash
 compare values.  The public constructor enforces it on any input.  The
 ring operations keep it, once _reduced has divided out a common factor:
 the pair cache keeps keys canonical, the product skips pairs above the
-bound, and zero sums are dropped.  So their results are wrapped by the
-private PSeries._trusted, which skips the checks.
+bound, and zero sums are dropped; combination too.  So their results are
+wrapped by the private PSeries._trusted, which skips the checks.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators, the rows of HBraExpansion)
@@ -201,7 +202,7 @@ class PSeries:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return self._scaled(_monomials(other))
+            return combination(((self, e, c) for e, c in _monomials(other)), self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
         self._check_bound(other)
@@ -234,17 +235,6 @@ class PSeries:
         return PSeries._trusted(*_reduced(out, self.den * other.den), bound)
 
     __rmul__ = __mul__
-
-    def _scaled(self, monomials) -> "PSeries":
-        """self * sum c*b^e over the (e, c) pairs, c a nonzero Fraction."""
-        if len(monomials) != 1:
-            out = PSeries.zero(self.degree_bound)
-            for pair in monomials:
-                out = out + self._scaled([pair])
-            return out
-        (e, c), = monomials
-        terms = {(mu, k + e): v * c.numerator for (mu, k), v in self.terms.items()}
-        return PSeries._trusted(*_reduced(terms, self.den * c.denominator), self.degree_bound)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -294,6 +284,39 @@ class PSeries:
         return " + ".join(bits).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def combination(parts, degree_bound: int) -> PSeries:
+    """sum c b^e f over the triples (f, e, c) of parts, in one pass.
+
+    f is a PSeries at degree_bound, e an int >= 0 and c an int or a
+    Fraction; parts may be any iterable, and a zero c or a zero f is
+    skipped.  The sum keeps one running den and rescales what it holds only
+    when a part's f.den * c.denominator does not divide it.
+    """
+    den, out = 1, {}
+    for f, e, c in parts:
+        if f.degree_bound != degree_bound:
+            raise ValueError(f"degree bounds differ: {degree_bound} vs {f.degree_bound}")
+        if e < 0:
+            raise ValueError(f"b^{e} is not in Q[b]")
+        if not c or not f.terms:
+            continue
+        part_den = f.den * c.denominator
+        if den % part_den:
+            grown = lcm(den, part_den)
+            up, den = grown // den, grown
+            for key in out:
+                out[key] *= up
+        scale = c.numerator * (den // part_den)
+        for (mu, k), v in f.terms.items():
+            key = (mu, k + e)
+            s = out.get(key, 0) + v * scale
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return PSeries._trusted(*_reduced(out, den), degree_bound)
 
 
 def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:

@@ -13,14 +13,14 @@ raising one to a negative power, raises instead of leaving the ring.
 Series, Fock states and finite polynomials store no BetaScalar: they keep
 one number per (key, b-power), the term c*b^k*X under the key (X, k), an
 int over the series' denominator in a series and a Fraction otherwise, so
-a product or sum of two terms is one operation and an int add.
+a product or sum of two terms is one operation and an int add.  A route
+sums c*b^e*f as (f, e, c) triples through pseries.combination.
 
-BetaScalar is the public scalar: the type of a coefficient once it leaves a
-series (coefficient, sorted_items, the deformed-basis coordinates, the value
-of the pairing), and of the few cold constants callers write down (BETA,
-BetaScalar.beta_power).  The private helpers _monomials, _from_monomials and
-_grouped convert between BetaScalars and (b-power, Fraction) pairs; they are
-the only bridge between the two forms.
+BetaScalar is the public scalar, and only a boundary type: constructor
+input, a coefficient once it leaves a series (coefficient, sorted_items,
+to_deformed_basis, the value of bilinear_pair), and BETA, ONE and ZERO.
+The private helpers _monomials, _from_monomials and _grouped convert
+between BetaScalars and (b-power, Fraction) pairs: the only bridge.
 
 A BetaScalar is a dense coefficient tuple with no trailing zeros, so
 equality is structural and hashing is safe.

@@ -1,9 +1,14 @@
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import kq
-from kq import fock
+from kq import dualq, fock, gq
 from kq.finitevars import from_finite
 from kq.gq import GQSeries, gq_pfaffian_1
 from kq.oracle import gq_oracle
@@ -192,3 +197,103 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     poly = gq_oracle((2, 1), 4)
     assert poly == want_poly
     assert from_finite(poly, 4) == want_gq
+
+
+# Runs all seven routes with the BetaScalar constructors refused, then prints
+# sorted_items() of each result, read after they are allowed again; with
+# "plain" as argument it runs them unpatched.
+ROUTES_WITHOUT_SCALARS = """
+import json, sys
+from kq.dualq import gp, o_fermionic, o_pfaffian_1, o_pfaffian_2
+from kq.gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
+from kq.scalars import BetaScalar
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a route built a BetaScalar")
+
+saved = {name: BetaScalar.__dict__[name] for name in ("__init__", "_trusted", "beta_power")}
+if sys.argv[1] == "patched":
+    BetaScalar.__init__ = refuse
+    BetaScalar._trusted = classmethod(refuse)
+    BetaScalar.beta_power = classmethod(refuse)
+routes = (gq_pfaffian_1, gq_pfaffian_2, gq_fermionic, o_pfaffian_1, o_pfaffian_2,
+          o_fermionic, gp)
+results = [route(lam, 5) for route in routes for lam in ((1,), (2, 1), (3, 1))]
+for name, raw in saved.items():
+    setattr(BetaScalar, name, raw)
+print(json.dumps([repr(f.sorted_items()) for f in results]))
+"""
+
+
+def test_routes_build_no_scalars():
+    # series keep ints over one den, and a kernel sum goes through
+    # pseries.combination: a BetaScalar is built only where a value leaves
+    # a series.  A fresh interpreter, so no cached table built earlier in
+    # the test session can hide a construction.
+    env = {**os.environ, "PYTHONPATH": str(Path(kq.__file__).parent.parent)}
+
+    def run(mode):
+        done = subprocess.run([sys.executable, "-c", ROUTES_WITHOUT_SCALARS, mode],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        return json.loads(done.stdout)
+
+    patched = run("patched")
+    assert len(patched) == 21 and all(patched)
+    assert patched == run("plain")
+
+
+def test_formula_two_computes_no_zero_weighted_value(monkeypatch):
+    # the binomial twist of formula II has weight C(0, k) = 0 for k > 0 in
+    # both rows of a two-part lambda, so only the untwisted value is needed
+    for module, name, lam in ((gq, "gq_two_index", (3, 1)), (dualq, "o_two_index", (3, 1))):
+        calls = []
+        original = getattr(module, name)
+
+        def recorded(*args, original=original, calls=calls):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+        route = gq.gq_pfaffian_2 if module is gq else dualq.o_pfaffian_2
+        assert route(lam, 7) == original(*lam, 7)
+        assert calls == [(*lam, 7)]
+
+
+def _literal(path, name):
+    """The literal assigned to a module-level name of a source file."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_benchmark_labels_name_library_attributes():
+    # the benchmark reads its per-layer figures under these labels; a label
+    # that names nothing in kq reads 0 instead of failing, so a rename in
+    # the library must fail here
+    bench = Path(kq.__file__).parent.parent.parent / "perfbench"
+    repeat = _literal(bench / "run.py", "REPEAT_FUNCTIONS")
+    layers = _literal(bench / "run.py", "LAYER_SOURCES")
+    tracer = {node.value for node in ast.walk(ast.parse((bench / "tracer.py").read_text()))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unresolved = []
+    labels = [*repeat, *(label for field, label in layers.values() if field != "counts")]
+    for label in labels:
+        if label == "fock.apply":  # the tracer's group of every public fock *_apply_*
+            assert [name for name in vars(fock) if "_apply_" in name
+                    and not name.startswith("_") and callable(getattr(fock, name))]
+            continue
+        module, *path = label.split(".")
+        obj = importlib.import_module(f"kq.{module}")
+        for name in path:
+            if name not in vars(obj):
+                unresolved.append(label)
+                break
+            obj = vars(obj)[name]
+    # counters are kept by the tracer itself, under these names
+    assert all(label in tracer for field, label in layers.values() if field == "counts")
+    # pseries.z_exp moved to tests/referees.py; the benchmark repair of
+    # ROADMAP item 1 renames or drops the metric that reads it
+    assert unresolved == ["pseries.z_exp"]

@@ -10,7 +10,7 @@ from kq.bases import q_series
 from kq.dualq import _q_bracket_upto, gp, o_fermionic
 from kq.gq import _exp_parts, gq_fermionic, gq_series
 from kq.partitions import check_partition, partitions_upto, strict_partitions_upto
-from kq.pseries import PSeries
+from kq.pseries import PSeries, combination
 from kq.scalars import BETA, ONE, ZERO, BetaScalar, binom_general
 from referees import at_b, exp, z_exp
 
@@ -129,6 +129,68 @@ def test_values_with_denominators_compare_and_hash_as_values(a, b, c):
     assert back == a and hash(back) == hash(a)
     for f in (left, back, a * Fraction(2, 3), (a + b) * Fraction(1, 2) * 2):
         assert_invariants(f)
+
+
+def combination_parts(bound=D):
+    # (f, e, c) triples over series with dens, c an int, a Fraction or zero
+    coeff = st.one_of(st.integers(-4, 4),
+                      st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 8])))
+    return st.lists(st.tuples(fraction_series(bound), st.integers(0, 3), coeff), max_size=5)
+
+
+@given(combination_parts())
+@settings(max_examples=60, deadline=None)
+def test_combination_is_the_fold_of_its_parts(parts):
+    got = combination(parts, D)
+    assert_invariants(got)
+    fold = PSeries.zero(D)
+    for f, e, c in parts:
+        fold = fold + f * BetaScalar.beta_power(e, c)
+    assert got == fold
+    # and read through the coefficients alone, in BetaScalar arithmetic
+    coeffs = {}
+    for f, e, c in parts:
+        for mu, v in f.sorted_items():
+            coeffs[mu] = coeffs.get(mu, ZERO) + v * BetaScalar.beta_power(e, c)
+    assert got == PSeries(coeffs, D)
+
+
+@given(combination_parts())
+@settings(max_examples=30, deadline=None)
+def test_combination_consumes_a_generator_once(parts):
+    seen = []
+
+    def generated():
+        for part in parts:
+            seen.append(part)
+            yield part
+
+    parts_left = generated()
+    assert combination(parts_left, D) == combination(parts, D)
+    assert seen == parts and next(parts_left, None) is None
+
+
+def test_combination_of_nothing_is_zero_with_den_one():
+    f = PSeries({(2, 1): Fraction(3, 4), (1,): Fraction(-1, 6) * BETA}, D)
+    assert f.den > 1
+    cancelled = [(f, 1, Fraction(2, 3)), (f * Fraction(1, 3), 1, -2)]
+    zeros = [(f, 2, 0), (f, 0, Fraction(0)), (PSeries.zero(D), 1, Fraction(1, 7))]
+    for parts in ([], zeros, cancelled, zeros + cancelled):
+        got = combination(parts, D)
+        assert got.is_zero() and got.den == 1 and got == PSeries.zero(D)
+        assert_invariants(got)
+
+
+def test_combination_rejects_mixed_bounds_and_negative_powers():
+    f = PSeries({(1,): Fraction(1, 2)}, D)
+    with pytest.raises(ValueError, match=f"{D} vs {D - 1}"):
+        combination([(f, 0, 1), (PSeries.p(1, D - 1), 0, 1)], D)
+    with pytest.raises(ValueError, match=f"{D - 1} vs {D}"):
+        combination([(f, 0, 1)], D - 1)
+    with pytest.raises(ValueError):  # checked before a zero weight is skipped
+        combination([(f, 0, 0)], D - 1)
+    with pytest.raises(ValueError):
+        combination([(f, -1, 1)], D)
 
 
 def test_den_is_reduced_after_cancellation():
