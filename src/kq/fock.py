@@ -10,7 +10,7 @@ n > 0; <0|phi_0|0> = 0.
 Normal ordering is written once, for bras.  Kets are computed as star images
 of bras: star sends <0|phi_{m_1}..phi_{m_k} to (-1)^{sum m}
 phi_{-m_k}..phi_{-m_1}|0>, is its own inverse, and turns a right action on
-bras into the starred left action on kets:
+bras into the starred left action on kets, as every ket_apply_* does:
 
     ket_apply_phihat(v, n)    = star(bra_apply_phihat_star(star(v), n))
     ket_apply_theta_exp(v, s) = star(bra_apply_theta_exp(star(v), s))
@@ -20,8 +20,10 @@ shared, so they are handed out read-only.
 
 Infinite operator tails (the beta-deformed modes, the theta exponentials)
 truncate exactly by grading: a bra word of grade s is killed by any phi_m
-with s + m > 0.  Heisenberg generators b_m enter only through Theta, which
-uses odd m; b_0 is not normal-ordered and never built.
+with s + m > 0.  On kets phi^(beta)_n and e^Theta raise the grade without
+bound, so their ket actions drop every word above a grade ceiling top that
+the caller picks.  Heisenberg generators b_m enter only through Theta and
+theta, which use odd m; b_0 is not normal-ordered and never built.
 
 States are flat: a state maps (word, k) to the nonzero Fraction c of the
 term c*b^k*word; series keep ints instead (module pseries).  Every
@@ -105,15 +107,33 @@ def _phi_beta_modes(n, cutoff, sign):
     return tuple(out)
 
 
-def bra_apply_phi_beta(state: BraState, n: int, sign: int = 1) -> BraState:
-    """Right action of phi^(beta)_n (or phi^(-beta)_n with sign=-1)."""
+@lru_cache(maxsize=None)
+def _ket_phi_beta_modes(n, cutoff):
+    """Modes of (phi^(beta)_n)^* = sum_{m>=n} C(m,n) (b/2)^{m-n} (-1)^m phi_{-m}."""
+    return tuple((-m, e, -c if m % 2 else c) for m, e, c in _phi_beta_modes(n, cutoff, 1))
+
+
+def _bra_apply(state, table, modes):
+    """Right action of sum c b^e X_m over the (m, e, c) of modes(grade of
+    the word), with <0| word X_m read from table(word, m)."""
     out = {}
     for (word, k), coeff in state.items():
-        for m, e, scal in _phi_beta_modes(n, -grade(word), sign):
+        for m, e, scal in modes(grade(word)):
             c0 = coeff * scal
-            for w, c in _bra_insert(word, m).items():
+            for w, c in table(word, m).items():
                 _merge(out, (w, k + e), c0 * c)
     return out
+
+
+def bra_apply_phi_beta(state: BraState, n: int, sign: int = 1) -> BraState:
+    """Right action of phi^(beta)_n (or phi^(-beta)_n with sign=-1)."""
+    return _bra_apply(state, _bra_insert, lambda g: _phi_beta_modes(n, -g, sign))
+
+
+def ket_apply_phi_beta(state: KetState, n: int, top: int) -> KetState:
+    """Left action of phi^(beta)_n, n >= 0, on kets; grades > top dropped."""
+    bra = _bra_apply(star_ket(state), _bra_insert, lambda g: _ket_phi_beta_modes(n, top + g))
+    return star_bra(bra)
 
 
 def bra_apply_phihat_star(state: BraState, n: int) -> BraState:
@@ -163,26 +183,28 @@ def _bra_word_b(word, m):
 # -- theta exponentials -----------------------------------------------------
 #
 # Theta = 2 sum_{n odd>0} (beta/2)^n b_{-n}/n raises bra grades toward zero,
-# so its exponential terminates on every bra state; its adjoint
-# theta = Theta^* acts on kets through the star.
+# so its exponential terminates on every bra state; its adjoint theta =
+# Theta^* lowers them, and terminates once cut.  Each acts on kets as the
+# star of the other.
 
-def _apply_theta_once(state, sign):
-    out = {}
-    for (word, k), coeff in state.items():
-        for n in range(1, -grade(word) + 1, 2):
-            c0 = coeff * Fraction(sign, n * 2 ** (n - 1))
-            for w, c in _bra_word_b(word, -n).items():
-                _merge(out, (w, k + n), c0 * c)
-    return out
+@lru_cache(maxsize=None)
+def _theta_modes(sign, reach, lower):
+    """(index m, b-power, coefficient) of the b_m of sign*Theta, or of
+    sign*theta when lower, for odd n <= reach."""
+    return tuple((n if lower else -n, n, Fraction(sign, n * 2 ** (n - 1)))
+                 for n in range(1, reach + 1, 2))
 
 
-def bra_apply_theta_exp(state: BraState, sign: int = 1) -> BraState:
-    """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1)."""
+def _theta_exp(state, sign, top):
+    """Right action of e^{sign*Theta} (top None) or of e^{sign*theta}, cut
+    at grade -top."""
+    lower = top is not None
     total = dict(state)
     term = state
     k = 1
     while term:
-        term = _apply_theta_once(term, sign)
+        term = _bra_apply(term, _bra_word_b,
+                          lambda g: _theta_modes(sign, top + g if lower else -g, lower))
         if not term:
             break
         term = {key: c / k for key, c in term.items()}
@@ -190,6 +212,16 @@ def bra_apply_theta_exp(state: BraState, sign: int = 1) -> BraState:
             _merge(total, key, c)
         k += 1
     return total
+
+
+def bra_apply_theta_exp(state: BraState, sign: int = 1) -> BraState:
+    """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1)."""
+    return _theta_exp(state, sign, None)
+
+
+def ket_apply_Theta_exp(state: KetState, top: int) -> KetState:
+    """Left action of e^{Theta} on kets; grades > top dropped."""
+    return star_bra(_theta_exp(star_ket(state), 1, top))
 
 
 def ket_apply_theta_exp(state: KetState, sign: int = 1) -> KetState:

@@ -16,28 +16,27 @@ GQ_lambda for a strict partition lambda:
     two-index values GQ_(a,b), each of them the r = 2 entry of formula I,
     computed by the same contraction;
   * gq_fermionic evaluates <0| e^{H^(beta)} prod_i (phi^(beta)_{lambda_i}
-    e^Theta) |0> on the neutral-fermion Fock space.
+    e^Theta) |0> on the neutral-fermion Fock space, as one ket paired
+    through hexpansion.vacuum_expectation.
 
-Each sum over one-row coefficients, table entries or vacuum terms is one
+Each sum over one-row coefficients or table entries is one
 pseries.combination of (series, b-power, rational) triples.
 
 The finite-variable symmetrization oracle (module oracle) referees all of
 them through from_finite, and tests/test_gq.py re-expands GQ_(a,b) from
 its definition, independently of the f-tables.  Note that GQ_emptyset is
 the constant 1 by the empty-Pfaffian convention, while the z^0
-coefficient of GQ(z) is a separate computed object; the two are never
-interchanged even though the computed value of the latter also comes out
-as 1.
+coefficient of GQ(z) is a separate object, (-beta)^0 in closed form; the
+two are never interchanged even though both are 1.
 """
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
 from . import fock
-from .hexpansion import HBraExpansion
+from .hexpansion import vacuum_expectation
 from .laurent import f_table
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
@@ -68,13 +67,13 @@ def _exp_parts(degree_bound):
 class GQSeries:
     """Laurent coefficients of GQ(z), one PSeries per exponent.
 
-    coefficients maps n -> GQ_n for -degree_bound <= n <= degree_bound,
-    built once and handed out read-only, so one instance can be shared.
-    Above the bound GQ_n has lowest degree n > D and truncates to zero, so
-    coefficient() answers zero; below -D it assembles GQ_n afresh without
-    storing it.  Invariants, checked in tests: lowest degree of GQ_n is
-    >= max(n, 0), and at x = 0 the value is (-beta)^{-n} for n <= 0 and 0
-    for n >= 1.
+    coefficients maps n -> GQ_n for 1 <= n <= degree_bound, built once and
+    handed out read-only, so one instance can be shared.  Above the bound
+    GQ_n has lowest degree n > D and truncates to zero, so coefficient()
+    answers zero; for n <= 0 GQ_n is the constant (-beta)^{-n}, which
+    coefficient() answers in closed form.  Invariants, checked in tests:
+    lowest degree of GQ_n is >= n for n >= 1, and _assemble(n) equals the
+    closed form for n <= 0.
     """
 
     __slots__ = ("degree_bound", "coefficients")
@@ -83,7 +82,7 @@ class GQSeries:
         degree_bound = check_degree_bound(degree_bound)
         self.degree_bound = degree_bound
         self.coefficients = MappingProxyType(
-            {n: self._assemble(n) for n in range(-degree_bound, degree_bound + 1)})
+            {n: self._assemble(n) for n in range(1, degree_bound + 1)})
 
     def _assemble(self, n):
         # GQ_n = sum_k (-beta)^k Exp_{n+k}, k from max(0, -n); Exp_j for
@@ -97,17 +96,23 @@ class GQSeries:
         n = operator.index(n)
         if n > self.degree_bound:
             return PSeries.zero(self.degree_bound)
-        if n < -self.degree_bound:
-            return self._assemble(n)
+        if n <= 0:
+            return _minus_beta_power(-n, self.degree_bound)
         return self.coefficients[n]
+
+
+@lru_cache(maxsize=None)
+def _minus_beta_power(e, degree_bound):
+    """The constant series (-beta)^e."""
+    return PSeries._from_flat({((), e): -1 if e % 2 else 1}, degree_bound)
 
 
 @lru_cache(maxsize=None)
 def gq_series(degree_bound):
     """The GQSeries at this bound, one shared instance per bound.
 
-    Its table spans [-degree_bound, degree_bound], which covers every
-    index the Pfaffian windows can reach.
+    Its table spans 1..degree_bound; every other index the Pfaffian windows
+    reach is zero or a power of -beta.
     """
     return GQSeries(degree_bound)
 
@@ -197,21 +202,19 @@ def gq_pfaffian_2(lam, degree_bound):
 def gq_fermionic(lam, degree_bound):
     """GQ_lambda = <0| e^{H^(beta)} prod_i phi^(beta)_{lambda_i} e^Theta |0>.
 
-    The vacuum bra of e^{H^(beta)} expands into classical-Q-weighted row
-    words (HBraExpansion, paren flavor); each row word is pushed through
-    the operator product and only its empty-word component survives
-    against |0>.  Odd-length partitions get the usual phi^(beta)_0 e^Theta
-    padding factor on the right.
+    The ket is built once, innermost factor first, and paired through
+    vacuum_expectation in the paren flavor; odd-length partitions get the
+    usual phi^(beta)_0 e^Theta padding factor on the right.  Every factor
+    only raises the ket grade, phi^(beta)_n by at least n, and a word of
+    grade > D pairs to degree > D: so each step drops grades above D minus
+    the parts still to apply (and, for the e^Theta before part n, minus n).
     """
     lam = check_strict_weight(lam, degree_bound)
-    D = degree_bound
     ops = list(lam) + ([0] if len(lam) % 2 else [])
-
-    def vacuum_terms():
-        for word, weight in HBraExpansion(D, "paren").rows.items():
-            state = {(word, 0): Fraction(1)}
-            for n in ops:
-                state = fock.bra_apply_theta_exp(fock.bra_apply_phi_beta(state, n))
-            yield from ((weight, k, c) for (w, k), c in state.items() if not w)
-
-    return combination(vacuum_terms(), D)
+    top = degree_bound - sum(lam)
+    state = fock.vacuum_ket()
+    for n in reversed(ops):
+        state = fock.ket_apply_Theta_exp(state, top)
+        top += n
+        state = fock.ket_apply_phi_beta(state, n, top)
+    return vacuum_expectation(state, "paren", degree_bound)

@@ -9,24 +9,20 @@ classical Schur Q-function evaluated at the deformed power sums:
     <0|e^H = sum_mu (-1)^{|mu|} 2^{-l(mu)} Q_mu(p^flavor) <word(mu)|
 
 with word(mu) the reversed negated padding of mu.  Pairing a ket against
-this row is a finite weight lookup: every symmetric function leaves Fock
-space there, as one pseries.combination of the Q_mu(p^flavor).
+this row is a finite weight lookup: both fermionic routes leave Fock space
+there and only there, as one pseries.combination of the Q_mu(p^flavor).
 
-Memoised for the life of the process: the q_n row and Q_mu per bound,
-Q_mu(p^flavor) per (mu, flavor, bound), and the rows of <0|e^H per
-(row_bound, flavor, bound).  Every caller gets the same series objects, so
-none may mutate them; the q_n row is a tuple and the rows come as a
-read-only mapping.
+Memoised for the life of the process: the q_n row and Q_mu per bound, and
+Q_mu(p^flavor) per (mu, flavor, bound).  Every caller gets the same series
+objects, so none may mutate them; the q_n row is a tuple.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .bases import _image_sum, check_flavor, q_series
-from .partitions import check_degree_bound, check_partition, strict_partitions_upto
+from .partitions import check_degree_bound, check_partition
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination
 
@@ -87,45 +83,11 @@ def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
 
     Odd-length words pair to zero; an even word w contributes
     c b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding removed.
-    The flavor is checked first, so a ket with no even word cannot hide
-    a bad one.
+    The flavor and the bound are checked first, so a ket with no even word
+    cannot hide a bad one.
     """
     check_flavor(flavor)
+    degree_bound = check_degree_bound(degree_bound)
     return combination(((deformed_q(_strip_padding(word), flavor, degree_bound), k, c)
                         for (word, k), c in ket_state.items() if len(word) % 2 == 0),
                        degree_bound)
-
-
-class HBraExpansion:
-    """Rows of <0|e^H with weight |mu| <= row_bound, coefficients truncated.
-
-    row_bound caps which basis rows are kept and degree_bound caps the
-    power-sum degree of each coefficient; they agree for the upward-feeding
-    paren flavor but the bracket flavor pushes weight downward, so exact
-    low-degree output can require rows far above the degree bound.  The
-    rows are built once per (row_bound, flavor, degree_bound) and shared,
-    read-only, by every expansion with those arguments.
-    """
-
-    def __init__(self, row_bound: int, flavor: str, degree_bound: int | None = None):
-        row_bound = check_degree_bound(row_bound)
-        degree_bound = row_bound if degree_bound is None else check_degree_bound(degree_bound)
-        self.row_bound = row_bound
-        self.flavor = flavor
-        self.degree_bound = degree_bound
-        self.rows = _h_rows(row_bound, flavor, degree_bound)
-
-    def coefficient(self, word) -> PSeries:
-        got = self.rows.get(tuple(word))
-        return PSeries.zero(self.degree_bound) if got is None else got
-
-
-@lru_cache(maxsize=None)
-def _h_rows(row_bound: int, flavor: str, degree_bound: int):
-    rows = {}
-    for mu in strict_partitions_upto(row_bound):
-        padded = mu if len(mu) % 2 == 0 else mu + (0,)
-        word = tuple(-m for m in reversed(padded))
-        sign = -1 if sum(mu) % 2 else 1
-        rows[word] = deformed_q(mu, flavor, degree_bound) * Fraction(sign, 2 ** len(mu))
-    return MappingProxyType(rows)

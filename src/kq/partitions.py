@@ -105,28 +105,10 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def strict_partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    if max_part is None:
-        max_part = n
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in strict_partitions_of(n - first, first - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def partitions_upto(bound: int):
     """All partitions of weight 0..bound, graded then decreasing lex."""
     for n in range(bound + 1):
         yield from partitions_of(n)
-
-
-def strict_partitions_upto(bound: int):
-    for n in range(bound + 1):
-        yield from strict_partitions_of(n)
 
 
 def sub_strict_partitions(p):

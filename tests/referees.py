@@ -5,20 +5,22 @@ with `from referees import ...`, which works because tests/ has no
 __init__.py, so pytest puts this directory on sys.path.
 
 None of this is production code.  Each section names the library module it
-referees: the exponential of a series, and of a z-graded family of them
-(z_exp), term by term against the closed forms; the kernel (z-w)/(z+w+b)
+referees: the strict partitions up to a weight, which only tests list; the
+exponential of a series, and of a z-graded family of them (z_exp), term by
+term against the closed forms; the kernel (z-w)/(z+w+b)
 in a closed form of its own and generic Laurent blocks that cross-check
 the closed-form kernel tables, a literal symmetrization that checks the
 oracle, plain fermion modes and Wick's theorem, and the paper's theorems
 (the cancellation properties, the Fock pairing, the closed form of
 <GQ_lambda, o_mu>) as executable checks.
-The first section reads and writes the library's flat (key, b-power) terms
-as BetaScalars.
+The section after the partitions reads and writes the library's flat
+(key, b-power) terms as BetaScalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from kq import fock
@@ -31,6 +33,28 @@ from kq.partitions import check_partition, contains, row_count
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries
 from kq.scalars import BetaScalar, ONE, ZERO, binom_general
+
+
+# -- partitions: the strict partitions up to a weight, which only tests list --
+
+@lru_cache(maxsize=None)
+def strict_partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All strict partitions of n with parts <= max_part, decreasing lex order."""
+    if n == 0:
+        return ((),)
+    if max_part is None:
+        max_part = n
+    out = []
+    for first in range(min(n, max_part), 0, -1):
+        for rest in strict_partitions_of(n - first, first - 1):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def strict_partitions_upto(bound: int):
+    """All strict partitions of weight 0..bound, graded then decreasing lex."""
+    for n in range(bound + 1):
+        yield from strict_partitions_of(n)
 
 
 # -- the flat (key, b-power) terms, read and written as BetaScalars -----------

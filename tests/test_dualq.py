@@ -25,7 +25,6 @@ from kq.partitions import (
     even_ceil,
     partitions_upto,
     row_count,
-    strict_partitions_upto,
     sub_strict_partitions,
     z_lambda,
 )
@@ -38,6 +37,7 @@ from referees import (
     inner_product_formula,
     pairing_i,
     scalar_terms,
+    strict_partitions_upto,
     vacuum_part,
 )
 

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq import fock
-from kq.partitions import strict_partitions_upto
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     bra_apply_b,
     bra_apply_phi,
     pair,
     scalar_terms,
+    strict_partitions_upto,
     two_point,
     vev_direct,
     wick_expectation,

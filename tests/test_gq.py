@@ -6,20 +6,20 @@ from kq import fock
 from kq.bases import p_beta, q_series, to_deformed_basis
 from kq.finitevars import eval_finite, from_finite
 from kq.gq import (
+    GQSeries,
     gq_fermionic,
     gq_pfaffian_1,
     gq_pfaffian_2,
     gq_series,
     gq_two_index,
 )
-from kq.hexpansion import HBraExpansion, classical_q, two_row_q
+from kq.hexpansion import classical_q, two_row_q, vacuum_expectation
 from kq.laurent import f_table
 from kq.oracle import gq_oracle
-from kq.partitions import strict_partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import ONE, BetaScalar, binom_general
 from referees import (at_b, check_kq_cancellation, exp, kernel_coefficient, scalar_terms,
-                      vacuum_part)
+                      strict_partitions_upto)
 
 
 def zpoly_exp(parts, D):
@@ -99,6 +99,17 @@ def test_series_extends_below_default_window():
     assert s.coefficient(-9).coefficient(()) == BetaScalar.beta_power(9, -1)
 
 
+def test_nonpositive_coefficients_are_the_closed_form():
+    # GQ_n = (-beta)^{-n} for n <= 0, which coefficient() answers without
+    # assembling; the assembly from the exp parts must agree, below -D too
+    for D in range(11):
+        s = GQSeries(D)
+        for n in range(-D - 3, 1):
+            want = PSeries({(): BetaScalar.beta_power(-n, -1 if n % 2 else 1)}, D)
+            assert s._assemble(n) == want, (D, n)
+            assert s.coefficient(n) == want, (D, n)
+
+
 def test_shared_series_is_not_grown_by_requests():
     s = gq_series(4)
     before = len(s.coefficients)
@@ -138,6 +149,11 @@ def test_generating_function_rearrangement():
         assert lhs == want
 
 
+def ket_apply_Theta_exp_opposite(state, top):
+    """e^{-Theta} on kets, as the star of the right action of e^{-theta}."""
+    return fock.star_bra(fock._theta_exp(fock.star_ket(state), -1, top))
+
+
 def test_vacuum_matrix_element_closed_form():
     # <0| e^{H^(beta)} phi^(beta)(z) e^{-Theta} phi^(beta)_0 e^{Theta} |0>
     # = (1 + beta/z) exp(sum p_n (z^n - (-z-beta)^n + (-beta)^n)/n),
@@ -147,18 +163,12 @@ def test_vacuum_matrix_element_closed_form():
     for n in range(1, D + 1):
         ex[0] = ex[0] + PSeries.p(n, D) * BetaScalar.beta_power(n, Fraction(-1 if n % 2 else 1, n))
     closed = zpoly_exp(ex, D)
-    rows = HBraExpansion(D, "paren").rows
     for m in range(5):
-        lhs = PSeries.zero(D)
-        for word, weight in rows.items():
-            state = {(word, 0): Fraction(1)}
-            state = fock.bra_apply_phi_beta(state, m)
-            state = fock.bra_apply_theta_exp(state, sign=-1)
-            state = fock.bra_apply_phi_beta(state, 0)
-            state = fock.bra_apply_theta_exp(state, sign=1)
-            val = vacuum_part(state)
-            if val:
-                lhs = lhs + weight * val
+        state = fock.ket_apply_Theta_exp(fock.vacuum_ket(), D)
+        state = fock.ket_apply_phi_beta(state, 0, D)
+        state = ket_apply_Theta_exp_opposite(state, D)
+        state = fock.ket_apply_phi_beta(state, m, D)
+        lhs = vacuum_expectation(state, "paren", D)
         rhs = closed[m] + closed[m + 1] * BetaScalar.beta_power(1)
         assert lhs == rhs
 
@@ -314,6 +324,24 @@ def test_fermionic_against_oracle_at_seven(lam):
 
 def test_fermionic_empty_partition():
     assert gq_fermionic((), 5) == PSeries.one(5)
+
+
+def test_fermionic_theta_sign_is_pinned(monkeypatch):
+    # e^Theta on kets is the star of e^{+theta} on bras; the opposite sign
+    # gives another GQ_(2,1)
+    D = 6
+    want = gq_pfaffian_1((2, 1), D)
+    assert gq_fermionic((2, 1), D) == want
+    monkeypatch.setattr(fock, "ket_apply_Theta_exp", ket_apply_Theta_exp_opposite)
+    assert gq_fermionic((2, 1), D) != want
+
+
+@pytest.mark.parametrize("lam", [(), (1,), (2, 1), (3, 1), (4, 2, 1)])
+def test_fermionic_grade_ceiling_is_exact(lam):
+    # each ket step drops words above D minus the parts still to apply; a
+    # higher bound keeps them, and must agree below D
+    D = 7
+    assert gq_fermionic(lam, D + 2).truncate(D) == gq_fermionic(lam, D)
 
 
 def test_fermionic_beta_zero_is_classical():

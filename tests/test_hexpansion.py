@@ -5,17 +5,16 @@ import pytest
 from kq import fock
 from kq.bases import _image_part, p_beta
 from kq.hexpansion import (
-    HBraExpansion,
     _q_row,
     classical_q,
     deformed_q,
     two_row_q,
     vacuum_expectation,
 )
-from kq.partitions import strict_partitions_upto, z_lambda
+from kq.partitions import z_lambda
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
-from referees import bra_apply_b, flat_terms
+from referees import bra_apply_b, flat_terms, pair, strict_partitions_upto
 
 D = 6
 
@@ -122,12 +121,16 @@ def h_operator_rows(flavor, row_bound, degree_bound):
 
 @pytest.mark.parametrize("flavor", ["paren", "bracket"])
 def test_rows_match_operator_exponential(flavor):
+    # the closed form pairs the basis ket of mu as <0|e^H computed by raw
+    # operator exponentiation does, row by row
     bound = 5
     oracle = h_operator_rows(flavor, bound, bound)
-    closed = HBraExpansion(bound, flavor).rows
-    assert set(oracle) == set(closed)
-    for w in closed:
-        assert oracle[w] == closed[w], w
+    for mu in strict_partitions_upto(bound):
+        ket = {(mu + (0,) if len(mu) % 2 else mu, 0): Fraction(1)}
+        expect = PSeries.zero(bound)
+        for word, row in oracle.items():
+            expect = expect + row * pair({(word, 0): Fraction(1)}, ket)
+        assert vacuum_expectation(ket, flavor, bound) == expect, mu
 
 
 def test_expectation_of_vacuum_is_one():
@@ -162,8 +165,6 @@ def test_unknown_flavor_rejected():
     with pytest.raises(ValueError, match="curly"):
         deformed_q((), "curly", 3)
     with pytest.raises(ValueError, match="curly"):
-        HBraExpansion(0, "curly")
-    with pytest.raises(ValueError, match="curly"):
         vacuum_expectation(fock.vacuum_ket(), "curly", 3)
 
 
@@ -180,18 +181,13 @@ def test_vacuum_expectation_checks_flavor_before_any_word():
 
 @pytest.mark.parametrize("bound", [-1, 2.5])
 def test_bad_bounds_rejected(bound):
+    # no even word reaches deformed_q here, so only an up-front check can
+    # see the bound: the empty ket and a ket of odd words
     with pytest.raises(ValueError, match=str(bound)):
-        HBraExpansion(bound, "paren")
+        vacuum_expectation({}, "paren", bound)
+    odd = flat_terms({(3,): ONE, (2, 1, 0): BETA})
     with pytest.raises(ValueError, match=str(bound)):
-        HBraExpansion(3, "paren", bound)
-
-
-def test_rows_are_shared_and_read_only():
-    rows = HBraExpansion(4, "bracket", 3).rows
-    assert HBraExpansion(4, "bracket", 3).rows is rows
-    with pytest.raises(TypeError):
-        rows[()] = PSeries.zero(3)
-    assert HBraExpansion(4, "bracket", 3).coefficient(()) == PSeries.one(3)
+        vacuum_expectation(odd, "bracket", bound)
 
 
 def test_q_row_is_read_only():
@@ -199,10 +195,3 @@ def test_q_row_is_read_only():
     with pytest.raises(TypeError):
         _q_row(5)[1] = PSeries.zero(5)
     assert _q_row(5)[1] == PSeries({(1,): 2}, 5)
-
-
-def test_row_lookup():
-    exp = HBraExpansion(4, "paren")
-    assert exp.coefficient((0, -1)) == deformed_q((1,), "paren", 4) * Fraction(-1, 2)
-    assert exp.coefficient((-1, -2)) == deformed_q((2, 1), "paren", 4) * Fraction(-1, 4)
-    assert exp.coefficient((0, -1, -2)).is_zero()

