@@ -172,17 +172,19 @@ def o_fermionic(lam, degree_bound):
     """o_lambda as 2^{-r} <0| e^{H^[b]} |lambda>^g on the Fock side.
 
     |lambda>^g = e^{-theta} phihat_{l_1} e^{-theta} phihat_{l_2} ...
-    acting on |0>, with a trailing e^{-theta} phihat_0 when r is odd; the
-    contraction against <0| e^{H^[b]} runs in the bracket flavor.
+    acting on |0>, with a trailing e^{-theta} phihat_0 when r is odd.  It
+    is built in bra form, as the star of <0| (phihat_n)^* e^{-Theta} ...,
+    and starred once; the contraction against <0| e^{H^[b]} runs in the
+    bracket flavor.
     """
     lam = check_strict_weight(lam, degree_bound)
     r = len(lam)
     ops = list(lam) + ([0] if r % 2 else [])
-    state = fock.vacuum_ket()
+    state = fock.vacuum()
     for n in reversed(ops):
-        state = fock.ket_apply_phihat(state, n)
-        state = fock.ket_apply_theta_exp(state, sign=-1)
-    return vacuum_expectation(state, "bracket", degree_bound) * Fraction(1, 2 ** r)
+        state = fock.bra_apply_phihat_star(state, n)
+        state = fock.bra_apply_theta_exp(state, sign=-1)
+    return vacuum_expectation(fock.star_bra(state), "bracket", degree_bound) * Fraction(1, 2 ** r)
 
 
 def bilinear_pair(f, g):

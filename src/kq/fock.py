@@ -1,19 +1,21 @@
 """Neutral fermions phi_n with [phi_m, phi_n]_+ = 2(-1)^m delta_{m+n,0}.
 
-States are sparse dicts mapping canonical words to scalars.  A bra word is a
-strictly decreasing tuple of nonpositive integers (<0| phi_{m_1} ... phi_{m_k}
-with 0 >= m_1 > ... > m_k); a ket word is strictly decreasing nonnegative
+A state is a sparse sum over canonical words.  A bra word is a strictly
+decreasing tuple of nonpositive integers (<0| phi_{m_1} ... phi_{m_k} with
+0 >= m_1 > ... > m_k); a ket word is strictly decreasing nonnegative
 (phi_{n_1} ... phi_{n_k} |0> with n_1 > ... > n_k >= 0).  phi_0 squares to 1,
 every other mode squares to 0, <0|phi_n = 0 for n > 0 and phi_{-n}|0> = 0 for
 n > 0; <0|phi_0|0> = 0.
 
-Normal ordering is written once, for bras.  Kets are computed as star images
-of bras: star sends <0|phi_{m_1}..phi_{m_k} to (-1)^{sum m}
-phi_{-m_k}..phi_{-m_1}|0>, is its own inverse, and turns a right action on
-bras into the starred left action on kets, as every ket_apply_* does:
-
-    ket_apply_phihat(v, n)    = star(bra_apply_phihat_star(star(v), n))
-    ket_apply_theta_exp(v, s) = star(bra_apply_theta_exp(star(v), s))
+Normal ordering is written once, for bras, and every operator acts on bras
+from the right.  Kets are star images of bras: star sends
+<0|phi_{m_1}..phi_{m_k} to (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>, is its
+own inverse, and turns a right action of X* on bras into the left action of
+X on kets.  So the ket A B ... |0> is star(<0| ... B* A*): a chain of ket
+actions runs in bra form from the vacuum and is starred once at its end.
+The routes build their kets this way, from bra_apply_phihat_star and
+bra_apply_theta_exp (o_lambda) or bra_apply_phi_beta_star and
+bra_apply_Theta_exp_star (GQ_lambda).
 
 The normal-ordering tables (_bra_insert, _bra_word_b) are memoised and
 shared, so they are handed out read-only.
@@ -21,56 +23,117 @@ shared, so they are handed out read-only.
 Infinite operator tails (the beta-deformed modes, the theta exponentials)
 truncate exactly by grading: a bra word of grade s is killed by any phi_m
 with s + m > 0.  On kets phi^(beta)_n and e^Theta raise the grade without
-bound, so their ket actions drop every word above a grade ceiling top that
-the caller picks.  Heisenberg generators b_m enter only through Theta and
-theta, which use odd m; b_0 is not normal-ordered and never built.
+bound, so the bra sides of their ket actions drop every word below a grade
+floor -top that the caller picks, input words included.  Heisenberg
+generators b_m enter only through Theta and theta, which use odd m; b_0 is
+not normal-ordered and never built.
 
-States are flat: a state maps (word, k) to the nonzero Fraction c of the
-term c*b^k*word; series keep ints instead (module pseries).  Every
-coefficient an operator here contributes is a single monomial c*b^e or a
-rational constant (normal ordering, b_m), so applying it to a term is one
-Fraction product and an int add.  No BetaScalar is built.
+States are flat and integral, as series are (module pseries): a FockState
+maps (word, k) to the nonzero int n of the term (n / den) b^k word, over one
+int den >= 1 with gcd(den, *numerators) == 1, so == compares values.  Every
+operator here is (1/d) sum c b^e X_m over int c, one d per action: binomials
+times powers of 1/2 for phi^(beta), 1/(n 2^n) for the b_n of Theta and
+theta (the 1/2 of b_n included, since _bra_word_b tables twice <0| word
+b_n), and the 1/k of an exponential's k-th term.  Applying one multiplies
+ints and multiplies den once.  Fractions enter only through the public
+constructor; hexpansion.vacuum_expectation divides by den once on the way
+out.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, gcd, lcm
 from types import MappingProxyType
 
-from .scalars import binom_general
 
-BraState = dict  # (canonical bra word, b-power) -> Fraction
-KetState = dict  # (canonical ket word, b-power) -> Fraction
+class FockState:
+    """A bra or ket state: terms maps (word, k) to the nonzero int n of the
+    term (n / den) b^k word, den >= 1 and gcd(den, *numerators) == 1.  A
+    value, as a series is: terms must not be mutated after construction."""
 
-_HALF = Fraction(1, 2)
-_ONE = Fraction(1)
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms):
+        """terms maps (canonical word, b-power) to int or Fraction values."""
+        fracs = {}
+        for (word, k), c in terms.items():
+            word, k = tuple(map(operator.index, word)), operator.index(k)
+            if (k < 0 or any(a <= b for a, b in zip(word, word[1:]))
+                    or word and word[0] > 0 > word[-1]):
+                raise ValueError(f"{word} b^{k} is not a canonical word over Q[b]")
+            if c:
+                fracs[(word, k)] = Fraction(c)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        self.den = lcm(*(c.denominator for c in fracs.values()))
+        self.terms = {key: c.numerator * (self.den // c.denominator) for key, c in fracs.items()}
+
+    @classmethod
+    def _reduced(cls, terms, den):
+        """terms over den, divided by gcd(den, *terms); only this module
+        calls it, on terms its own arithmetic built from canonical words."""
+        g = gcd(den, *terms.values())
+        out = object.__new__(cls)
+        out.terms = {key: v // g for key, v in terms.items()} if g > 1 else terms
+        out.den = den // g
+        return out
+
+    def __eq__(self, other):
+        return isinstance(other, FockState) and (self.den, self.terms) == (other.den, other.terms)
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def vacuum() -> FockState:
+    """<0|, whose star is |0>."""
+    return FockState._reduced({((), 0): 1}, 1)
 
 
 def _merge(target, key, coeff):
-    if not coeff:
-        return
-    prev = target.get(key)
-    total = coeff if prev is None else prev + coeff
+    total = target.get(key, 0) + coeff
     if total:
         target[key] = total
-    elif prev is not None:
-        del target[key]
+    else:
+        target.pop(key, None)
 
 
-def vacuum_ket() -> KetState:
-    return {((), 0): _ONE}
+def _check_sign(sign):
+    if operator.index(sign) not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign}")
 
 
-def grade(word) -> int:
-    return sum(word)
+def _lowest_grade(state):
+    return min((sum(word) for word, _ in state.terms), default=0)
+
+
+def _act(state, table, modes, den):
+    """Right action of (1/den) sum c b^e X_m over the int (m, e, c) of
+    modes(grade of the word), with <0| word X_m read from table(word, m)."""
+    out = {}
+    for (word, k), coeff in state.terms.items():
+        for m, e, scal in modes(sum(word)):
+            c0 = coeff * scal
+            for w, c in table(word, m).items():
+                key = (w, k + e)
+                s = out.get(key, 0) + c0 * c  # c0 * c != 0: s == 0 only on a stored key
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return FockState._reduced(out, state.den * den)
 
 
 # -- canonical insertions ---------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _bra_insert(word, n):
-    """<0| word phi_n in canonical form, as {word: rational coefficient}."""
+    """<0| word phi_n in canonical form, as {word: int coefficient}."""
     if not word:
         out = {(n,): 1} if n <= 0 else {}
     elif word[-1] > n:
@@ -89,84 +152,71 @@ def _bra_insert(word, n):
 # -- beta-deformed modes ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _phi_beta_modes(n, cutoff, sign):
-    """(index, b-power, coefficient) of phi^(beta)_n, plain modes <= cutoff.
+def _phi_beta_modes(n, cutoff, sign, scale=1):
+    """(d, modes): scale * phi^(beta)_n is (1/d) sum c b^e phi_m over the
+    int (m, e, c) of modes, plain modes m <= cutoff.
 
     For n >= 0 the series sum_{m>=n} C(m,n) (b/2)^{m-n} phi_m ascends without
-    bound; the caller supplies the grading cutoff.  sign=-1 flips beta.
+    bound; the caller supplies the grading cutoff, and as m ascends a prefix
+    of the modes serves any lower one.  For n < 0 it is the finite sum over
+    m = 1..-n of C(-m, -n-m) (b/2)^{-n-m} phi_{-m}.  sign=-1 flips beta.
     """
-    half = _HALF if sign > 0 else -_HALF
     if n >= 0:
-        return tuple((m, m - n, binom_general(m, n) * half ** (m - n))
-                     for m in range(n, cutoff + 1))
-    out = []
-    for m in range(1, -n + 1):
-        c = binom_general(-m, -n - m)
-        if c:
-            out.append((-m, -n - m, c * half ** (-n - m)))
-    return tuple(out)
+        top = max(cutoff - n, 0)
+        return 1 << top, tuple((m, m - n, scale * sign ** (m - n) * comb(m, n) << top - m + n)
+                               for m in range(n, cutoff + 1))
+    # C(-m, j) = (-1)^j C(-n-1, j) = (-1)^j C(-n-1, m-1) at j = -n-m
+    return 1 << -n - 1, tuple(
+        (-m, -n - m, scale * (-sign) ** (-n - m) * comb(-n - 1, m - 1) << m - 1)
+        for m in range(1, -n + 1))
 
 
-@lru_cache(maxsize=None)
-def _ket_phi_beta_modes(n, cutoff):
-    """Modes of (phi^(beta)_n)^* = sum_{m>=n} C(m,n) (b/2)^{m-n} (-1)^m phi_{-m}."""
-    return tuple((-m, e, -c if m % 2 else c) for m, e, c in _phi_beta_modes(n, cutoff, 1))
+def _phi_beta(state, n, sign, scale):
+    d, modes = _phi_beta_modes(n, -_lowest_grade(state), sign, scale)
+    # a word of grade g meets the modes m <= -g; for n < 0 that is all of them
+    return _act(state, _bra_insert, lambda g: modes[:max(0, 1 - g - n)], d)
 
 
-def _bra_apply(state, table, modes):
-    """Right action of sum c b^e X_m over the (m, e, c) of modes(grade of
-    the word), with <0| word X_m read from table(word, m)."""
-    out = {}
-    for (word, k), coeff in state.items():
-        for m, e, scal in modes(grade(word)):
-            c0 = coeff * scal
-            for w, c in table(word, m).items():
-                _merge(out, (w, k + e), c0 * c)
-    return out
-
-
-def bra_apply_phi_beta(state: BraState, n: int, sign: int = 1) -> BraState:
+def bra_apply_phi_beta(state: FockState, n: int, sign: int = 1) -> FockState:
     """Right action of phi^(beta)_n (or phi^(-beta)_n with sign=-1)."""
-    return _bra_apply(state, _bra_insert, lambda g: _phi_beta_modes(n, -g, sign))
+    _check_sign(sign)
+    return _phi_beta(state, n, sign, 1)
 
 
-def ket_apply_phi_beta(state: KetState, n: int, top: int) -> KetState:
-    """Left action of phi^(beta)_n, n >= 0, on kets; grades > top dropped."""
-    bra = _bra_apply(star_ket(state), _bra_insert, lambda g: _ket_phi_beta_modes(n, top + g))
-    return star_bra(bra)
-
-
-def bra_apply_phihat_star(state: BraState, n: int) -> BraState:
+def bra_apply_phihat_star(state: FockState, n: int) -> FockState:
     """(phi-hat_n)^* = (-1)^n phi^(-beta)_{-n} acting on bra states."""
-    out = bra_apply_phi_beta(state, -n, sign=-1)
-    if n % 2:
-        out = {key: -c for key, c in out.items()}
-    return out
+    return _phi_beta(state, -n, -1, -1 if n % 2 else 1)
 
 
-def ket_apply_phihat(state: KetState, n: int) -> KetState:
-    """Left action of the dual deformed mode phi-hat_n on ket states."""
-    return star_bra(bra_apply_phihat_star(star_ket(state), n))
+def bra_apply_phi_beta_star(state: FockState, n: int, top: int) -> FockState:
+    """Right action of (phi^(beta)_n)^*, n >= 0, on bras, whose star is the
+    left action of phi^(beta)_n on kets; grades < -top dropped."""
+    # (phi^(beta)_n)^* = sum_{m>=n} C(m,n) (b/2)^{m-n} (-1)^m phi_{-m}
+    d, modes = _phi_beta_modes(n, top, 1)
+    modes = tuple((-m, e, -c if m % 2 else c) for m, e, c in modes)
+    return _act(state, _bra_insert, lambda g: modes[:max(0, top + g - n + 1)], d)
 
 
 # -- Heisenberg generators --------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _bra_vacuum_b(m):
-    """<0| b_m as {word: Fraction}; (1/4) sum_{i=-m}^{0} (-1)^i <0| phi_{-i-m} phi_i."""
+    """2 <0| b_m as {word: int}, m odd.
+
+    <0| b_m = (1/4) sum_{i=-m}^{0} (-1)^i <0| phi_{-i-m} phi_i, and for odd m
+    the terms i and -m-i are equal, so twice it is the sum over i > -m/2.
+    """
     out = {}
-    quarter = Fraction(1, 4)
-    for i in range(-m, 1):
-        sgn = quarter if i % 2 == 0 else -quarter
+    for i in range(-(m // 2), 1):
         for w, c in _bra_insert((), -i - m).items():
             for w2, c2 in _bra_insert(w, i).items():
-                _merge(out, w2, sgn * c * c2)
+                _merge(out, w2, -c * c2 if i % 2 else c * c2)
     return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
 def _bra_word_b(word, m):
-    """<0| word b_m as {word: Fraction}, via [b_m, phi_n] = phi_{n-m},
+    """2 <0| word b_m as {word: int}, m odd, via [b_m, phi_n] = phi_{n-m},
     peeling from the right."""
     if not word:
         return _bra_vacuum_b(m)
@@ -176,7 +226,7 @@ def _bra_word_b(word, m):
         for w2, c2 in _bra_insert(w, n).items():
             _merge(out, w2, c * c2)
     for w, c in _bra_insert(head, n - m).items():
-        _merge(out, w, Fraction(-c))
+        _merge(out, w, -2 * c)
     return MappingProxyType(out)
 
 
@@ -189,55 +239,55 @@ def _bra_word_b(word, m):
 
 @lru_cache(maxsize=None)
 def _theta_modes(sign, reach, lower):
-    """(index m, b-power, coefficient) of the b_m of sign*Theta, or of
-    sign*theta when lower, for odd n <= reach."""
-    return tuple((n if lower else -n, n, Fraction(sign, n * 2 ** (n - 1)))
-                 for n in range(1, reach + 1, 2))
+    """(d, modes): sign*Theta, or sign*theta when lower, is (1/d) sum c b^n X_m
+    over the int (m, n, c) of modes, odd n <= reach ascending, with X_m the
+    twice b_m that _bra_word_b tables."""
+    odd = range(1, reach + 1, 2)
+    d = lcm(*(n << n for n in odd))
+    return d, tuple((n if lower else -n, n, sign * (d // (n << n))) for n in odd)
 
 
 def _theta_exp(state, sign, top):
     """Right action of e^{sign*Theta} (top None) or of e^{sign*theta}, cut
-    at grade -top."""
+    at grade -top, input included."""
+    _check_sign(sign)
     lower = top is not None
-    total = dict(state)
-    term = state
-    k = 1
-    while term:
-        term = _bra_apply(term, _bra_word_b,
-                          lambda g: _theta_modes(sign, top + g if lower else -g, lower))
-        if not term:
-            break
-        term = {key: c / k for key, c in term.items()}
-        for key, c in term.items():
-            _merge(total, key, c)
-        k += 1
-    return total
+    if lower:
+        state = FockState._reduced({key: c for key, c in state.terms.items()
+                                    if sum(key[0]) >= -top}, state.den)
+    # a word of grade g meets the odd n <= top + g (theta) or <= -g (Theta);
+    # Theta only raises grades, so the input's reach serves every term
+    d, modes = _theta_modes(sign, top if lower else -_lowest_grade(state), lower)
+    terms = [state]  # the k-th term is the (k-1)-th times the exponent, over k
+    while terms[-1]:
+        terms.append(_act(terms[-1], _bra_word_b, lambda g: modes[
+            :max(0, (top + g if lower else -g) + 1) // 2], d * len(terms)))
+    den, total = lcm(*(term.den for term in terms)), {}
+    for term in terms:
+        scale = den // term.den
+        for key, c in term.terms.items():
+            _merge(total, key, c * scale)
+    return FockState._reduced(total, den)
 
 
-def bra_apply_theta_exp(state: BraState, sign: int = 1) -> BraState:
+def bra_apply_theta_exp(state: FockState, sign: int = 1) -> FockState:
     """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1)."""
     return _theta_exp(state, sign, None)
 
 
-def ket_apply_Theta_exp(state: KetState, top: int) -> KetState:
-    """Left action of e^{Theta} on kets; grades > top dropped."""
-    return star_bra(_theta_exp(star_ket(state), 1, top))
-
-
-def ket_apply_theta_exp(state: KetState, sign: int = 1) -> KetState:
-    """Left action of e^{theta} (sign=+1) or e^{-theta} (sign=-1)."""
-    return star_bra(bra_apply_theta_exp(star_ket(state), sign))
+def bra_apply_Theta_exp_star(state: FockState, top: int) -> FockState:
+    """Right action of (e^{Theta})^* = e^{theta} on bras, whose star is the
+    left action of e^{Theta} on kets; grades < -top dropped, input included."""
+    return _theta_exp(state, 1, top)
 
 
 # -- duality ----------------------------------------------------------------
 
-def star_bra(state: BraState) -> KetState:
+def star_bra(state: FockState) -> FockState:
     """<0|phi_{m_1}..phi_{m_k}  |->  (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>."""
-    out = {}
-    for (word, k), coeff in state.items():
-        new = tuple(-m for m in reversed(word))
-        _merge(out, (new, k), -coeff if grade(word) % 2 else coeff)
-    return out
+    return FockState._reduced(
+        {(tuple(-m for m in reversed(word)), k): -c if sum(word) % 2 else c
+         for (word, k), c in state.terms.items()}, state.den)
 
 
 # the same formula sends a ket back to its bra

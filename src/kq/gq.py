@@ -16,8 +16,8 @@ GQ_lambda for a strict partition lambda:
     two-index values GQ_(a,b), each of them the r = 2 entry of formula I,
     computed by the same contraction;
   * gq_fermionic evaluates <0| e^{H^(beta)} prod_i (phi^(beta)_{lambda_i}
-    e^Theta) |0> on the neutral-fermion Fock space, as one ket paired
-    through hexpansion.vacuum_expectation.
+    e^Theta) |0> on the neutral-fermion Fock space, as one ket, built in
+    bra form and starred once, paired through hexpansion.vacuum_expectation.
 
 Each sum over one-row coefficients or table entries is one
 pseries.combination of (series, b-power, rational) triples.
@@ -202,7 +202,8 @@ def gq_pfaffian_2(lam, degree_bound):
 def gq_fermionic(lam, degree_bound):
     """GQ_lambda = <0| e^{H^(beta)} prod_i phi^(beta)_{lambda_i} e^Theta |0>.
 
-    The ket is built once, innermost factor first, and paired through
+    The ket is built once, innermost factor first, in bra form: the star
+    of <0| e^theta (phi^(beta)_n)^* ..., starred once and paired through
     vacuum_expectation in the paren flavor; odd-length partitions get the
     usual phi^(beta)_0 e^Theta padding factor on the right.  Every factor
     only raises the ket grade, phi^(beta)_n by at least n, and a word of
@@ -212,9 +213,9 @@ def gq_fermionic(lam, degree_bound):
     lam = check_strict_weight(lam, degree_bound)
     ops = list(lam) + ([0] if len(lam) % 2 else [])
     top = degree_bound - sum(lam)
-    state = fock.vacuum_ket()
+    state = fock.vacuum()
     for n in reversed(ops):
-        state = fock.ket_apply_Theta_exp(state, top)
+        state = fock.bra_apply_Theta_exp_star(state, top)
         top += n
-        state = fock.ket_apply_phi_beta(state, n, top)
-    return vacuum_expectation(state, "paren", degree_bound)
+        state = fock.bra_apply_phi_beta_star(state, n, top)
+    return vacuum_expectation(fock.star_bra(state), "paren", degree_bound)

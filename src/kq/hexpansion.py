@@ -10,7 +10,8 @@ classical Schur Q-function evaluated at the deformed power sums:
 
 with word(mu) the reversed negated padding of mu.  Pairing a ket against
 this row is a finite weight lookup: both fermionic routes leave Fock space
-there and only there, as one pseries.combination of the Q_mu(p^flavor).
+there and only there, as one pseries.combination of the Q_mu(p^flavor)
+over the state's int numerators, divided once by its den.
 
 Memoised for the life of the process: the q_n row and Q_mu per bound, and
 Q_mu(p^flavor) per (mu, flavor, bound).  Every caller gets the same series
@@ -19,6 +20,7 @@ objects, so none may mutate them; the q_n row is a tuple.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .bases import _image_sum, check_flavor, q_series
@@ -78,16 +80,16 @@ def _strip_padding(word):
 
 
 def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
-    """<0| e^H |v> for a flat ket state {(word, k): c} in the canonical
-    padded basis.
+    """<0| e^H |v> for a ket fock.FockState v in the canonical padded basis.
 
-    Odd-length words pair to zero; an even word w contributes
-    c b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding removed.
-    The flavor and the bound are checked first, so a ket with no even word
-    cannot hide a bad one.
+    Odd-length words pair to zero; an even word w with the int numerator n
+    contributes n b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding
+    removed, and the sum is divided by the state's den once.  The flavor
+    and the bound are checked first, so a ket with no even word cannot hide
+    a bad one.
     """
     check_flavor(flavor)
     degree_bound = check_degree_bound(degree_bound)
-    return combination(((deformed_q(_strip_padding(word), flavor, degree_bound), k, c)
-                        for (word, k), c in ket_state.items() if len(word) % 2 == 0),
-                       degree_bound)
+    return combination(((deformed_q(_strip_padding(word), flavor, degree_bound), k, n)
+                        for (word, k), n in ket_state.terms.items() if len(word) % 2 == 0),
+                       degree_bound) * Fraction(1, ket_state.den)

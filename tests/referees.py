@@ -10,7 +10,8 @@ exponential of a series, and of a z-graded family of them (z_exp), term by
 term against the closed forms; the kernel (z-w)/(z+w+b)
 in a closed form of its own and generic Laurent blocks that cross-check
 the closed-form kernel tables, a literal symmetrization that checks the
-oracle, plain fermion modes and Wick's theorem, and the paper's theorems
+oracle, the Fock actions in Fractions, the ket actions, plain fermion modes
+and Wick's theorem, and the paper's theorems
 (the cancellation properties, the Fock pairing, the closed form of
 <GQ_lambda, o_mu>) as executable checks.
 The section after the partitions reads and writes the library's flat
@@ -25,7 +26,7 @@ from itertools import combinations, permutations
 
 from kq import fock
 from kq.finitevars import eval_finite
-from kq.fock import _bra_insert, _bra_word_b, _merge
+from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
 from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _mono, _mul, _one,
                        _one_plus_beta, _oplus, _p0_degree, _to_finite)
@@ -59,10 +60,11 @@ def strict_partitions_upto(bound: int):
 
 # -- the flat (key, b-power) terms, read and written as BetaScalars -----------
 #
-# Finite polynomials and Fock states keep one Fraction per (key, b-power).
-# These helpers move between that form and {key: BetaScalar} with public
-# BetaScalar arithmetic only, independently of the library's own
-# conversions.  Series are read through sorted_items instead.
+# Finite polynomials keep one Fraction per (key, b-power); Fock states keep
+# an int over their den and are read through fraction_terms.  These helpers
+# move between that form and {key: BetaScalar} with public BetaScalar
+# arithmetic only, independently of the library's own conversions.  Series
+# are read through sorted_items instead.
 
 def scalar_terms(flat):
     """{key: BetaScalar} from flat {(key, k): c} terms, or from an object's
@@ -70,6 +72,7 @@ def scalar_terms(flat):
     ints over its den on p_lambda / z_lambda, read through sorted_items."""
     if isinstance(flat, PSeries):
         raise TypeError("read a PSeries through sorted_items")
+    flat = fraction_terms(flat)
     flat = getattr(flat, "terms", flat)
     out = {}
     for (key, k), c in flat.items():
@@ -88,7 +91,7 @@ def flat_terms(mapping):
 
 
 def vacuum_part(state) -> BetaScalar:
-    """The coefficient of the empty word in a flat Fock state."""
+    """The coefficient of the empty word in a Fock state."""
     return scalar_terms(state).get((), ZERO)
 
 
@@ -453,29 +456,207 @@ def binomial_block(variables, index: int, k: int, depth: int,
     return LaurentBlock(variables, window, terms, ZERO, kb, ka)
 
 
-# -- fock: plain modes, the Heisenberg action, Wick's theorem -----------------
+# -- fock: the Fraction actions, plain modes, the Heisenberg action, Wick's theorem
+#
+# The Fraction form of the library's Fock actions, kept as their referee: a
+# flat {(word, k): Fraction} state, normal-ordering tables of b_m over the
+# rationals, the mode coefficients as Fractions and one Fraction product per
+# term.  Only _bra_insert, whose values are ints either way, is shared.  The
+# ket actions, which no library route calls since the routes build their
+# kets in bra form, live here as star images of the library's bra actions.
+
+_HALF = Fraction(1, 2)
+
+
+def _merge(target, key, coeff):
+    if not coeff:
+        return
+    prev = target.get(key)
+    total = coeff if prev is None else prev + coeff
+    if total:
+        target[key] = total
+    elif prev is not None:
+        del target[key]
+
+
+def grade(word) -> int:
+    return sum(word)
+
+
+@lru_cache(maxsize=None)
+def _phi_beta_modes(n, cutoff, sign):
+    """(index, b-power, coefficient) of phi^(beta)_n, plain modes <= cutoff.
+
+    For n >= 0 the series sum_{m>=n} C(m,n) (b/2)^{m-n} phi_m ascends without
+    bound; the caller supplies the grading cutoff.  sign=-1 flips beta.
+    """
+    half = _HALF if sign > 0 else -_HALF
+    if n >= 0:
+        return tuple((m, m - n, binom_general(m, n) * half ** (m - n))
+                     for m in range(n, cutoff + 1))
+    out = []
+    for m in range(1, -n + 1):
+        c = binom_general(-m, -n - m)
+        if c:
+            out.append((-m, -n - m, c * half ** (-n - m)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _ket_phi_beta_modes(n, cutoff):
+    """Modes of (phi^(beta)_n)^* = sum_{m>=n} C(m,n) (b/2)^{m-n} (-1)^m phi_{-m}."""
+    return tuple((-m, e, -c if m % 2 else c) for m, e, c in _phi_beta_modes(n, cutoff, 1))
+
+
+def _bra_apply(state, table, modes):
+    """Right action of sum c b^e X_m over the (m, e, c) of modes(grade of
+    the word), with <0| word X_m read from table(word, m)."""
+    out = {}
+    for (word, k), coeff in state.items():
+        for m, e, scal in modes(grade(word)):
+            c0 = coeff * scal
+            for w, c in table(word, m).items():
+                _merge(out, (w, k + e), c0 * c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bra_vacuum_b(m):
+    """<0| b_m as {word: Fraction}; (1/4) sum_{i=-m}^{0} (-1)^i <0| phi_{-i-m} phi_i."""
+    out = {}
+    quarter = Fraction(1, 4)
+    for i in range(-m, 1):
+        sgn = quarter if i % 2 == 0 else -quarter
+        for w, c in _bra_insert((), -i - m).items():
+            for w2, c2 in _bra_insert(w, i).items():
+                _merge(out, w2, sgn * c * c2)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bra_word_b(word, m):
+    """<0| word b_m as {word: Fraction}, via [b_m, phi_n] = phi_{n-m},
+    peeling from the right."""
+    if not word:
+        return _bra_vacuum_b(m)
+    head, n = word[:-1], word[-1]
+    out = {}
+    for w, c in _bra_word_b(head, m).items():
+        for w2, c2 in _bra_insert(w, n).items():
+            _merge(out, w2, c * c2)
+    for w, c in _bra_insert(head, n - m).items():
+        _merge(out, w, Fraction(-c))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _theta_modes(sign, reach, lower):
+    """(index m, b-power, coefficient) of the b_m of sign*Theta, or of
+    sign*theta when lower, for odd n <= reach."""
+    return tuple((n if lower else -n, n, Fraction(sign, n * 2 ** (n - 1)))
+                 for n in range(1, reach + 1, 2))
+
+
+def _theta_exp(state, sign, top):
+    """Right action of e^{sign*Theta} (top None) or of e^{sign*theta}, cut
+    at grade -top."""
+    lower = top is not None
+    total = dict(state)
+    term = state
+    k = 1
+    while term:
+        term = _bra_apply(term, _bra_word_b,
+                          lambda g: _theta_modes(sign, top + g if lower else -g, lower))
+        if not term:
+            break
+        term = {key: c / k for key, c in term.items()}
+        for key, c in term.items():
+            _merge(total, key, c)
+        k += 1
+    return total
+
+
+def fraction_terms(state):
+    """{(word, k): Fraction} of a fock.FockState; a flat dict passes through."""
+    if isinstance(state, fock.FockState):
+        return {key: Fraction(n, state.den) for key, n in state.terms.items()}
+    return state
+
+
+def _like(state, out):
+    """out as a FockState when state is one, else as the flat dict."""
+    return fock.FockState(out) if isinstance(state, fock.FockState) else out
+
+
+def ref_bra_apply_phi_beta(state, n, sign=1):
+    return _like(state, _bra_apply(fraction_terms(state), _bra_insert,
+                                   lambda g: _phi_beta_modes(n, -g, sign)))
+
+
+def ref_bra_apply_phihat_star(state, n):
+    out = ref_bra_apply_phi_beta(fraction_terms(state), -n, sign=-1)
+    if n % 2:
+        out = {key: -c for key, c in out.items()}
+    return _like(state, out)
+
+
+def ref_bra_apply_phi_beta_star(state, n, top):
+    return _like(state, _bra_apply(fraction_terms(state), _bra_insert,
+                                   lambda g: _ket_phi_beta_modes(n, top + g)))
+
+
+def ref_bra_apply_theta_exp(state, sign=1):
+    return _like(state, _theta_exp(fraction_terms(state), sign, None))
+
+
+def ref_bra_apply_Theta_exp_star(state, top):
+    # _theta_exp keeps an input word below the cut; the cut holds on the
+    # input too, so it is applied here first
+    kept = {key: c for key, c in fraction_terms(state).items() if grade(key[0]) >= -top}
+    return _like(state, _theta_exp(kept, 1, top))
+
+
+def ket_apply_phi_beta(state, n, top):
+    """Left action of phi^(beta)_n, n >= 0, on kets; grades > top dropped."""
+    return fock.star_bra(fock.bra_apply_phi_beta_star(fock.star_ket(state), n, top))
+
+
+def ket_apply_phihat(state, n):
+    """Left action of the dual deformed mode phi-hat_n on ket states."""
+    return fock.star_bra(fock.bra_apply_phihat_star(fock.star_ket(state), n))
+
+
+def ket_apply_Theta_exp(state, top):
+    """Left action of e^{Theta} on kets; grades > top dropped."""
+    return fock.star_bra(fock.bra_apply_Theta_exp_star(fock.star_ket(state), top))
+
+
+def ket_apply_theta_exp(state, sign=1):
+    """Left action of e^{theta} (sign=+1) or e^{-theta} (sign=-1)."""
+    return fock.star_bra(fock.bra_apply_theta_exp(fock.star_ket(state), sign))
+
 
 def bra_apply_phi(state, n):
     out = {}
-    for (word, k), coeff in state.items():
+    for (word, k), coeff in fraction_terms(state).items():
         for w, c in _bra_insert(word, n).items():
             _merge(out, (w, k), coeff * c)
-    return out
+    return _like(state, out)
 
 
 def bra_apply_b(state, m):
     """Right action of the Heisenberg generator b_m, m odd."""
     out = {}
-    for (word, k), coeff in state.items():
+    for (word, k), coeff in fraction_terms(state).items():
         for w, c in _bra_word_b(word, m).items():
             _merge(out, (w, k), coeff * c)
-    return out
+    return _like(state, out)
 
 
 def pair(bra, ket) -> BetaScalar:
     """Vacuum expectation <w|v>; this is where <0|phi_0|0> = 0 lives."""
     total = ZERO
-    for (kword, k), kcoeff in ket.items():
+    for (kword, k), kcoeff in fraction_terms(ket).items():
         folded = bra
         for n in kword:
             folded = bra_apply_phi(folded, n)
@@ -601,7 +782,7 @@ def fock_pairing(mu, lam):
     mu, lam = tuple(mu), tuple(lam)
     _check_word(mu, "mu")
     _check_word(lam, "lam")
-    state = {((), 0): Fraction(1)}
+    state = fock.vacuum()
     for n in reversed(mu):
         state = fock.bra_apply_phihat_star(state, n)
         state = fock.bra_apply_theta_exp(state, sign=-1)

@@ -1,15 +1,27 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq import fock
+from kq.fock import FockState
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     bra_apply_b,
     bra_apply_phi,
+    fraction_terms,
+    ket_apply_phi_beta,
+    ket_apply_phihat,
+    ket_apply_Theta_exp,
+    ket_apply_theta_exp,
     pair,
+    ref_bra_apply_phi_beta,
+    ref_bra_apply_phi_beta_star,
+    ref_bra_apply_phihat_star,
+    ref_bra_apply_Theta_exp_star,
+    ref_bra_apply_theta_exp,
     scalar_terms,
     strict_partitions_upto,
     two_point,
@@ -18,36 +30,38 @@ from referees import (
 )
 
 B = BetaScalar
+EMPTY = FockState({})
 
-# states are flat: {(word, b-power): Fraction}
+# states are FockStates: int numerators per (word, b-power) over one den
 
 
 def add(s, t):
-    out = dict(s)
-    for key, c in t.items():
+    out = dict(fraction_terms(s))
+    for key, c in fraction_terms(t).items():
         tot = out.get(key, 0) + c
         if tot:
             out[key] = tot
         else:
             out.pop(key, None)
-    return out
+    return FockState(out)
 
 
 def scale(s, c):
     # c times s, one shift of the b-powers per monomial of c
-    out = {}
+    out = EMPTY
     for e, ce in enumerate(B(c).as_polynomial()):
         if ce:
-            out = add(out, {(w, k + e): ce * v for (w, k), v in s.items()})
+            shifted = {(w, k + e): ce * v for (w, k), v in fraction_terms(s).items()}
+            out = add(out, FockState(shifted))
     return out
 
 
 def bra_word(word):
-    return {(tuple(word), 0): Fraction(1)}
+    return FockState({(tuple(word), 0): Fraction(1)})
 
 
 def ket_word(word):
-    return {(tuple(word), 0): Fraction(1)}
+    return FockState({(tuple(word), 0): Fraction(1)})
 
 
 bra_words = st.lists(st.integers(-6, 0), max_size=4, unique=True).map(
@@ -64,7 +78,7 @@ modes = st.integers(-5, 5)
 
 def test_vacuum_annihilation():
     for n in range(1, 5):
-        assert bra_apply_phi(bra_word(()), n) == {}
+        assert bra_apply_phi(bra_word(()), n) == EMPTY
 
 
 def test_phi_zero_squares_to_one():
@@ -75,7 +89,7 @@ def test_phi_zero_squares_to_one():
 def test_nonzero_modes_square_to_zero():
     for n in (-3, -1, 1, 2):
         s = bra_word((0, -4)) if n != -4 else bra_word((0, -5))
-        assert bra_apply_phi(bra_apply_phi(s, n), n) == {}
+        assert bra_apply_phi(bra_apply_phi(s, n), n) == EMPTY
 
 
 def test_phi_zero_vev_vanishes():
@@ -91,7 +105,7 @@ def test_anticommutation_on_bras(word, a, b):
         bra_apply_phi(bra_apply_phi(s, a), b),
         bra_apply_phi(bra_apply_phi(s, b), a),
     )
-    expect = scale(s, 2 if a % 2 == 0 else -2) if a + b == 0 else {}
+    expect = scale(s, 2 if a % 2 == 0 else -2) if a + b == 0 else EMPTY
     assert lhs == expect
 
 
@@ -141,7 +155,7 @@ def test_star_intertwines_phi(word, n):
     # adjoint on bras
     s = bra_word(word)
     lhs = fock.star_bra(fock.bra_apply_phihat_star(s, n))
-    assert lhs == fock.ket_apply_phihat(fock.star_bra(s), n)
+    assert lhs == ket_apply_phihat(fock.star_bra(s), n)
 
 
 @given(bra_words, ket_words)
@@ -157,7 +171,7 @@ def test_pairing_respects_star(bword, kword)  :
 def test_vacuum_b_one():
     got = bra_apply_b(bra_word(()), 1)
     assert scalar_terms(got) == {(0, -1): B(Fraction(-1, 2))}
-    assert bra_apply_b(bra_word(()), -1) == {}
+    assert bra_apply_b(bra_word(()), -1) == EMPTY
 
 
 @given(bra_words, st.sampled_from([-3, -1, 1, 3]), modes)
@@ -179,7 +193,7 @@ def test_b_b_commutator(word, m, n):
         bra_apply_b(bra_apply_b(s, m), n),
         scale(bra_apply_b(bra_apply_b(s, n), m), -1),
     )
-    expect = scale(s, Fraction(m, 2)) if m + n == 0 else {}
+    expect = scale(s, Fraction(m, 2)) if m + n == 0 else EMPTY
     assert lhs == expect
 
 
@@ -190,14 +204,14 @@ def test_b_star(word, sign):
     # its action on bras
     s = bra_word(word)
     lhs = fock.star_bra(fock.bra_apply_theta_exp(s, sign))
-    assert lhs == fock.ket_apply_theta_exp(fock.star_bra(s), sign)
+    assert lhs == ket_apply_theta_exp(fock.star_bra(s), sign)
 
 
 def test_b_shifts_grade():
     for m in (-3, -1, 1, 3):
         for word in [(0, -2, -5), (-1,)]:
-            for w, _ in bra_apply_b(bra_word(word), m):
-                assert fock.grade(w) == fock.grade(word) - m
+            for w, _ in bra_apply_b(bra_word(word), m).terms:
+                assert sum(w) == sum(word) - m
 
 
 # -- deformed modes ---------------------------------------------------
@@ -222,20 +236,20 @@ def test_phi_beta_positive_mode_contracts():
 
 
 def test_phihat_positive_modes_frozen():
-    got = fock.ket_apply_phihat(fock.vacuum_ket(), 2)
+    got = ket_apply_phihat(fock.vacuum(), 2)
     assert scalar_terms(got) == {(2,): ONE, (1,): -BETA / 2}
-    got = fock.ket_apply_phihat(fock.vacuum_ket(), 3)
+    got = ket_apply_phihat(fock.vacuum(), 3)
     assert scalar_terms(got) == {(3,): ONE, (2,): -BETA, (1,): BETA**2 / 4}
 
 
 def test_phihat_zero_is_phi_zero_on_vacuum():
-    assert scalar_terms(fock.ket_apply_phihat(fock.vacuum_ket(), 0)) == {(0,): ONE}
+    assert scalar_terms(ket_apply_phihat(fock.vacuum(), 0)) == {(0,): ONE}
 
 
 def test_phihat_negative_mode_contracts():
     # phi-hat_{-1} on phi_3|0> keeps only the contracting m = 3 term
     v = ket_word((3,))
-    got = fock.ket_apply_phihat(v, -1)
+    got = ket_apply_phihat(v, -1)
     assert scalar_terms(got) == {(): BETA**2 * Fraction(-3, 2)}
 
 
@@ -253,7 +267,7 @@ def test_phihat_star_is_phi_minus_beta():
 
 def test_theta_fixes_vacuum():
     assert fock.bra_apply_theta_exp(bra_word(())) == bra_word(())
-    assert fock.ket_apply_theta_exp(fock.vacuum_ket()) == fock.vacuum_ket()
+    assert ket_apply_theta_exp(fock.vacuum()) == fock.vacuum()
 
 
 @given(bra_words)
@@ -268,7 +282,7 @@ def test_theta_exp_invertible(word):
 @settings(max_examples=40, deadline=None)
 def test_ket_theta_exp_invertible(word):
     v = ket_word(word)
-    roundtrip = fock.ket_apply_theta_exp(fock.ket_apply_theta_exp(v, -1), 1)
+    roundtrip = ket_apply_theta_exp(ket_apply_theta_exp(v, -1), 1)
     assert roundtrip == v
 
 
@@ -295,8 +309,8 @@ def test_theta_conjugation_of_phihat_star(word, n):
     lhs = fock.bra_apply_theta_exp(
         fock.bra_apply_phihat_star(fock.bra_apply_theta_exp(s, 1), n), -1
     )
-    rhs = {}
-    for k in range(n - fock.grade(word) + 1):
+    rhs = EMPTY
+    for k in range(n - sum(word) + 1):
         term = fock.bra_apply_phihat_star(s, n - k)
         rhs = add(rhs, scale(term, (-BETA) ** k))
     assert lhs == rhs
@@ -318,7 +332,7 @@ def test_quasi_anticommutator(word, m, n):
     elif m == n + 1:
         expect = scale(s, BETA)
     else:
-        expect = {}
+        expect = EMPTY
     assert lhs == expect
 
 
@@ -339,7 +353,7 @@ def test_inner_product_pairing_table(word, m, n):
         fock.bra_apply_phihat_star(conj(s), m),
     )
     if m < n:
-        expect = {}
+        expect = EMPTY
     elif m == n:
         expect = scale(s, 2)
     else:
@@ -357,3 +371,83 @@ def test_normal_ordering_tables_are_read_only():
         fock._bra_word_b((), 1)[()] = 99
     got = fock.bra_apply_phi_beta(bra_word((-1,)), 1)
     assert scalar_terms(got) == {(): B(-2)}
+
+
+# -- integral states against the Fraction referee ----------------------
+
+
+coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+small_bra_words = st.lists(st.integers(-4, 0), max_size=3, unique=True).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+bra_states = st.dictionaries(
+    st.tuples(small_bra_words, st.integers(0, 2)), coefficients, max_size=4
+).map(FockState)
+
+
+def actions(state, n, sign, top):
+    """(name, library result, referee result) of every public action."""
+    yield ("phi_beta", fock.bra_apply_phi_beta(state, n, sign),
+           ref_bra_apply_phi_beta(state, n, sign))
+    yield ("phihat_star", fock.bra_apply_phihat_star(state, n),
+           ref_bra_apply_phihat_star(state, n))
+    yield ("phi_beta_star", fock.bra_apply_phi_beta_star(state, abs(n), top),
+           ref_bra_apply_phi_beta_star(state, abs(n), top))
+    yield ("theta_exp", fock.bra_apply_theta_exp(state, sign),
+           ref_bra_apply_theta_exp(state, sign))
+    yield ("Theta_exp_star", fock.bra_apply_Theta_exp_star(state, top),
+           ref_bra_apply_Theta_exp_star(state, top))
+    star = FockState({(tuple(-m for m in reversed(w)), k): -c if sum(w) % 2 else c
+                      for (w, k), c in fraction_terms(state).items()})
+    yield "star", fock.star_bra(state), star
+
+
+@given(bra_states, st.integers(-4, 4), st.sampled_from([1, -1]), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_actions_match_fraction_referee(state, n, sign, top):
+    for name, got, want in actions(state, n, sign, top):
+        assert got == want, name
+
+
+@given(bra_states, st.integers(-4, 4), st.sampled_from([1, -1]), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_returned_states_are_integral_and_reduced(state, n, sign, top):
+    for name, got, _ in actions(state, n, sign, top):
+        assert isinstance(got, FockState), name
+        assert type(got.den) is int and got.den > 0, name
+        assert all(type(c) is int and c for c in got.terms.values()), name
+        g = got.den
+        for c in got.terms.values():
+            g = gcd(g, c)
+        assert g == 1, name
+
+
+def test_constructor_reduces_and_checks_words():
+    half = FockState({((-1,), 0): Fraction(2, 4), ((0, -2), 1): Fraction(-3, 2)})
+    assert half.den == 2 and half.terms == {((-1,), 0): 1, ((0, -2), 1): -3}
+    assert FockState({((-1,), 0): Fraction(6, 3)}) == FockState({((-1,), 0): 2})
+    assert FockState({((-1,), 0): 0}) == EMPTY and EMPTY.den == 1
+    for word, k in [((-2, -1), 0), ((1, -1), 0), ((-1, -1), 0), ((-1,), -1)]:
+        with pytest.raises(ValueError):
+            FockState({(word, k): 1})
+
+
+def test_sign_is_checked():
+    v = bra_word((-3,))
+    for sign in (5, 0, 2):
+        with pytest.raises(ValueError, match="sign"):
+            fock.bra_apply_phi_beta(v, 1, sign=sign)
+        with pytest.raises(ValueError, match="sign"):
+            fock.bra_apply_theta_exp(v, sign)
+    with pytest.raises(ValueError, match="sign"):
+        ket_apply_theta_exp(ket_word((3,)), 2)
+
+
+def test_Theta_cut_holds_on_input_words():
+    # a word already above the ceiling is dropped, as phi^(beta)_n drops it
+    v = ket_word((3,))
+    assert ket_apply_phi_beta(v, 1, 2) == EMPTY
+    assert ket_apply_Theta_exp(v, 1) == EMPTY
+    assert fock.bra_apply_Theta_exp_star(fock.star_ket(v), 1) == EMPTY
+    # at the ceiling the word stays, with what e^Theta adds above it cut
+    assert ket_apply_Theta_exp(v, 3) == v

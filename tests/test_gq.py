@@ -18,8 +18,8 @@ from kq.laurent import f_table
 from kq.oracle import gq_oracle
 from kq.pseries import PSeries
 from kq.scalars import ONE, BetaScalar, binom_general
-from referees import (at_b, check_kq_cancellation, exp, kernel_coefficient, scalar_terms,
-                      strict_partitions_upto)
+from referees import (at_b, check_kq_cancellation, exp, ket_apply_phi_beta, ket_apply_Theta_exp,
+                      kernel_coefficient, scalar_terms, strict_partitions_upto)
 
 
 def zpoly_exp(parts, D):
@@ -149,9 +149,14 @@ def test_generating_function_rearrangement():
         assert lhs == want
 
 
+def Theta_exp_star_opposite(state, top):
+    """(e^{-Theta})^* = e^{-theta} acting on bras, cut as gq_fermionic cuts."""
+    return fock._theta_exp(state, -1, top)
+
+
 def ket_apply_Theta_exp_opposite(state, top):
     """e^{-Theta} on kets, as the star of the right action of e^{-theta}."""
-    return fock.star_bra(fock._theta_exp(fock.star_ket(state), -1, top))
+    return fock.star_bra(Theta_exp_star_opposite(fock.star_ket(state), top))
 
 
 def test_vacuum_matrix_element_closed_form():
@@ -164,10 +169,10 @@ def test_vacuum_matrix_element_closed_form():
         ex[0] = ex[0] + PSeries.p(n, D) * BetaScalar.beta_power(n, Fraction(-1 if n % 2 else 1, n))
     closed = zpoly_exp(ex, D)
     for m in range(5):
-        state = fock.ket_apply_Theta_exp(fock.vacuum_ket(), D)
-        state = fock.ket_apply_phi_beta(state, 0, D)
+        state = ket_apply_Theta_exp(fock.vacuum(), D)
+        state = ket_apply_phi_beta(state, 0, D)
         state = ket_apply_Theta_exp_opposite(state, D)
-        state = fock.ket_apply_phi_beta(state, m, D)
+        state = ket_apply_phi_beta(state, m, D)
         lhs = vacuum_expectation(state, "paren", D)
         rhs = closed[m] + closed[m + 1] * BetaScalar.beta_power(1)
         assert lhs == rhs
@@ -332,7 +337,7 @@ def test_fermionic_theta_sign_is_pinned(monkeypatch):
     D = 6
     want = gq_pfaffian_1((2, 1), D)
     assert gq_fermionic((2, 1), D) == want
-    monkeypatch.setattr(fock, "ket_apply_Theta_exp", ket_apply_Theta_exp_opposite)
+    monkeypatch.setattr(fock, "bra_apply_Theta_exp_star", Theta_exp_star_opposite)
     assert gq_fermionic((2, 1), D) != want
 
 

@@ -174,8 +174,8 @@ RING_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul
 
 
 def test_kernels_do_no_scalar_arithmetic(monkeypatch):
-    # series, Fock states and finite polynomials keep one int or Fraction
-    # per (key, b-power); a BetaScalar is only built where a value leaves them,
+    # series and Fock states keep one int per (key, b-power) over a den,
+    # finite polynomials one Fraction; a BetaScalar is only built where a value leaves them,
     # so no ring operation of BetaScalar may run inside the kernels
     def refuse(*args):
         raise AssertionError("BetaScalar arithmetic inside a kernel")
@@ -183,7 +183,7 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     series = GQSeries(6)
     want_product = series.coefficient(1) * series.coefficient(2)
     want_sum = series.coefficient(-1) + series.coefficient(3)
-    state = {((-3, -5), 0): Fraction(1)}
+    state = fock.FockState({((-3, -5), 0): Fraction(1)})
     want_state = fock.bra_apply_theta_exp(fock.bra_apply_phi_beta(state, 2))
     want_poly = gq_oracle((2, 1), 4)
     want_gq = gq_pfaffian_1((2, 1), 4)
