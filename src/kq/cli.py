@@ -4,8 +4,9 @@
 
 computes GQ_lambda in n variables with the symmetrization oracle, reads its
 power-sum coordinates back with from_finite at D = n, and compares them with
-the three other GQ routes at the same bound.  It prints one JSON line and
-exits 0 only if every route agrees; bad input exits 2 with the error text.
+the three other GQ routes at the same bound.  It prints one JSON line, which
+names the bound ("D") and the coordinates compared, and exits 0 only if
+every route agrees; bad input exits 2 with the error text.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ def verify(lam, n: int) -> dict:
     poly = gq_oracle(lam, n)
     want = from_finite(poly, n)
     routes = {name: route(lam, n) == want for name, route in ROUTES.items()}
-    return {"lambda": list(lam), "n": n, "oracle_terms": len(poly.terms),
-            "routes": routes, "agree": all(routes.values())}
+    return {"lambda": list(lam), "n": n, "D": n, "coordinates": "power-sum",
+            "oracle_terms": len(poly.terms), "routes": routes,
+            "agree": all(routes.values())}
 
 
 def main(argv=None) -> int:

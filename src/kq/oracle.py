@@ -9,41 +9,45 @@ antisymmetrizer, V_B the Vandermonde of the last n-r variables, and
 
   P0 = prod_i [[x_i]]^{l_i} * prod_{i<=r, j>i} (x_i + x_j + b x_i x_j)(1 + b x_j)
 
-a plain polynomial, symmetric in the last n-r variables.  A(f)/V is the
-divided difference of the longest permutation w0, and the block factors out:
-d_{w0} = d_u d_{w0,B} with u = w0 * w0,B, while d_{w0,B}(P0 V_B) = (n-r)! P0.
-The factorials cancel, leaving
+a plain polynomial, symmetric in the last n-r variables.  V_B is the
+signed sum of the block permutations of x^{delta_B}, with
+delta_B = (0^r, n-r-1, ..., 1, 0) the staircase on the block, and A absorbs
+each of them with its sign, because P0 is block-symmetric.  So
+A(P0 V_B) = (n-r)! A(P0 x^{delta_B}), the factorials cancel, and
 
-  GQ_lambda = d_u(P0),
+  GQ_lambda = A(P0 x^{delta_B}) / V.
 
-a composition of only len(u) = n(n-1)/2 - (n-r)(n-r-1)/2 steps
-d_i f = (f - s_i f)/(x_i - x_{i+1}).  Each step has a closed form on a
-monomial (Macdonald, Notes on Schubert Polynomials, 1991): with a, c the
-exponents of x_i, x_{i+1},
+On a monomial this is Jacobi's bialternant (Macdonald, Symmetric Functions
+and Hall Polynomials, I.3): A(x^alpha)/V is zero when two exponents of
+alpha are equal, and otherwise sgn(w) s_nu, where w sorts alpha into
+decreasing order nu + delta, delta = (n-1, ..., 1, 0).  So one pass over P0
+gives GQ_lambda = sum_nu c_nu s_nu(x_1..x_n), c_nu in Z[b] the signed sum of
+P0's coefficients that land on nu.  The Schur polynomials become monomials
+through the Kostka numbers, s_nu = sum_mu K_{nu mu} m_mu (I.6), and K comes
+from removing the horizontal strip of the largest entry, one letter of the
+content at a time.
 
-  d_i(x_i^a x_{i+1}^c) = (x_i x_{i+1})^min(a,c) sum_{t<|a-c|} x_i^{|a-c|-1-t} x_{i+1}^t,
+Truncation is decided once, on P0.  Dividing by V lowers the x-degree by
+n(n-1)/2 and x^{delta_B} raises it by (n-r)(n-r-1)/2, so s_nu has the
+x-degree of its P0 monomial minus s = n(n-1)/2 - (n-r)(n-r-1)/2, the
+number of pairs i<=r, j>i.  The output's x-degree <= T part therefore comes
+from P0's x-degree <= T + s part and from nothing else.  Every factor of P0
+has x-degree - beta-degree constant on its monomials (l_i for
+[[x_i]]^{l_i}, 1 for the expanded pair factor
+x_i + x_j + 2b x_i x_j + b x_j^2 + b^2 x_i x_j^2), and these constants add up
+to |lambda| + s.  So on P0, beta-degree <= T - |lambda| is the same as
+x-degree <= T + s.  The beta-degree only grows as factors are multiplied in,
+so gq_oracle drops every term of a partial product above that beta cap and
+keeps the rest, and the pass needs no cap.
 
-negated when c > a and zero when a = c, so a step is one pass over the
-monomials and lowers the x-degree of each by exactly one.
-
-Truncation is therefore decided once, on P0.  The output's x-degree <= T
-part comes from P0's x-degree <= T + len(u) part and from nothing else.
-Every factor of P0 has x-degree - beta-degree constant on its monomials
-(l_i for [[x_i]]^{l_i}, 1 for x_i + x_j + b x_i x_j, 0 for 1 + b x_j), and
-these constants add up to |lambda| + len(u).  So on P0, beta-degree
-<= T - |lambda| is the same as x-degree <= T + len(u).  The beta-degree
-only grows as factors are multiplied in, so gq_oracle drops every term of
-a partial product above that beta cap and keeps the rest, and no later
-step needs a cap.
-
-Monomials are packed into single integers, six bits per x exponent, with
-the beta exponent above them on top, so that multiplication of monomials
-is integer addition.  A field that overflowed would carry into its
-neighbour and silently change the answer, so gq_oracle raises ValueError
-unless min(T + len(u), top x-degree of P0) fits in a field.  A raw product
-of two kept monomials can still overflow when P0 is of higher degree, but
-it cannot survive.  Its x-degree then exceeds T + len(u), and since a
-partial product has x-degree - beta-degree <= |lambda| + len(u), its
+Monomials of P0 are packed into single integers, six bits per x exponent,
+with the beta exponent above them on top, so that multiplication of
+monomials is integer addition.  A field that overflowed would carry into
+its neighbour and silently change the answer, so gq_oracle raises
+ValueError unless min(T + s, top x-degree of P0) fits in a field.  A raw
+product of two kept monomials can still overflow when P0 is of higher
+degree, but it cannot survive.  Its x-degree then exceeds T + s, and since
+a partial product has x-degree - beta-degree <= |lambda| + s, its
 beta-degree exceeds the cap.  A carry only raises the beta field, which is
 read as everything above the x fields, so the beta check drops the term.
 
@@ -54,20 +58,14 @@ space, power sums, kernels, or Pfaffians.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .finitevars import FinitePoly
-from .partitions import check_degree_bound, check_partition
+from .partitions import check_degree_bound, check_partition, partitions_of
 
 # key layout, least significant first: x_0 .. x_{n-1}, then beta on top
 _W = 6
 _MASK = (1 << _W) - 1
-
-
-def _mono(n, beta, exps):
-    key = beta << (_W * n)
-    for i, e in enumerate(exps):
-        key |= e << (_W * i)
-    return key
 
 
 def _check_fits(top):
@@ -84,35 +82,18 @@ def _p0_degree(lam, n):
     return sum(lam) + r + 3 * pairs
 
 
-def _one(n):
-    return {0: 1}
-
-
 def _bracket_power(n, a, power):
     """[[x_a]]^p = (2 + b x_a) x_a^p; p >= 1 here."""
-    lo = [0] * n
-    lo[a] = power
-    hi = list(lo)
-    hi[a] += 1
-    return {_mono(n, 0, lo): 2, _mono(n, 1, hi): 1}
+    x = _W * a
+    return {power << x: 2, (1 << _W * n) + ((power + 1) << x): 1}
 
 
-def _oplus(n, a, b):
-    """x_a + x_b + beta x_a x_b."""
-    ea = [0] * n
-    ea[a] = 1
-    eb = [0] * n
-    eb[b] = 1
-    eab = [0] * n
-    eab[a] = 1
-    eab[b] = 1
-    return {_mono(n, 0, ea): 1, _mono(n, 0, eb): 1, _mono(n, 1, eab): 1}
-
-
-def _one_plus_beta(n, b):
-    eb = [0] * n
-    eb[b] = 1
-    return {0: 1, _mono(n, 1, eb): 1}
+def _pair_factor(n, a, c):
+    """(x_a + x_c + b x_a x_c)(1 + b x_c), expanded into its five terms."""
+    xa = 1 << _W * a
+    xc = 1 << _W * c
+    b = 1 << _W * n
+    return {xa: 1, xc: 1, b + xa + xc: 2, b + 2 * xc: 1, 2 * b + xa + 2 * xc: 1}
 
 
 def _mul(a, b, n, bcap):
@@ -121,82 +102,78 @@ def _mul(a, b, n, bcap):
     The beta field is read as everything above the x fields, so a carry
     out of an overflowing x field can only make it read higher.
     """
+    limit = (bcap + 1) << _W * n  # the first key of beta degree bcap + 1
+    out = {}
+    get = out.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            key = ka + kb
+            if key < limit:
+                out[key] = get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _schur_coefficients(poly, n, r):
+    """{(nu, k): c} with A(poly x^{delta_B})/V = sum c b^k s_nu, one pass.
+
+    nu comes padded with zeros to length n.
+    """
+    shifts = [(_W * i, d) for i, d in enumerate([0] * r + list(range(n - r - 1, -1, -1)))]
+    stair = range(n - 1, -1, -1)
     betas = _W * n
     out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            if key >> betas > bcap:
-                continue
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-    return out
-
-
-def _divided_difference(poly, i):
-    """(f - s_i f)/(x_i - x_{i+1}) by the closed form, one pass over f.
-
-    A monomial with exponents a, c of x_i, x_{i+1} yields |a - c| monomials
-    one key step apart, negated when c > a.
-    """
-    lo = _W * i
-    hi = lo + _W
-    step = (1 << hi) - (1 << lo)  # x_{i+1} / x_i
-    out = {}
-    for k, v in poly.items():
-        a = (k >> lo) & _MASK
-        c = (k >> hi) & _MASK
-        if a > c:
-            key = k - (1 << lo)
-            move = step
-            count = a - c
-        elif c > a:
-            key = k - (1 << hi)
-            move = -step
-            v = -v
-            count = c - a
-        else:
+    for key, c in poly.items():
+        alpha = [((key >> s) & _MASK) + d for s, d in shifts]
+        ordered = sorted(alpha, reverse=True)
+        if len(set(ordered)) < n:
             continue
-        for _ in range(count):
-            s = out.get(key, 0) + v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-            key += move
+        # the parity of the sort is the parity of the inversions of alpha
+        odd = False
+        for i, a in enumerate(alpha):
+            for e in alpha[i + 1:]:
+                if a < e:
+                    odd = not odd
+        nu = (tuple(a - d for a, d in zip(ordered, stair)), key >> betas)
+        s = out.get(nu, 0) + (-c if odd else c)
+        if s:
+            out[nu] = s
+        else:
+            del out[nu]
     return out
 
 
-def _coset_word(n, r):
-    """Divided-difference word for u = w0 * w0_block, applied left first.
+def _strips(nu, size):
+    """Every partition rho with nu / rho a horizontal strip of size boxes.
 
-    u sends i -> n-1-i for i < r and shifts the tail down by r; sorting it
-    by adjacent swaps, one descent at a time, spells out a reduced word.
+    Row i keeps nu_{i+1} <= rho_i <= nu_i of its boxes.
     """
-    w = list(range(n - 1, n - 1 - r, -1)) + list(range(n - r))
-    word = []
-    moved = True
-    while moved:
-        moved = False
-        for i in range(n - 1):
-            if w[i] > w[i + 1]:
-                word.append(i)
-                w[i], w[i + 1] = w[i + 1], w[i]
-                moved = True
-                break
-    return word
+    states = [((), size)]
+    for i, top in enumerate(nu):
+        low = nu[i + 1] if i + 1 < len(nu) else 0
+        states = [(rho + (top - t,), left - t) for rho, left in states
+                  for t in range(min(left, top - low) + 1)]
+    return [tuple(p for p in rho if p) for rho, left in states if not left]
 
 
-def _to_finite(raw, n) -> FinitePoly:
-    """The packed {key: int} polynomial as a FinitePoly, one term per key."""
-    terms = {}
-    for k, c in raw.items():
-        xkey = tuple((k >> (_W * i)) & _MASK for i in range(n))
-        terms[(xkey, k >> (_W * n))] = Fraction(c)
-    return FinitePoly._from_flat(n, terms)
+@lru_cache(maxsize=None)
+def _kostka(nu, mu):
+    """K_{nu mu}, the tableaux of shape nu and content mu, mu any composition.
+
+    The entries equal to the last letter fill a horizontal strip nu / rho,
+    and rho holds a tableau of the content without it.
+    """
+    if not mu:
+        return int(not nu)
+    return sum(_kostka(rho, mu[:-1]) for rho in _strips(nu, mu[-1]))
+
+
+@lru_cache(maxsize=None)
+def _orbit(parts):
+    """Every distinct rearrangement of a weakly decreasing tuple."""
+    if not parts:
+        return ((),)
+    return tuple((v,) + tail for i, v in enumerate(parts) if i == 0 or v != parts[i - 1]
+                 for tail in _orbit(parts[:i] + parts[i + 1:]))
 
 
 def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
@@ -212,18 +189,29 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
     r = len(lam)
     if r > nvars or sum(lam) > trunc:
         return FinitePoly.zero(nvars)
-    word = _coset_word(nvars, r)
-    # the beta cap keeps P0 to x-degree <= trunc + len(word), all that the
+    drop = r * nvars - r * (r + 1) // 2  # x-degree lost from P0 to the output
+    # the beta cap keeps P0 to x-degree <= trunc + drop, all that the
     # output's x-degree <= trunc part comes from
-    _check_fits(min(trunc + len(word), _p0_degree(lam, nvars)))
+    _check_fits(min(trunc + drop, _p0_degree(lam, nvars)))
     bcap = trunc - sum(lam)
-    poly = _one(nvars)
+    poly = {0: 1}
     for i, part in enumerate(lam):
         poly = _mul(poly, _bracket_power(nvars, i, part), nvars, bcap)
     for i in range(r):
         for j in range(i + 1, nvars):
-            poly = _mul(poly, _oplus(nvars, i, j), nvars, bcap)
-            poly = _mul(poly, _one_plus_beta(nvars, j), nvars, bcap)
-    for i in word:
-        poly = _divided_difference(poly, i)
-    return _to_finite(poly, nvars)
+            poly = _mul(poly, _pair_factor(nvars, i, j), nvars, bcap)
+    by_weight = {}
+    for (nu, k), c in _schur_coefficients(poly, nvars, r).items():
+        nu = tuple(p for p in nu if p)
+        by_weight.setdefault((sum(nu), k), []).append((nu, c))
+    terms = {}
+    for (weight, k), schurs in by_weight.items():
+        # K_{nu mu} = 0 unless nu dominates mu, so mu_1 <= the largest nu_1
+        top = max(nu[0] if nu else 0 for nu, c in schurs)
+        for mu in partitions_of(weight, top, nvars):
+            a = sum(c * _kostka(nu, mu) for nu, c in schurs)
+            if a:
+                value = Fraction(a)
+                for exps in _orbit(mu + (0,) * (nvars - len(mu))):
+                    terms[(exps, k)] = value
+    return FinitePoly._from_flat(nvars, terms)

@@ -9,8 +9,9 @@ referees: the strict partitions up to a weight, which only tests list; the
 exponential of a series, and of a z-graded family of them (z_exp), term by
 term against the closed forms; the kernel (z-w)/(z+w+b)
 in a closed form of its own and generic Laurent blocks that cross-check
-the closed-form kernel tables, a literal symmetrization that checks the
-oracle, the Fock actions in Fractions, the ket actions, plain fermion modes
+the closed-form kernel tables, the oracle's symmetrization as a chain of
+divided differences and literally, which check its bialternant pass, the
+Fock actions in Fractions, the ket actions, plain fermion modes
 and Wick's theorem, and the paper's theorems
 (the cancellation properties, the Fock pairing, the closed form of
 <GQ_lambda, o_mu>) as executable checks.
@@ -25,11 +26,10 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from kq import fock
-from kq.finitevars import eval_finite
+from kq.finitevars import FinitePoly, eval_finite
 from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
-from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _mono, _mul, _one,
-                       _one_plus_beta, _oplus, _p0_degree, _to_finite)
+from kq.oracle import _MASK, _W, _bracket_power, _check_fits, _mul, _p0_degree
 from kq.partitions import check_partition, contains, row_count
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries
@@ -850,7 +850,129 @@ def check_dual_cancellation(g, nvars):
     return not any(slices.values())
 
 
-# -- oracle: the defining symmetrization, literally ---------------------------
+# -- oracle: the symmetrization as a chain of divided differences, and literally --
+
+def _mono(n, beta, exps):
+    """The packed key of b^beta x^exps, in the oracle's layout."""
+    key = beta << (_W * n)
+    for i, e in enumerate(exps):
+        key |= e << (_W * i)
+    return key
+
+
+def _oplus(n, a, b):
+    """x_a + x_b + beta x_a x_b."""
+    ea = [0] * n
+    ea[a] = 1
+    eb = [0] * n
+    eb[b] = 1
+    eab = [0] * n
+    eab[a] = 1
+    eab[b] = 1
+    return {_mono(n, 0, ea): 1, _mono(n, 0, eb): 1, _mono(n, 1, eab): 1}
+
+
+def _one_plus_beta(n, b):
+    eb = [0] * n
+    eb[b] = 1
+    return {0: 1, _mono(n, 1, eb): 1}
+
+
+def _to_finite(raw, n) -> FinitePoly:
+    """The packed {key: int} polynomial as a FinitePoly, one term per key."""
+    terms = {}
+    for k, c in raw.items():
+        xkey = tuple((k >> (_W * i)) & _MASK for i in range(n))
+        terms[(xkey, k >> (_W * n))] = Fraction(c)
+    return FinitePoly._from_flat(n, terms)
+
+
+def _divided_difference(poly, i):
+    """(f - s_i f)/(x_i - x_{i+1}) by the closed form, one pass over f.
+
+    With a, c the exponents of x_i, x_{i+1} (Macdonald, Notes on Schubert
+    Polynomials, 1991),
+    d_i(x_i^a x_{i+1}^c) = (x_i x_{i+1})^min(a,c) sum_{t<|a-c|} x_i^{|a-c|-1-t} x_{i+1}^t,
+    negated when c > a and zero when a = c: |a - c| monomials one key step
+    apart.
+    """
+    lo = _W * i
+    hi = lo + _W
+    step = (1 << hi) - (1 << lo)  # x_{i+1} / x_i
+    out = {}
+    for k, v in poly.items():
+        a = (k >> lo) & _MASK
+        c = (k >> hi) & _MASK
+        if a > c:
+            key = k - (1 << lo)
+            move = step
+            count = a - c
+        elif c > a:
+            key = k - (1 << hi)
+            move = -step
+            v = -v
+            count = c - a
+        else:
+            continue
+        for _ in range(count):
+            s = out.get(key, 0) + v
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+            key += move
+    return out
+
+
+def _coset_word(n, r):
+    """Divided-difference word for u = w0 * w0_block, applied left first.
+
+    u sends i -> n-1-i for i < r and shifts the tail down by r; sorting it
+    by adjacent swaps, one descent at a time, spells out a reduced word.
+    """
+    w = list(range(n - 1, n - 1 - r, -1)) + list(range(n - r))
+    word = []
+    moved = True
+    while moved:
+        moved = False
+        for i in range(n - 1):
+            if w[i] > w[i + 1]:
+                word.append(i)
+                w[i], w[i + 1] = w[i + 1], w[i]
+                moved = True
+                break
+    return word
+
+
+def gq_oracle_divided(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
+    """gq_oracle by the divided differences of the same symmetrization.
+
+    A(f)/V is the divided difference d_{w0}, and d_{w0} = d_u d_{w0,B} with
+    u = w0 * w0_B and d_{w0,B}(P0 V_B) = (n-r)! P0, so GQ_lambda = d_u(P0):
+    len(u) steps of one pass each.  P0 is built with two products per pair,
+    (x_i + x_j + b x_i x_j) and then (1 + b x_j), under the same b cap as
+    the library's, so neither the bialternant pass nor the expanded pair
+    factor is shared with it.
+    """
+    lam = check_partition(lam, strict=True)
+    trunc = nvars if trunc is None else trunc
+    r = len(lam)
+    if r > nvars or sum(lam) > trunc:
+        return FinitePoly.zero(nvars)
+    word = _coset_word(nvars, r)
+    _check_fits(min(trunc + len(word), _p0_degree(lam, nvars)))
+    bcap = trunc - sum(lam)
+    poly = {0: 1}
+    for i, part in enumerate(lam):
+        poly = _mul(poly, _bracket_power(nvars, i, part), nvars, bcap)
+    for i in range(r):
+        for j in range(i + 1, nvars):
+            poly = _mul(poly, _oplus(nvars, i, j), nvars, bcap)
+            poly = _mul(poly, _one_plus_beta(nvars, j), nvars, bcap)
+    for i in word:
+        poly = _divided_difference(poly, i)
+    return _to_finite(poly, nvars)
+
 
 def _add_into(acc, term):
     for k, c in term.items():
@@ -910,7 +1032,8 @@ def _pair_difference(n, c, d):
 def gq_oracle_literal(lam, nvars: int):
     """The defining factorial symmetrization, workable for nvars <= 4.
 
-    Independent of the divided-difference route; used to referee the referee.
+    Independent of the bialternant pass and of the divided differences;
+    used to referee both.
     """
     lam = check_partition(lam, strict=True)
     r = len(lam)
@@ -924,7 +1047,7 @@ def gq_oracle_literal(lam, nvars: int):
     cap = 1 << 30
     total = {}
     for w in permutations(range(nvars)):
-        term = _one(nvars)
+        term = {0: 1}
         for i in range(r):
             term = _mul(term, _bracket_power(nvars, w[i], lam[i]), nvars, cap)
         sign = 1

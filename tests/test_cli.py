@@ -7,6 +7,7 @@ def test_verify_reports_agreement(capsys):
     assert cli.main(["verify", "2,1", "-n", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["lambda"] == [2, 1] and report["n"] == 4
+    assert report["D"] == 4 and report["coordinates"] == "power-sum"
     assert report["oracle_terms"] > 0
     assert report["routes"] == {
         "gq_pfaffian_1": True, "gq_pfaffian_2": True, "gq_fermionic": True}

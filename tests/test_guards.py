@@ -48,6 +48,26 @@ def test_library_imports_are_used():
     assert not found, found
 
 
+def test_oracle_stays_independent():
+    # the oracle referees every route, so it may not borrow their machinery:
+    # from the package it reads FinitePoly and the partition helpers only
+    path = Path(kq.__file__).parent / "oracle.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "kq"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "kq":
+                continue
+            names = {alias.name for alias in node.names}
+            local = module.removeprefix("kq.") if node.level == 0 else module
+            if local == "partitions" or (local == "finitevars" and names == {"FinitePoly"}):
+                continue
+            found.append(f"{'.' * node.level}{module}: {sorted(names)}")
+    assert not found, found
+
+
 def test_trusted_constructors_stay_in_their_module():
     # a _trusted constructor skips the checks of __init__, so only the
     # module that defines it may call it, on values its own code built

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from kq.finitevars import FinitePoly, eval_finite
 from kq.hexpansion import classical_q
-from kq.oracle import _MASK, _W, _divided_difference, _mono, _mul, gq_oracle
+from kq.oracle import _MASK, _W, _kostka, _mul, gq_oracle
+from kq.partitions import partitions_of
 from kq.scalars import BETA, ZERO
-from referees import (_add_into, _divide_pair, _pair_difference, at_b, gq_oracle_literal,
-                      scalar_terms)
+from referees import (_add_into, _divide_pair, _divided_difference, _mono, _pair_difference,
+                      at_b, gq_oracle_divided, gq_oracle_literal, scalar_terms,
+                      strict_partitions_upto)
 
 FULL = 10**6
 
@@ -46,10 +49,27 @@ def test_more_rows_than_variables_vanishes():
 
 @pytest.mark.parametrize("lam", [(1,), (2,), (2, 1), (3, 1), (3, 2, 1)])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_divided_differences_match_literal(lam, n):
+def test_oracle_matches_literal(lam, n):
     if len(lam) > n:
         return
     assert gq_oracle(lam, n, trunc=FULL) == gq_oracle_literal(lam, n)
+
+
+@pytest.mark.parametrize("lam", [(1,), (2,), (2, 1), (3, 1), (3, 2, 1)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_divided_differences_match_literal(lam, n):
+    # the referee of the bialternant pass is itself checked against the
+    # defining symmetrization
+    if len(lam) > n:
+        return
+    assert gq_oracle_divided(lam, n, trunc=FULL) == gq_oracle_literal(lam, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bialternant_matches_divided_differences(n):
+    for lam in strict_partitions_upto(6):
+        for t in (n, n + 2):
+            assert gq_oracle(lam, n, t) == gq_oracle_divided(lam, n, t), (lam, t)
 
 
 def test_truncation_is_exact_prefix():
@@ -104,6 +124,78 @@ def test_divided_difference_kernel(case, data):
         assert quotient == _divide_pair(minus_swapped(f, j), j, j + 1)
         assert dd(quotient, j) == {}
     assert dd(dd(dd(f, i), i + 1), i) == dd(dd(dd(f, i + 1), i), i + 1)
+
+
+def all_partitions(bound):
+    return [p for w in range(bound + 1) for p in partitions_of(w)]
+
+
+def dominates(nu, mu):
+    """nu_1 + .. + nu_i >= mu_1 + .. + mu_i for every i."""
+    a = b = 0
+    for i in range(max(len(nu), len(mu))):
+        a += nu[i] if i < len(nu) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
+
+
+def hook_count(nu):
+    """f^nu, the standard tableaux of shape nu, by the hook-length formula."""
+    conj = [sum(1 for p in nu if p > j) for j in range(nu[0])] if nu else []
+    hooks = 1
+    for i, row in enumerate(nu):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return factorial(sum(nu)) // hooks
+
+
+def test_kostka_diagonal_is_one():
+    for nu in all_partitions(8):
+        assert _kostka(nu, nu) == 1
+
+
+def test_kostka_vanishes_off_dominance():
+    for w in range(8):
+        for nu in partitions_of(w):
+            for mu in partitions_of(w):
+                assert bool(_kostka(nu, mu)) == dominates(nu, mu), (nu, mu)
+
+
+def test_kostka_of_ones_counts_standard_tableaux():
+    for nu in all_partitions(8):
+        assert _kostka(nu, (1,) * sum(nu)) == hook_count(nu)
+
+
+def test_kostka_ignores_the_order_of_the_content():
+    for w in range(6):
+        for mu in partitions_of(w):
+            orders = set(permutations(mu + (0,)))
+            for nu in partitions_of(w):
+                assert {_kostka(nu, order) for order in orders} == {_kostka(nu, mu)}
+
+
+@given(st.integers(1, 4), st.lists(st.integers(0, 5), min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_kostka_expands_the_bialternant(n, parts):
+    # sum_mu K_{nu mu} m_mu(x_1..x_n) = A(x^{nu + delta}) / V, with the
+    # division by each x_c - x_d done exactly by the referee
+    nu = tuple(p for p in sorted(parts[:n], reverse=True) if p)
+    alpha = [p + n - 1 - i for i, p in enumerate(nu + (0,) * (n - len(nu)))]
+    quotient = {}
+    for w in permutations(range(n)):
+        odd = sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n)) % 2
+        _add_into(quotient, {_mono(n, 0, [alpha[w[i]] for i in range(n)]): -1 if odd else 1})
+    for c in range(n):
+        for d in range(c + 1, n):
+            quotient = _divide_pair(quotient, c, d)
+    schur = {}
+    for mu in partitions_of(sum(nu)):
+        if len(mu) <= n and _kostka(nu, mu):
+            for exps in set(permutations(mu + (0,) * (n - len(mu)))):
+                schur[_mono(n, 0, exps)] = _kostka(nu, mu)
+    assert quotient == schur
 
 
 @pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 2), (4, 1)])

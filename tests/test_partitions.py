@@ -75,6 +75,15 @@ def test_counts():
             assert all(a > b for a, b in zip(p, p[1:])) and sum(p) == n
 
 
+def test_bounded_partitions_are_a_filter_of_all():
+    for n in range(10):
+        for top in range(n + 2):
+            for rows in range(n + 2):
+                want = tuple(p for p in pt.partitions_of(n)
+                             if len(p) <= rows and (not p or p[0] <= top))
+                assert pt.partitions_of(n, top, rows) == want, (n, top, rows)
+
+
 def test_strict_upto_matches_acceptance_inventory():
     inventory = list(strict_partitions_upto(6))
     assert len(inventory) == 14
