@@ -29,7 +29,7 @@ from types import MappingProxyType
 from . import fock
 from .bases import _coordinates
 from .hexpansion import vacuum_expectation
-from .laurent import g_table
+from .laurent import contract, g_table
 from .partitions import (check_degree_bound, check_strict_weight, row_count,
                          sub_strict_partitions, z_lambda)
 from .pfaffian import padded_pfaffian
@@ -101,17 +101,19 @@ def _g_entry(i, j, r, li, lj, degree_bound):
     g_table(i, j, r).
 
     lj is None in the padding column, which contracts q^[b]_{li-p} against
-    the univariate table.  The window (li, lj) keeps both indices >= 0,
-    and they reach li + lj: the row of q^[b] runs to max(D, li + lj),
-    truncated past D, which is the routes' own row unless li + lj > D.
+    the univariate table.  Otherwise laurent.contract runs row by row: one
+    product of q^[b]_{li-p} with its row's sum over q.  The window
+    (li, lj) keeps both indices >= 0, and they reach li + lj: the row of
+    q^[b] runs to max(D, li + lj), truncated past D, which is the routes'
+    own row unless li + lj > D.
     """
     D = degree_bound
     qb = _q_bracket_upto(max(D, li + (lj or 0)), D)
     if lj is None:
         return combination(((qb[li - p], p, c)
                             for p, c in g_table(i, j, r, (li, 0)).items()), D)
-    return combination(((qb[li - p] * qb[lj - q], p + q, c)
-                        for (p, q), c in g_table(i, j, r, (li, lj)).items()), D)
+    return contract(g_table(i, j, r, (li, lj)),
+                    lambda p: qb[li - p], lambda q: qb[lj - q], D)
 
 
 @lru_cache(maxsize=None)

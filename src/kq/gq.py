@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 from . import fock
 from .hexpansion import vacuum_expectation
-from .laurent import f_table
+from .laurent import contract, f_table
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination, exp_power_sums
@@ -122,19 +122,19 @@ def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
     f_table(i, j, r, r').
 
     lj is None in the padding column, which contracts GQ_{li+p} against
-    the univariate table.  The window p <= D - li (and q <= D - lj) is
-    exact because GQ_n is zero past the bound; tests re-run one entry with
-    a doubled window to confirm that.
+    the univariate table.  Otherwise laurent.contract runs row by row: one
+    product of GQ_{li+p} with its row's sum over q, none where GQ_{li+p}
+    is zero.  The window p <= D - li (and q <= D - lj) is exact because
+    GQ_n is zero past the bound; tests re-run one entry with a doubled
+    window to confirm that.
     """
     D = degree_bound
     get = gq_series(D).coefficient
     if lj is None:
         tab = f_table(i, j, r, r_prime, (D - li, 0))
         return combination(((get(li + p), p, c) for p, c in tab.items()), D)
-    tab = f_table(i, j, r, r_prime, (D - li, D - lj))
-    # GQ_{lj+q} is not looked up, nor the product taken, when GQ_{li+p} is zero
-    return combination(((gi * gj, p + q, c) for (p, q), c in tab.items()
-                        if (gi := get(li + p)) and (gj := get(lj + q))), D)
+    return contract(f_table(i, j, r, r_prime, (D - li, D - lj)),
+                    lambda p: get(li + p), lambda q: get(lj + q), D)
 
 
 @lru_cache(maxsize=None)

@@ -7,27 +7,34 @@ and _kernel_entries the only table built from it: the coefficients of the
 kernel times the prefactors (1+bz)^{-a} (1+bw)^{-c}.  g_table is that
 table; f_table is the same table at the complementary exponents with its
 keys transposed.  tests/referees.py cross-checks both against generic
-region-committed block expansions.
+region-committed block expansions, and _kernel_entries against a direct
+convolution.
 
-Every coefficient here is c*b^(p+q), c an int, so a table is a read-only
-mapping from (p, q), or p for the univariate padding column, to c; it is
-memoised and shared by every caller.  Entries do not depend on the window,
-so each exponent pair keeps one kernel table, at the widest window asked
-for, and every window is cut from it.
+Every coefficient of z^x w^y here is e b^(x+y) with e an int, so a
+table stores e.  Scaled so, dividing by 1+bz is the prefix recurrence
+e'(x, y) = e(x, y) - e'(x-1, y) along a row and dividing by 1+bw is
+e'(x, y) = e(x, y) - e'(x, y-1) down a column: a table is a + c passes
+of int subtractions over the closed form.  A table is a read-only mapping
+from (p, q), or p for the univariate padding column, to e, memoised and
+shared by every caller.  Entries do not depend on the window, so each
+exponent pair keeps one kernel table, at the widest window asked for, and
+every window is cut from it.  contract sums a Pfaffian entry against a
+table, one series product per row.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
 
-from .scalars import binom_general
+from .pseries import combination
 
 # (a, c) -> (x_max, y_max, entries): the widest kernel table built so far
 _KERNEL_TABLES: dict = {}
 
 
-def _dual_kernel_rational(p: int, q: int):
+def _dual_kernel_rational(p: int, q: int) -> int:
     """[z^p w^q] of (z-w)/(z+w+bzw) expanded on |z| >> |w|, ascending in w,
     divided by b^{p+q}.
 
@@ -36,7 +43,7 @@ def _dual_kernel_rational(p: int, q: int):
     """
     if q < 0 or p > 0 or p < -q:
         return 0
-    c = binom_general(q, -p) + binom_general(q - 1, -p - 1)
+    c = comb(q, -p) + (comb(q - 1, -p - 1) if p else 0)
     return -c if q % 2 else c
 
 
@@ -45,27 +52,23 @@ def _kernel_entries(a: int, c: int, x_max: int, y_max: int) -> dict:
 
     Kernel region as in _dual_kernel_rational; the table covers
     0 <= y <= y_max, -y <= x <= x_max, the whole support there.  Entry
-    (x, y) is the int coefficient of b^{x+y}.
+    (x, y) is the int coefficient of b^{x+y}.  Row y holds x = -y..x_max
+    at list index x + y, starting from the closed form; a passes of
+    e(x, y) -= e(x-1, y) along each row divide by (1+bz)^a, then c passes
+    of e(x, y) -= e(x, y-1), from the top row down, divide by (1+bw)^c.
     """
-    entries = {}
-    for y in range(y_max + 1):
-        for x in range(-y, x_max + 1):
-            # z picks s from (1+bz)^{-a}, w picks l from (1+bw)^{-c}
-            total = 0
-            for s in range(max(0, x), x + y + 1):
-                cs = binom_general(-a, s)
-                if not cs:
-                    continue
-                for l in range(0, min(y, x + y - s) + 1):
-                    cl = binom_general(-c, l)
-                    if not cl:
-                        continue
-                    k = _dual_kernel_rational(x - s, y - l)
-                    if k:
-                        total += cs * cl * k
-            if total:
-                entries[(x, y)] = int(total)
-    return entries
+    rows = [[_dual_kernel_rational(x, y) for x in range(-y, x_max + 1)]
+            for y in range(y_max + 1)]
+    for row in rows:
+        for _ in range(a):
+            for k in range(1, len(row)):
+                row[k] -= row[k - 1]
+    for _ in range(c):
+        for above, row in zip(rows, rows[1:]):
+            # (x, y-1) sits at index k-1 of the row above
+            for k in range(1, len(row)):
+                row[k] -= above[k - 1]
+    return {(k - y, y): e for y, row in enumerate(rows) for k, e in enumerate(row) if e}
 
 
 def _kernel_table(a: int, c: int, windows) -> MappingProxyType:
@@ -82,15 +85,13 @@ def _kernel_table(a: int, c: int, windows) -> MappingProxyType:
                              if x <= x_max and y <= y_max})
 
 
-def _univariate(top: int, a) -> MappingProxyType:
-    """{p: C(a, p)}, the int coefficient of b^p, for 0 <= p <= top, zeros
-    left out."""
-    entries = {}
-    for p in range(top + 1):
-        c = binom_general(a, p)
-        if c:
-            entries[p] = int(c)
-    return MappingProxyType(entries)
+def _univariate(top: int, n: int) -> MappingProxyType:
+    """{p: C(-n, p)}, the int coefficient of b^p in (1+bz)^{-n}, n >= 0,
+    for 0 <= p <= top, zeros left out."""
+    if not n:
+        return MappingProxyType({0: 1})
+    return MappingProxyType({p: -comb(n + p - 1, p) if p % 2 else comb(n + p - 1, p)
+                             for p in range(top + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +110,7 @@ def f_table(i: int, j: int, r: int, r_prime: int, windows) -> MappingProxyType:
         raise ValueError("need 1 <= i < j <= r'")
     p_max, q_max = windows
     if j == r + 1:
-        return _univariate(p_max, i + 1 - r_prime)
+        return _univariate(p_max, r_prime - i - 1)
     table = _kernel_table(r_prime - j, r_prime - i, (q_max, p_max))
     return MappingProxyType({(p, q): c for (q, p), c in table.items()})
 
@@ -124,9 +125,26 @@ def g_table(i: int, j: int, r: int, windows) -> MappingProxyType:
     windows = (p_max, q_max); rows live on q >= 0, p+q >= 0, and entry
     (p, q) is the int coefficient of b^{p+q}.
     """
-    p_max, q_max = windows
-    if j == r + 1:
-        return _univariate(p_max, -i)
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
+    p_max, q_max = windows
+    if j == r + 1:
+        return _univariate(p_max, i)
     return _kernel_table(i, j, windows)
+
+
+def contract(table, left, right, degree_bound: int):
+    """sum of c b^(p+q) left(p) right(q) over the entries (p, q): c of a
+    two-variable table, left and right giving series at degree_bound.
+
+    The sum is bilinear, so it runs row by row: each row p whose left(p) is
+    nonzero takes one pseries.combination of its right(q), carrying the
+    whole b-power p+q (p alone may be negative), and one product with
+    left(p).  right is not called on a row whose left(p) is zero.
+    """
+    rows: dict = {}
+    for (p, q), c in table.items():
+        rows.setdefault(p, []).append((q, c))
+    return combination(
+        ((f * combination(((right(q), p + q, c) for q, c in row), degree_bound), 0, 1)
+         for p, row in rows.items() if (f := left(p))), degree_bound)

@@ -8,8 +8,9 @@ None of this is production code.  Each section names the library module it
 referees: the strict partitions up to a weight, which only tests list; the
 exponential of a series, and of a z-graded family of them (z_exp), term by
 term against the closed forms; the kernel (z-w)/(z+w+b)
-in a closed form of its own and generic Laurent blocks that cross-check
-the closed-form kernel tables, the oracle's symmetrization as a chain of
+in a closed form of its own, generic Laurent blocks that cross-check
+the closed-form kernel tables, and a direct convolution that checks their
+recurrences, the oracle's symmetrization as a chain of
 divided differences and literally, which check its bialternant pass, the
 Fock actions in Fractions, the ket actions, plain fermion modes
 and Wick's theorem, and the paper's theorems
@@ -122,6 +123,27 @@ def dual_kernel_coefficient(p: int, q: int) -> BetaScalar:
     """
     c = _dual_kernel_rational(p, q)
     return BetaScalar.beta_power(p + q, c) if c else ZERO
+
+
+def kernel_entries_by_convolution(a: int, c: int, x_max: int, y_max: int) -> dict:
+    """laurent._kernel_entries by direct convolution, in its table format.
+
+    z^x w^y of (1+bz)^{-a} (1+bw)^{-c} (z-w)/(z+w+bzw): z takes s from
+    (1+bz)^{-a}, w takes l from (1+bw)^{-c}, and the kernel's closed form
+    the rest, for every split of (x, y).  Quartic in the window, where the
+    library runs a + c first-order recurrences.
+    """
+    za = [int(binom_general(-a, s)) for s in range(x_max + y_max + 1)]
+    wc = [int(binom_general(-c, l)) for l in range(y_max + 1)]
+    entries = {}
+    for y in range(y_max + 1):
+        for x in range(-y, x_max + 1):
+            total = sum(za[s] * wc[l] * _dual_kernel_rational(x - s, y - l)
+                        for s in range(max(0, x), x + y + 1)
+                        for l in range(min(y, x + y - s) + 1))
+            if total:
+                entries[(x, y)] = total
+    return entries
 
 
 # -- evaluation at a value of b --------------------------------------------

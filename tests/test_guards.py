@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import kq
-from kq import dualq, fock, gq
+from kq import dualq, fock, gq, laurent
 from kq.finitevars import from_finite
 from kq.gq import GQSeries, gq_pfaffian_1
 from kq.oracle import gq_oracle
@@ -278,6 +278,34 @@ def test_formula_two_computes_no_zero_weighted_value(monkeypatch):
         route = gq.gq_pfaffian_2 if module is gq else dualq.o_pfaffian_2
         assert route(lam, 7) == original(*lam, 7)
         assert calls == [(*lam, 7)]
+
+
+def test_pfaffian_entries_take_one_product_per_row(monkeypatch):
+    # pins the row contraction of laurent.contract: an entry takes one
+    # series product per row p of its table whose left factor is nonzero,
+    # not one per (p, q) cell.  At (3, 1), D = 8 the f-table has 21 cells
+    # in 6 rows and the g-table 9 cells in 5 rows.
+    D = 8
+    products = []
+    original = PSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, PSeries):
+            products.append(other)
+        return original(self, other)
+
+    cases = ((gq.gq_two_index, laurent.f_table(1, 2, 2, 2, (D - 3, D - 1)),
+              lambda p: gq.gq_series(D).coefficient(3 + p)),
+             (dualq.o_two_index, laurent.g_table(1, 2, 2, (3, 1)),
+              lambda p: dualq._q_bracket_upto(D, D)[3 - p]))
+    for route, table, left in cases:
+        want = route(3, 1, D)  # warms the series and the tables
+        products.clear()
+        monkeypatch.setattr(PSeries, "__mul__", counted)
+        assert route.__wrapped__(3, 1, D) == want
+        monkeypatch.setattr(PSeries, "__mul__", original)
+        rows = {p for p, q in table if left(p)}
+        assert len(products) == len(rows) < len(table), (route, len(products))
 
 
 def _literal(path, name):

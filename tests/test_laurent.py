@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from kq import laurent
 from kq.laurent import (_KERNEL_TABLES, _dual_kernel_rational, _kernel_entries, _kernel_table,
-                        f_table, g_table)
+                        _univariate, f_table, g_table)
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     LaurentBlock,
@@ -14,6 +15,7 @@ from referees import (
     dual_kernel_coefficient,
     dual_two_point_kernel,
     kernel_coefficient,
+    kernel_entries_by_convolution,
     two_point_kernel,
 )
 
@@ -257,6 +259,38 @@ def test_windows_are_cut_from_one_table_per_exponent_pair():
     assert x_top >= 7 and y_top >= 6
 
 
+KERNEL_WINDOWS = ((0, 0), (3, 5), (7, 7), (12, 12))
+
+
+@pytest.mark.parametrize("a", range(9))
+def test_kernel_recurrences_match_convolution(a):
+    # a + c first-order passes against the quartic convolution of the
+    # closed form with both binomial series
+    for c in range(9):
+        for windows in KERNEL_WINDOWS:
+            assert _kernel_entries(a, c, *windows) == kernel_entries_by_convolution(a, c, *windows)
+
+
+def test_widened_kernel_table_matches_convolution(monkeypatch):
+    # a narrow window builds the cached table, a wider one rebuilds it at
+    # the union; each cut holds what the convolution holds at its window
+    monkeypatch.setattr(laurent, "_KERNEL_TABLES", {})
+    narrow, wide = (2, 3), (9, 6)
+    for windows in (narrow, wide, narrow):
+        assert dict(_kernel_table(3, 4, windows)) == kernel_entries_by_convolution(3, 4, *windows)
+    assert laurent._KERNEL_TABLES[(3, 4)][:2] == wide
+
+
+def test_tables_hold_ints():
+    # the b-scaling keeps every entry an int, padding columns included
+    tables = [_univariate(6, n) for n in range(5)]
+    for rp in (2, 4, 6):
+        for i, j in combinations(range(1, rp + 1), 2):
+            tables += [f_table(i, j, rp, rp, (5, 4)), f_table(i, j, rp - 1, rp, (5, 4)),
+                       g_table(i, j, rp, (4, 5)), g_table(i, j, j - 1, (4, 5))]
+    assert all(type(v) is int for t in tables for v in t.values())
+
+
 # ---------------------------------------------------------------- g-table
 
 def test_g_table_spot_values():
@@ -273,6 +307,12 @@ def test_g_table_padding_column():
     t = g_table(2, 4, 3, (5, 0))
     for p in range(6):
         assert value(t, p) == B(p, (-1) ** p * (p + 1))   # (1+bz)^(-2)
+
+
+def test_g_table_checks_indices_before_the_padding_column():
+    for i in (3, 0):
+        with pytest.raises(ValueError):
+            g_table(i, 3, 2, (4, 0))
 
 
 def test_g_table_beta_zero_is_classical():
