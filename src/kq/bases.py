@@ -1,7 +1,5 @@
-"""Generator families: q_n, and the two deformed power-sum bases.
+"""The two deformed power-sum bases, and coordinates in them.
 
-The q_n are the one-row Schur Q-functions, generated by
-    sum q_n z^n = exp(2 sum_{n odd} p_n z^n / n).
 The deformed bases are images of the power sums under the two substitutions
 that control the K-theoretic family and its dual:
     paren:   p_n evaluated on x_i/(1 + (b/2) x_i)   (infinite upward tail)
@@ -10,15 +8,16 @@ Both are unitriangular over the p basis, one from below, one from above,
 which is what makes exact basis conversion possible degree by degree.
 
 Memoised here: the image of each deformed p_lambda, per (flavor, lambda,
-bound), in process-wide tables; and the coordinates to_deformed_basis
-computes, on the series they describe (its private _deformed slot, one
-entry per flavor), so they live exactly as long as that series object.
-The memo relies on series never being mutated after construction.
+bound), in process-wide tables; and the coordinates _coordinates computes,
+on the series they describe (its private _deformed slot, one entry per
+flavor), so they live exactly as long as that series object.  The memo
+relies on series never being mutated after construction.
 
 Coordinates are kept as a PSeries whose coefficients are the coordinates,
 so its numerators stand on the images of p_lambda / z_lambda, and a sum of
-images is one pseries.combination.  to_deformed_basis hands them out as
-{lambda: BetaScalar}; the pairing reads the numerators of the memo.
+images is one pseries.combination.  The pairing (dualq.bilinear_pair) reads
+the numerators of the memo, and the Fock exit (hexpansion) deforms its
+classical coordinates with one _image_sum.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import z_lambda
-from .pseries import PSeries, combination, exp_power_sums
-from .scalars import BetaScalar, _monomials, binom_general
+from .pseries import PSeries, combination
+from .scalars import binom_general
 
 FLAVORS = ("paren", "bracket")
 
@@ -37,13 +36,6 @@ def check_flavor(flavor):
     """Raise ValueError unless flavor names one of the deformed bases."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
-
-
-def q_series(degree_bound: int) -> list[PSeries]:
-    """[q_0, q_1, ..., q_bound], each exact (they are homogeneous): the
-    exponential of sum_n c_n p_n / n with c_n = 2 z^n for odd n."""
-    logs = {n: {(n, 0): 2} for n in range(1, degree_bound + 1, 2)}
-    return exp_power_sums(logs, degree_bound, degree_bound)
 
 
 def p_beta(n: int, degree_bound: int) -> PSeries:
@@ -93,29 +85,6 @@ def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
     check_flavor(flavor)
     return combination(((_image_partition(flavor, key, degree_bound), k, Fraction(c, den))
                         for (key, k), c in flat.items()), degree_bound)
-
-
-def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
-    """sum coeffs[lambda] * (deformed p_lambda), as an ordinary PSeries.
-
-    coeffs maps partitions to int, Fraction or BetaScalar values.
-    """
-    flat = {(tuple(key), k): c * z_lambda(tuple(key))
-            for key, val in coeffs.items() for k, c in _monomials(val)}
-    return _image_sum(flat, 1, flavor, degree_bound)
-
-
-def to_deformed_basis(f: PSeries, flavor: str) -> dict[tuple[int, ...], BetaScalar]:
-    """Coordinates of f in the deformed power-sum basis of the given flavor.
-
-    Exact modulo the degree bound: paren images only feed upward in degree
-    and bracket images only feed downward, so one sweep in the right
-    direction eliminates everything.  The first call per flavor stores the
-    coordinates on f; every call returns a fresh dict {lambda: BetaScalar},
-    in graded order, that the caller may keep or change.  A conversion that
-    raises stores nothing.
-    """
-    return dict(_coordinates(f, flavor).sorted_items())
 
 
 def _coordinates(f: PSeries, flavor: str) -> PSeries:

@@ -1,12 +1,13 @@
 """Bridge between power-sum series and honest polynomials in x_1..x_n.
 
-eval_finite substitutes p_k -> x_1^k + ... + x_n^k.  from_finite inverts it
-with one pass over the terms and a triangular solve.  The pass checks
-symmetry and reads each class's m-coordinate off its dominant monomial
-x^lam.  The solve uses that x^lam occurs in p_mu only when lam coarsens mu,
-with coefficient prod m_i(mu)! at lam = mu and an integer that does not
-depend on n otherwise (Macdonald, Symmetric Functions and Hall Polynomials,
-I.6).
+from_finite reads a symmetric polynomial back into power sums, inverting
+the substitution p_k -> x_1^k + ... + x_n^k (eval_finite, which only the
+tests need and tests/referees.py keeps), with one pass over the terms and a
+triangular solve.  The pass checks symmetry and reads each class's
+m-coordinate off its dominant monomial x^lam.  The solve uses that x^lam
+occurs in p_mu only when lam coarsens mu, with coefficient prod m_i(mu)!
+at lam = mu and an integer that does not depend on n otherwise (Macdonald,
+Symmetric Functions and Hall Polynomials, I.6).
 
 A FinitePoly keeps one Fraction per (exponent tuple, power of b); a PSeries
 keeps an int per (partition, power of b).  Symmetry and the solve hold one
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .partitions import check_degree_bound, multiplicities, partitions_upto, z_lambda
+from .partitions import check_degree_bound, multiplicities, partitions_upto
 from .pseries import PSeries
 from .scalars import BetaScalar, _from_monomials, _grouped, _monomials
 
@@ -62,10 +63,6 @@ class FinitePoly:
     @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -141,36 +138,6 @@ class FinitePoly:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-def power_sum_poly(k: int, nvars: int) -> FinitePoly:
-    if k < 1:
-        raise ValueError("power sums are indexed by positive integers")
-    terms = {}
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = k
-        terms[tuple(e)] = 1
-    return FinitePoly(nvars, terms)
-
-
-@lru_cache(maxsize=None)
-def _partition_power_poly(lam: tuple[int, ...], nvars: int) -> FinitePoly:
-    # prefix recursion so (2,1,1) reuses the poly cached for (2,1)
-    if not lam:
-        return FinitePoly.constant(nvars, 1)
-    return _partition_power_poly(lam[:-1], nvars) * power_sum_poly(lam[-1], nvars)
-
-
-def eval_finite(f: PSeries, nvars: int) -> FinitePoly:
-    """Substitute each p_k by the k-th power sum in nvars variables."""
-    out: dict = {}
-    for (key, k), n in f.terms.items():
-        c = Fraction(n, f.den * z_lambda(key))
-        for (exps, e), v in _partition_power_poly(key, nvars).terms.items():
-            got = (exps, e + k)
-            out[got] = out.get(got, 0) + v * c
-    return FinitePoly._from_flat(nvars, out)
 
 
 def _class_of(exps) -> tuple[int, ...]:

@@ -25,8 +25,9 @@ truncate exactly by grading: a bra word of grade s is killed by any phi_m
 with s + m > 0.  On kets phi^(beta)_n and e^Theta raise the grade without
 bound, so the bra sides of their ket actions drop every word below a grade
 floor -top that the caller picks, input words included.  Heisenberg
-generators b_m enter only through Theta and theta, which use odd m; b_0 is
-not normal-ordered and never built.
+generators b_m enter through Theta and theta and through the vacuum rows
+<0| prod 2 b_m of hexpansion, all with odd m; b_0 is not normal-ordered and
+never built.
 
 States are flat and integral, as series are (module pseries): a FockState
 maps (word, k) to the nonzero int n of the term (n / den) b^k word, over one
@@ -175,12 +176,6 @@ def _phi_beta(state, n, sign, scale):
     d, modes = _phi_beta_modes(n, -_lowest_grade(state), sign, scale)
     # a word of grade g meets the modes m <= -g; for n < 0 that is all of them
     return _act(state, _bra_insert, lambda g: modes[:max(0, 1 - g - n)], d)
-
-
-def bra_apply_phi_beta(state: FockState, n: int, sign: int = 1) -> FockState:
-    """Right action of phi^(beta)_n (or phi^(-beta)_n with sign=-1)."""
-    _check_sign(sign)
-    return _phi_beta(state, n, sign, 1)
 
 
 def bra_apply_phihat_star(state: FockState, n: int) -> FockState:

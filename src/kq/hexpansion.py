@@ -1,82 +1,58 @@
-"""The vacuum row <0|e^H in the padded fermion basis, in closed form.
+"""The vacuum row <0|e^H, as one int row per partition into odd parts.
 
 H is the half-boson Hamiltonian 2 sum_{n>=1} (p_n/n) b_n^flavor built from
 either deformed family; reorganized over plain generators it reads
-2 sum_{k odd} (p_k^flavor / k) b_k, so <0|e^H only involves even-length
-words and the coefficient of the word dual to a strict partition mu is a
-classical Schur Q-function evaluated at the deformed power sums:
+sum_{k odd} (p_k^flavor / k) 2 b_k.  The odd b_k commute, so the
+exponential has the closed form of Macdonald, Symmetric Functions and Hall
+Polynomials, I (2.14), as pseries.exp_power_sums uses it:
 
-    <0|e^H = sum_mu (-1)^{|mu|} 2^{-l(mu)} Q_mu(p^flavor) <word(mu)|
+    <0|e^H = sum_nu p~_nu^flavor R_nu,    R_nu = <0| prod_i 2 b_(nu_i),
 
-with word(mu) the reversed negated padding of mu.  Pairing a ket against
-this row is a finite weight lookup: both fermionic routes leave Fock space
-there and only there, as one pseries.combination of the Q_mu(p^flavor)
-over the state's int numerators, divided once by its den.
+over the partitions nu into odd parts, p~_nu^flavor the image of p_nu/z_nu
+(bases._image_partition).  Each row R_nu is an int bra state, built from
+the row of nu without its last part by one action of fock._bra_word_b.
+Its entry at the word dual to a strict partition mu (the reversed negated
+padding of mu) is [p~_nu] (-1)^{|mu|} 2^{-l(mu)} Q_mu, so only even words
+pair, and the ket of mu pairs to the classical Q_mu once weighted by
+(-1)^{|mu|} 2^{l(mu)}.
 
-Memoised for the life of the process: the q_n row and Q_mu per bound, and
-Q_mu(p^flavor) per (mu, flavor, bound).  Every caller gets the same series
-objects, so none may mutate them; the q_n row is a tuple.
+vacuum_expectation pairs a ket against the rows in ints, collects the
+classical coordinates {(nu, k): c} over the ket's den, and deforms them
+once (bases._image_sum).  Paren images only feed upward, so rows up to the
+bound suffice.  Bracket images push weight down, so a ket word heavier than
+the bound still reaches it: rows and image are taken at the heaviest even
+word and then truncated.
+
+Memoised for the life of the process: the rows per bound, keyed by bra
+word, each word mapped to its (nu, entry) pairs.  Every caller gets the
+same read-only mapping.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .bases import _image_sum, check_flavor, q_series
-from .partitions import check_degree_bound, check_partition
-from .pfaffian import padded_pfaffian
-from .pseries import PSeries, combination
-
-
-@lru_cache(maxsize=None)
-def _q_row(degree_bound: int):
-    return tuple(q_series(degree_bound))
+from .bases import _image_sum, check_flavor
+from .fock import _act, _bra_word_b, vacuum
+from .partitions import check_degree_bound, partitions_upto
+from .pseries import PSeries
 
 
 @lru_cache(maxsize=None)
-def two_row_q(a: int, b: int, degree_bound: int) -> PSeries:
-    """Classical Q_{(a,b)} in the power-sum basis, for a > b >= 0."""
-    if not a > b >= 0:
-        raise ValueError("two-row entries need a > b >= 0")
-    q = _q_row(degree_bound)
-    # Q_(a,b) = q_a q_b + 2 sum_(i>=1) (-1)^i q_(a+i) q_(b-i), q_n = 0 past the bound
-    return combination(((q[a + i] * q[b - i], 0, (-2 if i % 2 else 2) if i else 1)
-                        for i in range(min(b, degree_bound - a) + 1)), degree_bound)
-
-
-@lru_cache(maxsize=None)
-def classical_q(mu, degree_bound: int) -> PSeries:
-    """Schur Q_mu in the power-sum basis via the two-row Pfaffian."""
-    mu = check_partition(mu, strict=True)
-    return padded_pfaffian(
-        mu, PSeries.one(degree_bound),
-        lambda i, j, li, lj: two_row_q(li, lj or 0, degree_bound))
-
-
-def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
-    """Q_mu with every power sum replaced by its deformed image.
-
-    Bracket images push weight downward, so the substitution must run at
-    degree max(bound, |mu|) before truncating; paren images only feed
-    upward and need no widening.
-    """
-    return _deformed_q(check_partition(mu, strict=True), flavor,
-                       check_degree_bound(degree_bound))
-
-
-@lru_cache(maxsize=None)
-def _deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
-    inner = degree_bound
-    if flavor == "bracket":
-        inner = max(degree_bound, sum(mu))
-    q = classical_q(mu, inner)
-    image = _image_sum(q.terms, q.den, flavor, inner)
-    return image.truncate(degree_bound) if inner > degree_bound else image
-
-
-def _strip_padding(word):
-    return word[:-1] if word and word[-1] == 0 else word
+def _rows(bound: int):
+    """{bra word u: ((nu, R_nu at u), ...)} over the partitions nu into odd
+    parts of weight <= bound, every entry a nonzero int."""
+    states, rows = {(): vacuum()}, {}
+    for nu in partitions_upto(bound):
+        if any(part % 2 == 0 for part in nu):
+            continue
+        if nu:
+            twice_b = ((nu[-1], 0, 1),)
+            states[nu] = _act(states[nu[:-1]], _bra_word_b, lambda g: twice_b, 1)
+        for (word, _), r in states[nu].terms.items():
+            rows.setdefault(word, []).append((nu, r))
+    return MappingProxyType({word: tuple(entries) for word, entries in rows.items()})
 
 
 def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
@@ -86,10 +62,22 @@ def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
     contributes n b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding
     removed, and the sum is divided by the state's den once.  The flavor
     and the bound are checked first, so a ket with no even word cannot hide
-    a bad one.
+    a bad one; an even word with a negative mode is a bra word and raises.
     """
     check_flavor(flavor)
     degree_bound = check_degree_bound(degree_bound)
-    return combination(((deformed_q(_strip_padding(word), flavor, degree_bound), k, n)
-                        for (word, k), n in ket_state.terms.items() if len(word) % 2 == 0),
-                       degree_bound) * Fraction(1, ket_state.den)
+    even = [(word, k, n) for (word, k), n in ket_state.terms.items() if len(word) % 2 == 0]
+    bound = degree_bound
+    for word, _, _ in even:
+        if word and word[-1] < 0:
+            raise ValueError(f"{word} is a bra word, not a ket word")
+        if flavor == "bracket":
+            bound = max(bound, sum(word))
+    rows, coords = _rows(bound), {}
+    for word, k, n in even:
+        # the ket of mu against its dual bra: (-1)^{|mu|} 2^{l(mu)}, l without the padding
+        n = (-n if sum(word) % 2 else n) << len(word) - (0 in word)
+        for nu, r in rows.get(tuple(-m for m in reversed(word)), ()):
+            coords[(nu, k)] = coords.get((nu, k), 0) + n * r  # _image_sum skips zeros
+    image = _image_sum(coords, ket_state.den, flavor, bound)
+    return image.truncate(degree_bound) if bound > degree_bound else image

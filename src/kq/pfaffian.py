@@ -47,18 +47,20 @@ def padded_pfaffian(lam, one, entry):
 def pfaffian_from_upper(upper, one=1):
     """Pfaffian by expansion along the first remaining row, memoized.
 
-    INPUT:  upper -- {(i, j): entry} for 0 <= i < j; missing pairs are
-            zero, and the size is the largest index plus one, rounded up
-            to even (an odd size pads with a zero row).
+    INPUT:  upper -- {(i, j): entry} for ints 0 <= i < j; any other key
+            raises a ValueError that names it.  Missing pairs are zero,
+            and the size is the largest index plus one, rounded up to
+            even (an odd size pads with a zero row).
             one -- multiplicative unit of the entry ring, returned for the
             empty matrix.
     OUTPUT: ring element.
     """
     n = 0
-    for i, j in upper:
-        if not i < j:
-            raise ValueError("upper-triangle key with i >= j")
-        n = max(n, j + 1)
+    for key in upper:
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(type(i) is int for i in key) and 0 <= key[0] < key[1]):
+            raise ValueError(f"upper-triangle key {key!r} is not an int pair 0 <= i < j")
+        n = max(n, key[1] + 1)
     n = even_ceil(n)
     if n > MAX_SIZE:
         raise ValueError(f"matrix size {n} exceeds supported bound {MAX_SIZE}")

@@ -29,9 +29,9 @@ bound, and zero sums are dropped; combination too.  So their results are
 wrapped by the private PSeries._trusted, which skips the checks.
 
 A series is a value: terms must not be mutated after construction.  Shared
-tables (gq_series, the lru_cached generators, the Q_mu of hexpansion)
-hand the same object to every caller, and each series carries a private
-memo, the _deformed slot, that bases.to_deformed_basis fills with the
+tables (gq_series, the lru_cached generators, the deformed images of
+bases) hand the same object to every caller, and each series carries a
+private memo, the _deformed slot, that bases._coordinates fills with the
 series' deformed-basis coordinates per flavor.  The memo lives exactly as
 long as the series object; it is never part of == or hash, and only
 pseries and bases touch it.

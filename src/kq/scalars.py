@@ -18,7 +18,7 @@ sums c*b^e*f as (f, e, c) triples through pseries.combination.
 
 BetaScalar is the public scalar, and only a boundary type: constructor
 input, a coefficient once it leaves a series (coefficient, sorted_items,
-to_deformed_basis, the value of bilinear_pair), and BETA, ONE and ZERO.
+the value of bilinear_pair), and BETA, ONE and ZERO.
 The private helpers _monomials, _from_monomials and _grouped convert
 between BetaScalars and (b-power, Fraction) pairs: the only bridge.
 

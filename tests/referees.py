@@ -7,12 +7,16 @@ __init__.py, so pytest puts this directory on sys.path.
 None of this is production code.  Each section names the library module it
 referees: the strict partitions up to a weight, which only tests list; the
 exponential of a series, and of a z-graded family of them (z_exp), term by
-term against the closed forms; the kernel (z-w)/(z+w+b)
+term against the closed forms; Schur Q_mu by the two-row Pfaffian and its
+deformed images, which referee the vacuum rows of hexpansion, and
+coordinates in the deformed bases; the substitution of power sums in n
+variables that from_finite inverts (eval_finite); the kernel (z-w)/(z+w+b)
 in a closed form of its own, generic Laurent blocks that cross-check
 the closed-form kernel tables, and a direct convolution that checks their
 recurrences, the oracle's symmetrization as a chain of
 divided differences and literally, which check its bialternant pass, the
-Fock actions in Fractions, the ket actions, plain fermion modes
+Fock actions in Fractions and the int action of phi^(beta)_n that no
+route calls, the ket actions, plain fermion modes
 and Wick's theorem, and the paper's theorems
 (the cancellation properties, the Fock pairing, the closed form of
 <GQ_lambda, o_mu>) as executable checks.
@@ -27,14 +31,15 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from kq import fock
-from kq.finitevars import FinitePoly, eval_finite
+from kq.bases import _coordinates, _image_sum
+from kq.finitevars import FinitePoly
 from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
 from kq.oracle import _MASK, _W, _bracket_power, _check_fits, _mul, _p0_degree
-from kq.partitions import check_partition, contains, row_count
+from kq.partitions import check_partition, contains, row_count, z_lambda
 from kq.pfaffian import padded_pfaffian
-from kq.pseries import PSeries
-from kq.scalars import BetaScalar, ONE, ZERO, binom_general
+from kq.pseries import PSeries, combination, exp_power_sums
+from kq.scalars import BetaScalar, ONE, ZERO, _monomials, binom_general
 
 
 # -- partitions: the strict partitions up to a weight, which only tests list --
@@ -208,6 +213,105 @@ def z_exp(parts):
             break
         out = [s + t for s, t in zip(out, term)]
     return out
+
+
+# -- bases and hexpansion: Schur Q by Pfaffian, and deformed coordinates -----
+#
+# The Fock exit reads Q_mu(p^flavor) off the vacuum rows <0| prod 2 b_nu of
+# hexpansion; here Q_mu comes from the one-row q_n and the two-row Pfaffian
+# instead, and its deformation from one image per mu, widened for bracket.
+
+def q_series(degree_bound: int) -> list[PSeries]:
+    """[q_0, q_1, ..., q_bound], each exact (they are homogeneous): the
+    exponential of sum_n c_n p_n / n with c_n = 2 z^n for odd n."""
+    logs = {n: {(n, 0): 2} for n in range(1, degree_bound + 1, 2)}
+    return exp_power_sums(logs, degree_bound, degree_bound)
+
+
+@lru_cache(maxsize=None)
+def _q_row(degree_bound: int):
+    return tuple(q_series(degree_bound))
+
+
+@lru_cache(maxsize=None)
+def two_row_q(a: int, b: int, degree_bound: int) -> PSeries:
+    """Classical Q_{(a,b)} in the power-sum basis, for a > b >= 0."""
+    if not a > b >= 0:
+        raise ValueError("two-row entries need a > b >= 0")
+    q = _q_row(degree_bound)
+    # Q_(a,b) = q_a q_b + 2 sum_(i>=1) (-1)^i q_(a+i) q_(b-i), q_n = 0 past the bound
+    return combination(((q[a + i] * q[b - i], 0, (-2 if i % 2 else 2) if i else 1)
+                        for i in range(min(b, degree_bound - a) + 1)), degree_bound)
+
+
+@lru_cache(maxsize=None)
+def classical_q(mu, degree_bound: int) -> PSeries:
+    """Schur Q_mu in the power-sum basis via the two-row Pfaffian."""
+    mu = check_partition(mu, strict=True)
+    return padded_pfaffian(
+        mu, PSeries.one(degree_bound),
+        lambda i, j, li, lj: two_row_q(li, lj or 0, degree_bound))
+
+
+def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
+    """Q_mu with every power sum replaced by its deformed image.
+
+    Bracket images push weight downward, so the substitution runs at degree
+    max(bound, |mu|) before truncating; paren images only feed upward.
+    """
+    mu = check_partition(mu, strict=True)
+    inner = max(degree_bound, sum(mu)) if flavor == "bracket" else degree_bound
+    q = classical_q(mu, inner)
+    image = _image_sum(q.terms, q.den, flavor, inner)
+    return image.truncate(degree_bound) if inner > degree_bound else image
+
+
+def to_deformed_basis(f: PSeries, flavor: str) -> dict:
+    """{lambda: BetaScalar} coordinates of f in the deformed power-sum basis
+    of the flavor, read off the memo the pairing keeps; a fresh dict."""
+    return dict(_coordinates(f, flavor).sorted_items())
+
+
+def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
+    """sum coeffs[lambda] * (deformed p_lambda), as an ordinary PSeries.
+
+    coeffs maps partitions to int, Fraction or BetaScalar values.
+    """
+    flat = {(tuple(key), k): c * z_lambda(tuple(key))
+            for key, val in coeffs.items() for k, c in _monomials(val)}
+    return _image_sum(flat, 1, flavor, degree_bound)
+
+
+# -- finitevars: the substitution that from_finite inverts --------------------
+
+def power_sum_poly(k: int, nvars: int) -> FinitePoly:
+    if k < 1:
+        raise ValueError("power sums are indexed by positive integers")
+    terms = {}
+    for i in range(nvars):
+        e = [0] * nvars
+        e[i] = k
+        terms[tuple(e)] = 1
+    return FinitePoly(nvars, terms)
+
+
+@lru_cache(maxsize=None)
+def _partition_power_poly(lam: tuple[int, ...], nvars: int) -> FinitePoly:
+    # prefix recursion so (2,1,1) reuses the poly cached for (2,1)
+    if not lam:
+        return FinitePoly(nvars, {(0,) * nvars: 1})
+    return _partition_power_poly(lam[:-1], nvars) * power_sum_poly(lam[-1], nvars)
+
+
+def eval_finite(f: PSeries, nvars: int) -> FinitePoly:
+    """Substitute each p_k by the k-th power sum in nvars variables."""
+    out: dict = {}
+    for (key, k), n in f.terms.items():
+        c = Fraction(n, f.den * z_lambda(key))
+        for (exps, e), v in _partition_power_poly(key, nvars).terms.items():
+            got = (exps, e + k)
+            out[got] = out.get(got, 0) + v * c
+    return FinitePoly._from_flat(nvars, out)
 
 
 # -- laurent: region-committed Laurent blocks --------------------------------
@@ -610,6 +714,13 @@ def _like(state, out):
     return fock.FockState(out) if isinstance(state, fock.FockState) else out
 
 
+def bra_apply_phi_beta(state, n, sign=1):
+    """The library's int right action of phi^(beta)_n (or phi^(-beta)_n with
+    sign=-1), which no route calls: the routes use its star forms."""
+    fock._check_sign(sign)
+    return fock._phi_beta(state, n, sign, 1)
+
+
 def ref_bra_apply_phi_beta(state, n, sign=1):
     return _like(state, _bra_apply(fraction_terms(state), _bra_insert,
                                    lambda g: _phi_beta_modes(n, -g, sign)))
@@ -809,7 +920,7 @@ def fock_pairing(mu, lam):
         state = fock.bra_apply_phihat_star(state, n)
         state = fock.bra_apply_theta_exp(state, sign=-1)
     for n in lam:
-        state = fock.bra_apply_phi_beta(state, n)
+        state = bra_apply_phi_beta(state, n)
         state = fock.bra_apply_theta_exp(state, sign=1)
     got = vacuum_part(state)
     if (len(mu) - len(lam)) % 2:

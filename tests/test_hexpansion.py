@@ -1,20 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from kq import fock
 from kq.bases import _image_part, p_beta
-from kq.hexpansion import (
-    _q_row,
-    classical_q,
-    deformed_q,
-    two_row_q,
-    vacuum_expectation,
-)
-from kq.partitions import z_lambda
+from kq.hexpansion import _rows, vacuum_expectation
+from kq.partitions import partitions_upto, z_lambda
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
-from referees import bra_apply_b, flat_terms, pair, strict_partitions_upto
+from referees import (bra_apply_b, classical_q, deformed_q, flat_terms, pair,
+                      strict_partitions_upto, two_row_q)
 
 D = 6
 
@@ -190,8 +186,69 @@ def test_bad_bounds_rejected(bound):
         vacuum_expectation(odd, "bracket", bound)
 
 
-def test_q_row_is_read_only():
-    # every two-row Q reads the one cached row of q_n
+def test_rows_are_read_only():
+    # every pairing at a bound reads the one cached table of rows
     with pytest.raises(TypeError):
-        _q_row(5)[1] = PSeries.zero(5)
-    assert _q_row(5)[1] == PSeries({(1,): 2}, 5)
+        _rows(5)[(0, -1)] = ()
+    assert _rows(5)[(0, -1)] == (((1,), -1),)
+    assert _rows(5)[(0, -3)] == (((3,), -1), ((1, 1, 1), -4))
+
+
+def test_rows_are_the_pfaffian_q():
+    # R_nu at the word of mu is [p~_nu] (-1)^{|mu|} 2^{-l(mu)} Q_mu, Q_mu by
+    # the two-row Pfaffian; and every word of a row is the word of some mu
+    bound = 10
+    rows = _rows(bound)
+    words = set()
+    for mu in strict_partitions_upto(bound):
+        padded = mu + (0,) if len(mu) % 2 else mu
+        word = tuple(-m for m in reversed(padded))
+        words.add(word)
+        got = dict(rows.get(word, ()))
+        q = classical_q(mu, bound)
+        scale = Fraction(-1 if sum(mu) % 2 else 1, 2 ** len(mu))
+        for nu in partitions_upto(bound):
+            want = q.coefficient(nu) * z_lambda(nu) * scale
+            assert BetaScalar(got.get(nu, 0)) == want, (mu, nu)
+    assert set(rows) <= words
+
+
+# heavier than the bound: bracket images push them down into it, paren
+# images cannot reach it; the values are those of one image per mu
+HEAVY = [
+    ({((5, 0), 2): 1}, 3,
+     PSeries({(1,): BETA ** 6 * Fraction(1, 8), (2,): BETA ** 5 * Fraction(1, 2),
+              (1, 1, 1): BETA ** 4, (3,): BETA ** 4}, 3)),
+    ({((4, 1), 2): 1}, 3,
+     PSeries({(1,): BETA ** 6 * Fraction(-1, 4), (2,): -BETA ** 5, (3,): BETA ** 4 * -2}, 3)),
+    ({((5, 2), 2): 1}, 4,
+     PSeries({(1,): BETA ** 8 * Fraction(1, 16), (2,): BETA ** 7 * Fraction(3, 8),
+              (1, 1, 1): BETA ** 6 * Fraction(-1, 4), (3,): BETA ** 6 * Fraction(5, 4),
+              (2, 1, 1): -BETA ** 5, (4,): BETA ** 5 * Fraction(5, 2)}, 4)),
+]
+
+
+@pytest.mark.parametrize("terms, bound, want", HEAVY)
+def test_bracket_reaches_down_from_heavy_words(terms, bound, want):
+    ket = fock.FockState(terms)
+    assert vacuum_expectation(ket, "bracket", bound) == want
+    assert vacuum_expectation(ket, "paren", bound).is_zero()
+
+
+def test_bracket_widening_mixes_with_light_words():
+    # one widened image serves every word of the ket, the light ones too
+    ket = fock.FockState({((5, 0), 2): 1, ((4, 1), 2): -2, ((2, 0), 0): Fraction(1, 3)})
+    light = PSeries({(1, 1): Fraction(2, 3)}, 3)
+    want = HEAVY[0][2] - HEAVY[1][2] * 2 + light
+    assert vacuum_expectation(ket, "bracket", 3) == want
+    assert vacuum_expectation(ket, "paren", 3) == PSeries(
+        {(1, 1): Fraction(2, 3), (2, 1): BETA * Fraction(-2, 3)}, 3)
+
+
+@pytest.mark.parametrize("flavor", ["paren", "bracket"])
+@pytest.mark.parametrize("word", [(0, -1), (-1, -2), (0, -3, -5, -6)])
+def test_bra_passed_as_ket_is_rejected(word, flavor):
+    # a bra word reversed and negated is a ket word with a row of its own,
+    # so only a check can keep the bra from pairing
+    with pytest.raises(ValueError, match=re.escape(str(word))):
+        vacuum_expectation(fock.FockState({(word, 0): 1}), flavor, 6)

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.finitevars import FinitePoly, eval_finite
-from kq.hexpansion import classical_q
+from kq.finitevars import FinitePoly
 from kq.oracle import _MASK, _W, _kostka, _mul, gq_oracle
 from kq.partitions import partitions_of
 from kq.scalars import BETA, ZERO
 from referees import (_add_into, _divide_pair, _divided_difference, _mono, _pair_difference,
-                      at_b, gq_oracle_divided, gq_oracle_literal, scalar_terms,
-                      strict_partitions_upto)
+                      at_b, classical_q, eval_finite, gq_oracle_divided, gq_oracle_literal,
+                      scalar_terms, strict_partitions_upto)
 
 FULL = 10**6
 

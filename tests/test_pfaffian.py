@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -160,3 +161,12 @@ def test_from_upper_pads_to_even():
     assert val == 3
     # 3 indices pad to 4; lone pair (0,2) pairs index 1 with the padding zero
     assert pfaffian_from_upper({(0, 2): Fraction(5)}) == 0
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1, 0), (2, 2), (0, 1.0), (True, 2),
+                                 (0, 1, 2), (0,), "01"])
+def test_bad_keys_are_named(key):
+    # a key the expansion would never read must not vanish silently:
+    # {(-1, 0): 5, (0, 1): 3} once gave 3
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        pfaffian_from_upper({key: Fraction(5), (0, 1): Fraction(3)})
