@@ -10,8 +10,8 @@ together with the bilinear pairing that makes the two families dual bases.
 
 Power-sum series store an int per (partition, power of b) on the basis
 p_lambda / z_lambda over one denominator, and Fock states an int per (word,
-power of b) over one denominator; finite polynomials store a Fraction per
-(key, power of b); sums of series go through pseries.combination.
+power of b) over one denominator; sums of series go through
+pseries.combination.
 BetaScalar, the public Q[b] scalar, is only what a coefficient becomes once
 it leaves them, and the type of BETA, ONE, ZERO.
 """

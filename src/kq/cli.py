@@ -5,8 +5,9 @@
 computes GQ_lambda in n variables with the symmetrization oracle, reads its
 power-sum coordinates back with from_finite at D = n, and compares them with
 the three other GQ routes at the same bound.  It prints one JSON line, which
-names the bound ("D") and the coordinates compared, and exits 0 only if
-every route agrees; bad input exits 2 with the error text.
+names the bound ("D"), the coordinates compared and the number of monomials
+of the oracle's polynomial ("oracle_terms"), and exits 0 only if every
+route agrees; bad input exits 2 with the error text.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .finitevars import from_finite
+from .finitevars import _orbit_size, from_finite
 from .gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
 from .oracle import gq_oracle
 from .partitions import check_strict_weight
@@ -38,7 +39,8 @@ def verify(lam, n: int) -> dict:
     want = from_finite(poly, n)
     routes = {name: route(lam, n) == want for name, route in ROUTES.items()}
     return {"lambda": list(lam), "n": n, "D": n, "coordinates": "power-sum",
-            "oracle_terms": len(poly.terms), "routes": routes,
+            "oracle_terms": sum(_orbit_size(mu, n) for mu, _ in poly.terms),
+            "routes": routes,
             "agree": all(routes.values())}
 
 

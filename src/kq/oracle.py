@@ -22,10 +22,11 @@ and Hall Polynomials, I.3): A(x^alpha)/V is zero when two exponents of
 alpha are equal, and otherwise sgn(w) s_nu, where w sorts alpha into
 decreasing order nu + delta, delta = (n-1, ..., 1, 0).  So one pass over P0
 gives GQ_lambda = sum_nu c_nu s_nu(x_1..x_n), c_nu in Z[b] the signed sum of
-P0's coefficients that land on nu.  The Schur polynomials become monomials
-through the Kostka numbers, s_nu = sum_mu K_{nu mu} m_mu (I.6), and K comes
-from removing the horizontal strip of the largest entry, one letter of the
-content at a time.
+P0's coefficients that land on nu.  The answer is read in monomial
+coordinates through the Kostka numbers, s_nu = sum_mu K_{nu mu} m_mu (I.6):
+a_mu = sum_nu c_nu K_{nu mu} for each partition mu with at most n parts,
+one value per orbit (finitevars.SymmetricPoly).  K comes from removing the
+horizontal strip of the largest entry, one letter of the content at a time.
 
 Truncation is decided once, on P0.  Dividing by V lowers the x-degree by
 n(n-1)/2 and x^{delta_B} raises it by (n-r)(n-r-1)/2, so s_nu has the
@@ -52,15 +53,15 @@ beta-degree exceeds the cap.  A carry only raises the beta field, which is
 read as everything above the x fields, so the beta check drops the term.
 
 This module is the package's independent referee: it never touches Fock
-space, power sums, kernels, or Pfaffians.
+space, power sums, kernels, or Pfaffians.  finitevars.from_finite reads its
+answer into power sums.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .finitevars import FinitePoly
+from .finitevars import SymmetricPoly
 from .partitions import check_degree_bound, check_partition, partitions_of
 
 # key layout, least significant first: x_0 .. x_{n-1}, then beta on top
@@ -167,17 +168,9 @@ def _kostka(nu, mu):
     return sum(_kostka(rho, mu[:-1]) for rho in _strips(nu, mu[-1]))
 
 
-@lru_cache(maxsize=None)
-def _orbit(parts):
-    """Every distinct rearrangement of a weakly decreasing tuple."""
-    if not parts:
-        return ((),)
-    return tuple((v,) + tail for i, v in enumerate(parts) if i == 0 or v != parts[i - 1]
-                 for tail in _orbit(parts[:i] + parts[i + 1:]))
-
-
-def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
-    """GQ_lambda(x_0..x_{nvars-1}), exact for total x-degree <= trunc.
+def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
+    """GQ_lambda(x_0..x_{nvars-1}) in monomial coordinates, exact for total
+    x-degree <= trunc.
 
     trunc defaults to nvars; both must be integers >= 0.  The result
     carries no terms above trunc.  Zero when the partition has more rows
@@ -188,7 +181,7 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
     trunc = nvars if trunc is None else check_degree_bound(trunc)
     r = len(lam)
     if r > nvars or sum(lam) > trunc:
-        return FinitePoly.zero(nvars)
+        return SymmetricPoly(nvars, {})
     drop = r * nvars - r * (r + 1) // 2  # x-degree lost from P0 to the output
     # the beta cap keeps P0 to x-degree <= trunc + drop, all that the
     # output's x-degree <= trunc part comes from
@@ -211,7 +204,5 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> FinitePoly:
         for mu in partitions_of(weight, top, nvars):
             a = sum(c * _kostka(nu, mu) for nu, c in schurs)
             if a:
-                value = Fraction(a)
-                for exps in _orbit(mu + (0,) * (nvars - len(mu))):
-                    terms[(exps, k)] = value
-    return FinitePoly._from_flat(nvars, terms)
+                terms[(mu, k)] = a
+    return SymmetricPoly(nvars, terms)

@@ -142,9 +142,6 @@ class PSeries:
         return _from_monomials((k, Fraction(n, scale))
                                for (mu, k), n in self.terms.items() if mu == key)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def top_degree(self) -> int | None:
         if not self.terms:
             return None

@@ -10,17 +10,16 @@ object computed here is a polynomial in b, and the only divisions are by
 nonzero rational constants.  Dividing by a scalar that depends on b, or
 raising one to a negative power, raises instead of leaving the ring.
 
-Series, Fock states and finite polynomials store no BetaScalar: they keep
-one number per (key, b-power), the term c*b^k*X under the key (X, k), an
-int over the series' denominator in a series and a Fraction otherwise, so
-a product or sum of two terms is one operation and an int add.  A route
+Series and Fock states store no BetaScalar: they keep one int per (key,
+b-power) over one denominator per object, the term (n/den)*b^k*X under the
+key (X, k), so a product or sum of two terms is an int operation.  A route
 sums c*b^e*f as (f, e, c) triples through pseries.combination.
 
 BetaScalar is the public scalar, and only a boundary type: constructor
 input, a coefficient once it leaves a series (coefficient, sorted_items,
 the value of bilinear_pair), and BETA, ONE and ZERO.
-The private helpers _monomials, _from_monomials and _grouped convert
-between BetaScalars and (b-power, Fraction) pairs: the only bridge.
+The private helpers _monomials and _from_monomials convert between
+BetaScalars and (b-power, Fraction) pairs: the only bridge.
 
 A BetaScalar is a dense coefficient tuple with no trailing zeros, so
 equality is structural and hashing is safe.
@@ -234,19 +233,6 @@ def _from_monomials(pairs) -> BetaScalar:
             dense.extend([_F0] * (k + 1 - len(dense)))
         dense[k] += c
     return BetaScalar._trusted(_trim(dense))
-
-
-def _grouped(flat) -> dict:
-    """{key: BetaScalar} from flat {(key, k): Fraction} terms, zeros dropped."""
-    pairs: dict = {}
-    for (key, k), c in flat.items():
-        pairs.setdefault(key, []).append((k, c))
-    out = {}
-    for key, got in pairs.items():
-        value = _from_monomials(got)
-        if value:
-            out[key] = value
-    return out
 
 
 @lru_cache(maxsize=None)

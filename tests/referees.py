@@ -6,20 +6,22 @@ __init__.py, so pytest puts this directory on sys.path.
 
 None of this is production code.  Each section names the library module it
 referees: the strict partitions up to a weight, which only tests list; the
-exponential of a series, and of a z-graded family of them (z_exp), term by
-term against the closed forms; Schur Q_mu by the two-row Pfaffian and its
-deformed images, which referee the vacuum rows of hexpansion, and
-coordinates in the deformed bases; the substitution of power sums in n
-variables that from_finite inverts (eval_finite); the kernel (z-w)/(z+w+b)
-in a closed form of its own, generic Laurent blocks that cross-check
-the closed-form kernel tables, and a direct convolution that checks their
-recurrences, the oracle's symmetrization as a chain of
-divided differences and literally, which check its bialternant pass, the
-Fock actions in Fractions and the int action of phi^(beta)_n that no
-route calls, the ket actions, plain fermion modes
-and Wick's theorem, and the paper's theorems
-(the cancellation properties, the Fock pairing, the closed form of
-<GQ_lambda, o_mu>) as executable checks.
+zero test of a series, the exponential of a series, and of a z-graded
+family of them (z_exp), term by term against the closed forms; Schur Q_mu
+by the two-row Pfaffian and its deformed images, which referee the vacuum
+rows of hexpansion, and coordinates in the deformed bases, read through the
+library's memo and by the triangular elimination that referees it;
+polynomials in n variables monomial by monomial (FinitePoly), the oracle's
+answer written out on its orbits and read back with a symmetry check, and
+the substitution of power sums in n variables that from_finite inverts
+(eval_finite); the kernel (z-w)/(z+w+b) in a closed form of its own,
+generic Laurent blocks that cross-check the closed-form kernel tables, and
+a direct convolution that checks their recurrences, the oracle's
+symmetrization as a chain of divided differences and literally, which check
+its bialternant pass, the Fock actions in Fractions and the int action of
+phi^(beta)_n that no route calls, the ket actions, plain fermion modes and
+Wick's theorem, and the paper's theorems (the cancellation properties, the
+Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks.
 The section after the partitions reads and writes the library's flat
 (key, b-power) terms as BetaScalars.
 """
@@ -31,15 +33,15 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from kq import fock
-from kq.bases import _coordinates, _image_sum
-from kq.finitevars import FinitePoly
+from kq.bases import _coordinates, _image_sum, _power_image
+from kq.finitevars import SymmetricPoly, _orbit_size
 from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
 from kq.oracle import _MASK, _W, _bracket_power, _check_fits, _mul, _p0_degree
-from kq.partitions import check_partition, contains, row_count, z_lambda
+from kq.partitions import check_degree_bound, check_partition, contains, row_count, z_lambda
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries, combination, exp_power_sums
-from kq.scalars import BetaScalar, ONE, ZERO, _monomials, binom_general
+from kq.scalars import BetaScalar, ONE, ZERO, _from_monomials, _monomials, binom_general
 
 
 # -- partitions: the strict partitions up to a weight, which only tests list --
@@ -166,7 +168,14 @@ def at_b(f, value):
     return PSeries({k: at_b(v, value) for k, v in f.sorted_items()}, f.degree_bound)
 
 
-# -- pseries: the exponential of a series, and of a z-graded one ---------------
+# -- pseries: the zero test, the exponential of a series, and of a z-graded one
+
+def is_zero(f: PSeries) -> bool:
+    """Whether f is the zero series; anything but a PSeries raises."""
+    if not isinstance(f, PSeries):
+        raise TypeError(f"not a series: {f!r}")
+    return not f.terms
+
 
 def exp(f: PSeries) -> PSeries:
     """exp of a series with no constant term (checked)."""
@@ -177,7 +186,7 @@ def exp(f: PSeries) -> PSeries:
     kfac = 1
     for k in range(1, f.degree_bound + 1):
         power = power * f
-        if power.is_zero():
+        if is_zero(power):
             break
         kfac *= k
         out = out + power * Fraction(1, kfac)
@@ -203,13 +212,13 @@ def z_exp(parts):
     for m in range(1, bound + 1):
         nxt = [PSeries.zero(bound) for _ in range(cap + 1)]
         for a, t in enumerate(term):
-            if t.is_zero():
+            if is_zero(t):
                 continue
             for b in range(cap + 1 - a):
-                if not parts[b].is_zero():
+                if not is_zero(parts[b]):
                     nxt[a + b] = nxt[a + b] + t * parts[b]
         term = [t * Fraction(1, m) for t in nxt]
-        if all(t.is_zero() for t in term):
+        if all(is_zero(t) for t in term):
             break
         out = [s + t for s, t in zip(out, term)]
     return out
@@ -220,6 +229,20 @@ def z_exp(parts):
 # The Fock exit reads Q_mu(p^flavor) off the vacuum rows <0| prod 2 b_nu of
 # hexpansion; here Q_mu comes from the one-row q_n and the two-row Pfaffian
 # instead, and its deformation from one image per mu, widened for bracket.
+
+def p_beta(n: int, degree_bound: int) -> PSeries:
+    """Deformed power sum, paren flavor: p_n + higher-degree corrections."""
+    return _power_image("paren", n, degree_bound, Fraction(1, 2))
+
+
+def p_bracket(n: int, degree_bound: int | None = None) -> PSeries:
+    """Deformed power sum, bracket flavor: p_n + lower-degree corrections.
+
+    This one is a finite polynomial; the default bound is its own degree.
+    """
+    return _power_image("bracket", n, n if degree_bound is None else degree_bound,
+                        Fraction(1, 2))
+
 
 def q_series(degree_bound: int) -> list[PSeries]:
     """[q_0, q_1, ..., q_bound], each exact (they are homogeneous): the
@@ -282,7 +305,202 @@ def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
     return _image_sum(flat, 1, flavor, degree_bound)
 
 
-# -- finitevars: the substitution that from_finite inverts --------------------
+def _eliminate(f: PSeries, flavor: str) -> PSeries:
+    """Coordinates of f in the deformed basis by triangular elimination,
+    degree by degree: up from the bottom for paren, down from the top for
+    bracket.  A nonzero residue raises ArithmeticError."""
+    bound = f.degree_bound
+    degrees = range(bound + 1) if flavor == "paren" else range(bound, -1, -1)
+    rep = f
+    out = {}
+    for d in degrees:
+        level = {key: c for key, c in rep.terms.items() if sum(key[0]) == d}
+        if not level:
+            continue
+        out.update({key: Fraction(c, rep.den * z_lambda(key[0])) for key, c in level.items()})
+        rep = rep - _image_sum(level, rep.den, flavor, bound)
+    if not is_zero(rep):
+        raise ArithmeticError("triangular elimination left a residue")
+    return PSeries._from_flat(out, bound)
+
+
+# -- finitevars: polynomials monomial by monomial, and the substitution ------
+#
+# The oracle answers in monomial coordinates (finitevars.SymmetricPoly).
+# FinitePoly writes a polynomial out term by term, one Fraction per
+# (exponent tuple, b-power), so that the oracle can be compared monomial by
+# monomial with the literal symmetrization, the divided differences and
+# eval_finite: expand writes every orbit out, and monomial_coordinates
+# checks symmetry and reads one value per orbit back.
+
+def _grouped(flat) -> dict:
+    """{key: BetaScalar} from flat {(key, k): Fraction} terms, zeros dropped."""
+    pairs: dict = {}
+    for (key, k), c in flat.items():
+        pairs.setdefault(key, []).append((k, c))
+    out = {}
+    for key, got in pairs.items():
+        value = _from_monomials(got)
+        if value:
+            out[key] = value
+    return out
+
+
+class FinitePoly:
+    """Polynomial in x_0..x_{nvars-1} with coefficients in Q[b].
+
+    terms is flat: it maps (exps, k), exps a full-length
+    exponent tuple and k an int >= 0, to the nonzero Fraction c of the term
+    c*b^k*x^exps.  The constructor takes {exps: int, Fraction or
+    BetaScalar}, and coefficient() hands a coefficient out as a BetaScalar.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        flat = {}
+        for exps, v in (terms or {}).items():
+            for k, c in _monomials(v):
+                flat[(tuple(exps), k)] = c
+        self._fill(nvars, flat)
+
+    @classmethod
+    def _from_flat(cls, nvars: int, terms) -> "FinitePoly":
+        """A polynomial from flat terms {(exps, k): Fraction}, checked as
+        the constructor checks; zero values are dropped."""
+        out = object.__new__(cls)
+        out._fill(nvars, terms)
+        return out
+
+    def _fill(self, nvars, flat):
+        nvars = check_degree_bound(nvars, "variable count")
+        for exps, k in flat:
+            if len(exps) != nvars or any(e < 0 for e in exps) or k < 0:
+                raise ValueError(f"bad term x^{exps} b^{k} for {nvars} variables")
+        self.nvars = nvars
+        self.terms = {key: c for key, c in flat.items() if c}
+
+    @classmethod
+    def zero(cls, nvars):
+        return cls(nvars, {})
+
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("variable counts differ")
+
+    def __add__(self, other):
+        if isinstance(other, FinitePoly):
+            self._check(other)
+            out = dict(self.terms)
+            for key, c in other.terms.items():
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+            return FinitePoly._from_flat(self.nvars, out)
+        return NotImplemented
+
+    def __neg__(self):
+        return FinitePoly._from_flat(self.nvars, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FinitePoly):
+            self._check(other)
+            pairs = [(kb, eb, cb) for (kb, eb), cb in other.terms.items()]
+            out: dict = {}
+            for (ka, ea), ca in self.terms.items():
+                for kb, eb, cb in pairs:
+                    key = (tuple(a + b for a, b in zip(ka, kb)), ea + eb)
+                    s = out.get(key, 0) + ca * cb
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+            return FinitePoly._from_flat(self.nvars, out)
+        if isinstance(other, (int, Fraction, BetaScalar)):
+            out = {}
+            for e, c in _monomials(other):
+                for (exps, k), v in self.terms.items():
+                    key = (exps, k + e)
+                    out[key] = out.get(key, 0) + v * c
+            return FinitePoly._from_flat(self.nvars, out)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (isinstance(other, FinitePoly) and self.nvars == other.nvars
+                and self.terms == other.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def total_degree(self):
+        return max((sum(exps) for exps, _ in self.terms), default=None)
+
+    def coefficient(self, exps) -> BetaScalar:
+        exps = tuple(exps)
+        return _from_monomials((k, c) for (e, k), c in self.terms.items() if e == exps)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        coeffs = _grouped(self.terms)
+        bits = []
+        for k in sorted(coeffs, key=lambda t: (sum(t), t), reverse=True):
+            mon = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}"
+                           for i, e in enumerate(k) if e) or "1"
+            bits.append(f"({coeffs[k]})*{mon}")
+        return " + ".join(bits)
+
+    __repr__ = __str__
+
+
+@lru_cache(maxsize=None)
+def _orbit(parts):
+    """Every distinct rearrangement of a weakly decreasing tuple."""
+    if not parts:
+        return ((),)
+    return tuple((v,) + tail for i, v in enumerate(parts) if i == 0 or v != parts[i - 1]
+                 for tail in _orbit(parts[:i] + parts[i + 1:]))
+
+
+def expand(sym: SymmetricPoly) -> FinitePoly:
+    """The polynomial of monomial coordinates, every orbit written out."""
+    n = sym.nvars
+    return FinitePoly._from_flat(n, {(exps, k): Fraction(a) for (mu, k), a in sym.terms.items()
+                                     for exps in _orbit(mu + (0,) * (n - len(mu)))})
+
+
+def monomial_coordinates(g: FinitePoly) -> SymmetricPoly:
+    """The monomial coordinates of a symmetric polynomial.
+
+    g is symmetric exactly when each monomial class lam (nonzero exponents
+    sorted down) has all of its nvars! / prod m_i! members, zeros counted
+    as a part, and each carries the coefficient of x^lam; anything else
+    raises ValueError.  Symmetry holds one power of b at a time.
+    """
+    n = g.nvars
+    seen: dict = {}
+    coords: dict = {}
+    for (exps, k), c in g.terms.items():
+        lam = tuple(sorted((e for e in exps if e), reverse=True))
+        if (lam, k) not in seen:
+            seen[(lam, k)] = 0
+            coords[(lam, k)] = g.terms.get((lam + (0,) * (n - len(lam)), k), 0)
+        if c != coords[(lam, k)]:
+            raise ValueError("input is not a symmetric polynomial")
+        seen[(lam, k)] += 1
+    if any(count != _orbit_size(lam, n) for (lam, _), count in seen.items()):
+        raise ValueError("input is not a symmetric polynomial")
+    return SymmetricPoly(n, coords)
+
+
+# -- the substitution that from_finite inverts --------------------------------
 
 def power_sum_poly(k: int, nvars: int) -> FinitePoly:
     if k < 1:

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq import bases
-from kq.bases import p_beta, p_bracket
+from kq.bases import FLAVORS, _coordinates, _image_sum
+from kq.dualq import gp, o_fermionic
+from kq.gq import gq_fermionic
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, BetaScalar
-from referees import (at_b, eval_finite, from_deformed_basis, q_series, scalar_terms,
+from referees import (_eliminate, at_b, eval_finite, from_deformed_basis, is_zero, p_beta,
+                      p_bracket, q_series, scalar_terms, strict_partitions_upto,
                       to_deformed_basis)
 
 
@@ -39,7 +42,7 @@ def test_q_pieri_like_symmetry():
         for i in range(n + 1):
             term = q[i] * q[n - i]
             acc = acc + (term if i % 2 == 0 else -term)
-        assert acc.is_zero()
+        assert is_zero(acc)
 
 
 def test_p_beta_low_terms():
@@ -116,28 +119,61 @@ def test_returned_coordinates_are_the_callers_to_change():
     assert from_deformed_basis(want, "paren", 4) == f
 
 
-def _no_image(flavor, key, bound):
-    return PSeries.zero(bound)
+def _no_image(*args):
+    return PSeries.zero(args[2])
 
 
-def _bad_image(flavor, key, bound):
+def _bad_image(*args):
     raise ValueError("no image")
 
 
-@pytest.mark.parametrize("image, error", [(_no_image, ArithmeticError),
-                                          (_bad_image, ValueError)])
-def test_failed_conversion_stores_nothing(monkeypatch, image, error):
-    # images that eliminate nothing leave a residue, and an image that
-    # raises stops the sweep; coordinates stored by the failed call would
-    # hide the second failure
+@pytest.mark.parametrize("image, error, convert", [
+    pytest.param(_no_image, ArithmeticError, _eliminate, id="_no_image-ArithmeticError"),
+    pytest.param(_bad_image, ValueError, to_deformed_basis, id="_bad_image-ValueError")])
+def test_failed_conversion_stores_nothing(monkeypatch, image, error, convert):
+    # images that eliminate nothing leave the elimination a residue, and an
+    # image that raises stops the library's conversion; coordinates stored
+    # by the failed call would hide the second failure
     f = PSeries({(1,): 1, (3,): 2}, 3)
     monkeypatch.setattr(bases, "_image_partition", image)
     for _ in range(2):
         with pytest.raises(error):
-            to_deformed_basis(f, "bracket")
+            convert(f, "bracket")
     monkeypatch.undo()
     coords = to_deformed_basis(f, "bracket")
     assert from_deformed_basis(coords, "bracket", 3) == f
+
+
+def strict_family(D):
+    """gq_fermionic, o_fermionic and gp for every strict lambda, |lambda| <= D."""
+    lams = list(strict_partitions_upto(D))
+    return ([gq_fermionic(lam, D) for lam in lams] + [o_fermionic(lam, D) for lam in lams]
+            + [gp(lam, D) for lam in lams])
+
+
+@pytest.mark.parametrize("D", [4, 6, 8, 10])
+def test_inverse_substitution_matches_elimination(D):
+    # the library reads coordinates off the substitution at -b/2; the
+    # referee eliminates degree by degree with the images at +b/2
+    for f in strict_family(D):
+        for flavor in FLAVORS:
+            assert _coordinates(f, flavor) == _eliminate(f, flavor), (f, flavor)
+
+
+@given(series_strategy(6), st.sampled_from(FLAVORS))
+@settings(max_examples=40, deadline=None)
+def test_inverse_substitution_matches_elimination_on_random_series(f, flavor):
+    assert _coordinates(f, flavor) == _eliminate(f, flavor)
+
+
+def test_inverse_substitution_undoes_the_substitution():
+    # p_n at -b/2 after p_n at +b/2 is p_n again, for both flavors
+    D = 7
+    for flavor in FLAVORS:
+        for n in range(1, D + 1):
+            image = _image_sum({((n,), 0): n}, 1, flavor, D)
+            back = _image_sum(image.terms, image.den, flavor, D, -Fraction(1, 2))
+            assert back == PSeries.p(n, D)
 
 
 def test_unknown_flavor_rejected():

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.finitevars import FinitePoly, from_finite
+from kq.finitevars import SymmetricPoly, from_finite
+from kq.oracle import gq_oracle
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, BetaScalar
-from referees import eval_finite, power_sum_poly, scalar_terms
+from referees import (FinitePoly, eval_finite, expand, monomial_coordinates, power_sum_poly,
+                      scalar_terms)
 
 
 def test_power_sum_poly():
@@ -38,7 +40,7 @@ def pseries_strategy(bound, nparts=3):
 @settings(max_examples=30, deadline=None)
 def test_round_trip(f, n):
     # orbit sizes depend on n, so also take more variables than the bound
-    assert from_finite(eval_finite(f, n), 4) == f
+    assert from_finite(monomial_coordinates(eval_finite(f, n)), 4) == f
 
 
 @given(pseries_strategy(3), pseries_strategy(3))
@@ -54,7 +56,7 @@ def test_eval_is_a_ring_map(f, g):
 
 def test_round_trip_with_beta_coefficients():
     f = PSeries({(2, 1): BETA ** 2 + 1, (1,): -BETA}, 3)
-    assert from_finite(eval_finite(f, 3), 3) == f
+    assert from_finite(monomial_coordinates(eval_finite(f, 3)), 3) == f
 
 
 def test_round_trip_through_a_zero_monomial_coordinate():
@@ -62,37 +64,38 @@ def test_round_trip_through_a_zero_monomial_coordinate():
     f = PSeries({(3,): 1, (2, 1): 1, (1, 1, 1): -2}, 3)
     g = eval_finite(f, 3)
     assert g.coefficient((3, 0, 0)) == 0
-    assert from_finite(g, 3) == f
+    assert (3,) not in {mu for mu, k in monomial_coordinates(g).terms}
+    assert from_finite(monomial_coordinates(g), 3) == f
 
 
 def test_from_finite_rejects_asymmetric():
     g = FinitePoly(3, {(2, 0, 0): 1, (0, 2, 0): 1})  # missing the z^2 orbit
     with pytest.raises(ValueError):
-        from_finite(g, 3)
+        from_finite(monomial_coordinates(g), 3)
     g2 = FinitePoly(2, {(1, 0): 1, (0, 1): 2})
     with pytest.raises(ValueError):
-        from_finite(g2, 2)
+        from_finite(monomial_coordinates(g2), 2)
     # a full orbit of (2,1) whose non-dominant member (0,1,2) is off by one
     full = eval_finite(PSeries({(2, 1): 1}, 3), 3)
     off = scalar_terms(full)
     off[(0, 1, 2)] = off[(0, 1, 2)] + 1
     with pytest.raises(ValueError):
-        from_finite(FinitePoly(3, off), 3)
+        from_finite(monomial_coordinates(FinitePoly(3, off)), 3)
     # the same orbit with one non-dominant member missing
     short = scalar_terms(full)
     del short[(0, 1, 2)]
     with pytest.raises(ValueError):
-        from_finite(FinitePoly(3, short), 3)
+        from_finite(monomial_coordinates(FinitePoly(3, short)), 3)
 
 
 def test_from_finite_rejects_too_few_vars():
-    g = eval_finite(PSeries({(1,): 1}, 4), 3)
+    g = monomial_coordinates(eval_finite(PSeries({(1,): 1}, 4), 3))
     with pytest.raises(ValueError):
         from_finite(g, 4)  # 3 variables cannot certify degree 4
 
 
 def test_from_finite_rejects_overflow_degree():
-    g = eval_finite(PSeries({(3,): 1}, 3), 3)
+    g = monomial_coordinates(eval_finite(PSeries({(3,): 1}, 3), 3))
     with pytest.raises(ValueError):
         from_finite(g, 2)
 
@@ -122,3 +125,47 @@ def test_flat_terms_are_checked():
     for bad in ({((1,), 0): 1}, {((1, -1), 0): 1}, {((1, 0), -1): 1}):
         with pytest.raises(ValueError):
             FinitePoly._from_flat(2, bad)
+
+
+@pytest.mark.parametrize("bound", [None, "4", 2.0, -1, True])
+def test_from_finite_checks_its_degree_bound(bound):
+    # a bound that is not an int >= 0 is refused as such, before any
+    # comparison with the variable count or the degree
+    with pytest.raises(ValueError, match="degree bound must be"):
+        from_finite(gq_oracle((1,), 3), bound)
+
+
+def test_from_finite_refuses_a_polynomial_given_monomial_by_monomial():
+    # its terms are keyed by exponent tuples, which no partition matches
+    with pytest.raises(TypeError):
+        from_finite(eval_finite(PSeries({(1,): 1}, 2), 2), 2)
+
+
+@pytest.mark.parametrize("nvars, terms, bad", [
+    (2, {((1, 1, 1), 0): 1}, r"m_\(1, 1, 1\) b\^0 for 2"),  # longer than nvars
+    (3, {((1, 2), 0): 1}, r"m_\(1, 2\) b\^0"),  # not weakly decreasing
+    (3, {((2, 0), 0): 1}, r"m_\(2, 0\) b\^0"),  # a zero part
+    (3, {((2, 1), -1): 1}, r"m_\(2, 1\) b\^-1"),  # negative k
+    (3, {((2, 1), 0): 0.5}, r"0\.5 m_\(2, 1\) b\^0"),  # a float value
+    (-2, {}, "-2"),
+    (2.5, {}, r"2\.5"),
+])
+def test_symmetric_poly_names_a_bad_term(nvars, terms, bad):
+    with pytest.raises(ValueError, match=bad):
+        SymmetricPoly(nvars, terms)
+
+
+def test_symmetric_poly_compares_values():
+    g = SymmetricPoly(3, {((2, 1), 0): 2, ((1,), 1): Fraction(4, 2), ((3,), 0): 0})
+    assert g == SymmetricPoly(3, {((1,), 1): 2, ((2, 1), 0): Fraction(2)})
+    assert g != SymmetricPoly(4, {((1,), 1): 2, ((2, 1), 0): 2})
+    assert g != SymmetricPoly(3, {((1,), 1): 2})
+    assert SymmetricPoly(2, {}) == SymmetricPoly(2, {((1,), 0): 0})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expand_and_read_back(n):
+    # monomial_coordinates inverts expand on the oracle's answers
+    for lam in [(1,), (2, 1), (3, 1), (3, 2, 1)]:
+        sym = gq_oracle(lam, n, n + 2)
+        assert monomial_coordinates(expand(sym)) == sym

@@ -51,7 +51,7 @@ def test_library_imports_are_used():
 
 def test_oracle_stays_independent():
     # the oracle referees every route, so it may not borrow their machinery:
-    # from the package it reads FinitePoly and the partition helpers only
+    # from the package it reads SymmetricPoly and the partition helpers only
     path = Path(kq.__file__).parent / "oracle.py"
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -63,10 +63,26 @@ def test_oracle_stays_independent():
                 continue
             names = {alias.name for alias in node.names}
             local = module.removeprefix("kq.") if node.level == 0 else module
-            if local == "partitions" or (local == "finitevars" and names == {"FinitePoly"}):
+            if local == "partitions" or (local == "finitevars" and names == {"SymmetricPoly"}):
                 continue
             found.append(f"{'.' * node.level}{module}: {sorted(names)}")
     assert not found, found
+
+
+def _kq_imports(path):
+    """The kq modules a source file imports, as "kq.name"."""
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative imports stay inside kq
+                module = f"kq.{module}" if module else "kq"
+            # "from kq import pfaffian" imports the module itself
+            modules += ([f"kq.{alias.name}" for alias in node.names] if module == "kq"
+                        else [module])
+    return [module for module in modules if module.startswith("kq.")]
 
 
 def test_fock_exit_stays_independent():
@@ -75,24 +91,19 @@ def test_fock_exit_stays_independent():
     # Pfaffian or the generating-series machinery
     package = Path(kq.__file__).parent
     barred = {"pfaffian", "laurent", "gq", "dualq"}
-    found = []
-    for name in ("hexpansion.py", "fock.py"):
-        path = package / name
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if node.level:  # relative imports stay inside kq
-                    module = f"kq.{module}" if module else "kq"
-                # "from kq import pfaffian" imports the module itself
-                modules = ([f"kq.{alias.name}" for alias in node.names] if module == "kq"
-                           else [module])
-            else:
-                continue
-            found += [f"{name}: {module}" for module in modules
-                      if module.startswith("kq.") and module.split(".")[1] in barred]
+    found = [f"{name}: {module}" for name in ("hexpansion.py", "fock.py")
+             for module in _kq_imports(package / name) if module.split(".")[1] in barred]
     assert not found, found
+
+
+def test_verify_bridge_stays_independent():
+    # from_finite carries the oracle's answer into power sums, where it is
+    # compared with every route, so it may not borrow the routes' machinery
+    path = Path(kq.__file__).parent / "finitevars.py"
+    barred = {"fock", "hexpansion", "bases", "laurent", "pfaffian", "gq", "dualq"}
+    found = [module for module in _kq_imports(path) if module.split(".")[1] in barred]
+    assert not found, found
+    assert "kq.pseries" in _kq_imports(path)  # the walk sees relative imports
 
 
 def test_trusted_constructors_stay_in_their_module():
@@ -224,7 +235,8 @@ RING_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul
 
 def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     # series and Fock states keep one int per (key, b-power) over a den,
-    # finite polynomials one Fraction; a BetaScalar is only built where a value leaves them,
+    # the oracle's answer an int per (partition, b-power); a BetaScalar is
+    # only built where a value leaves them,
     # so no ring operation of BetaScalar may run inside the kernels
     def refuse(*args):
         raise AssertionError("BetaScalar arithmetic inside a kernel")
