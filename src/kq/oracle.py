@@ -28,6 +28,35 @@ a_mu = sum_nu c_nu K_{nu mu} for each partition mu with at most n parts,
 one value per orbit (finitevars.SymmetricPoly).  K comes from removing the
 horizontal strip of the largest entry, one letter of the content at a time.
 
+P0 is never written out monomial by monomial.  With r = len(lambda),
+
+  P0 = H(x_1..x_r) * prod_{j>r} G(x_j),
+  H = prod_i [[x_i]]^{l_i} * prod_{i<j<=r} (x_i + x_j + b x_i x_j)(1 + b x_j),
+  G(t) = prod_{i<=r} (x_i + t + b x_i t)(1 + b t),
+
+and the tail product is kept in orbit form, {(h, T): c}: h a head monomial
+with its b-power, T a sorted multiset of n-r tail exponents, and c the
+coefficient of every monomial x^h x_tail^sigma, sigma a rearrangement of T.
+The G(x_j) are multiplied in one at a time.  A term (h, T) meets a term
+g t^e of G only when e <= min(T), and lands on (h g, (e,) + T).  The new
+variable then holds the least exponent of the target multiset, and the
+old ones hold the rest.  So each target's coefficient is written exactly
+once, from its one source multiset.  Scattering over every distinct part
+of the target would count it once per distinct part.
+
+The bialternant pass runs once per orbit, not once per monomial.  For a
+tail multiset T, with m = n-r and delta_m = (m-1, ..., 1, 0), the table
+sum_sigma a_{sigma + delta_m} over the distinct rearrangements sigma of T is
+a signed count per decreasing gamma (a_alpha = sgn(w) a_gamma, w sorting
+alpha).  It is computed once per T: the first entry of sigma runs over
+the distinct parts of T, and the rest is the table of T without it
+(Laplace expansion along the first tail position).  So only the sigma
+whose exponents stay distinct are ever visited.  The orbits' head
+polynomials are summed per gamma with those counts, and each (h, gamma)
+is merged once.  Two equal exponents drop it.  Otherwise it is signed by
+the inversions of (h, gamma), which all start in the head since gamma
+decreases, and lands on nu = sort(h, gamma) - delta.
+
 Truncation is decided once, on P0.  Dividing by V lowers the x-degree by
 n(n-1)/2 and x^{delta_B} raises it by (n-r)(n-r-1)/2, so s_nu has the
 x-degree of its P0 monomial minus s = n(n-1)/2 - (n-r)(n-r-1)/2, the
@@ -35,22 +64,26 @@ number of pairs i<=r, j>i.  The output's x-degree <= T part therefore comes
 from P0's x-degree <= T + s part and from nothing else.  Every factor of P0
 has x-degree - beta-degree constant on its monomials (l_i for
 [[x_i]]^{l_i}, 1 for the expanded pair factor
-x_i + x_j + 2b x_i x_j + b x_j^2 + b^2 x_i x_j^2), and these constants add up
-to |lambda| + s.  So on P0, beta-degree <= T - |lambda| is the same as
-x-degree <= T + s.  The beta-degree only grows as factors are multiplied in,
-so gq_oracle drops every term of a partial product above that beta cap and
-keeps the rest, and the pass needs no cap.
+x_i + x_j + 2b x_i x_j + b x_j^2 + b^2 x_i x_j^2, r for G), and these
+constants add up to |lambda| + s.  So on P0, beta-degree <= T - |lambda| is
+the same as x-degree <= T + s.  The beta-degree only grows as factors are
+multiplied in, so gq_oracle drops every term of a partial product above
+that beta cap, H, G and the orbit products alike, and keeps the rest; the
+pass needs no cap.
 
-Monomials of P0 are packed into single integers, six bits per x exponent,
-with the beta exponent above them on top, so that multiplication of
-monomials is integer addition.  A field that overflowed would carry into
-its neighbour and silently change the answer, so gq_oracle raises
-ValueError unless min(T + s, top x-degree of P0) fits in a field.  A raw
-product of two kept monomials can still overflow when P0 is of higher
-degree, but it cannot survive.  Its x-degree then exceeds T + s, and since
-a partial product has x-degree - beta-degree <= |lambda| + s, its
+Head monomials are packed into single integers, six bits per x exponent of
+x_1..x_r, with the beta exponent above them on top, so that multiplication
+of monomials is integer addition.  Tail exponents are tuple entries and
+need no field.  A field that overflowed would carry into its neighbour and
+silently change the answer, so gq_oracle raises ValueError unless
+min(T + s, top x-degree of P0) fits in a field.  A raw product of two kept
+monomials can still overflow when P0 is of higher degree, but it cannot
+survive.  Its x-degree, head and tail together, then exceeds T + s, and
+since a partial product has x-degree - beta-degree <= |lambda| + s, its
 beta-degree exceeds the cap.  A carry only raises the beta field, which is
 read as everything above the x fields, so the beta check drops the term.
+G itself is built in r + 1 fields, t on the last, under the same cap, and
+the same argument covers its fields, since G is one of P0's factors.
 
 This module is the package's independent referee: it never touches Fock
 space, power sums, kernels, or Pfaffians.  finitevars.from_finite reads its
@@ -64,7 +97,8 @@ from functools import lru_cache
 from .finitevars import SymmetricPoly
 from .partitions import check_degree_bound, check_partition, partitions_of
 
-# key layout, least significant first: x_0 .. x_{n-1}, then beta on top
+# key layout, least significant first: x_0 .. x_{n-1}, then beta on top;
+# gq_oracle packs the r head variables only
 _W = 6
 _MASK = (1 << _W) - 1
 
@@ -114,33 +148,58 @@ def _mul(a, b, n, bcap):
     return {k: c for k, c in out.items() if c}
 
 
-def _schur_coefficients(poly, n, r):
-    """{(nu, k): c} with A(poly x^{delta_B})/V = sum c b^k s_nu, one pass.
+def _tail_product(head, r, m, bcap):
+    """head * G(x_r) ... G(x_{r+m-1}) as {T: {head key: c}}.
 
-    nu comes padded with zeros to length n.
+    T is a tail multiset sorted increasingly, and c the coefficient of each
+    monomial x_tail^sigma, sigma a rearrangement of T.  Each factor scatters
+    (h, T) * (g, e) only when e <= min(T): the new variable holds the least
+    exponent of (e,) + T, so each target multiset is written exactly once.
+    G(t) = prod_{i<r} (x_i + t + b x_i t)(1 + b t) is built in r + 1 fields,
+    t on field r, and split by the power of t into head polynomials, b
+    re-packed on top of the r head fields.
     """
-    shifts = [(_W * i, d) for i, d in enumerate([0] * r + list(range(n - r - 1, -1, -1)))]
-    stair = range(n - 1, -1, -1)
-    betas = _W * n
-    out = {}
-    for key, c in poly.items():
-        alpha = [((key >> s) & _MASK) + d for s, d in shifts]
-        ordered = sorted(alpha, reverse=True)
-        if len(set(ordered)) < n:
-            continue
-        # the parity of the sort is the parity of the inversions of alpha
-        odd = False
-        for i, a in enumerate(alpha):
-            for e in alpha[i + 1:]:
-                if a < e:
-                    odd = not odd
-        nu = (tuple(a - d for a, d in zip(ordered, stair)), key >> betas)
-        s = out.get(nu, 0) + (-c if odd else c)
-        if s:
-            out[nu] = s
-        else:
-            del out[nu]
-    return out
+    g = {0: 1}
+    for i in range(r):
+        g = _mul(g, _pair_factor(r + 1, i, r), r + 1, bcap)
+    by_power = {}
+    for key, c in g.items():
+        h = (key & (1 << _W * r) - 1) | (key >> _W * (r + 1) << _W * r)
+        by_power.setdefault((key >> _W * r) & _MASK, {})[h] = c
+    factor = sorted(by_power.items())
+    orbits = {(): head}
+    for _ in range(m):
+        grown = {}
+        for tail, poly in orbits.items():
+            for e, part in factor:
+                if tail and e > tail[0]:
+                    break
+                prod = _mul(poly, part, r, bcap)
+                if prod:
+                    grown[(e,) + tail] = prod
+        orbits = grown
+    return orbits
+
+
+@lru_cache(maxsize=None)
+def _alternant(tail):
+    """sum_sigma a_{sigma + delta}, delta = (m-1, ..., 1, 0), over the distinct
+    rearrangements sigma of the sorted tail, as ((gamma, count), ...).
+
+    Each a_alpha is written as sgn(w) a_gamma, w sorting alpha into gamma
+    decreasing, and an alpha with two equal exponents is dropped.  sigma_0
+    runs over the distinct parts v of tail and the rest is the table of
+    tail without v, so a_(v + m-1, gamma') = (-1)^#{e in gamma' : e > v + m-1}
+    a_gamma: only the sigma whose exponents stay distinct are visited.
+    """
+    out = {} if tail else {(): 1}
+    for v, i in {v: i for i, v in enumerate(tail)}.items():  # each distinct part once
+        a = v + len(tail) - 1
+        for gamma, c in _alternant(tail[:i] + tail[i + 1:]):
+            if a not in gamma:
+                key = tuple(sorted(gamma + (a,), reverse=True))
+                out[key] = out.get(key, 0) + (-c if sum(e > a for e in gamma) & 1 else c)
+    return tuple(item for item in out.items() if item[1])
 
 
 def _strips(nu, size):
@@ -182,19 +241,44 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
     r = len(lam)
     if r > nvars or sum(lam) > trunc:
         return SymmetricPoly(nvars, {})
+    if not lam:  # GQ_() = 1, and a tail of nvars parts would recurse nvars deep
+        return SymmetricPoly(nvars, {((), 0): 1})
     drop = r * nvars - r * (r + 1) // 2  # x-degree lost from P0 to the output
     # the beta cap keeps P0 to x-degree <= trunc + drop, all that the
     # output's x-degree <= trunc part comes from
     _check_fits(min(trunc + drop, _p0_degree(lam, nvars)))
     bcap = trunc - sum(lam)
-    poly = {0: 1}
+    head = {0: 1}
     for i, part in enumerate(lam):
-        poly = _mul(poly, _bracket_power(nvars, i, part), nvars, bcap)
+        head = _mul(head, _bracket_power(r, i, part), r, bcap)
     for i in range(r):
-        for j in range(i + 1, nvars):
-            poly = _mul(poly, _pair_factor(nvars, i, j), nvars, bcap)
+        for j in range(i + 1, r):
+            head = _mul(head, _pair_factor(r, i, j), r, bcap)
+    lifted = {}  # {gamma: {head key: c}}, the tail alternants summed over the orbits
+    for tail, poly in _tail_product(head, r, nvars - r, bcap).items():
+        for gamma, count in _alternant(tail):
+            acc = lifted.setdefault(gamma, {})
+            for h, c in poly.items():
+                acc[h] = acc.get(h, 0) + count * c
+    schur = {}
+    for gamma, acc in lifted.items():
+        for h, c in acc.items():
+            alpha = [(h >> _W * i) & _MASK for i in range(r)] + list(gamma)
+            ordered = sorted(alpha, reverse=True)
+            if not c or len(set(ordered)) < nvars:
+                continue
+            # gamma is decreasing, so every inversion of alpha starts in the head
+            odd = sum(alpha[i] < e for i in range(r) for e in alpha[i + 1:]) & 1
+            key = (tuple(a + p + 1 - nvars for p, a in enumerate(ordered)), h >> _W * r)
+            schur[key] = schur.get(key, 0) + (-c if odd else c)
+    return _in_monomials(schur, nvars)
+
+
+def _in_monomials(schur, nvars):
+    """sum_nu c_nu b^k s_nu, from {(nu, k): c} with nu padded to nvars parts,
+    in monomial coordinates through the Kostka numbers."""
     by_weight = {}
-    for (nu, k), c in _schur_coefficients(poly, nvars, r).items():
+    for (nu, k), c in schur.items():
         nu = tuple(p for p in nu if p)
         by_weight.setdefault((sum(nu), k), []).append((nu, c))
     terms = {}

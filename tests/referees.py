@@ -16,7 +16,9 @@ answer written out on its orbits and read back with a symmetry check, and
 the substitution of power sums in n variables that from_finite inverts
 (eval_finite); the kernel (z-w)/(z+w+b) in a closed form of its own,
 generic Laurent blocks that cross-check the closed-form kernel tables, and
-a direct convolution that checks their recurrences, the oracle's
+a direct convolution that checks their recurrences, the oracle's P0
+monomial by monomial (gq_oracle_full) and its tail product factor by factor,
+which check the tail orbits and their alternant tables, the oracle's
 symmetrization as a chain of divided differences and literally, which check
 its bialternant pass, the Fock actions in Fractions and the int action of
 phi^(beta)_n that no route calls, the ket actions, plain fermion modes and
@@ -37,7 +39,8 @@ from kq.bases import _coordinates, _image_sum, _power_image
 from kq.finitevars import SymmetricPoly, _orbit_size
 from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
-from kq.oracle import _MASK, _W, _bracket_power, _check_fits, _mul, _p0_degree
+from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _in_monomials, _mul,
+                       _p0_degree, _pair_factor)
 from kq.partitions import check_degree_bound, check_partition, contains, row_count, z_lambda
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries, combination, exp_power_sums
@@ -1201,7 +1204,8 @@ def check_dual_cancellation(g, nvars):
     return not any(slices.values())
 
 
-# -- oracle: the symmetrization as a chain of divided differences, and literally --
+# -- oracle: P0 monomial by monomial, the symmetrization as a chain of divided
+# differences, and literally --
 
 def _mono(n, beta, exps):
     """The packed key of b^beta x^exps, in the oracle's layout."""
@@ -1430,3 +1434,91 @@ def gq_oracle_literal(lam, nvars: int):
         if q:
             out[k] = q
     return _to_finite(out, nvars)
+
+
+def _schur_coefficients(poly, n, r):
+    """{(nu, k): c} with A(poly x^{delta_B})/V = sum c b^k s_nu, one pass.
+
+    nu comes padded with zeros to length n.
+    """
+    shifts = [(_W * i, d) for i, d in enumerate([0] * r + list(range(n - r - 1, -1, -1)))]
+    stair = range(n - 1, -1, -1)
+    betas = _W * n
+    out = {}
+    for key, c in poly.items():
+        alpha = [((key >> s) & _MASK) + d for s, d in shifts]
+        ordered = sorted(alpha, reverse=True)
+        if len(set(ordered)) < n:
+            continue
+        # the parity of the sort is the parity of the inversions of alpha
+        odd = False
+        for i, a in enumerate(alpha):
+            for e in alpha[i + 1:]:
+                if a < e:
+                    odd = not odd
+        nu = (tuple(a - d for a, d in zip(ordered, stair)), key >> betas)
+        s = out.get(nu, 0) + (-c if odd else c)
+        if s:
+            out[nu] = s
+        else:
+            del out[nu]
+    return out
+
+
+def gq_oracle_full(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
+    """gq_oracle with P0 kept monomial by monomial in all nvars fields.
+
+    P0 is multiplied out pair by pair under the same b cap, and the
+    bialternant pass visits each of its monomials, so neither the tail
+    orbits nor the per-orbit alternant tables are shared with the library.
+    The Kostka read-out is the library's.
+    """
+    lam = check_partition(lam, strict=True)
+    nvars = check_degree_bound(nvars, "variable count")
+    trunc = nvars if trunc is None else check_degree_bound(trunc)
+    r = len(lam)
+    if r > nvars or sum(lam) > trunc:
+        return SymmetricPoly(nvars, {})
+    drop = r * nvars - r * (r + 1) // 2
+    _check_fits(min(trunc + drop, _p0_degree(lam, nvars)))
+    bcap = trunc - sum(lam)
+    poly = {0: 1}
+    for i, part in enumerate(lam):
+        poly = _mul(poly, _bracket_power(nvars, i, part), nvars, bcap)
+    for i in range(r):
+        for j in range(i + 1, nvars):
+            poly = _mul(poly, _pair_factor(nvars, i, j), nvars, bcap)
+    return _in_monomials(_schur_coefficients(poly, nvars, r), nvars)
+
+
+def _lift(key, r, n):
+    """A head key (r x fields, b on top) in the layout of n variables."""
+    return (key & ((1 << _W * r) - 1)) | (key >> _W * r << _W * n)
+
+
+def tail_orbits_written_out(orbits, r):
+    """{T: {head key: c}} monomial by monomial in r + len(T) variables: c on
+    every distinct rearrangement of T in the tail fields."""
+    out = {}
+    for tail, poly in orbits.items():
+        n = r + len(tail)
+        for sigma in set(permutations(tail)):
+            x = sum(e << _W * (r + j) for j, e in enumerate(sigma))
+            for h, c in poly.items():
+                key = _lift(h, r, n) + x
+                if key in out:
+                    raise AssertionError(f"monomial {key} written twice")
+                out[key] = c
+    return out
+
+
+def tail_product_brute(head, r, m, bcap):
+    """head * prod_{j>=r} G(x_j), G(t) = prod_{i<r} (x_i + t + b x_i t)(1 + b t),
+    one factor at a time in all r + m fields, under the b cap."""
+    n = r + m
+    poly = {_lift(h, r, n): c for h, c in head.items()}
+    for j in range(r, n):
+        for i in range(r):
+            poly = _mul(poly, _oplus(n, i, j), n, bcap)
+            poly = _mul(poly, _one_plus_beta(n, j), n, bcap)
+    return poly

@@ -325,6 +325,10 @@ def test_fermionic_against_oracle_at_seven(lam):
     assert from_finite(gq_oracle(lam, D), D) == gq_fermionic(lam, D)
 
 
+def test_fermionic_against_oracle_at_nine():
+    assert from_finite(gq_oracle((2, 1), 9), 9) == gq_fermionic((2, 1), 9)
+
+
 # -- fermionic route ----------------------------------------------------------
 
 

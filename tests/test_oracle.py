@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.oracle import _MASK, _W, _kostka, _mul, gq_oracle
+from kq.finitevars import SymmetricPoly
+from kq.oracle import _MASK, _W, _alternant, _kostka, _mul, _tail_product, gq_oracle
 from kq.partitions import partitions_of
 from kq.scalars import BETA, ZERO
 from referees import (FinitePoly, _add_into, _divide_pair, _divided_difference, _mono,
                       _pair_difference, at_b, classical_q, eval_finite, expand,
-                      gq_oracle_divided, gq_oracle_literal, scalar_terms,
-                      strict_partitions_upto)
+                      gq_oracle_divided, gq_oracle_full, gq_oracle_literal, scalar_terms,
+                      strict_partitions_upto, tail_orbits_written_out, tail_product_brute)
 
 FULL = 10**6
 
@@ -42,6 +44,11 @@ def test_one_variable_two_rows_is_zero():
     assert expand(gq_oracle((2, 1), 1)) == FinitePoly.zero(1)
 
 
+def test_empty_partition_is_one_in_many_variables():
+    # with no rows, every variable is in the tail
+    assert gq_oracle((), 1200) == SymmetricPoly(1200, {((), 0): 1})
+
+
 def test_more_rows_than_variables_vanishes():
     assert expand(gq_oracle((3, 2, 1), 2)) == FinitePoly.zero(2)
 
@@ -69,6 +76,68 @@ def test_bialternant_matches_divided_differences(n):
     for lam in strict_partitions_upto(6):
         for t in (n, n + 2):
             assert expand(gq_oracle(lam, n, t)) == gq_oracle_divided(lam, n, t), (lam, t)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tail_orbits_match_full_p0(n):
+    # the tail-orbit product and its alternant tables against P0 kept
+    # monomial by monomial and a pass over every monomial
+    for lam in strict_partitions_upto(7):
+        for t in (n, n + 2):
+            assert gq_oracle(lam, n, t) == gq_oracle_full(lam, n, t), (lam, t)
+
+
+@st.composite
+def tail_products(draw):
+    r = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 4))
+    bcap = draw(st.integers(0, 4))
+    monomials = st.tuples(st.integers(0, bcap), st.tuples(*[st.integers(0, 4)] * r))
+    terms = draw(st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
+                                 min_size=1, max_size=6))
+    return r, m, bcap, {_mono(r, b, exps): c for (b, exps), c in terms.items()}
+
+
+@given(tail_products())
+@settings(max_examples=80, deadline=None)
+def test_tail_product_is_the_brute_product(case):
+    # with r >= 1 and m >= 2 the tails repeat exponents, as (0, 0) from
+    # G's x_i term twice, so a scatter that also fed (e,) + T from parts
+    # above min(T) would count such orbits more than once
+    r, m, bcap, head = case
+    orbits = _tail_product(head, r, m, bcap)
+    assert all(len(tail) == m and list(tail) == sorted(tail) for tail in orbits)
+    assert tail_orbits_written_out(orbits, r) == tail_product_brute(head, r, m, bcap)
+
+
+@given(st.lists(st.integers(0, 4), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_alternant_table_by_brute_force(parts):
+    tail = tuple(sorted(parts))
+    m = len(tail)
+    want = {}
+    for sigma in set(permutations(tail)):
+        alpha = [e + m - 1 - j for j, e in enumerate(sigma)]
+        if len(set(alpha)) < m:
+            continue
+        odd = sum(a < e for j, a in enumerate(alpha) for e in alpha[j + 1:]) % 2
+        gamma = tuple(sorted(alpha, reverse=True))
+        want[gamma] = want.get(gamma, 0) + (-1 if odd else 1)
+    assert dict(_alternant(tail)) == {g: c for g, c in want.items() if c}
+
+
+def test_oracle_allocation_stays_small():
+    # P0 kept monomial by monomial peaks near 3 MB here, the tail orbits
+    # near 0.3 MB; the memo tables are cleared so that they count too
+    _alternant.cache_clear()
+    _kostka.cache_clear()
+    tracemalloc.start()
+    try:
+        gq_oracle((3, 1), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_truncation_is_exact_prefix():
