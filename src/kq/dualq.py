@@ -96,16 +96,40 @@ def o_series(degree_bound):
     return OSeries(degree_bound)
 
 
+# degree_bound -> {(m, n): q^[b]_m q^[b]_n} for 1 <= m <= n, each product
+# built when a Pfaffian cell first asks for it
+_PRODUCTS: dict = {}
+
+
+def _pair(qb, m, n, degree_bound):
+    """q^[b]_m q^[b]_n, m, n >= 0, as a triple (f, 0, 1) standing for f.
+
+    qb is a row of q^[b] at the bound that reaches both indices; rows that
+    reach further agree with it.  The product commutes, so m <= n after a
+    swap.  q^[b]_0 = 1, so a pair with a zero index is the other factor,
+    not a product; the rest come from the memoised table of the bound.
+    """
+    if m > n:
+        m, n = n, m
+    if not m:
+        return qb[n], 0, 1
+    table = _PRODUCTS.setdefault(degree_bound, {})
+    f = table.get((m, n))
+    if f is None:
+        f = table[(m, n)] = qb[m] * qb[n]
+    return f, 0, 1
+
+
 def _g_entry(i, j, r, li, lj, degree_bound):
     """Entry (i, j) of zeta: q^[b]_{li-p} q^[b]_{lj-q} contracted against
     g_table(i, j, r).
 
     lj is None in the padding column, which contracts q^[b]_{li-p} against
-    the univariate table.  Otherwise laurent.contract runs row by row: one
-    product of q^[b]_{li-p} with its row's sum over q.  The window
-    (li, lj) keeps both indices >= 0, and they reach li + lj: the row of
-    q^[b] runs to max(D, li + lj), truncated past D, which is the routes'
-    own row unless li + lj > D.
+    the univariate table.  Otherwise laurent.contract takes one combination
+    over memoised generator products, q^[b]_{li-p} q^[b]_{lj-q} from _pair.
+    The window (li, lj) keeps both indices >= 0, and they reach li + lj:
+    the row of q^[b] runs to max(D, li + lj), truncated past D, which is
+    the routes' own row unless li + lj > D.
     """
     D = degree_bound
     qb = _q_bracket_upto(max(D, li + (lj or 0)), D)
@@ -113,7 +137,7 @@ def _g_entry(i, j, r, li, lj, degree_bound):
         return combination(((qb[li - p], p, c)
                             for p, c in g_table(i, j, r, (li, 0)).items()), D)
     return contract(g_table(i, j, r, (li, lj)),
-                    lambda p: qb[li - p], lambda q: qb[lj - q], D)
+                    lambda p, q: _pair(qb, li - p, lj - q, D), D)
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +152,8 @@ def o_two_index(a, b, degree_bound):
     a + b < 0: every row of the kernel table sits on q >= 0, p >= -q, and
     q^[b] has no negative indices.  The 1/4 makes o_(a,b) = o_{(a,b)} for
     a > b >= 0 and lets the second Pfaffian formula run without a global
-    scale.
+    scale.  It is one combination over memoised generator products, shared
+    with o_pfaffian_1's entries.
     """
     return _g_entry(1, 2, 2, a, b, degree_bound) * Fraction(1, 4)
 

@@ -20,7 +20,8 @@ GQ_lambda for a strict partition lambda:
     bra form and starred once, paired through hexpansion.vacuum_expectation.
 
 Each sum over one-row coefficients or table entries is one
-pseries.combination of (series, b-power, rational) triples.
+pseries.combination of (series, b-power, rational) triples; a two-index
+sum reads each GQ_m GQ_n from one memoised table per bound (_pair).
 
 The finite-variable symmetrization oracle (module oracle) referees all of
 them through from_finite, and tests/test_gq.py re-expands GQ_(a,b) from
@@ -117,24 +118,50 @@ def gq_series(degree_bound):
     return GQSeries(degree_bound)
 
 
+# degree_bound -> {(m, n): GQ_m GQ_n} for 1 <= m <= n, m + n <= degree_bound,
+# each product built when a Pfaffian cell first asks for it
+_PRODUCTS: dict = {}
+
+
+def _pair(m, n, degree_bound):
+    """GQ_m GQ_n as a triple (f, e, s) standing for s b^e f, or None.
+
+    The product commutes, so m <= n after a swap.  GQ_m for m <= 0 is the
+    constant (-b)^{-m}: a b-shift of GQ_n, not a product.  For m >= 1,
+    GQ_m GQ_n has lowest degree m + n, so past the bound it is zero and is
+    never multiplied; the rest come from the memoised table of the bound.
+    """
+    if m > n:
+        m, n = n, m
+    if m <= 0:
+        return gq_series(degree_bound).coefficient(n), -m, -1 if m % 2 else 1
+    if m + n > degree_bound:
+        return None
+    table = _PRODUCTS.setdefault(degree_bound, {})
+    f = table.get((m, n))
+    if f is None:
+        get = gq_series(degree_bound).coefficients
+        f = table[(m, n)] = get[m] * get[n]
+    return f, 0, 1
+
+
 def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
     """Entry (i, j) of formula I: GQ_{li+p} GQ_{lj+q} contracted against
     f_table(i, j, r, r').
 
     lj is None in the padding column, which contracts GQ_{li+p} against
-    the univariate table.  Otherwise laurent.contract runs row by row: one
-    product of GQ_{li+p} with its row's sum over q, none where GQ_{li+p}
-    is zero.  The window p <= D - li (and q <= D - lj) is exact because
-    GQ_n is zero past the bound; tests re-run one entry with a doubled
-    window to confirm that.
+    the univariate table.  Otherwise laurent.contract takes one combination
+    over memoised generator products, GQ_{li+p} GQ_{lj+q} from _pair.  The
+    window p <= D - li (and q <= D - lj) is exact because GQ_n is zero past
+    the bound; tests re-run one entry with a doubled window to confirm that.
     """
     D = degree_bound
-    get = gq_series(D).coefficient
     if lj is None:
+        get = gq_series(D).coefficient
         tab = f_table(i, j, r, r_prime, (D - li, 0))
         return combination(((get(li + p), p, c) for p, c in tab.items()), D)
     return contract(f_table(i, j, r, r_prime, (D - li, D - lj)),
-                    lambda p: get(li + p), lambda q: get(lj + q), D)
+                    lambda p, q: _pair(li + p, lj + q, D), D)
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +177,9 @@ def gq_two_index(a, b, degree_bound):
     lambda = (a, b).  For a > b >= 1 it is GQ_{(a,b)}; for general
     integers it is the raw entry the second Pfaffian formula consumes.
     Every summand has lowest degree >= a + b, so the result vanishes once
-    a + b > D.  tests/test_gq.py keeps the direct expansion of the
-    definition as an independent check.
+    a + b > D.  Below that it is one combination over memoised generator
+    products, shared with formula I's entries.  tests/test_gq.py keeps the
+    direct expansion of the definition as an independent check.
     """
     if a + b > degree_bound:
         return PSeries.zero(degree_bound)

@@ -23,36 +23,53 @@ bound suffice.  Bracket images push weight down, so a ket word heavier than
 the bound still reaches it: rows and image are taken at the heaviest even
 word and then truncated.
 
-Memoised for the life of the process: the rows per bound, keyed by bra
-word, each word mapped to its (nu, entry) pairs.  Every caller gets the
-same read-only mapping.
+Memoised for the life of the process: one table of rows, keyed by bra
+word, each word mapped to its (nu, entry) pairs.  R_nu only reaches words
+of weight |nu|, so the table at a bound B is the widest table cut to the
+words of weight <= B: a wider bound extends the table by the missing
+weights, and a pairing at B reads only words of weight <= B.  Every caller
+gets a read-only view of that one table.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from types import MappingProxyType
 
 from .bases import _image_sum, check_flavor
 from .fock import _act, _bra_word_b, vacuum
-from .partitions import check_degree_bound, partitions_upto
+from .partitions import check_degree_bound, partitions_of
 from .pseries import PSeries
 
 
-@lru_cache(maxsize=None)
+# the widest table of rows built so far: the weight it covers, the int bra
+# state R_nu of every nu in it (each later R_nu extends one of them), and
+# its rows by bra word, which no later weight changes
+_WEIGHT = -1
+_STATES: dict = {}
+_ROWS: dict = {}
+
+
 def _rows(bound: int):
     """{bra word u: ((nu, R_nu at u), ...)} over the partitions nu into odd
-    parts of weight <= bound, every entry a nonzero int."""
-    states, rows = {(): vacuum()}, {}
-    for nu in partitions_upto(bound):
-        if any(part % 2 == 0 for part in nu):
-            continue
-        if nu:
-            twice_b = ((nu[-1], 0, 1),)
-            states[nu] = _act(states[nu[:-1]], _bra_word_b, lambda g: twice_b, 1)
-        for (word, _), r in states[nu].terms.items():
-            rows.setdefault(word, []).append((nu, r))
-    return MappingProxyType({word: tuple(entries) for word, entries in rows.items()})
+    parts, every entry a nonzero int, covering at least the words of weight
+    <= bound: the table at bound is its words of weight <= bound."""
+    global _WEIGHT
+    for weight in range(_WEIGHT + 1, bound + 1):
+        rows: dict = {}
+        for nu in partitions_of(weight):
+            if any(part % 2 == 0 for part in nu):
+                continue
+            if nu:
+                twice_b = ((nu[-1], 0, 1),)
+                state = _act(_STATES[nu[:-1]], _bra_word_b, lambda g: twice_b, 1)
+            else:
+                state = vacuum()
+            _STATES[nu] = state
+            for (word, _), r in state.terms.items():
+                rows.setdefault(word, []).append((nu, r))
+        _ROWS.update((word, tuple(entries)) for word, entries in rows.items())
+        _WEIGHT = weight
+    return MappingProxyType(_ROWS)
 
 
 def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
@@ -75,8 +92,11 @@ def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
             bound = max(bound, sum(word))
     rows, coords = _rows(bound), {}
     for word, k, n in even:
+        weight = sum(word)
+        if weight > bound:  # the table at bound has no word this heavy
+            continue
         # the ket of mu against its dual bra: (-1)^{|mu|} 2^{l(mu)}, l without the padding
-        n = (-n if sum(word) % 2 else n) << len(word) - (0 in word)
+        n = (-n if weight % 2 else n) << len(word) - (0 in word)
         for nu, r in rows.get(tuple(-m for m in reversed(word)), ()):
             coords[(nu, k)] = coords.get((nu, k), 0) + n * r  # _image_sum skips zeros
     image = _image_sum(coords, ket_state.den, flavor, bound)

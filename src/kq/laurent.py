@@ -18,8 +18,13 @@ of int subtractions over the closed form.  A table is a read-only mapping
 from (p, q), or p for the univariate padding column, to e, memoised and
 shared by every caller.  Entries do not depend on the window, so each
 exponent pair keeps one kernel table, at the widest window asked for, and
-every window is cut from it.  contract sums a Pfaffian entry against a
-table, one series product per row.
+every window is cut from it.
+
+contract sums a Pfaffian entry against a table as one combination over
+memoised generator products: each cell (p, q) reads the product of its two
+one-row generators from a table that the family keeps per bound (gq for
+GQ_m GQ_n, dualq for q^[b]_m q^[b]_n), so entries and partitions that
+meet the same index pair share one series product.
 """
 
 from __future__ import annotations
@@ -133,18 +138,21 @@ def g_table(i: int, j: int, r: int, windows) -> MappingProxyType:
     return _kernel_table(i, j, windows)
 
 
-def contract(table, left, right, degree_bound: int):
-    """sum of c b^(p+q) left(p) right(q) over the entries (p, q): c of a
-    two-variable table, left and right giving series at degree_bound.
+def contract(table, pair, degree_bound: int):
+    """sum of c b^(p+q) A_m A_n over the entries (p, q): c of a two-variable
+    table, A_m A_n the cell's product of one-row generators, in one
+    pseries.combination over the cells.
 
-    The sum is bilinear, so it runs row by row: each row p whose left(p) is
-    nonzero takes one pseries.combination of its right(q), carrying the
-    whole b-power p+q (p alone may be negative), and one product with
-    left(p).  right is not called on a row whose left(p) is zero.
+    pair(p, q) gives the cell's generator product as a triple (f, e, s),
+    standing for s b^e f, or None where the product is zero; the family
+    memoises f per bound, so a product is built once, by the first cell
+    that asks for it, and read by every later one.
     """
-    rows: dict = {}
-    for (p, q), c in table.items():
-        rows.setdefault(p, []).append((q, c))
-    return combination(
-        ((f * combination(((right(q), p + q, c) for q, c in row), degree_bound), 0, 1)
-         for p, row in rows.items() if (f := left(p))), degree_bound)
+    def parts():
+        for (p, q), c in table.items():
+            got = pair(p, q)
+            if got is not None:
+                f, e, s = got
+                yield f, p + q + e, c * s
+
+    return combination(parts(), degree_bound)

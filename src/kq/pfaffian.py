@@ -78,7 +78,8 @@ def pfaffian_from_upper(upper, one=1):
             entry = upper.get((a, idx[pos]))
             if entry is None:
                 continue
-            term = entry * pf(idx[1:pos] + idx[pos + 1:])
+            rest = idx[1:pos] + idx[pos + 1:]
+            term = entry * pf(rest) if rest else entry  # no product by one
             acc = acc - term if pos % 2 == 0 else acc + term
         cache[idx] = acc
         return acc

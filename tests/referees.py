@@ -9,15 +9,17 @@ referees: the strict partitions up to a weight, which only tests list; the
 zero test of a series, the exponential of a series, and of a z-graded
 family of them (z_exp), term by term against the closed forms; Schur Q_mu
 by the two-row Pfaffian and its deformed images, which referee the vacuum
-rows of hexpansion, and coordinates in the deformed bases, read through the
-library's memo and by the triangular elimination that referees it;
-polynomials in n variables monomial by monomial (FinitePoly), the oracle's
-answer written out on its orbits and read back with a symmetry check, and
-the substitution of power sums in n variables that from_finite inverts
-(eval_finite); the kernel (z-w)/(z+w+b) in a closed form of its own,
-generic Laurent blocks that cross-check the closed-form kernel tables, and
-a direct convolution that checks their recurrences, the oracle's P0
-monomial by monomial (gq_oracle_full) and its tail product factor by factor,
+rows of hexpansion, those rows built one table per bound, and coordinates
+in the deformed bases, read through the library's memo and by the
+triangular elimination that referees it; polynomials in n variables
+monomial by monomial (FinitePoly), the oracle's answer written out on its
+orbits and read back with a symmetry check, and the substitution of power
+sums in n variables that from_finite inverts (eval_finite); the kernel
+(z-w)/(z+w+b) in a closed form of its own, generic Laurent blocks that
+cross-check the closed-form kernel tables, a direct convolution that
+checks their recurrences, and the row-by-row contraction that checks
+laurent.contract, the oracle's P0 monomial by monomial (gq_oracle_full)
+and its tail product factor by factor,
 which check the tail orbits and their alternant tables, the oracle's
 symmetrization as a chain of divided differences and literally, which check
 its bialternant pass, the Fock actions in Fractions and the int action of
@@ -41,7 +43,8 @@ from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
 from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _in_monomials, _mul,
                        _p0_degree, _pair_factor)
-from kq.partitions import check_degree_bound, check_partition, contains, row_count, z_lambda
+from kq.partitions import (check_degree_bound, check_partition, contains, partitions_upto,
+                           row_count, z_lambda)
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries, combination, exp_power_sums
 from kq.scalars import BetaScalar, ONE, ZERO, _from_monomials, _monomials, binom_general
@@ -156,6 +159,22 @@ def kernel_entries_by_convolution(a: int, c: int, x_max: int, y_max: int) -> dic
     return entries
 
 
+def contract_by_rows(table, left, right, degree_bound: int) -> PSeries:
+    """laurent.contract row by row: sum of c b^(p+q) left(p) right(q) over
+    the entries (p, q): c of a two-variable table.
+
+    Each row p whose left(p) is nonzero takes one combination of its
+    right(q), carrying the whole b-power p+q (p alone may be negative), and
+    one series product with left(p); nothing is shared between rows.
+    """
+    rows: dict = {}
+    for (p, q), c in table.items():
+        rows.setdefault(p, []).append((q, c))
+    return combination(
+        ((f * combination(((right(q), p + q, c) for q, c in row), degree_bound), 0, 1)
+         for p, row in rows.items() if (f := left(p))), degree_bound)
+
+
 # -- evaluation at a value of b --------------------------------------------
 
 def at_b(f, value):
@@ -231,7 +250,25 @@ def z_exp(parts):
 #
 # The Fock exit reads Q_mu(p^flavor) off the vacuum rows <0| prod 2 b_nu of
 # hexpansion; here Q_mu comes from the one-row q_n and the two-row Pfaffian
-# instead, and its deformation from one image per mu, widened for bracket.
+# instead, and its deformation from one image per mu, widened for bracket;
+# rows_at builds the vacuum rows one table per bound, the way the library
+# did before it kept one widest table.
+
+def rows_at(bound: int):
+    """hexpansion._rows as one table per bound, built from the vacuum up:
+    {bra word: ((nu, R_nu at the word), ...)} over the partitions nu into
+    odd parts of weight <= bound."""
+    states, rows = {(): fock.vacuum()}, {}
+    for nu in partitions_upto(bound):
+        if any(part % 2 == 0 for part in nu):
+            continue
+        if nu:
+            twice_b = ((nu[-1], 0, 1),)
+            states[nu] = fock._act(states[nu[:-1]], fock._bra_word_b, lambda g: twice_b, 1)
+        for (word, _), r in states[nu].terms.items():
+            rows.setdefault(word, []).append((nu, r))
+    return {word: tuple(entries) for word, entries in rows.items()}
+
 
 def p_beta(n: int, degree_bound: int) -> PSeries:
     """Deformed power sum, paren flavor: p_n + higher-degree corrections."""

@@ -321,32 +321,53 @@ def test_formula_two_computes_no_zero_weighted_value(monkeypatch):
         assert calls == [(*lam, 7)]
 
 
-def test_pfaffian_entries_take_one_product_per_row(monkeypatch):
-    # pins the row contraction of laurent.contract: an entry takes one
-    # series product per row p of its table whose left factor is nonzero,
-    # not one per (p, q) cell.  At (3, 1), D = 8 the f-table has 21 cells
-    # in 6 rows and the g-table 9 cells in 5 rows.
-    D = 8
+def _count_products(monkeypatch):
+    """The series operand pairs of every PSeries product from now on."""
     products = []
     original = PSeries.__mul__
 
     def counted(self, other):
         if isinstance(other, PSeries):
-            products.append(other)
+            products.append((self, other))
         return original(self, other)
 
-    cases = ((gq.gq_two_index, laurent.f_table(1, 2, 2, 2, (D - 3, D - 1)),
-              lambda p: gq.gq_series(D).coefficient(3 + p)),
-             (dualq.o_two_index, laurent.g_table(1, 2, 2, (3, 1)),
-              lambda p: dualq._q_bracket_upto(D, D)[3 - p]))
-    for route, table, left in cases:
-        want = route(3, 1, D)  # warms the series and the tables
-        products.clear()
-        monkeypatch.setattr(PSeries, "__mul__", counted)
-        assert route.__wrapped__(3, 1, D) == want
-        monkeypatch.setattr(PSeries, "__mul__", original)
-        rows = {p for p, q in table if left(p)}
-        assert len(products) == len(rows) < len(table), (route, len(products))
+    monkeypatch.setattr(PSeries, "__mul__", counted)
+    return products
+
+
+def test_warm_pfaffian_entries_take_no_product(monkeypatch):
+    # pins laurent.contract: an entry is one combination over generator
+    # products that the family memoises per bound, so an entry whose
+    # products are all built already multiplies nothing
+    D = 8
+    entries = ((gq.gq_two_index.__wrapped__, (3, 1, D)),
+               (gq._f_entry, (1, 3, 3, 4, 4, 1, D)),
+               (dualq.o_two_index.__wrapped__, (3, 1, D)),
+               (dualq._g_entry, (1, 3, 3, 4, 1, D)))
+    wants = [entry(*args) for entry, args in entries]  # warms the tables
+    products = _count_products(monkeypatch)
+    for (entry, args), want in zip(entries, wants):
+        assert entry(*args) == want
+    assert products == []
+
+
+def test_cold_formula_two_multiplies_each_generator_pair_once(monkeypatch):
+    # a cold gq_pfaffian_2((3,2,1), 12) multiplies each pair GQ_m GQ_n,
+    # 1 <= m <= n, m + n <= 12, at most once: at most 36 generator
+    # products, where the row contraction took 446 products in all.  The
+    # only other products are the three of the 4 x 4 Pfaffian expansion.
+    D = 12
+    want = gq.gq_pfaffian_2((3, 2, 1), D)
+    gq.gq_two_index.cache_clear()
+    monkeypatch.setitem(gq._PRODUCTS, D, {})
+    generators = {id(f): n for n, f in gq.gq_series(D).coefficients.items()}
+    products = _count_products(monkeypatch)
+    assert gq.gq_pfaffian_2((3, 2, 1), D) == want
+    pairs = [tuple(sorted((generators[id(f)], generators[id(g)])))
+             for f, g in products if id(f) in generators and id(g) in generators]
+    assert len(pairs) == len(set(pairs)) <= 36
+    assert all(m + n <= D for m, n in pairs)
+    assert len(products) - len(pairs) == 3
 
 
 def _literal(path, name):

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from kq import fock
+from kq import fock, hexpansion
 from kq.bases import _power_image
 from kq.hexpansion import _rows, vacuum_expectation
 from kq.partitions import partitions_upto, z_lambda
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (bra_apply_b, classical_q, deformed_q, flat_terms, is_zero, p_beta, pair,
-                      strict_partitions_upto, two_row_q)
+                      rows_at, strict_partitions_upto, two_row_q)
 
 D = 6
 
@@ -194,11 +194,57 @@ def test_rows_are_read_only():
     assert _rows(5)[(0, -3)] == (((3,), -1), ((1, 1, 1), -4))
 
 
+def test_rows_extend_one_widest_table(monkeypatch):
+    # the table at a bound B is the widest table cut to words of weight
+    # <= B: each R_nu is built once, by one action, whatever order the
+    # bounds are asked in, and every cut equals the table built at B alone
+    monkeypatch.setattr(hexpansion, "_WEIGHT", -1)
+    monkeypatch.setattr(hexpansion, "_STATES", {})
+    monkeypatch.setattr(hexpansion, "_ROWS", {})
+    actions = []
+    original = hexpansion._act
+
+    def counted(state, *args):
+        actions.append(state)
+        return original(state, *args)
+
+    monkeypatch.setattr(hexpansion, "_act", counted)
+    for bound in (5, 0, 9, 3, 16, *range(17)):
+        rows = hexpansion._rows(bound)
+        cut = {word: entries for word, entries in rows.items() if -sum(word) <= bound}
+        assert cut == rows_at(bound), bound
+    assert rows == rows_at(16)
+    odd = [nu for nu in partitions_upto(16) if nu and all(part % 2 for part in nu)]
+    assert len(actions) == len(odd)
+
+
+def test_paren_pairing_skips_words_past_the_bound(monkeypatch):
+    # with the table wider than the bound, a paren ket word heavier than
+    # the bound is not read: no coordinate past the bound reaches the
+    # image, and the word pairs to zero, as when the table stopped there
+    bound = 4
+    _rows(12)
+    heavy = flat_terms({(4, 3, 2, 0): ONE, (5, 1): BETA})
+    light = flat_terms({(3, 1): ONE, (2, 0): BETA})
+    weights = []
+    original = hexpansion._image_sum
+
+    def recorded(coords, *args):
+        weights.extend(sum(nu) for nu, _ in coords)
+        return original(coords, *args)
+
+    monkeypatch.setattr(hexpansion, "_image_sum", recorded)
+    got = vacuum_expectation(fock.FockState({**heavy, **light}), "paren", bound)
+    assert got == vacuum_expectation(fock.FockState(light), "paren", bound)
+    assert got and weights and max(weights) <= bound
+
+
 def test_rows_are_the_pfaffian_q():
     # R_nu at the word of mu is [p~_nu] (-1)^{|mu|} 2^{-l(mu)} Q_mu, Q_mu by
-    # the two-row Pfaffian; and every word of a row is the word of some mu
+    # the two-row Pfaffian; and every word of a row is the word of some mu.
+    # The table at the bound is the shared table cut to words of weight <= 10
     bound = 10
-    rows = _rows(bound)
+    rows = {word: entries for word, entries in _rows(bound).items() if -sum(word) <= bound}
     words = set()
     for mu in strict_partitions_upto(bound):
         padded = mu + (0,) if len(mu) % 2 else mu

@@ -4,18 +4,21 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from kq import laurent
+from kq import dualq, gq, laurent
 from kq.laurent import (_KERNEL_TABLES, _dual_kernel_rational, _kernel_entries, _kernel_table,
                         _univariate, f_table, g_table)
+from kq.pseries import combination
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     LaurentBlock,
     at_b,
     binomial_block,
+    contract_by_rows,
     dual_kernel_coefficient,
     dual_two_point_kernel,
     kernel_coefficient,
     kernel_entries_by_convolution,
+    strict_partitions_upto,
     two_point_kernel,
 )
 
@@ -373,3 +376,85 @@ def test_kernel_table_block_cross_check(kind, i, j, rp):
     for x in range(zlo, zhi + 1):
         for y in range(wlo, whi + 1):
             assert prod.coefficient((x, y)) == target.coefficient((x, y))
+
+
+# ------------------------------------------------------------ contraction
+
+@pytest.mark.parametrize("D", range(1, 11))
+def test_generator_products_match_fresh_products(D):
+    # each family's _pair(m, n) stands for s b^e f = A_m A_n, A read from a
+    # fresh generator table: constants as b-shifts, and a GQ pair past the
+    # bound, which is zero, as None
+    fresh = gq.GQSeries(D).coefficient
+    for m in range(-2, D + 2):
+        for n in range(-2, D + 2):
+            want = fresh(m) * fresh(n)
+            got = gq._pair(m, n, D)
+            if got is None:
+                assert m + n > D and not want.terms, (m, n)
+            else:
+                assert combination([got], D) == want, (m, n)
+    shared = dualq._q_bracket_upto(D + 2, D)
+    row = dualq._q_bracket_upto.__wrapped__(D + 2, D)
+    for m in range(D + 3):
+        for n in range(D + 3):
+            assert combination([dualq._pair(shared, m, n, D)], D) == row[m] * row[n], (m, n)
+
+
+def test_contract_matches_row_referee_on_route_tables(monkeypatch):
+    # every table the four Pfaffian routes contract, for all strict lambda
+    # at D <= 9, against the row-by-row contraction of the same table
+    context, seen = [], {}
+
+    def entering(family, entry):
+        def wrapped(*args):  # ..., li, lj, degree_bound
+            context.append((family, *args[-3:]))
+            try:
+                return entry(*args)
+            finally:
+                context.pop()
+        return wrapped
+
+    def recorded(table, pair, degree_bound):
+        got = laurent.contract(table, pair, degree_bound)
+        seen.setdefault((*context[-1], tuple(table.items())), got)
+        return got
+
+    monkeypatch.setattr(gq, "_f_entry", entering("gq", gq._f_entry))
+    monkeypatch.setattr(dualq, "_g_entry", entering("dual", dualq._g_entry))
+    monkeypatch.setattr(gq, "contract", recorded)
+    monkeypatch.setattr(dualq, "contract", recorded)
+    gq.gq_two_index.cache_clear()
+    dualq.o_two_index.cache_clear()
+    for D in range(1, 10):
+        for lam in strict_partitions_upto(D):
+            for route in (gq.gq_pfaffian_1, gq.gq_pfaffian_2,
+                          dualq.o_pfaffian_1, dualq.o_pfaffian_2):
+                route(lam, D)
+    assert {key[0] for key in seen} == {"gq", "dual"}
+    for (family, li, lj, D, items), got in seen.items():
+        if family == "gq":
+            get = gq.gq_series(D).coefficient
+            left, right = (lambda p: get(li + p)), (lambda q: get(lj + q))
+        else:
+            qb = dualq._q_bracket_upto(max(D, li + lj), D)
+            left, right = (lambda p: qb[li - p]), (lambda q: qb[lj - q])
+        assert contract_by_rows(dict(items), left, right, D) == got, (family, li, lj, D)
+
+
+def test_memoised_products_survive_a_sweep():
+    # no caller changes a shared product: after a sweep of the four
+    # Pfaffian routes, every product memoised at any bound equals a fresh one
+    D = 9
+    for lam in strict_partitions_upto(D):
+        for route in (gq.gq_pfaffian_1, gq.gq_pfaffian_2, dualq.o_pfaffian_1, dualq.o_pfaffian_2):
+            route(lam, D)
+    assert gq._PRODUCTS[D] and dualq._PRODUCTS[D]
+    for bound, table in gq._PRODUCTS.items():
+        fresh = gq.GQSeries(bound).coefficients
+        for (m, n), f in table.items():
+            assert f == fresh[m] * fresh[n], (bound, m, n)
+    for bound, table in dualq._PRODUCTS.items():
+        row = dualq._q_bracket_upto.__wrapped__(max(bound, *(n for _, n in table)), bound)
+        for (m, n), f in table.items():
+            assert f == row[m] * row[n], (bound, m, n)
