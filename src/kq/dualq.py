@@ -14,15 +14,17 @@ with zbar = -z / (1 + b z).  Three routes compute o_lambda:
     contraction; the quarter leaves no global 2-power;
   * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>.
 
-gp_lambda is produced from o_lambda by inverting the unitriangular pairing
-matrix <GQ_lambda, o_mu>; these sums, like the route entries, are each one
-pseries.combination.  The pairing itself (bilinear_pair) weighs matching
-odd power-sum monomials by z_lambda / 2^{l(lambda)}, summing ints.
+gp_lambda is a closed-form combination of the o_nu with nu interlacing
+lambda, read off the inverse of the pairing matrix <GQ_mu, o_nu> (proof in
+gp); each gp, like each route entry, is one pseries.combination.  The
+pairing itself (bilinear_pair) weighs matching odd power-sum monomials by
+z_lambda / 2^{l(lambda)}, summing ints.
 """
 
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, lcm
 from types import MappingProxyType
 
@@ -30,8 +32,7 @@ from . import fock
 from .bases import _coordinates
 from .hexpansion import vacuum_expectation
 from .laurent import contract, g_table
-from .partitions import (check_degree_bound, check_strict_weight, row_count,
-                         sub_strict_partitions, z_lambda)
+from .partitions import check_degree_bound, check_strict_weight, z_lambda
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination, exp_power_sums
 from .scalars import _from_monomials, binom_general
@@ -264,24 +265,54 @@ def _check_odd(mu):
 def gp(lam, degree_bound):
     """gp_lambda, the dual basis to GQ: <GQ_lambda, gp_mu> = delta_{lambda,mu}.
 
-    Obtained from o_fermionic's o_lambda by inverting the unitriangular matrix
-    <GQ_mu, o_lambda> = (-b)^{|lambda|-|mu|} 2^{-row_count(lambda, mu)},
-    zero unless lambda contains mu: subtract that multiple of gp_mu from
-    o_lambda for every strict mu strictly inside lambda, the empty
-    partition included.
+    In closed form, gp_lambda = sum_nu (-1)^{d - r} (b/2)^d o_nu, summed over
+    the strict nu that interlace lambda,
+        lambda_1 >= nu_1 > lambda_2 >= nu_2 > ... > lambda_r >= nu_r >= 0,
+    with d = |lambda| - |nu| and r the number of rows where nu_i < lambda_i
+    (lambda/nu is a shifted horizontal strip).  This inverts the pairing
+    matrix M_{mu,nu} = <GQ_mu, o_nu>:
+
+      * M_{mu,nu} = prod_i m(mu_i, nu_i), with rows padded by zeros,
+        m(a, a) = 1, m(a, c) = (-b)^{c-a} / 2 for c > a, and 0 for c < a.
+      * One row inverts by n(c, c) = 1, n(c, l) = -(-b/2)^{l-c} for c < l:
+        with T = -b t the generating functions sum_c m(a, c) t^{c-a} =
+        (1 - T/2) / (1 - T) and sum_c n(c, l) t^{l-c} are reciprocal, so
+        sum_{a <= c <= l} m(a, c) n(c, l) = delta(a, l).
+      * The interlacing nu form a product of ranges, nu_i in
+        [lambda_{i+1} + 1, lambda_i] for i < r and nu_r in [0, lambda_r],
+        so with N_{nu,lambda} = prod_i n(nu_i, lambda_i), the entry
+        sum_nu M_{mu,nu} N_{nu,lambda} for a strict mu inside lambda is a
+        product of one sum per row.
+      * A row with mu_i > lambda_{i+1}, and the last row, sums over all of
+        [mu_i, lambda_i] and gives delta(mu_i, lambda_i).
+      * If mu != lambda, take the last row i with mu_i != lambda_i.  Either
+        i = r, or mu_{i+1} = lambda_{i+1} and, mu being strict, mu_i >
+        lambda_{i+1}: either way that row gives 0.
+    Hence MN = I.  By duality o_nu = sum_mu M_{mu,nu} gp_mu, so gp = oN.
+
+    Each o_nu comes from o_fermionic through one memo keyed by (nu, D), and
+    the sum is one combination; no gp reads another gp.
     """
     lam = check_strict_weight(lam, degree_bound)
-    return _gp_cached(lam, degree_bound)
+    return combination(((_o_memo(nu, degree_bound), d, c)
+                        for nu, d, c in _inverse_column(lam)), degree_bound)
+
+
+def _inverse_column(lam):
+    """(nu, d, c) for each nonzero entry N_{nu,lambda} = c b^d of gp's
+    closed form.
+
+    One nu per interlacing sequence, the rows ranging independently; only
+    the last row may reach 0, which is dropped from nu.
+    """
+    rows = (range(below + 1, part + 1) for part, below in zip(lam, lam[1:] + (-1,)))
+    for nu in product(*rows):
+        d = sum(lam) - sum(nu)
+        r = sum(map(operator.ne, lam, nu))
+        yield tuple(filter(None, nu)), d, Fraction(-1 if (d - r) % 2 else 1, 2 ** d)
 
 
 @lru_cache(maxsize=None)
-def _gp_cached(lam, degree_bound):
-    def parts():
-        yield o_fermionic(lam, degree_bound), 0, 1
-        for mu in sub_strict_partitions(lam):
-            if mu != lam:
-                d = sum(lam) - sum(mu)
-                yield (_gp_cached(mu, degree_bound), d,
-                       Fraction(1 if d % 2 else -1, 2 ** row_count(lam, mu)))
-
-    return combination(parts(), degree_bound)
+def _o_memo(nu, degree_bound):
+    """o_fermionic(nu, degree_bound), kept: each o_nu serves every gp above it."""
+    return o_fermionic(nu, degree_bound)

@@ -73,24 +73,6 @@ def z_lambda(p) -> int:
     return out
 
 
-def contains(outer, inner) -> bool:
-    """Componentwise containment inner_i <= outer_i."""
-    if len(inner) > len(outer):
-        return False
-    return all(i <= o for o, i in zip(outer, inner))
-
-
-def row_count(outer, inner) -> int:
-    """Number of rows of outer that the skew shape outer/inner meets.
-
-    Counts i with outer_i > inner_i, inner padded with zeros.
-    """
-    if not contains(outer, inner):
-        raise ValueError(f"{inner} is not contained in {outer}")
-    padded = inner + (0,) * (len(outer) - len(inner))
-    return sum(1 for o, i in zip(outer, padded) if o > i)
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int, max_part: int | None = None,
                   max_len: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -114,20 +96,6 @@ def partitions_upto(bound: int):
     """All partitions of weight 0..bound, graded then decreasing lex."""
     for n in range(bound + 1):
         yield from partitions_of(n)
-
-
-def sub_strict_partitions(p):
-    """Strict partitions contained componentwise in strict p (p included)."""
-    p = check_partition(p, strict=True)
-    out = {()}
-    for part in reversed(p):  # extend candidate suffixes one row upward
-        grown = set()
-        for tail in out:
-            top = tail[0] if tail else 0
-            for v in range(top + 1, part + 1):
-                grown.add((v,) + tail)
-        out |= grown
-    return sorted(out, key=graded_key)
 
 
 def merge(p, q) -> tuple[int, ...]:

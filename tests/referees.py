@@ -24,8 +24,10 @@ which check the tail orbits and their alternant tables, the oracle's
 symmetrization as a chain of divided differences and literally, which check
 its bialternant pass, the Fock actions in Fractions and the int action of
 phi^(beta)_n that no route calls, the ket actions, plain fermion modes and
-Wick's theorem, and the paper's theorems (the cancellation properties, the
-Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks.
+Wick's theorem, the paper's theorems (the cancellation properties, the
+Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks,
+with the containment of partitions that the last one reads, and gp by
+inverting that pairing matrix recursively, which referees gp's closed form.
 The section after the partitions reads and writes the library's flat
 (key, b-power) terms as BetaScalars.
 """
@@ -38,13 +40,14 @@ from itertools import combinations, permutations
 
 from kq import fock
 from kq.bases import _coordinates, _image_sum, _power_image
+from kq.dualq import o_fermionic
 from kq.finitevars import SymmetricPoly, _orbit_size
 from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
 from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _in_monomials, _mul,
                        _p0_degree, _pair_factor)
-from kq.partitions import (check_degree_bound, check_partition, contains, partitions_upto,
-                           row_count, z_lambda)
+from kq.partitions import (check_degree_bound, check_partition, check_strict_weight, graded_key,
+                           partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries, combination, exp_power_sums
 from kq.scalars import BetaScalar, ONE, ZERO, _from_monomials, _monomials, binom_general
@@ -1133,7 +1136,7 @@ def check_kq_cancellation(f, degree_bound, nvars):
     return not any(cleared.values())
 
 
-# -- dualq: the pairing in closed form, on Fock space, and the dual ring -----
+# -- dualq: the pairing in closed form, on Fock space, gp by recursion, the dual ring
 
 def pairing_i(m, n):
     """I(m, n), the elementary pairing of one bra row against one ket row.
@@ -1193,6 +1196,38 @@ def fock_pairing(mu, lam):
     return got
 
 
+def contains(outer, inner) -> bool:
+    """Componentwise containment inner_i <= outer_i."""
+    if len(inner) > len(outer):
+        return False
+    return all(i <= o for o, i in zip(outer, inner))
+
+
+def row_count(outer, inner) -> int:
+    """Number of rows of outer that the skew shape outer/inner meets.
+
+    Counts i with outer_i > inner_i, inner padded with zeros.
+    """
+    if not contains(outer, inner):
+        raise ValueError(f"{inner} is not contained in {outer}")
+    padded = inner + (0,) * (len(outer) - len(inner))
+    return sum(1 for o, i in zip(outer, padded) if o > i)
+
+
+def sub_strict_partitions(p):
+    """Strict partitions contained componentwise in strict p (p included)."""
+    p = check_partition(p, strict=True)
+    out = {()}
+    for part in reversed(p):  # extend candidate suffixes one row upward
+        grown = set()
+        for tail in out:
+            top = tail[0] if tail else 0
+            for v in range(top + 1, part + 1):
+                grown.add((v,) + tail)
+        out |= grown
+    return sorted(out, key=graded_key)
+
+
 def inner_product_formula(lam, mu):
     """Closed form of <GQ_lambda, o_mu>.
 
@@ -1209,6 +1244,29 @@ def inner_product_formula(lam, mu):
     d = sum(mu) - sum(lam)
     c = Fraction(-1 if d % 2 else 1, 2 ** row_count(mu, lam))
     return BetaScalar.beta_power(d, c)
+
+
+def gp_by_recursion(lam, degree_bound):
+    """gp_lambda by inverting the unitriangular matrix <GQ_mu, o_lambda>
+    = (-b)^{|lambda|-|mu|} 2^{-row_count(lambda, mu)} row by row: subtract
+    that multiple of gp_mu from o_lambda for every strict mu strictly
+    inside lambda, the empty partition included.  Referees dualq.gp's
+    closed form over the interlacing nu.
+    """
+    return _gp_cached(check_strict_weight(lam, degree_bound), degree_bound)
+
+
+@lru_cache(maxsize=None)
+def _gp_cached(lam, degree_bound):
+    def parts():
+        yield o_fermionic(lam, degree_bound), 0, 1
+        for mu in sub_strict_partitions(lam):
+            if mu != lam:
+                d = sum(lam) - sum(mu)
+                yield (_gp_cached(mu, degree_bound), d,
+                       Fraction(1 if d % 2 else -1, 2 ** row_count(lam, mu)))
+
+    return combination(parts(), degree_bound)
 
 
 def check_dual_cancellation(g, nvars):

