@@ -14,25 +14,23 @@ with zbar = -z / (1 + b z).  Three routes compute o_lambda:
     contraction; the quarter leaves no global 2-power;
   * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>.
 
-gp_lambda is a closed-form combination of the o_nu with nu interlacing
-lambda, read off the inverse of the pairing matrix <GQ_mu, o_nu> (proof in
-gp); each gp, like each route entry, is one pseries.combination.  The
-pairing itself (bilinear_pair) weighs matching odd power-sum monomials by
-z_lambda / 2^{l(lambda)}, summing ints.
+gp_lambda is the combination of the o_nu with nu interlacing lambda that
+inverts the pairing matrix <GQ_mu, o_nu>; its column factors over rows, so
+gp is one ket of o_fermionic's shape with a sum of phihat modes in each
+row, and one exit (proof in gp).  Each Pfaffian entry is one
+pseries.combination.  The pairing itself (bilinear_pair) weighs matching
+odd power-sum monomials by z_lambda / 2^{l(lambda)}, summing ints.
 """
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, lcm
-from types import MappingProxyType
 
 from . import fock
 from .bases import _coordinates
 from .hexpansion import vacuum_expectation
 from .laurent import contract, g_table
-from .partitions import check_degree_bound, check_strict_weight, z_lambda
+from .partitions import check_strict_weight, z_lambda
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination, exp_power_sums
 from .scalars import _from_monomials, binom_general
@@ -60,41 +58,6 @@ def _q_bracket_upto(top, degree_bound):
 def q_bracket_series(degree_bound):
     """The sequence [q^[b]_0, ..., q^[b]_D]; q^[b]_0 = 1, q^[b]_1 = 2 p_1."""
     return _q_bracket_upto(degree_bound, degree_bound)
-
-
-class OSeries:
-    """One-row duals o_n at a fixed degree bound.
-
-    o_n = (1/2) sum_{k=0}^{n} (-b)^k q^[b]_{n-k}, the u^n coefficient of
-    (1/2) (1 + b u)^{-1} q^[b](u).  o_n for n < 0 is zero; asking above
-    the bound is refused rather than silently truncated, since o_n has top
-    degree exactly n.  coefficients is read-only: o_series shares one
-    instance per bound.
-    """
-
-    __slots__ = ("degree_bound", "coefficients")
-
-    def __init__(self, degree_bound):
-        degree_bound = check_degree_bound(degree_bound)
-        self.degree_bound = degree_bound
-        qb = q_bracket_series(degree_bound)
-        self.coefficients = MappingProxyType({
-            n: combination(((qb[n - k], k, Fraction(-1 if k % 2 else 1, 2))
-                            for k in range(n + 1)), degree_bound)
-            for n in range(degree_bound + 1)})
-
-    def coefficient(self, n):
-        n = operator.index(n)
-        if n < 0:
-            return PSeries.zero(self.degree_bound)
-        if n > self.degree_bound:
-            raise ValueError("o_n above the degree bound is not computed")
-        return self.coefficients[n]
-
-
-@lru_cache(maxsize=None)
-def o_series(degree_bound):
-    return OSeries(degree_bound)
 
 
 # degree_bound -> {(m, n): q^[b]_m q^[b]_n} for 1 <= m <= n, each product
@@ -175,8 +138,13 @@ def o_pfaffian_2(lam, degree_bound):
     kappa_{i,j} = sum_{k,l >= 0} C(1-i, k) C(2-j, l) b^{k+l}
                   o_(lambda_i - k, lambda_j - l),
     cut off by the vanishing floor of o_two_index (l <= lambda_j and
-    k + l <= lambda_i + lambda_j); the padding column carries
-    kappa_{i,r+1} = sum_{k <= lambda_i} C(1-i, k) b^k o_{lambda_i - k}.
+    k + l <= lambda_i + lambda_j).  The padding column carries
+    kappa_{i,r+1} = sum_k C(1-i, k) b^k o_{lambda_i - k}, with the one-row
+    duals o_n = (1/2) sum_t (-b)^t q^[b]_{n-t}, the u^n coefficient of
+    (1/2) (1 + bu)^{-1} q^[b](u).  The twist multiplies that by
+    (1 + bu)^{1-i}, and (1 + bu)^{1-i} (1 + bu)^{-1} = (1 + bu)^{-i}, so
+        kappa_{i,r+1} = (1/2) sum_{s <= lambda_i} C(-i, s) b^s q^[b]_{lambda_i - s},
+    one combination over the row of q^[b].
     No overall power of 2: the quarter in o_two_index absorbs it.
     """
     lam = check_strict_weight(lam, degree_bound)
@@ -184,9 +152,9 @@ def o_pfaffian_2(lam, degree_bound):
 
     def entry(i, j, li, lj):
         if lj is None:
-            get = o_series(D).coefficient
-            return combination(((get(li - k), k, binom_general(1 - i, k))
-                                for k in range(li + 1)), D)
+            qb = q_bracket_series(D)
+            return combination(((qb[li - s], s, binom_general(-i, s) / 2)
+                                for s in range(li + 1)), D)
         # no two-index block is computed under a zero binomial weight
         return combination(
             ((o_two_index(li - k, lj - l, D), k + l, ck * cl)
@@ -196,23 +164,34 @@ def o_pfaffian_2(lam, degree_bound):
     return padded_pfaffian(lam, PSeries.one(D), entry)
 
 
+def _dual_ket(lam, lows, degree_bound):
+    """2^{-r} <0| e^{H^[b]} R_1 R_2 ... R_r |0>, with a trailing
+    e^{-theta} phihat_0 when r = l(lambda) is odd, R_i = e^{-theta}
+    sum_{c=lows_i}^{lambda_i} w_i(c) phihat_c the row of fock._phihat_row.
+
+    Built in bra form, as the star of <0| ... R_2^* R_1^*, each R_i^* one
+    row action and one e^{-Theta}, and starred once; the contraction
+    against <0| e^{H^[b]} runs in the bracket flavor.  The rows act from
+    the last, on a bra of grade 0: <0|, or <0| phi_0 when r is odd.
+    """
+    state = fock.vacuum()
+    if len(lam) % 2:
+        state = fock.bra_apply_theta_exp(fock.bra_apply_phihat_star(state, 0), sign=-1)
+    for n, low in reversed(tuple(zip(lam, lows))):
+        state = fock.bra_apply_theta_exp(fock._phihat_row(state, n, low), sign=-1)
+    return (vacuum_expectation(fock.star_bra(state), "bracket", degree_bound)
+            * Fraction(1, 2 ** len(lam)))
+
+
 def o_fermionic(lam, degree_bound):
     """o_lambda as 2^{-r} <0| e^{H^[b]} |lambda>^g on the Fock side.
 
     |lambda>^g = e^{-theta} phihat_{l_1} e^{-theta} phihat_{l_2} ...
-    acting on |0>, with a trailing e^{-theta} phihat_0 when r is odd.  It
-    is built in bra form, as the star of <0| (phihat_n)^* e^{-Theta} ...,
-    and starred once; the contraction against <0| e^{H^[b]} runs in the
-    bracket flavor.
+    acting on |0>, with a trailing e^{-theta} phihat_0 when r is odd: the
+    ket of _dual_ket with every row a single mode, low = lambda_i.
     """
     lam = check_strict_weight(lam, degree_bound)
-    r = len(lam)
-    ops = list(lam) + ([0] if r % 2 else [])
-    state = fock.vacuum()
-    for n in reversed(ops):
-        state = fock.bra_apply_phihat_star(state, n)
-        state = fock.bra_apply_theta_exp(state, sign=-1)
-    return vacuum_expectation(fock.star_bra(state), "bracket", degree_bound) * Fraction(1, 2 ** r)
+    return _dual_ket(lam, lam, degree_bound)
 
 
 def bilinear_pair(f, g):
@@ -290,29 +269,20 @@ def gp(lam, degree_bound):
         lambda_{i+1}: either way that row gives 0.
     Hence MN = I.  By duality o_nu = sum_mu M_{mu,nu} gp_mu, so gp = oN.
 
-    Each o_nu comes from o_fermionic through one memo keyed by (nu, D), and
-    the sum is one combination; no gp reads another gp.
+    The column factors over rows, and so does the ket: o_nu = 2^{-l(nu)}
+    <0| e^{H^[b]} |nu>^g, and |nu>^g is one e^{-theta} phihat_{nu_i} per row
+    (see o_fermionic).  A nu with nu_r = 0 has r - 1 rows, so
+      * its 2^{-l(nu)} is 2^{-r} times 2: the c = 0 term of the last row is
+        doubled;
+      * its ket is that of r rows with phihat_0 in the last one, since for
+        even r the trailing e^{-theta} phihat_0 of r - 1 rows is that row,
+        and for odd r it meets the trailing one of r rows and
+        (e^{-theta} phihat_0)^2 |0> = |0>.
+    Hence gp_lambda = 2^{-r} <0| e^{H^[b]} R_1 ... R_r |0> (r odd: a trailing
+    e^{-theta} phihat_0), with R_i = e^{-theta} sum_c n(c, lambda_i) phihat_c
+    over c in [lambda_{i+1} + 1, lambda_i], the last row over [0, lambda_r]
+    with c = 0 doubled: one ket and one exit, as o_fermionic's with wider
+    rows, and no o_nu is computed.
     """
     lam = check_strict_weight(lam, degree_bound)
-    return combination(((_o_memo(nu, degree_bound), d, c)
-                        for nu, d, c in _inverse_column(lam)), degree_bound)
-
-
-def _inverse_column(lam):
-    """(nu, d, c) for each nonzero entry N_{nu,lambda} = c b^d of gp's
-    closed form.
-
-    One nu per interlacing sequence, the rows ranging independently; only
-    the last row may reach 0, which is dropped from nu.
-    """
-    rows = (range(below + 1, part + 1) for part, below in zip(lam, lam[1:] + (-1,)))
-    for nu in product(*rows):
-        d = sum(lam) - sum(nu)
-        r = sum(map(operator.ne, lam, nu))
-        yield tuple(filter(None, nu)), d, Fraction(-1 if (d - r) % 2 else 1, 2 ** d)
-
-
-@lru_cache(maxsize=None)
-def _o_memo(nu, degree_bound):
-    """o_fermionic(nu, degree_bound), kept: each o_nu serves every gp above it."""
-    return o_fermionic(nu, degree_bound)
+    return _dual_ket(lam, (*(below + 1 for below in lam[1:]), 0), degree_bound)

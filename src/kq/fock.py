@@ -13,9 +13,10 @@ from the right.  Kets are star images of bras: star sends
 own inverse, and turns a right action of X* on bras into the left action of
 X on kets.  So the ket A B ... |0> is star(<0| ... B* A*): a chain of ket
 actions runs in bra form from the vacuum and is starred once at its end.
-The routes build their kets this way, from bra_apply_phihat_star and
-bra_apply_theta_exp (o_lambda) or bra_apply_phi_beta_star and
-bra_apply_Theta_exp_star (GQ_lambda).
+The routes build their kets this way, from _phihat_row, a weighted sum of
+(phihat_c)^* over a range of c, and bra_apply_theta_exp (o_lambda and
+gp_lambda) or bra_apply_phi_beta_star and bra_apply_Theta_exp_star
+(GQ_lambda).
 
 The normal-ordering tables (_bra_insert, _bra_word_b) are memoised and
 shared, so they are handed out read-only.
@@ -181,6 +182,29 @@ def _phi_beta(state, n, sign, scale):
 def bra_apply_phihat_star(state: FockState, n: int) -> FockState:
     """(phi-hat_n)^* = (-1)^n phi^(-beta)_{-n} acting on bra states."""
     return _phi_beta(state, -n, -1, -1 if n % 2 else 1)
+
+
+def _phihat_row(state, n, low):
+    """Right action of sum_{c=low}^{n} w(c) (phihat_c)^*, 0 <= low <= n,
+    n >= 1, with w(n) = 1, w(c) = -(-b/2)^{n-c} below n, and w(0) doubled.
+
+    For c >= 1, (phihat_c)^* = (-1)^c sum_{m=1}^{c} C(c-1, m-1) (b/2)^{c-m}
+    phi_{-m}, so phi_{-m} carries (-1)^n (b/2)^{n-m} times C(n-1, m-1)
+    minus sum_{c=max(low,m)}^{n-1} C(c-1, m-1), and by the hockey stick
+    that sum is C(n-1, m) - C(low'-1, m), low' = max(low, 1).  At low = n
+    the row is (phihat_n)^* alone.  (phihat_0)^* = sum_{m>=0} (-b/2)^m
+    phi_m meets a word of grade 0 as phi_0 alone, so a row down to 0 acts
+    on grade-0 bras only and raises on any other.
+    """
+    if low == 0 and _lowest_grade(state) < 0:
+        raise ValueError("a row down to phihat_0 acts on grade-0 bras only")
+    # over d = 2^{n-1}: (b/2)^{n-m} is 2^{m-1} b^{n-m} / d
+    sign, floor = (-1) ** n, max(low, 1) - 1
+    modes = tuple((-m, n - m, k << m - 1) for m in range(1, n + 1)
+                  if (k := sign * (comb(n - 1, m - 1) - comb(n - 1, m) + comb(floor, m))))
+    if low == 0:  # 2 w(0) = (-1)^{n+1} b^n / d
+        modes += ((0, n, -sign),)
+    return _act(state, _bra_insert, lambda g: modes, 1 << n - 1)
 
 
 def bra_apply_phi_beta_star(state: FockState, n: int, top: int) -> FockState:

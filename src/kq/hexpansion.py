@@ -79,17 +79,18 @@ def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
     contributes n b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding
     removed, and the sum is divided by the state's den once.  The flavor
     and the bound are checked first, so a ket with no even word cannot hide
-    a bad one; an even word with a negative mode is a bra word and raises.
+    a bad one; a word with a negative mode, odd or even, is a bra word and
+    raises before the odd words are dropped.
     """
     check_flavor(flavor)
     degree_bound = check_degree_bound(degree_bound)
-    even = [(word, k, n) for (word, k), n in ket_state.terms.items() if len(word) % 2 == 0]
     bound = degree_bound
-    for word, _, _ in even:
+    for word, _ in ket_state.terms:
         if word and word[-1] < 0:
             raise ValueError(f"{word} is a bra word, not a ket word")
-        if flavor == "bracket":
+        if flavor == "bracket" and len(word) % 2 == 0:
             bound = max(bound, sum(word))
+    even = [(word, k, n) for (word, k), n in ket_state.terms.items() if len(word) % 2 == 0]
     rows, coords = _rows(bound), {}
     for word, k, n in even:
         weight = sum(word)

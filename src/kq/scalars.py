@@ -64,9 +64,12 @@ def _pmul(a, b):
     if not a or not b:
         return _ZERO
     out = [_F0] * (len(a) + len(b) - 1)
+    # coefficients kq returns are mostly single powers of b: skip the zeros
+    b = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in b:
+                out[i + j] += x * y
     return _trim(out)
 
 

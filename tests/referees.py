@@ -26,8 +26,11 @@ its bialternant pass, the Fock actions in Fractions and the int action of
 phi^(beta)_n that no route calls, the ket actions, plain fermion modes and
 Wick's theorem, the paper's theorems (the cancellation properties, the
 Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks,
-with the containment of partitions that the last one reads, and gp by
-inverting that pairing matrix recursively, which referees gp's closed form.
+with the containment of partitions that the last one reads, the column of
+the inverse of that pairing matrix over the interlacing partitions, and gp
+by inverting the matrix recursively, which referees gp's one ket; the
+one-row duals o_n from q^[b], which referee o_fermionic on one row and the
+padding column of o_pfaffian_2.
 The section after the partitions reads and writes the library's flat
 (key, b-power) terms as BetaScalars.
 """
@@ -36,11 +39,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from kq import fock
 from kq.bases import _coordinates, _image_sum, _power_image
-from kq.dualq import o_fermionic
+from kq.dualq import o_fermionic, q_bracket_series
 from kq.finitevars import SymmetricPoly, _orbit_size
 from kq.fock import _bra_insert
 from kq.laurent import _dual_kernel_rational
@@ -1244,6 +1247,33 @@ def inner_product_formula(lam, mu):
     d = sum(mu) - sum(lam)
     c = Fraction(-1 if d % 2 else 1, 2 ** row_count(mu, lam))
     return BetaScalar.beta_power(d, c)
+
+
+def interlacing_column(lam):
+    """(nu, d, c) for each nonzero entry N_{nu,lambda} = c b^d of the inverse
+    of the pairing matrix <GQ_mu, o_nu>, the column that dualq.gp's ket
+    factors row by row.
+
+    One nu per interlacing sequence lambda_1 >= nu_1 > lambda_2 >= ... >
+    lambda_r >= nu_r >= 0, the rows ranging independently; only the last
+    row may reach 0, which is dropped from nu.  c = (-1)^{d-r} / 2^d, d =
+    |lambda| - |nu|, r the rows where nu_i < lambda_i.
+    """
+    rows = (range(below + 1, part + 1) for part, below in zip(lam, lam[1:] + (-1,)))
+    for nu in product(*rows):
+        d = sum(lam) - sum(nu)
+        r = sum(a != b for a, b in zip(lam, nu))
+        yield tuple(filter(None, nu)), d, Fraction(-1 if (d - r) % 2 else 1, 2 ** d)
+
+
+@lru_cache(maxsize=None)
+def o_one_row(n, degree_bound):
+    """The one-row dual o_n = (1/2) sum_k (-b)^k q^[b]_{n-k}, 0 <= n <= D:
+    the u^n coefficient of (1/2) (1 + bu)^{-1} q^[b](u), which referees
+    o_fermionic((n,), D) and the padding column of dualq.o_pfaffian_2."""
+    qb = q_bracket_series(degree_bound)
+    return combination(((qb[n - k], k, Fraction(-1 if k % 2 else 1, 2))
+                        for k in range(n + 1)), degree_bound)
 
 
 def gp_by_recursion(lam, degree_bound):

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq import fock
+from kq import dualq, fock
 from kq.dualq import (
-    _inverse_column,
     bilinear_pair,
     gp,
     o_fermionic,
     o_pfaffian_1,
     o_pfaffian_2,
-    o_series,
     o_two_index,
     q_bracket_series,
 )
@@ -35,7 +33,9 @@ from referees import (
     fock_pairing,
     gp_by_recursion,
     inner_product_formula,
+    interlacing_column,
     is_zero,
+    o_one_row,
     p_beta,
     p_bracket,
     pairing_i,
@@ -94,24 +94,28 @@ def test_q_bracket_top_degree():
         assert qb[n].top_degree() == n
 
 
-# -- the o series --------------------------------------------------------------
+# -- the one-row duals o_n -----------------------------------------------------
+# o_n comes from the referee o_one_row: the library reads q^[b] directly
 
 
 def test_o_series_low_values():
     D = 5
-    osr = o_series(D)
-    assert osr.coefficient(0) == PSeries({(): HALF}, D)
-    assert osr.coefficient(1) == PSeries(
+    assert o_one_row(0, D) == PSeries({(): HALF}, D)
+    assert o_one_row(1, D) == PSeries(
         {(1,): 1, (): BetaScalar.beta_power(1, -HALF)}, D
     )
 
 
+def test_o_one_row_referee_is_the_one_row_o_fermionic():
+    # o_0 = 1/2 is the u^0 coefficient, not o of the empty partition
+    for D in range(1, 13):
+        for n in range(1, D + 1):
+            assert o_one_row(n, D) == o_fermionic((n,), D), (n, D)
+
+
 def test_shared_tables_are_read_only():
-    # o_series and the g tables serve every caller, so a write would
-    # change later results
+    # the g tables serve every caller, so a write would change later results
     want = o_pfaffian_2((3,), 5)
-    with pytest.raises(TypeError):
-        o_series(5).coefficients[3] = PSeries.zero(5)
     with pytest.raises(TypeError):
         g_table(1, 2, 2, (3, 3))[(0, 0)] = ONE
     with pytest.raises(TypeError):
@@ -123,31 +127,21 @@ def test_o_series_constant_terms():
     # o_n at x = 0 is (-b)^n / 2; these constants are what break any claim
     # that pairing against 1 vanishes for nonempty rows
     D = 6
-    osr = o_series(D)
     for n in range(D + 1):
         want = BetaScalar.beta_power(n, Fraction(-1 if n % 2 else 1, 2))
-        assert osr.coefficient(n).coefficient(()) == want
+        assert o_one_row(n, D).coefficient(()) == want
 
 
 def test_o_series_beta_zero_is_half_q():
     D = 6
-    osr = o_series(D)
     qs = q_series(D)
     for n in range(D + 1):
-        assert at_b(osr.coefficient(n), 0) == qs[n] * HALF
+        assert at_b(o_one_row(n, D), 0) == qs[n] * HALF
 
 
 def test_o_series_top_degree():
-    osr = o_series(6)
     for n in range(1, 7):
-        assert osr.coefficient(n).top_degree() == n
-
-
-def test_o_series_window():
-    osr = o_series(4)
-    assert is_zero(osr.coefficient(-3))
-    with pytest.raises(ValueError):
-        osr.coefficient(5)
+        assert o_one_row(n, 6).top_degree() == n
 
 
 # -- two-index blocks ----------------------------------------------------------
@@ -199,13 +193,27 @@ def test_two_index_window_widens_past_degree_bound():
 
 def test_o_routes_agree_up_to_weight_six():
     D = 7
-    osr = o_series(D)
     for lam in strict_partitions_upto(6):
         first = o_pfaffian_1(lam, D)
         assert first == o_pfaffian_2(lam, D)
         assert first == o_fermionic(lam, D)
         if len(lam) == 1:
-            assert first == osr.coefficient(lam[0])
+            assert first == o_one_row(lam[0], D)
+
+
+def test_padding_column_is_the_twisted_one_row_duals(monkeypatch):
+    # kappa_{i,r+1} of formula II reads q^[b] directly; it must equal the
+    # twist sum_k C(1-i, k) b^k o_{lambda_i - k} of the one-row duals.  The
+    # Pfaffian is replaced by its entry function, so every (i, lambda_i)
+    # can be asked for, i up to 11
+    monkeypatch.setattr(dualq, "padded_pfaffian", lambda lam, one, entry: entry)
+    for D in range(1, 13):
+        entry = o_pfaffian_2((1,), D)
+        for i in range(1, 12):
+            for li in range(1, D + 1):
+                want = sum((o_one_row(li - k, D) * BetaScalar.beta_power(k, binom_general(1 - i, k))
+                            for k in range(li + 1)), PSeries.zero(D))
+                assert entry(i, i + 1, li, None) == want, (i, li, D)
 
 
 def test_o_empty_partition():
@@ -383,9 +391,8 @@ def test_length_filtered_recursion_fails_duality():
             acc = acc - gp_filtered(mu) * BetaScalar.beta_power(d, c)
         return acc
 
-    osr = o_series(D)
-    assert gp_filtered((1,)) == osr.coefficient(1)
-    assert gp_filtered((2,)) == osr.coefficient(2) + osr.coefficient(1) * BetaScalar.beta_power(1, HALF)
+    assert gp_filtered((1,)) == o_one_row(1, D)
+    assert gp_filtered((2,)) == o_one_row(2, D) + o_one_row(1, D) * BetaScalar.beta_power(1, HALF)
     one = PSeries.one(D)
     for n in (1, 2, 3):
         got = bilinear_pair(one, gp_filtered((n,)))
@@ -413,12 +420,11 @@ def test_triangle_reaches_across_length_gap():
 def test_pairing_one_with_o_reads_constant_term():
     D = 5
     one = PSeries.one(D)
-    osr = o_series(D)
     for mu in strict_partitions_upto(5):
         got = bilinear_pair(one, o_pfaffian_1(mu, D))
         assert got == o_pfaffian_1(mu, D).coefficient(())
         if len(mu) == 1:
-            assert got == osr.coefficient(mu[0]).coefficient(())
+            assert got == o_one_row(mu[0], D).coefficient(())
 
 
 def test_scaled_fock_route_matches_triangle():
@@ -460,7 +466,7 @@ def test_gp_closed_form_inverts_the_pairing_matrix():
         return len(low), top
 
     for lam in strict_partitions_upto(14):
-        column = list(_inverse_column(lam))
+        column = list(interlacing_column(lam))
         for mu in sub_strict_partitions(lam):
             acc = 0
             for nu, d, c in column:
@@ -479,12 +485,11 @@ def test_gp_matches_the_recursion():
 
 def test_gp_low_values():
     D = 5
-    osr = o_series(D)
     assert gp((), D) == PSeries.one(D)
     assert gp((1,), D) == PSeries.p(1, D)
     want2 = (
-        osr.coefficient(2)
-        + osr.coefficient(1) * BetaScalar.beta_power(1, HALF)
+        o_one_row(2, D)
+        + o_one_row(1, D) * BetaScalar.beta_power(1, HALF)
         - PSeries.one(D) * BetaScalar.beta_power(2, Fraction(1, 4))
     )
     assert gp((2,), D) == want2
@@ -579,7 +584,7 @@ def test_dual_cancellation_rejects_p2():
 def test_dual_cancellation_accepts_duals():
     assert check_dual_cancellation(o_pfaffian_1((2, 1), 3), 5)
     assert check_dual_cancellation(gp((3, 1), 4), 6)
-    assert check_dual_cancellation(o_series(3).coefficient(3), 5)
+    assert check_dual_cancellation(o_one_row(3, 3), 5)
 
 
 def test_dual_cancellation_edge_cases():

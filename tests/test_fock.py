@@ -263,6 +263,61 @@ def test_phihat_star_is_phi_minus_beta():
     assert lhs == scale(bra_apply_phi_beta(s, -3, sign=-1), -1)
 
 
+# -- the rows of the dual kets ---------------------------------------
+
+bra_states = st.dictionaries(st.tuples(bra_words, st.integers(0, 2)),
+                             st.integers(-3, 3), max_size=3).map(FockState)
+grade_zero_states = st.dictionaries(st.tuples(st.sampled_from([(), (0,)]), st.integers(0, 2)),
+                                    st.integers(-3, 3), max_size=2).map(FockState)
+
+
+def row_by_modes(state, n, low):
+    """sum_{c=low}^{n} w(c) (phihat_c)^* state, one mode at a time, with
+    w(n) = 1, w(c) = -(-b/2)^{n-c} below and w(0) doubled."""
+    out = EMPTY
+    for c in range(low, n + 1):
+        w = 1 if c == n else -Fraction(-1, 2) ** (n - c) * (2 if c == 0 else 1)
+        out = add(out, scale(fock.bra_apply_phihat_star(state, c), B.beta_power(n - c, w)))
+    return out
+
+
+@given(bra_states, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_row_at_its_top_mode_is_phihat_star(state, n):
+    assert fock._phihat_row(state, n, n) == fock.bra_apply_phihat_star(state, n)
+
+
+@given(bra_states, st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_row_is_the_weighted_sum_of_its_modes(state, n, low):
+    low = min(low, n)
+    assert fock._phihat_row(state, n, low) == row_by_modes(state, n, low)
+
+
+@given(grade_zero_states, st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_row_down_to_zero_on_grade_zero(state, n):
+    # (phihat_0)^* meets grade 0 as phi_0 alone, its weight doubled
+    assert fock._phihat_row(state, n, 0) == row_by_modes(state, n, 0)
+
+
+def test_row_down_to_zero_refuses_lower_grades():
+    state = FockState({((), 0): 1, ((0, -2), 1): 1})
+    with pytest.raises(ValueError, match="grade-0"):
+        fock._phihat_row(state, 3, 0)
+    assert fock._phihat_row(state, 3, 1) == row_by_modes(state, 3, 1)
+
+
+def test_phihat_zero_with_theta_squares_away_on_the_vacuum():
+    # (e^{-theta} phihat_0)^2 |0> = |0>, in bra form: what lets gp's last
+    # row reach c = 0 when the ket already ends in e^{-theta} phihat_0
+    state = fock.vacuum()
+    for _ in range(2):
+        state = fock.bra_apply_theta_exp(fock.bra_apply_phihat_star(state, 0), sign=-1)
+    assert state == fock.vacuum()
+    assert fock.star_bra(state) == fock.star_bra(fock.vacuum())
+
+
 # -- theta flows ------------------------------------------------------
 
 

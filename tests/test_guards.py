@@ -417,23 +417,57 @@ def test_cold_formula_two_multiplies_each_generator_pair_once(monkeypatch):
     assert len(products) - len(pairs) == 3
 
 
-def test_cold_gp_computes_one_o_per_interlacing_partition(monkeypatch):
-    # gp is one combination over the nu that interlace lambda, each o_nu
-    # read through the memo: a cold gp((4,2,1), 10) computes o for (4,2,1),
-    # (4,2), (3,2,1) and (3,2) once each, and asks for no other gp
+def test_cold_gp_is_one_vacuum_expectation(monkeypatch):
+    # gp is one ket, its rows summed over the interlacing partitions, and
+    # one exit: gp((4,2,1), 10) computes no o_nu by any route and leaves
+    # Fock space exactly once.  gp keeps no memo of its own, so the call
+    # after the reference one is as cold for gp as the first
     D = 10
     want = dualq.gp((4, 2, 1), D)
-    dualq._o_memo.cache_clear()
-    calls = {"o_fermionic": [], "gp": []}
-    for name, seen in calls.items():
-        def recorded(lam, degree_bound, original=getattr(dualq, name), seen=seen):
-            seen.append(lam)
-            return original(lam, degree_bound)
+    calls = []
+    for name in ("o_fermionic", "o_pfaffian_1", "o_pfaffian_2", "o_two_index",
+                 "vacuum_expectation"):
+        def recorded(*args, name=name, original=getattr(dualq, name)):
+            calls.append(name)
+            return original(*args)
 
         monkeypatch.setattr(dualq, name, recorded)
     assert dualq.gp((4, 2, 1), D) == want
-    assert sorted(calls["o_fermionic"]) == [(3, 2), (3, 2, 1), (4, 2), (4, 2, 1)]
-    assert calls["gp"] == [(4, 2, 1)]
+    assert calls == ["vacuum_expectation"]
+
+
+PROCESS_WIDE_TABLES = {
+    "bases._image_partition", "bases._power_image", "dualq._PRODUCTS",
+    "dualq._q_bracket_upto", "dualq.o_two_index", "finitevars._orbit_size",
+    "finitevars._p_to_m", "fock._bra_insert", "fock._bra_vacuum_b", "fock._bra_word_b",
+    "fock._phi_beta_modes", "fock._theta_modes", "gq._PRODUCTS", "gq._exp_parts",
+    "gq._minus_beta_power", "gq.gq_series", "gq.gq_two_index", "hexpansion._ROWS",
+    "hexpansion._STATES", "laurent._KERNEL_TABLES", "laurent.f_table", "laurent.g_table",
+    "oracle._alternant", "oracle._kostka", "partitions.partitions_of",
+    "partitions.z_lambda", "pseries._PAIRS", "scalars.binom_general",
+}
+
+
+def test_process_wide_tables_are_listed():
+    # every memo lives for the whole process, so a long sweep keeps all of
+    # them: the memoised functions and the module-level {} tables of kq,
+    # which a cache-clearing entry point has to reach, are these
+    found = set()
+    for path in sorted(Path(kq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for deco in node.decorator_list:
+                    deco = deco.func if isinstance(deco, ast.Call) else deco
+                    name = deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        found.add(f"{path.stem}.{node.name}")
+        for node in tree.body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict)
+                    and not node.value.keys):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+    assert found == PROCESS_WIDE_TABLES
 
 
 def _literal(path, name):

@@ -298,3 +298,14 @@ def test_bra_passed_as_ket_is_rejected(word, flavor):
     # so only a check can keep the bra from pairing
     with pytest.raises(ValueError, match=re.escape(str(word))):
         vacuum_expectation(fock.FockState({(word, 0): 1}), flavor, 6)
+
+
+@pytest.mark.parametrize("flavor", ["paren", "bracket"])
+@pytest.mark.parametrize("terms", [{((-3,), 0): 1},
+                                   {((-3,), 0): 1, ((2, 1), 0): 1, ((3, 0), 1): 2}],
+                         ids=["alone", "among-ket-words"])
+def test_odd_bra_word_is_rejected(terms, flavor):
+    # odd words pair to zero, but a bra word among them is still misuse:
+    # alone it used to give 0, and beside ket words it was dropped
+    with pytest.raises(ValueError, match=re.escape("(-3,)")):
+        vacuum_expectation(fock.FockState(terms), flavor, 6)

@@ -1,7 +1,7 @@
 import pytest
 
 from kq import partitions as pt
-from kq.dualq import o_series
+from kq.dualq import q_bracket_series
 from kq.gq import gq_fermionic, gq_series
 from kq.pseries import PSeries
 from referees import (contains, row_count, strict_partitions_of, strict_partitions_upto,
@@ -57,8 +57,9 @@ def test_non_integer_index_fails_at_the_one_row_tables():
     # a float index used to miss the table and raise KeyError
     with pytest.raises(TypeError, match="float"):
         gq_series(3).coefficient(1.5)
+    # the row of q^[b], which the padding column of formula II reads
     with pytest.raises(TypeError, match="float"):
-        o_series(3).coefficient(1.5)
+        q_bracket_series(3)[1.5]
 
 
 def test_non_integer_degree_bound_fails_at_the_series_constructor():

@@ -83,6 +83,18 @@ def test_ring_results_are_in_normal_form(a, b, c, k, n):
         assert_normal_form(x)
 
 
+@given(mixed, mixed)
+@settings(max_examples=100, deadline=None)
+def test_product_is_the_full_convolution(a, b):
+    # the product skips zero coefficients, so check it against the
+    # schoolbook convolution over every pair of coefficients
+    want = [Fraction(0)] * (len(a.num) + len(b.num))
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            want[i + j] += x * y
+    assert a * b == BetaScalar(tuple(want))
+
+
 @given(scalars)
 @settings(max_examples=60, deadline=None)
 def test_hash_consistency(a):
