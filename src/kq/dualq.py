@@ -30,7 +30,7 @@ from . import fock
 from .bases import _coordinates
 from .hexpansion import vacuum_expectation
 from .laurent import contract, g_table
-from .partitions import check_strict_weight, z_lambda
+from .partitions import check_degree_bound, check_strict_weight, z_lambda
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination, exp_power_sums
 from .scalars import _from_monomials, binom_general
@@ -57,7 +57,8 @@ def _q_bracket_upto(top, degree_bound):
 
 def q_bracket_series(degree_bound):
     """The sequence [q^[b]_0, ..., q^[b]_D]; q^[b]_0 = 1, q^[b]_1 = 2 p_1."""
-    return _q_bracket_upto(degree_bound, degree_bound)
+    D = check_degree_bound(degree_bound)
+    return _q_bracket_upto(D, D)
 
 
 # degree_bound -> {(m, n): q^[b]_m q^[b]_n} for 1 <= m <= n, each product
@@ -104,7 +105,7 @@ def _g_entry(i, j, r, li, lj, degree_bound):
                     lambda p, q: _pair(qb, li - p, lj - q, D), D)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def o_two_index(a, b, degree_bound):
     """The two-row dual o_(a,b): a quarter of [u^a v^b] of the block
 
@@ -119,7 +120,7 @@ def o_two_index(a, b, degree_bound):
     scale.  It is one combination over memoised generator products, shared
     with o_pfaffian_1's entries.
     """
-    return _g_entry(1, 2, 2, a, b, degree_bound) * Fraction(1, 4)
+    return _g_entry(1, 2, 2, a, b, check_degree_bound(degree_bound)) * Fraction(1, 4)
 
 
 def o_pfaffian_1(lam, degree_bound):
@@ -172,13 +173,14 @@ def _dual_ket(lam, lows, degree_bound):
     Built in bra form, as the star of <0| ... R_2^* R_1^*, each R_i^* one
     row action and one e^{-Theta}, and starred once; the contraction
     against <0| e^{H^[b]} runs in the bracket flavor.  The rows act from
-    the last, on a bra of grade 0: <0|, or <0| phi_0 when r is odd.
+    the last, on a bra of grade 0: <0|, or the leading <0| phi_0 when r is
+    odd.  That is the star of the trailing e^{-theta} phihat_0, applied to
+    <0|: (phihat_0)^* = sum_m (-b/2)^m phi_m meets <0| as phi_0 alone, and
+    e^{-Theta} fixes every bra of grade 0.
     """
-    state = fock.vacuum()
-    if len(lam) % 2:
-        state = fock.bra_apply_theta_exp(fock.bra_apply_phihat_star(state, 0), sign=-1)
+    state = fock.FockState({((0,) if len(lam) % 2 else (), 0): 1})
     for n, low in reversed(tuple(zip(lam, lows))):
-        state = fock.bra_apply_theta_exp(fock._phihat_row(state, n, low), sign=-1)
+        state = fock.bra_apply_exp_minus_Theta(fock._phihat_row(state, n, low))
     return (vacuum_expectation(fock.star_bra(state), "bracket", degree_bound)
             * Fraction(1, 2 ** len(lam)))
 

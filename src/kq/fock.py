@@ -13,10 +13,17 @@ from the right.  Kets are star images of bras: star sends
 own inverse, and turns a right action of X* on bras into the left action of
 X on kets.  So the ket A B ... |0> is star(<0| ... B* A*): a chain of ket
 actions runs in bra form from the vacuum and is starred once at its end.
-The routes build their kets this way, from _phihat_row, a weighted sum of
-(phihat_c)^* over a range of c, and bra_apply_theta_exp (o_lambda and
-gp_lambda) or bra_apply_phi_beta_star and bra_apply_Theta_exp_star
-(GQ_lambda).
+The routes build their kets this way, and these are the only operators
+here, each written once:
+
+  * o_lambda and gp_lambda: _phihat_row, a weighted sum of (phihat_c)^*
+    over a range of c (a single mode at low = n), and
+    bra_apply_exp_minus_Theta, the star of e^{-theta};
+  * GQ_lambda: bra_apply_phi_beta_star, n >= 0, and
+    bra_apply_Theta_exp_star, the star of e^{Theta}.
+
+The other signs of beta and of the exponents, phihat_c at general c and
+phi^(beta)_n on bras live in tests/referees.py, in Fraction form.
 
 The normal-ordering tables (_bra_insert, _bra_word_b) are memoised and
 shared, so they are handed out read-only.
@@ -105,11 +112,6 @@ def _merge(target, key, coeff):
         target.pop(key, None)
 
 
-def _check_sign(sign):
-    if operator.index(sign) not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, not {sign}")
-
-
 def _lowest_grade(state):
     return min((sum(word) for word, _ in state.terms), default=0)
 
@@ -154,34 +156,17 @@ def _bra_insert(word, n):
 # -- beta-deformed modes ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _phi_beta_modes(n, cutoff, sign, scale=1):
-    """(d, modes): scale * phi^(beta)_n is (1/d) sum c b^e phi_m over the
-    int (m, e, c) of modes, plain modes m <= cutoff.
+def _phi_beta_modes(n, top):
+    """(d, modes): (phi^(beta)_n)^*, n >= 0, is (1/d) sum c b^e phi_{-m}
+    over the int (-m, e, c) of modes, n <= m <= top.
 
-    For n >= 0 the series sum_{m>=n} C(m,n) (b/2)^{m-n} phi_m ascends without
-    bound; the caller supplies the grading cutoff, and as m ascends a prefix
-    of the modes serves any lower one.  For n < 0 it is the finite sum over
-    m = 1..-n of C(-m, -n-m) (b/2)^{-n-m} phi_{-m}.  sign=-1 flips beta.
+    (phi^(beta)_n)^* = sum_{m>=n} C(m,n) (b/2)^{m-n} (-1)^m phi_{-m}
+    descends without bound; the caller supplies the grading cutoff top, and
+    as m ascends a prefix of the modes serves any lower one.
     """
-    if n >= 0:
-        top = max(cutoff - n, 0)
-        return 1 << top, tuple((m, m - n, scale * sign ** (m - n) * comb(m, n) << top - m + n)
-                               for m in range(n, cutoff + 1))
-    # C(-m, j) = (-1)^j C(-n-1, j) = (-1)^j C(-n-1, m-1) at j = -n-m
-    return 1 << -n - 1, tuple(
-        (-m, -n - m, scale * (-sign) ** (-n - m) * comb(-n - 1, m - 1) << m - 1)
-        for m in range(1, -n + 1))
-
-
-def _phi_beta(state, n, sign, scale):
-    d, modes = _phi_beta_modes(n, -_lowest_grade(state), sign, scale)
-    # a word of grade g meets the modes m <= -g; for n < 0 that is all of them
-    return _act(state, _bra_insert, lambda g: modes[:max(0, 1 - g - n)], d)
-
-
-def bra_apply_phihat_star(state: FockState, n: int) -> FockState:
-    """(phi-hat_n)^* = (-1)^n phi^(-beta)_{-n} acting on bra states."""
-    return _phi_beta(state, -n, -1, -1 if n % 2 else 1)
+    shift = max(top - n, 0)
+    return 1 << shift, tuple((-m, m - n, (-1) ** m * comb(m, n) << shift - m + n)
+                             for m in range(n, top + 1))
 
 
 def _phihat_row(state, n, low):
@@ -210,9 +195,7 @@ def _phihat_row(state, n, low):
 def bra_apply_phi_beta_star(state: FockState, n: int, top: int) -> FockState:
     """Right action of (phi^(beta)_n)^*, n >= 0, on bras, whose star is the
     left action of phi^(beta)_n on kets; grades < -top dropped."""
-    # (phi^(beta)_n)^* = sum_{m>=n} C(m,n) (b/2)^{m-n} (-1)^m phi_{-m}
-    d, modes = _phi_beta_modes(n, top, 1)
-    modes = tuple((-m, e, -c if m % 2 else c) for m, e, c in modes)
+    d, modes = _phi_beta_modes(n, top)
     return _act(state, _bra_insert, lambda g: modes[:max(0, top + g - n + 1)], d)
 
 
@@ -254,29 +237,30 @@ def _bra_word_b(word, m):
 # Theta = 2 sum_{n odd>0} (beta/2)^n b_{-n}/n raises bra grades toward zero,
 # so its exponential terminates on every bra state; its adjoint theta =
 # Theta^* lowers them, and terminates once cut.  Each acts on kets as the
-# star of the other.
+# star of the other.  The routes need two of the four exponentials on bras:
+# e^{-Theta} (the dual kets) and e^{theta} (the GQ ket).
 
 @lru_cache(maxsize=None)
-def _theta_modes(sign, reach, lower):
-    """(d, modes): sign*Theta, or sign*theta when lower, is (1/d) sum c b^n X_m
-    over the int (m, n, c) of modes, odd n <= reach ascending, with X_m the
+def _theta_modes(reach, lower):
+    """(d, modes): -Theta, or theta when lower, is (1/d) sum c b^n X_m over
+    the int (m, n, c) of modes, odd n <= reach ascending, with X_m the
     twice b_m that _bra_word_b tables."""
     odd = range(1, reach + 1, 2)
     d = lcm(*(n << n for n in odd))
-    return d, tuple((n if lower else -n, n, sign * (d // (n << n))) for n in odd)
+    return d, tuple((n, n, d // (n << n)) if lower else (-n, n, -(d // (n << n)))
+                    for n in odd)
 
 
-def _theta_exp(state, sign, top):
-    """Right action of e^{sign*Theta} (top None) or of e^{sign*theta}, cut
-    at grade -top, input included."""
-    _check_sign(sign)
+def _theta_exp(state, top):
+    """Right action of e^{-Theta} (top None) or of e^{theta}, cut at grade
+    -top, input included."""
     lower = top is not None
     if lower:
         state = FockState._reduced({key: c for key, c in state.terms.items()
                                     if sum(key[0]) >= -top}, state.den)
     # a word of grade g meets the odd n <= top + g (theta) or <= -g (Theta);
     # Theta only raises grades, so the input's reach serves every term
-    d, modes = _theta_modes(sign, top if lower else -_lowest_grade(state), lower)
+    d, modes = _theta_modes(top if lower else -_lowest_grade(state), lower)
     terms = [state]  # the k-th term is the (k-1)-th times the exponent, over k
     while terms[-1]:
         terms.append(_act(terms[-1], _bra_word_b, lambda g: modes[
@@ -289,25 +273,24 @@ def _theta_exp(state, sign, top):
     return FockState._reduced(total, den)
 
 
-def bra_apply_theta_exp(state: FockState, sign: int = 1) -> FockState:
-    """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1)."""
-    return _theta_exp(state, sign, None)
+def bra_apply_exp_minus_Theta(state: FockState) -> FockState:
+    """Right action of e^{-Theta} on bras, whose star is the left action of
+    e^{-theta} on kets."""
+    return _theta_exp(state, None)
 
 
 def bra_apply_Theta_exp_star(state: FockState, top: int) -> FockState:
     """Right action of (e^{Theta})^* = e^{theta} on bras, whose star is the
     left action of e^{Theta} on kets; grades < -top dropped, input included."""
-    return _theta_exp(state, 1, top)
+    return _theta_exp(state, top)
 
 
 # -- duality ----------------------------------------------------------------
 
 def star_bra(state: FockState) -> FockState:
-    """<0|phi_{m_1}..phi_{m_k}  |->  (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>."""
+    """<0|phi_{m_1}..phi_{m_k}  |->  (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>;
+    the same formula sends a ket back to its bra."""
     return FockState._reduced(
         {(tuple(-m for m in reversed(word)), k): -c if sum(word) % 2 else c
          for (word, k), c in state.terms.items()}, state.den)
 
-
-# the same formula sends a ket back to its bra
-star_ket = star_bra

@@ -19,22 +19,23 @@ GQ_lambda for a strict partition lambda:
     e^Theta) |0> on the neutral-fermion Fock space, as one ket, built in
     bra form and starred once, paired through hexpansion.vacuum_expectation.
 
-Each sum over one-row coefficients or table entries is one
+The one-row coefficients are a plain row, gq_series(D) = (GQ_0, ...,
+GQ_D), as dualq keeps q^[b]: GQ_n for n < 0 is the constant (-beta)^{-n},
+a b-shift that the readers apply themselves, and GQ_n past D truncates to
+zero.  Each sum over one-row coefficients or table entries is one
 pseries.combination of (series, b-power, rational) triples; a two-index
 sum reads each GQ_m GQ_n from one memoised table per bound (_pair).
 
 The finite-variable symmetrization oracle (module oracle) referees all of
 them through from_finite, and tests/test_gq.py re-expands GQ_(a,b) from
 its definition, independently of the f-tables.  Note that GQ_emptyset is
-the constant 1 by the empty-Pfaffian convention, while the z^0
-coefficient of GQ(z) is a separate object, (-beta)^0 in closed form; the
+the constant 1 by the empty-Pfaffian convention, while GQ_0, the z^0
+coefficient of GQ(z), is assembled like every other entry of the row; the
 two are never interchanged even though both are 1.
 """
 
-import operator
 from functools import lru_cache
 from math import comb
-from types import MappingProxyType
 
 from . import fock
 from .hexpansion import vacuum_expectation
@@ -45,7 +46,6 @@ from .pseries import PSeries, combination, exp_power_sums
 from .scalars import binom_general
 
 
-@lru_cache(maxsize=None)
 def _exp_parts(degree_bound):
     """z^0..z^D coefficients of theta(z) / (theta(-beta) theta(-z-beta)).
 
@@ -65,57 +65,21 @@ def _exp_parts(degree_bound):
     return tuple(exp_power_sums(logs, degree_bound, degree_bound))
 
 
-class GQSeries:
-    """Laurent coefficients of GQ(z), one PSeries per exponent.
-
-    coefficients maps n -> GQ_n for 1 <= n <= degree_bound, built once and
-    handed out read-only, so one instance can be shared.  Above the bound
-    GQ_n has lowest degree n > D and truncates to zero, so coefficient()
-    answers zero; for n <= 0 GQ_n is the constant (-beta)^{-n}, which
-    coefficient() answers in closed form.  Invariants, checked in tests:
-    lowest degree of GQ_n is >= n for n >= 1, and _assemble(n) equals the
-    closed form for n <= 0.
-    """
-
-    __slots__ = ("degree_bound", "coefficients")
-
-    def __init__(self, degree_bound):
-        degree_bound = check_degree_bound(degree_bound)
-        self.degree_bound = degree_bound
-        self.coefficients = MappingProxyType(
-            {n: self._assemble(n) for n in range(1, degree_bound + 1)})
-
-    def _assemble(self, n):
-        # GQ_n = sum_k (-beta)^k Exp_{n+k}, k from max(0, -n); Exp_j for
-        # j > D has lowest p-weight > D, so the sum stops at k = D - n.
-        D = self.degree_bound
-        parts = _exp_parts(D)
-        return combination(((parts[n + k], k, -1 if k % 2 else 1)
-                            for k in range(max(0, -n), D - n + 1)), D)
-
-    def coefficient(self, n):
-        n = operator.index(n)
-        if n > self.degree_bound:
-            return PSeries.zero(self.degree_bound)
-        if n <= 0:
-            return _minus_beta_power(-n, self.degree_bound)
-        return self.coefficients[n]
-
-
-@lru_cache(maxsize=None)
-def _minus_beta_power(e, degree_bound):
-    """The constant series (-beta)^e."""
-    return PSeries._from_flat({((), e): -1 if e % 2 else 1}, degree_bound)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gq_series(degree_bound):
-    """The GQSeries at this bound, one shared instance per bound.
+    """The row (GQ_0, GQ_1, ..., GQ_D) of Laurent coefficients of GQ(z),
+    one shared tuple per bound.
 
-    Its table spans 1..degree_bound; every other index the Pfaffian windows
-    reach is zero or a power of -beta.
+    GQ_n = sum_k (-beta)^k Exp_{n+k}, Exp_j the z^j part of _exp_parts;
+    Exp_j for j > D has lowest p-weight > D, so the sum stops at k = D - n.
+    GQ_0 assembles to 1.  The row stops at both ends: GQ_n for n < 0 is the
+    constant (-beta)^{-n}, a b-shift that its readers apply, and GQ_n for
+    n > D has lowest degree n and truncates to zero.
     """
-    return GQSeries(degree_bound)
+    D = check_degree_bound(degree_bound)
+    parts = _exp_parts(D)
+    return tuple(combination(((parts[n + k], k, -1 if k % 2 else 1)
+                              for k in range(D - n + 1)), D) for n in range(D + 1))
 
 
 # degree_bound -> {(m, n): GQ_m GQ_n} for 1 <= m <= n, m + n <= degree_bound,
@@ -127,21 +91,25 @@ def _pair(m, n, degree_bound):
     """GQ_m GQ_n as a triple (f, e, s) standing for s b^e f, or None.
 
     The product commutes, so m <= n after a swap.  GQ_m for m <= 0 is the
-    constant (-b)^{-m}: a b-shift of GQ_n, not a product.  For m >= 1,
-    GQ_m GQ_n has lowest degree m + n, so past the bound it is zero and is
-    never multiplied; the rest come from the memoised table of the bound.
+    constant (-b)^{-m}: a b-shift of GQ_n, or of GQ_0 = 1 when n <= 0 too,
+    not a product.  GQ_n past the bound is zero, and for m >= 1 GQ_m GQ_n
+    has lowest degree m + n, so past the bound it is zero and is never
+    multiplied; the rest come from the memoised table of the bound.
     """
     if m > n:
         m, n = n, m
     if m <= 0:
-        return gq_series(degree_bound).coefficient(n), -m, -1 if m % 2 else 1
+        if n > degree_bound:
+            return None
+        e = -m - min(n, 0)
+        return gq_series(degree_bound)[max(n, 0)], e, -1 if e % 2 else 1
     if m + n > degree_bound:
         return None
     table = _PRODUCTS.setdefault(degree_bound, {})
     f = table.get((m, n))
     if f is None:
-        get = gq_series(degree_bound).coefficients
-        f = table[(m, n)] = get[m] * get[n]
+        row = gq_series(degree_bound)
+        f = table[(m, n)] = row[m] * row[n]
     return f, 0, 1
 
 
@@ -157,14 +125,14 @@ def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
     """
     D = degree_bound
     if lj is None:
-        get = gq_series(D).coefficient
+        row = gq_series(D)
         tab = f_table(i, j, r, r_prime, (D - li, 0))
-        return combination(((get(li + p), p, c) for p, c in tab.items()), D)
+        return combination(((row[li + p], p, c) for p, c in tab.items()), D)
     return contract(f_table(i, j, r, r_prime, (D - li, D - lj)),
                     lambda p, q: _pair(li + p, lj + q, D), D)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gq_two_index(a, b, degree_bound):
     """Two-index function GQ_(a,b), the r = 2 entry of Pfaffian formula I.
 
@@ -181,6 +149,7 @@ def gq_two_index(a, b, degree_bound):
     products, shared with formula I's entries.  tests/test_gq.py keeps the
     direct expansion of the definition as an independent check.
     """
+    degree_bound = check_degree_bound(degree_bound)
     if a + b > degree_bound:
         return PSeries.zero(degree_bound)
     return _f_entry(1, 2, 2, 2, a, b, degree_bound)
@@ -214,8 +183,8 @@ def gq_pfaffian_2(lam, degree_bound):
 
     def entry(i, j, li, lj):
         if lj is None:
-            get = gq_series(D).coefficient
-            return combination(((get(li + k), k, binom_general(i + 1 - rp, k))
+            row = gq_series(D)
+            return combination(((row[li + k], k, binom_general(i + 1 - rp, k))
                                 for k in range(D - li + 1)), D)
         # no two-index value is computed under a zero binomial weight
         top = D - li - lj

@@ -11,12 +11,12 @@ o_lambda and the deformed images a power of 2 below them: terms maps
 (lambda, k) to the nonzero int n of the term (n / den) b^k p~_lambda, with
 one int den >= 1 per series.  There p~_mu p~_nu = prod_i C(m_i(mu) +
 m_i(nu), m_i(mu)) p~_(mu u nu), a multiplicity cached once per pair of
-partitions, so a product multiplies ints; a sum of two series rescales to
-the lcm of their dens; every other sum c b^e f, a scalar multiple included,
-is one pass of combination with one running den; and exponentials are
-closed forms (exp_power_sums).  Fractions and BetaScalars appear only at
+partitions, so a product multiplies ints; every sum of terms c b^e f, a
+sum or difference of two series and a scalar multiple included, is one
+pass of combination with one running den; and exponentials are closed
+forms (exp_power_sums).  Fractions and BetaScalars appear only at
 the boundary: the public constructor and _from_flat take coefficients of
-p_lambda, and coefficient() and sorted_items() hand them out as BetaScalars.
+p_lambda, and sorted_items() hands them out as BetaScalars.
 
 Invariant: degree_bound is an int >= 0; terms maps pairs (lambda, k),
 lambda a partition in the canonical form of check_partition of weight <=
@@ -136,12 +136,6 @@ class PSeries:
 
     # -- structure ------------------------------------------------------
 
-    def coefficient(self, key) -> BetaScalar:
-        key = check_partition(key)
-        scale = self.den * z_lambda(key)
-        return _from_monomials((k, Fraction(n, scale))
-                               for (mu, k), n in self.terms.items() if mu == key)
-
     def top_degree(self) -> int | None:
         if not self.terms:
             return None
@@ -166,20 +160,7 @@ class PSeries:
             other = PSeries.constant(other, self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
-        self._check_bound(other)
-        den, out, theirs = self.den, dict(self.terms), other.terms
-        if other.den != den:
-            den = lcm(den, other.den)
-            mine, scale = den // self.den, den // other.den
-            out = {key: c * mine for key, c in out.items()}
-            theirs = {key: c * scale for key, c in theirs.items()}
-        for key, c in theirs.items():
-            s = out.get(key, 0) + c  # c is nonzero, so s == 0 only on a stored key
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return PSeries._trusted(*_reduced(out, den), self.degree_bound)
+        return combination(((self, 0, 1), (other, 0, 1)), self.degree_bound)
 
     __radd__ = __add__
 
@@ -192,7 +173,7 @@ class PSeries:
             other = PSeries.constant(other, self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
-        return self + (-other)
+        return combination(((self, 0, 1), (other, 0, -1)), self.degree_bound)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -22,15 +22,16 @@ laurent.contract, the oracle's P0 monomial by monomial (gq_oracle_full)
 and its tail product factor by factor,
 which check the tail orbits and their alternant tables, the oracle's
 symmetrization as a chain of divided differences and literally, which check
-its bialternant pass, the Fock actions in Fractions and the int action of
-phi^(beta)_n that no route calls, the ket actions, plain fermion modes and
-Wick's theorem, the paper's theorems (the cancellation properties, the
+its bialternant pass, the Fock actions in Fractions, at every sign and
+index, of which the library keeps only those its routes apply, the ket
+actions, plain fermion modes and Wick's theorem, the paper's theorems (the cancellation properties, the
 Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks,
 with the containment of partitions that the last one reads, the column of
 the inverse of that pairing matrix over the interlacing partitions, and gp
 by inverting the matrix recursively, which referees gp's one ket; the
 one-row duals o_n from q^[b], which referee o_fermionic on one row and the
-padding column of o_pfaffian_2.
+padding column of o_pfaffian_2; GQ_n at any index, where the library keeps
+the row GQ_0..GQ_D; and the coefficient of one p_lambda in a series.
 The section after the partitions reads and writes the library's flat
 (key, b-power) terms as BetaScalars.
 """
@@ -46,6 +47,7 @@ from kq.bases import _coordinates, _image_sum, _power_image
 from kq.dualq import o_fermionic, q_bracket_series
 from kq.finitevars import SymmetricPoly, _orbit_size
 from kq.fock import _bra_insert
+from kq.gq import gq_series
 from kq.laurent import _dual_kernel_rational
 from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _in_monomials, _mul,
                        _p0_degree, _pair_factor)
@@ -205,9 +207,16 @@ def is_zero(f: PSeries) -> bool:
     return not f.terms
 
 
+def series_coefficient(f: PSeries, key) -> BetaScalar:
+    """The coefficient of p_key in f, as a BetaScalar."""
+    key = check_partition(key)
+    scale = f.den * z_lambda(key)
+    return _from_monomials((k, Fraction(n, scale)) for (mu, k), n in f.terms.items() if mu == key)
+
+
 def exp(f: PSeries) -> PSeries:
     """exp of a series with no constant term (checked)."""
-    if f.coefficient(()):
+    if series_coefficient(f, ()):
         raise ValueError("exp needs a series with zero constant term")
     out = PSeries.one(f.degree_bound)
     power = PSeries.one(f.degree_bound)
@@ -851,9 +860,12 @@ def binomial_block(variables, index: int, k: int, depth: int,
 # The Fraction form of the library's Fock actions, kept as their referee: a
 # flat {(word, k): Fraction} state, normal-ordering tables of b_m over the
 # rationals, the mode coefficients as Fractions and one Fraction product per
-# term.  Only _bra_insert, whose values are ints either way, is shared.  The
-# ket actions, which no library route calls since the routes build their
-# kets in bra form, live here as star images of the library's bra actions.
+# term.  Only _bra_insert, whose values are ints either way, is shared.  They
+# cover every sign and index: phi^(beta)_n and phihat_n at any n, e^{+Theta}
+# and e^{-theta}, of which the library builds only (phihat_n)^* for n >= 1
+# (fock._phihat_row), (phi^(beta)_n)^*, e^{-Theta} and e^{theta}.  The ket
+# actions, which no library route calls since the routes build their kets in
+# bra form, live here as star images of bra actions.
 
 _HALF = Fraction(1, 2)
 
@@ -978,19 +990,16 @@ def _like(state, out):
     return fock.FockState(out) if isinstance(state, fock.FockState) else out
 
 
-def bra_apply_phi_beta(state, n, sign=1):
-    """The library's int right action of phi^(beta)_n (or phi^(-beta)_n with
-    sign=-1), which no route calls: the routes use its star forms."""
-    fock._check_sign(sign)
-    return fock._phi_beta(state, n, sign, 1)
-
-
 def ref_bra_apply_phi_beta(state, n, sign=1):
+    """Right action of phi^(beta)_n (phi^(-beta)_n with sign=-1), n in Z,
+    which no route calls: the routes use its star forms."""
     return _like(state, _bra_apply(fraction_terms(state), _bra_insert,
                                    lambda g: _phi_beta_modes(n, -g, sign)))
 
 
 def ref_bra_apply_phihat_star(state, n):
+    """(phi-hat_n)^* = (-1)^n phi^(-beta)_{-n}, n in Z; the library builds
+    it for n >= 1 only, as fock._phihat_row at low = n."""
     out = ref_bra_apply_phi_beta(fraction_terms(state), -n, sign=-1)
     if n % 2:
         out = {key: -c for key, c in out.items()}
@@ -1003,34 +1012,38 @@ def ref_bra_apply_phi_beta_star(state, n, top):
 
 
 def ref_bra_apply_theta_exp(state, sign=1):
+    """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1); the
+    library builds e^{-Theta} alone, as fock.bra_apply_exp_minus_Theta."""
     return _like(state, _theta_exp(fraction_terms(state), sign, None))
 
 
-def ref_bra_apply_Theta_exp_star(state, top):
+def ref_bra_apply_Theta_exp_star(state, top, sign=1):
+    """Right action of e^{theta} (sign=+1) or e^{-theta} (sign=-1), the
+    star of e^{Theta} or e^{-Theta} on kets; grades < -top dropped."""
     # _theta_exp keeps an input word below the cut; the cut holds on the
     # input too, so it is applied here first
     kept = {key: c for key, c in fraction_terms(state).items() if grade(key[0]) >= -top}
-    return _like(state, _theta_exp(kept, 1, top))
+    return _like(state, _theta_exp(kept, sign, top))
 
 
 def ket_apply_phi_beta(state, n, top):
     """Left action of phi^(beta)_n, n >= 0, on kets; grades > top dropped."""
-    return fock.star_bra(fock.bra_apply_phi_beta_star(fock.star_ket(state), n, top))
+    return fock.star_bra(fock.bra_apply_phi_beta_star(fock.star_bra(state), n, top))
 
 
 def ket_apply_phihat(state, n):
     """Left action of the dual deformed mode phi-hat_n on ket states."""
-    return fock.star_bra(fock.bra_apply_phihat_star(fock.star_ket(state), n))
+    return fock.star_bra(ref_bra_apply_phihat_star(fock.star_bra(state), n))
 
 
 def ket_apply_Theta_exp(state, top):
     """Left action of e^{Theta} on kets; grades > top dropped."""
-    return fock.star_bra(fock.bra_apply_Theta_exp_star(fock.star_ket(state), top))
+    return fock.star_bra(fock.bra_apply_Theta_exp_star(fock.star_bra(state), top))
 
 
 def ket_apply_theta_exp(state, sign=1):
     """Left action of e^{theta} (sign=+1) or e^{-theta} (sign=-1)."""
-    return fock.star_bra(fock.bra_apply_theta_exp(fock.star_ket(state), sign))
+    return fock.star_bra(ref_bra_apply_theta_exp(fock.star_bra(state), sign))
 
 
 def bra_apply_phi(state, n):
@@ -1092,7 +1105,17 @@ def wick_expectation(letters) -> BetaScalar:
         letters, Fraction(1), lambda i, j, a, b: two_point(a, b)))
 
 
-# -- gq: the K-theoretic cancellation property --------------------------------
+# -- gq: the one-row coefficient at any index, the K-theoretic cancellation property
+
+def gq_coefficient(n: int, degree_bound: int) -> PSeries:
+    """GQ_n for any int n: the closed form (-b)^{-n} for n <= 0, zero past
+    the bound, and the entry of gq_series(degree_bound) in between."""
+    if n <= 0:
+        return PSeries({(): BetaScalar.beta_power(-n, -1 if n % 2 else 1)}, degree_bound)
+    if n > degree_bound:
+        return PSeries.zero(degree_bound)
+    return gq_series(degree_bound)[n]
+
 
 def check_kq_cancellation(f, degree_bound, nvars):
     """Does f have the K-theoretic cancellation property, up to the bound?
@@ -1181,11 +1204,11 @@ def fock_pairing(mu, lam):
     _check_word(lam, "lam")
     state = fock.vacuum()
     for n in reversed(mu):
-        state = fock.bra_apply_phihat_star(state, n)
-        state = fock.bra_apply_theta_exp(state, sign=-1)
+        state = ref_bra_apply_phihat_star(state, n)
+        state = fock.bra_apply_exp_minus_Theta(state)
     for n in lam:
-        state = bra_apply_phi_beta(state, n)
-        state = fock.bra_apply_theta_exp(state, sign=1)
+        state = ref_bra_apply_phi_beta(state, n)
+        state = ref_bra_apply_theta_exp(state)
     got = vacuum_part(state)
     if (len(mu) - len(lam)) % 2:
         want = ZERO

@@ -11,7 +11,6 @@ from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     bra_apply_b,
     bra_apply_phi,
-    bra_apply_phi_beta,
     fraction_terms,
     ket_apply_phi_beta,
     ket_apply_phihat,
@@ -130,7 +129,7 @@ def test_basis_orthogonality():
     words = [p for p in parts] + [p + (0,) for p in parts if len(p) % 2]
     for lam in words:
         for mu in words:
-            bra = fock.star_ket(ket_word(lam))
+            bra = fock.star_bra(ket_word(lam))
             got = pair(bra, ket_word(mu))
             if lam == mu:
                 positive = sum(1 for x in lam if x > 0)
@@ -146,24 +145,26 @@ def test_basis_orthogonality():
 @settings(max_examples=60, deadline=None)
 def test_star_is_involutive(word):
     s = bra_word(word)
-    assert fock.star_ket(fock.star_bra(s)) == s
+    assert fock.star_bra(fock.star_bra(s)) == s
 
 
 @given(bra_words, modes)
 @settings(max_examples=60, deadline=None)
 def test_star_intertwines_phi(word, n):
     # the deformed mode phi-hat_n acts on kets as the star image of its
-    # adjoint on bras
+    # adjoint on bras; the library's single-mode row is that adjoint
     s = bra_word(word)
-    lhs = fock.star_bra(fock.bra_apply_phihat_star(s, n))
+    lhs = fock.star_bra(ref_bra_apply_phihat_star(s, n))
     assert lhs == ket_apply_phihat(fock.star_bra(s), n)
+    if n >= 1:
+        assert fock.star_bra(fock._phihat_row(s, n, n)) == lhs
 
 
 @given(bra_words, ket_words)
 @settings(max_examples=60, deadline=None)
 def test_pairing_respects_star(bword, kword)  :
     s, v = bra_word(bword), ket_word(kword)
-    assert pair(s, v) == pair(fock.star_ket(v), fock.star_bra(s))
+    assert pair(s, v) == pair(fock.star_bra(v), fock.star_bra(s))
 
 
 # -- Heisenberg generators -------------------------------------------
@@ -204,8 +205,10 @@ def test_b_star(word, sign):
     # e^{+-Theta}, built from the b_{-n}, acts on kets as the star image of
     # its action on bras
     s = bra_word(word)
-    lhs = fock.star_bra(fock.bra_apply_theta_exp(s, sign))
+    lhs = fock.star_bra(ref_bra_apply_theta_exp(s, sign))
     assert lhs == ket_apply_theta_exp(fock.star_bra(s), sign)
+    if sign < 0:
+        assert fock.star_bra(fock.bra_apply_exp_minus_Theta(s)) == lhs
 
 
 def test_b_shifts_grade():
@@ -219,20 +222,20 @@ def test_b_shifts_grade():
 
 
 def test_phi_beta_negative_modes_frozen():
-    got = bra_apply_phi_beta(bra_word(()), -2)
+    got = ref_bra_apply_phi_beta(bra_word(()), -2)
     assert scalar_terms(got) == {(-2,): ONE, (-1,): -BETA / 2}
-    got = bra_apply_phi_beta(bra_word(()), -3)
+    got = ref_bra_apply_phi_beta(bra_word(()), -3)
     assert scalar_terms(got) == {(-3,): ONE, (-2,): -BETA, (-1,): BETA**2 / 4}
 
 
 def test_phi_beta_zero_on_vacuum():
-    assert scalar_terms(bra_apply_phi_beta(bra_word(()), 0)) == {(0,): ONE}
+    assert scalar_terms(ref_bra_apply_phi_beta(bra_word(()), 0)) == {(0,): ONE}
 
 
 def test_phi_beta_positive_mode_contracts():
     # <0|phi_{-3} phi^(b)_1 keeps only the m = 3 term of the ascending tail
     s = bra_word((-3,))
-    got = bra_apply_phi_beta(s, 1)
+    got = ref_bra_apply_phi_beta(s, 1)
     assert scalar_terms(got) == {(): BETA**2 * Fraction(-3, 2)}
 
 
@@ -255,12 +258,13 @@ def test_phihat_negative_mode_contracts():
 
 
 def test_phihat_star_is_phi_minus_beta():
+    # the library's single-mode row against (-1)^n phi^(-beta)_{-n}
     s = bra_word((0, -3))
-    lhs = fock.bra_apply_phihat_star(s, 2)
-    rhs = scale(bra_apply_phi_beta(s, -2, sign=-1), 1)
+    lhs = fock._phihat_row(s, 2, 2)
+    rhs = scale(ref_bra_apply_phi_beta(s, -2, sign=-1), 1)
     assert lhs == rhs
-    lhs = fock.bra_apply_phihat_star(s, 3)
-    assert lhs == scale(bra_apply_phi_beta(s, -3, sign=-1), -1)
+    lhs = fock._phihat_row(s, 3, 3)
+    assert lhs == scale(ref_bra_apply_phi_beta(s, -3, sign=-1), -1)
 
 
 # -- the rows of the dual kets ---------------------------------------
@@ -277,14 +281,14 @@ def row_by_modes(state, n, low):
     out = EMPTY
     for c in range(low, n + 1):
         w = 1 if c == n else -Fraction(-1, 2) ** (n - c) * (2 if c == 0 else 1)
-        out = add(out, scale(fock.bra_apply_phihat_star(state, c), B.beta_power(n - c, w)))
+        out = add(out, scale(ref_bra_apply_phihat_star(state, c), B.beta_power(n - c, w)))
     return out
 
 
 @given(bra_states, st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_row_at_its_top_mode_is_phihat_star(state, n):
-    assert fock._phihat_row(state, n, n) == fock.bra_apply_phihat_star(state, n)
+    assert fock._phihat_row(state, n, n) == ref_bra_apply_phihat_star(state, n)
 
 
 @given(bra_states, st.integers(1, 6), st.integers(1, 6))
@@ -310,10 +314,13 @@ def test_row_down_to_zero_refuses_lower_grades():
 
 def test_phihat_zero_with_theta_squares_away_on_the_vacuum():
     # (e^{-theta} phihat_0)^2 |0> = |0>, in bra form: what lets gp's last
-    # row reach c = 0 when the ket already ends in e^{-theta} phihat_0
+    # row reach c = 0 when the ket already ends in e^{-theta} phihat_0.
+    # Once, it is <0| phi_0, the bra an odd-length dual ket starts from
     state = fock.vacuum()
-    for _ in range(2):
-        state = fock.bra_apply_theta_exp(fock.bra_apply_phihat_star(state, 0), sign=-1)
+    for times in range(2):
+        state = fock.bra_apply_exp_minus_Theta(ref_bra_apply_phihat_star(state, 0))
+        if not times:
+            assert state == bra_word((0,))
     assert state == fock.vacuum()
     assert fock.star_bra(state) == fock.star_bra(fock.vacuum())
 
@@ -322,7 +329,8 @@ def test_phihat_zero_with_theta_squares_away_on_the_vacuum():
 
 
 def test_theta_fixes_vacuum():
-    assert fock.bra_apply_theta_exp(bra_word(())) == bra_word(())
+    assert ref_bra_apply_theta_exp(bra_word(())) == bra_word(())
+    assert fock.bra_apply_exp_minus_Theta(bra_word(())) == bra_word(())
     assert ket_apply_theta_exp(fock.vacuum()) == fock.vacuum()
 
 
@@ -330,7 +338,7 @@ def test_theta_fixes_vacuum():
 @settings(max_examples=40, deadline=None)
 def test_theta_exp_invertible(word):
     s = bra_word(word)
-    roundtrip = fock.bra_apply_theta_exp(fock.bra_apply_theta_exp(s, 1), -1)
+    roundtrip = fock.bra_apply_exp_minus_Theta(ref_bra_apply_theta_exp(s, 1))
     assert roundtrip == s
 
 
@@ -347,12 +355,12 @@ def test_ket_theta_exp_invertible(word):
 def test_theta_conjugation_of_phi_beta(word, n):
     # e^T phi^(b)_n e^-T = phi^(b)_n + b phi^(b)_{n+1}
     s = bra_word(word)
-    lhs = fock.bra_apply_theta_exp(
-        bra_apply_phi_beta(fock.bra_apply_theta_exp(s, 1), n), -1
+    lhs = fock.bra_apply_exp_minus_Theta(
+        ref_bra_apply_phi_beta(ref_bra_apply_theta_exp(s, 1), n)
     )
     rhs = add(
-        bra_apply_phi_beta(s, n),
-        scale(bra_apply_phi_beta(s, n + 1), BETA),
+        ref_bra_apply_phi_beta(s, n),
+        scale(ref_bra_apply_phi_beta(s, n + 1), BETA),
     )
     assert lhs == rhs
 
@@ -362,12 +370,12 @@ def test_theta_conjugation_of_phi_beta(word, n):
 def test_theta_conjugation_of_phihat_star(word, n):
     # e^T (phi-hat_n)* e^-T expands into a geometric tail in -b
     s = bra_word(word)
-    lhs = fock.bra_apply_theta_exp(
-        fock.bra_apply_phihat_star(fock.bra_apply_theta_exp(s, 1), n), -1
+    lhs = fock.bra_apply_exp_minus_Theta(
+        ref_bra_apply_phihat_star(ref_bra_apply_theta_exp(s, 1), n)
     )
     rhs = EMPTY
     for k in range(n - sum(word) + 1):
-        term = fock.bra_apply_phihat_star(s, n - k)
+        term = ref_bra_apply_phihat_star(s, n - k)
         rhs = add(rhs, scale(term, (-BETA) ** k))
     assert lhs == rhs
 
@@ -380,8 +388,8 @@ def test_theta_conjugation_of_phihat_star(word, n):
 def test_quasi_anticommutator(word, m, n):
     s = bra_word(word)
     lhs = add(
-        bra_apply_phi_beta(fock.bra_apply_phihat_star(s, m), n),
-        fock.bra_apply_phihat_star(bra_apply_phi_beta(s, n), m),
+        ref_bra_apply_phi_beta(ref_bra_apply_phihat_star(s, m), n),
+        ref_bra_apply_phihat_star(ref_bra_apply_phi_beta(s, n), m),
     )
     if m == n:
         expect = scale(s, 2)
@@ -401,12 +409,12 @@ def test_inner_product_pairing_table(word, m, n):
     s = bra_word(word)
 
     def conj(state):
-        inner = bra_apply_phi_beta(fock.bra_apply_theta_exp(state, -1), n)
-        return fock.bra_apply_theta_exp(inner, 1)
+        inner = ref_bra_apply_phi_beta(fock.bra_apply_exp_minus_Theta(state), n)
+        return ref_bra_apply_theta_exp(inner, 1)
 
     lhs = add(
-        conj(fock.bra_apply_phihat_star(s, m)),
-        fock.bra_apply_phihat_star(conj(s), m),
+        conj(ref_bra_apply_phihat_star(s, m)),
+        ref_bra_apply_phihat_star(conj(s), m),
     )
     if m < n:
         expect = EMPTY
@@ -425,7 +433,7 @@ def test_normal_ordering_tables_are_read_only():
         fock._bra_word_b((-2,), -1)[()] = 99
     with pytest.raises(TypeError):
         fock._bra_word_b((), 1)[()] = 99
-    got = bra_apply_phi_beta(bra_word((-1,)), 1)
+    got = ref_bra_apply_phi_beta(bra_word((-1,)), 1)
     assert scalar_terms(got) == {(): B(-2)}
 
 
@@ -441,16 +449,15 @@ bra_states = st.dictionaries(
 ).map(FockState)
 
 
-def actions(state, n, sign, top):
-    """(name, library result, referee result) of every public action."""
-    yield ("phi_beta", bra_apply_phi_beta(state, n, sign),
-           ref_bra_apply_phi_beta(state, n, sign))
-    yield ("phihat_star", fock.bra_apply_phihat_star(state, n),
-           ref_bra_apply_phihat_star(state, n))
+def actions(state, n, top):
+    """(name, library result, referee result) of every action the routes
+    use; the row at its top mode is the one (phihat_n)^*, n >= 1."""
+    yield ("phihat_row", fock._phihat_row(state, abs(n) + 1, abs(n) + 1),
+           ref_bra_apply_phihat_star(state, abs(n) + 1))
     yield ("phi_beta_star", fock.bra_apply_phi_beta_star(state, abs(n), top),
            ref_bra_apply_phi_beta_star(state, abs(n), top))
-    yield ("theta_exp", fock.bra_apply_theta_exp(state, sign),
-           ref_bra_apply_theta_exp(state, sign))
+    yield ("exp_minus_Theta", fock.bra_apply_exp_minus_Theta(state),
+           ref_bra_apply_theta_exp(state, -1))
     yield ("Theta_exp_star", fock.bra_apply_Theta_exp_star(state, top),
            ref_bra_apply_Theta_exp_star(state, top))
     star = FockState({(tuple(-m for m in reversed(w)), k): -c if sum(w) % 2 else c
@@ -458,17 +465,17 @@ def actions(state, n, sign, top):
     yield "star", fock.star_bra(state), star
 
 
-@given(bra_states, st.integers(-4, 4), st.sampled_from([1, -1]), st.integers(0, 5))
+@given(bra_states, st.integers(-4, 4), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
-def test_actions_match_fraction_referee(state, n, sign, top):
-    for name, got, want in actions(state, n, sign, top):
+def test_actions_match_fraction_referee(state, n, top):
+    for name, got, want in actions(state, n, top):
         assert got == want, name
 
 
-@given(bra_states, st.integers(-4, 4), st.sampled_from([1, -1]), st.integers(0, 5))
+@given(bra_states, st.integers(-4, 4), st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
-def test_returned_states_are_integral_and_reduced(state, n, sign, top):
-    for name, got, _ in actions(state, n, sign, top):
+def test_returned_states_are_integral_and_reduced(state, n, top):
+    for name, got, _ in actions(state, n, top):
         assert isinstance(got, FockState), name
         assert type(got.den) is int and got.den > 0, name
         assert all(type(c) is int and c for c in got.terms.values()), name
@@ -488,22 +495,11 @@ def test_constructor_reduces_and_checks_words():
             FockState({(word, k): 1})
 
 
-def test_sign_is_checked():
-    v = bra_word((-3,))
-    for sign in (5, 0, 2):
-        with pytest.raises(ValueError, match="sign"):
-            bra_apply_phi_beta(v, 1, sign=sign)
-        with pytest.raises(ValueError, match="sign"):
-            fock.bra_apply_theta_exp(v, sign)
-    with pytest.raises(ValueError, match="sign"):
-        ket_apply_theta_exp(ket_word((3,)), 2)
-
-
 def test_Theta_cut_holds_on_input_words():
     # a word already above the ceiling is dropped, as phi^(beta)_n drops it
     v = ket_word((3,))
     assert ket_apply_phi_beta(v, 1, 2) == EMPTY
     assert ket_apply_Theta_exp(v, 1) == EMPTY
-    assert fock.bra_apply_Theta_exp_star(fock.star_ket(v), 1) == EMPTY
+    assert fock.bra_apply_Theta_exp_star(fock.star_bra(v), 1) == EMPTY
     # at the ceiling the word stays, with what e^Theta adds above it cut
     assert ket_apply_Theta_exp(v, 3) == v

@@ -5,7 +5,8 @@ import pytest
 from kq import fock
 from kq.finitevars import from_finite
 from kq.gq import (
-    GQSeries,
+    _exp_parts,
+    _pair,
     gq_fermionic,
     gq_pfaffian_1,
     gq_pfaffian_2,
@@ -15,12 +16,13 @@ from kq.gq import (
 from kq.hexpansion import vacuum_expectation
 from kq.laurent import f_table
 from kq.oracle import gq_oracle
-from kq.pseries import PSeries
+from kq.pseries import PSeries, combination
 from kq.scalars import ONE, BetaScalar, binom_general
-from referees import (at_b, check_kq_cancellation, classical_q, eval_finite, exp, is_zero,
-                      ket_apply_phi_beta, ket_apply_Theta_exp, kernel_coefficient, p_beta,
-                      q_series, scalar_terms, strict_partitions_upto, to_deformed_basis,
-                      two_row_q)
+from referees import (at_b, check_kq_cancellation, classical_q, eval_finite, exp,
+                      gq_coefficient, is_zero, ket_apply_phi_beta, ket_apply_Theta_exp,
+                      kernel_coefficient, p_beta, q_series, ref_bra_apply_Theta_exp_star,
+                      scalar_terms, series_coefficient, strict_partitions_upto,
+                      to_deformed_basis, two_row_q)
 
 
 def zpoly_exp(parts, D):
@@ -68,61 +70,70 @@ def test_series_beta_zero_is_classical_q():
     s = gq_series(D)
     qs = q_series(D)
     for n in range(D + 1):
-        assert at_b(s.coefficient(n), 0) == qs[n]
+        assert at_b(s[n], 0) == qs[n]
 
 
 def test_series_x_zero_specialization():
     # constant term: (-beta)^{-n} for n <= 0, nothing for n >= 1
     D = 6
-    s = gq_series(D)
     for n in range(-D, 0 + 1):
         want = BetaScalar.beta_power(-n, -1 if n % 2 else 1)
-        assert s.coefficient(n).coefficient(()) == want
+        assert series_coefficient(gq_coefficient(n, D), ()) == want
+    assert series_coefficient(gq_series(D)[0], ()) == ONE
     for n in range(1, D + 1):
-        assert not s.coefficient(n).coefficient(())
+        assert not series_coefficient(gq_series(D)[n], ())
 
 
 def test_series_lowest_degree():
     D = 6
-    s = gq_series(D)
     for n in range(-D, D + 1):
-        c = s.coefficient(n)
+        c = gq_coefficient(n, D)
         assert all(sum(k) >= max(n, 0) for k, _ in c.sorted_items())
 
 
 def test_series_vanishes_above_bound():
-    assert is_zero(gq_series(4).coefficient(5))
-    assert is_zero(gq_series(4).coefficient(17))
+    # GQ_n has lowest degree n, so past the bound it truncates to zero
+    assert len(gq_series(4)) == 5
+    for n in range(5, 9):
+        assert is_zero(gq_series(8)[n].truncate(4))
+    assert is_zero(gq_coefficient(17, 4))
 
 
 def test_series_extends_below_default_window():
-    s = gq_series(4)
-    assert s.coefficient(-9).coefficient(()) == BetaScalar.beta_power(9, -1)
+    # an index far below the row is a b-shift of the other factor
+    f, e, sign = _pair(-9, 1, 4)
+    assert combination([(f, e, sign)], 4) == gq_coefficient(-9, 4) * gq_series(4)[1]
+    f, e, sign = _pair(-9, -2, 4)
+    assert series_coefficient(combination([(f, e, sign)], 4), ()) == BetaScalar.beta_power(11, -1)
 
 
 def test_nonpositive_coefficients_are_the_closed_form():
-    # GQ_n = (-beta)^{-n} for n <= 0, which coefficient() answers without
-    # assembling; the assembly from the exp parts must agree, below -D too
+    # GQ_n = (-beta)^{-n} for n <= 0, which the readers of the row apply as
+    # a b-shift without assembling; the assembly from the exp parts must
+    # agree, below -D too, and the row's GQ_0 is that assembly
     for D in range(11):
-        s = GQSeries(D)
+        parts = _exp_parts(D)
         for n in range(-D - 3, 1):
-            want = PSeries({(): BetaScalar.beta_power(-n, -1 if n % 2 else 1)}, D)
-            assert s._assemble(n) == want, (D, n)
-            assert s.coefficient(n) == want, (D, n)
+            got = combination(((parts[n + k], k, -1 if k % 2 else 1)
+                               for k in range(max(0, -n), D - n + 1)), D)
+            assert got == gq_coefficient(n, D), (D, n)
+        assert gq_series(D)[0] == gq_coefficient(0, D)
 
 
 def test_shared_series_is_not_grown_by_requests():
+    # indices below and past the row are answered without touching it
     s = gq_series(4)
-    before = len(s.coefficients)
-    s.coefficient(-9)
-    assert len(gq_series(4).coefficients) == before
+    _pair(-9, 2, 4)
+    _pair(3, 7, 4)
+    gq_two_index(-3, 5, 4)
+    assert gq_series(4) is s and len(s) == 5
 
 
 def test_shared_series_is_read_only():
     # one table serves every caller, so a write would change later results
     want = gq_pfaffian_1((2, 1), 5)
     with pytest.raises(TypeError):
-        gq_series(5).coefficients[2] = PSeries.zero(5)
+        gq_series(5)[2] = PSeries.zero(5)
     with pytest.raises(TypeError):
         f_table(1, 2, 2, 2, (3, 3))[(0, 0)] = ONE
     with pytest.raises(TypeError):
@@ -133,7 +144,7 @@ def test_shared_series_is_read_only():
 def test_series_coefficient_zero_is_one():
     # not assumed anywhere; recorded as a computed fact
     for D in (2, 5, 7):
-        assert gq_series(D).coefficient(0) == PSeries.one(D)
+        assert gq_series(D)[0] == PSeries.one(D)
 
 
 def test_generating_function_rearrangement():
@@ -141,23 +152,22 @@ def test_generating_function_rearrangement():
     # coefficient by coefficient; in particular the negative z-tail of the
     # left side collapses to zero.
     D = 5
-    s = gq_series(D)
     tm = theta_minus_beta(D)
     rhs = zpoly_exp(log_eta_parts(D), D)
     for n in range(-4, D + 1):
-        lhs = tm * (s.coefficient(n) + s.coefficient(n + 1) * BetaScalar.beta_power(1))
+        lhs = tm * (gq_coefficient(n, D) + gq_coefficient(n + 1, D) * BetaScalar.beta_power(1))
         want = rhs[n] if n >= 0 else PSeries.zero(D)
         assert lhs == want
 
 
 def Theta_exp_star_opposite(state, top):
     """(e^{-Theta})^* = e^{-theta} acting on bras, cut as gq_fermionic cuts."""
-    return fock._theta_exp(state, -1, top)
+    return ref_bra_apply_Theta_exp_star(state, top, -1)
 
 
 def ket_apply_Theta_exp_opposite(state, top):
     """e^{-Theta} on kets, as the star of the right action of e^{-theta}."""
-    return fock.star_bra(Theta_exp_star_opposite(fock.star_ket(state), top))
+    return fock.star_bra(Theta_exp_star_opposite(fock.star_bra(state), top))
 
 
 def test_vacuum_matrix_element_closed_form():
@@ -190,7 +200,7 @@ def test_pfaffian_1_one_row_is_series_coefficient():
     D = 5
     s = gq_series(D)
     for n in range(1, D + 1):
-        assert gq_pfaffian_1((n,), D) == s.coefficient(n)
+        assert gq_pfaffian_1((n,), D) == s[n]
 
 
 def test_pfaffian_1_against_oracle():
@@ -219,14 +229,13 @@ def test_window_widening_changes_nothing():
     # the p-window stops at D - lambda_i because GQ_n = 0 past the bound;
     # rebuilding one entry from a much wider table must give the same sum
     D = 5
-    s = gq_series(D)
     li, lj = 2, 1
 
     def entry(pw, qw):
         tab = f_table(1, 2, 2, 2, (pw, qw))
         acc = PSeries.zero(D)
         for (p, q), c in tab.items():
-            term = s.coefficient(li + p) * s.coefficient(lj + q)
+            term = gq_coefficient(li + p, D) * gq_coefficient(lj + q, D)
             acc = acc + term * BetaScalar.beta_power(p + q, c)
         return acc
 
@@ -240,19 +249,18 @@ def raw_two_index(a, b, D, slack):
     """GQ_(a,b) expanded from its definition, every window pushed out by
     slack: (-beta)^s from the prefactor, the kernel (z1-z2)/(z1+z2+beta)
     at z1^{-mp} z2^q from the referee's own closed form, and no f-table."""
-    s = gq_series(D)
     acc = PSeries.zero(D)
     for sp in range(max(0, D - a) + slack + 1):
         sc = BetaScalar.beta_power(sp, -1 if sp % 2 else 1)
         for mp in range(max(0, D - a - sp) + slack + 1):
-            gi = s.coefficient(a + sp + mp)
+            gi = gq_coefficient(a + sp + mp, D)
             if is_zero(gi):
                 continue
             for q in range(mp + 1):
                 kc = kernel_coefficient(-mp, q)
                 if not kc:
                     continue
-                gj = s.coefficient(b - q)
+                gj = gq_coefficient(b - q, D)
                 if not is_zero(gj):
                     acc = acc + gi * gj * (kc * sc)
     return acc

@@ -10,11 +10,10 @@ from pathlib import Path
 import kq
 from kq import dualq, fock, gq, laurent
 from kq.finitevars import from_finite
-from kq.gq import GQSeries, gq_pfaffian_1
+from kq.gq import gq_pfaffian_1
 from kq.oracle import gq_oracle
 from kq.pseries import PSeries
 from kq.scalars import BetaScalar
-from referees import bra_apply_phi_beta
 
 
 def test_library_has_no_asserts():
@@ -127,6 +126,27 @@ def test_trusted_constructors_stay_in_their_module():
     found = [f"{name}:{line}" for name, line, owner in uses
              if owner not in ("cls", "self") and definers.get(owner) != name]
     assert not found, found
+
+
+def test_series_sums_rescale_in_one_place():
+    # every sum of series, + and - included, is one pseries.combination,
+    # which keeps one running den; apart from it only _from_flat, which
+    # clears the denominators of its input, takes an lcm in pseries
+    path = Path(kq.__file__).parent / "pseries.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def lcm_calls(node):
+        return sum(isinstance(sub, ast.Call) and (
+            isinstance(sub.func, ast.Name) and sub.func.id == "lcm"
+            or isinstance(sub.func, ast.Attribute) and sub.func.attr == "lcm")
+            for sub in ast.walk(node))
+
+    callers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and lcm_calls(node)}
+    assert callers == {"_from_flat", "combination"}, callers
+    inside = sum(lcm_calls(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name in callers)
+    assert lcm_calls(tree) == inside
 
 
 def test_series_memo_stays_in_two_modules():
@@ -288,19 +308,21 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("BetaScalar arithmetic inside a kernel")
 
-    series = GQSeries(6)
-    want_product = series.coefficient(1) * series.coefficient(2)
-    want_sum = series.coefficient(-1) + series.coefficient(3)
+    row = gq.gq_series.__wrapped__(6)
+    want_product = row[1] * row[2]
+    want_sum = row[1] + row[3]
+    want_difference = row[3] - row[2]
     state = fock.FockState({((-3, -5), 0): Fraction(1)})
-    want_state = fock.bra_apply_theta_exp(bra_apply_phi_beta(state, 2))
+    want_state = fock.bra_apply_exp_minus_Theta(fock.bra_apply_phi_beta_star(state, 2, 10))
     want_poly = gq_oracle((2, 1), 4)
     want_gq = gq_pfaffian_1((2, 1), 4)
     for name in RING_DUNDERS:
         monkeypatch.setattr(BetaScalar, name, refuse)
-    fresh = GQSeries(6)
-    assert fresh.coefficient(1) * fresh.coefficient(2) == want_product
-    assert fresh.coefficient(-1) + fresh.coefficient(3) == want_sum
-    assert fock.bra_apply_theta_exp(bra_apply_phi_beta(state, 2)) == want_state
+    fresh = gq.gq_series.__wrapped__(6)
+    assert fresh[1] * fresh[2] == want_product
+    assert fresh[1] + fresh[3] == want_sum
+    assert fresh[3] - fresh[2] == want_difference
+    assert fock.bra_apply_exp_minus_Theta(fock.bra_apply_phi_beta_star(state, 2, 10)) == want_state
     assert want_state
     poly = gq_oracle((2, 1), 4)
     assert poly == want_poly
@@ -407,7 +429,7 @@ def test_cold_formula_two_multiplies_each_generator_pair_once(monkeypatch):
     want = gq.gq_pfaffian_2((3, 2, 1), D)
     gq.gq_two_index.cache_clear()
     monkeypatch.setitem(gq._PRODUCTS, D, {})
-    generators = {id(f): n for n, f in gq.gq_series(D).coefficients.items()}
+    generators = {id(f): n for n, f in enumerate(gq.gq_series(D)) if n}
     products = _count_products(monkeypatch)
     assert gq.gq_pfaffian_2((3, 2, 1), D) == want
     pairs = [tuple(sorted((generators[id(f)], generators[id(g)])))
@@ -440,8 +462,8 @@ PROCESS_WIDE_TABLES = {
     "bases._image_partition", "bases._power_image", "dualq._PRODUCTS",
     "dualq._q_bracket_upto", "dualq.o_two_index", "finitevars._orbit_size",
     "finitevars._p_to_m", "fock._bra_insert", "fock._bra_vacuum_b", "fock._bra_word_b",
-    "fock._phi_beta_modes", "fock._theta_modes", "gq._PRODUCTS", "gq._exp_parts",
-    "gq._minus_beta_power", "gq.gq_series", "gq.gq_two_index", "hexpansion._ROWS",
+    "fock._phi_beta_modes", "fock._theta_modes", "gq._PRODUCTS", "gq.gq_series",
+    "gq.gq_two_index", "hexpansion._ROWS",
     "hexpansion._STATES", "laurent._KERNEL_TABLES", "laurent.f_table", "laurent.g_table",
     "oracle._alternant", "oracle._kostka", "partitions.partitions_of",
     "partitions.z_lambda", "pseries._PAIRS", "scalars.binom_general",

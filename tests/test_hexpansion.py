@@ -10,7 +10,7 @@ from kq.partitions import partitions_upto, z_lambda
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (bra_apply_b, classical_q, deformed_q, flat_terms, is_zero, p_beta, pair,
-                      rows_at, strict_partitions_upto, two_row_q)
+                      rows_at, series_coefficient, strict_partitions_upto, two_row_q)
 
 D = 6
 
@@ -43,7 +43,7 @@ def test_q_uses_only_odd_power_sums():
 def classical_pairing(f, g):
     total = ZERO
     for key, c in f.sorted_items():
-        d = g.coefficient(key)
+        d = series_coefficient(g, key)
         if d:
             total = total + c * d * Fraction(z_lambda(key), 2 ** len(key))
     return total
@@ -254,7 +254,7 @@ def test_rows_are_the_pfaffian_q():
         q = classical_q(mu, bound)
         scale = Fraction(-1 if sum(mu) % 2 else 1, 2 ** len(mu))
         for nu in partitions_upto(bound):
-            want = q.coefficient(nu) * z_lambda(nu) * scale
+            want = series_coefficient(q, nu) * z_lambda(nu) * scale
             assert BetaScalar(got.get(nu, 0)) == want, (mu, nu)
     assert set(rows) <= words
 

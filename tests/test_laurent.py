@@ -11,6 +11,7 @@ from kq.pseries import combination
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     LaurentBlock,
+    gq_coefficient,
     at_b,
     binomial_block,
     contract_by_rows,
@@ -383,15 +384,19 @@ def test_kernel_table_block_cross_check(kind, i, j, rp):
 @pytest.mark.parametrize("D", range(1, 11))
 def test_generator_products_match_fresh_products(D):
     # each family's _pair(m, n) stands for s b^e f = A_m A_n, A read from a
-    # fresh generator table: constants as b-shifts, and a GQ pair past the
+    # fresh generator row: constants as b-shifts, and a GQ pair past the
     # bound, which is zero, as None
-    fresh = gq.GQSeries(D).coefficient
+    row = gq.gq_series.__wrapped__(D)
+
+    def fresh(n):
+        return row[n] if 0 < n <= D else gq_coefficient(n, D)
+
     for m in range(-2, D + 2):
         for n in range(-2, D + 2):
             want = fresh(m) * fresh(n)
             got = gq._pair(m, n, D)
             if got is None:
-                assert m + n > D and not want.terms, (m, n)
+                assert max(m + n, m, n) > D and not want.terms, (m, n)
             else:
                 assert combination([got], D) == want, (m, n)
     shared = dualq._q_bracket_upto(D + 2, D)
@@ -434,8 +439,8 @@ def test_contract_matches_row_referee_on_route_tables(monkeypatch):
     assert {key[0] for key in seen} == {"gq", "dual"}
     for (family, li, lj, D, items), got in seen.items():
         if family == "gq":
-            get = gq.gq_series(D).coefficient
-            left, right = (lambda p: get(li + p)), (lambda q: get(lj + q))
+            left, right = ((lambda p: gq_coefficient(li + p, D)),
+                           (lambda q: gq_coefficient(lj + q, D)))
         else:
             qb = dualq._q_bracket_upto(max(D, li + lj), D)
             left, right = (lambda p: qb[li - p]), (lambda q: qb[lj - q])
@@ -451,7 +456,7 @@ def test_memoised_products_survive_a_sweep():
             route(lam, D)
     assert gq._PRODUCTS[D] and dualq._PRODUCTS[D]
     for bound, table in gq._PRODUCTS.items():
-        fresh = gq.GQSeries(bound).coefficients
+        fresh = gq.gq_series.__wrapped__(bound)
         for (m, n), f in table.items():
             assert f == fresh[m] * fresh[n], (bound, m, n)
     for bound, table in dualq._PRODUCTS.items():

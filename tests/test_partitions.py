@@ -1,8 +1,8 @@
 import pytest
 
 from kq import partitions as pt
-from kq.dualq import q_bracket_series
-from kq.gq import gq_fermionic, gq_series
+from kq.dualq import o_two_index, q_bracket_series
+from kq.gq import gq_fermionic, gq_series, gq_two_index
 from kq.pseries import PSeries
 from referees import (contains, row_count, strict_partitions_of, strict_partitions_upto,
                       sub_strict_partitions)
@@ -51,12 +51,28 @@ def test_bool_degree_bound_fails_at_the_routes():
         gq_fermionic((1,), True)
     with pytest.raises(ValueError, match=r"integer, got False"):
         PSeries.one(False)
+    # a table already built at the int bound must not answer the flag, nor
+    # a float equal to it: the bound is checked before any cache is read
+    o_two_index(2, 1, 1), gq_two_index(1, 0, 1), q_bracket_series(1), gq_series(1)
+    for misuse in (lambda: o_two_index(2, 1, True), lambda: gq_two_index(1, 0, True),
+                   lambda: q_bracket_series(True), lambda: gq_series(True)):
+        with pytest.raises(ValueError, match=r"integer, got True"):
+            misuse()
+    o_two_index(2, 1, 3)
+    with pytest.raises(ValueError, match=r"integer, got 3\.0"):
+        o_two_index(2, 1, 3.0)
+    # and before a comparison with the bound can raise a TypeError
+    for bound in (2.5, "4"):
+        with pytest.raises(ValueError, match="integer, got"):
+            o_two_index(2, 1, bound)
+        with pytest.raises(ValueError, match="integer, got"):
+            gq_two_index(1, 0, bound)
 
 
 def test_non_integer_index_fails_at_the_one_row_tables():
     # a float index used to miss the table and raise KeyError
     with pytest.raises(TypeError, match="float"):
-        gq_series(3).coefficient(1.5)
+        gq_series(3)[1.5]
     # the row of q^[b], which the padding column of formula II reads
     with pytest.raises(TypeError, match="float"):
         q_bracket_series(3)[1.5]
