@@ -11,19 +11,19 @@ together with the bilinear pairing that makes the two families dual bases.
 Power-sum series store an int per (partition, power of b) on the basis
 p_lambda / z_lambda over one denominator, and Fock states an int per (word,
 power of b) over one denominator; sums of series go through
-pseries.combination.
+pseries.combination, and every Pfaffian coefficient in those sums is an
+int from the tables of module laurent.
 BetaScalar, the public Q[b] scalar, is only what a coefficient becomes once
 it leaves them, and the type of BETA, ONE, ZERO.
 """
 
-from .scalars import BETA, ONE, ZERO, BetaScalar, binom_general
+from .scalars import BETA, ONE, ZERO, BetaScalar
 
 __all__ = [
     "BETA",
     "ONE",
     "ZERO",
     "BetaScalar",
-    "binom_general",
 ]
 
 __version__ = "0.1.0"

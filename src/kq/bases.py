@@ -10,7 +10,9 @@ at -b/2: x/(1 - c x) and x - c.  Since f = sum a_lambda p_lambda^flavor is
 the image of sum a_lambda p_lambda, the coordinates a_lambda of f are the
 image of f under the substitution at -b/2, one combination of images.
 Paren images only raise the degree and bracket images only lower it, so
-both directions are exact at a degree bound.
+both directions are exact at a degree bound.  The image of p_n is a sum of
+int binomials, C(m-1, m-n) upward or C(n, i) downward, times powers of the
+shift.
 
 Memoised here: the image of each p_lambda, per (flavor, lambda, bound,
 shift), in process-wide tables; and the coordinates _coordinates computes,
@@ -29,10 +31,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .partitions import z_lambda
 from .pseries import PSeries, combination
-from .scalars import binom_general
 
 FLAVORS = ("paren", "bracket")
 _HALF = Fraction(1, 2)
@@ -52,10 +54,10 @@ def _power_image(flavor: str, n: int, degree_bound: int, shift: Fraction) -> PSe
     if n < 1:
         raise ValueError("power sums are indexed by positive integers")
     if flavor == "paren":
-        terms = {((m,), m - n): binom_general(m - 1, m - n) * (-shift) ** (m - n)
+        terms = {((m,), m - n): comb(m - 1, m - n) * (-shift) ** (m - n)
                  for m in range(n, degree_bound + 1)}
     else:
-        terms = {((i,), n - i): binom_general(n, i) * shift ** (n - i)
+        terms = {((i,), n - i): comb(n, i) * shift ** (n - i)
                  for i in range(1, n + 1)}
     return PSeries._from_flat(terms, degree_bound)
 

@@ -11,7 +11,9 @@ with zbar = -z / (1 + b z).  Three routes compute o_lambda:
   * o_pfaffian_1: 2^{-r} Pf of g-table contractions of the q^[b]_n;
   * o_pfaffian_2: Pf of binomially twisted two-index blocks o_(a,b),
     each a quarter of route one's r = 2 entry and computed by the same
-    contraction; the quarter leaves no global 2-power;
+    contraction; the quarter leaves no global 2-power, and the twists and
+    the padding column (half of route one's) are laurent's univariate
+    tables;
   * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>.
 
 gp_lambda is the combination of the o_nu with nu interlacing lambda that
@@ -29,11 +31,11 @@ from math import comb, lcm
 from . import fock
 from .bases import _coordinates
 from .hexpansion import vacuum_expectation
-from .laurent import contract, g_table
+from .laurent import _univariate, contract, g_table
 from .partitions import check_degree_bound, check_strict_weight, z_lambda
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination, exp_power_sums
-from .scalars import _from_monomials, binom_general
+from .scalars import _from_monomials
 
 
 @lru_cache(maxsize=None)
@@ -85,23 +87,24 @@ def _pair(qb, m, n, degree_bound):
     return f, 0, 1
 
 
-def _g_entry(i, j, r, li, lj, degree_bound):
+def _g_entry(i, j, li, lj, degree_bound):
     """Entry (i, j) of zeta: q^[b]_{li-p} q^[b]_{lj-q} contracted against
-    g_table(i, j, r).
+    g_table(i, j).
 
     lj is None in the padding column, which contracts q^[b]_{li-p} against
-    the univariate table.  Otherwise laurent.contract takes one combination
-    over memoised generator products, q^[b]_{li-p} q^[b]_{lj-q} from _pair.
-    The window (li, lj) keeps both indices >= 0, and they reach li + lj:
-    the row of q^[b] runs to max(D, li + lj), truncated past D, which is
-    the routes' own row unless li + lj > D.
+    the univariate table of (1+bz)^{-i} along the routes' own row of q^[b].
+    Otherwise laurent.contract takes one combination over memoised
+    generator products, q^[b]_{li-p} q^[b]_{lj-q} from _pair.  The window
+    (li, lj) keeps both indices >= 0, and they reach li + lj: the row of
+    q^[b] runs to max(D, li + lj), truncated past D, which is the routes'
+    own row unless li + lj > D.
     """
     D = degree_bound
-    qb = _q_bracket_upto(max(D, li + (lj or 0)), D)
     if lj is None:
-        return combination(((qb[li - p], p, c)
-                            for p, c in g_table(i, j, r, (li, 0)).items()), D)
-    return contract(g_table(i, j, r, (li, lj)),
+        qb = q_bracket_series(D)
+        return combination(((qb[li - p], p, c) for p, c in _univariate(li, i).items()), D)
+    qb = _q_bracket_upto(max(D, li + lj), D)
+    return contract(g_table(i, j, (li, lj)),
                     lambda p, q: _pair(qb, li - p, lj - q, D), D)
 
 
@@ -112,7 +115,7 @@ def o_two_index(a, b, degree_bound):
         Psi(u,v) = (1+bu)^{-1} (1+bv)^{-2} q^[b](u) q^[b](v)
                    (u - v) / (u + v + b u v),
 
-    v ascending: a quarter of zeta's entry at (i, j, r) = (1, 2, 2), the
+    v ascending: a quarter of zeta's entry at (i, j) = (1, 2), the
     entry o_pfaffian_1 builds for lambda = (a, b).  Zero whenever b < 0 or
     a + b < 0: every row of the kernel table sits on q >= 0, p >= -q, and
     q^[b] has no negative indices.  The 1/4 makes o_(a,b) = o_{(a,b)} for
@@ -120,7 +123,7 @@ def o_two_index(a, b, degree_bound):
     scale.  It is one combination over memoised generator products, shared
     with o_pfaffian_1's entries.
     """
-    return _g_entry(1, 2, 2, a, b, check_degree_bound(degree_bound)) * Fraction(1, 4)
+    return _g_entry(1, 2, a, b, check_degree_bound(degree_bound)) * Fraction(1, 4)
 
 
 def o_pfaffian_1(lam, degree_bound):
@@ -129,7 +132,7 @@ def o_pfaffian_1(lam, degree_bound):
     D = degree_bound
     r = len(lam)
     pf = padded_pfaffian(lam, PSeries.one(D),
-                         lambda i, j, li, lj: _g_entry(i, j, r, li, lj, D))
+                         lambda i, j, li, lj: _g_entry(i, j, li, lj, D))
     return pf * Fraction(1, 2 ** r)
 
 
@@ -139,13 +142,18 @@ def o_pfaffian_2(lam, degree_bound):
     kappa_{i,j} = sum_{k,l >= 0} C(1-i, k) C(2-j, l) b^{k+l}
                   o_(lambda_i - k, lambda_j - l),
     cut off by the vanishing floor of o_two_index (l <= lambda_j and
-    k + l <= lambda_i + lambda_j).  The padding column carries
+    k + l <= lambda_i + lambda_j).  Both upper entries are -n with n >= 0,
+    so the weights are laurent's univariate tables, one per row and one
+    per column of an entry, and none of them is zero.  Times the r = 2
+    prefactor (1 + bu)^{-1} (1 + bv)^{-2} of o_(a,b), the twists are
+    zeta's (1 + bu)^{-i} (1 + bv)^{-j}, so kappa_{i,j} is a quarter of
+    zeta's entry.  The padding column carries
     kappa_{i,r+1} = sum_k C(1-i, k) b^k o_{lambda_i - k}, with the one-row
     duals o_n = (1/2) sum_t (-b)^t q^[b]_{n-t}, the u^n coefficient of
     (1/2) (1 + bu)^{-1} q^[b](u).  The twist multiplies that by
     (1 + bu)^{1-i}, and (1 + bu)^{1-i} (1 + bu)^{-1} = (1 + bu)^{-i}, so
         kappa_{i,r+1} = (1/2) sum_{s <= lambda_i} C(-i, s) b^s q^[b]_{lambda_i - s},
-    one combination over the row of q^[b].
+    half of zeta's padding column, and read from it.
     No overall power of 2: the quarter in o_two_index absorbs it.
     """
     lam = check_strict_weight(lam, degree_bound)
@@ -153,14 +161,12 @@ def o_pfaffian_2(lam, degree_bound):
 
     def entry(i, j, li, lj):
         if lj is None:
-            qb = q_bracket_series(D)
-            return combination(((qb[li - s], s, binom_general(-i, s) / 2)
-                                for s in range(li + 1)), D)
-        # no two-index block is computed under a zero binomial weight
-        return combination(
-            ((o_two_index(li - k, lj - l, D), k + l, ck * cl)
-             for l in range(lj + 1) if (cl := binom_general(2 - j, l))
-             for k in range(li + lj - l + 1) if (ck := binom_general(1 - i, k))), D)
+            return _g_entry(i, j, li, None, D) * Fraction(1, 2)
+        top = li + lj
+        rows, cols = _univariate(top, i - 1), _univariate(lj, j - 2)
+        return combination(((o_two_index(li - k, lj - l, D), k + l, ck * cl)
+                            for l, cl in cols.items()
+                            for k, ck in rows.items() if k + l <= top), D)
 
     return padded_pfaffian(lam, PSeries.one(D), entry)
 
@@ -181,7 +187,7 @@ def _dual_ket(lam, lows, degree_bound):
     state = fock.FockState({((0,) if len(lam) % 2 else (), 0): 1})
     for n, low in reversed(tuple(zip(lam, lows))):
         state = fock.bra_apply_exp_minus_Theta(fock._phihat_row(state, n, low))
-    return (vacuum_expectation(fock.star_bra(state), "bracket", degree_bound)
+    return (vacuum_expectation(state, "bracket", degree_bound)
             * Fraction(1, 2 ** len(lam)))
 
 

@@ -12,9 +12,11 @@ from the right.  Kets are star images of bras: star sends
 <0|phi_{m_1}..phi_{m_k} to (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>, is its
 own inverse, and turns a right action of X* on bras into the left action of
 X on kets.  So the ket A B ... |0> is star(<0| ... B* A*): a chain of ket
-actions runs in bra form from the vacuum and is starred once at its end.
-The routes build their kets this way, and these are the only operators
-here, each written once:
+actions runs in bra form from the vacuum.  The routes build their kets this
+way and hand the bra to hexpansion.vacuum_expectation, which pairs it as
+the ket it stands for, so no state is ever starred here (the star itself
+lives in tests/referees.py).  These are the only operators here, each
+written once:
 
   * o_lambda and gp_lambda: _phihat_row, a weighted sum of (phihat_c)^*
     over a range of c (a single mode at low = n), and
@@ -283,14 +285,4 @@ def bra_apply_Theta_exp_star(state: FockState, top: int) -> FockState:
     """Right action of (e^{Theta})^* = e^{theta} on bras, whose star is the
     left action of e^{Theta} on kets; grades < -top dropped, input included."""
     return _theta_exp(state, top)
-
-
-# -- duality ----------------------------------------------------------------
-
-def star_bra(state: FockState) -> FockState:
-    """<0|phi_{m_1}..phi_{m_k}  |->  (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>;
-    the same formula sends a ket back to its bra."""
-    return FockState._reduced(
-        {(tuple(-m for m in reversed(word)), k): -c if sum(word) % 2 else c
-         for (word, k), c in state.terms.items()}, state.den)
 

@@ -14,10 +14,11 @@ GQ_lambda for a strict partition lambda:
     Pfaffian;
   * gq_pfaffian_2 (formula II) takes a Pfaffian of binomially twisted
     two-index values GQ_(a,b), each of them the r = 2 entry of formula I,
-    computed by the same contraction;
+    computed by the same contraction; its twists and its padding column
+    are laurent's univariate tables, as formula I's padding column is;
   * gq_fermionic evaluates <0| e^{H^(beta)} prod_i (phi^(beta)_{lambda_i}
     e^Theta) |0> on the neutral-fermion Fock space, as one ket, built in
-    bra form and starred once, paired through hexpansion.vacuum_expectation.
+    bra form and handed as that bra to hexpansion.vacuum_expectation.
 
 The one-row coefficients are a plain row, gq_series(D) = (GQ_0, ...,
 GQ_D), as dualq keeps q^[b]: GQ_n for n < 0 is the constant (-beta)^{-n},
@@ -39,11 +40,10 @@ from math import comb
 
 from . import fock
 from .hexpansion import vacuum_expectation
-from .laurent import contract, f_table
+from .laurent import _univariate, contract, f_table
 from .partitions import check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination, exp_power_sums
-from .scalars import binom_general
 
 
 def _exp_parts(degree_bound):
@@ -113,23 +113,24 @@ def _pair(m, n, degree_bound):
     return f, 0, 1
 
 
-def _f_entry(i, j, r, r_prime, li, lj, degree_bound):
+def _f_entry(i, j, r_prime, li, lj, degree_bound):
     """Entry (i, j) of formula I: GQ_{li+p} GQ_{lj+q} contracted against
-    f_table(i, j, r, r').
+    f_table(i, j, r'), whose cells are keyed (q, p).
 
-    lj is None in the padding column, which contracts GQ_{li+p} against
-    the univariate table.  Otherwise laurent.contract takes one combination
-    over memoised generator products, GQ_{li+p} GQ_{lj+q} from _pair.  The
-    window p <= D - li (and q <= D - lj) is exact because GQ_n is zero past
-    the bound; tests re-run one entry with a doubled window to confirm that.
+    lj is None in the padding column j = r', which contracts GQ_{li+p}
+    against the univariate table of (1+b t_i)^{-(r'-i-1)}.  Otherwise
+    laurent.contract takes one combination over memoised generator
+    products, GQ_{li+p} GQ_{lj+q} from _pair.  The window p <= D - li (and
+    q <= D - lj) is exact because GQ_n is zero past the bound; tests re-run
+    one entry with a doubled window to confirm that.
     """
     D = degree_bound
     if lj is None:
         row = gq_series(D)
-        tab = f_table(i, j, r, r_prime, (D - li, 0))
-        return combination(((row[li + p], p, c) for p, c in tab.items()), D)
-    return contract(f_table(i, j, r, r_prime, (D - li, D - lj)),
-                    lambda p, q: _pair(li + p, lj + q, D), D)
+        return combination(((row[li + p], p, c)
+                            for p, c in _univariate(D - li, r_prime - i - 1).items()), D)
+    return contract(f_table(i, j, r_prime, (D - lj, D - li)),
+                    lambda q, p: _pair(li + p, lj + q, D), D)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -141,7 +142,7 @@ def gq_two_index(a, b, degree_bound):
         (1 + beta z1^{-1})^{-1} GQ(z1) GQ(z2) (z1 - z2)/(z1 + z2 + beta)
 
     expanded with |z1| > |z2|.  At t = 1/z this is the f-table product at
-    (i, j, r, r') = (1, 2, 2, 2), so GQ_(a,b) is formula I's entry at
+    (i, j, r') = (1, 2, 2), so GQ_(a,b) is formula I's entry at
     lambda = (a, b).  For a > b >= 1 it is GQ_{(a,b)}; for general
     integers it is the raw entry the second Pfaffian formula consumes.
     Every summand has lowest degree >= a + b, so the result vanishes once
@@ -152,7 +153,7 @@ def gq_two_index(a, b, degree_bound):
     degree_bound = check_degree_bound(degree_bound)
     if a + b > degree_bound:
         return PSeries.zero(degree_bound)
-    return _f_entry(1, 2, 2, 2, a, b, degree_bound)
+    return _f_entry(1, 2, 2, a, b, degree_bound)
 
 
 def gq_pfaffian_1(lam, degree_bound):
@@ -162,11 +163,10 @@ def gq_pfaffian_1(lam, degree_bound):
     column contracts against the univariate table.
     """
     lam = check_strict_weight(lam, degree_bound)
-    r = len(lam)
-    rp = even_ceil(r)
+    rp = even_ceil(len(lam))
     return padded_pfaffian(
         lam, PSeries.one(degree_bound),
-        lambda i, j, li, lj: _f_entry(i, j, r, rp, li, lj, degree_bound))
+        lambda i, j, li, lj: _f_entry(i, j, rp, li, lj, degree_bound))
 
 
 def gq_pfaffian_2(lam, degree_bound):
@@ -175,7 +175,13 @@ def gq_pfaffian_2(lam, degree_bound):
     Entry (i, j) is sum_{k,l >= 0} C(i+1-r', k) C(j-r', l) beta^{k+l}
     GQ_(lambda_i+k, lambda_j+l); the padding column drops the second
     factor.  Since GQ_(a,b) vanishes for a + b > D, the window stops at
-    k + l = D - lambda_i - lambda_j.
+    k + l = D - lambda_i - lambda_j.  Both upper entries are -n with
+    n >= 0, so the weights are laurent's univariate tables, one per row
+    and one per column of an entry, and none of them is zero.  Times the
+    r = 2 prefactor (1 + b t_1)^{-1} of GQ_(a,b), the twists are formula
+    I's prefactors (1 + b t_i)^{-(r'-i)} (1 + b t_j)^{-(r'-j)}, so every
+    entry equals formula I's; the padding column, sum_k C(i+1-r', k) b^k
+    GQ_{lambda_i+k}, is formula I's term for term, and is read from it.
     """
     lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
@@ -183,15 +189,12 @@ def gq_pfaffian_2(lam, degree_bound):
 
     def entry(i, j, li, lj):
         if lj is None:
-            row = gq_series(D)
-            return combination(((row[li + k], k, binom_general(i + 1 - rp, k))
-                                for k in range(D - li + 1)), D)
-        # no two-index value is computed under a zero binomial weight
+            return _f_entry(i, j, rp, li, None, D)
         top = D - li - lj
-        return combination(
-            ((gq_two_index(li + k, lj + l, D), k + l, ck * cl)
-             for k in range(top + 1) if (ck := binom_general(i + 1 - rp, k))
-             for l in range(top - k + 1) if (cl := binom_general(j - rp, l))), D)
+        rows, cols = _univariate(top, rp - i - 1), _univariate(top, rp - j)
+        return combination(((gq_two_index(li + k, lj + l, D), k + l, ck * cl)
+                            for k, ck in rows.items()
+                            for l, cl in cols.items() if k + l <= top), D)
 
     return padded_pfaffian(lam, PSeries.one(D), entry)
 
@@ -200,8 +203,8 @@ def gq_fermionic(lam, degree_bound):
     """GQ_lambda = <0| e^{H^(beta)} prod_i phi^(beta)_{lambda_i} e^Theta |0>.
 
     The ket is built once, innermost factor first, in bra form: the star
-    of <0| e^theta (phi^(beta)_n)^* ..., starred once and paired through
-    vacuum_expectation in the paren flavor; odd-length partitions get the
+    of <0| e^theta (phi^(beta)_n)^* ..., a bra that vacuum_expectation
+    pairs as the ket it stands for, in the paren flavor; odd-length partitions get the
     usual phi^(beta)_0 e^Theta padding factor on the right.  Every factor
     only raises the ket grade, phi^(beta)_n by at least n, and a word of
     grade > D pairs to degree > D: so each step drops grades above D minus
@@ -215,4 +218,4 @@ def gq_fermionic(lam, degree_bound):
         state = fock.bra_apply_Theta_exp_star(state, top)
         top += n
         state = fock.bra_apply_phi_beta_star(state, n, top)
-    return vacuum_expectation(fock.star_bra(state), "paren", degree_bound)
+    return vacuum_expectation(state, "paren", degree_bound)

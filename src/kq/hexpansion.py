@@ -16,12 +16,15 @@ padding of mu) is [p~_nu] (-1)^{|mu|} 2^{-l(mu)} Q_mu, so only even words
 pair, and the ket of mu pairs to the classical Q_mu once weighted by
 (-1)^{|mu|} 2^{l(mu)}.
 
-vacuum_expectation pairs a ket against the rows in ints, collects the
-classical coordinates {(nu, k): c} over the ket's den, and deforms them
-once (bases._image_sum).  Paren images only feed upward, so rows up to the
-bound suffice.  Bracket images push weight down, so a ket word heavier than
-the bound still reaches it: rows and image are taken at the heaviest even
-word and then truncated.
+The routes build their kets in bra form, and a ket is the star of its bra:
+the bra word u stands for the ket word dual to it with the sign
+(-1)^{|u|}, which cancels the (-1)^{|mu|} above.  So vacuum_expectation
+takes the bra, reads the rows at its own words, and weighs a word by
+2^{l(mu)} alone.  It collects the classical coordinates {(nu, k): c} in
+ints over the bra's den, and deforms them once (bases._image_sum).  Paren
+images only feed upward, so rows up to the bound suffice.  Bracket images
+push weight down, so a word heavier than the bound still reaches it: rows
+and image are taken at the heaviest even word and then truncated.
 
 Memoised for the life of the process: one table of rows, keyed by bra
 word, each word mapped to its (nu, entry) pairs.  R_nu only reaches words
@@ -72,33 +75,34 @@ def _rows(bound: int):
     return MappingProxyType(_ROWS)
 
 
-def vacuum_expectation(ket_state, flavor: str, degree_bound: int) -> PSeries:
-    """<0| e^H |v> for a ket fock.FockState v in the canonical padded basis.
+def vacuum_expectation(bra_state, flavor: str, degree_bound: int) -> PSeries:
+    """<0| e^H |v> for the ket |v> whose bra is the fock.FockState
+    bra_state, in the canonical padded basis.
 
-    Odd-length words pair to zero; an even word w with the int numerator n
-    contributes n b^k Q_{mu(w)}(p^flavor), mu(w) the word with its padding
-    removed, and the sum is divided by the state's den once.  The flavor
-    and the bound are checked first, so a ket with no even word cannot hide
-    a bad one; a word with a negative mode, odd or even, is a bra word and
-    raises before the odd words are dropped.
+    |v> is the star of bra_state, so the bra is paired as the ket it
+    stands for.  Odd-length words pair to zero; an even word u with the int
+    numerator n contributes n b^k Q_{mu(u)}(p^flavor), mu(u) the word
+    reversed and negated, its padding removed, and the sum is divided by the state's
+    den once.  The flavor and the bound are checked first, so a state with
+    no even word cannot hide a bad one; a word with a positive mode, odd
+    or even, is a ket word and raises before the odd words are dropped.
     """
     check_flavor(flavor)
     degree_bound = check_degree_bound(degree_bound)
     bound = degree_bound
-    for word, _ in ket_state.terms:
-        if word and word[-1] < 0:
-            raise ValueError(f"{word} is a bra word, not a ket word")
+    for word, _ in bra_state.terms:
+        if word and word[0] > 0:
+            raise ValueError(f"{word} is a ket word, not a bra word")
         if flavor == "bracket" and len(word) % 2 == 0:
-            bound = max(bound, sum(word))
-    even = [(word, k, n) for (word, k), n in ket_state.terms.items() if len(word) % 2 == 0]
+            bound = max(bound, -sum(word))
+    even = [(word, k, n) for (word, k), n in bra_state.terms.items() if len(word) % 2 == 0]
     rows, coords = _rows(bound), {}
     for word, k, n in even:
-        weight = sum(word)
-        if weight > bound:  # the table at bound has no word this heavy
+        if -sum(word) > bound:  # the table at bound has no word this heavy
             continue
-        # the ket of mu against its dual bra: (-1)^{|mu|} 2^{l(mu)}, l without the padding
-        n = (-n if weight % 2 else n) << len(word) - (0 in word)
-        for nu, r in rows.get(tuple(-m for m in reversed(word)), ()):
+        # the bra of mu against its row: 2^{l(mu)}, l without the padding
+        n <<= len(word) - (0 in word)
+        for nu, r in rows.get(word, ()):
             coords[(nu, k)] = coords.get((nu, k), 0) + n * r  # _image_sum skips zeros
-    image = _image_sum(coords, ket_state.den, flavor, bound)
+    image = _image_sum(coords, bra_state.den, flavor, bound)
     return image.truncate(degree_bound) if bound > degree_bound else image

@@ -5,26 +5,33 @@ kernel, (z-w)/(z+w+bzw), expanded on |z| >> |w|, ascending in w; the GQ
 side uses it at t = 1/z.  _dual_kernel_rational is its only closed form,
 and _kernel_entries the only table built from it: the coefficients of the
 kernel times the prefactors (1+bz)^{-a} (1+bw)^{-c}.  g_table is that
-table; f_table is the same table at the complementary exponents with its
-keys transposed.  tests/referees.py cross-checks both against generic
-region-committed block expansions, and _kernel_entries against a direct
-convolution.
+table, and f_table is the same table at the complementary exponents, keyed
+(q, p).  _univariate is the one-variable table of (1+bz)^{-n}.  Formula I
+reads it in its padding column, and formula II for its binomial twists: a
+twist times formula II's r = 2 prefactor is formula I's prefactor, so every
+twist weight is some C(-n, k) with n >= 0.  So every Pfaffian coefficient
+of either family is an int from this module.
+tests/referees.py cross-checks the kernel tables against generic
+region-committed block expansions, _kernel_entries against a direct
+convolution, and _univariate against a Fraction binomial.
 
 Every coefficient of z^x w^y here is e b^(x+y) with e an int, so a
 table stores e.  Scaled so, dividing by 1+bz is the prefix recurrence
 e'(x, y) = e(x, y) - e'(x-1, y) along a row and dividing by 1+bw is
 e'(x, y) = e(x, y) - e'(x, y-1) down a column: a table is a + c passes
-of int subtractions over the closed form.  A table is a read-only mapping
-from (p, q), or p for the univariate padding column, to e, memoised and
-shared by every caller.  Entries do not depend on the window, so each
-exponent pair keeps one kernel table, at the widest window asked for, and
-every window is cut from it.
+of int subtractions over the closed form.  A kernel table is a read-only
+mapping from (x, y) to e, memoised and shared by every caller; a
+univariate table maps p to e, read-only too, and is built per entry.
+Entries do not depend on the window, so each exponent pair keeps one
+kernel table, at the widest window asked for, and every window is cut
+from it.
 
 contract sums a Pfaffian entry against a table as one combination over
-memoised generator products: each cell (p, q) reads the product of its two
+memoised generator products: each cell (x, y) reads the product of its two
 one-row generators from a table that the family keeps per bound (gq for
 GQ_m GQ_n, dualq for q^[b]_m q^[b]_n), so entries and partitions that
-meet the same index pair share one series product.
+meet the same index pair share one series product, and cells that meet
+the same product at the same b-power are summed before the combination.
 """
 
 from __future__ import annotations
@@ -100,59 +107,52 @@ def _univariate(top: int, n: int) -> MappingProxyType:
 
 
 @lru_cache(maxsize=None)
-def f_table(i: int, j: int, r: int, r_prime: int, windows) -> MappingProxyType:
-    """Coefficients of t_i^p t_j^q in the GQ-side kernel product.
+def f_table(i: int, j: int, r_prime: int, windows) -> MappingProxyType:
+    """Coefficients of t_j^q t_i^p in the GQ-side kernel product, keyed (q, p).
 
     The generating product is
         (1+b t_i)^{-(r'-i)} (1+b t_j)^{-(r'-j)} (t_j-t_i)/(t_i+t_j+b t_i t_j)
     expanded with t_i small, t_j large: the kernel table at exponents
-    (r'-j, r'-i), z = t_j and w = t_i, with its keys transposed.  The
-    padding column j = r+1 expands (1+b t_i)^{-(r'-i-1)} alone and is keyed
-    by p.  windows = (p_max, q_max).  Entry (p, q) is the int coefficient
-    of b^{p+q}.
+    (r'-j, r'-i), z = t_j and w = t_i, as it is.  windows = (q_max, p_max),
+    in key order.  Entry (q, p) is the int coefficient of b^{p+q}.
     """
     if not 1 <= i < j <= r_prime:
         raise ValueError("need 1 <= i < j <= r'")
-    p_max, q_max = windows
-    if j == r + 1:
-        return _univariate(p_max, r_prime - i - 1)
-    table = _kernel_table(r_prime - j, r_prime - i, (q_max, p_max))
-    return MappingProxyType({(p, q): c for (q, p), c in table.items()})
+    return _kernel_table(r_prime - j, r_prime - i, windows)
 
 
 @lru_cache(maxsize=None)
-def g_table(i: int, j: int, r: int, windows) -> MappingProxyType:
+def g_table(i: int, j: int, windows) -> MappingProxyType:
     """Coefficients of z^p w^q in the dual-side kernel product.
 
     The generating product is (1+b z)^{-i} (1+b w)^{-j} (z-w)/(z+w+bzw) with
-    z large and w ascending, the kernel table at exponents (i, j); the
-    padding column j = r+1 expands (1+b z)^{-i} and is keyed by p.
+    z large and w ascending, the kernel table at exponents (i, j).
     windows = (p_max, q_max); rows live on q >= 0, p+q >= 0, and entry
     (p, q) is the int coefficient of b^{p+q}.
     """
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
-    p_max, q_max = windows
-    if j == r + 1:
-        return _univariate(p_max, i)
     return _kernel_table(i, j, windows)
 
 
 def contract(table, pair, degree_bound: int):
-    """sum of c b^(p+q) A_m A_n over the entries (p, q): c of a two-variable
-    table, A_m A_n the cell's product of one-row generators, in one
-    pseries.combination over the cells.
+    """sum of c b^(x+y) A A' over the entries (x, y): c of a two-variable
+    table, A A' the cell's product of one-row generators, in one
+    pseries.combination over the distinct products.
 
-    pair(p, q) gives the cell's generator product as a triple (f, e, s),
+    pair(x, y) gives the cell's generator product as a triple (f, e, s),
     standing for s b^e f, or None where the product is zero; the family
     memoises f per bound, so a product is built once, by the first cell
-    that asks for it, and read by every later one.
+    that asks for it, and read by every later one.  Cells that read one f
+    at one b-power are summed first, so the combination walks each
+    product once per b-power (a sum that cancels to 0 it skips).
     """
-    def parts():
-        for (p, q), c in table.items():
-            got = pair(p, q)
-            if got is not None:
-                f, e, s = got
-                yield f, p + q + e, c * s
-
-    return combination(parts(), degree_bound)
+    sums, products = {}, {}
+    for (x, y), c in table.items():
+        got = pair(x, y)
+        if got is not None:
+            f, e, s = got
+            products[id(f)] = f
+            key = (id(f), x + y + e)
+            sums[key] = sums.get(key, 0) + c * s
+    return combination(((products[i], k, c) for (i, k), c in sums.items()), degree_bound)

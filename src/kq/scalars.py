@@ -17,7 +17,9 @@ sums c*b^e*f as (f, e, c) triples through pseries.combination.
 
 BetaScalar is the public scalar, and only a boundary type: constructor
 input, a coefficient once it leaves a series (coefficient, sorted_items,
-the value of bilinear_pair), and BETA, ONE and ZERO.
+the value of bilinear_pair), and BETA, ONE and ZERO.  No binomial lives
+here: the Pfaffian coefficients are laurent's int tables, and the basis
+images (bases) read math.comb.
 The private helpers _monomials and _from_monomials convert between
 BetaScalars and (b-power, Fraction) pairs: the only bridge.
 
@@ -35,8 +37,6 @@ BetaScalar._trusted, which skips the checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
 
 # -- dense Q[b] helpers ------------------------------------------------------
 # polynomials are tuples of Fraction, index = exponent, no trailing zeros
@@ -237,23 +237,3 @@ def _from_monomials(pairs) -> BetaScalar:
         dense[k] += c
     return BetaScalar._trusted(_trim(dense))
 
-
-@lru_cache(maxsize=None)
-def binom_general(a, k: int) -> Fraction:
-    """Binomial coefficient C(a, k) for arbitrary integer or rational a.
-
-    C(a, k) = a(a-1)...(a-k+1)/k! for k >= 0, and 0 for k < 0.  Negative
-    upper entries follow the usual reflection C(-n, k) = (-1)^k C(n+k-1, k).
-    Memoised: the tables of the package ask for the same few hundred values
-    over and over.
-    """
-    if k < 0:
-        return Fraction(0)
-    if isinstance(a, int) and a >= 0:
-        return Fraction(comb(a, k))
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= (a - i)
-        out /= i + 1
-    return out

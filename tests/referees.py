@@ -14,7 +14,9 @@ in the deformed bases, read through the library's memo and by the
 triangular elimination that referees it; polynomials in n variables
 monomial by monomial (FinitePoly), the oracle's answer written out on its
 orbits and read back with a symmetry check, and the substitution of power
-sums in n variables that from_finite inverts (eval_finite); the kernel
+sums in n variables that from_finite inverts (eval_finite); the binomial
+C(a, k) at any upper entry, in Fractions, which checks laurent's univariate
+tables; the kernel
 (z-w)/(z+w+b) in a closed form of its own, generic Laurent blocks that
 cross-check the closed-form kernel tables, a direct convolution that
 checks their recurrences, and the row-by-row contraction that checks
@@ -24,7 +26,7 @@ which check the tail orbits and their alternant tables, the oracle's
 symmetrization as a chain of divided differences and literally, which check
 its bialternant pass, the Fock actions in Fractions, at every sign and
 index, of which the library keeps only those its routes apply, the ket
-actions, plain fermion modes and Wick's theorem, the paper's theorems (the cancellation properties, the
+actions and the star that makes them from bra actions, plain fermion modes and Wick's theorem, the paper's theorems (the cancellation properties, the
 Fock pairing, the closed form of <GQ_lambda, o_mu>) as executable checks,
 with the containment of partitions that the last one reads, the column of
 the inverse of that pairing matrix over the interlacing partitions, and gp
@@ -41,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 
 from kq import fock
 from kq.bases import _coordinates, _image_sum, _power_image
@@ -55,7 +58,7 @@ from kq.partitions import (check_degree_bound, check_partition, check_strict_wei
                            partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries, combination, exp_power_sums
-from kq.scalars import BetaScalar, ONE, ZERO, _from_monomials, _monomials, binom_general
+from kq.scalars import BetaScalar, ONE, ZERO, _from_monomials, _monomials
 
 
 # -- partitions: the strict partitions up to a weight, which only tests list --
@@ -115,6 +118,26 @@ def flat_terms(mapping):
 def vacuum_part(state) -> BetaScalar:
     """The coefficient of the empty word in a Fock state."""
     return scalar_terms(state).get((), ZERO)
+
+
+@lru_cache(maxsize=None)
+def binom_general(a, k: int) -> Fraction:
+    """Binomial coefficient C(a, k) for arbitrary integer or rational a,
+    which referees laurent._univariate's int C(-n, k).
+
+    C(a, k) = a(a-1)...(a-k+1)/k! for k >= 0, and 0 for k < 0.  Negative
+    upper entries follow the usual reflection C(-n, k) = (-1)^k C(n+k-1, k).
+    """
+    if k < 0:
+        return Fraction(0)
+    if isinstance(a, int) and a >= 0:
+        return Fraction(comb(a, k))
+    a = Fraction(a)
+    out = Fraction(1)
+    for i in range(k):
+        out *= (a - i)
+        out /= i + 1
+    return out
 
 
 def kernel_coefficient(p: int, q: int) -> BetaScalar:
@@ -865,7 +888,7 @@ def binomial_block(variables, index: int, k: int, depth: int,
 # and e^{-theta}, of which the library builds only (phihat_n)^* for n >= 1
 # (fock._phihat_row), (phi^(beta)_n)^*, e^{-Theta} and e^{theta}.  The ket
 # actions, which no library route calls since the routes build their kets in
-# bra form, live here as star images of bra actions.
+# bra form, live here as star images of bra actions, with the star itself.
 
 _HALF = Fraction(1, 2)
 
@@ -978,6 +1001,13 @@ def _theta_exp(state, sign, top):
     return total
 
 
+def star_bra(state):
+    """<0|phi_{m_1}..phi_{m_k}  |->  (-1)^{sum m} phi_{-m_k}..phi_{-m_1}|0>;
+    the same formula sends a ket back to its bra."""
+    return fock.FockState({(tuple(-m for m in reversed(word)), k): -c if sum(word) % 2 else c
+                           for (word, k), c in fraction_terms(state).items()})
+
+
 def fraction_terms(state):
     """{(word, k): Fraction} of a fock.FockState; a flat dict passes through."""
     if isinstance(state, fock.FockState):
@@ -1028,22 +1058,22 @@ def ref_bra_apply_Theta_exp_star(state, top, sign=1):
 
 def ket_apply_phi_beta(state, n, top):
     """Left action of phi^(beta)_n, n >= 0, on kets; grades > top dropped."""
-    return fock.star_bra(fock.bra_apply_phi_beta_star(fock.star_bra(state), n, top))
+    return star_bra(fock.bra_apply_phi_beta_star(star_bra(state), n, top))
 
 
 def ket_apply_phihat(state, n):
     """Left action of the dual deformed mode phi-hat_n on ket states."""
-    return fock.star_bra(ref_bra_apply_phihat_star(fock.star_bra(state), n))
+    return star_bra(ref_bra_apply_phihat_star(star_bra(state), n))
 
 
 def ket_apply_Theta_exp(state, top):
     """Left action of e^{Theta} on kets; grades > top dropped."""
-    return fock.star_bra(fock.bra_apply_Theta_exp_star(fock.star_bra(state), top))
+    return star_bra(fock.bra_apply_Theta_exp_star(star_bra(state), top))
 
 
 def ket_apply_theta_exp(state, sign=1):
     """Left action of e^{theta} (sign=+1) or e^{-theta} (sign=-1)."""
-    return fock.star_bra(ref_bra_apply_theta_exp(fock.star_bra(state), sign))
+    return star_bra(ref_bra_apply_theta_exp(star_bra(state), sign))
 
 
 def bra_apply_phi(state, n):

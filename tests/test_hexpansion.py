@@ -10,9 +10,15 @@ from kq.partitions import partitions_upto, z_lambda
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (bra_apply_b, classical_q, deformed_q, flat_terms, is_zero, p_beta, pair,
-                      rows_at, series_coefficient, strict_partitions_upto, two_row_q)
+                      rows_at, series_coefficient, star_bra, strict_partitions_upto, two_row_q)
 
 D = 6
+
+
+def bra(terms):
+    """The bra of the ket with these flat terms: vacuum_expectation pairs
+    it as that ket."""
+    return star_bra(fock.FockState(terms))
 
 
 def test_one_row_values():
@@ -126,7 +132,7 @@ def test_rows_match_operator_exponential(flavor):
         expect = PSeries.zero(bound)
         for word, row in oracle.items():
             expect = expect + row * pair({(word, 0): Fraction(1)}, ket)
-        assert vacuum_expectation(ket, flavor, bound) == expect, mu
+        assert vacuum_expectation(star_bra(ket), flavor, bound) == expect, mu
 
 
 def test_expectation_of_vacuum_is_one():
@@ -134,20 +140,20 @@ def test_expectation_of_vacuum_is_one():
 
 
 def test_odd_words_pair_to_zero():
-    assert is_zero(vacuum_expectation(fock.FockState(flat_terms({(1,): ONE})), "paren", D))
-    assert is_zero(vacuum_expectation(fock.FockState(flat_terms({(3, 1, 0): ONE})), "bracket", D))
+    assert is_zero(vacuum_expectation(bra(flat_terms({(1,): ONE})), "paren", D))
+    assert is_zero(vacuum_expectation(bra(flat_terms({(3, 1, 0): ONE})), "bracket", D))
 
 
 def test_expectation_of_single_excitation():
     # <0|e^H phi_1 phi_0|0> = 2 p_1 - b p_2 + ... , the deformed 2 p_1
-    got = vacuum_expectation(fock.FockState(flat_terms({(1, 0): ONE})), "paren", D)
+    got = vacuum_expectation(bra(flat_terms({(1, 0): ONE})), "paren", D)
     assert got == p_beta(1, D) * 2
     low = got.truncate(2)
     assert low == PSeries({(1,): 2, (2,): -BETA}, 2)
 
 
 def test_expectation_is_linear():
-    v = fock.FockState(flat_terms({(1, 0): BetaScalar(3), (2, 1): -BETA + 2}))
+    v = bra(flat_terms({(1, 0): BetaScalar(3), (2, 1): -BETA + 2}))
     got = vacuum_expectation(v, "bracket", D)
     expect = (
         deformed_q((1,), "bracket", D) * 3
@@ -166,10 +172,10 @@ def test_unknown_flavor_rejected():
 
 def test_vacuum_expectation_checks_flavor_before_any_word():
     # no even word ever reaches deformed_q here, so only an up-front check
-    # can see the flavor: the empty ket and a ket of odd words
+    # can see the flavor: the empty state and a state of odd words
     with pytest.raises(ValueError, match="bogus"):
         vacuum_expectation(fock.FockState({}), "bogus", 4)
-    odd = fock.FockState(flat_terms({(3,): ONE, (2, 1, 0): BETA}))
+    odd = bra(flat_terms({(3,): ONE, (2, 1, 0): BETA}))
     with pytest.raises(ValueError, match="bogus"):
         vacuum_expectation(odd, "bogus", 4)
     assert is_zero(vacuum_expectation(odd, "paren", 4))
@@ -178,10 +184,10 @@ def test_vacuum_expectation_checks_flavor_before_any_word():
 @pytest.mark.parametrize("bound", [-1, 2.5])
 def test_bad_bounds_rejected(bound):
     # no even word reaches deformed_q here, so only an up-front check can
-    # see the bound: the empty ket and a ket of odd words
+    # see the bound: the empty state and a state of odd words
     with pytest.raises(ValueError, match=str(bound)):
         vacuum_expectation(fock.FockState({}), "paren", bound)
-    odd = fock.FockState(flat_terms({(3,): ONE, (2, 1, 0): BETA}))
+    odd = bra(flat_terms({(3,): ONE, (2, 1, 0): BETA}))
     with pytest.raises(ValueError, match=str(bound)):
         vacuum_expectation(odd, "bracket", bound)
 
@@ -219,7 +225,7 @@ def test_rows_extend_one_widest_table(monkeypatch):
 
 
 def test_paren_pairing_skips_words_past_the_bound(monkeypatch):
-    # with the table wider than the bound, a paren ket word heavier than
+    # with the table wider than the bound, a paren word heavier than
     # the bound is not read: no coordinate past the bound reaches the
     # image, and the word pairs to zero, as when the table stopped there
     bound = 4
@@ -234,8 +240,8 @@ def test_paren_pairing_skips_words_past_the_bound(monkeypatch):
         return original(coords, *args)
 
     monkeypatch.setattr(hexpansion, "_image_sum", recorded)
-    got = vacuum_expectation(fock.FockState({**heavy, **light}), "paren", bound)
-    assert got == vacuum_expectation(fock.FockState(light), "paren", bound)
+    got = vacuum_expectation(bra({**heavy, **light}), "paren", bound)
+    assert got == vacuum_expectation(bra(light), "paren", bound)
     assert got and weights and max(weights) <= bound
 
 
@@ -276,36 +282,38 @@ HEAVY = [
 
 @pytest.mark.parametrize("terms, bound, want", HEAVY)
 def test_bracket_reaches_down_from_heavy_words(terms, bound, want):
-    ket = fock.FockState(terms)
-    assert vacuum_expectation(ket, "bracket", bound) == want
-    assert is_zero(vacuum_expectation(ket, "paren", bound))
+    state = bra(terms)
+    assert vacuum_expectation(state, "bracket", bound) == want
+    assert is_zero(vacuum_expectation(state, "paren", bound))
 
 
 def test_bracket_widening_mixes_with_light_words():
-    # one widened image serves every word of the ket, the light ones too
-    ket = fock.FockState({((5, 0), 2): 1, ((4, 1), 2): -2, ((2, 0), 0): Fraction(1, 3)})
+    # one widened image serves every word of the state, the light ones too
+    state = bra({((5, 0), 2): 1, ((4, 1), 2): -2, ((2, 0), 0): Fraction(1, 3)})
     light = PSeries({(1, 1): Fraction(2, 3)}, 3)
     want = HEAVY[0][2] - HEAVY[1][2] * 2 + light
-    assert vacuum_expectation(ket, "bracket", 3) == want
-    assert vacuum_expectation(ket, "paren", 3) == PSeries(
+    assert vacuum_expectation(state, "bracket", 3) == want
+    assert vacuum_expectation(state, "paren", 3) == PSeries(
         {(1, 1): Fraction(2, 3), (2, 1): BETA * Fraction(-2, 3)}, 3)
 
 
 @pytest.mark.parametrize("flavor", ["paren", "bracket"])
-@pytest.mark.parametrize("word", [(0, -1), (-1, -2), (0, -3, -5, -6)])
+@pytest.mark.parametrize("word", [(1, 0), (2, 1), (6, 5, 3, 0)])
 def test_bra_passed_as_ket_is_rejected(word, flavor):
-    # a bra word reversed and negated is a ket word with a row of its own,
-    # so only a check can keep the bra from pairing
+    # the exit takes the bra the routes build, not the ket it stands for;
+    # a ket word reversed and negated is a bra word with a row of its own,
+    # so only a check can keep a state passed in its ket form from pairing
     with pytest.raises(ValueError, match=re.escape(str(word))):
         vacuum_expectation(fock.FockState({(word, 0): 1}), flavor, 6)
 
 
 @pytest.mark.parametrize("flavor", ["paren", "bracket"])
-@pytest.mark.parametrize("terms", [{((-3,), 0): 1},
-                                   {((-3,), 0): 1, ((2, 1), 0): 1, ((3, 0), 1): 2}],
+@pytest.mark.parametrize("terms", [{((3,), 0): 1},
+                                   {((3,), 0): 1, ((-1, -2), 0): 1, ((0, -3), 1): 2}],
                          ids=["alone", "among-ket-words"])
 def test_odd_bra_word_is_rejected(terms, flavor):
-    # odd words pair to zero, but a bra word among them is still misuse:
-    # alone it used to give 0, and beside ket words it was dropped
-    with pytest.raises(ValueError, match=re.escape("(-3,)")):
+    # odd words pair to zero, but a word of the wrong kind among them is
+    # still misuse: the odd ket word (3,), alone or beside the bra words
+    # the exit takes, would otherwise be dropped unseen
+    with pytest.raises(ValueError, match=re.escape("(3,)")):
         vacuum_expectation(fock.FockState(terms), flavor, 6)

@@ -7,18 +7,21 @@ from hypothesis import given, strategies as st
 from kq import dualq, gq, laurent
 from kq.laurent import (_KERNEL_TABLES, _dual_kernel_rational, _kernel_entries, _kernel_table,
                         _univariate, f_table, g_table)
-from kq.pseries import combination
+from kq.partitions import even_ceil
+from kq.pseries import PSeries, combination
 from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
     LaurentBlock,
     gq_coefficient,
     at_b,
+    binom_general,
     binomial_block,
     contract_by_rows,
     dual_kernel_coefficient,
     dual_two_point_kernel,
     kernel_coefficient,
     kernel_entries_by_convolution,
+    o_one_row,
     strict_partitions_upto,
     two_point_kernel,
 )
@@ -29,9 +32,9 @@ def B(k, c=1):
 
 
 def value(table, *key):
-    """Entry of a kernel table as a scalar.  A table stores the int
-    coefficient of b^(p+q) under (p, q), and of b^p under p alone in the
-    padding column."""
+    """Entry of a table as a scalar.  A kernel table stores the int
+    coefficient of b^(x+y) under (x, y), and a univariate table that of
+    b^p under p."""
     c = table.get(key[0] if len(key) == 1 else key, 0)
     return BetaScalar.beta_power(sum(key), c) if c else ZERO
 
@@ -218,27 +221,30 @@ def test_restrict_cannot_widen():
 # ---------------------------------------------------------------- f-table
 
 def test_f_table_one_row_prefactor():
-    # r'-i = 1, r'-j = 0 (last two rows of an even-size array)
-    t = f_table(1, 2, 2, 2, (4, 4))
+    # r'-i = 1, r'-j = 0 (last two rows of an even-size array); keys (q, p)
+    t = f_table(1, 2, 2, (4, 4))
     assert value(t, 0, 0) == ONE
-    assert value(t, 1, -1) == B(0, -2)
-    assert value(t, 1, 0) == B(1, -2)
-    assert value(t, 0, 1) == ZERO
+    assert value(t, -1, 1) == B(0, -2)
+    assert value(t, 0, 1) == B(1, -2)
+    assert value(t, 1, 0) == ZERO
     # support constraints are structural
-    assert all(p >= 0 and p + q >= 0 for (p, q) in t)
+    assert all(p >= 0 and p + q >= 0 for (q, p) in t)
 
 
 def test_f_table_padding_column():
-    t = f_table(1, 4, 3, 4, (5, 0))
-    # expands (1+bt)^(i+1-r') = (1+bt)^(-2)
-    for p in range(6):
-        assert value(t, p) == B(p, (-1) ** p * (p + 1))
+    # formula I's padding column j = r' contracts GQ_{l_i+p} against the
+    # univariate table of (1+bt)^(i+1-r'), at (i, r') = (1, 4) (1+bt)^(-2)
+    D = 6
+    for li in range(1, D + 1):
+        want = sum((gq_coefficient(li + p, D) * B(p, (-1) ** p * (p + 1))
+                    for p in range(D - li + 1)), PSeries.zero(D))
+        assert gq._f_entry(1, 4, 4, li, None, D) == want, li
 
 
 def test_f_table_beta_zero_is_classical():
-    t = f_table(1, 2, 4, 4, (5, 5))
-    for p, q in t:
-        v = at_b(value(t, p, q), 0)
+    t = f_table(1, 2, 4, (5, 5))
+    for q, p in t:
+        v = at_b(value(t, q, p), 0)
         if p == q == 0:
             assert v == 1
         elif q == -p:
@@ -248,8 +254,8 @@ def test_f_table_beta_zero_is_classical():
 
 
 def test_f_table_window_widening_consistent():
-    small = f_table(1, 2, 3, 4, (3, 3))
-    large = f_table(1, 2, 3, 4, (6, 6))
+    small = f_table(1, 2, 4, (3, 3))
+    large = f_table(1, 2, 4, (6, 6))
     for key, c in small.items():
         assert large[key] == c
 
@@ -286,19 +292,28 @@ def test_widened_kernel_table_matches_convolution(monkeypatch):
 
 
 def test_tables_hold_ints():
-    # the b-scaling keeps every entry an int, padding columns included
+    # the b-scaling keeps every entry an int, univariate tables included
     tables = [_univariate(6, n) for n in range(5)]
     for rp in (2, 4, 6):
         for i, j in combinations(range(1, rp + 1), 2):
-            tables += [f_table(i, j, rp, rp, (5, 4)), f_table(i, j, rp - 1, rp, (5, 4)),
-                       g_table(i, j, rp, (4, 5)), g_table(i, j, j - 1, (4, 5))]
+            tables += [f_table(i, j, rp, (4, 5)), g_table(i, j, (4, 5))]
     assert all(type(v) is int for t in tables for v in t.values())
+
+
+def test_univariate_tables_are_the_binomials():
+    # {p: C(-n, p)} against the Fraction referee, no zero weight kept
+    for n in range(9):
+        for top in range(13):
+            t = _univariate(top, n)
+            want = {p: binom_general(-n, p) for p in range(top + 1)}
+            assert dict(t) == {p: c for p, c in want.items() if c}, (top, n)
+            assert all(type(c) is int and c for c in t.values()), (top, n)
 
 
 # ---------------------------------------------------------------- g-table
 
 def test_g_table_spot_values():
-    t = g_table(1, 2, 2, (4, 4))
+    t = g_table(1, 2, (4, 4))
     assert value(t, 0, 0) == ONE
     assert value(t, -1, 1) == B(0, -2)
     # prefactor cross-terms: -b - 2b + 2b and -b from (1+bz)^(-1)
@@ -308,19 +323,26 @@ def test_g_table_spot_values():
 
 
 def test_g_table_padding_column():
-    t = g_table(2, 4, 3, (5, 0))
-    for p in range(6):
-        assert value(t, p) == B(p, (-1) ** p * (p + 1))   # (1+bz)^(-2)
+    # zeta's padding column contracts q^[b]_{l_i-p} against the univariate
+    # table of (1+bz)^(-i), at i = 2 (1+bz)^(-2)
+    D = 6
+    qb = dualq.q_bracket_series(D)
+    for li in range(1, D + 1):
+        want = sum((qb[li - p] * B(p, (-1) ** p * (p + 1)) for p in range(li + 1)),
+                   PSeries.zero(D))
+        assert dualq._g_entry(2, 4, li, None, D) == want, li
 
 
 def test_g_table_checks_indices_before_the_padding_column():
+    # the index guard runs before any table is cut, also at the one-column
+    # window a padding column would ask for
     for i in (3, 0):
         with pytest.raises(ValueError):
-            g_table(i, 3, 2, (4, 0))
+            g_table(i, 3, (4, 0))
 
 
 def test_g_table_beta_zero_is_classical():
-    t = g_table(1, 2, 2, (5, 5))
+    t = g_table(1, 2, (5, 5))
     for p, q in t:
         v = at_b(value(t, p, q), 0)
         if p == q == 0:
@@ -334,8 +356,8 @@ def test_g_table_beta_zero_is_classical():
 # ------------------------------------------------- both tables, one identity
 
 def kernel_cases():
-    """Every non-padding f_table(i, j, r', r') with r' <= 6, and every
-    g_table(i, j) with j <= 6 (g does not depend on r off the padding)."""
+    """Every f_table(i, j, r') with r' <= 6, and every g_table(i, j) with
+    j <= 6."""
     for rp in (2, 4, 6):
         for i, j in combinations(range(1, rp + 1), 2):
             yield pytest.param("f", i, j, rp, id=f"f-{i}-{j}-{rp}")
@@ -347,14 +369,14 @@ def kernel_block(kind, i, j, rp, P):
     """The table as a block on (big, small) variables, and its exponents.
 
     f_table(i, j) expands (1+b t_j)^{-(r'-j)} (1+b t_i)^{-(r'-i)} times
-    the kernel with t_j big; g_table(i, j) expands (1+bz)^{-i} (1+bw)^{-j}
-    times the kernel with z big.  Either way the block reads z^x w^y.
+    the kernel with t_j big, keyed (q, p); g_table(i, j) expands
+    (1+bz)^{-i} (1+bw)^{-j} times the kernel with z big.  Either way the
+    block reads z^x w^y.
     """
     if kind == "f":
-        t = f_table(i, j, rp, rp, (P, P))
-        terms = {(q, p): value(t, p, q) for p, q in t}
-        return ("tj", "ti"), terms, rp - j, rp - i
-    t = g_table(i, j, rp, (P, P))
+        t = f_table(i, j, rp, (P, P))
+        return ("tj", "ti"), {key: value(t, *key) for key in t}, rp - j, rp - i
+    t = g_table(i, j, (P, P))
     return ("z", "w"), {key: value(t, *key) for key in t}, i, j
 
 
@@ -438,9 +460,9 @@ def test_contract_matches_row_referee_on_route_tables(monkeypatch):
                 route(lam, D)
     assert {key[0] for key in seen} == {"gq", "dual"}
     for (family, li, lj, D, items), got in seen.items():
-        if family == "gq":
-            left, right = ((lambda p: gq_coefficient(li + p, D)),
-                           (lambda q: gq_coefficient(lj + q, D)))
+        if family == "gq":  # f tables are keyed (q, p)
+            left, right = ((lambda q: gq_coefficient(lj + q, D)),
+                           (lambda p: gq_coefficient(li + p, D)))
         else:
             qb = dualq._q_bracket_upto(max(D, li + lj), D)
             left, right = (lambda p: qb[li - p]), (lambda q: qb[lj - q])
@@ -463,3 +485,47 @@ def test_memoised_products_survive_a_sweep():
         row = dualq._q_bracket_upto.__wrapped__(max(bound, *(n for _, n in table)), bound)
         for (m, n), f in table.items():
             assert f == row[m] * row[n], (bound, m, n)
+
+
+# ------------------------------------------------- formula II is formula I
+
+def formula_two_entries(D):
+    """The distinct entries (i, j, r', lambda_i, lambda_j) of the Pfaffians
+    of every strict lambda with |lambda| <= D, lambda_j None in the
+    padding column j = r'."""
+    entries = set()
+    for lam in strict_partitions_upto(D):
+        rp = even_ceil(len(lam))
+        parts = (*lam, None) if len(lam) % 2 else lam
+        for i, j in combinations(range(1, rp + 1), 2):
+            entries.add((i, j, rp, parts[i - 1], parts[j - 1]))
+    return entries
+
+
+@pytest.mark.parametrize("D", range(1, 11))
+def test_formula_two_is_formula_one_entry_by_entry(D):
+    # formula II's twist times the r = 2 prefactor is formula I's
+    # prefactor, so each of its entries, built here from the two-index
+    # values with the referee's binomials, is formula I's entry: equal on
+    # the GQ side, a quarter (two rows) or a half (padding) of zeta's on
+    # the dual side
+    for i, j, rp, li, lj in sorted(formula_two_entries(D), key=str):
+        if lj is None:
+            gq_want = sum((gq_coefficient(li + k, D) * B(k, binom_general(i + 1 - rp, k))
+                           for k in range(D - li + 1)), PSeries.zero(D))
+            o_want = sum((o_one_row(li - k, D) * B(k, binom_general(1 - i, k))
+                          for k in range(li + 1)), PSeries.zero(D))
+            o_scale = Fraction(1, 2)
+        else:
+            top = D - li - lj
+            gq_want = combination(
+                ((gq.gq_two_index(li + k, lj + l, D), k + l,
+                  binom_general(i + 1 - rp, k) * binom_general(j - rp, l))
+                 for k in range(top + 1) for l in range(top - k + 1)), D)
+            o_want = combination(
+                ((dualq.o_two_index(li - k, lj - l, D), k + l,
+                  binom_general(1 - i, k) * binom_general(2 - j, l))
+                 for l in range(lj + 1) for k in range(li + lj - l + 1)), D)
+            o_scale = Fraction(1, 4)
+        assert gq._f_entry(i, j, rp, li, lj, D) == gq_want, ("gq", i, j, rp, li, lj)
+        assert dualq._g_entry(i, j, li, lj, D) * o_scale == o_want, ("o", i, j, rp, li, lj)

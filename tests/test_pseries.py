@@ -10,9 +10,9 @@ from kq.dualq import _q_bracket_upto, gp, o_fermionic
 from kq.gq import _exp_parts, gq_fermionic, gq_series
 from kq.partitions import check_partition, partitions_upto
 from kq.pseries import PSeries, combination
-from kq.scalars import BETA, ONE, ZERO, BetaScalar, binom_general
-from referees import (at_b, exp, is_zero, q_series, series_coefficient, strict_partitions_upto,
-                      z_exp)
+from kq.scalars import BETA, ONE, ZERO, BetaScalar
+from referees import (at_b, binom_general, exp, is_zero, q_series, series_coefficient,
+                      strict_partitions_upto, z_exp)
 
 D = 5
 

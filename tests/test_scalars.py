@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.scalars import BETA, ONE, ZERO, BetaScalar, binom_general
-from referees import at_b
+from kq.scalars import BETA, ONE, ZERO, BetaScalar
+from referees import at_b, binom_general
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 polys = st.lists(fracs, max_size=4).map(tuple)
@@ -129,6 +129,7 @@ def test_power_including_negative():
 
 
 def test_binom_general():
+    # the referee of laurent._univariate, pinned on its own
     assert binom_general(5, 2) == 10
     assert binom_general(0, 0) == 1
     assert binom_general(3, -1) == 0
