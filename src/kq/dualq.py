@@ -20,8 +20,9 @@ gp_lambda is the combination of the o_nu with nu interlacing lambda that
 inverts the pairing matrix <GQ_mu, o_nu>; its column factors over rows, so
 gp is one ket of o_fermionic's shape with a sum of phihat modes in each
 row, and one exit (proof in gp).  Each Pfaffian entry is one
-pseries.combination.  The pairing itself (bilinear_pair) weighs matching
-odd power-sum monomials by z_lambda / 2^{l(lambda)}, summing ints.
+pseries.combination.  The pairing itself (bilinear_pair) is the plain
+power-sum form on both arguments, to which the two deformations are
+adjoint (proof there), once each argument is checked to lie in its ring.
 """
 
 from fractions import Fraction
@@ -29,12 +30,12 @@ from functools import lru_cache
 from math import comb, lcm
 
 from . import fock
-from .bases import _coordinates
+from .bases import _check_ring
 from .hexpansion import vacuum_expectation
 from .laurent import _univariate, contract, g_table
 from .partitions import check_degree_bound, check_strict_weight, z_lambda
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries, combination, exp_power_sums
+from .pseries import PSeries, _by_partition, combination, exp_power_sums
 from .scalars import _from_monomials
 
 
@@ -205,13 +206,31 @@ def o_fermionic(lam, degree_bound):
 def bilinear_pair(f, g):
     """<f, g> for f in the paren ring and g (a polynomial) in the bracket ring.
 
-    Both arguments are expanded over the odd deformed power sums; support
-    on a partition with an even part means the argument left its ring and
-    is rejected.  Matching monomials are weighed by z_lambda / 2^{l}.
-    f must not be truncated below the top degree of g, or coordinates
-    that pair against g would already be lost.  The coordinates of each
-    argument are computed once per series object and kept on it, so
-    pairing the same series again costs only the sum.
+    The paper's form pairs the deformed bases, <p^paren_lambda,
+    p^bracket_mu> = delta_{lambda mu} z_lambda 2^{-l(lambda)} over odd
+    lambda, mu.  It is the plain form <p_lambda, p_mu> = delta_{lambda mu}
+    z_lambda 2^{-l(lambda)} on f and g themselves (Macdonald, Symmetric
+    Functions and Hall Polynomials, I (4.7), with a factor 1/2 per part):
+
+      * The plain form is the permanent of <p_n, p_m> = delta_{nm} n/2:
+        <p_lambda, p_mu> sums, over the bijections between the parts of
+        lambda and those of mu, the product of the values of paired parts.
+        For lambda = mu, the prod_i m_i! bijections that match equal parts
+        are worth prod_i lambda_i / 2 each, which gives z_lambda 2^{-l}.
+      * So a ring map that sends each p_n to single power sums has for
+        adjoint the ring map of the transposed matrix.  The paren image at
+        b/2 sends p_n to sum_m C(m-1, m-n) (-b/2)^{m-n} p_m, the bracket
+        image at -b/2 sends p_m to sum_n C(m, n) (-b/2)^{m-n} p_n, and
+        (m/2) C(m-1, m-n) = (n/2) C(m, n): they are adjoint.
+      * For f the paren image of h and g the bracket image of k,
+        <f, g> = <h, bracket image of g at -b/2> = <h, k>, the form the
+        paper puts on the deformed coordinates h and k.
+
+    The form reads f only up to the top degree of g, so f must not be
+    truncated below it.  Each argument must lie in its ring, as
+    bases._check_ring finds once per series.  Matching terms n_f, n_g of
+    the store weigh 1 / (z_mu 2^{l(mu)}): int sums over both dens, one
+    Fraction per b-power.
     """
     for name, arg in (("f", f), ("g", g)):
         if not isinstance(arg, PSeries):
@@ -220,33 +239,19 @@ def bilinear_pair(f, g):
     top = g.top_degree()
     if top is not None and f.degree_bound < top:
         raise ValueError("first argument is truncated below deg of the second")
-    cf = _coordinates(f, "paren")
-    cg = _coordinates(g, "bracket")
-    right: dict = {}
-    for (mu, k), c in cg.terms.items():
-        if mu not in right:
-            _check_odd(mu)
-        right.setdefault(mu, []).append((k, c))
-    # coordinates are n / (den z_mu) in the p basis, so the weight z_mu / 2^l
-    # of two of them is 1 / (z_mu 2^l) on their numerators, over both dens:
-    # int sums over one common denominator, one Fraction per b-power
+    _check_ring(f, "paren")
+    _check_ring(g, "bracket")
+    right = _by_partition(g.terms)
     common = lcm(*(z_lambda(mu) << len(mu) for mu in right))
     total: dict = {}
-    for (mu, ka), a in cf.terms.items():
+    for (mu, ka), a in f.terms.items():
         got = right.get(mu)
-        if got is None:  # the keys of right passed the check already
-            _check_odd(mu)
-            continue
-        a *= common // (z_lambda(mu) << len(mu))
-        for kb, b in got:
-            total[ka + kb] = total.get(ka + kb, 0) + a * b
-    scale = common * cf.den * cg.den
+        if got:
+            a *= common // (z_lambda(mu) << len(mu))
+            for kb, b in got:
+                total[ka + kb] = total.get(ka + kb, 0) + a * b
+    scale = common * f.den * g.den
     return _from_monomials((k, Fraction(n, scale)) for k, n in total.items())
-
-
-def _check_odd(mu):
-    if not all(part % 2 for part in mu):
-        raise ValueError(f"support on even partition {mu}")
 
 
 def gp(lam, degree_bound):

@@ -56,8 +56,10 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 from types import MappingProxyType
+
+from . import pseries
 
 
 class FockState:
@@ -83,12 +85,11 @@ class FockState:
 
     @classmethod
     def _reduced(cls, terms, den):
-        """terms over den, divided by gcd(den, *terms); only this module
-        calls it, on terms its own arithmetic built from canonical words."""
-        g = gcd(den, *terms.values())
+        """terms over den, divided by gcd(den, *terms) as series are
+        (pseries._reduced); only this module calls it, on terms its own
+        arithmetic built from canonical words."""
         out = object.__new__(cls)
-        out.terms = {key: v // g for key, v in terms.items()} if g > 1 else terms
-        out.den = den // g
+        out.terms, out.den = pseries._reduced(terms, den)
         return out
 
     def __eq__(self, other):

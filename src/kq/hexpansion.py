@@ -26,16 +26,16 @@ images only feed upward, so rows up to the bound suffice.  Bracket images
 push weight down, so a word heavier than the bound still reaches it: rows
 and image are taken at the heaviest even word and then truncated.
 
-Memoised for the life of the process: one table of rows, keyed by bra
-word, each word mapped to its (nu, entry) pairs.  R_nu only reaches words
-of weight |nu|, so the table at a bound B is the widest table cut to the
-words of weight <= B: a wider bound extends the table by the missing
-weights, and a pairing at B reads only words of weight <= B.  Every caller
-gets a read-only view of that one table.
+Memoised for the life of the process: each R_nu (_state), and the rows of
+each weight (_rows), keyed by bra word, each word mapped to its (nu,
+entry) pairs.  R_nu only reaches words of weight |nu|, so the rows of a
+weight are those of the nu of that weight, and a word reads the rows of
+its own weight.  Every caller gets a read-only view of them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 
 from .bases import _image_sum, check_flavor
@@ -44,35 +44,26 @@ from .partitions import check_degree_bound, partitions_of
 from .pseries import PSeries
 
 
-# the widest table of rows built so far: the weight it covers, the int bra
-# state R_nu of every nu in it (each later R_nu extends one of them), and
-# its rows by bra word, which no later weight changes
-_WEIGHT = -1
-_STATES: dict = {}
-_ROWS: dict = {}
+@lru_cache(maxsize=None)
+def _state(nu):
+    """R_nu as an int bra state: one action of 2 b_m, m the last part of nu,
+    on R of nu without it."""
+    if not nu:
+        return vacuum()
+    twice_b = ((nu[-1], 0, 1),)
+    return _act(_state(nu[:-1]), _bra_word_b, lambda g: twice_b, 1)
 
 
-def _rows(bound: int):
-    """{bra word u: ((nu, R_nu at u), ...)} over the partitions nu into odd
-    parts, every entry a nonzero int, covering at least the words of weight
-    <= bound: the table at bound is its words of weight <= bound."""
-    global _WEIGHT
-    for weight in range(_WEIGHT + 1, bound + 1):
-        rows: dict = {}
-        for nu in partitions_of(weight):
-            if any(part % 2 == 0 for part in nu):
-                continue
-            if nu:
-                twice_b = ((nu[-1], 0, 1),)
-                state = _act(_STATES[nu[:-1]], _bra_word_b, lambda g: twice_b, 1)
-            else:
-                state = vacuum()
-            _STATES[nu] = state
-            for (word, _), r in state.terms.items():
+@lru_cache(maxsize=None)
+def _rows(weight: int):
+    """{bra word u of the weight: ((nu, R_nu at u), ...)} over the
+    partitions nu of the weight into odd parts, every entry a nonzero int."""
+    rows: dict = {}
+    for nu in partitions_of(weight):
+        if all(part % 2 for part in nu):
+            for (word, _), r in _state(nu).terms.items():
                 rows.setdefault(word, []).append((nu, r))
-        _ROWS.update((word, tuple(entries)) for word, entries in rows.items())
-        _WEIGHT = weight
-    return MappingProxyType(_ROWS)
+    return MappingProxyType({word: tuple(entries) for word, entries in rows.items()})
 
 
 def vacuum_expectation(bra_state, flavor: str, degree_bound: int) -> PSeries:
@@ -96,13 +87,14 @@ def vacuum_expectation(bra_state, flavor: str, degree_bound: int) -> PSeries:
         if flavor == "bracket" and len(word) % 2 == 0:
             bound = max(bound, -sum(word))
     even = [(word, k, n) for (word, k), n in bra_state.terms.items() if len(word) % 2 == 0]
-    rows, coords = _rows(bound), {}
+    coords = {}
     for word, k, n in even:
-        if -sum(word) > bound:  # the table at bound has no word this heavy
+        weight = -sum(word)
+        if weight > bound:  # its paren image lies wholly above the bound
             continue
         # the bra of mu against its row: 2^{l(mu)}, l without the padding
         n <<= len(word) - (0 in word)
-        for nu, r in rows.get(word, ()):
+        for nu, r in _rows(weight).get(word, ()):
             coords[(nu, k)] = coords.get((nu, k), 0) + n * r  # _image_sum skips zeros
     image = _image_sum(coords, bra_state.den, flavor, bound)
     return image.truncate(degree_bound) if bound > degree_bound else image

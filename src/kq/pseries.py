@@ -31,10 +31,10 @@ wrapped by the private PSeries._trusted, which skips the checks.
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators, the deformed images of
 bases) hand the same object to every caller, and each series carries a
-private memo, the _deformed slot, that bases._coordinates fills with the
-series' deformed-basis coordinates per flavor.  The memo lives exactly as
-long as the series object; it is never part of == or hash, and only
-pseries and bases touch it.
+private memo, the _rings slot: the frozenset of flavors whose deformed
+ring bases._check_ring has found it in.  The memo lives exactly as long
+as the series object; it is never part of == or hash, and only pseries
+and bases touch it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _reduced(terms, den):
 
 
 class PSeries:
-    __slots__ = ("terms", "den", "degree_bound", "_deformed")
+    __slots__ = ("terms", "den", "degree_bound", "_rings")
 
     def __init__(self, terms, degree_bound: int):
         """terms maps partitions to int, Fraction or BetaScalar values."""
@@ -82,7 +82,7 @@ class PSeries:
                 for key, val in terms.items() for k, c in _monomials(val)}
         made = PSeries._from_flat(flat, degree_bound)
         self.terms, self.den, self.degree_bound = made.terms, made.den, made.degree_bound
-        self._deformed = None
+        self._rings = frozenset()
 
     @classmethod
     def _trusted(cls, terms, den: int, degree_bound: int) -> "PSeries":
@@ -92,7 +92,7 @@ class PSeries:
         out.terms = terms
         out.den = den
         out.degree_bound = degree_bound
-        out._deformed = None
+        out._rings = frozenset()
         return out
 
     @classmethod

@@ -9,9 +9,9 @@ referees: the strict partitions up to a weight, which only tests list; the
 zero test of a series, the exponential of a series, and of a z-graded
 family of them (z_exp), term by term against the closed forms; Schur Q_mu
 by the two-row Pfaffian and its deformed images, which referee the vacuum
-rows of hexpansion, those rows built one table per bound, and coordinates
-in the deformed bases, read through the library's memo and by the
-triangular elimination that referees it; polynomials in n variables
+rows of hexpansion, those rows built in one table up to a bound, and
+coordinates in the deformed bases by triangular elimination, which referee
+the pairing and its ring check; polynomials in n variables
 monomial by monomial (FinitePoly), the oracle's answer written out on its
 orbits and read back with a symmetry check, and the substitution of power
 sums in n variables that from_finite inverts (eval_finite); the binomial
@@ -46,7 +46,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from kq import fock
-from kq.bases import _coordinates, _image_sum, _power_image
+from kq.bases import _image_sum, _power_image
 from kq.dualq import o_fermionic, q_bracket_series
 from kq.finitevars import SymmetricPoly, _orbit_size
 from kq.fock import _bra_insert
@@ -289,13 +289,13 @@ def z_exp(parts):
 # The Fock exit reads Q_mu(p^flavor) off the vacuum rows <0| prod 2 b_nu of
 # hexpansion; here Q_mu comes from the one-row q_n and the two-row Pfaffian
 # instead, and its deformation from one image per mu, widened for bracket;
-# rows_at builds the vacuum rows one table per bound, the way the library
-# did before it kept one widest table.
+# rows_at builds the vacuum rows of every weight up to a bound in one
+# table, the way the library did before it kept one table per weight.
 
 def rows_at(bound: int):
-    """hexpansion._rows as one table per bound, built from the vacuum up:
-    {bra word: ((nu, R_nu at the word), ...)} over the partitions nu into
-    odd parts of weight <= bound."""
+    """The rows hexpansion._rows gives for every weight <= bound, in one
+    table built from the vacuum up: {bra word: ((nu, R_nu at the word),
+    ...)} over the partitions nu into odd parts of weight <= bound."""
     states, rows = {(): fock.vacuum()}, {}
     for nu in partitions_upto(bound):
         if any(part % 2 == 0 for part in nu):
@@ -310,7 +310,7 @@ def rows_at(bound: int):
 
 def p_beta(n: int, degree_bound: int) -> PSeries:
     """Deformed power sum, paren flavor: p_n + higher-degree corrections."""
-    return _power_image("paren", n, degree_bound, Fraction(1, 2))
+    return _power_image("paren", n, degree_bound)
 
 
 def p_bracket(n: int, degree_bound: int | None = None) -> PSeries:
@@ -318,8 +318,7 @@ def p_bracket(n: int, degree_bound: int | None = None) -> PSeries:
 
     This one is a finite polynomial; the default bound is its own degree.
     """
-    return _power_image("bracket", n, n if degree_bound is None else degree_bound,
-                        Fraction(1, 2))
+    return _power_image("bracket", n, n if degree_bound is None else degree_bound)
 
 
 def q_series(degree_bound: int) -> list[PSeries]:
@@ -369,8 +368,8 @@ def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
 
 def to_deformed_basis(f: PSeries, flavor: str) -> dict:
     """{lambda: BetaScalar} coordinates of f in the deformed power-sum basis
-    of the flavor, read off the memo the pairing keeps; a fresh dict."""
-    return dict(_coordinates(f, flavor).sorted_items())
+    of the flavor, by elimination; a fresh dict."""
+    return dict(_eliminate(f, flavor).sorted_items())
 
 
 def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
@@ -400,6 +399,31 @@ def _eliminate(f: PSeries, flavor: str) -> PSeries:
     if not is_zero(rep):
         raise ArithmeticError("triangular elimination left a residue")
     return PSeries._from_flat(out, bound)
+
+
+def pair_by_elimination(f: PSeries, g: PSeries) -> BetaScalar:
+    """<f, g> as the paper defines it: the coordinates of f in the paren
+    basis and of g in the bracket basis, by elimination, paired."""
+    return pair_coordinates(_eliminate(f, "paren"), _eliminate(g, "bracket"))
+
+
+def pair_coordinates(cf: PSeries, cg: PSeries) -> BetaScalar:
+    """The paper's form on coordinates, kept as series whose terms are the
+    coordinates (as _eliminate returns them): z_lambda 2^{-l(lambda)} on
+    matching partitions.  A coordinate on a partition with an even part
+    raises ValueError."""
+    for mu, _ in (*cf.terms, *cg.terms):
+        if any(part % 2 == 0 for part in mu):
+            raise ValueError(f"coordinate on {mu}, which has an even part")
+    right: dict = {}
+    for (mu, kb), c in cg.terms.items():
+        right.setdefault(mu, []).append((kb, c))
+    total: dict = {}
+    for (mu, ka), a in cf.terms.items():
+        for kb, c in right.get(mu, ()):
+            total[ka + kb] = total.get(ka + kb, 0) + Fraction(
+                a * c, cf.den * cg.den * z_lambda(mu) * 2 ** len(mu))
+    return _from_monomials(total.items())
 
 
 # -- finitevars: polynomials monomial by monomial, and the substitution ------

@@ -5,15 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq import bases
-from kq.bases import FLAVORS, _coordinates, _image_sum
-from kq.dualq import gp, o_fermionic
-from kq.gq import gq_fermionic
+from kq.bases import FLAVORS, _check_ring
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, BetaScalar
 from referees import (_eliminate, at_b, eval_finite, from_deformed_basis, is_zero, p_beta,
                       p_bracket, q_series, scalar_terms, series_coefficient,
-                      strict_partitions_upto, to_deformed_basis)
+                      to_deformed_basis)
 
 
 def test_q_series_low_terms():
@@ -132,8 +130,8 @@ def _bad_image(*args):
     pytest.param(_bad_image, ValueError, to_deformed_basis, id="_bad_image-ValueError")])
 def test_failed_conversion_stores_nothing(monkeypatch, image, error, convert):
     # images that eliminate nothing leave the elimination a residue, and an
-    # image that raises stops the library's conversion; coordinates stored
-    # by the failed call would hide the second failure
+    # image that raises stops the conversion; coordinates stored by the
+    # failed call would hide the second failure
     f = PSeries({(1,): 1, (3,): 2}, 3)
     monkeypatch.setattr(bases, "_image_partition", image)
     for _ in range(2):
@@ -144,36 +142,26 @@ def test_failed_conversion_stores_nothing(monkeypatch, image, error, convert):
     assert from_deformed_basis(coords, "bracket", 3) == f
 
 
-def strict_family(D):
-    """gq_fermionic, o_fermionic and gp for every strict lambda, |lambda| <= D."""
-    lams = list(strict_partitions_upto(D))
-    return ([gq_fermionic(lam, D) for lam in lams] + [o_fermionic(lam, D) for lam in lams]
-            + [gp(lam, D) for lam in lams])
+def ring_coefficients(bound):
+    """Sparse {partition: c b^k} with small int c and k <= 2."""
+    values = st.tuples(st.integers(-5, 5), st.integers(0, 2)).map(lambda t: BETA ** t[1] * t[0])
+    return st.dictionaries(st.sampled_from(list(partitions_upto(bound))), values, max_size=4)
 
 
-@pytest.mark.parametrize("D", [4, 6, 8, 10])
-def test_inverse_substitution_matches_elimination(D):
-    # the library reads coordinates off the substitution at -b/2; the
-    # referee eliminates degree by degree with the images at +b/2
-    for f in strict_family(D):
-        for flavor in FLAVORS:
-            assert _coordinates(f, flavor) == _eliminate(f, flavor), (f, flavor)
-
-
-@given(series_strategy(6), st.sampled_from(FLAVORS))
-@settings(max_examples=40, deadline=None)
-def test_inverse_substitution_matches_elimination_on_random_series(f, flavor):
-    assert _coordinates(f, flavor) == _eliminate(f, flavor)
-
-
-def test_inverse_substitution_undoes_the_substitution():
-    # p_n at -b/2 after p_n at +b/2 is p_n again, for both flavors
-    D = 7
-    for flavor in FLAVORS:
-        for n in range(1, D + 1):
-            image = _image_sum({((n,), 0): n}, 1, flavor, D)
-            back = _image_sum(image.terms, image.den, flavor, D, -Fraction(1, 2))
-            assert back == PSeries.p(n, D)
+@given(ring_coefficients(6), st.sampled_from(FLAVORS), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_ring_check_raises_exactly_on_even_coordinates(coeffs, flavor, deform):
+    # the derivative test against the coordinates the elimination reads:
+    # plain series mostly leave the ring, images of odd coordinates stay
+    f = from_deformed_basis(coeffs, flavor, 6) if deform else PSeries(coeffs, 6)
+    even = any(part % 2 == 0 for mu, _ in _eliminate(f, flavor).terms for part in mu)
+    if even:
+        with pytest.raises(ValueError, match=flavor):
+            _check_ring(f, flavor)
+        assert flavor not in f._rings
+    else:
+        _check_ring(f, flavor)
+        assert flavor in f._rings
 
 
 def test_unknown_flavor_rejected():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq import dualq, fock
+from kq import bases, dualq, fock
 from kq.dualq import (
     bilinear_pair,
     gp,
@@ -24,13 +25,15 @@ from kq.partitions import (
     z_lambda,
 )
 from kq.pseries import PSeries
-from kq.scalars import ONE, ZERO, BetaScalar
+from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
+    _eliminate,
     at_b,
     binom_general,
     check_dual_cancellation,
     eval_finite,
     fock_pairing,
+    from_deformed_basis,
     gp_by_recursion,
     inner_product_formula,
     interlacing_column,
@@ -38,6 +41,8 @@ from referees import (
     o_one_row,
     p_beta,
     p_bracket,
+    pair_by_elimination,
+    pair_coordinates,
     pairing_i,
     q_series,
     ref_bra_apply_phi_beta,
@@ -355,6 +360,92 @@ def test_bilinear_pair_repeats_match_a_fresh_reference():
     assert want
     assert bilinear_pair(f, g) == want
     assert bilinear_pair(f, g) == want
+
+
+@pytest.mark.parametrize("D", [8, 10])
+def test_pairing_is_the_paper_form_on_every_strict_pair(D):
+    # the plain form on the series against the paper's form on their
+    # coordinates, for (GQ, gp) and (GQ, o) over every strict pair
+    lams = list(strict_partitions_upto(D))
+    gqs = [gq_fermionic(lam, D) for lam in lams]
+    duals = [gp(lam, D) for lam in lams] + [o_fermionic(lam, D) for lam in lams]
+    right = [_eliminate(g, "bracket") for g in duals]
+    for f in gqs:
+        cf = _eliminate(f, "paren")
+        for g, cg in zip(duals, right):
+            assert bilinear_pair(f, g) == pair_coordinates(cf, cg), (f, g)
+
+
+def test_products_pair_as_their_coordinates():
+    # GQ_lam GQ_mu against every gp_nu at D = 8: the structure constants
+    D = 8
+    lams = list(strict_partitions_upto(D))
+    duals = [gp(nu, D) for nu in lams]
+    right = [_eliminate(g, "bracket") for g in duals]
+    for i, lam in enumerate(lams):
+        for mu in lams[i:]:
+            if sum(lam) + sum(mu) > D:
+                continue
+            f = gq_fermionic(lam, D) * gq_fermionic(mu, D)
+            cf = _eliminate(f, "paren")
+            for g, cg in zip(duals, right):
+                assert bilinear_pair(f, g) == pair_coordinates(cf, cg), (lam, mu, g)
+
+
+def _bump(rng, D, flavor):
+    """c b^k p_mu, or c b^k times the flavor's image of p_mu for odd mu:
+    mostly out of the ring in the first case, always in it in the second."""
+    c = BETA ** rng.randrange(3) * rng.choice([-3, -1, 1, 2])
+    if rng.random() < 0.5:
+        return PSeries({rng.choice(list(partitions_upto(D))): c}, D)
+    odd = [mu for mu in partitions_upto(D) if all(part % 2 for part in mu)]
+    return from_deformed_basis({rng.choice(odd): c}, flavor, D)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bumped_pairs_raise_exactly_off_the_rings(seed):
+    # add a bump to f, to g or to both: the pairing raises exactly when the
+    # coordinates of an argument have an even part, and is the paper's
+    # form on them otherwise
+    rng = random.Random(seed)
+    D = 6
+    lams = list(strict_partitions_upto(D))
+    for _ in range(50):
+        f = gq_fermionic(rng.choice(lams), D)
+        g = gp(rng.choice(lams), D)
+        where = rng.choice(["f", "g", "both"])
+        if where != "g":
+            f = f + _bump(rng, D, "paren")
+        if where != "f":
+            g = g + _bump(rng, D, "bracket")
+        try:
+            want = pair_by_elimination(f, g)
+        except ValueError:
+            with pytest.raises(ValueError, match="ring"):
+                bilinear_pair(f, g)
+        else:
+            assert bilinear_pair(f, g) == want
+
+
+def test_second_pairing_repeats_no_ring_check(monkeypatch):
+    # the verdict is kept on each series: pairing the same objects again
+    # computes no derivative
+    D = 8
+    f = gq_fermionic((3, 1), D) * gq_fermionic((2,), D)
+    g = gp((4, 2), D)
+    calls = []
+    original = bases.comb
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bases, "comb", counted)
+    want = bilinear_pair(f, g)
+    assert calls and f._rings == {"paren"} and g._rings == {"bracket"}
+    calls.clear()
+    assert bilinear_pair(f, g) == want
+    assert not calls
 
 
 def test_duality_delta_small_sweep():

@@ -150,19 +150,19 @@ def test_series_sums_rescale_in_one_place():
 
 
 def test_series_memo_stays_in_two_modules():
-    # the coordinates kept on a series are valid only while its terms are
-    # the ones they were computed from, so only the module that builds
+    # the ring verdicts kept on a series are valid only while its terms
+    # are the ones they were found for, so only the module that builds
     # series and the one that fills the memo may touch the slot
     found = []
     for path in sorted(Path(kq.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            named = (isinstance(node, ast.Attribute) and node.attr == "_deformed"
-                     or isinstance(node, ast.Constant) and node.value == "_deformed")
+            named = (isinstance(node, ast.Attribute) and node.attr == "_rings"
+                     or isinstance(node, ast.Constant) and node.value == "_rings")
             if named and path.name not in ("pseries.py", "bases.py"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
-    assert "_deformed" in PSeries.__slots__
+    assert "_rings" in PSeries.__slots__
 
 
 
@@ -463,8 +463,8 @@ PROCESS_WIDE_TABLES = {
     "dualq._q_bracket_upto", "dualq.o_two_index", "finitevars._orbit_size",
     "finitevars._p_to_m", "fock._bra_insert", "fock._bra_vacuum_b", "fock._bra_word_b",
     "fock._phi_beta_modes", "fock._theta_modes", "gq._PRODUCTS", "gq.gq_series",
-    "gq.gq_two_index", "hexpansion._ROWS",
-    "hexpansion._STATES", "laurent._KERNEL_TABLES", "laurent.f_table", "laurent.g_table",
+    "gq.gq_two_index", "hexpansion._rows",
+    "hexpansion._state", "laurent._KERNEL_TABLES", "laurent.f_table", "laurent.g_table",
     "oracle._alternant", "oracle._kostka", "partitions.partitions_of",
     "partitions.z_lambda", "pseries._PAIRS",
 }

@@ -92,7 +92,7 @@ def h_operator_rows(flavor, row_bound, degree_bound):
     def apply_h(state):
         out = {}
         for k in range(1, row_bound + 1, 2):
-            pk = _power_image(flavor, k, degree_bound, Fraction(1, 2)) * Fraction(2, k)
+            pk = _power_image(flavor, k, degree_bound) * Fraction(2, k)
             for key, c in bra_apply_b(state, k).items():
                 if sum(key[0]) < -row_bound:
                     continue
@@ -193,20 +193,19 @@ def test_bad_bounds_rejected(bound):
 
 
 def test_rows_are_read_only():
-    # every pairing at a bound reads the one cached table of rows
+    # every pairing reads the one cached table of each weight
     with pytest.raises(TypeError):
-        _rows(5)[(0, -1)] = ()
-    assert _rows(5)[(0, -1)] == (((1,), -1),)
-    assert _rows(5)[(0, -3)] == (((3,), -1), ((1, 1, 1), -4))
+        _rows(1)[(0, -1)] = ()
+    assert _rows(1)[(0, -1)] == (((1,), -1),)
+    assert _rows(3)[(0, -3)] == (((3,), -1), ((1, 1, 1), -4))
 
 
 def test_rows_extend_one_widest_table(monkeypatch):
-    # the table at a bound B is the widest table cut to words of weight
-    # <= B: each R_nu is built once, by one action, whatever order the
-    # bounds are asked in, and every cut equals the table built at B alone
-    monkeypatch.setattr(hexpansion, "_WEIGHT", -1)
-    monkeypatch.setattr(hexpansion, "_STATES", {})
-    monkeypatch.setattr(hexpansion, "_ROWS", {})
+    # the rows of a weight are the words of that weight in the table built
+    # up to any bound above it: each R_nu is built once, by one action,
+    # whatever order the weights are asked in
+    hexpansion._state.cache_clear()
+    hexpansion._rows.cache_clear()
     actions = []
     original = hexpansion._act
 
@@ -215,21 +214,21 @@ def test_rows_extend_one_widest_table(monkeypatch):
         return original(state, *args)
 
     monkeypatch.setattr(hexpansion, "_act", counted)
-    for bound in (5, 0, 9, 3, 16, *range(17)):
-        rows = hexpansion._rows(bound)
-        cut = {word: entries for word, entries in rows.items() if -sum(word) <= bound}
-        assert cut == rows_at(bound), bound
-    assert rows == rows_at(16)
+    widest = rows_at(16)
+    for weight in (5, 0, 9, 3, 16, *range(17)):
+        want = {word: entries for word, entries in widest.items() if -sum(word) == weight}
+        assert hexpansion._rows(weight) == want, weight
     odd = [nu for nu in partitions_upto(16) if nu and all(part % 2 for part in nu)]
     assert len(actions) == len(odd)
 
 
 def test_paren_pairing_skips_words_past_the_bound(monkeypatch):
-    # with the table wider than the bound, a paren word heavier than
-    # the bound is not read: no coordinate past the bound reaches the
-    # image, and the word pairs to zero, as when the table stopped there
+    # with rows built past the bound, a paren word heavier than the
+    # bound is not read: no coordinate past the bound reaches the image,
+    # and the word pairs to zero, as when no heavier rows were built
     bound = 4
-    _rows(12)
+    for weight in (6, 9):
+        _rows(weight)
     heavy = flat_terms({(4, 3, 2, 0): ONE, (5, 1): BETA})
     light = flat_terms({(3, 1): ONE, (2, 0): BETA})
     weights = []
@@ -247,10 +246,10 @@ def test_paren_pairing_skips_words_past_the_bound(monkeypatch):
 
 def test_rows_are_the_pfaffian_q():
     # R_nu at the word of mu is [p~_nu] (-1)^{|mu|} 2^{-l(mu)} Q_mu, Q_mu by
-    # the two-row Pfaffian; and every word of a row is the word of some mu.
-    # The table at the bound is the shared table cut to words of weight <= 10
+    # the two-row Pfaffian; and every word of a row is the word of some mu,
+    # over the tables of every weight up to the bound
     bound = 10
-    rows = {word: entries for word, entries in _rows(bound).items() if -sum(word) <= bound}
+    rows = {word: entries for weight in range(bound + 1) for word, entries in _rows(weight).items()}
     words = set()
     for mu in strict_partitions_upto(bound):
         padded = mu + (0,) if len(mu) % 2 else mu
