@@ -13,10 +13,24 @@ from_finite solves those coordinates for power sums, inverting the
 substitution p_k -> x_1^k + ... + x_n^k.  The solve uses that x^lam occurs
 in p_mu only when lam coarsens mu, with coefficient prod m_i(mu)! at
 lam = mu and an integer that does not depend on n otherwise (Macdonald,
-Symmetric Functions and Hall Polynomials, I.6), so it works one power of b
-at a time, on Fractions.  Writing the orbits out as monomials, and reading
-a polynomial given monomial by monomial back into this form with a
-symmetry check, serve only the tests (tests/referees.py).
+Symmetric Functions and Hall Polynomials, I.6), so it walks the partitions
+by decreasing length.  It solves in ints, for the coordinates on
+p~_mu = p_mu / z_mu that PSeries stores, which are integral whenever the
+input is: f = sum_mu <f, p_mu> p~_mu, and <m_lam, p_mu> is the coefficient
+of h_lam in p_mu, an integer since p_n = n h_n - sum_{i<n} h_i p_(n-i)
+lies in Z[h_1, h_2, ...] (I.4, I.2).  With n >= D variables the m_lam of
+degree <= D are independent, so the polynomial is that f.  So the input is
+scaled by den, the lcm of its denominators, and by L, the lcm of z_mu over
+|mu| <= D.  The remainder r at mu, once every longer partition is solved,
+is then den L times the m_mu coordinate of what they leave, and den times
+the p~_mu coordinate is r (z_mu / prod m_i(mu)!) / L, an exact division
+by the theorem; a remainder there raises ValueError instead of truncating.
+Each coarser class loses that coordinate times (L / z_mu) times its count
+in p_mu, all ints.
+
+Writing the orbits out as monomials, and reading a polynomial given
+monomial by monomial back into this form with a symmetry check, serve only
+the tests (tests/referees.py), as does the same solve in Fractions.
 """
 
 from __future__ import annotations
@@ -24,18 +38,20 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .partitions import check_degree_bound, check_partition, multiplicities, partitions_upto
-from .pseries import PSeries
+from .partitions import (check_degree_bound, check_partition, multiplicities, partitions_upto,
+                         z_lambda)
+from .pseries import PSeries, _integral
 
 
 class SymmetricPoly:
     """sum a b^k m_mu(x_1..x_nvars) over terms {(mu, k): a}.
 
     mu is a partition in the canonical form of check_partition with at most
-    nvars parts, k an int >= 0 and a an int or Fraction; anything else
-    raises ValueError.  Zero values are dropped, so == compares values.
+    nvars parts, k an int >= 0 and a an int or Fraction, neither a bool;
+    anything else raises ValueError.  Zero values are dropped, so ==
+    compares values.
     """
 
     __slots__ = ("nvars", "terms")
@@ -47,7 +63,7 @@ class SymmetricPoly:
                 ok = check_partition(mu) == mu and len(mu) <= nvars and operator.index(k) >= 0
             except (TypeError, ValueError):
                 ok = False
-            if not ok or not isinstance(a, (int, Fraction)):
+            if not ok or bool in (type(k), type(a)) or not isinstance(a, (int, Fraction)):
                 raise ValueError(f"bad term {a!r} m_{mu!r} b^{k!r} for {nvars} variables")
         self.nvars = nvars
         self.terms = {key: a for key, a in terms.items() if a}
@@ -112,28 +128,31 @@ def from_finite(g: SymmetricPoly, degree_bound: int) -> PSeries:
     if top > degree_bound:
         raise ValueError(f"degree {top} exceeds the requested bound {degree_bound}")
 
-    # rest[lam][k] starts as the m-coordinate of b^k m_lam.  p_mu meets
-    # m_lam only for lam = mu or lam coarser (so shorter), hence a_mu is
-    # final once every longer partition has been solved.  A class absent
-    # from g has m-coordinate 0, yet finer p_mu can leave a nonzero
-    # remainder there, so the walk covers every partition up to the bound.
+    # rest[lam][k] starts as the m-coordinate of b^k m_lam times den * scale,
+    # scale the lcm of z_mu up to the bound (L above).  p_mu meets m_lam
+    # only for lam = mu or lam coarser (so shorter), hence the p~_mu
+    # coordinate is final once every longer partition has been solved.  A
+    # class absent from g has m-coordinate 0, yet finer p_mu can leave a
+    # nonzero remainder there, so the walk covers every partition up to the
+    # bound.
+    den = lcm(*(a.denominator for a in g.terms.values()))
+    parts = sorted(partitions_upto(degree_bound), key=len, reverse=True)
+    scale = lcm(*map(z_lambda, parts))
     rest: dict = {}
     for (lam, k), a in g.terms.items():
-        rest.setdefault(lam, {})[k] = a
+        rest.setdefault(lam, {})[k] = a.numerator * (den // a.denominator) * scale
     coeffs: dict = {}
-    for mu in sorted(partitions_upto(degree_bound), key=len, reverse=True):
-        powers = rest.pop(mu, None)
-        if not powers:
-            continue
-        row = _p_to_m(mu)
-        lead = row[mu]
-        for k, r in powers.items():
-            if not r:
-                continue
-            c = Fraction(r, lead)
-            coeffs[(mu, k)] = c
-            for lam, count in row.items():
-                if lam != mu:
-                    got = rest.setdefault(lam, {})
-                    got[k] = got.get(k, 0) - c * count
-    return PSeries._from_flat(coeffs, degree_bound)
+    for mu in parts:
+        row, z = _p_to_m(mu), z_lambda(mu)
+        for k, r in rest.pop(mu, {}).items():
+            c, left = divmod(r * (z // row[mu]), scale)  # prod m_i(mu)! divides z_mu
+            if left:
+                raise ValueError(f"the p~_{mu!r} b^{k} coordinate is not integral")
+            if c:
+                coeffs[(mu, k)] = c
+                c *= scale // z
+                for lam, count in row.items():
+                    if lam != mu:
+                        got = rest.setdefault(lam, {})
+                        got[k] = got.get(k, 0) - c * count
+    return _integral(coeffs, den, degree_bound)

@@ -51,11 +51,20 @@ a signed count per decreasing gamma (a_alpha = sgn(w) a_gamma, w sorting
 alpha).  It is computed once per T: the first entry of sigma runs over
 the distinct parts of T, and the rest is the table of T without it
 (Laplace expansion along the first tail position).  So only the sigma
-whose exponents stay distinct are ever visited.  The orbits' head
-polynomials are summed per gamma with those counts, and each (h, gamma)
-is merged once.  Two equal exponents drop it.  Otherwise it is signed by
-the inversions of (h, gamma), which all start in the head since gamma
-decreases, and lands on nu = sort(h, gamma) - delta.
+whose exponents stay distinct are ever visited.
+
+Exponent sets are bitmasks.  Each gamma of a table is one, and each head
+monomial h gets the mask of its r exponents, or none when two of them are
+equal, since then every alpha it heads repeats an exponent.  A pair
+(h, gamma) survives iff its masks are disjoint.  Its sign is the parity
+of the inversions of alpha = (h, gamma), which all start in the head since
+gamma decreases: those inside h, counted once per call, plus, for each
+exponent e of h, the bits of gamma above e.  Parities add, so the latter
+have the parity of the bits of gamma & X, X the XOR over the e of the
+masks of the bits above e.
+The pair adds its signed count times h's coefficient to the union mask,
+keyed with h's b-power, and nu = sort(h, gamma) - delta is read off the
+bits once per key that survives.
 
 Truncation is decided once, on P0.  Dividing by V lowers the x-degree by
 n(n-1)/2 and x^{delta_B} raises it by (n-r)(n-r-1)/2, so s_nu has the
@@ -74,8 +83,9 @@ pass needs no cap.
 Head monomials are packed into single integers, six bits per x exponent of
 x_1..x_r, with the beta exponent above them on top, so that multiplication
 of monomials is integer addition.  Tail exponents are tuple entries and
-need no field.  A field that overflowed would carry into its neighbour and
-silently change the answer, so gq_oracle raises ValueError unless
+need no field, and the pass's masks are as wide as their exponents.  A
+field that overflowed would carry into its neighbour and silently change
+the answer, so gq_oracle raises ValueError unless
 min(T + s, top x-degree of P0) fits in a field.  A raw product of two kept
 monomials can still overflow when P0 is of higher degree, but it cannot
 survive.  Its x-degree, head and tail together, then exceeds T + s, and
@@ -92,7 +102,7 @@ answer into power sums.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .finitevars import SymmetricPoly
 from .partitions import check_degree_bound, check_partition, partitions_of
@@ -184,21 +194,22 @@ def _tail_product(head, r, m, bcap):
 @lru_cache(maxsize=None)
 def _alternant(tail):
     """sum_sigma a_{sigma + delta}, delta = (m-1, ..., 1, 0), over the distinct
-    rearrangements sigma of the sorted tail, as ((gamma, count), ...).
+    rearrangements sigma of the sorted tail, as ((gamma mask, count), ...).
 
     Each a_alpha is written as sgn(w) a_gamma, w sorting alpha into gamma
-    decreasing, and an alpha with two equal exponents is dropped.  sigma_0
-    runs over the distinct parts v of tail and the rest is the table of
-    tail without v, so a_(v + m-1, gamma') = (-1)^#{e in gamma' : e > v + m-1}
-    a_gamma: only the sigma whose exponents stay distinct are visited.
+    decreasing, and an alpha with two equal exponents is dropped; the
+    exponents of gamma are the set bits of its mask.  sigma_0 runs over the
+    distinct parts v of tail and the rest is the table of tail without v,
+    so a_(v + m-1, gamma') = (-1)^#{e in gamma' : e > v + m-1} a_gamma: only
+    the sigma whose exponents stay distinct are visited.
     """
-    out = {} if tail else {(): 1}
+    out = {} if tail else {0: 1}
     for v, i in {v: i for i, v in enumerate(tail)}.items():  # each distinct part once
         a = v + len(tail) - 1
-        for gamma, c in _alternant(tail[:i] + tail[i + 1:]):
-            if a not in gamma:
-                key = tuple(sorted(gamma + (a,), reverse=True))
-                out[key] = out.get(key, 0) + (-c if sum(e > a for e in gamma) & 1 else c)
+        for gm, c in _alternant(tail[:i] + tail[i + 1:]):
+            if not gm >> a & 1:
+                key = gm | 1 << a
+                out[key] = out.get(key, 0) + (-c if (gm >> a + 1).bit_count() & 1 else c)
     return tuple(item for item in out.items() if item[1])
 
 
@@ -254,24 +265,37 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
     for i in range(r):
         for j in range(i + 1, r):
             head = _mul(head, _pair_factor(r, i, j), r, bcap)
-    lifted = {}  # {gamma: {head key: c}}, the tail alternants summed over the orbits
-    for tail, poly in _tail_product(head, r, nvars - r, bcap).items():
-        for gamma, count in _alternant(tail):
-            acc = lifted.setdefault(gamma, {})
-            for h, c in poly.items():
-                acc[h] = acc.get(h, 0) + count * c
+    orbits = _tail_product(head, r, nvars - r, bcap)
+    # each head key with distinct exponents -> their mask, its b-power, the
+    # sign of sorting them down, and the XOR of the bits above each: its
+    # bits in gamma count, mod 2, the inversions between head and gamma
+    heads = {}
+    for h in {h for poly in orbits.values() for h in poly}:
+        exps = [(h >> _W * i) & _MASK for i in range(r)]
+        if len(set(exps)) == r:
+            odd = sum(a < e for i, a in enumerate(exps) for e in exps[i + 1:]) & 1
+            heads[h] = (sum(1 << e for e in exps), h >> _W * r, -1 if odd else 1,
+                        reduce(int.__xor__, [-1 << e + 1 for e in exps]))
     schur = {}
-    for gamma, acc in lifted.items():
-        for h, c in acc.items():
-            alpha = [(h >> _W * i) & _MASK for i in range(r)] + list(gamma)
-            ordered = sorted(alpha, reverse=True)
-            if not c or len(set(ordered)) < nvars:
-                continue
-            # gamma is decreasing, so every inversion of alpha starts in the head
-            odd = sum(alpha[i] < e for i in range(r) for e in alpha[i + 1:]) & 1
-            key = (tuple(a + p + 1 - nvars for p, a in enumerate(ordered)), h >> _W * r)
-            schur[key] = schur.get(key, 0) + (-c if odd else c)
-    return _in_monomials(schur, nvars)
+    for tail, poly in orbits.items():
+        table = _alternant(tail)
+        for h, c in poly.items():
+            if h in heads:
+                hm, k, sign, above = heads[h]
+                c *= sign
+                for gm, count in table:
+                    if not hm & gm:  # else alpha repeats an exponent
+                        key = (hm | gm, k)
+                        v = -count * c if (gm & above).bit_count() & 1 else count * c
+                        schur[key] = schur.get(key, 0) + v
+    return _in_monomials({(_nu(mask), k): c for (mask, k), c in schur.items() if c}, nvars)
+
+
+def _nu(mask):
+    """nu + delta = the set bits of mask sorted down, delta = (n-1, ..., 1, 0)
+    for the n bits set."""
+    ones = [e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return tuple(e - i for i, e in enumerate(ones))[::-1]
 
 
 def _in_monomials(schur, nvars):

@@ -26,7 +26,9 @@ compare values.  The public constructor enforces it on any input.  The
 ring operations keep it, once _reduced has divided out a common factor:
 the pair cache keeps keys canonical, the product skips pairs above the
 bound, and zero sums are dropped; combination too.  So their results are
-wrapped by the private PSeries._trusted, which skips the checks.
+wrapped by the private PSeries._trusted, which skips the checks, and so
+are the integral coordinates that finitevars.from_finite solves for,
+through _integral.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators, the deformed images of
@@ -295,6 +297,16 @@ def combination(parts, degree_bound: int) -> PSeries:
             else:
                 del out[key]
     return PSeries._trusted(*_reduced(out, den), degree_bound)
+
+
+def _integral(terms, den: int, degree_bound: int) -> PSeries:
+    """The series sum (n / den) b^k p~_lambda over terms {(lambda, k): n}.
+
+    terms must already meet the invariant, bar the common factor: canonical
+    keys of weight <= degree_bound, k >= 0 and nonzero ints; den an int >= 1.
+    finitevars.from_finite solves into this form.
+    """
+    return PSeries._trusted(*_reduced(terms, den), degree_bound)
 
 
 def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:

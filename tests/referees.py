@@ -14,7 +14,8 @@ coordinates in the deformed bases by triangular elimination, which referee
 the pairing and its ring check; polynomials in n variables
 monomial by monomial (FinitePoly), the oracle's answer written out on its
 orbits and read back with a symmetry check, and the substitution of power
-sums in n variables that from_finite inverts (eval_finite); the binomial
+sums in n variables that from_finite inverts (eval_finite) and the solve
+of from_finite in Fractions (from_finite_by_fractions); the binomial
 C(a, k) at any upper entry, in Fractions, which checks laurent's univariate
 tables; the kernel
 (z-w)/(z+w+b) in a closed form of its own, generic Laurent blocks that
@@ -48,7 +49,7 @@ from math import comb
 from kq import fock
 from kq.bases import _image_sum, _power_image
 from kq.dualq import o_fermionic, q_bracket_series
-from kq.finitevars import SymmetricPoly, _orbit_size
+from kq.finitevars import SymmetricPoly, _orbit_size, _p_to_m
 from kq.fock import _bra_insert
 from kq.gq import gq_series
 from kq.laurent import _dual_kernel_rational
@@ -632,6 +633,30 @@ def eval_finite(f: PSeries, nvars: int) -> FinitePoly:
             got = (exps, e + k)
             out[got] = out.get(got, 0) + v * c
     return FinitePoly._from_flat(nvars, out)
+
+
+def from_finite_by_fractions(g: SymmetricPoly, degree_bound: int) -> PSeries:
+    """from_finite as a triangular solve on the p_mu coordinates, in Fractions.
+
+    The walk is the library's, by decreasing length, but each coordinate
+    is rem / prod m_i(mu)!, a Fraction, and the series is built from the
+    p_mu coordinates by the checked constructor, so neither the integral
+    scale nor the exactness of its divisions is shared with from_finite.
+    """
+    rest: dict = {}
+    for (lam, k), a in g.terms.items():
+        rest.setdefault(lam, {})[k] = a
+    coeffs: dict = {}
+    for mu in sorted(partitions_upto(degree_bound), key=len, reverse=True):
+        row = _p_to_m(mu)
+        for k, r in rest.pop(mu, {}).items():
+            if r:
+                c = coeffs[(mu, k)] = Fraction(r, row[mu])
+                for lam, count in row.items():
+                    if lam != mu:
+                        got = rest.setdefault(lam, {})
+                        got[k] = got.get(k, 0) - c * count
+    return PSeries._from_flat(coeffs, degree_bound)
 
 
 # -- laurent: region-committed Laurent blocks --------------------------------

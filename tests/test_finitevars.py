@@ -1,16 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kq.finitevars import SymmetricPoly, from_finite
+from kq import finitevars
+from kq.finitevars import SymmetricPoly, _p_to_m, from_finite
 from kq.oracle import gq_oracle
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
 from kq.scalars import BETA, ONE, BetaScalar
-from referees import (FinitePoly, eval_finite, expand, monomial_coordinates, power_sum_poly,
-                      scalar_terms)
+from referees import (FinitePoly, eval_finite, expand, from_finite_by_fractions,
+                      monomial_coordinates, power_sum_poly, scalar_terms, strict_partitions_upto)
 
 
 def test_power_sum_poly():
@@ -149,6 +150,8 @@ def test_from_finite_refuses_a_polynomial_given_monomial_by_monomial():
     (3, {((2, 1), 0): 0.5}, r"0\.5 m_\(2, 1\) b\^0"),  # a float value
     (-2, {}, "-2"),
     (2.5, {}, r"2\.5"),
+    (2, {((1,), 0): True}, r"True m_\(1,\) b\^0"),  # a bool value
+    (2, {((1,), True): 3}, r"3 m_\(1,\) b\^True"),  # a bool b-power
 ])
 def test_symmetric_poly_names_a_bad_term(nvars, terms, bad):
     with pytest.raises(ValueError, match=bad):
@@ -169,3 +172,70 @@ def test_expand_and_read_back(n):
     for lam in [(1,), (2, 1), (3, 1), (3, 2, 1)]:
         sym = gq_oracle(lam, n, n + 2)
         assert monomial_coordinates(expand(sym)) == sym
+
+
+@st.composite
+def symmetric_polys(draw):
+    """(g, D): g in nvars in [D, D + 2] variables, of degree <= D <= 6, with
+    int and Fraction values and b-powers 0..3.  Half of them are the
+    monomial coordinates of a random combination of b^k p_mu, where the
+    classes the power sums share add up and may cancel."""
+    D = draw(st.integers(0, 6))
+    n = draw(st.integers(D, D + 2))
+    keys = st.tuples(st.sampled_from(list(partitions_upto(D))), st.integers(0, 3))
+    values = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=12))
+    terms = draw(st.dictionaries(keys, values, max_size=8))
+    if draw(st.booleans()):
+        coords = {}
+        for (mu, k), c in terms.items():
+            for lam, count in _p_to_m(mu).items():
+                coords[(lam, k)] = coords.get((lam, k), 0) + c * count
+        terms = coords
+    return SymmetricPoly(n, terms), D
+
+
+@given(symmetric_polys())
+@example((SymmetricPoly(4, {}), 4))
+# p_3 + p_21 - 2 p_111: its m_(3) coordinate is 1 + 1 - 2 = 0
+@example((SymmetricPoly(3, {((2, 1), 0): -5, ((1, 1, 1), 0): -12}), 3))
+@settings(max_examples=150, deadline=None)
+def test_integral_solve_matches_the_fraction_solve(case):
+    g, D = case
+    assert from_finite(g, D) == from_finite_by_fractions(g, D)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_oracle_answers_have_integral_power_sum_coordinates(n):
+    # GQ_lambda is integral, so its p~ coordinates are too (Macdonald I.4)
+    for lam in strict_partitions_upto(n):
+        assert from_finite(gq_oracle(lam, n), n).den == 1, lam
+
+
+def test_from_finite_builds_no_fraction_on_integral_input(monkeypatch):
+    # the p~ coordinates of an integral polynomial are ints, so neither the
+    # solve nor the series it hands back builds a Fraction
+    polys = [gq_oracle(lam, 6) for lam in strict_partitions_upto(6)]
+    want = [from_finite_by_fractions(g, 6) for g in polys]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction built inside from_finite")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert [from_finite(g, 6) for g in polys] == want
+
+
+def test_a_fractional_coordinate_raises(monkeypatch):
+    # no input reaches a fractional p~ coordinate (Macdonald I.4), but a
+    # table with one count too many does, and the solve must raise on it
+    # rather than truncate the quotient
+    real = finitevars._p_to_m
+
+    def broken(mu):
+        row = dict(real(mu))
+        if mu == (1, 1, 1):
+            row[(2, 1)] += 1
+        return row
+
+    monkeypatch.setattr(finitevars, "_p_to_m", broken)
+    with pytest.raises(ValueError, match="not integral"):
+        from_finite(SymmetricPoly(3, {((1, 1, 1), 0): 1}), 3)

@@ -87,6 +87,27 @@ def test_tail_orbits_match_full_p0(n):
             assert gq_oracle(lam, n, t) == gq_oracle_full(lam, n, t), (lam, t)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bitmask_pass_four_degrees_past_the_variables(n):
+    # trunc = n + 4 keeps P0 terms of higher b-degree, whose heads and
+    # tails reach exponents the default trunc never does
+    for lam in strict_partitions_upto(n + 4):
+        assert gq_oracle(lam, n, n + 4) == gq_oracle_full(lam, n, n + 4), lam
+
+
+@pytest.mark.parametrize("lam, n, t", [
+    ((3, 2, 1), 3, 7),  # every variable in the head: the tail is empty
+    ((3, 2, 1), 3, 12),
+    ((3, 2, 1), 8, 8),
+    ((4, 2, 1), 8, 8),
+    ((5, 2), 8, 8),
+])
+def test_bitmask_pass_at_its_edges(lam, n, t):
+    got = gq_oracle(lam, n, t)
+    assert got.terms
+    assert got == gq_oracle_full(lam, n, t)
+
+
 @st.composite
 def tail_products(draw):
     r = draw(st.integers(0, 3))
@@ -121,8 +142,8 @@ def test_alternant_table_by_brute_force(parts):
         if len(set(alpha)) < m:
             continue
         odd = sum(a < e for j, a in enumerate(alpha) for e in alpha[j + 1:]) % 2
-        gamma = tuple(sorted(alpha, reverse=True))
-        want[gamma] = want.get(gamma, 0) + (-1 if odd else 1)
+        mask = sum(1 << a for a in alpha)  # gamma, alpha sorted down, as its set bits
+        want[mask] = want.get(mask, 0) + (-1 if odd else 1)
     assert dict(_alternant(tail)) == {g: c for g, c in want.items() if c}
 
 
