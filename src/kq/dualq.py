@@ -14,7 +14,8 @@ with zbar = -z / (1 + b z).  Three routes compute o_lambda:
     contraction; the quarter leaves no global 2-power, and the twists and
     the padding column (half of route one's) are laurent's univariate
     tables;
-  * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>.
+  * o_fermionic: 2^{-r} <0| e^{H^[b]} prod_i (e^{-theta} phihat_{l_i}) |0>,
+    each e^{-theta} folded into the modes of its row (proof in _dual_ket).
 
 gp_lambda is the combination of the o_nu with nu interlacing lambda that
 inverts the pairing matrix <GQ_mu, o_nu>; its column factors over rows, so
@@ -174,20 +175,27 @@ def o_pfaffian_2(lam, degree_bound):
 
 def _dual_ket(lam, lows, degree_bound):
     """2^{-r} <0| e^{H^[b]} R_1 R_2 ... R_r |0>, with a trailing
-    e^{-theta} phihat_0 when r = l(lambda) is odd, R_i = e^{-theta}
-    sum_{c=lows_i}^{lambda_i} w_i(c) phihat_c the row of fock._phihat_row.
+    e^{-theta} phihat_0 when r = l(lambda) is odd, R_i = e^{-theta} P_i,
+    P_i = sum_{c=lows_i}^{lambda_i} w_i(c) phihat_c the row of
+    fock._phihat_row.
 
-    Built in bra form, as the star of <0| ... R_2^* R_1^*, each R_i^* one
-    row action and one e^{-Theta}, and starred once; the contraction
-    against <0| e^{H^[b]} runs in the bracket flavor.  The rows act from
-    the last, on a bra of grade 0: <0|, or the leading <0| phi_0 when r is
-    odd.  That is the star of the trailing e^{-theta} phihat_0, applied to
-    <0|: (phihat_0)^* = sum_m (-b/2)^m phi_m meets <0| as phi_0 alone, and
-    e^{-Theta} fixes every bra of grade 0.
+    Built in bra form, as the star of <0| T^* P_r^* E ... P_1^* E with
+    E = e^{-Theta} and T the trailing factor, and starred once; the
+    contraction against <0| e^{H^[b]} runs in the bracket flavor.
+    <0| T^* = <0| phi_0 E = <0| phi_0: (phihat_0)^* = sum_m (-b/2)^m
+    phi_m meets <0| as phi_0 alone, and e^{-Theta} fixes every bra of
+    grade 0, since Theta only raises grades and none is above 0.  The E
+    move left, X E^k = E^k (e^{k Theta} X e^{-k Theta}), so
+
+        P_r^* E ... P_1^* E = E^r Y_r ... Y_1,  Y_i = e^{i Theta} P_i^* e^{-i Theta},
+
+    and E^r meets the grade-0 bra <0| or <0| phi_0 and fixes it.  Each
+    Y_i is one row action of finitely many plain modes per grade
+    (fock._row_modes), so no exponential is built.
     """
     state = fock.FockState({((0,) if len(lam) % 2 else (), 0): 1})
-    for n, low in reversed(tuple(zip(lam, lows))):
-        state = fock.bra_apply_exp_minus_Theta(fock._phihat_row(state, n, low))
+    for i, (n, low) in reversed(tuple(enumerate(zip(lam, lows), 1))):
+        state = fock._phihat_row(state, n, low, i)
     return (vacuum_expectation(state, "bracket", degree_bound)
             * Fraction(1, 2 ** len(lam)))
 

@@ -19,33 +19,35 @@ lives in tests/referees.py).  These are the only operators here, each
 written once:
 
   * o_lambda and gp_lambda: _phihat_row, a weighted sum of (phihat_c)^*
-    over a range of c (a single mode at low = n), and
-    bra_apply_exp_minus_Theta, the star of e^{-theta};
+    over a range of c (a single mode at low = n), conjugated by
+    e^{i Theta}: the i-th row of a dual ket with the e^{-Theta} of every
+    row folded in, one list of plain modes per grade;
   * GQ_lambda: bra_apply_phi_beta_star, n >= 0, and
     bra_apply_Theta_exp_star, the star of e^{Theta}.
 
-The other signs of beta and of the exponents, phihat_c at general c and
-phi^(beta)_n on bras live in tests/referees.py, in Fraction form.
+The other signs of beta and of the exponents (e^{-Theta} on bras among
+them), phihat_c at general c and phi^(beta)_n on bras live in
+tests/referees.py, in Fraction form.
 
 The normal-ordering tables (_bra_insert, _bra_word_b) are memoised and
 shared, so they are handed out read-only.
 
-Infinite operator tails (the beta-deformed modes, the theta exponentials)
-truncate exactly by grading: a bra word of grade s is killed by any phi_m
-with s + m > 0.  On kets phi^(beta)_n and e^Theta raise the grade without
-bound, so the bra sides of their ket actions drop every word below a grade
-floor -top that the caller picks, input words included.  Heisenberg
-generators b_m enter through Theta and theta and through the vacuum rows
-<0| prod 2 b_m of hexpansion, all with odd m; b_0 is not normal-ordered and
-never built.
+Infinite operator tails (the beta-deformed modes, the conjugated rows, the
+theta exponential) truncate exactly by grading: a bra word of grade s is
+killed by any phi_m with s + m > 0.  On kets phi^(beta)_n and e^Theta raise
+the grade without bound, so the bra sides of their ket actions drop every
+word below a grade floor -top that the caller picks, input words included.
+Heisenberg generators b_m enter through theta and through the vacuum rows
+<0| prod 2 b_m of hexpansion, all with odd m (Theta only through its
+commutator with the modes); b_0 is not normal-ordered and never built.
 
 States are flat and integral, as series are (module pseries): a FockState
 maps (word, k) to the nonzero int n of the term (n / den) b^k word, over one
 int den >= 1 with gcd(den, *numerators) == 1, so == compares values.  Every
 operator here is (1/d) sum c b^e X_m over int c, one d per action: binomials
-times powers of 1/2 for phi^(beta), 1/(n 2^n) for the b_n of Theta and
+times powers of 1/2 for phi^(beta) and the rows, 1/(n 2^n) for the b_n of
 theta (the 1/2 of b_n included, since _bra_word_b tables twice <0| word
-b_n), and the 1/k of an exponential's k-th term.  Applying one multiplies
+b_n), and the 1/k of the exponential's k-th term.  Applying one multiplies
 ints and multiplies den once.  Fractions enter only through the public
 constructor; hexpansion.vacuum_expectation divides by den once on the way
 out.
@@ -172,27 +174,61 @@ def _phi_beta_modes(n, top):
                              for m in range(n, top + 1))
 
 
-def _phihat_row(state, n, low):
-    """Right action of sum_{c=low}^{n} w(c) (phihat_c)^*, 0 <= low <= n,
-    n >= 1, with w(n) = 1, w(c) = -(-b/2)^{n-c} below n, and w(0) doubled.
+@lru_cache(maxsize=None)
+def _row_modes(n, low, i, reach):
+    """(d, modes, cuts): e^{i Theta} R^* e^{-i Theta}, R^* the row of
+    _phihat_row, is (1/d) sum c b^e phi_j over the int (j, e, c) of
+    modes[:cuts[-g]] on a word of grade g, -reach <= g <= 0.
 
-    For c >= 1, (phihat_c)^* = (-1)^c sum_{m=1}^{c} C(c-1, m-1) (b/2)^{c-m}
-    phi_{-m}, so phi_{-m} carries (-1)^n (b/2)^{n-m} times C(n-1, m-1)
-    minus sum_{c=max(low,m)}^{n-1} C(c-1, m-1), and by the hockey stick
-    that sum is C(n-1, m) - C(low'-1, m), low' = max(low, 1).  At low = n
-    the row is (phihat_n)^* alone.  (phihat_0)^* = sum_{m>=0} (-b/2)^m
-    phi_m meets a word of grade 0 as phi_0 alone, so a row down to 0 acts
-    on grade-0 bras only and raises on any other.
+    R^* = sum_m k_m (b/2)^{n-m} phi_{-m}, 1 <= m <= n, with
+    k_m = (-1)^n (C(n-1, m-1) - C(n-1, m) + C(low'-1, m)), low' =
+    max(low, 1): phi_{-m} carries (-1)^n (b/2)^{n-m} times C(n-1, m-1)
+    minus sum_{c=max(low,m)}^{n-1} C(c-1, m-1), since (phihat_c)^* =
+    (-1)^c sum_{m=1}^{c} C(c-1, m-1) (b/2)^{c-m} phi_{-m} for c >= 1, and
+    the hockey stick sums the C(c-1, m-1).  At low = 0 it also has
+    2 w(0) (phihat_0)^*, which meets grade 0 as k_0 (b/2)^n phi_0,
+    k_0 = 2 (-1)^{n+1}.
+
+    Conjugation: [b_{-t}, phi_j] = phi_{j+t}, so ad Theta is
+    log((1+x)/(1-x)) = 2 sum_{t odd} x^t / t in the shift x = (b/2) S,
+    S phi_j = phi_{j+1}, and e^{i Theta} phi_j e^{-i Theta} = sum_t
+    a_t (b/2)^t phi_{j+t} with a_t = [x^t] ((1+x)/(1-x))^i.  Hence
+    phi_j carries (b/2)^{n+j} K_j, K_j = sum_m k_m a_{j+m} (k_0 at j = 0
+    alone, since a row down to 0 meets grade 0 only), and on a word of
+    grade g every phi_j with g + j > 0 dies: the modes are finite, and
+    those of grade g a prefix of j ascending.  At i = 0, a_t = [t == 0]
+    and the row is R^* itself.
     """
-    if low == 0 and _lowest_grade(state) < 0:
-        raise ValueError("a row down to phihat_0 acts on grade-0 bras only")
-    # over d = 2^{n-1}: (b/2)^{n-m} is 2^{m-1} b^{n-m} / d
     sign, floor = (-1) ** n, max(low, 1) - 1
-    modes = tuple((-m, n - m, k << m - 1) for m in range(1, n + 1)
-                  if (k := sign * (comb(n - 1, m - 1) - comb(n - 1, m) + comb(floor, m))))
-    if low == 0:  # 2 w(0) = (-1)^{n+1} b^n / d
-        modes += ((0, n, -sign),)
-    return _act(state, _bra_insert, lambda g: modes, 1 << n - 1)
+    k = [-2 * sign if low == 0 else 0] + [
+        sign * (comb(n - 1, m - 1) - comb(n - 1, m) + comb(floor, m)) for m in range(1, n + 1)]
+    a = [1] + [0] * (n + reach)
+    for _ in range(i):  # times (1+x)/(1-x) = 1 + 2x + 2x^2 + ...
+        run = 0
+        for t, v in enumerate(a):
+            a[t], run = v + 2 * run, run + v
+    weights = [(j, c) for j in range(-n, reach + 1)
+               if (c := sum(k[m] * a[j + m] for m in range(max(0, -j), n + 1)))]
+    top = weights[-1][0]  # over d = 2^{n+top}: (b/2)^{n+j} is 2^{top-j} b^{n+j} / d
+    modes = tuple((j, n + j, c << top - j) for j, c in weights)
+    return 1 << n + top, modes, tuple(sum(j <= r for j, _ in weights) for r in range(reach + 1))
+
+
+def _phihat_row(state, n, low, i):
+    """Right action of e^{i Theta} R^* e^{-i Theta}, i >= 0, with R^* =
+    sum_{c=low}^{n} w(c) (phihat_c)^*, 0 <= low <= n, n >= 1, w(n) = 1,
+    w(c) = -(-b/2)^{n-c} below n, and w(0) doubled (modes in _row_modes).
+
+    At low = n and i = 0 the row is (phihat_n)^* alone.  (phihat_0)^* =
+    sum_{m>=0} (-b/2)^m phi_m meets a word of grade 0 as phi_0 alone, and
+    so does its conjugate, so a row down to 0 acts on grade-0 bras only
+    and raises on any other.
+    """
+    reach = -_lowest_grade(state)
+    if low == 0 and reach:
+        raise ValueError("a row down to phihat_0 acts on grade-0 bras only")
+    d, modes, cuts = _row_modes(n, low, i, reach)
+    return _act(state, _bra_insert, lambda g: modes[:cuts[-g]], d)
 
 
 def bra_apply_phi_beta_star(state: FockState, n: int, top: int) -> FockState:
@@ -240,50 +276,33 @@ def _bra_word_b(word, m):
 # Theta = 2 sum_{n odd>0} (beta/2)^n b_{-n}/n raises bra grades toward zero,
 # so its exponential terminates on every bra state; its adjoint theta =
 # Theta^* lowers them, and terminates once cut.  Each acts on kets as the
-# star of the other.  The routes need two of the four exponentials on bras:
-# e^{-Theta} (the dual kets) and e^{theta} (the GQ ket).
+# star of the other.  The dual kets fold their e^{-Theta} into the rows
+# (_row_modes), so the routes exponentiate on bras only e^{theta}, for the
+# GQ ket.
 
 @lru_cache(maxsize=None)
-def _theta_modes(reach, lower):
-    """(d, modes): -Theta, or theta when lower, is (1/d) sum c b^n X_m over
-    the int (m, n, c) of modes, odd n <= reach ascending, with X_m the
-    twice b_m that _bra_word_b tables."""
+def _theta_modes(reach):
+    """(d, modes): theta is (1/d) sum c b^n X_m over the int (m, n, c) of
+    modes, odd n <= reach ascending, with X_m the twice b_m that
+    _bra_word_b tables."""
     odd = range(1, reach + 1, 2)
     d = lcm(*(n << n for n in odd))
-    return d, tuple((n, n, d // (n << n)) if lower else (-n, n, -(d // (n << n)))
-                    for n in odd)
+    return d, tuple((n, n, d // (n << n)) for n in odd)
 
 
-def _theta_exp(state, top):
-    """Right action of e^{-Theta} (top None) or of e^{theta}, cut at grade
-    -top, input included."""
-    lower = top is not None
-    if lower:
-        state = FockState._reduced({key: c for key, c in state.terms.items()
-                                    if sum(key[0]) >= -top}, state.den)
-    # a word of grade g meets the odd n <= top + g (theta) or <= -g (Theta);
-    # Theta only raises grades, so the input's reach serves every term
-    d, modes = _theta_modes(top if lower else -_lowest_grade(state), lower)
-    terms = [state]  # the k-th term is the (k-1)-th times the exponent, over k
-    while terms[-1]:
-        terms.append(_act(terms[-1], _bra_word_b, lambda g: modes[
-            :max(0, (top + g if lower else -g) + 1) // 2], d * len(terms)))
+def bra_apply_Theta_exp_star(state: FockState, top: int) -> FockState:
+    """Right action of (e^{Theta})^* = e^{theta} on bras, whose star is the
+    left action of e^{Theta} on kets; grades < -top dropped, input included."""
+    state = FockState._reduced({key: c for key, c in state.terms.items()
+                                if sum(key[0]) >= -top}, state.den)
+    d, modes = _theta_modes(top)
+    terms = [state]  # the k-th term is the (k-1)-th times theta, over k
+    while terms[-1]:  # a word of grade g meets the odd n <= top + g
+        terms.append(_act(terms[-1], _bra_word_b,
+                          lambda g: modes[:max(0, top + g + 1) // 2], d * len(terms)))
     den, total = lcm(*(term.den for term in terms)), {}
     for term in terms:
         scale = den // term.den
         for key, c in term.terms.items():
             _merge(total, key, c * scale)
     return FockState._reduced(total, den)
-
-
-def bra_apply_exp_minus_Theta(state: FockState) -> FockState:
-    """Right action of e^{-Theta} on bras, whose star is the left action of
-    e^{-theta} on kets."""
-    return _theta_exp(state, None)
-
-
-def bra_apply_Theta_exp_star(state: FockState, top: int) -> FockState:
-    """Right action of (e^{Theta})^* = e^{theta} on bras, whose star is the
-    left action of e^{Theta} on kets; grades < -top dropped, input included."""
-    return _theta_exp(state, top)
-

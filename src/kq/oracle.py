@@ -145,7 +145,9 @@ def _mul(a, b, n, bcap):
     """Product of packed polynomials without the terms of beta degree > bcap.
 
     The beta field is read as everything above the x fields, so a carry
-    out of an overflowing x field can only make it read higher.
+    out of an overflowing x field can only make it read higher.  Every
+    factor gq_oracle multiplies has positive coefficients, so no term
+    cancels and none is filtered out.
     """
     limit = (bcap + 1) << _W * n  # the first key of beta degree bcap + 1
     out = {}
@@ -155,7 +157,7 @@ def _mul(a, b, n, bcap):
             key = ka + kb
             if key < limit:
                 out[key] = get(key, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _tail_product(head, r, m, bcap):

@@ -52,9 +52,11 @@ from kq.dualq import o_fermionic, q_bracket_series
 from kq.finitevars import SymmetricPoly, _orbit_size, _p_to_m
 from kq.fock import _bra_insert
 from kq.gq import gq_series
+from kq.hexpansion import vacuum_expectation
 from kq.laurent import _dual_kernel_rational
-from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _in_monomials, _mul,
-                       _p0_degree, _pair_factor)
+from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _in_monomials, _p0_degree,
+                       _pair_factor)
+from kq.oracle import _mul as _positive_mul
 from kq.partitions import (check_degree_bound, check_partition, check_strict_weight, graded_key,
                            partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
@@ -935,7 +937,8 @@ def binomial_block(variables, index: int, k: int, depth: int,
 # term.  Only _bra_insert, whose values are ints either way, is shared.  They
 # cover every sign and index: phi^(beta)_n and phihat_n at any n, e^{+Theta}
 # and e^{-theta}, of which the library builds only (phihat_n)^* for n >= 1
-# (fock._phihat_row), (phi^(beta)_n)^*, e^{-Theta} and e^{theta}.  The ket
+# (fock._phihat_row, conjugated by e^{i Theta}), (phi^(beta)_n)^* and
+# e^{theta}.  The ket
 # actions, which no library route calls since the routes build their kets in
 # bra form, live here as star images of bra actions, with the star itself.
 
@@ -1092,7 +1095,8 @@ def ref_bra_apply_phi_beta_star(state, n, top):
 
 def ref_bra_apply_theta_exp(state, sign=1):
     """Right action of e^{Theta} (sign=+1) or e^{-Theta} (sign=-1); the
-    library builds e^{-Theta} alone, as fock.bra_apply_exp_minus_Theta."""
+    library builds neither, and folds e^{-Theta} into the rows of the dual
+    kets (fock._phihat_row)."""
     return _like(state, _theta_exp(fraction_terms(state), sign, None))
 
 
@@ -1284,7 +1288,7 @@ def fock_pairing(mu, lam):
     state = fock.vacuum()
     for n in reversed(mu):
         state = ref_bra_apply_phihat_star(state, n)
-        state = fock.bra_apply_exp_minus_Theta(state)
+        state = ref_bra_apply_theta_exp(state, -1)
     for n in lam:
         state = ref_bra_apply_phi_beta(state, n)
         state = ref_bra_apply_theta_exp(state)
@@ -1299,6 +1303,16 @@ def fock_pairing(mu, lam):
     if got != want:
         raise ArithmeticError("Fock pairing disagrees with the I product")
     return got
+
+
+def dual_ket_by_taylor(lam, lows, degree_bound):
+    """dualq._dual_ket as built before its e^{-Theta} were folded into the
+    rows: each row is fock._phihat_row at conjugation power 0 followed by
+    e^{-Theta} as a Taylor series, from the bra <0| or <0| phi_0."""
+    state = fock.FockState({((0,) if len(lam) % 2 else (), 0): 1})
+    for n, low in reversed(tuple(zip(lam, lows))):
+        state = ref_bra_apply_theta_exp(fock._phihat_row(state, n, low, 0), -1)
+    return vacuum_expectation(state, "bracket", degree_bound) * Fraction(1, 2 ** len(lam))
 
 
 def contains(outer, inner) -> bool:
@@ -1433,6 +1447,12 @@ def check_dual_cancellation(g, nvars):
 
 # -- oracle: P0 monomial by monomial, the symmetrization as a chain of divided
 # differences, and literally --
+
+def _mul(a, b, n, bcap):
+    """oracle._mul with the terms that cancel dropped: the library multiplies
+    factors with positive coefficients only, the referees signed ones too."""
+    return {k: c for k, c in _positive_mul(a, b, n, bcap).items() if c}
+
 
 def _mono(n, beta, exps):
     """The packed key of b^beta x^exps, in the oracle's layout."""

@@ -31,6 +31,7 @@ from referees import (
     at_b,
     binom_general,
     check_dual_cancellation,
+    dual_ket_by_taylor,
     eval_finite,
     fock_pairing,
     from_deformed_basis,
@@ -578,6 +579,16 @@ def test_gp_matches_the_recursion():
             assert gp(lam, D) == gp_by_recursion(lam, D), (lam, D)
 
 
+@pytest.mark.parametrize("D", range(11))
+def test_folded_rows_match_the_taylor_builder(D):
+    # every e^{-theta} of the dual kets folded into its row's modes gives
+    # the kets of one row action and one Taylor series per row
+    for lam in strict_partitions_upto(D):
+        assert o_fermionic(lam, D) == dual_ket_by_taylor(lam, lam, D), lam
+        lows = (*(below + 1 for below in lam[1:]), 0)
+        assert gp(lam, D) == dual_ket_by_taylor(lam, lows, D), lam
+
+
 def test_gp_low_values():
     D = 5
     assert gp((), D) == PSeries.one(D)
@@ -767,7 +778,7 @@ def dual_bra(mu):
     state = fock.vacuum()
     for n in reversed(mu):
         state = ref_bra_apply_phihat_star(state, n)
-        state = fock.bra_apply_exp_minus_Theta(state)
+        state = ref_bra_apply_theta_exp(state, -1)
     return state
 
 

@@ -158,7 +158,7 @@ def test_star_intertwines_phi(word, n):
     lhs = star_bra(ref_bra_apply_phihat_star(s, n))
     assert lhs == ket_apply_phihat(star_bra(s), n)
     if n >= 1:
-        assert star_bra(fock._phihat_row(s, n, n)) == lhs
+        assert star_bra(fock._phihat_row(s, n, n, 0)) == lhs
 
 
 @given(bra_words, ket_words)
@@ -208,8 +208,6 @@ def test_b_star(word, sign):
     s = bra_word(word)
     lhs = star_bra(ref_bra_apply_theta_exp(s, sign))
     assert lhs == ket_apply_theta_exp(star_bra(s), sign)
-    if sign < 0:
-        assert star_bra(fock.bra_apply_exp_minus_Theta(s)) == lhs
 
 
 def test_b_shifts_grade():
@@ -261,10 +259,10 @@ def test_phihat_negative_mode_contracts():
 def test_phihat_star_is_phi_minus_beta():
     # the library's single-mode row against (-1)^n phi^(-beta)_{-n}
     s = bra_word((0, -3))
-    lhs = fock._phihat_row(s, 2, 2)
+    lhs = fock._phihat_row(s, 2, 2, 0)
     rhs = scale(ref_bra_apply_phi_beta(s, -2, sign=-1), 1)
     assert lhs == rhs
-    lhs = fock._phihat_row(s, 3, 3)
+    lhs = fock._phihat_row(s, 3, 3, 0)
     assert lhs == scale(ref_bra_apply_phi_beta(s, -3, sign=-1), -1)
 
 
@@ -289,28 +287,65 @@ def row_by_modes(state, n, low):
 @given(bra_states, st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_row_at_its_top_mode_is_phihat_star(state, n):
-    assert fock._phihat_row(state, n, n) == ref_bra_apply_phihat_star(state, n)
+    assert fock._phihat_row(state, n, n, 0) == ref_bra_apply_phihat_star(state, n)
 
 
 @given(bra_states, st.integers(1, 6), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_row_is_the_weighted_sum_of_its_modes(state, n, low):
     low = min(low, n)
-    assert fock._phihat_row(state, n, low) == row_by_modes(state, n, low)
+    assert fock._phihat_row(state, n, low, 0) == row_by_modes(state, n, low)
 
 
 @given(grade_zero_states, st.integers(1, 6))
 @settings(max_examples=30, deadline=None)
 def test_row_down_to_zero_on_grade_zero(state, n):
     # (phihat_0)^* meets grade 0 as phi_0 alone, its weight doubled
-    assert fock._phihat_row(state, n, 0) == row_by_modes(state, n, 0)
+    assert fock._phihat_row(state, n, 0, 0) == row_by_modes(state, n, 0)
 
 
 def test_row_down_to_zero_refuses_lower_grades():
     state = FockState({((), 0): 1, ((0, -2), 1): 1})
     with pytest.raises(ValueError, match="grade-0"):
-        fock._phihat_row(state, 3, 0)
-    assert fock._phihat_row(state, 3, 1) == row_by_modes(state, 3, 1)
+        fock._phihat_row(state, 3, 0, 0)
+    assert fock._phihat_row(state, 3, 1, 0) == row_by_modes(state, 3, 1)
+
+
+def row_by_taylor(state, n, low, i):
+    """e^{i Theta} R^* e^{-i Theta} on state, R^* the row of row_by_modes,
+    each exponential a Taylor series of the Fraction referee."""
+    for _ in range(i):
+        state = ref_bra_apply_theta_exp(state, 1)
+    state = row_by_modes(state, n, low)
+    for _ in range(i):
+        state = ref_bra_apply_theta_exp(state, -1)
+    return state
+
+
+@given(bra_words, st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_conjugated_row_is_the_taylor_sandwich(word, n, low, i):
+    # the dual kets' e^{-Theta} folded into the row: one list of plain
+    # modes per grade, at low = n (a single mode) and below it
+    s = bra_word(word)
+    for low in {n, min(low, n)}:
+        assert fock._phihat_row(s, n, low, i) == row_by_taylor(s, n, low, i)
+
+
+@given(grade_zero_states, st.integers(1, 5), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_conjugated_row_down_to_zero_on_grade_zero(state, n, i):
+    assert fock._phihat_row(state, n, 0, i) == row_by_taylor(state, n, 0, i)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_conjugated_row_down_to_zero_refuses_lower_grades(i):
+    state = FockState({((), 0): 1, ((0, -2), 1): 1})
+    with pytest.raises(ValueError, match="grade-0"):
+        fock._phihat_row(state, 3, 0, i)
+    with pytest.raises(ValueError, match="grade-0"):
+        fock._phihat_row(bra_word((-1,)), 1, 0, i)
+    assert fock._phihat_row(state, 3, 1, i) == row_by_taylor(state, 3, 1, i)
 
 
 def test_phihat_zero_with_theta_squares_away_on_the_vacuum():
@@ -319,7 +354,7 @@ def test_phihat_zero_with_theta_squares_away_on_the_vacuum():
     # Once, it is <0| phi_0, the bra an odd-length dual ket starts from
     state = fock.vacuum()
     for times in range(2):
-        state = fock.bra_apply_exp_minus_Theta(ref_bra_apply_phihat_star(state, 0))
+        state = ref_bra_apply_theta_exp(ref_bra_apply_phihat_star(state, 0), -1)
         if not times:
             assert state == bra_word((0,))
     assert state == fock.vacuum()
@@ -331,7 +366,7 @@ def test_phihat_zero_with_theta_squares_away_on_the_vacuum():
 
 def test_theta_fixes_vacuum():
     assert ref_bra_apply_theta_exp(bra_word(())) == bra_word(())
-    assert fock.bra_apply_exp_minus_Theta(bra_word(())) == bra_word(())
+    assert ref_bra_apply_theta_exp(bra_word(()), -1) == bra_word(())
     assert ket_apply_theta_exp(fock.vacuum()) == fock.vacuum()
 
 
@@ -339,7 +374,7 @@ def test_theta_fixes_vacuum():
 @settings(max_examples=40, deadline=None)
 def test_theta_exp_invertible(word):
     s = bra_word(word)
-    roundtrip = fock.bra_apply_exp_minus_Theta(ref_bra_apply_theta_exp(s, 1))
+    roundtrip = ref_bra_apply_theta_exp(ref_bra_apply_theta_exp(s, 1), -1)
     assert roundtrip == s
 
 
@@ -356,8 +391,8 @@ def test_ket_theta_exp_invertible(word):
 def test_theta_conjugation_of_phi_beta(word, n):
     # e^T phi^(b)_n e^-T = phi^(b)_n + b phi^(b)_{n+1}
     s = bra_word(word)
-    lhs = fock.bra_apply_exp_minus_Theta(
-        ref_bra_apply_phi_beta(ref_bra_apply_theta_exp(s, 1), n)
+    lhs = ref_bra_apply_theta_exp(
+        ref_bra_apply_phi_beta(ref_bra_apply_theta_exp(s, 1), n), -1
     )
     rhs = add(
         ref_bra_apply_phi_beta(s, n),
@@ -371,8 +406,8 @@ def test_theta_conjugation_of_phi_beta(word, n):
 def test_theta_conjugation_of_phihat_star(word, n):
     # e^T (phi-hat_n)* e^-T expands into a geometric tail in -b
     s = bra_word(word)
-    lhs = fock.bra_apply_exp_minus_Theta(
-        ref_bra_apply_phihat_star(ref_bra_apply_theta_exp(s, 1), n)
+    lhs = ref_bra_apply_theta_exp(
+        ref_bra_apply_phihat_star(ref_bra_apply_theta_exp(s, 1), n), -1
     )
     rhs = EMPTY
     for k in range(n - sum(word) + 1):
@@ -410,7 +445,7 @@ def test_inner_product_pairing_table(word, m, n):
     s = bra_word(word)
 
     def conj(state):
-        inner = ref_bra_apply_phi_beta(fock.bra_apply_exp_minus_Theta(state), n)
+        inner = ref_bra_apply_phi_beta(ref_bra_apply_theta_exp(state, -1), n)
         return ref_bra_apply_theta_exp(inner, 1)
 
     lhs = add(
@@ -452,13 +487,14 @@ bra_states = st.dictionaries(
 
 def actions(state, n, top):
     """(name, library result, referee result) of every action the routes
-    use; the row at its top mode is the one (phihat_n)^*, n >= 1."""
-    yield ("phihat_row", fock._phihat_row(state, abs(n) + 1, abs(n) + 1),
+    use; the row at its top mode is the one (phihat_n)^*, n >= 1, and the
+    dual kets' rows are conjugated by e^{i Theta}."""
+    yield ("phihat_row", fock._phihat_row(state, abs(n) + 1, abs(n) + 1, 0),
            ref_bra_apply_phihat_star(state, abs(n) + 1))
     yield ("phi_beta_star", fock.bra_apply_phi_beta_star(state, abs(n), top),
            ref_bra_apply_phi_beta_star(state, abs(n), top))
-    yield ("exp_minus_Theta", fock.bra_apply_exp_minus_Theta(state),
-           ref_bra_apply_theta_exp(state, -1))
+    yield ("conjugated_row", fock._phihat_row(state, abs(n) + 1, 1, 2),
+           row_by_taylor(state, abs(n) + 1, 1, 2))
     yield ("Theta_exp_star", fock.bra_apply_Theta_exp_star(state, top),
            ref_bra_apply_Theta_exp_star(state, top))
 

@@ -313,7 +313,7 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     want_sum = row[1] + row[3]
     want_difference = row[3] - row[2]
     state = fock.FockState({((-3, -5), 0): Fraction(1)})
-    want_state = fock.bra_apply_exp_minus_Theta(fock.bra_apply_phi_beta_star(state, 2, 10))
+    want_state = fock._phihat_row(fock.bra_apply_phi_beta_star(state, 2, 10), 3, 1, 2)
     want_poly = gq_oracle((2, 1), 4)
     want_gq = gq_pfaffian_1((2, 1), 4)
     for name in RING_DUNDERS:
@@ -322,7 +322,7 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     assert fresh[1] * fresh[2] == want_product
     assert fresh[1] + fresh[3] == want_sum
     assert fresh[3] - fresh[2] == want_difference
-    assert fock.bra_apply_exp_minus_Theta(fock.bra_apply_phi_beta_star(state, 2, 10)) == want_state
+    assert fock._phihat_row(fock.bra_apply_phi_beta_star(state, 2, 10), 3, 1, 2) == want_state
     assert want_state
     poly = gq_oracle((2, 1), 4)
     assert poly == want_poly
@@ -462,7 +462,8 @@ PROCESS_WIDE_TABLES = {
     "bases._image_partition", "bases._power_image", "dualq._PRODUCTS",
     "dualq._q_bracket_upto", "dualq.o_two_index", "finitevars._orbit_size",
     "finitevars._p_to_m", "fock._bra_insert", "fock._bra_vacuum_b", "fock._bra_word_b",
-    "fock._phi_beta_modes", "fock._theta_modes", "gq._PRODUCTS", "gq.gq_series",
+    "fock._phi_beta_modes", "fock._row_modes", "fock._theta_modes", "gq._PRODUCTS",
+    "gq.gq_series",
     "gq.gq_two_index", "hexpansion._rows",
     "hexpansion._state", "laurent._KERNEL_TABLES", "laurent.f_table", "laurent.g_table",
     "oracle._alternant", "oracle._kostka", "partitions.partitions_of",
