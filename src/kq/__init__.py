@@ -13,8 +13,9 @@ p_lambda / z_lambda over one denominator, and Fock states an int per (word,
 power of b) over one denominator; sums of series go through
 pseries.combination, and every Pfaffian coefficient in those sums is an
 int from the tables of module laurent.
-BetaScalar, the public Q[b] scalar, is only what a coefficient becomes once
-it leaves them, and the type of BETA, ONE, ZERO.
+BetaScalar, the public Q[b] scalar, is the value a coefficient becomes once
+it leaves them, and the type of BETA, ONE, ZERO: it holds a coefficient's
+b-power terms, compares, hashes and prints, and has no ring operations.
 """
 
 from .scalars import BETA, ONE, ZERO, BetaScalar

@@ -238,7 +238,7 @@ def bilinear_pair(f, g):
     truncated below it.  Each argument must lie in its ring, as
     bases._check_ring finds once per series.  Matching terms n_f, n_g of
     the store weigh 1 / (z_mu 2^{l(mu)}): int sums over both dens, one
-    Fraction per b-power.
+    Fraction per b-power, handed out as a BetaScalar.
     """
     for name, arg in (("f", f), ("g", g)):
         if not isinstance(arg, PSeries):

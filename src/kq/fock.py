@@ -72,9 +72,12 @@ class FockState:
     __slots__ = ("terms", "den")
 
     def __init__(self, terms):
-        """terms maps (canonical word, b-power) to int or Fraction values."""
+        """terms maps (canonical word, b-power) to int or Fraction values;
+        a bool b-power or value raises ValueError."""
         fracs = {}
         for (word, k), c in terms.items():
+            if bool in (type(k), type(c)):
+                raise ValueError(f"bad term {c!r} {word} b^{k!r}: a bool is not a number")
             word, k = tuple(map(operator.index, word)), operator.index(k)
             if (k < 0 or any(a <= b for a, b in zip(word, word[1:]))
                     or word and word[0] > 0 > word[-1]):

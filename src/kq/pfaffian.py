@@ -4,14 +4,14 @@ A matrix is given by its strict upper triangle only, as a dict
 {(i, j): entry} with i < j; the expansion never reads anything else, so
 there is no full-matrix form and no lower triangle to build or check.
 Entries only need +, -, * (and scalar multiples), so the same routine
-serves rational matrices, Q[b] matrices, and matrices of truncated power
-series; no division is needed, which is one reason Q[b] suffices as the
-scalar ring.  Sizes beyond MAX_SIZE = 10 are rejected.  Every Pfaffian
-formula in this package runs over the rows of a partition padded with a
-zero part to even length; padded_pfaffian is the only place that pads.
-It calls check_pfaffian_length before asking for any entry, so a
-partition longer than 10 fails at once and by name, before any table is
-built.
+serves the matrices of truncated power series that the routes build and
+the tests' rational and Q[b] matrices (the referees' ring); no division is
+needed, which is one reason Q[b] suffices as the scalar ring.  Sizes
+beyond MAX_SIZE = 10 are rejected.  Every Pfaffian formula in this
+package runs over the rows of a partition padded with a zero part to even
+length; padded_pfaffian is the only place that pads.  It calls
+check_pfaffian_length before asking for any entry, so a partition longer
+than 10 fails at once and by name, before any table is built.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ m_i(nu), m_i(mu)) p~_(mu u nu), a multiplicity cached once per pair of
 partitions, so a product multiplies ints; every sum of terms c b^e f, a
 sum or difference of two series and a scalar multiple included, is one
 pass of combination with one running den; and exponentials are closed
-forms (exp_power_sums).  Fractions and BetaScalars appear only at
-the boundary: the public constructor and _from_flat take coefficients of
-p_lambda, and sorted_items() hands them out as BetaScalars.
+forms (exp_power_sums).  Fractions appear only at the boundary: the
+public constructor and _from_flat take coefficients of p_lambda, and
+sorted_items() hands each out as a BetaScalar, a value that holds the
+coefficient's b-power terms and does no arithmetic.
 
 Invariant: degree_bound is an int >= 0; terms maps pairs (lambda, k),
 lambda a partition in the canonical form of check_partition of weight <=
@@ -79,9 +80,13 @@ class PSeries:
     __slots__ = ("terms", "den", "degree_bound", "_rings")
 
     def __init__(self, terms, degree_bound: int):
-        """terms maps partitions to int, Fraction or BetaScalar values."""
-        flat = {(check_partition(key), k): c
-                for key, val in terms.items() for k, c in _monomials(val)}
+        """terms maps partitions to int, Fraction or BetaScalar values; a
+        bool value raises ValueError."""
+        flat = {}
+        for key, val in terms.items():
+            if isinstance(val, bool):
+                raise ValueError(f"bad term {val!r} p_{key!r}: a bool is not a coefficient")
+            flat.update(((check_partition(key), k), c) for k, c in _monomials(val))
         made = PSeries._from_flat(flat, degree_bound)
         self.terms, self.den, self.degree_bound = made.terms, made.den, made.degree_bound
         self._rings = frozenset()
@@ -177,9 +182,6 @@ class PSeries:
             return NotImplemented
         return combination(((self, 0, 1), (other, 0, -1)), self.degree_bound)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return combination(((self, e, c) for e, c in _monomials(other)), self.degree_bound)
@@ -216,20 +218,8 @@ class PSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers of a series are not defined here")
-        out = PSeries.one(self.degree_bound)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, _SCALARS) and not isinstance(other, bool):
             other = PSeries.constant(other, self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented

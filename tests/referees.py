@@ -35,8 +35,9 @@ by inverting the matrix recursively, which referees gp's one ket; the
 one-row duals o_n from q^[b], which referee o_fermionic on one row and the
 padding column of o_pfaffian_2; GQ_n at any index, where the library keeps
 the row GQ_0..GQ_D; and the coefficient of one p_lambda in a series.
-The section after the partitions reads and writes the library's flat
-(key, b-power) terms as BetaScalars.
+The sections after the partitions hold the Q[b] ring that the library's
+scalar leaves out (Qb, with BETA, ONE and ZERO), and read and write the
+library's flat (key, b-power) terms as Qb values.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from kq.partitions import (check_degree_bound, check_partition, check_strict_wei
                            partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
 from kq.pseries import PSeries, combination, exp_power_sums
-from kq.scalars import BetaScalar, ONE, ZERO, _from_monomials, _monomials
+from kq.scalars import BetaScalar, _from_monomials, _monomials
 
 
 # -- partitions: the strict partitions up to a weight, which only tests list --
@@ -86,16 +87,136 @@ def strict_partitions_upto(bound: int):
         yield from strict_partitions_of(n)
 
 
-# -- the flat (key, b-power) terms, read and written as BetaScalars -----------
+# -- scalars: the Q[b] ring, which the library's BetaScalar leaves out -------
+#
+# kq hands coefficients out as BetaScalars, values with no ring operations.
+# Qb is a BetaScalar with them, over the same sparse terms {k: Fraction},
+# for the referees and the tests' expected values.  An operand may be an
+# int, a Fraction or any BetaScalar, and the result is a Qb, so a library
+# value compares equal to a Qb directly and Qb(value) wraps it.
+
+class Qb(BetaScalar):
+    """An element of Q[b] with +, -, *, division by a nonzero rational
+    constant and powers k >= 0; nothing leaves the ring."""
+
+    __slots__ = ()
+
+    @classmethod
+    def beta_power(cls, k: int, coeff=1) -> "Qb":
+        """coeff * b^k; k must be >= 0."""
+        if k < 0:
+            raise ValueError(f"b^{k} is not in Q[b]")
+        return _qb([(k, Fraction(coeff))])
+
+    def __add__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return _qb(out.items())
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _qb((k, -c) for k, c in self.terms.items())
+
+    def __sub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else other + -self
+
+    def __mul__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        out: dict = {}
+        for i, x in self.terms.items():
+            for j, y in other.terms.items():
+                out[i + j] = out.get(i + j, 0) + x * y
+        return _qb(out.items())
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero rational constant, the only one Q[b] needs."""
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero in Q[b]")
+        if set(other.terms) != {0}:
+            raise ArithmeticError(f"cannot divide by {other}: it depends on b")
+        return _qb((k, c / other.terms[0]) for k, c in self.terms.items())
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power {k} is not in Q[b]")
+        out = ONE
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+def _qb(pairs) -> Qb:
+    """sum c*b^k over (k, c) pairs of distinct ints k >= 0 and Fractions c."""
+    return Qb(_from_monomials(pairs))
+
+
+def _operand(v):
+    """v as a Qb if it is an int (not a bool), a Fraction or a BetaScalar."""
+    if isinstance(v, (BetaScalar, Fraction)) or isinstance(v, int) and not isinstance(v, bool):
+        return Qb(v)
+    return None
+
+
+ZERO = Qb(0)
+ONE = Qb(1)
+BETA = Qb.beta_power(1)
+
+
+def dense_str(poly) -> str:
+    """The printed form of sum poly[e] b^e, poly a dense coefficient tuple,
+    written term by term up from b^0 as "3/2", "b", "-b^2" or "2*b^3" and
+    joined with " + " or " - ", "0" for no term; referees the printing of
+    BetaScalar, which walks its sparse terms."""
+    bits = []
+    for e, c in enumerate(poly):
+        if c and e == 0:
+            bits.append(str(c))
+        elif c:
+            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+            bits.append(f"{head}b" + (f"^{e}" if e > 1 else ""))
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
+def check_boundary_scalar(c) -> None:
+    """Assert the contract of a scalar that leaves kq: as_polynomial() is a
+    tuple of Fraction with no trailing zero, () for zero; the public
+    constructor makes of it a value equal to c, with c's hash; and str(c)
+    is dense_str of it."""
+    poly = c.as_polynomial()
+    assert type(poly) is tuple and all(type(x) is Fraction for x in poly), poly
+    assert not poly or poly[-1], poly
+    again = BetaScalar(poly)
+    assert again == c and c == again and hash(again) == hash(c), (poly, c)
+    assert str(c) == dense_str(poly), (str(c), poly)
+
+
+# -- the flat (key, b-power) terms, read and written as Qb values -----------
 #
 # Finite polynomials keep one Fraction per (key, b-power); Fock states keep
 # an int over their den and are read through fraction_terms.  These helpers
-# move between that form and {key: BetaScalar} with public BetaScalar
-# arithmetic only, independently of the library's own conversions.  Series
-# are read through sorted_items instead.
+# move between that form and {key: Qb} with Qb arithmetic only,
+# independently of the library's own conversions.  Series are read through
+# sorted_items instead.
 
 def scalar_terms(flat):
-    """{key: BetaScalar} from flat {(key, k): c} terms, or from an object's
+    """{key: Qb} from flat {(key, k): c} terms, or from an object's
     .terms; zero sums are left out.  A PSeries is refused: its terms are
     ints over its den on p_lambda / z_lambda, read through sorted_items."""
     if isinstance(flat, PSeries):
@@ -104,7 +225,7 @@ def scalar_terms(flat):
     flat = getattr(flat, "terms", flat)
     out = {}
     for (key, k), c in flat.items():
-        out[key] = out.get(key, ZERO) + BetaScalar.beta_power(k, c)
+        out[key] = out.get(key, ZERO) + Qb.beta_power(k, c)
     return {key: v for key, v in out.items() if v}
 
 
@@ -112,13 +233,12 @@ def flat_terms(mapping):
     """Flat {(key, k): Fraction} terms from {key: scalar}, zeros left out."""
     out = {}
     for key, v in mapping.items():
-        for k, c in enumerate(BetaScalar(v).as_polynomial()):
-            if c:
-                out[(key, k)] = c
+        for k, c in _monomials(v):
+            out[(key, k)] = c
     return out
 
 
-def vacuum_part(state) -> BetaScalar:
+def vacuum_part(state) -> Qb:
     """The coefficient of the empty word in a Fock state."""
     return scalar_terms(state).get((), ZERO)
 
@@ -143,7 +263,7 @@ def binom_general(a, k: int) -> Fraction:
     return out
 
 
-def kernel_coefficient(p: int, q: int) -> BetaScalar:
+def kernel_coefficient(p: int, q: int) -> Qb:
     """[z^p w^q] of (z-w)/(z+w+b) expanded on |z| >> |w| >> |b|.
 
     Derived from (z+w+b)^{-1} = sum_k (-1)^k (w+b)^k z^{-k-1}; support is
@@ -160,16 +280,16 @@ def kernel_coefficient(p: int, q: int) -> BetaScalar:
     if k2 >= 0 and 1 <= q <= k2 + 1:
         c = binom_general(k2, q - 1)
         total += c if k2 % 2 else -c
-    return BetaScalar.beta_power(-p - q, total) if total else ZERO
+    return Qb.beta_power(-p - q, total) if total else ZERO
 
 
-def dual_kernel_coefficient(p: int, q: int) -> BetaScalar:
+def dual_kernel_coefficient(p: int, q: int) -> Qb:
     """[z^p w^q] of (z-w)/(z+w+bzw) expanded on |z| >> |w|, ascending in w.
 
     The library keeps only the rational part; the power of b is p+q.
     """
     c = _dual_kernel_rational(p, q)
-    return BetaScalar.beta_power(p + q, c) if c else ZERO
+    return Qb.beta_power(p + q, c) if c else ZERO
 
 
 def kernel_entries_by_convolution(a: int, c: int, x_max: int, y_max: int) -> dict:
@@ -233,11 +353,11 @@ def is_zero(f: PSeries) -> bool:
     return not f.terms
 
 
-def series_coefficient(f: PSeries, key) -> BetaScalar:
-    """The coefficient of p_key in f, as a BetaScalar."""
+def series_coefficient(f: PSeries, key) -> Qb:
+    """The coefficient of p_key in f, as a Qb."""
     key = check_partition(key)
     scale = f.den * z_lambda(key)
-    return _from_monomials((k, Fraction(n, scale)) for (mu, k), n in f.terms.items() if mu == key)
+    return _qb((k, Fraction(n, scale)) for (mu, k), n in f.terms.items() if mu == key)
 
 
 def exp(f: PSeries) -> PSeries:
@@ -370,9 +490,9 @@ def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
 
 
 def to_deformed_basis(f: PSeries, flavor: str) -> dict:
-    """{lambda: BetaScalar} coordinates of f in the deformed power-sum basis
-    of the flavor, by elimination; a fresh dict."""
-    return dict(_eliminate(f, flavor).sorted_items())
+    """{lambda: Qb} coordinates of f in the deformed power-sum basis of the
+    flavor, by elimination; a fresh dict."""
+    return {mu: Qb(c) for mu, c in _eliminate(f, flavor).sorted_items()}
 
 
 def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
@@ -404,13 +524,13 @@ def _eliminate(f: PSeries, flavor: str) -> PSeries:
     return PSeries._from_flat(out, bound)
 
 
-def pair_by_elimination(f: PSeries, g: PSeries) -> BetaScalar:
+def pair_by_elimination(f: PSeries, g: PSeries) -> Qb:
     """<f, g> as the paper defines it: the coordinates of f in the paren
     basis and of g in the bracket basis, by elimination, paired."""
     return pair_coordinates(_eliminate(f, "paren"), _eliminate(g, "bracket"))
 
 
-def pair_coordinates(cf: PSeries, cg: PSeries) -> BetaScalar:
+def pair_coordinates(cf: PSeries, cg: PSeries) -> Qb:
     """The paper's form on coordinates, kept as series whose terms are the
     coordinates (as _eliminate returns them): z_lambda 2^{-l(lambda)} on
     matching partitions.  A coordinate on a partition with an even part
@@ -426,7 +546,7 @@ def pair_coordinates(cf: PSeries, cg: PSeries) -> BetaScalar:
         for kb, c in right.get(mu, ()):
             total[ka + kb] = total.get(ka + kb, 0) + Fraction(
                 a * c, cf.den * cg.den * z_lambda(mu) * 2 ** len(mu))
-    return _from_monomials(total.items())
+    return _qb(total.items())
 
 
 # -- finitevars: polynomials monomial by monomial, and the substitution ------
@@ -439,13 +559,13 @@ def pair_coordinates(cf: PSeries, cg: PSeries) -> BetaScalar:
 # checks symmetry and reads one value per orbit back.
 
 def _grouped(flat) -> dict:
-    """{key: BetaScalar} from flat {(key, k): Fraction} terms, zeros dropped."""
+    """{key: Qb} from flat {(key, k): Fraction} terms, zeros dropped."""
     pairs: dict = {}
     for (key, k), c in flat.items():
         pairs.setdefault(key, []).append((k, c))
     out = {}
     for key, got in pairs.items():
-        value = _from_monomials(got)
+        value = _qb(got)
         if value:
             out[key] = value
     return out
@@ -457,7 +577,7 @@ class FinitePoly:
     terms is flat: it maps (exps, k), exps a full-length
     exponent tuple and k an int >= 0, to the nonzero Fraction c of the term
     c*b^k*x^exps.  The constructor takes {exps: int, Fraction or
-    BetaScalar}, and coefficient() hands a coefficient out as a BetaScalar.
+    BetaScalar}, and coefficient() hands a coefficient out as a Qb.
     """
 
     __slots__ = ("nvars", "terms")
@@ -547,9 +667,9 @@ class FinitePoly:
     def total_degree(self):
         return max((sum(exps) for exps, _ in self.terms), default=None)
 
-    def coefficient(self, exps) -> BetaScalar:
+    def coefficient(self, exps) -> Qb:
         exps = tuple(exps)
-        return _from_monomials((k, c) for (e, k), c in self.terms.items() if e == exps)
+        return _qb((k, c) for (e, k), c in self.terms.items() if e == exps)
 
     def __str__(self):
         if not self.terms:
@@ -909,7 +1029,7 @@ def binomial_block(variables, index: int, k: int, depth: int,
             continue
         exps = [0] * m
         exps[index] = -j if inverse_powers else j
-        terms[tuple(exps)] = BetaScalar.beta_power(j, c)
+        terms[tuple(exps)] = Qb.beta_power(j, c)
     complete = 0 <= k <= depth  # a genuine polynomial fully captured
     window = []
     kb, ka = [], []
@@ -1146,7 +1266,7 @@ def bra_apply_b(state, m):
     return _like(state, out)
 
 
-def pair(bra, ket) -> BetaScalar:
+def pair(bra, ket) -> Qb:
     """Vacuum expectation <w|v>; this is where <0|phi_0|0> = 0 lives."""
     total = ZERO
     for (kword, k), kcoeff in fraction_terms(ket).items():
@@ -1156,11 +1276,11 @@ def pair(bra, ket) -> BetaScalar:
             if not folded:
                 break
         else:
-            total = total + BetaScalar.beta_power(k, kcoeff) * vacuum_part(folded)
+            total = total + Qb.beta_power(k, kcoeff) * vacuum_part(folded)
     return total
 
 
-def vev_direct(letters) -> BetaScalar:
+def vev_direct(letters) -> Qb:
     """<0| phi_{n_1} ... phi_{n_k} |0> by normal ordering, no Pfaffian."""
     state = {((), 0): Fraction(1)}
     for n in letters:
@@ -1179,12 +1299,12 @@ def two_point(a: int, b: int):
     return Fraction(0)
 
 
-def wick_expectation(letters) -> BetaScalar:
+def wick_expectation(letters) -> Qb:
     """<0| phi_{n_1} ... phi_{n_{2r}} |0> as the Pfaffian of two-points."""
     letters = tuple(letters)
     if len(letters) % 2:
         return ZERO
-    return BetaScalar(padded_pfaffian(
+    return Qb(padded_pfaffian(
         letters, Fraction(1), lambda i, j, a, b: two_point(a, b)))
 
 
@@ -1194,7 +1314,7 @@ def gq_coefficient(n: int, degree_bound: int) -> PSeries:
     """GQ_n for any int n: the closed form (-b)^{-n} for n <= 0, zero past
     the bound, and the entry of gq_series(degree_bound) in between."""
     if n <= 0:
-        return PSeries({(): BetaScalar.beta_power(-n, -1 if n % 2 else 1)}, degree_bound)
+        return PSeries({(): Qb.beta_power(-n, -1 if n % 2 else 1)}, degree_bound)
     if n > degree_bound:
         return PSeries.zero(degree_bound)
     return gq_series(degree_bound)[n]
@@ -1239,7 +1359,7 @@ def check_kq_cancellation(f, degree_bound, nvars):
         for j in range(D - m + 1):
             cb = binom_general(D - exps[1], j)
             key = (tpow + j, tail)
-            add = c * BetaScalar.beta_power(j, cb * sgn)
+            add = c * Qb.beta_power(j, cb * sgn)
             prev = cleared.get(key)
             cleared[key] = add if prev is None else prev + add
     return not any(cleared.values())
@@ -1256,8 +1376,8 @@ def pairing_i(m, n):
     if m < n:
         return ZERO
     if m == n:
-        return ONE if m == 0 else BetaScalar(2)
-    return BetaScalar.beta_power(m - n, -1 if (m - n) % 2 else 1)
+        return ONE if m == 0 else Qb(2)
+    return Qb.beta_power(m - n, -1 if (m - n) % 2 else 1)
 
 
 def _check_word(word, name):
@@ -1362,7 +1482,7 @@ def inner_product_formula(lam, mu):
         return ZERO
     d = sum(mu) - sum(lam)
     c = Fraction(-1 if d % 2 else 1, 2 ** row_count(mu, lam))
-    return BetaScalar.beta_power(d, c)
+    return Qb.beta_power(d, c)
 
 
 def interlacing_column(lam):
@@ -1438,7 +1558,7 @@ def check_dual_cancellation(g, nvars):
             if tpow == 0:
                 continue
             cb = binom_general(e1, j)
-            add = c * BetaScalar.beta_power(e1 - j, -cb if e1 % 2 else cb)
+            add = c * Qb.beta_power(e1 - j, -cb if e1 % 2 else cb)
             key = (tpow, tail)
             prev = slices.get(key)
             slices[key] = add if prev is None else prev + add

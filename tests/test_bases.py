@@ -8,9 +8,8 @@ from kq import bases
 from kq.bases import FLAVORS, _check_ring
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
-from kq.scalars import BETA, ONE, BetaScalar
-from referees import (_eliminate, at_b, eval_finite, from_deformed_basis, is_zero, p_beta,
-                      p_bracket, q_series, scalar_terms, series_coefficient,
+from referees import (BETA, ONE, Qb, _eliminate, at_b, eval_finite, from_deformed_basis, is_zero,
+                      p_beta, p_bracket, q_series, scalar_terms, series_coefficient,
                       to_deformed_basis)
 
 
@@ -29,7 +28,7 @@ def test_q_series_finite_evaluation():
     q = q_series(5)
     for n in range(1, 6):
         g = eval_finite(q[n], 1)
-        assert scalar_terms(g) == {(n,): BetaScalar(2)}
+        assert scalar_terms(g) == {(n,): Qb(2)}
 
 
 def test_q_pieri_like_symmetry():
@@ -75,9 +74,9 @@ def test_one_variable_substitution_consistency():
     # (x/(1+(b/2)x))^n expanded to the same order; check n=1, x=1
     f = eval_finite(p_beta(1, 5), 1)
     # sum_m (-b/2)^{m-1} x^m at x=1: 1 - b/2 + b^2/4 - ...
-    val = sum(scalar_terms(f).values(), BetaScalar(0))
+    val = sum(scalar_terms(f).values(), Qb(0))
     expect = sum(((-BETA * Fraction(1, 2)) ** k for k in range(5)),
-                 BetaScalar(0))
+                 Qb(0))
     assert val == expect
 
 

@@ -25,8 +25,11 @@ from kq.partitions import (
     z_lambda,
 )
 from kq.pseries import PSeries
-from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
+    BETA,
+    ONE,
+    ZERO,
+    Qb,
     _eliminate,
     at_b,
     binom_general,
@@ -87,7 +90,7 @@ def test_q_bracket_low_terms():
     assert qb[0] == PSeries.one(4)
     assert qb[1] == PSeries({(1,): 2}, 4)
     # q^[b]_2 = 2 p_1^2 - b p_1; no p_2, as in the classical case
-    assert qb[2] == PSeries({(1, 1): 2, (1,): BetaScalar.beta_power(1, -1)}, 4)
+    assert qb[2] == PSeries({(1, 1): 2, (1,): Qb.beta_power(1, -1)}, 4)
 
 
 def test_q_bracket_beta_zero_is_classical():
@@ -112,7 +115,7 @@ def test_o_series_low_values():
     D = 5
     assert o_one_row(0, D) == PSeries({(): HALF}, D)
     assert o_one_row(1, D) == PSeries(
-        {(1,): 1, (): BetaScalar.beta_power(1, -HALF)}, D
+        {(1,): 1, (): Qb.beta_power(1, -HALF)}, D
     )
 
 
@@ -138,7 +141,7 @@ def test_o_series_constant_terms():
     # that pairing against 1 vanishes for nonempty rows
     D = 6
     for n in range(D + 1):
-        want = BetaScalar.beta_power(n, Fraction(-1 if n % 2 else 1, 2))
+        want = Qb.beta_power(n, Fraction(-1 if n % 2 else 1, 2))
         assert series_coefficient(o_one_row(n, D), ()) == want
 
 
@@ -221,7 +224,7 @@ def test_padding_column_is_the_twisted_one_row_duals(monkeypatch):
         entry = o_pfaffian_2((1,), D)
         for i in range(1, 12):
             for li in range(1, D + 1):
-                want = sum((o_one_row(li - k, D) * BetaScalar.beta_power(k, binom_general(1 - i, k))
+                want = sum((o_one_row(li - k, D) * Qb.beta_power(k, binom_general(1 - i, k))
                             for k in range(li + 1)), PSeries.zero(D))
                 assert entry(i, i + 1, li, None) == want, (i, li, D)
 
@@ -256,10 +259,10 @@ def test_o_rejects_bad_input():
 
 def test_pairing_i_values():
     assert pairing_i(0, 0) == ONE
-    assert pairing_i(3, 3) == BetaScalar(2)
+    assert pairing_i(3, 3) == Qb(2)
     assert pairing_i(1, 3) == ZERO
-    assert pairing_i(2, 1) == BetaScalar.beta_power(1, -1)
-    assert pairing_i(3, 1) == BetaScalar.beta_power(2, 1)
+    assert pairing_i(2, 1) == Qb.beta_power(1, -1)
+    assert pairing_i(3, 1) == Qb.beta_power(2, 1)
 
 
 def test_fock_pairing_vacuum_cases():
@@ -269,15 +272,15 @@ def test_fock_pairing_vacuum_cases():
 
 def test_fock_pairing_product_example():
     # I(3,2) I(1,1) = (-b) * 2
-    assert fock_pairing((3, 1), (2, 1)) == BetaScalar.beta_power(1, -2)
+    assert fock_pairing((3, 1), (2, 1)) == Qb.beta_power(1, -2)
 
 
 def test_fock_pairing_zero_reservoir():
     # the empty ket supplies zero rows instead of forcing the value to 0:
     # ^g<1,0|empty> = I(1,0) I(0,0) = -b
-    assert fock_pairing((1, 0), ()) == BetaScalar.beta_power(1, -1)
+    assert fock_pairing((1, 0), ()) == Qb.beta_power(1, -1)
     # I(2,1) I(1,0) I(0,0) = (-b)(-b) = b^2
-    assert fock_pairing((2, 1, 0), (1,)) == BetaScalar.beta_power(2, 1)
+    assert fock_pairing((2, 1, 0), (1,)) == Qb.beta_power(2, 1)
     # an odd length gap kills the element outright
     assert fock_pairing((1,), ()) == ZERO
     assert fock_pairing((2, 1), (1,)) == ZERO
@@ -320,11 +323,11 @@ def test_fock_pairing_internal_check_random(mu, lam):
 
 def test_bilinear_pair_basis_normalization():
     D = 5
-    assert bilinear_pair(p_beta(1, D), p_bracket(1)) == BetaScalar.beta_power(0, HALF)
+    assert bilinear_pair(p_beta(1, D), p_bracket(1)) == Qb.beta_power(0, HALF)
     f = p_beta(3, D) * p_beta(1, D) * p_beta(1, D)
     g = p_bracket(3, D) * p_bracket(1, D) * p_bracket(1, D)
     # z_{(3,1,1)} = 6, l = 3: 6 / 8
-    assert bilinear_pair(f, g) == BetaScalar.beta_power(0, Fraction(3, 4))
+    assert bilinear_pair(f, g) == Qb.beta_power(0, Fraction(3, 4))
     off = p_bracket(1, D) * p_bracket(1, D) * p_bracket(1, D)
     assert bilinear_pair(p_beta(3, D), off) == ZERO
 
@@ -484,15 +487,15 @@ def test_length_filtered_recursion_fails_duality():
                 continue
             d = sum(lam) - sum(mu)
             c = Fraction(-1 if d % 2 else 1, 2 ** row_count(lam, mu))
-            acc = acc - gp_filtered(mu) * BetaScalar.beta_power(d, c)
+            acc = acc - gp_filtered(mu) * Qb.beta_power(d, c)
         return acc
 
     assert gp_filtered((1,)) == o_one_row(1, D)
-    assert gp_filtered((2,)) == o_one_row(2, D) + o_one_row(1, D) * BetaScalar.beta_power(1, HALF)
+    assert gp_filtered((2,)) == o_one_row(2, D) + o_one_row(1, D) * Qb.beta_power(1, HALF)
     one = PSeries.one(D)
     for n in (1, 2, 3):
         got = bilinear_pair(one, gp_filtered((n,)))
-        assert got == BetaScalar.beta_power(n, Fraction(-1 if n % 2 else 1, 2 ** n))
+        assert got == Qb.beta_power(n, Fraction(-1 if n % 2 else 1, 2 ** n))
         assert got != ZERO
 
 
@@ -509,7 +512,7 @@ def test_triangle_formula_small_sweep():
 def test_triangle_reaches_across_length_gap():
     # lengths 1 vs 3; the pairing is a clean power of -b/2, not zero
     got = bilinear_pair(gq1((1,), 6), o_pfaffian_1((3, 2, 1), 6))
-    assert got == BetaScalar.beta_power(5, Fraction(-1, 8))
+    assert got == Qb.beta_power(5, Fraction(-1, 8))
     assert got == inner_product_formula((1,), (3, 2, 1))
 
 
@@ -536,16 +539,16 @@ def test_scaled_fock_route_matches_triangle():
 
 def test_inner_product_formula_examples():
     assert inner_product_formula((2,), (2,)) == ONE
-    assert inner_product_formula((1,), (2,)) == BetaScalar.beta_power(1, -HALF)
-    assert inner_product_formula((1,), (2, 1)) == BetaScalar.beta_power(2, Fraction(1, 4))
+    assert inner_product_formula((1,), (2,)) == Qb.beta_power(1, -HALF)
+    assert inner_product_formula((1,), (2, 1)) == Qb.beta_power(2, Fraction(1, 4))
 
 
 def test_inner_product_formula_containment_only():
     assert inner_product_formula((2,), (1,)) == ZERO
-    assert inner_product_formula((3, 1), (3, 2)) == BetaScalar.beta_power(1, -HALF)
+    assert inner_product_formula((3, 1), (3, 2)) == Qb.beta_power(1, -HALF)
     # the empty row pairs against the constant term of o_mu
-    assert inner_product_formula((), (3, 2, 1)) == BetaScalar.beta_power(6, Fraction(1, 8))
-    assert inner_product_formula((), (1,)) == BetaScalar.beta_power(1, -HALF)
+    assert inner_product_formula((), (3, 2, 1)) == Qb.beta_power(6, Fraction(1, 8))
+    assert inner_product_formula((), (1,)) == Qb.beta_power(1, -HALF)
 
 
 # -- gp ------------------------------------------------------------------------
@@ -595,8 +598,8 @@ def test_gp_low_values():
     assert gp((1,), D) == PSeries.p(1, D)
     want2 = (
         o_one_row(2, D)
-        + o_one_row(1, D) * BetaScalar.beta_power(1, HALF)
-        - PSeries.one(D) * BetaScalar.beta_power(2, Fraction(1, 4))
+        + o_one_row(1, D) * Qb.beta_power(1, HALF)
+        - PSeries.one(D) * Qb.beta_power(2, Fraction(1, 4))
     )
     assert gp((2,), D) == want2
 
@@ -616,11 +619,11 @@ def test_gp_reconstruction_needs_the_constant_row():
     D = 5
     three_terms = (
         gp((3,), D)
-        - gp((2,), D) * BetaScalar.beta_power(1, HALF)
-        + gp((1,), D) * BetaScalar.beta_power(2, HALF)
+        - gp((2,), D) * Qb.beta_power(1, HALF)
+        + gp((1,), D) * Qb.beta_power(2, HALF)
     )
     diff = o_pfaffian_1((3,), D) - three_terms
-    assert diff == PSeries.one(D) * BetaScalar.beta_power(3, -HALF)
+    assert diff == PSeries.one(D) * Qb.beta_power(3, -HALF)
 
 
 def test_gp_triangular_shape():
@@ -716,7 +719,7 @@ def test_cauchy_kernel_double_expansion():
         acc = PSeries.zero(T)
         for k in range(T - n + 1):
             c = binom_general(-n, k)
-            acc = acc + PSeries.p(n + k, T) * BetaScalar.beta_power(k, -c if n % 2 else c)
+            acc = acc + PSeries.p(n + k, T) * Qb.beta_power(k, -c if n % 2 else c)
         return acc
 
     def tensor_mul(f, g):
@@ -821,4 +824,4 @@ def test_deformed_ket_killed_by_high_star_modes():
 
 
 def test_deformed_ket_survives_one_above_top():
-    assert ghost_element((), 2, (1,)) == BetaScalar.beta_power(1, 1)
+    assert ghost_element((), 2, (1,)) == Qb.beta_power(1, 1)

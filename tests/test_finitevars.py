@@ -9,8 +9,7 @@ from kq.finitevars import SymmetricPoly, _p_to_m, from_finite
 from kq.oracle import gq_oracle
 from kq.partitions import partitions_upto
 from kq.pseries import PSeries
-from kq.scalars import BETA, ONE, BetaScalar
-from referees import (FinitePoly, eval_finite, expand, from_finite_by_fractions,
+from referees import (BETA, ONE, Qb, FinitePoly, eval_finite, expand, from_finite_by_fractions,
                       monomial_coordinates, power_sum_poly, scalar_terms, strict_partitions_upto)
 
 
@@ -26,7 +25,7 @@ def test_eval_finite_products():
     f = PSeries({(1, 1): 1}, 4)
     g = eval_finite(f, 2)
     assert g.coefficient((2, 0)) == ONE
-    assert g.coefficient((1, 1)) == BetaScalar(2)
+    assert g.coefficient((1, 1)) == Qb(2)
     assert g.coefficient((0, 2)) == ONE
 
 
@@ -108,7 +107,7 @@ def test_bad_variable_count_rejected(nvars):
 
 
 def test_scalar_multiples():
-    # int, Fraction and BetaScalar factors, on either side
+    # int, Fraction and Qb factors, on either side
     g = FinitePoly(2, {(1, 0): 1, (0, 1): BETA + 1})
     half = FinitePoly(2, {(1, 0): Fraction(1, 2), (0, 1): (BETA + 1) / 2})
     assert g * Fraction(1, 2) == half

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from kq import fock
 from kq.fock import FockState
-from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
+    BETA,
+    ONE,
+    ZERO,
+    Qb,
     bra_apply_b,
     bra_apply_phi,
     fraction_terms,
@@ -30,7 +33,7 @@ from referees import (
     wick_expectation,
 )
 
-B = BetaScalar
+B = Qb
 EMPTY = FockState({})
 
 # states are FockStates: int numerators per (word, b-power) over one den
@@ -527,6 +530,11 @@ def test_constructor_reduces_and_checks_words():
     for word, k in [((-2, -1), 0), ((1, -1), 0), ((-1, -1), 0), ((-1,), -1)]:
         with pytest.raises(ValueError):
             FockState({(word, k): 1})
+    # a bool b-power or value is refused by name, not read as 1
+    for terms, bad in [({((0,), True): 1}, r"1 \(0,\) b\^True"),
+                       ({((-1,), 0): True}, r"True \(-1,\) b\^0")]:
+        with pytest.raises(ValueError, match=bad):
+            FockState(terms)
 
 
 def test_Theta_cut_holds_on_input_words():

@@ -17,12 +17,11 @@ from kq.hexpansion import vacuum_expectation
 from kq.laurent import _univariate, f_table
 from kq.oracle import gq_oracle
 from kq.pseries import PSeries, combination
-from kq.scalars import ONE, BetaScalar
-from referees import (at_b, binom_general, check_kq_cancellation, classical_q, eval_finite,
-                      exp, gq_coefficient, is_zero, ket_apply_phi_beta, ket_apply_Theta_exp,
-                      kernel_coefficient, p_beta, q_series, ref_bra_apply_Theta_exp_star,
-                      scalar_terms, series_coefficient, star_bra, strict_partitions_upto,
-                      to_deformed_basis, two_row_q)
+from referees import (ONE, Qb, at_b, binom_general, check_kq_cancellation, classical_q,
+                      eval_finite, exp, gq_coefficient, is_zero, ket_apply_phi_beta,
+                      ket_apply_Theta_exp, kernel_coefficient, p_beta, q_series,
+                      ref_bra_apply_Theta_exp_star, scalar_terms, series_coefficient, star_bra,
+                      strict_partitions_upto, to_deformed_basis, two_row_q)
 
 
 def zpoly_exp(parts, D):
@@ -50,7 +49,7 @@ def log_eta_parts(D):
         pn = PSeries.p(n, D)
         w = Fraction(1 if n % 2 else -1, n)
         for j in range(n + 1):
-            ex[j] = ex[j] + pn * BetaScalar.beta_power(n - j, w * binom_general(n, j))
+            ex[j] = ex[j] + pn * Qb.beta_power(n - j, w * binom_general(n, j))
         ex[n] = ex[n] + pn * Fraction(1, n)
     return ex
 
@@ -58,7 +57,7 @@ def log_eta_parts(D):
 def theta_minus_beta(D):
     acc = PSeries.zero(D)
     for n in range(1, D + 1):
-        acc = acc + PSeries.p(n, D) * BetaScalar.beta_power(n, Fraction(-1 if n % 2 else 1, n))
+        acc = acc + PSeries.p(n, D) * Qb.beta_power(n, Fraction(-1 if n % 2 else 1, n))
     return exp(acc)
 
 
@@ -77,7 +76,7 @@ def test_series_x_zero_specialization():
     # constant term: (-beta)^{-n} for n <= 0, nothing for n >= 1
     D = 6
     for n in range(-D, 0 + 1):
-        want = BetaScalar.beta_power(-n, -1 if n % 2 else 1)
+        want = Qb.beta_power(-n, -1 if n % 2 else 1)
         assert series_coefficient(gq_coefficient(n, D), ()) == want
     assert series_coefficient(gq_series(D)[0], ()) == ONE
     for n in range(1, D + 1):
@@ -104,7 +103,7 @@ def test_series_extends_below_default_window():
     f, e, sign = _pair(-9, 1, 4)
     assert combination([(f, e, sign)], 4) == gq_coefficient(-9, 4) * gq_series(4)[1]
     f, e, sign = _pair(-9, -2, 4)
-    assert series_coefficient(combination([(f, e, sign)], 4), ()) == BetaScalar.beta_power(11, -1)
+    assert series_coefficient(combination([(f, e, sign)], 4), ()) == Qb.beta_power(11, -1)
 
 
 def test_nonpositive_coefficients_are_the_closed_form():
@@ -155,7 +154,7 @@ def test_generating_function_rearrangement():
     tm = theta_minus_beta(D)
     rhs = zpoly_exp(log_eta_parts(D), D)
     for n in range(-4, D + 1):
-        lhs = tm * (gq_coefficient(n, D) + gq_coefficient(n + 1, D) * BetaScalar.beta_power(1))
+        lhs = tm * (gq_coefficient(n, D) + gq_coefficient(n + 1, D) * Qb.beta_power(1))
         want = rhs[n] if n >= 0 else PSeries.zero(D)
         assert lhs == want
 
@@ -177,7 +176,7 @@ def test_vacuum_matrix_element_closed_form():
     D = 5
     ex = log_eta_parts(D)
     for n in range(1, D + 1):
-        ex[0] = ex[0] + PSeries.p(n, D) * BetaScalar.beta_power(n, Fraction(-1 if n % 2 else 1, n))
+        ex[0] = ex[0] + PSeries.p(n, D) * Qb.beta_power(n, Fraction(-1 if n % 2 else 1, n))
     closed = zpoly_exp(ex, D)
     for m in range(5):
         state = ket_apply_Theta_exp(fock.vacuum(), D)
@@ -185,7 +184,7 @@ def test_vacuum_matrix_element_closed_form():
         state = ket_apply_Theta_exp_opposite(state, D)
         state = ket_apply_phi_beta(state, m, D)
         lhs = vacuum_expectation(star_bra(state), "paren", D)
-        rhs = closed[m] + closed[m + 1] * BetaScalar.beta_power(1)
+        rhs = closed[m] + closed[m + 1] * Qb.beta_power(1)
         assert lhs == rhs
 
 
@@ -236,7 +235,7 @@ def test_window_widening_changes_nothing():
         acc = PSeries.zero(D)
         for (q, p), c in tab.items():
             term = gq_coefficient(li + p, D) * gq_coefficient(lj + q, D)
-            acc = acc + term * BetaScalar.beta_power(p + q, c)
+            acc = acc + term * Qb.beta_power(p + q, c)
         return acc
 
     assert entry(D - li, D - lj) == entry(2 * D, 2 * D)
@@ -251,7 +250,7 @@ def raw_two_index(a, b, D, slack):
     at z1^{-mp} z2^q from the referee's own closed form, and no f-table."""
     acc = PSeries.zero(D)
     for sp in range(max(0, D - a) + slack + 1):
-        sc = BetaScalar.beta_power(sp, -1 if sp % 2 else 1)
+        sc = Qb.beta_power(sp, -1 if sp % 2 else 1)
         for mp in range(max(0, D - a - sp) + slack + 1):
             gi = gq_coefficient(a + sp + mp, D)
             if is_zero(gi):

@@ -8,9 +8,9 @@ from kq.bases import _power_image
 from kq.hexpansion import _rows, vacuum_expectation
 from kq.partitions import partitions_upto, z_lambda
 from kq.pseries import PSeries
-from kq.scalars import BETA, ONE, ZERO, BetaScalar
-from referees import (bra_apply_b, classical_q, deformed_q, flat_terms, is_zero, p_beta, pair,
-                      rows_at, series_coefficient, star_bra, strict_partitions_upto, two_row_q)
+from referees import (BETA, ONE, ZERO, Qb, bra_apply_b, classical_q, deformed_q, flat_terms,
+                      is_zero, p_beta, pair, rows_at, series_coefficient, star_bra,
+                      strict_partitions_upto, two_row_q)
 
 D = 6
 
@@ -61,7 +61,7 @@ def test_q_orthogonality():
         for mu in parts:
             got = classical_pairing(classical_q(lam, D), classical_q(mu, D))
             if lam == mu:
-                assert got == BetaScalar(2 ** len(lam))
+                assert got == Qb(2 ** len(lam))
             else:
                 assert got == ZERO
 
@@ -153,7 +153,7 @@ def test_expectation_of_single_excitation():
 
 
 def test_expectation_is_linear():
-    v = bra(flat_terms({(1, 0): BetaScalar(3), (2, 1): -BETA + 2}))
+    v = bra(flat_terms({(1, 0): Qb(3), (2, 1): -BETA + 2}))
     got = vacuum_expectation(v, "bracket", D)
     expect = (
         deformed_q((1,), "bracket", D) * 3
@@ -260,7 +260,7 @@ def test_rows_are_the_pfaffian_q():
         scale = Fraction(-1 if sum(mu) % 2 else 1, 2 ** len(mu))
         for nu in partitions_upto(bound):
             want = series_coefficient(q, nu) * z_lambda(nu) * scale
-            assert BetaScalar(got.get(nu, 0)) == want, (mu, nu)
+            assert Qb(got.get(nu, 0)) == want, (mu, nu)
     assert set(rows) <= words
 
 

@@ -9,8 +9,11 @@ from kq.laurent import (_KERNEL_TABLES, _dual_kernel_rational, _kernel_entries, 
                         _univariate, f_table, g_table)
 from kq.partitions import even_ceil
 from kq.pseries import PSeries, combination
-from kq.scalars import BETA, ONE, ZERO, BetaScalar
 from referees import (
+    BETA,
+    ONE,
+    ZERO,
+    Qb,
     LaurentBlock,
     gq_coefficient,
     at_b,
@@ -28,7 +31,7 @@ from referees import (
 
 
 def B(k, c=1):
-    return BetaScalar.beta_power(k, Fraction(c))
+    return Qb.beta_power(k, Fraction(c))
 
 
 def value(table, *key):
@@ -36,13 +39,12 @@ def value(table, *key):
     coefficient of b^(x+y) under (x, y), and a univariate table that of
     b^p under p."""
     c = table.get(key[0] if len(key) == 1 else key, 0)
-    return BetaScalar.beta_power(sum(key), c) if c else ZERO
+    return Qb.beta_power(sum(key), c) if c else ZERO
 
 
 def poly_block(variables, terms):
     return LaurentBlock.from_polynomial(
-        variables, {e: BetaScalar(c) if not isinstance(c, BetaScalar) else c
-                    for e, c in terms.items()}, ZERO)
+        variables, {e: Qb(c) for e, c in terms.items()}, ZERO)
 
 
 # ---------------------------------------------------------------- kernels

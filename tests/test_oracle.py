@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from kq.finitevars import SymmetricPoly
 from kq.oracle import _MASK, _W, _alternant, _kostka, _tail_product, gq_oracle
 from kq.partitions import partitions_of
-from kq.scalars import BETA, ZERO
-from referees import (FinitePoly, _add_into, _divide_pair, _divided_difference, _mono, _mul,
-                      _pair_difference, at_b, classical_q, eval_finite, expand,
+from referees import (BETA, ZERO, FinitePoly, _add_into, _divide_pair, _divided_difference, _mono,
+                      _mul, _pair_difference, at_b, classical_q, eval_finite, expand,
                       gq_oracle_divided, gq_oracle_full, gq_oracle_literal, scalar_terms,
                       strict_partitions_upto, tail_orbits_written_out, tail_product_brute)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kq.dualq import o_pfaffian_1, o_pfaffian_2
 from kq.gq import gq_pfaffian_1, gq_pfaffian_2
 from kq.pfaffian import check_pfaffian_length, pfaffian_from_upper
-from kq.scalars import BETA, ONE, BetaScalar
+from referees import BETA, ONE
 
 
 def matchings(elements):

@@ -1,38 +1,50 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.scalars import BETA, ONE, ZERO, BetaScalar
-from referees import at_b, binom_general
+import kq
+from kq.dualq import bilinear_pair, gp, o_fermionic, o_pfaffian_1, o_pfaffian_2
+from kq.gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
+from kq.scalars import BetaScalar
+from referees import (BETA, ONE, ZERO, Qb, at_b, binom_general, check_boundary_scalar,
+                      strict_partitions_upto)
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 polys = st.lists(fracs, max_size=4).map(tuple)
-scalars = polys.map(BetaScalar)
+scalars = polys.map(Qb)
 
 
 # the coefficients the library builds are mostly single monomials c*b^k
 nonzero = fracs.filter(bool)
-monomials = st.builds(BetaScalar.beta_power, st.integers(0, 5), nonzero)
+monomials = st.builds(Qb.beta_power, st.integers(0, 5), nonzero)
 mixed = st.one_of(scalars, monomials)
 
 
 def assert_normal_form(x):
-    # what the public constructor would make of the same tuple
-    y = BetaScalar(x.num)
-    assert x == y and x.num == y.num and hash(x) == hash(y)
-    assert all(type(c) is Fraction for c in x.num)
-    assert not x.num or x.num[-1] != 0
+    # sparse terms of nonzero Fractions, and what the public constructor
+    # makes of the dense tuple that leaves the package
+    assert all(type(k) is int and k >= 0 and type(c) is Fraction and c
+               for k, c in x.terms.items())
+    check_boundary_scalar(x)
 
 
 def test_normal_form():
     # trailing zero coefficients are trimmed, so equality is structural
     s = BetaScalar((1, 0, Fraction(0)))
-    assert s == ONE and s.num == (Fraction(1),)
-    assert BetaScalar((0, 0)).num == ()
-    assert (BETA - BETA).num == ()
+    assert s == ONE and s.terms == {0: Fraction(1)} and s.as_polynomial() == (Fraction(1),)
+    assert BetaScalar((0, 0)).terms == {} and BetaScalar((0, 0)).as_polynomial() == ()
+    assert (BETA - BETA).terms == {}
+    # the library's constants are values of the public type, equal to the
+    # referee ring's; a scalar compares with ints and Fractions too
+    assert (kq.BETA, kq.ONE, kq.ZERO) == (BETA, ONE, ZERO)
+    assert {type(kq.BETA), type(kq.ONE), type(kq.ZERO)} == {BetaScalar}
+    assert kq.ONE == 1 and kq.ZERO == 0 and kq.BETA != 1
+    assert BetaScalar((Fraction(3, 2),)) == Fraction(3, 2) and BetaScalar(0) != 1
+    assert Qb(kq.BETA) + 1 == BetaScalar((1, 1))
 
 
 def test_zero_denominator_rejected():
@@ -41,7 +53,7 @@ def test_zero_denominator_rejected():
 
 
 def test_division_by_a_constant():
-    assert BetaScalar(3) / 2 == BetaScalar(Fraction(3, 2))
+    assert Qb(3) / 2 == BetaScalar(Fraction(3, 2))
     assert (BETA + 2) / Fraction(1, 2) == 2 * BETA + 4
 
 
@@ -54,9 +66,17 @@ def test_no_rational_functions():
     with pytest.raises(ValueError):
         BETA ** -1
     with pytest.raises(ValueError):
-        BetaScalar.beta_power(-1)
+        Qb.beta_power(-1)
     with pytest.raises(TypeError):
         BetaScalar((1,), (1, 1))
+    # a bool is no coefficient: the constructor names it, and a scalar
+    # does not compare equal to one
+    for bad in (True, False, (1, True)):
+        with pytest.raises(ValueError, match=re.escape(f"bad coefficient {bad!r}")):
+            BetaScalar(bad)
+    assert BetaScalar(1) != True
+    with pytest.raises(TypeError):
+        BetaScalar(1.5)
 
 
 @given(scalars, scalars, scalars)
@@ -74,23 +94,25 @@ def test_ring_axioms(a, b, c):
 @given(mixed, mixed, nonzero, st.integers(0, 4), st.integers(-3, 3))
 @settings(max_examples=100, deadline=None)
 def test_ring_results_are_in_normal_form(a, b, c, k, n):
-    # the ring operations skip the constructor's checks, so their results
+    # the ring operations build their terms themselves, so their results
     # must already be what the constructor would build
     results = [a + b, a - b, b - a, a + (-a), -a, a * b, a * (b - b),
                a + n, n + a, a - n, n - a, a * n, n * a, a / c, a / n if n else a,
-               a ** k, BetaScalar.beta_power(k, c), BetaScalar.beta_power(k, 0)]
+               a ** k, Qb.beta_power(k, c), Qb.beta_power(k, 0)]
     for x in results:
+        assert type(x) is Qb
         assert_normal_form(x)
 
 
 @given(mixed, mixed)
 @settings(max_examples=100, deadline=None)
 def test_product_is_the_full_convolution(a, b):
-    # the product skips zero coefficients, so check it against the
-    # schoolbook convolution over every pair of coefficients
-    want = [Fraction(0)] * (len(a.num) + len(b.num))
-    for i, x in enumerate(a.num):
-        for j, y in enumerate(b.num):
+    # the product walks the sparse terms, so check it against the
+    # schoolbook convolution over every pair of dense coefficients
+    pa, pb = a.as_polynomial(), b.as_polynomial()
+    want = [Fraction(0)] * (len(pa) + len(pb))
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
             want[i + j] += x * y
     assert a * b == BetaScalar(tuple(want))
 
@@ -98,7 +120,7 @@ def test_product_is_the_full_convolution(a, b):
 @given(scalars)
 @settings(max_examples=60, deadline=None)
 def test_hash_consistency(a):
-    b = BetaScalar(a.num)
+    b = BetaScalar(a.as_polynomial())
     assert a == b and hash(a) == hash(b)
 
 
@@ -125,7 +147,7 @@ def test_power_including_negative():
     with pytest.raises(ValueError):
         s ** -2
     with pytest.raises(ValueError):
-        BetaScalar(2) ** -1
+        Qb(2) ** -1
 
 
 def test_binom_general():
@@ -156,3 +178,26 @@ def test_str_forms():
     assert str(ZERO) == "0"
     assert str(BETA ** 2 - 1) == "-1 + b^2"
     assert str(Fraction(1, 2) - 3 * BETA) == "1/2 - 3*b"
+    assert str(-BETA ** 3 + BETA - Fraction(2, 3) * BETA ** 2) == "b - 2/3*b^2 - b^3"
+    # the values kq hands out keep the contract the benchmark reads: every
+    # coefficient of the seven routes at D = 5, and pairings that are 0, 1
+    # and c*b^k
+    D = 5
+    routes = (gq_pfaffian_1, gq_pfaffian_2, gq_fermionic, o_pfaffian_1, o_pfaffian_2,
+              o_fermionic, gp)
+    for lam in strict_partitions_upto(D):
+        for route in routes:
+            for _, c in route(lam, D).sorted_items():
+                assert type(c) is BetaScalar
+                check_boundary_scalar(c)
+    D = 6
+    prod = gq_fermionic((2,), D) * gq_fermionic((1,), D)
+    square = gq_fermionic((1,), D) * gq_fermionic((1,), D)
+    pins = [(prod, gp((1,), D), "0"), (prod, gp((2, 1), D), "1"), (prod, gp((3,), D), "2"),
+            (prod, gp((4,), D), "b"), (prod, gp((3, 1), D), "2*b"),
+            (square, gp((3, 1), D), "b^2"), (square, o_fermionic((3, 1), D), "1/2*b^2")]
+    for f, g, want in pins:
+        c = bilinear_pair(f, g)
+        assert type(c) is BetaScalar and str(c) == want
+        check_boundary_scalar(c)
+    assert bilinear_pair(prod, gp((1,), D)).as_polynomial() == ()
