@@ -34,7 +34,7 @@ from . import fock
 from .bases import _check_ring
 from .hexpansion import vacuum_expectation
 from .laurent import _univariate, contract, g_table
-from .partitions import check_degree_bound, check_strict_weight, z_lambda
+from .partitions import _check_int, check_degree_bound, check_strict_weight, z_lambda
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, _by_partition, combination, exp_power_sums
 from .scalars import _from_monomials
@@ -125,6 +125,7 @@ def o_two_index(a, b, degree_bound):
     scale.  It is one combination over memoised generator products, shared
     with o_pfaffian_1's entries.
     """
+    a, b = _check_int(a, "a"), _check_int(b, "b")
     return _g_entry(1, 2, a, b, check_degree_bound(degree_bound)) * Fraction(1, 4)
 
 

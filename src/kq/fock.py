@@ -73,10 +73,10 @@ class FockState:
 
     def __init__(self, terms):
         """terms maps (canonical word, b-power) to int or Fraction values;
-        a bool b-power or value raises ValueError."""
+        a bool mode, b-power or value raises ValueError."""
         fracs = {}
         for (word, k), c in terms.items():
-            if bool in (type(k), type(c)):
+            if bool in (type(k), type(c), *map(type, word)):
                 raise ValueError(f"bad term {c!r} {word} b^{k!r}: a bool is not a number")
             word, k = tuple(map(operator.index, word)), operator.index(k)
             if (k < 0 or any(a <= b for a, b in zip(word, word[1:]))
@@ -244,28 +244,22 @@ def bra_apply_phi_beta_star(state: FockState, n: int, top: int) -> FockState:
 # -- Heisenberg generators --------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bra_vacuum_b(m):
-    """2 <0| b_m as {word: int}, m odd.
-
-    <0| b_m = (1/4) sum_{i=-m}^{0} (-1)^i <0| phi_{-i-m} phi_i, and for odd m
-    the terms i and -m-i are equal, so twice it is the sum over i > -m/2.
-    """
-    out = {}
-    for i in range(-(m // 2), 1):
-        for w, c in _bra_insert((), -i - m).items():
-            for w2, c2 in _bra_insert(w, i).items():
-                _merge(out, w2, -c * c2 if i % 2 else c * c2)
-    return MappingProxyType(out)
-
-
-@lru_cache(maxsize=None)
 def _bra_word_b(word, m):
     """2 <0| word b_m as {word: int}, m odd, via [b_m, phi_n] = phi_{n-m},
-    peeling from the right."""
-    if not word:
-        return _bra_vacuum_b(m)
-    head, n = word[:-1], word[-1]
+    peeling from the right.
+
+    On the vacuum, <0| b_m = (1/4) sum_{i=-m}^{0} (-1)^i <0| phi_{-i-m}
+    phi_i, and for odd m the terms i and -m-i are equal, so twice it is the
+    sum over i > -m/2.
+    """
     out = {}
+    if not word:
+        for i in range(-(m // 2), 1):
+            for w, c in _bra_insert((), -i - m).items():
+                for w2, c2 in _bra_insert(w, i).items():
+                    _merge(out, w2, -c * c2 if i % 2 else c * c2)
+        return MappingProxyType(out)
+    head, n = word[:-1], word[-1]
     for w, c in _bra_word_b(head, m).items():
         for w2, c2 in _bra_insert(w, n).items():
             _merge(out, w2, c * c2)

@@ -41,7 +41,7 @@ from math import comb
 from . import fock
 from .hexpansion import vacuum_expectation
 from .laurent import _univariate, contract, f_table
-from .partitions import check_degree_bound, check_strict_weight, even_ceil
+from .partitions import _check_int, check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
 from .pseries import PSeries, combination, exp_power_sums
 
@@ -150,6 +150,7 @@ def gq_two_index(a, b, degree_bound):
     products, shared with formula I's entries.  tests/test_gq.py keeps the
     direct expansion of the definition as an independent check.
     """
+    a, b = _check_int(a, "a"), _check_int(b, "b")
     degree_bound = check_degree_bound(degree_bound)
     if a + b > degree_bound:
         return PSeries.zero(degree_bound)

@@ -21,10 +21,15 @@ the bra word u stands for the ket word dual to it with the sign
 (-1)^{|u|}, which cancels the (-1)^{|mu|} above.  So vacuum_expectation
 takes the bra, reads the rows at its own words, and weighs a word by
 2^{l(mu)} alone.  It collects the classical coordinates {(nu, k): c} in
-ints over the bra's den, and deforms them once (bases._image_sum).  Paren
-images only feed upward, so rows up to the bound suffice.  Bracket images
-push weight down, so a word heavier than the bound still reaches it: rows
-and image are taken at the heaviest even word and then truncated.
+ints over the bra's den, in one pass over the bra, and deforms them once
+(bases._image_sum) at the caller's bound.
+
+A word heavier than the bound raises: bracket images push weight down,
+so its value would need rows and an image past the bound.  No library
+ket carries one.  gq_fermionic drops the grades below -top at every
+step, and top ends at D.  Each row of a dual ket (fock._phihat_row)
+lowers the grade by at most lambda_i, from a word of grade 0, so every
+word has weight <= |lambda| <= D.
 
 Memoised for the life of the process: each R_nu (_state), and the rows of
 each weight (_rows), keyed by bra word, each word mapped to its (nu,
@@ -76,25 +81,22 @@ def vacuum_expectation(bra_state, flavor: str, degree_bound: int) -> PSeries:
     reversed and negated, its padding removed, and the sum is divided by the state's
     den once.  The flavor and the bound are checked first, so a state with
     no even word cannot hide a bad one; a word with a positive mode, odd
-    or even, is a ket word and raises before the odd words are dropped.
+    or even, is a ket word and raises, and so does a word heavier than the
+    bound, before the odd words are dropped.
     """
     check_flavor(flavor)
     degree_bound = check_degree_bound(degree_bound)
-    bound = degree_bound
-    for word, _ in bra_state.terms:
+    coords = {}
+    for (word, k), n in bra_state.terms.items():
         if word and word[0] > 0:
             raise ValueError(f"{word} is a ket word, not a bra word")
-        if flavor == "bracket" and len(word) % 2 == 0:
-            bound = max(bound, -sum(word))
-    even = [(word, k, n) for (word, k), n in bra_state.terms.items() if len(word) % 2 == 0]
-    coords = {}
-    for word, k, n in even:
         weight = -sum(word)
-        if weight > bound:  # its paren image lies wholly above the bound
+        if weight > degree_bound:
+            raise ValueError(f"{word} has weight {weight}, past the bound {degree_bound}")
+        if len(word) % 2:
             continue
         # the bra of mu against its row: 2^{l(mu)}, l without the padding
         n <<= len(word) - (0 in word)
         for nu, r in _rows(weight).get(word, ()):
             coords[(nu, k)] = coords.get((nu, k), 0) + n * r  # _image_sum skips zeros
-    image = _image_sum(coords, bra_state.den, flavor, bound)
-    return image.truncate(degree_bound) if bound > degree_bound else image
+    return _image_sum(coords, bra_state.den, flavor, degree_bound)

@@ -14,9 +14,12 @@ from math import factorial
 
 def check_partition(parts, strict=False) -> tuple[int, ...]:
     try:
+        parts = tuple(parts)
         p = tuple(map(operator.index, parts))
     except TypeError:
-        raise ValueError(f"partition parts must be integers, got {parts!r}") from None
+        p = None
+    if p is None or bool in map(type, parts):
+        raise ValueError(f"partition parts must be integers, got {parts!r}")
     for x in p:
         if x <= 0:
             raise ValueError(f"partition parts must be positive, got {p}")
@@ -27,14 +30,19 @@ def check_partition(parts, strict=False) -> tuple[int, ...]:
     return p
 
 
+def _check_int(x, what) -> int:
+    """x as an int, never a bool; what names it in errors."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 def check_degree_bound(degree_bound, what="degree bound") -> int:
     """degree_bound as an int >= 0, never a bool; what names it in errors."""
-    if isinstance(degree_bound, bool):
-        raise ValueError(f"{what} must be an integer, got {degree_bound!r}")
-    try:
-        d = operator.index(degree_bound)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {degree_bound!r}") from None
+    d = _check_int(degree_bound, what)
     if d < 0:
         raise ValueError(f"{what} must be >= 0, got {d}")
     return d

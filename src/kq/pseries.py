@@ -19,6 +19,11 @@ public constructor and _from_flat take coefficients of p_lambda, and
 sorted_items() hands each out as a BetaScalar, a value that holds the
 coefficient's b-power terms and does no arithmetic.
 
+Series add to and subtract series only, so f + 1 raises TypeError; an
+int, Fraction or BetaScalar scales a series, and f == c compares f with
+the constant c.  A series has no printer: sorted_items() is its one
+ordered view.
+
 Invariant: degree_bound is an int >= 0; terms maps pairs (lambda, k),
 lambda a partition in the canonical form of check_partition of weight <=
 degree_bound and k an int >= 0, to nonzero ints; den is an int >= 1 with
@@ -130,30 +135,12 @@ class PSeries:
     def one(cls, degree_bound: int) -> "PSeries":
         return cls({(): 1}, degree_bound)
 
-    @classmethod
-    def p(cls, n: int, degree_bound: int) -> "PSeries":
-        """The power sum p_n."""
-        if n < 1:
-            raise ValueError("power sums are indexed by positive integers")
-        return cls({(n,): 1}, degree_bound)
-
-    @classmethod
-    def constant(cls, c, degree_bound: int) -> "PSeries":
-        return cls({(): c}, degree_bound)
-
     # -- structure ------------------------------------------------------
 
     def top_degree(self) -> int | None:
         if not self.terms:
             return None
         return max(sum(mu) for mu, _ in self.terms)
-
-    def truncate(self, new_bound: int) -> "PSeries":
-        new_bound = check_degree_bound(new_bound)
-        if new_bound > self.degree_bound:
-            raise ValueError("cannot raise a degree bound after the fact")
-        kept = {key: c for key, c in self.terms.items() if sum(key[0]) <= new_bound}
-        return PSeries._trusted(*_reduced(kept, self.den), new_bound)
 
     def _check_bound(self, other: "PSeries"):
         if self.degree_bound != other.degree_bound:
@@ -163,21 +150,11 @@ class PSeries:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = PSeries.constant(other, self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
         return combination(((self, 0, 1), (other, 0, 1)), self.degree_bound)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PSeries._trusted({key: -c for key, c in self.terms.items()},
-                                self.den, self.degree_bound)
-
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = PSeries.constant(other, self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
         return combination(((self, 0, 1), (other, 0, -1)), self.degree_bound)
@@ -220,7 +197,7 @@ class PSeries:
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS) and not isinstance(other, bool):
-            other = PSeries.constant(other, self.degree_bound)
+            other = PSeries({(): other}, self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
         return (self.degree_bound == other.degree_bound and self.den == other.den
@@ -232,7 +209,7 @@ class PSeries:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- ordered view and display ---------------------------------------------
+    # -- ordered view ----------------------------------------------------------
 
     def sorted_items(self):
         """(lambda, BetaScalar coefficient) pairs, graded lex in lambda."""
@@ -240,20 +217,6 @@ class PSeries:
                                      for k, n in got))
                 for mu, got in sorted(_by_partition(self.terms).items(),
                                       key=lambda kv: graded_key(kv[0]))]
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k, v in self.sorted_items():
-            mon = "1" if not k else "p" + "".join(f"[{i}]" for i in k)
-            vs = str(v)
-            if ("+" in vs[1:]) or ("-" in vs[1:]) or "/" in vs:
-                vs = f"({vs})"
-            bits.append(vs + ("" if not k else "*" + mon))
-        return " + ".join(bits).replace("+ -", "- ")
-
-    __repr__ = __str__
 
 
 def combination(parts, degree_bound: int) -> PSeries:

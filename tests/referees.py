@@ -61,7 +61,7 @@ from kq.oracle import _mul as _positive_mul
 from kq.partitions import (check_degree_bound, check_partition, check_strict_weight, graded_key,
                            partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
-from kq.pseries import PSeries, combination, exp_power_sums
+from kq.pseries import PSeries, _integral, combination, exp_power_sums
 from kq.scalars import BetaScalar, _from_monomials, _monomials
 
 
@@ -476,6 +476,23 @@ def classical_q(mu, degree_bound: int) -> PSeries:
         lambda i, j, li, lj: two_row_q(li, lj or 0, degree_bound))
 
 
+def power_sum(n: int, degree_bound: int) -> PSeries:
+    """The power sum p_n."""
+    if n < 1:
+        raise ValueError("power sums are indexed by positive integers")
+    return PSeries({(n,): 1}, degree_bound)
+
+
+def truncate(f: PSeries, new_bound: int) -> PSeries:
+    """f modulo the terms of degree > new_bound, at that bound; a bound
+    above f's raises ValueError."""
+    new_bound = check_degree_bound(new_bound)
+    if new_bound > f.degree_bound:
+        raise ValueError("cannot raise a degree bound after the fact")
+    kept = {key: c for key, c in f.terms.items() if sum(key[0]) <= new_bound}
+    return _integral(kept, f.den, new_bound)
+
+
 def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
     """Q_mu with every power sum replaced by its deformed image.
 
@@ -486,7 +503,7 @@ def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
     inner = max(degree_bound, sum(mu)) if flavor == "bracket" else degree_bound
     q = classical_q(mu, inner)
     image = _image_sum(q.terms, q.den, flavor, inner)
-    return image.truncate(degree_bound) if inner > degree_bound else image
+    return truncate(image, degree_bound) if inner > degree_bound else image
 
 
 def to_deformed_basis(f: PSeries, flavor: str) -> dict:

@@ -151,6 +151,7 @@ def test_from_finite_refuses_a_polynomial_given_monomial_by_monomial():
     (2.5, {}, r"2\.5"),
     (2, {((1,), 0): True}, r"True m_\(1,\) b\^0"),  # a bool value
     (2, {((1,), True): 3}, r"3 m_\(1,\) b\^True"),  # a bool b-power
+    (2, {((True,), 0): 1}, r"1 m_\(True,\) b\^0"),  # a bool part
 ])
 def test_symmetric_poly_names_a_bad_term(nvars, terms, bad):
     with pytest.raises(ValueError, match=bad):

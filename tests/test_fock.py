@@ -530,9 +530,10 @@ def test_constructor_reduces_and_checks_words():
     for word, k in [((-2, -1), 0), ((1, -1), 0), ((-1, -1), 0), ((-1,), -1)]:
         with pytest.raises(ValueError):
             FockState({(word, k): 1})
-    # a bool b-power or value is refused by name, not read as 1
+    # a bool mode, b-power or value is refused by name, not read as an int
     for terms, bad in [({((0,), True): 1}, r"1 \(0,\) b\^True"),
-                       ({((-1,), 0): True}, r"True \(-1,\) b\^0")]:
+                       ({((-1,), 0): True}, r"True \(-1,\) b\^0"),
+                       ({((False, -1), 0): 1}, r"1 \(False, -1\) b\^0")]:
         with pytest.raises(ValueError, match=bad):
             FockState(terms)
 

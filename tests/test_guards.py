@@ -466,7 +466,7 @@ def test_cold_gp_is_one_vacuum_expectation(monkeypatch):
 PROCESS_WIDE_TABLES = {
     "bases._image_partition", "bases._power_image", "dualq._PRODUCTS",
     "dualq._q_bracket_upto", "dualq.o_two_index", "finitevars._orbit_size",
-    "finitevars._p_to_m", "fock._bra_insert", "fock._bra_vacuum_b", "fock._bra_word_b",
+    "finitevars._p_to_m", "fock._bra_insert", "fock._bra_word_b",
     "fock._phi_beta_modes", "fock._row_modes", "fock._theta_modes", "gq._PRODUCTS",
     "gq.gq_series",
     "gq.gq_two_index", "hexpansion._rows",

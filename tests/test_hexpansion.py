@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from kq import fock, hexpansion
+from kq import dualq, fock, gq, hexpansion
 from kq.bases import _power_image
 from kq.hexpansion import _rows, vacuum_expectation
 from kq.partitions import partitions_upto, z_lambda
 from kq.pseries import PSeries
 from referees import (BETA, ONE, ZERO, Qb, bra_apply_b, classical_q, deformed_q, flat_terms,
                       is_zero, p_beta, pair, rows_at, series_coefficient, star_bra,
-                      strict_partitions_upto, two_row_q)
+                      strict_partitions_upto, truncate, two_row_q)
 
 D = 6
 
@@ -148,7 +148,7 @@ def test_expectation_of_single_excitation():
     # <0|e^H phi_1 phi_0|0> = 2 p_1 - b p_2 + ... , the deformed 2 p_1
     got = vacuum_expectation(bra(flat_terms({(1, 0): ONE})), "paren", D)
     assert got == p_beta(1, D) * 2
-    low = got.truncate(2)
+    low = truncate(got, 2)
     assert low == PSeries({(1,): 2, (2,): -BETA}, 2)
 
 
@@ -223,25 +223,73 @@ def test_rows_extend_one_widest_table(monkeypatch):
 
 
 def test_paren_pairing_skips_words_past_the_bound(monkeypatch):
-    # with rows built past the bound, a paren word heavier than the
-    # bound is not read: no coordinate past the bound reaches the image,
-    # and the word pairs to zero, as when no heavier rows were built
+    # no library ket carries a word past the bound
+    # (test_library_kets_stay_within_the_bound), so such a word is misuse:
+    # it is refused by name, beside light words too, before any image is
+    # taken.  Paired at its own weight and cut back, its paren image adds
+    # nothing to the light words
     bound = 4
-    for weight in (6, 9):
-        _rows(weight)
     heavy = flat_terms({(4, 3, 2, 0): ONE, (5, 1): BETA})
     light = flat_terms({(3, 1): ONE, (2, 0): BETA})
-    weights = []
+    images = []
     original = hexpansion._image_sum
 
-    def recorded(coords, *args):
-        weights.extend(sum(nu) for nu, _ in coords)
-        return original(coords, *args)
+    def recorded(*args):
+        images.append(args)
+        return original(*args)
 
     monkeypatch.setattr(hexpansion, "_image_sum", recorded)
-    got = vacuum_expectation(bra({**heavy, **light}), "paren", bound)
-    assert got == vacuum_expectation(bra(light), "paren", bound)
-    assert got and weights and max(weights) <= bound
+    for key, word in zip(heavy, [(0, -2, -3, -4), (-1, -5)]):
+        message = f"{word} has weight {-sum(word)}, past the bound {bound}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vacuum_expectation(bra({key: heavy[key], **light}), "paren", bound)
+    assert not images
+    got = vacuum_expectation(bra({**heavy, **light}), "paren", 9)
+    assert truncate(got, bound) == vacuum_expectation(bra(light), "paren", bound)
+
+
+def test_library_kets_stay_within_the_bound(monkeypatch):
+    # the exit refuses a word past the bound, so every bra a route hands
+    # it must have weight <= D: gq_fermionic cuts grades below -top, top
+    # ending at D, and each dual-ket row lowers the grade by at most its part
+    bras = []
+    for module in (gq, dualq):
+        def recorded(state, flavor, bound, original=module.vacuum_expectation):
+            bras.append((state, bound))
+            return original(state, flavor, bound)
+
+        monkeypatch.setattr(module, "vacuum_expectation", recorded)
+    calls = 0
+    for bound in range(11):
+        for lam in strict_partitions_upto(bound):
+            for route in (gq.gq_fermionic, dualq.o_fermionic, dualq.gp):
+                route(lam, bound)
+                calls += 1
+    assert len(bras) == calls
+    slack = {bound - max((-sum(word) for word, _ in state.terms), default=0)
+             for state, bound in bras}
+    assert min(slack) == 0  # never past the bound, which is reached
+
+
+def test_exit_walks_the_bra_once():
+    # one pass reads every word: the checks, the odd words and the rows
+    class Counted(dict):
+        def items(self):
+            reads.append("items")
+            return super().items()
+
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+    state = bra({((5, 0), 2): 1, ((3,), 0): 1, ((2, 0), 0): Fraction(1, 3)})
+    want = vacuum_expectation(state, "bracket", 5)
+    for flavor in ("paren", "bracket"):
+        reads = []
+        state.terms = Counted(state.terms)
+        got = vacuum_expectation(state, flavor, 5)
+        assert reads == ["items"], flavor
+    assert got == want
 
 
 def test_rows_are_the_pfaffian_q():
@@ -264,8 +312,9 @@ def test_rows_are_the_pfaffian_q():
     assert set(rows) <= words
 
 
-# heavier than the bound: bracket images push them down into it, paren
-# images cannot reach it; the values are those of one image per mu
+# heavier than the bound, which the exit refuses: at their own weight,
+# bracket images push them down into the bound and paren images cannot
+# reach it; the values are those of one image per mu, cut back to the bound
 HEAVY = [
     ({((5, 0), 2): 1}, 3,
      PSeries({(1,): BETA ** 6 * Fraction(1, 8), (2,): BETA ** 5 * Fraction(1, 2),
@@ -281,18 +330,30 @@ HEAVY = [
 
 @pytest.mark.parametrize("terms, bound, want", HEAVY)
 def test_bracket_reaches_down_from_heavy_words(terms, bound, want):
+    # refused in either flavor at the bound; a caller that wants the value
+    # pairs at the word's weight and cuts back
     state = bra(terms)
-    assert vacuum_expectation(state, "bracket", bound) == want
-    assert is_zero(vacuum_expectation(state, "paren", bound))
+    (word, _), = state.terms
+    weight = -sum(word)
+    for flavor in ("bracket", "paren"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{word} has weight {weight}, past the bound {bound}")):
+            vacuum_expectation(state, flavor, bound)
+    assert truncate(vacuum_expectation(state, "bracket", weight), bound) == want
+    assert is_zero(truncate(vacuum_expectation(state, "paren", weight), bound))
 
 
 def test_bracket_widening_mixes_with_light_words():
-    # one widened image serves every word of the state, the light ones too
+    # heavy words refuse the whole state, the light words beside them too;
+    # one image at the heaviest weight, cut back, serves every word
     state = bra({((5, 0), 2): 1, ((4, 1), 2): -2, ((2, 0), 0): Fraction(1, 3)})
     light = PSeries({(1, 1): Fraction(2, 3)}, 3)
     want = HEAVY[0][2] - HEAVY[1][2] * 2 + light
-    assert vacuum_expectation(state, "bracket", 3) == want
-    assert vacuum_expectation(state, "paren", 3) == PSeries(
+    for flavor in ("bracket", "paren"):
+        with pytest.raises(ValueError, match="past the bound 3"):
+            vacuum_expectation(state, flavor, 3)
+    assert truncate(vacuum_expectation(state, "bracket", 5), 3) == want
+    assert truncate(vacuum_expectation(state, "paren", 5), 3) == PSeries(
         {(1, 1): Fraction(2, 3), (2, 1): BETA * Fraction(-2, 3)}, 3)
 
 

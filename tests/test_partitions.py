@@ -4,8 +4,8 @@ from kq import partitions as pt
 from kq.dualq import o_two_index, q_bracket_series
 from kq.gq import gq_fermionic, gq_series, gq_two_index
 from kq.pseries import PSeries
-from referees import (contains, row_count, strict_partitions_of, strict_partitions_upto,
-                      sub_strict_partitions)
+from referees import (contains, power_sum, row_count, strict_partitions_of,
+                      strict_partitions_upto, sub_strict_partitions)
 
 
 def test_check_partition():
@@ -20,7 +20,7 @@ def test_check_partition():
         pt.check_partition([2, 2], strict=True)
 
 
-@pytest.mark.parametrize("parts", [(2.5, 1), ("3",), (2.0, 1)])
+@pytest.mark.parametrize("parts", [(2.5, 1), ("3",), (2.0, 1), (True,), (3, False)])
 def test_check_partition_rejects_non_integer_parts(parts):
     with pytest.raises(ValueError, match=r"integers, got \("):
         pt.check_partition(parts)
@@ -29,6 +29,11 @@ def test_check_partition_rejects_non_integer_parts(parts):
 def test_non_integer_parts_fail_at_the_routes():
     with pytest.raises(ValueError, match=r"\(2\.9, 1\)"):
         gq_fermionic((2.9, 1), 4)
+    # operator.index reads True as 1: a bool part would compute GQ_(1)
+    with pytest.raises(ValueError, match=r"\(True,\)"):
+        gq_fermionic((True,), 3)
+    with pytest.raises(ValueError, match=r"\(True,\)"):
+        PSeries({(True,): 1}, 3)
     with pytest.raises(ValueError):
         PSeries({(1.7,): 1}, 3)
 
@@ -67,6 +72,14 @@ def test_bool_degree_bound_fails_at_the_routes():
             o_two_index(2, 1, bound)
         with pytest.raises(ValueError, match="integer, got"):
             gq_two_index(1, 0, bound)
+    # the indices are checked as the bound is, each by name, warm cache or not
+    gq_two_index(1, 1, 4), o_two_index(2, 1, 4)
+    for misuse, bad in [(lambda: gq_two_index(True, 1, 4), "a must be an integer, got True"),
+                        (lambda: o_two_index(2, True, 4), "b must be an integer, got True"),
+                        (lambda: gq_two_index(1, 1.0, 4), r"b must be an integer, got 1\.0"),
+                        (lambda: o_two_index(2.0, 1, 4), r"a must be an integer, got 2\.0")]:
+        with pytest.raises(ValueError, match=bad):
+            misuse()
 
 
 def test_non_integer_index_fails_at_the_one_row_tables():
@@ -80,7 +93,7 @@ def test_non_integer_index_fails_at_the_one_row_tables():
 
 def test_non_integer_degree_bound_fails_at_the_series_constructor():
     with pytest.raises(ValueError, match=r"integer, got 2\.5"):
-        PSeries.p(1, 2.5)
+        power_sum(1, 2.5)
 
 
 def test_counts():
