@@ -5,9 +5,11 @@
 computes GQ_lambda in n variables with the symmetrization oracle, reads its
 power-sum coordinates back with from_finite at D = n, and compares them with
 the three other GQ routes at the same bound.  It prints one JSON line, which
-names the bound ("D"), the coordinates compared and the number of monomials
-of the oracle's polynomial ("oracle_terms"), and exits 0 only if every
-route agrees; bad input exits 2 with the error text.
+names the bound ("D"), the coordinates compared, the number of monomials
+of the oracle's polynomial ("oracle_terms") and the seconds spent in the
+oracle, in from_finite and in each route ("seconds", by time.perf_counter),
+and exits 0 only if every route agrees; bad input exits 2 with the error
+text.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .finitevars import _orbit_size, from_finite
 from .gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
@@ -32,16 +35,24 @@ def _partition(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
+def _timed(fn, *args):
+    start = time.perf_counter()
+    return fn(*args), time.perf_counter() - start
+
+
 def verify(lam, n: int) -> dict:
     """Agreement of every GQ route with the oracle, at D = n variables."""
     lam = check_strict_weight(lam, n)
-    poly = gq_oracle(lam, n)
-    want = from_finite(poly, n)
-    routes = {name: route(lam, n) == want for name, route in ROUTES.items()}
+    poly, oracle_s = _timed(gq_oracle, lam, n)
+    want, finite_s = _timed(from_finite, poly, n)
+    got = {name: _timed(route, lam, n) for name, route in ROUTES.items()}
+    routes = {name: f == want for name, (f, _) in got.items()}
     return {"lambda": list(lam), "n": n, "D": n, "coordinates": "power-sum",
             "oracle_terms": sum(_orbit_size(mu, n) for mu, _ in poly.terms),
             "routes": routes,
-            "agree": all(routes.values())}
+            "agree": all(routes.values()),
+            "seconds": {"oracle": oracle_s, "from_finite": finite_s,
+                        "routes": {name: s for name, (_, s) in got.items()}}}
 
 
 def main(argv=None) -> int:

@@ -110,7 +110,6 @@ def _g_entry(i, j, li, lj, degree_bound):
                     lambda p, q: _pair(qb, li - p, lj - q, D), D)
 
 
-@lru_cache(maxsize=None, typed=True)
 def o_two_index(a, b, degree_bound):
     """The two-row dual o_(a,b): a quarter of [u^a v^b] of the block
 
@@ -125,8 +124,13 @@ def o_two_index(a, b, degree_bound):
     scale.  It is one combination over memoised generator products, shared
     with o_pfaffian_1's entries.
     """
-    a, b = _check_int(a, "a"), _check_int(b, "b")
-    return _g_entry(1, 2, a, b, check_degree_bound(degree_bound)) * Fraction(1, 4)
+    return _o_two_index(_check_int(a, "a"), _check_int(b, "b"), check_degree_bound(degree_bound))
+
+
+@lru_cache(maxsize=None)
+def _o_two_index(a, b, degree_bound):
+    """o_two_index on checked arguments."""
+    return _g_entry(1, 2, a, b, degree_bound) * Fraction(1, 4)
 
 
 def o_pfaffian_1(lam, degree_bound):

@@ -65,7 +65,6 @@ def _exp_parts(degree_bound):
     return tuple(exp_power_sums(logs, degree_bound, degree_bound))
 
 
-@lru_cache(maxsize=None, typed=True)
 def gq_series(degree_bound):
     """The row (GQ_0, GQ_1, ..., GQ_D) of Laurent coefficients of GQ(z),
     one shared tuple per bound.
@@ -76,7 +75,12 @@ def gq_series(degree_bound):
     constant (-beta)^{-n}, a b-shift that its readers apply, and GQ_n for
     n > D has lowest degree n and truncates to zero.
     """
-    D = check_degree_bound(degree_bound)
+    return _gq_series(check_degree_bound(degree_bound))
+
+
+@lru_cache(maxsize=None)
+def _gq_series(D):
+    """gq_series at a checked bound."""
     parts = _exp_parts(D)
     return tuple(combination(((parts[n + k], k, -1 if k % 2 else 1)
                               for k in range(D - n + 1)), D) for n in range(D + 1))
@@ -133,7 +137,6 @@ def _f_entry(i, j, r_prime, li, lj, degree_bound):
                     lambda q, p: _pair(li + p, lj + q, D), D)
 
 
-@lru_cache(maxsize=None, typed=True)
 def gq_two_index(a, b, degree_bound):
     """Two-index function GQ_(a,b), the r = 2 entry of Pfaffian formula I.
 
@@ -150,8 +153,12 @@ def gq_two_index(a, b, degree_bound):
     products, shared with formula I's entries.  tests/test_gq.py keeps the
     direct expansion of the definition as an independent check.
     """
-    a, b = _check_int(a, "a"), _check_int(b, "b")
-    degree_bound = check_degree_bound(degree_bound)
+    return _gq_two_index(_check_int(a, "a"), _check_int(b, "b"), check_degree_bound(degree_bound))
+
+
+@lru_cache(maxsize=None)
+def _gq_two_index(a, b, degree_bound):
+    """gq_two_index on checked arguments."""
     if a + b > degree_bound:
         return PSeries.zero(degree_bound)
     return _f_entry(1, 2, 2, a, b, degree_bound)

@@ -40,6 +40,7 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
+from .partitions import _check_int
 from .pseries import combination
 
 # (a, c) -> (x_max, y_max, entries): the widest kernel table built so far
@@ -83,10 +84,11 @@ def _kernel_entries(a: int, c: int, x_max: int, y_max: int) -> dict:
     return {(k - y, y): e for y, row in enumerate(rows) for k, e in enumerate(row) if e}
 
 
+@lru_cache(maxsize=None)
 def _kernel_table(a: int, c: int, windows) -> MappingProxyType:
     """The kernel table at exponents (a, c) within windows = (x_max, y_max),
     cut from the widest one built so far; a wider window rebuilds that at
-    the union of the two."""
+    the union of the two.  Each cut is memoised."""
     x_max, y_max = windows
     x_top, y_top, entries = _KERNEL_TABLES.get((a, c), (x_max, y_max, None))
     if entries is None or x_top < x_max or y_top < y_max:
@@ -95,6 +97,13 @@ def _kernel_table(a: int, c: int, windows) -> MappingProxyType:
         _KERNEL_TABLES[(a, c)] = (x_top, y_top, entries)
     return MappingProxyType({(x, y): v for (x, y), v in entries.items()
                              if x <= x_max and y <= y_max})
+
+
+def _check_windows(windows) -> tuple[int, int]:
+    """windows as a pair of ints, never bools; ValueError naming it otherwise."""
+    if not isinstance(windows, (tuple, list)) or len(windows) != 2:
+        raise ValueError(f"windows must be a pair of integers, got {windows!r}")
+    return _check_int(windows[0], "windows entry"), _check_int(windows[1], "windows entry")
 
 
 def _univariate(top: int, n: int) -> MappingProxyType:
@@ -106,7 +115,6 @@ def _univariate(top: int, n: int) -> MappingProxyType:
                              for p in range(top + 1)})
 
 
-@lru_cache(maxsize=None)
 def f_table(i: int, j: int, r_prime: int, windows) -> MappingProxyType:
     """Coefficients of t_j^q t_i^p in the GQ-side kernel product, keyed (q, p).
 
@@ -116,12 +124,12 @@ def f_table(i: int, j: int, r_prime: int, windows) -> MappingProxyType:
     (r'-j, r'-i), z = t_j and w = t_i, as it is.  windows = (q_max, p_max),
     in key order.  Entry (q, p) is the int coefficient of b^{p+q}.
     """
+    i, j, r_prime = _check_int(i, "i"), _check_int(j, "j"), _check_int(r_prime, "r'")
     if not 1 <= i < j <= r_prime:
         raise ValueError("need 1 <= i < j <= r'")
-    return _kernel_table(r_prime - j, r_prime - i, windows)
+    return _kernel_table(r_prime - j, r_prime - i, _check_windows(windows))
 
 
-@lru_cache(maxsize=None)
 def g_table(i: int, j: int, windows) -> MappingProxyType:
     """Coefficients of z^p w^q in the dual-side kernel product.
 
@@ -130,9 +138,10 @@ def g_table(i: int, j: int, windows) -> MappingProxyType:
     windows = (p_max, q_max); rows live on q >= 0, p+q >= 0, and entry
     (p, q) is the int coefficient of b^{p+q}.
     """
+    i, j = _check_int(i, "i"), _check_int(j, "j")
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
-    return _kernel_table(i, j, windows)
+    return _kernel_table(i, j, _check_windows(windows))
 
 
 def contract(table, pair, degree_bound: int):

@@ -27,6 +27,10 @@ coordinates through the Kostka numbers, s_nu = sum_mu K_{nu mu} m_mu (I.6):
 a_mu = sum_nu c_nu K_{nu mu} for each partition mu with at most n parts,
 one value per orbit (finitevars.SymmetricPoly).  K comes from removing the
 horizontal strip of the largest entry, one letter of the content at a time.
+Each shape nu keeps one memoised Kostka row, its nonzero K_{nu mu} over the
+mu of |nu| with at most n parts (only mu_1 <= nu_1 are tried, since
+K_{nu mu} = 0 unless nu dominates mu), and each c_nu b^k adds c_nu K_{nu mu}
+b^k along the row.
 
 P0 is never written out monomial by monomial.  With r = len(lambda),
 
@@ -58,13 +62,26 @@ monomial h gets the mask of its r exponents, or none when two of them are
 equal, since then every alpha it heads repeats an exponent.  A pair
 (h, gamma) survives iff its masks are disjoint.  Its sign is the parity
 of the inversions of alpha = (h, gamma), which all start in the head since
-gamma decreases: those inside h, counted once per call, plus, for each
-exponent e of h, the bits of gamma above e.  Parities add, so the latter
-have the parity of the bits of gamma & X, X the XOR over the e of the
-masks of the bits above e.
-The pair adds its signed count times h's coefficient to the union mask,
-keyed with h's b-power, and nu = sort(h, gamma) - delta is read off the
-bits once per key that survives.
+gamma decreases: those inside h, plus, for each exponent e of h, the bits
+of gamma above e.  Parities add, so the latter have the parity of the bits
+of gamma & X, X the XOR over the e of the masks of the bits above e.  The
+pair adds its signed count times h's coefficient to the union mask, keyed
+with h's b-power, and nu = sort(h, gamma) - delta is read off the bits
+once per key that survives.  After the fold below, a pair is a head class
+and gamma, and the coefficient is the class's signed sum.
+
+The heads of one tail are folded by exponent set before they meet its
+table.  Two heads h, h' with the same set differ by a permutation pi of
+the head variables, and so a_(h', gamma) = sgn(pi) a_(h, gamma) for every
+gamma: the inversions between head and gamma count the pairs e < g with e
+in the head and g in gamma, which depend on the set alone, and only the
+inversions inside the head change.  So the pass needs only the sum of
+sgn(h) c_h, sgn(h) the sign of sorting h down, over the heads of each
+(set, b-power) class, and each class meets the table once; a class whose
+sum is zero (they occur, e.g. lambda = (3,2,1), n = 3, trunc 6) is
+skipped.  The mask, the sort's sign and X are computed once per x-part of
+a head key, the key without its beta field, and a class is keyed by its
+b-power and the first x-part seen with its set.
 
 Truncation is decided once, on P0.  Dividing by V lowers the x-degree by
 n(n-1)/2 and x^{delta_B} raises it by (n-r)(n-r-1)/2, so s_nu has the
@@ -102,7 +119,7 @@ answer into power sums.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .finitevars import SymmetricPoly
 from .partitions import check_degree_bound, check_partition, partitions_of
@@ -268,51 +285,64 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
         for j in range(i + 1, r):
             head = _mul(head, _pair_factor(r, i, j), r, bcap)
     orbits = _tail_product(head, r, nvars - r, bcap)
-    # each head key with distinct exponents -> their mask, its b-power, the
-    # sign of sorting them down, and the XOR of the bits above each: its
-    # bits in gamma count, mod 2, the inversions between head and gamma
-    heads = {}
-    for h in {h for poly in orbits.values() for h in poly}:
-        exps = [(h >> _W * i) & _MASK for i in range(r)]
-        if len(set(exps)) == r:
-            odd = sum(a < e for i, a in enumerate(exps) for e in exps[i + 1:]) & 1
-            heads[h] = (sum(1 << e for e in exps), h >> _W * r, -1 if odd else 1,
-                        reduce(int.__xor__, [-1 << e + 1 for e in exps]))
+    # each x-part (a head key without its b-field) with distinct exponents
+    # -> (the shift onto the first x-part seen with its exponent set, the
+    # sign of sorting it down, the set's mask, X = the XOR over the set of
+    # the bits above each exponent); bit e of X over the exponents before e
+    # is the parity of those below e, the inversions that e adds
+    xbits = (1 << _W * r) - 1
+    heads, first = {}, {}
+    for x in {h & xbits for h in set().union(*orbits.values())}:
+        mask = odd = above = 0
+        for e in [x >> _W * i & _MASK for i in range(r)]:
+            odd ^= above >> e & 1
+            above ^= -1 << e + 1
+            mask |= 1 << e
+        if mask.bit_count() == r:  # else two exponents are equal
+            heads[x] = (first.setdefault(mask, x) - x, -1 if odd else 1, mask, above)
     schur = {}
     for tail, poly in orbits.items():
-        table = _alternant(tail)
+        # heads with one exponent set and b-power fold onto one key, each
+        # signed by its own sort, and the class meets the table once
+        classes = {}
         for h, c in poly.items():
-            if h in heads:
-                hm, k, sign, above = heads[h]
-                c *= sign
+            if head := heads.get(h & xbits):
+                key = h + head[0]
+                classes[key] = classes.get(key, 0) + head[1] * c
+        table = _alternant(tail)
+        for key, c in classes.items():
+            if c:
+                _, _, hm, above = heads[key & xbits]
+                k = key >> _W * r
                 for gm, count in table:
                     if not hm & gm:  # else alpha repeats an exponent
-                        key = (hm | gm, k)
+                        at = (hm | gm, k)
                         v = -count * c if (gm & above).bit_count() & 1 else count * c
-                        schur[key] = schur.get(key, 0) + v
+                        schur[at] = schur.get(at, 0) + v
     return _in_monomials({(_nu(mask), k): c for (mask, k), c in schur.items() if c}, nvars)
 
 
 def _nu(mask):
-    """nu + delta = the set bits of mask sorted down, delta = (n-1, ..., 1, 0)
-    for the n bits set."""
-    ones = [e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-    return tuple(e - i for i, e in enumerate(ones))[::-1]
+    """nu, zero parts left out, from nu + delta = the set bits of mask sorted
+    down, delta = (n-1, ..., 1, 0) for the n bits set."""
+    top, below = mask.bit_length() - 1, mask.bit_count() - 1
+    return (top - below,) + _nu(mask ^ 1 << top) if top > below else ()  # else mask is delta
+
+
+@lru_cache(maxsize=None)
+def _kostka_row(nu, nvars):
+    """((mu, K_{nu mu}), ...) over the partitions mu of |nu| with at most
+    nvars parts, zeros left out.  K_{nu mu} = 0 unless nu dominates mu, so
+    only mu_1 <= nu_1 are tried."""
+    return tuple((mu, k) for mu in partitions_of(sum(nu), nu[0] if nu else 0, nvars)
+                 if (k := _kostka(nu, mu)))
 
 
 def _in_monomials(schur, nvars):
-    """sum_nu c_nu b^k s_nu, from {(nu, k): c} with nu padded to nvars parts,
-    in monomial coordinates through the Kostka numbers."""
-    by_weight = {}
-    for (nu, k), c in schur.items():
-        nu = tuple(p for p in nu if p)
-        by_weight.setdefault((sum(nu), k), []).append((nu, c))
+    """sum_nu c_nu b^k s_nu, from {(nu, k): c} with nu a partition (no zero
+    parts), in monomial coordinates through the Kostka rows."""
     terms = {}
-    for (weight, k), schurs in by_weight.items():
-        # K_{nu mu} = 0 unless nu dominates mu, so mu_1 <= the largest nu_1
-        top = max(nu[0] if nu else 0 for nu, c in schurs)
-        for mu in partitions_of(weight, top, nvars):
-            a = sum(c * _kostka(nu, mu) for nu, c in schurs)
-            if a:
-                terms[(mu, k)] = a
+    for (nu, k), c in schur.items():
+        for mu, kostka in _kostka_row(nu, nvars):
+            terms[(mu, k)] = terms.get((mu, k), 0) + c * kostka
     return SymmetricPoly(nvars, terms)

@@ -1823,7 +1823,7 @@ def gq_oracle_literal(lam, nvars: int):
 def _schur_coefficients(poly, n, r):
     """{(nu, k): c} with A(poly x^{delta_B})/V = sum c b^k s_nu, one pass.
 
-    nu comes padded with zeros to length n.
+    nu comes without its zero parts.
     """
     shifts = [(_W * i, d) for i, d in enumerate([0] * r + list(range(n - r - 1, -1, -1)))]
     stair = range(n - 1, -1, -1)
@@ -1840,7 +1840,7 @@ def _schur_coefficients(poly, n, r):
             for e in alpha[i + 1:]:
                 if a < e:
                     odd = not odd
-        nu = (tuple(a - d for a, d in zip(ordered, stair)), key >> betas)
+        nu = (tuple(a - d for a, d in zip(ordered, stair) if a > d), key >> betas)
         s = out.get(nu, 0) + (-c if odd else c)
         if s:
             out[nu] = s

@@ -16,6 +16,11 @@ def test_verify_reports_agreement(capsys):
     assert report["routes"] == {
         "gq_pfaffian_1": True, "gq_pfaffian_2": True, "gq_fermionic": True}
     assert report["agree"] is True
+    seconds = report["seconds"]
+    assert set(seconds) == {"oracle", "from_finite", "routes"}
+    assert set(seconds["routes"]) == set(cli.ROUTES)
+    for s in (seconds["oracle"], seconds["from_finite"], *seconds["routes"].values()):
+        assert isinstance(s, float) and s >= 0
 
 
 def test_verify_rejects_a_non_strict_partition(capsys):

@@ -314,7 +314,7 @@ def test_kernels_do_no_scalar_arithmetic():
     want_state = fock._phihat_row(fock.bra_apply_phi_beta_star(state, 2, 10), 3, 1, 2)
     want_poly = gq_oracle((2, 1), 4)
     want_gq = gq_pfaffian_1((2, 1), 4)
-    fresh = gq.gq_series.__wrapped__(6)
+    fresh = gq._gq_series.__wrapped__(6)
     assert fresh[1] * fresh[2] == want_product
     assert fresh[1] + fresh[3] == want_sum
     assert fresh[3] - fresh[2] == want_difference
@@ -414,9 +414,9 @@ def test_warm_pfaffian_entries_take_no_product(monkeypatch):
     # products that the family memoises per bound, so an entry whose
     # products are all built already multiplies nothing
     D = 8
-    entries = ((gq.gq_two_index.__wrapped__, (3, 1, D)),
+    entries = ((gq._gq_two_index.__wrapped__, (3, 1, D)),
                (gq._f_entry, (1, 3, 4, 4, 1, D)),
-               (dualq.o_two_index.__wrapped__, (3, 1, D)),
+               (dualq._o_two_index.__wrapped__, (3, 1, D)),
                (dualq._g_entry, (1, 3, 4, 1, D)))
     wants = [entry(*args) for entry, args in entries]  # warms the tables
     products = _count_products(monkeypatch)
@@ -432,7 +432,7 @@ def test_cold_formula_two_multiplies_each_generator_pair_once(monkeypatch):
     # only other products are the three of the 4 x 4 Pfaffian expansion.
     D = 12
     want = gq.gq_pfaffian_2((3, 2, 1), D)
-    gq.gq_two_index.cache_clear()
+    gq._gq_two_index.cache_clear()
     monkeypatch.setitem(gq._PRODUCTS, D, {})
     generators = {id(f): n for n, f in enumerate(gq.gq_series(D)) if n}
     products = _count_products(monkeypatch)
@@ -465,13 +465,13 @@ def test_cold_gp_is_one_vacuum_expectation(monkeypatch):
 
 PROCESS_WIDE_TABLES = {
     "bases._image_partition", "bases._power_image", "dualq._PRODUCTS",
-    "dualq._q_bracket_upto", "dualq.o_two_index", "finitevars._orbit_size",
+    "dualq._q_bracket_upto", "dualq._o_two_index", "finitevars._orbit_size",
     "finitevars._p_to_m", "fock._bra_insert", "fock._bra_word_b",
     "fock._phi_beta_modes", "fock._row_modes", "fock._theta_modes", "gq._PRODUCTS",
-    "gq.gq_series",
-    "gq.gq_two_index", "hexpansion._rows",
-    "hexpansion._state", "laurent._KERNEL_TABLES", "laurent.f_table", "laurent.g_table",
-    "oracle._alternant", "oracle._kostka", "partitions.partitions_of",
+    "gq._gq_series",
+    "gq._gq_two_index", "hexpansion._rows",
+    "hexpansion._state", "laurent._KERNEL_TABLES", "laurent._kernel_table",
+    "oracle._alternant", "oracle._kostka", "oracle._kostka_row", "partitions.partitions_of",
     "partitions.z_lambda", "pseries._PAIRS",
 }
 

@@ -287,6 +287,7 @@ def test_widened_kernel_table_matches_convolution(monkeypatch):
     # a narrow window builds the cached table, a wider one rebuilds it at
     # the union; each cut holds what the convolution holds at its window
     monkeypatch.setattr(laurent, "_KERNEL_TABLES", {})
+    _kernel_table.cache_clear()
     narrow, wide = (2, 3), (9, 6)
     for windows in (narrow, wide, narrow):
         assert dict(_kernel_table(3, 4, windows)) == kernel_entries_by_convolution(3, 4, *windows)
@@ -410,7 +411,7 @@ def test_generator_products_match_fresh_products(D):
     # each family's _pair(m, n) stands for s b^e f = A_m A_n, A read from a
     # fresh generator row: constants as b-shifts, and a GQ pair past the
     # bound, which is zero, as None
-    row = gq.gq_series.__wrapped__(D)
+    row = gq._gq_series.__wrapped__(D)
 
     def fresh(n):
         return row[n] if 0 < n <= D else gq_coefficient(n, D)
@@ -453,8 +454,8 @@ def test_contract_matches_row_referee_on_route_tables(monkeypatch):
     monkeypatch.setattr(dualq, "_g_entry", entering("dual", dualq._g_entry))
     monkeypatch.setattr(gq, "contract", recorded)
     monkeypatch.setattr(dualq, "contract", recorded)
-    gq.gq_two_index.cache_clear()
-    dualq.o_two_index.cache_clear()
+    gq._gq_two_index.cache_clear()
+    dualq._o_two_index.cache_clear()
     for D in range(1, 10):
         for lam in strict_partitions_upto(D):
             for route in (gq.gq_pfaffian_1, gq.gq_pfaffian_2,
@@ -480,7 +481,7 @@ def test_memoised_products_survive_a_sweep():
             route(lam, D)
     assert gq._PRODUCTS[D] and dualq._PRODUCTS[D]
     for bound, table in gq._PRODUCTS.items():
-        fresh = gq.gq_series.__wrapped__(bound)
+        fresh = gq._gq_series.__wrapped__(bound)
         for (m, n), f in table.items():
             assert f == fresh[m] * fresh[n], (bound, m, n)
     for bound, table in dualq._PRODUCTS.items():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq.finitevars import SymmetricPoly
-from kq.oracle import _MASK, _W, _alternant, _kostka, _tail_product, gq_oracle
+from kq.oracle import _MASK, _W, _alternant, _kostka, _kostka_row, _tail_product, gq_oracle
 from kq.partitions import partitions_of
 from referees import (BETA, ZERO, FinitePoly, _add_into, _divide_pair, _divided_difference, _mono,
                       _mul, _pair_difference, at_b, classical_q, eval_finite, expand,
@@ -156,6 +156,7 @@ def test_oracle_allocation_stays_small():
     # near 0.3 MB; the memo tables are cleared so that they count too
     _alternant.cache_clear()
     _kostka.cache_clear()
+    _kostka_row.cache_clear()
     tracemalloc.start()
     try:
         gq_oracle((3, 1), 7)
@@ -267,6 +268,49 @@ def test_kostka_ignores_the_order_of_the_content():
             orders = set(permutations(mu + (0,)))
             for nu in partitions_of(w):
                 assert {_kostka(nu, order) for order in orders} == {_kostka(nu, mu)}
+
+
+def test_kostka_rows_hold_every_nonzero_kostka_number():
+    # a row lists each mu of |nu| once, with K_{nu mu} as _kostka gives it;
+    # every mu it leaves out has K = 0 or more than nvars parts
+    for nu in all_partitions(8):
+        for nvars in range(1, 9):
+            row = _kostka_row(nu, nvars)
+            assert len({mu for mu, k in row}) == len(row)
+            row = dict(row)
+            for mu in partitions_of(sum(nu)):
+                if mu in row:
+                    assert row[mu] == _kostka(nu, mu) != 0 and len(mu) <= nvars, (nu, mu)
+                else:
+                    assert not _kostka(nu, mu) or len(mu) > nvars, (nu, nvars, mu)
+
+
+def test_a_head_class_that_cancels():
+    # at (3,2,1), n = 3, trunc 6 the tail is empty, and the heads of P0 with
+    # exponent set {2, 3, 4} at b^0 sum, each signed by the sort of its
+    # exponents, to zero: the pass skips that class, and the answer is
+    # still the one of the referee that keeps P0 monomial by monomial
+    lam, n, t = (3, 2, 1), 3, 6
+    seen = []
+
+    def kept(*args):
+        seen.append(_tail_product(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("kq.oracle._tail_product", kept)
+        got = gq_oracle(lam, n, t)
+    (orbits,) = seen
+    classes = {}
+    for h, c in orbits[()].items():
+        exps = [(h >> _W * i) & _MASK for i in range(n)]
+        odd = sum(a < e for i, a in enumerate(exps) for e in exps[i + 1:]) % 2
+        key = (frozenset(exps), h >> _W * n)
+        classes.setdefault(key, []).append(-c if odd else c)
+    heads = classes[(frozenset({2, 3, 4}), 0)]
+    assert len(heads) > 1 and all(heads) and sum(heads) == 0
+    assert got.terms
+    assert got == gq_oracle_full(lam, n, t)
 
 
 @given(st.integers(1, 4), st.lists(st.integers(0, 5), min_size=4, max_size=4))

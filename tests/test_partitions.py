@@ -3,6 +3,7 @@ import pytest
 from kq import partitions as pt
 from kq.dualq import o_two_index, q_bracket_series
 from kq.gq import gq_fermionic, gq_series, gq_two_index
+from kq.laurent import f_table, g_table
 from kq.pseries import PSeries
 from referees import (contains, power_sum, row_count, strict_partitions_of,
                       strict_partitions_upto, sub_strict_partitions)
@@ -80,6 +81,22 @@ def test_bool_degree_bound_fails_at_the_routes():
                         (lambda: o_two_index(2.0, 1, 4), r"a must be an integer, got 2\.0")]:
         with pytest.raises(ValueError, match=bad):
             misuse()
+    # every argument is checked before a memo hashes it: a list is no index
+    # or bound, and the kernel tables check their indices and windows too
+    f_table(1, 2, 2, (3, 3)), g_table(1, 2, (3, 3))
+    for misuse, bad in [
+            (lambda: gq_two_index([1], 1, 4), r"a must be an integer, got \[1\]"),
+            (lambda: o_two_index(1, [1], 4), r"b must be an integer, got \[1\]"),
+            (lambda: gq_series([4]), r"integer, got \[4\]"),
+            (lambda: f_table(True, 2, 2, (3, 3)), "i must be an integer, got True"),
+            (lambda: f_table(1, 2, 2, (3.0, 3)), r"windows entry must be an integer, got 3\.0"),
+            (lambda: g_table(1, 2, (3.0, 3)), r"windows entry must be an integer, got 3\.0"),
+            (lambda: g_table(1, 2, 3), "windows must be a pair of integers, got 3")]:
+        with pytest.raises(ValueError, match=bad):
+            misuse()
+    # a window given as a list is the same pair
+    assert dict(f_table(1, 2, 2, [3, 3])) == dict(f_table(1, 2, 2, (3, 3)))
+    assert dict(g_table(1, 2, [3, 3])) == dict(g_table(1, 2, (3, 3)))
 
 
 def test_non_integer_index_fails_at_the_one_row_tables():
