@@ -100,8 +100,8 @@ def _kernel_table(a: int, c: int, windows) -> MappingProxyType:
 
 
 def _check_windows(windows) -> tuple[int, int]:
-    """windows as a pair of ints, never bools; ValueError naming it otherwise."""
-    if not isinstance(windows, (tuple, list)) or len(windows) != 2:
+    """windows as a tuple of two ints, never bools; ValueError naming it otherwise."""
+    if not isinstance(windows, tuple) or len(windows) != 2:
         raise ValueError(f"windows must be a pair of integers, got {windows!r}")
     return _check_int(windows[0], "windows entry"), _check_int(windows[1], "windows entry")
 

@@ -264,9 +264,10 @@ def test_f_table_window_widening_consistent():
 
 def test_windows_are_cut_from_one_table_per_exponent_pair():
     # a window cut from a wider table, and a table rebuilt wider when a
-    # window passes it, hold exactly what a build at that window holds
+    # window passes it, hold exactly what a build at that window holds;
+    # past the memo of cuts, so every window is cut or rebuilt here
     for windows in ((3, 2), (6, 6), (2, 5), (4, 1), (7, 0)):
-        assert dict(_kernel_table(1, 2, windows)) == _kernel_entries(1, 2, *windows)
+        assert dict(_kernel_table.__wrapped__(1, 2, windows)) == _kernel_entries(1, 2, *windows)
     x_top, y_top, _ = _KERNEL_TABLES[(1, 2)]
     assert x_top >= 7 and y_top >= 6
 
@@ -285,12 +286,13 @@ def test_kernel_recurrences_match_convolution(a):
 
 def test_widened_kernel_table_matches_convolution(monkeypatch):
     # a narrow window builds the cached table, a wider one rebuilds it at
-    # the union; each cut holds what the convolution holds at its window
+    # the union; each cut holds what the convolution holds at its window,
+    # the last narrow one cut from the widened table, past the memo of cuts
     monkeypatch.setattr(laurent, "_KERNEL_TABLES", {})
-    _kernel_table.cache_clear()
     narrow, wide = (2, 3), (9, 6)
     for windows in (narrow, wide, narrow):
-        assert dict(_kernel_table(3, 4, windows)) == kernel_entries_by_convolution(3, 4, *windows)
+        cut = _kernel_table.__wrapped__(3, 4, windows)
+        assert dict(cut) == kernel_entries_by_convolution(3, 4, *windows)
     assert laurent._KERNEL_TABLES[(3, 4)][:2] == wide
 
 
