@@ -5,11 +5,11 @@
 computes GQ_lambda in n variables with the symmetrization oracle, reads its
 power-sum coordinates back with from_finite at D = n, and compares them with
 the three other GQ routes at the same bound.  It prints one JSON line, which
-names the bound ("D"), the coordinates compared, the number of monomials
-of the oracle's polynomial ("oracle_terms") and the seconds spent in the
-oracle, in from_finite and in each route ("seconds", by time.perf_counter),
-and exits 0 only if every route agrees; bad input exits 2 with the error
-text.
+names the bound ("D"), the coordinates compared, the number of (nu, k)
+terms of the oracle's polynomial sum c b^k s_nu in Schur coordinates
+("oracle_terms") and the seconds spent in the oracle, in from_finite and
+in each route ("seconds", by time.perf_counter), and exits 0 only if every
+route agrees; bad input exits 2 with the error text.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import sys
 import time
 
-from .finitevars import _orbit_size, from_finite
+from .finitevars import from_finite
 from .gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
 from .oracle import gq_oracle
 from .partitions import check_strict_weight
@@ -48,7 +48,7 @@ def verify(lam, n: int) -> dict:
     got = {name: _timed(route, lam, n) for name, route in ROUTES.items()}
     routes = {name: f == want for name, (f, _) in got.items()}
     return {"lambda": list(lam), "n": n, "D": n, "coordinates": "power-sum",
-            "oracle_terms": sum(_orbit_size(mu, n) for mu, _ in poly.terms),
+            "oracle_terms": len(poly.terms),
             "routes": routes,
             "agree": all(routes.values()),
             "seconds": {"oracle": oracle_s, "from_finite": finite_s,

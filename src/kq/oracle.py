@@ -22,15 +22,11 @@ and Hall Polynomials, I.3): A(x^alpha)/V is zero when two exponents of
 alpha are equal, and otherwise sgn(w) s_nu, where w sorts alpha into
 decreasing order nu + delta, delta = (n-1, ..., 1, 0).  So one pass over P0
 gives GQ_lambda = sum_nu c_nu s_nu(x_1..x_n), c_nu in Z[b] the signed sum of
-P0's coefficients that land on nu.  The answer is read in monomial
-coordinates through the Kostka numbers, s_nu = sum_mu K_{nu mu} m_mu (I.6):
-a_mu = sum_nu c_nu K_{nu mu} for each partition mu with at most n parts,
-one value per orbit (finitevars.SymmetricPoly).  K comes from removing the
-horizontal strip of the largest entry, one letter of the content at a time.
-Each shape nu keeps one memoised Kostka row, its nonzero K_{nu mu} over the
-mu of |nu| with at most n parts (only mu_1 <= nu_1 are tried, since
-K_{nu mu} = 0 unless nu dominates mu), and each c_nu b^k adds c_nu K_{nu mu}
-b^k along the row.
+P0's coefficients that land on nu.  These c_nu are the answer, in Schur
+coordinates (finitevars.SymmetricPoly), keyed by nu without its zero
+parts and by the b-power.  No monomial coordinate is needed on the way to
+power sums: s_nu = sum_mu chi^nu(mu) p_mu / z_mu with integer characters,
+which finitevars.from_finite reads by the Murnaghan-Nakayama rule.
 
 P0 is never written out monomial by monomial.  With r = len(lambda),
 
@@ -122,7 +118,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .finitevars import SymmetricPoly
-from .partitions import check_degree_bound, check_partition, partitions_of
+from .partitions import check_degree_bound, check_partition
 
 # key layout, least significant first: x_0 .. x_{n-1}, then beta on top;
 # gq_oracle packs the r head variables only
@@ -232,33 +228,8 @@ def _alternant(tail):
     return tuple(item for item in out.items() if item[1])
 
 
-def _strips(nu, size):
-    """Every partition rho with nu / rho a horizontal strip of size boxes.
-
-    Row i keeps nu_{i+1} <= rho_i <= nu_i of its boxes.
-    """
-    states = [((), size)]
-    for i, top in enumerate(nu):
-        low = nu[i + 1] if i + 1 < len(nu) else 0
-        states = [(rho + (top - t,), left - t) for rho, left in states
-                  for t in range(min(left, top - low) + 1)]
-    return [tuple(p for p in rho if p) for rho, left in states if not left]
-
-
-@lru_cache(maxsize=None)
-def _kostka(nu, mu):
-    """K_{nu mu}, the tableaux of shape nu and content mu, mu any composition.
-
-    The entries equal to the last letter fill a horizontal strip nu / rho,
-    and rho holds a tableau of the content without it.
-    """
-    if not mu:
-        return int(not nu)
-    return sum(_kostka(rho, mu[:-1]) for rho in _strips(nu, mu[-1]))
-
-
 def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
-    """GQ_lambda(x_0..x_{nvars-1}) in monomial coordinates, exact for total
+    """GQ_lambda(x_0..x_{nvars-1}) in Schur coordinates, exact for total
     x-degree <= trunc.
 
     trunc defaults to nvars; both must be integers >= 0.  The result
@@ -319,7 +290,7 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
                         at = (hm | gm, k)
                         v = -count * c if (gm & above).bit_count() & 1 else count * c
                         schur[at] = schur.get(at, 0) + v
-    return _in_monomials({(_nu(mask), k): c for (mask, k), c in schur.items() if c}, nvars)
+    return SymmetricPoly(nvars, {(_nu(mask), k): c for (mask, k), c in schur.items() if c})
 
 
 def _nu(mask):
@@ -328,21 +299,3 @@ def _nu(mask):
     top, below = mask.bit_length() - 1, mask.bit_count() - 1
     return (top - below,) + _nu(mask ^ 1 << top) if top > below else ()  # else mask is delta
 
-
-@lru_cache(maxsize=None)
-def _kostka_row(nu, nvars):
-    """((mu, K_{nu mu}), ...) over the partitions mu of |nu| with at most
-    nvars parts, zeros left out.  K_{nu mu} = 0 unless nu dominates mu, so
-    only mu_1 <= nu_1 are tried."""
-    return tuple((mu, k) for mu in partitions_of(sum(nu), nu[0] if nu else 0, nvars)
-                 if (k := _kostka(nu, mu)))
-
-
-def _in_monomials(schur, nvars):
-    """sum_nu c_nu b^k s_nu, from {(nu, k): c} with nu a partition (no zero
-    parts), in monomial coordinates through the Kostka rows."""
-    terms = {}
-    for (nu, k), c in schur.items():
-        for mu, kostka in _kostka_row(nu, nvars):
-            terms[(mu, k)] = terms.get((mu, k), 0) + c * kostka
-    return SymmetricPoly(nvars, terms)

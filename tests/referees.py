@@ -12,10 +12,12 @@ by the two-row Pfaffian and its deformed images, which referee the vacuum
 rows of hexpansion, those rows built in one table up to a bound, and
 coordinates in the deformed bases by triangular elimination, which referee
 the pairing and its ring check; polynomials in n variables
-monomial by monomial (FinitePoly), the oracle's answer written out on its
-orbits and read back with a symmetry check, and the substitution of power
-sums in n variables that from_finite inverts (eval_finite) and the solve
-of from_finite in Fractions (from_finite_by_fractions); the binomial
+monomial by monomial (FinitePoly), the oracle's answer written out one
+Schur polynomial at a time and read back with a symmetry check, the
+hook-length count of standard tableaux, and the substitution of power
+sums in n variables that from_finite inverts (eval_finite) and a solve of
+from_finite on monomial coordinates in Fractions
+(from_finite_by_fractions); the binomial
 C(a, k) at any upper entry, in Fractions, which checks laurent's univariate
 tables; the kernel
 (z-w)/(z+w+b) in a closed form of its own, generic Laurent blocks that
@@ -45,18 +47,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 from kq import fock
 from kq.bases import _image_sum, _power_image
 from kq.dualq import o_fermionic, q_bracket_series
-from kq.finitevars import SymmetricPoly, _orbit_size, _p_to_m
+from kq.finitevars import SymmetricPoly
 from kq.fock import _bra_insert
 from kq.gq import gq_series
 from kq.hexpansion import vacuum_expectation
 from kq.laurent import _dual_kernel_rational
-from kq.oracle import (_MASK, _W, _bracket_power, _check_fits, _in_monomials, _p0_degree,
-                       _pair_factor)
+from kq.oracle import _MASK, _W, _bracket_power, _check_fits, _p0_degree, _pair_factor
 from kq.oracle import _mul as _positive_mul
 from kq.partitions import (check_degree_bound, check_partition, check_strict_weight, graded_key,
                            partitions_upto, z_lambda)
@@ -568,12 +569,13 @@ def pair_coordinates(cf: PSeries, cg: PSeries) -> Qb:
 
 # -- finitevars: polynomials monomial by monomial, and the substitution ------
 #
-# The oracle answers in monomial coordinates (finitevars.SymmetricPoly).
+# The oracle answers in Schur coordinates (finitevars.SymmetricPoly).
 # FinitePoly writes a polynomial out term by term, one Fraction per
 # (exponent tuple, b-power), so that the oracle can be compared monomial by
 # monomial with the literal symmetrization, the divided differences and
-# eval_finite: expand writes every orbit out, and monomial_coordinates
-# checks symmetry and reads one value per orbit back.
+# eval_finite: expand writes every s_nu out by a chain of divided
+# differences, and schur_coordinates checks symmetry and peels the s_nu
+# back off.
 
 def _grouped(flat) -> dict:
     """{key: Qb} from flat {(key, k): Fraction} terms, zeros dropped."""
@@ -703,43 +705,68 @@ class FinitePoly:
 
 
 @lru_cache(maxsize=None)
-def _orbit(parts):
-    """Every distinct rearrangement of a weakly decreasing tuple."""
-    if not parts:
-        return ((),)
-    return tuple((v,) + tail for i, v in enumerate(parts) if i == 0 or v != parts[i - 1]
-                 for tail in _orbit(parts[:i] + parts[i + 1:]))
+def _schur_poly(nu: tuple[int, ...], n: int) -> dict:
+    """s_nu(x_1..x_n) as {exps: int}: the divided difference d_{w0} of
+    x^{nu + delta}, delta = (n-1, ..., 1, 0), which is A(x^{nu + delta}) / V
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), one
+    adjacent step of a reduced word of w0 at a time."""
+    alpha = [part + n - 1 - i for i, part in enumerate(nu + (0,) * (n - len(nu)))]
+    _check_fits(max(alpha, default=0))
+    poly = {_mono(n, 0, alpha): 1}
+    for i in _coset_word(n, n):
+        poly = _divided_difference(poly, i)
+    return {tuple(key >> _W * i & _MASK for i in range(n)): c for key, c in poly.items()}
 
 
 def expand(sym: SymmetricPoly) -> FinitePoly:
-    """The polynomial of monomial coordinates, every orbit written out."""
+    """The polynomial of Schur coordinates, every s_nu written out."""
     n = sym.nvars
-    return FinitePoly._from_flat(n, {(exps, k): Fraction(a) for (mu, k), a in sym.terms.items()
-                                     for exps in _orbit(mu + (0,) * (n - len(mu)))})
+    out: dict = {}
+    for (nu, k), a in sym.terms.items():
+        for exps, c in _schur_poly(nu, n).items():
+            out[(exps, k)] = out.get((exps, k), 0) + a * c
+    return FinitePoly._from_flat(n, {key: Fraction(v) for key, v in out.items()})
 
 
-def monomial_coordinates(g: FinitePoly) -> SymmetricPoly:
-    """The monomial coordinates of a symmetric polynomial.
+def schur_coordinates(g: FinitePoly) -> SymmetricPoly:
+    """The Schur coordinates of a symmetric polynomial.
 
-    g is symmetric exactly when each monomial class lam (nonzero exponents
-    sorted down) has all of its nvars! / prod m_i! members, zeros counted
-    as a part, and each carries the coefficient of x^lam; anything else
-    raises ValueError.  Symmetry holds one power of b at a time.
+    The lex-greatest monomial x^alpha of g, at its b-power, is read as the
+    coordinate of s_alpha, and that multiple of s_alpha is subtracted.  On a
+    symmetric polynomial alpha is weakly decreasing, since every
+    rearrangement of alpha carries the same coefficient, and every other
+    monomial of s_alpha is lex-smaller than x^alpha, so the leading
+    monomial falls at each step and the walk ends, at zero exactly when g is
+    symmetric.  A leading alpha that is not weakly decreasing raises
+    ValueError.
     """
     n = g.nvars
-    seen: dict = {}
+    rest = dict(g.terms)
     coords: dict = {}
-    for (exps, k), c in g.terms.items():
-        lam = tuple(sorted((e for e in exps if e), reverse=True))
-        if (lam, k) not in seen:
-            seen[(lam, k)] = 0
-            coords[(lam, k)] = g.terms.get((lam + (0,) * (n - len(lam)), k), 0)
-        if c != coords[(lam, k)]:
+    while rest:
+        alpha, k = max(rest, key=lambda term: (term[1], term[0]))
+        if any(a < e for a, e in zip(alpha, alpha[1:])):
             raise ValueError("input is not a symmetric polynomial")
-        seen[(lam, k)] += 1
-    if any(count != _orbit_size(lam, n) for (lam, _), count in seen.items()):
-        raise ValueError("input is not a symmetric polynomial")
+        c = rest[(alpha, k)]
+        nu = tuple(e for e in alpha if e)
+        coords[(nu, k)] = c
+        for exps, count in _schur_poly(nu, n).items():
+            left = rest.get((exps, k), 0) - c * count
+            if left:
+                rest[(exps, k)] = left
+            else:
+                del rest[(exps, k)]
     return SymmetricPoly(n, coords)
+
+
+def hook_count(nu):
+    """f^nu, the standard tableaux of shape nu, by the hook-length formula."""
+    conj = [sum(1 for p in nu if p > j) for j in range(nu[0])] if nu else []
+    hooks = 1
+    for i, row in enumerate(nu):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return factorial(sum(nu)) // hooks
 
 
 # -- the substitution that from_finite inverts --------------------------------
@@ -775,22 +802,30 @@ def eval_finite(f: PSeries, nvars: int) -> FinitePoly:
 
 
 def from_finite_by_fractions(g: SymmetricPoly, degree_bound: int) -> PSeries:
-    """from_finite as a triangular solve on the p_mu coordinates, in Fractions.
+    """from_finite as a triangular solve on monomial coordinates, in Fractions.
 
-    The walk is the library's, by decreasing length, but each coordinate
-    is rem / prod m_i(mu)!, a Fraction, and the series is built from the
-    p_mu coordinates by the checked constructor, so neither the integral
-    scale nor the exactness of its divisions is shared with from_finite.
+    The m_lam coordinate of g is the coefficient of x^lam in g written out
+    (expand).  x^lam occurs in p_mu only when lam coarsens mu (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.6), so the walk solves the
+    p_mu coordinates by decreasing length, each the remainder at mu over
+    the coefficient of x^mu in p_mu, read off p_mu written out
+    (_partition_power_poly), and the series is built from them by the
+    checked constructor.  Neither the characters nor the integrality of
+    from_finite is shared with it; it needs nvars >= degree_bound.
     """
+    n = g.nvars
     rest: dict = {}
-    for (lam, k), a in g.terms.items():
-        rest.setdefault(lam, {})[k] = a
+    for (exps, k), c in expand(g).terms.items():
+        if all(a >= e for a, e in zip(exps, exps[1:])):
+            rest.setdefault(tuple(e for e in exps if e), {})[k] = c
     coeffs: dict = {}
     for mu in sorted(partitions_upto(degree_bound), key=len, reverse=True):
-        row = _p_to_m(mu)
+        row = {tuple(e for e in exps if e): c
+               for (exps, _), c in _partition_power_poly(mu, n).terms.items()
+               if all(a >= e for a, e in zip(exps, exps[1:]))}
         for k, r in rest.pop(mu, {}).items():
             if r:
-                c = coeffs[(mu, k)] = Fraction(r, row[mu])
+                c = coeffs[(mu, k)] = r / row[mu]
                 for lam, count in row.items():
                     if lam != mu:
                         got = rest.setdefault(lam, {})
@@ -1855,7 +1890,6 @@ def gq_oracle_full(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
     P0 is multiplied out pair by pair under the same b cap, and the
     bialternant pass visits each of its monomials, so neither the tail
     orbits nor the per-orbit alternant tables are shared with the library.
-    The Kostka read-out is the library's.
     """
     lam = check_partition(lam, strict=True)
     nvars = check_degree_bound(nvars, "variable count")
@@ -1872,7 +1906,7 @@ def gq_oracle_full(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
     for i in range(r):
         for j in range(i + 1, nvars):
             poly = _mul(poly, _pair_factor(nvars, i, j), nvars, bcap)
-    return _in_monomials(_schur_coefficients(poly, nvars, r), nvars)
+    return SymmetricPoly(nvars, _schur_coefficients(poly, nvars, r))
 
 
 def _lift(key, r, n):

@@ -1,16 +1,17 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kq import finitevars
-from kq.finitevars import SymmetricPoly, _p_to_m, from_finite
+from kq.finitevars import SymmetricPoly, _character, from_finite
 from kq.oracle import gq_oracle
-from kq.partitions import partitions_upto
+from kq.partitions import partitions_of, partitions_upto, z_lambda
 from kq.pseries import PSeries
-from referees import (BETA, ONE, Qb, FinitePoly, eval_finite, expand, from_finite_by_fractions,
-                      monomial_coordinates, power_sum_poly, scalar_terms, strict_partitions_upto)
+from referees import (BETA, ONE, Qb, FinitePoly, _partition_power_poly, eval_finite, expand,
+                      from_finite_by_fractions, hook_count, power_sum_poly, scalar_terms,
+                      schur_coordinates, strict_partitions_upto)
 
 
 def test_power_sum_poly():
@@ -39,8 +40,9 @@ def pseries_strategy(bound, nparts=3):
 @given(pseries_strategy(4), st.sampled_from([4, 6]))
 @settings(max_examples=30, deadline=None)
 def test_round_trip(f, n):
-    # orbit sizes depend on n, so also take more variables than the bound
-    assert from_finite(monomial_coordinates(eval_finite(f, n)), 4) == f
+    # the Schur polynomials depend on n, so also take more variables than
+    # the bound
+    assert from_finite(schur_coordinates(eval_finite(f, n)), 4) == f
 
 
 @given(pseries_strategy(3), pseries_strategy(3))
@@ -56,46 +58,47 @@ def test_eval_is_a_ring_map(f, g):
 
 def test_round_trip_with_beta_coefficients():
     f = PSeries({(2, 1): BETA ** 2 + 1, (1,): -BETA}, 3)
-    assert from_finite(monomial_coordinates(eval_finite(f, 3)), 3) == f
+    assert from_finite(schur_coordinates(eval_finite(f, 3)), 3) == f
 
 
 def test_round_trip_through_a_zero_monomial_coordinate():
-    # m_(3) = 1 + 1 - 2 = 0, so x^(3,0,0) is absent, yet p_3 is not
+    # m_(3) = 1 + 1 - 2 = 0, so x^(3,0,0) is absent, and with it s_(3),
+    # the only s_nu of degree 3 that reaches it, yet p_3 is not
     f = PSeries({(3,): 1, (2, 1): 1, (1, 1, 1): -2}, 3)
     g = eval_finite(f, 3)
     assert g.coefficient((3, 0, 0)) == 0
-    assert (3,) not in {mu for mu, k in monomial_coordinates(g).terms}
-    assert from_finite(monomial_coordinates(g), 3) == f
+    assert (3,) not in {mu for mu, k in schur_coordinates(g).terms}
+    assert from_finite(schur_coordinates(g), 3) == f
 
 
 def test_from_finite_rejects_asymmetric():
     g = FinitePoly(3, {(2, 0, 0): 1, (0, 2, 0): 1})  # missing the z^2 orbit
     with pytest.raises(ValueError):
-        from_finite(monomial_coordinates(g), 3)
+        from_finite(schur_coordinates(g), 3)
     g2 = FinitePoly(2, {(1, 0): 1, (0, 1): 2})
     with pytest.raises(ValueError):
-        from_finite(monomial_coordinates(g2), 2)
+        from_finite(schur_coordinates(g2), 2)
     # a full orbit of (2,1) whose non-dominant member (0,1,2) is off by one
     full = eval_finite(PSeries({(2, 1): 1}, 3), 3)
     off = scalar_terms(full)
     off[(0, 1, 2)] = off[(0, 1, 2)] + 1
     with pytest.raises(ValueError):
-        from_finite(monomial_coordinates(FinitePoly(3, off)), 3)
+        from_finite(schur_coordinates(FinitePoly(3, off)), 3)
     # the same orbit with one non-dominant member missing
     short = scalar_terms(full)
     del short[(0, 1, 2)]
     with pytest.raises(ValueError):
-        from_finite(monomial_coordinates(FinitePoly(3, short)), 3)
+        from_finite(schur_coordinates(FinitePoly(3, short)), 3)
 
 
 def test_from_finite_rejects_too_few_vars():
-    g = monomial_coordinates(eval_finite(PSeries({(1,): 1}, 4), 3))
+    g = schur_coordinates(eval_finite(PSeries({(1,): 1}, 4), 3))
     with pytest.raises(ValueError):
         from_finite(g, 4)  # 3 variables cannot certify degree 4
 
 
 def test_from_finite_rejects_overflow_degree():
-    g = monomial_coordinates(eval_finite(PSeries({(3,): 1}, 3), 3))
+    g = schur_coordinates(eval_finite(PSeries({(3,): 1}, 3), 3))
     with pytest.raises(ValueError):
         from_finite(g, 2)
 
@@ -168,18 +171,24 @@ def test_symmetric_poly_compares_values():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expand_and_read_back(n):
-    # monomial_coordinates inverts expand on the oracle's answers
+    # schur_coordinates inverts expand on the oracle's answers
     for lam in [(1,), (2, 1), (3, 1), (3, 2, 1)]:
         sym = gq_oracle(lam, n, n + 2)
-        assert monomial_coordinates(expand(sym)) == sym
+        assert schur_coordinates(expand(sym)) == sym
+
+
+@lru_cache(maxsize=None)
+def power_sum_in_schur(mu, n):
+    """p_mu(x_1..x_n) in Schur coordinates, peeled off p_mu written out."""
+    return schur_coordinates(_partition_power_poly(mu, n))
 
 
 @st.composite
 def symmetric_polys(draw):
     """(g, D): g in nvars in [D, D + 2] variables, of degree <= D <= 6, with
     int and Fraction values and b-powers 0..3.  Half of them are the
-    monomial coordinates of a random combination of b^k p_mu, where the
-    classes the power sums share add up and may cancel."""
+    Schur coordinates of a random combination of b^k p_mu, where the
+    shapes the power sums share add up and may cancel."""
     D = draw(st.integers(0, 6))
     n = draw(st.integers(D, D + 2))
     keys = st.tuples(st.sampled_from(list(partitions_upto(D))), st.integers(0, 3))
@@ -188,16 +197,16 @@ def symmetric_polys(draw):
     if draw(st.booleans()):
         coords = {}
         for (mu, k), c in terms.items():
-            for lam, count in _p_to_m(mu).items():
-                coords[(lam, k)] = coords.get((lam, k), 0) + c * count
+            for (nu, _), count in power_sum_in_schur(mu, n).terms.items():
+                coords[(nu, k)] = coords.get((nu, k), 0) + c * count
         terms = coords
     return SymmetricPoly(n, terms), D
 
 
 @given(symmetric_polys())
 @example((SymmetricPoly(4, {}), 4))
-# p_3 + p_21 - 2 p_111: its m_(3) coordinate is 1 + 1 - 2 = 0
-@example((SymmetricPoly(3, {((2, 1), 0): -5, ((1, 1, 1), 0): -12}), 3))
+# p_3 + p_21 - 2 p_111: its s_(3) coordinate is 1 + 1 - 2 = 0
+@example((SymmetricPoly(3, {((2, 1), 0): -5, ((1, 1, 1), 0): -2}), 3))
 @settings(max_examples=150, deadline=None)
 def test_integral_solve_matches_the_fraction_solve(case):
     g, D = case
@@ -224,18 +233,31 @@ def test_from_finite_builds_no_fraction_on_integral_input(monkeypatch):
     assert [from_finite(g, 6) for g in polys] == want
 
 
-def test_a_fractional_coordinate_raises(monkeypatch):
-    # no input reaches a fractional p~ coordinate (Macdonald I.4), but a
-    # table with one count too many does, and the solve must raise on it
-    # rather than truncate the quotient
-    real = finitevars._p_to_m
+def characters(nu):
+    """{mu: chi^nu(mu)} over the partitions mu of |nu|, beads as from_finite
+    lays them: nu + delta as set bits, one bead per part."""
+    beads = sum(1 << part + len(nu) - 1 - i for i, part in enumerate(nu))
+    return {mu: _character(beads, mu) for mu in partitions_of(sum(nu))}
 
-    def broken(mu):
-        row = dict(real(mu))
-        if mu == (1, 1, 1):
-            row[(2, 1)] += 1
-        return row
 
-    monkeypatch.setattr(finitevars, "_p_to_m", broken)
-    with pytest.raises(ValueError, match="not integral"):
-        from_finite(SymmetricPoly(3, {((1, 1, 1), 0): 1}), 3)
+@pytest.mark.parametrize("w", range(9))
+def test_characters_are_orthogonal_and_count_standard_tableaux(w):
+    # sum_mu chi^nu(mu) chi^rho(mu) / z_mu = delta_{nu rho} (Macdonald I
+    # (7.8)), and chi^nu at the identity is f^nu
+    table = {nu: characters(nu) for nu in partitions_of(w)}
+    for nu, chi in table.items():
+        assert chi[(1,) * w] == hook_count(nu), nu
+        for rho, psi in table.items():
+            total = sum(Fraction(chi[mu] * psi[mu], z_lambda(mu)) for mu in chi)
+            assert total == (nu == rho), (nu, rho)
+
+
+@pytest.mark.parametrize("D", range(7))
+def test_a_lone_schur_polynomial_matches_the_fraction_solve(D):
+    # s_nu b^k in D and D + 1 variables, read into power sums by its
+    # characters and by the monomial solve of the referee
+    for nu in partitions_upto(D):
+        for n in (D, D + 1):
+            if len(nu) <= n:
+                g = SymmetricPoly(n, {(nu, 2): 1})
+                assert from_finite(g, D) == from_finite_by_fractions(g, D), (nu, n)

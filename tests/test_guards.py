@@ -465,13 +465,13 @@ def test_cold_gp_is_one_vacuum_expectation(monkeypatch):
 
 PROCESS_WIDE_TABLES = {
     "bases._image_partition", "bases._power_image", "dualq._PRODUCTS",
-    "dualq._q_bracket_upto", "dualq._o_two_index", "finitevars._orbit_size",
-    "finitevars._p_to_m", "fock._bra_insert", "fock._bra_word_b",
+    "dualq._q_bracket_upto", "dualq._o_two_index", "finitevars._character",
+    "fock._bra_insert", "fock._bra_word_b",
     "fock._phi_beta_modes", "fock._row_modes", "fock._theta_modes", "gq._PRODUCTS",
     "gq._gq_series",
     "gq._gq_two_index", "hexpansion._rows",
     "hexpansion._state", "laurent._KERNEL_TABLES", "laurent._kernel_table",
-    "oracle._alternant", "oracle._kostka", "oracle._kostka_row", "partitions.partitions_of",
+    "oracle._alternant", "partitions.partitions_of",
     "partitions.z_lambda", "pseries._PAIRS",
 }
 

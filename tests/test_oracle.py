@@ -1,19 +1,20 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq.finitevars import SymmetricPoly
-from kq.oracle import _MASK, _W, _alternant, _kostka, _kostka_row, _tail_product, gq_oracle
+from kq.finitevars import SymmetricPoly, from_finite
+from kq.finitevars import _character
+from kq.oracle import _MASK, _W, _alternant, _tail_product, gq_oracle
 from kq.partitions import partitions_of
 from referees import (BETA, ZERO, FinitePoly, _add_into, _divide_pair, _divided_difference, _mono,
-                      _mul, _pair_difference, at_b, classical_q, eval_finite, expand,
-                      gq_oracle_divided, gq_oracle_full, gq_oracle_literal, scalar_terms,
-                      strict_partitions_upto, tail_orbits_written_out, tail_product_brute)
+                      _mul, _pair_difference, _schur_poly, at_b, classical_q, eval_finite, expand,
+                      gq_oracle_divided, gq_oracle_full, gq_oracle_literal, hook_count,
+                      scalar_terms, strict_partitions_upto, tail_orbits_written_out,
+                      tail_product_brute)
 
 FULL = 10**6
 
@@ -153,13 +154,13 @@ def test_alternant_table_by_brute_force(parts):
 
 def test_oracle_allocation_stays_small():
     # P0 kept monomial by monomial peaks near 3 MB here, the tail orbits
-    # near 0.3 MB; the memo tables are cleared so that they count too
+    # near 0.3 MB; the memo tables are cleared so that they count too, and
+    # from_finite's characters run with the oracle, as kq verify runs them
     _alternant.cache_clear()
-    _kostka.cache_clear()
-    _kostka_row.cache_clear()
+    _character.cache_clear()
     tracemalloc.start()
     try:
-        gq_oracle((3, 1), 7)
+        from_finite(gq_oracle((3, 1), 7), 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,31 +236,28 @@ def dominates(nu, mu):
     return True
 
 
-def hook_count(nu):
-    """f^nu, the standard tableaux of shape nu, by the hook-length formula."""
-    conj = [sum(1 for p in nu if p > j) for j in range(nu[0])] if nu else []
-    hooks = 1
-    for i, row in enumerate(nu):
-        for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
-    return factorial(sum(nu)) // hooks
+def kostka(nu, mu):
+    """K_{nu mu}: the coefficient of x^mu in s_nu(x_1..x_n) as the referee
+    writes it out, mu a composition and n the longer of the two lengths."""
+    n = max(len(nu), len(mu))
+    return _schur_poly(nu, n).get(tuple(mu) + (0,) * (n - len(mu)), 0)
 
 
 def test_kostka_diagonal_is_one():
     for nu in all_partitions(8):
-        assert _kostka(nu, nu) == 1
+        assert kostka(nu, nu) == 1
 
 
 def test_kostka_vanishes_off_dominance():
     for w in range(8):
         for nu in partitions_of(w):
             for mu in partitions_of(w):
-                assert bool(_kostka(nu, mu)) == dominates(nu, mu), (nu, mu)
+                assert bool(kostka(nu, mu)) == dominates(nu, mu), (nu, mu)
 
 
 def test_kostka_of_ones_counts_standard_tableaux():
     for nu in all_partitions(8):
-        assert _kostka(nu, (1,) * sum(nu)) == hook_count(nu)
+        assert kostka(nu, (1,) * sum(nu)) == hook_count(nu)
 
 
 def test_kostka_ignores_the_order_of_the_content():
@@ -267,22 +265,7 @@ def test_kostka_ignores_the_order_of_the_content():
         for mu in partitions_of(w):
             orders = set(permutations(mu + (0,)))
             for nu in partitions_of(w):
-                assert {_kostka(nu, order) for order in orders} == {_kostka(nu, mu)}
-
-
-def test_kostka_rows_hold_every_nonzero_kostka_number():
-    # a row lists each mu of |nu| once, with K_{nu mu} as _kostka gives it;
-    # every mu it leaves out has K = 0 or more than nvars parts
-    for nu in all_partitions(8):
-        for nvars in range(1, 9):
-            row = _kostka_row(nu, nvars)
-            assert len({mu for mu, k in row}) == len(row)
-            row = dict(row)
-            for mu in partitions_of(sum(nu)):
-                if mu in row:
-                    assert row[mu] == _kostka(nu, mu) != 0 and len(mu) <= nvars, (nu, mu)
-                else:
-                    assert not _kostka(nu, mu) or len(mu) > nvars, (nu, nvars, mu)
+                assert {kostka(nu, order) for order in orders} == {kostka(nu, mu)}
 
 
 def test_a_head_class_that_cancels():
@@ -316,8 +299,9 @@ def test_a_head_class_that_cancels():
 @given(st.integers(1, 4), st.lists(st.integers(0, 5), min_size=4, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_kostka_expands_the_bialternant(n, parts):
-    # sum_mu K_{nu mu} m_mu(x_1..x_n) = A(x^{nu + delta}) / V, with the
-    # division by each x_c - x_d done exactly by the referee
+    # s_nu(x_1..x_n) as expand writes it out, by divided differences, is
+    # A(x^{nu + delta}) / V with the division by each x_c - x_d done
+    # exactly, and its coefficients are the Kostka numbers
     nu = tuple(p for p in sorted(parts[:n], reverse=True) if p)
     alpha = [p + n - 1 - i for i, p in enumerate(nu + (0,) * (n - len(nu)))]
     quotient = {}
@@ -327,12 +311,8 @@ def test_kostka_expands_the_bialternant(n, parts):
     for c in range(n):
         for d in range(c + 1, n):
             quotient = _divide_pair(quotient, c, d)
-    schur = {}
-    for mu in partitions_of(sum(nu)):
-        if len(mu) <= n and _kostka(nu, mu):
-            for exps in set(permutations(mu + (0,) * (n - len(mu)))):
-                schur[_mono(n, 0, exps)] = _kostka(nu, mu)
-    assert quotient == schur
+    schur = expand(SymmetricPoly(n, {(nu, 0): 1}))
+    assert quotient == {_mono(n, k, exps): c for (exps, k), c in schur.terms.items()}
 
 
 @pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 2), (4, 1)])
