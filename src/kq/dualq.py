@@ -28,7 +28,7 @@ adjoint (proof there), once each argument is checked to lie in its ring.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial
 
 from . import fock
 from .bases import _check_ring
@@ -240,22 +240,26 @@ def bilinear_pair(f, g):
         paper puts on the deformed coordinates h and k.
 
     The form reads f only up to the top degree of g, so f must not be
-    truncated below it.  Each argument must lie in its ring, as
-    bases._check_ring finds once per series.  Matching terms n_f, n_g of
-    the store weigh 1 / (z_mu 2^{l(mu)}): int sums over both dens, one
-    Fraction per b-power, handed out as a BetaScalar.
+    truncated below it.  Every term of g has |mu| <= g.degree_bound, so
+    f.degree_bound >= g.degree_bound implies deg g <= f's bound, and deg g
+    is read only for a smaller f bound.  Each argument must lie in its
+    ring, as bases._check_ring finds once per series.  Matching terms n_f,
+    n_g of the store weigh 1 / (z_mu 2^{l(mu)}), an int over one scale
+    D! 2^D for g's bound D, as z_mu | |mu|! | D! and 2^{l(mu)} | 2^D: int
+    sums over both dens and the scale, one Fraction per b-power, handed
+    out as a BetaScalar.
     """
     for name, arg in (("f", f), ("g", g)):
         if not isinstance(arg, PSeries):
             raise TypeError(f"bilinear_pair needs PSeries arguments, "
                             f"got {type(arg).__name__} for {name}")
-    top = g.top_degree()
-    if top is not None and f.degree_bound < top:
+    D = g.degree_bound
+    if f.degree_bound < D and f.degree_bound < (g.top_degree() or 0):
         raise ValueError("first argument is truncated below deg of the second")
     _check_ring(f, "paren")
     _check_ring(g, "bracket")
     right = _by_partition(g.terms)
-    common = lcm(*(z_lambda(mu) << len(mu) for mu in right))
+    common = factorial(D) << D
     total: dict = {}
     for (mu, ka), a in f.terms.items():
         got = right.get(mu)

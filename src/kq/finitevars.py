@@ -63,7 +63,7 @@ class SymmetricPoly:
             except (TypeError, ValueError):
                 ok = False
             if not ok or bool in (type(k), type(a)) or not isinstance(a, (int, Fraction)):
-                raise ValueError(f"bad term {a!r} m_{nu!r} b^{k!r} for {nvars} variables")
+                raise ValueError(f"bad term {a!r} s_{nu!r} b^{k!r} for {nvars} variables")
         self.nvars = nvars
         self.terms = {key: a for key, a in terms.items() if a}
 

@@ -342,6 +342,39 @@ def test_bilinear_pair_guards():
         bilinear_pair(p_beta(1, 5), power_sum(2, 2))
 
 
+@pytest.mark.parametrize("lam, mu, nu", [
+    ((2,), (1,), (4, 1)), ((2, 1), (1,), (4, 2)), ((1,), (1,), (3, 1))])
+def test_mixed_bounds_pair_as_the_same_bound(lam, mu, nu):
+    # f = GQ_lam GQ_mu at a bound of its own: any bound from top(g) up,
+    # below g's or above it, reads the terms the same-bound pairing reads,
+    # and a bound below top(g) raises
+    D = 8
+    g = gp(nu, D)
+    top = g.top_degree()
+    want = bilinear_pair(gq_fermionic(lam, D) * gq_fermionic(mu, D), g)
+    assert want and top < D
+    for bound in range(max(sum(lam), sum(mu)), D + 3):
+        f = gq_fermionic(lam, bound) * gq_fermionic(mu, bound)
+        if bound < top:
+            with pytest.raises(ValueError, match="truncated"):
+                bilinear_pair(f, g)
+        else:
+            assert bilinear_pair(f, g) == want, bound
+
+
+@pytest.mark.parametrize("off", ["f", "g", "both"])
+def test_off_ring_raises_where_the_pairing_would_be_zero(off):
+    # the ring guards run ahead of the pass: an argument off its ring
+    # raises even when it shares no partition with the other one
+    D = 6
+    f, g = {"f": (power_sum(2, D), gp((1,), D)),
+            "g": (gq_fermionic((3,), D), power_sum(2, D)),
+            "both": (power_sum(2, D) * power_sum(2, D), power_sum(4, D))}[off]
+    assert not {mu for mu, _ in f.terms} & {mu for mu, _ in g.terms}
+    with pytest.raises(ValueError, match="ring"):
+        bilinear_pair(f, g)
+
+
 def test_bilinear_pair_rejects_non_series():
     with pytest.raises(TypeError, match="int for f"):
         bilinear_pair(1, gp((1,), 3))

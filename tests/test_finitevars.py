@@ -145,16 +145,16 @@ def test_from_finite_refuses_a_polynomial_given_monomial_by_monomial():
 
 
 @pytest.mark.parametrize("nvars, terms, bad", [
-    (2, {((1, 1, 1), 0): 1}, r"m_\(1, 1, 1\) b\^0 for 2"),  # longer than nvars
-    (3, {((1, 2), 0): 1}, r"m_\(1, 2\) b\^0"),  # not weakly decreasing
-    (3, {((2, 0), 0): 1}, r"m_\(2, 0\) b\^0"),  # a zero part
-    (3, {((2, 1), -1): 1}, r"m_\(2, 1\) b\^-1"),  # negative k
-    (3, {((2, 1), 0): 0.5}, r"0\.5 m_\(2, 1\) b\^0"),  # a float value
+    (2, {((1, 1, 1), 0): 1}, r"s_\(1, 1, 1\) b\^0 for 2"),  # longer than nvars
+    (3, {((1, 2), 0): 1}, r"s_\(1, 2\) b\^0"),  # not weakly decreasing
+    (3, {((2, 0), 0): 1}, r"s_\(2, 0\) b\^0"),  # a zero part
+    (3, {((2, 1), -1): 1}, r"s_\(2, 1\) b\^-1"),  # negative k
+    (3, {((2, 1), 0): 0.5}, r"0\.5 s_\(2, 1\) b\^0"),  # a float value
     (-2, {}, "-2"),
     (2.5, {}, r"2\.5"),
-    (2, {((1,), 0): True}, r"True m_\(1,\) b\^0"),  # a bool value
-    (2, {((1,), True): 3}, r"3 m_\(1,\) b\^True"),  # a bool b-power
-    (2, {((True,), 0): 1}, r"1 m_\(True,\) b\^0"),  # a bool part
+    (2, {((1,), 0): True}, r"True s_\(1,\) b\^0"),  # a bool value
+    (2, {((1,), True): 3}, r"3 s_\(1,\) b\^True"),  # a bool b-power
+    (2, {((True,), 0): 1}, r"1 s_\(True,\) b\^0"),  # a bool part
 ])
 def test_symmetric_poly_names_a_bad_term(nvars, terms, bad):
     with pytest.raises(ValueError, match=bad):
