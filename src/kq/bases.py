@@ -15,8 +15,30 @@ The flavor's ring is the image of the odd power sums, where GQ_lambda
 membership without leaving power sums: by the chain rule, one derivative
 per even part (proof there).
 
-Memoised here: the image of each p_lambda, per (flavor, lambda, bound), in
-process-wide tables; and each ring verdict on the series it describes (its
+The exit images odd partitions only, so the memo is one int row per odd
+nu and bound (_image_row): the image of p~_nu = p_nu / z_nu as ints over
+the one den 2^D.  That den is exact.  For l = l(nu) = l(lambda) and
+j = |lambda| - |nu|, the coefficient of p_lambda in the paren image of
+p_nu is (-b/2)^j times the sum, over the orderings m of the parts of
+lambda, of prod_i C(m_i-1, m_i-nu_i).  By C(m-1, m-n) m/n = C(m, n) that is
+prod_i C(m_i, nu_i) prod(nu) / prod(lambda), and z_lambda / z_nu turns
+the rest into prod m_i(lambda)! / prod m_i(nu)!, so
+
+    [p~_lambda b^j] image(p~_nu) = (-1/2)^j sum_{sigma in S_l/Aut(nu)} prod_i C(lambda_sigma(i), nu_i),
+
+the product being constant on the cosets of Aut(nu), the permutations
+of equal parts.  The bracket mirror, C(n, i) i/n = C(n-1, i-1), gives
+(1/2)^j sum_sigma prod_i C(nu_i - 1, lambda_sigma(i) - 1), j = |nu| -
+|lambda|.  Either way an int times 2^{-j}, and j <= D: j <= |lambda|
+for paren, j <= |nu| for bracket, whose rows the exit reads only at
+|nu| <= D.  So _image_sum is one int pass over coordinates and rows at
+the den (bra den) 2^D, and its output is born in its ring: it is the
+image of odd coordinates at the bound, as paren images only raise the
+degree, so cutting at D commutes with them, and bracket images of
+weight <= D are exact.  It carries that verdict.
+
+Memoised here: the rows, per (flavor, nu, bound), in one process-wide
+table, read-only; and each ring verdict on the series it describes (its
 private _rings slot, the frozenset of flavors whose ring holds it), so it
 lives exactly as long as that series object.  The memo relies on series
 never being mutated after construction.
@@ -24,15 +46,14 @@ never being mutated after construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from types import MappingProxyType
 
-from .partitions import z_lambda
-from .pseries import PSeries, combination
+from .partitions import merge, z_lambda
+from .pseries import PSeries, _integral
 
 FLAVORS = ("paren", "bracket")
-_HALF = Fraction(1, 2)
 
 
 def check_flavor(flavor):
@@ -42,37 +63,55 @@ def check_flavor(flavor):
 
 
 @lru_cache(maxsize=None)
-def _power_image(flavor: str, n: int, degree_bound: int) -> PSeries:
-    """p_n under the flavor's substitution, x -> x / (1 + (b/2) x) for
-    paren, x -> x + b/2 for bracket, the constant term dropped."""
-    if n < 1:
-        raise ValueError("power sums are indexed by positive integers")
+def _image_row(flavor: str, nu: tuple[int, ...], degree_bound: int):
+    """The image of p~_nu, nu into odd parts, as {(lambda, k): n} over the
+    den 2^D, D = degree_bound: sum (n / 2^D) b^k p~_lambda; read-only.
+
+    Built by parts, in ints: z_head (row of head) (image of p_n), nu =
+    head + (n,), with p~_lambda p_m = m (m_m(lambda) + 1) p~_(lambda u m),
+    then one exact division by z_nu (module docstring).  An even part
+    raises ValueError.  A bracket nu needs |nu| <= D, as every word the
+    exit reads has (hexpansion); a paren nu heavier than D has the empty
+    row.
+    """
+    if not nu:
+        return MappingProxyType({((), 0): 1 << degree_bound})
+    head, n = nu[:-1], nu[-1]
+    if n % 2 == 0:
+        raise ValueError(f"{nu} has the even part {n}: the exit images odd partitions only")
+    D = degree_bound
     if flavor == "paren":
-        terms = {((m,), m - n): comb(m - 1, m - n) * (-_HALF) ** (m - n)
-                 for m in range(n, degree_bound + 1)}
+        single = [(m, m - n, comb(m - 1, m - n) * (-1) ** (m - n)) for m in range(n, D + 1)]
     else:
-        terms = {((i,), n - i): comb(n, i) * _HALF ** (n - i)
-                 for i in range(1, n + 1)}
-    return PSeries._from_flat(terms, degree_bound)
-
-
-@lru_cache(maxsize=None)
-def _image_partition(flavor: str, key: tuple[int, ...], degree_bound: int) -> PSeries:
-    """The image of p~_key: the substituted p_key divided by z_key."""
-    if not key:
-        return PSeries.one(degree_bound)
-    head = key[:-1]
-    return (_image_partition(flavor, head, degree_bound)
-            * _power_image(flavor, key[-1], degree_bound)
-            * Fraction(z_lambda(head), z_lambda(key)))
+        single = [(i, n - i, comb(n, i)) for i in range(1, n + 1)]
+    z_head, acc = z_lambda(head), {}
+    for (mu, k), v in _image_row(flavor, head, D).items():
+        room = D - sum(mu)
+        for m, j, w in single:
+            if m > room:
+                break
+            key = (merge(mu, (m,)), k + j)
+            acc[key] = acc.get(key, 0) + (v * w * m * (mu.count(m) + 1) * z_head << D - j)
+    den = z_lambda(nu) << D
+    return MappingProxyType({key: v // den for key, v in acc.items()})
 
 
 def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
-    """sum (c / den) b^k (image of p~_lambda) over flat coordinates
-    {(lambda, k): c}."""
+    """sum (c / den) b^k (image of p~_nu) over flat coordinates
+    {(nu, k): c}, every nu into odd parts: one int pass over the rows at
+    the den (den 2^D), and the result carries the flavor's ring verdict
+    (module docstring)."""
     check_flavor(flavor)
-    return combination(((_image_partition(flavor, key, degree_bound), k, Fraction(c, den))
-                        for (key, k), c in flat.items()), degree_bound)
+    out: dict = {}
+    for (nu, k), c in flat.items():
+        if not c:
+            continue
+        for (mu, e), v in _image_row(flavor, nu, degree_bound).items():
+            key = (mu, k + e)
+            out[key] = out.get(key, 0) + c * v
+    image = _integral({key: v for key, v in out.items() if v}, den << degree_bound, degree_bound)
+    image._rings = frozenset((flavor,))
+    return image
 
 
 def _check_ring(f: PSeries, flavor: str):

@@ -186,7 +186,9 @@ def _dual_ket(lam, lows, degree_bound):
 
     Built in bra form, as the star of <0| T^* P_r^* E ... P_1^* E with
     E = e^{-Theta} and T the trailing factor, and starred once; the
-    contraction against <0| e^{H^[b]} runs in the bracket flavor.
+    contraction against <0| e^{H^[b]} runs in the bracket flavor.  The
+    2^{-r} is the starting coefficient of the bra, so the exit's output is
+    the result, with the ring verdict the exit gives it.
     <0| T^* = <0| phi_0 E = <0| phi_0: (phihat_0)^* = sum_m (-b/2)^m
     phi_m meets <0| as phi_0 alone, and e^{-Theta} fixes every bra of
     grade 0, since Theta only raises grades and none is above 0.  The E
@@ -198,11 +200,10 @@ def _dual_ket(lam, lows, degree_bound):
     Y_i is one row action of finitely many plain modes per grade
     (fock._row_modes), so no exponential is built.
     """
-    state = fock.FockState({((0,) if len(lam) % 2 else (), 0): 1})
+    state = fock.FockState({((0,) if len(lam) % 2 else (), 0): Fraction(1, 2 ** len(lam))})
     for i, (n, low) in reversed(tuple(enumerate(zip(lam, lows), 1))):
         state = fock._phihat_row(state, n, low, i)
-    return (vacuum_expectation(state, "bracket", degree_bound)
-            * Fraction(1, 2 ** len(lam)))
+    return vacuum_expectation(state, "bracket", degree_bound)
 
 
 def o_fermionic(lam, degree_bound):

@@ -9,8 +9,9 @@ Polynomials, I (2.14), as pseries.exp_power_sums uses it:
     <0|e^H = sum_nu p~_nu^flavor R_nu,    R_nu = <0| prod_i 2 b_(nu_i),
 
 over the partitions nu into odd parts, p~_nu^flavor the image of p_nu/z_nu
-(bases._image_partition).  Each row R_nu is an int bra state, built from
-the row of nu without its last part by one action of fock._bra_word_b.
+(one int row over 2^D each, bases._image_row).  Each row R_nu is an int
+bra state, built from the row of nu without its last part by one action
+of fock._bra_word_b.
 Its entry at the word dual to a strict partition mu (the reversed negated
 padding of mu) is [p~_nu] (-1)^{|mu|} 2^{-l(mu)} Q_mu, so only even words
 pair, and the ket of mu pairs to the classical Q_mu once weighted by
@@ -22,7 +23,9 @@ the bra word u stands for the ket word dual to it with the sign
 takes the bra, reads the rows at its own words, and weighs a word by
 2^{l(mu)} alone.  It collects the classical coordinates {(nu, k): c} in
 ints over the bra's den, in one pass over the bra, and deforms them once
-(bases._image_sum) at the caller's bound.
+(bases._image_sum) at the caller's bound: one more int pass, over the den
+(bra den) 2^D, whose output carries its flavor's ring verdict.  A bra
+that is not a FockState raises TypeError.
 
 A word heavier than the bound raises: bracket images push weight down,
 so its value would need rows and an image past the bound.  No library
@@ -44,7 +47,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .bases import _image_sum, check_flavor
-from .fock import _act, _bra_word_b, vacuum
+from .fock import FockState, _act, _bra_word_b, vacuum
 from .partitions import check_degree_bound, partitions_of
 from .pseries import PSeries
 
@@ -84,6 +87,8 @@ def vacuum_expectation(bra_state, flavor: str, degree_bound: int) -> PSeries:
     or even, is a ket word and raises, and so does a word heavier than the
     bound, before the odd words are dropped.
     """
+    if not isinstance(bra_state, FockState):
+        raise TypeError(f"vacuum_expectation needs a FockState, got {type(bra_state).__name__}")
     check_flavor(flavor)
     degree_bound = check_degree_bound(degree_bound)
     coords = {}

@@ -33,14 +33,15 @@ ring operations keep it, once _reduced has divided out a common factor:
 the pair cache keeps keys canonical, the product skips pairs above the
 bound, and zero sums are dropped; combination too.  So their results are
 wrapped by the private PSeries._trusted, which skips the checks, and so
-are the integral coordinates that finitevars.from_finite solves for,
-through _integral.
+are the integral coordinates that finitevars.from_finite solves for and
+the deformed images that bases._image_sum sums, through _integral.
 
 A series is a value: terms must not be mutated after construction.  Shared
-tables (gq_series, the lru_cached generators, the deformed images of
-bases) hand the same object to every caller, and each series carries a
-private memo, the _rings slot: the frozenset of flavors whose deformed
-ring bases._check_ring has found it in.  The memo lives exactly as long
+tables (gq_series, the lru_cached generators) hand the same object to
+every caller; the deformed images of bases are int rows, not series.
+Each series carries a private memo, the _rings slot: the frozenset of
+flavors whose deformed ring bases._check_ring has found it in, or that
+bases._image_sum gave the image it made.  The memo lives exactly as long
 as the series object; it is never part of == or hash, and only pseries
 and bases touch it.
 """
@@ -257,7 +258,8 @@ def _integral(terms, den: int, degree_bound: int) -> PSeries:
 
     terms must already meet the invariant, bar the common factor: canonical
     keys of weight <= degree_bound, k >= 0 and nonzero ints; den an int >= 1.
-    finitevars.from_finite solves into this form.
+    finitevars.from_finite solves into this form, and bases._image_sum sums
+    into it.
     """
     return PSeries._trusted(*_reduced(terms, den), degree_bound)
 

@@ -9,7 +9,10 @@ referees: the strict partitions up to a weight, which only tests list; the
 zero test of a series, the exponential of a series, and of a z-graded
 family of them (z_exp), term by term against the closed forms; Schur Q_mu
 by the two-row Pfaffian and its deformed images, which referee the vacuum
-rows of hexpansion, those rows built in one table up to a bound, and
+rows of hexpansion, those rows built in one table up to a bound, the
+deformed power sums written from their substitutions and the image of
+each p~_nu as one series product per part, which referee the int rows
+of bases, and
 coordinates in the deformed bases by triangular elimination, which referee
 the pairing and its ring check; polynomials in n variables
 monomial by monomial (FinitePoly), the oracle's answer written out one
@@ -50,7 +53,6 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from kq import fock
-from kq.bases import _image_sum, _power_image
 from kq.dualq import o_fermionic, q_bracket_series
 from kq.finitevars import SymmetricPoly
 from kq.fock import _bra_insert
@@ -412,7 +414,9 @@ def z_exp(parts):
 #
 # The Fock exit reads Q_mu(p^flavor) off the vacuum rows <0| prod 2 b_nu of
 # hexpansion; here Q_mu comes from the one-row q_n and the two-row Pfaffian
-# instead, and its deformation from one image per mu, widened for bracket;
+# instead, and its deformation from images of its own (series products of
+# the substituted power sums, none of the library's rows), widened for
+# bracket;
 # rows_at builds the vacuum rows of every weight up to a bound in one
 # table, the way the library did before it kept one table per weight.
 
@@ -433,16 +437,53 @@ def rows_at(bound: int):
 
 
 def p_beta(n: int, degree_bound: int) -> PSeries:
-    """Deformed power sum, paren flavor: p_n + higher-degree corrections."""
-    return _power_image("paren", n, degree_bound)
+    """Deformed power sum, paren flavor: p_n + higher-degree corrections.
+
+    p_n evaluated on x/(1 + (b/2) x), letter by letter: (x/(1 + (b/2) x))^n
+    = sum_j C(-n, j) (b/2)^j x^(n+j).
+    """
+    if n < 1:
+        raise ValueError("power sums are indexed by positive integers")
+    return PSeries({(n + j,): Qb.beta_power(j, binom_general(-n, j) / 2 ** j)
+                    for j in range(degree_bound - n + 1)}, degree_bound)
 
 
 def p_bracket(n: int, degree_bound: int | None = None) -> PSeries:
     """Deformed power sum, bracket flavor: p_n + lower-degree corrections.
 
-    This one is a finite polynomial; the default bound is its own degree.
+    p_n shifted by b/2 in each letter, (x + b/2)^n = sum_i C(n, i)
+    (b/2)^(n-i) x^i, the constant term i = 0 dropped.  This one is a
+    finite polynomial; the default bound is its own degree.
     """
-    return _power_image("bracket", n, n if degree_bound is None else degree_bound)
+    if n < 1:
+        raise ValueError("power sums are indexed by positive integers")
+    return PSeries({(i,): Qb.beta_power(n - i, Fraction(comb(n, i), 2 ** (n - i)))
+                    for i in range(1, n + 1)}, n if degree_bound is None else degree_bound)
+
+
+def deformed_power(flavor: str, n: int, degree_bound: int) -> PSeries:
+    """p_beta for the paren flavor, p_bracket for the bracket one."""
+    return (p_beta if flavor == "paren" else p_bracket)(n, degree_bound)
+
+
+@lru_cache(maxsize=None)
+def deformed_image(flavor: str, nu, degree_bound: int) -> PSeries:
+    """The image of p~_nu = p_nu / z_nu, nu any partition: one series
+    product per part, then 1/z_nu.  An unknown flavor raises ValueError,
+    for the empty partition too."""
+    if flavor not in ("paren", "bracket"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    image = PSeries.one(degree_bound)
+    for n in nu:
+        image = image * deformed_power(flavor, n, degree_bound)
+    return image * Fraction(1, z_lambda(nu))
+
+
+def image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
+    """sum (c / den) b^k (image of p~_nu) over flat coordinates
+    {(nu, k): c}, nu any partition, as one combination of deformed_image."""
+    return combination(((deformed_image(flavor, nu, degree_bound), k, Fraction(c, den))
+                        for (nu, k), c in flat.items()), degree_bound)
 
 
 def q_series(degree_bound: int) -> list[PSeries]:
@@ -503,7 +544,7 @@ def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:
     mu = check_partition(mu, strict=True)
     inner = max(degree_bound, sum(mu)) if flavor == "bracket" else degree_bound
     q = classical_q(mu, inner)
-    image = _image_sum(q.terms, q.den, flavor, inner)
+    image = image_sum(q.terms, q.den, flavor, inner)
     return truncate(image, degree_bound) if inner > degree_bound else image
 
 
@@ -520,7 +561,7 @@ def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
     """
     flat = {(tuple(key), k): c * z_lambda(tuple(key))
             for key, val in coeffs.items() for k, c in _monomials(val)}
-    return _image_sum(flat, 1, flavor, degree_bound)
+    return image_sum(flat, 1, flavor, degree_bound)
 
 
 def _eliminate(f: PSeries, flavor: str) -> PSeries:
@@ -536,7 +577,7 @@ def _eliminate(f: PSeries, flavor: str) -> PSeries:
         if not level:
             continue
         out.update({key: Fraction(c, rep.den * z_lambda(key[0])) for key, c in level.items()})
-        rep = rep - _image_sum(level, rep.den, flavor, bound)
+        rep = rep - image_sum(level, rep.den, flavor, bound)
     if not is_zero(rep):
         raise ArithmeticError("triangular elimination left a residue")
     return PSeries._from_flat(out, bound)

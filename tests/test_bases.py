@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kq import bases
-from kq.bases import FLAVORS, _check_ring
+import referees
+from kq.bases import FLAVORS, _check_ring, _image_row
 from kq.partitions import partitions_upto
-from kq.pseries import PSeries
-from referees import (BETA, ONE, Qb, _eliminate, at_b, eval_finite, from_deformed_basis, is_zero,
-                      p_beta, p_bracket, power_sum, q_series, scalar_terms,
-                      series_coefficient, to_deformed_basis)
+from kq.pseries import PSeries, _integral
+from referees import (BETA, ONE, Qb, _eliminate, at_b, deformed_image, eval_finite,
+                      from_deformed_basis, is_zero, p_beta, p_bracket, power_sum, q_series,
+                      scalar_terms, series_coefficient, to_deformed_basis)
 
 
 def test_q_series_low_terms():
@@ -132,7 +132,7 @@ def test_failed_conversion_stores_nothing(monkeypatch, image, error, convert):
     # image that raises stops the conversion; coordinates stored by the
     # failed call would hide the second failure
     f = PSeries({(1,): 1, (3,): 2}, 3)
-    monkeypatch.setattr(bases, "_image_partition", image)
+    monkeypatch.setattr(referees, "deformed_image", image)
     for _ in range(2):
         with pytest.raises(error):
             convert(f, "bracket")
@@ -168,3 +168,24 @@ def test_unknown_flavor_rejected():
         to_deformed_basis(PSeries.one(2), "curly")
     with pytest.raises(ValueError):
         p_beta(0, 3)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_image_rows_are_the_series_products(flavor):
+    # each int row over 2^D against the referee's image of p~_nu, one
+    # series product per part, for every nu into odd parts at every D <= 10
+    for D in range(11):
+        for nu in partitions_upto(D):
+            if all(part % 2 for part in nu):
+                row = _image_row(flavor, nu, D)
+                assert _integral(dict(row), 1 << D, D) == deformed_image(flavor, nu, D), (nu, D)
+    with pytest.raises(TypeError):
+        _image_row(flavor, (1,), 4)[((1,), 0)] = 0
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("nu", [(2,), (3, 2), (4, 1, 1)])
+def test_image_row_refuses_an_even_part(flavor, nu):
+    # the exit only images odd partitions, so 2^D need not clear an even one
+    with pytest.raises(ValueError, match="even part"):
+        _image_row(flavor, nu, 8)

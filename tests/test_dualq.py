@@ -375,6 +375,34 @@ def test_off_ring_raises_where_the_pairing_would_be_zero(off):
         bilinear_pair(f, g)
 
 
+@pytest.mark.parametrize("route, flavor", [(gq_fermionic, "paren"), (o_fermionic, "bracket"),
+                                           (gp, "bracket")], ids=["gq_fermionic", "o_fermionic", "gp"])
+def test_fock_outputs_are_born_in_their_ring(route, flavor):
+    # the exit images odd coordinates only, so its output carries its
+    # flavor's verdict, the one the derivative test finds; a sum or a
+    # product of outputs is a new series and starts with none
+    D = 8
+    for lam in strict_partitions_upto(D):
+        f = route(lam, D)
+        assert f._rings == {flavor}, lam
+        fresh = f + PSeries.zero(D)
+        assert fresh == f and not fresh._rings
+        bases._check_ring(fresh, flavor)
+        assert not (f + f)._rings and not (f * f)._rings
+
+
+def test_born_verdicts_stay_with_their_flavor():
+    # a paren output is not in the bracket ring nor a bracket output in the
+    # paren one, and neither is a product with an even power sum
+    D = 6
+    f, g = gq_fermionic((2, 1), D), gp((2, 1), D)
+    for args, ring in [((f, f), "bracket"), ((g, g), "paren"),
+                       ((f * power_sum(2, D), g), "paren"), ((f, g * power_sum(2, D)), "bracket")]:
+        with pytest.raises(ValueError, match=f"not in the {ring} ring"):
+            bilinear_pair(*args)
+    assert bilinear_pair(f, g) == ONE
+
+
 def test_bilinear_pair_rejects_non_series():
     with pytest.raises(TypeError, match="int for f"):
         bilinear_pair(1, gp((1,), 3))

@@ -464,7 +464,7 @@ def test_cold_gp_is_one_vacuum_expectation(monkeypatch):
 
 
 PROCESS_WIDE_TABLES = {
-    "bases._image_partition", "bases._power_image", "dualq._PRODUCTS",
+    "bases._image_row", "dualq._PRODUCTS",
     "dualq._q_bracket_upto", "dualq._o_two_index", "finitevars._character",
     "fock._bra_insert", "fock._bra_word_b",
     "fock._phi_beta_modes", "fock._row_modes", "fock._theta_modes", "gq._PRODUCTS",

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from kq import dualq, fock, gq, hexpansion
-from kq.bases import _power_image
 from kq.hexpansion import _rows, vacuum_expectation
 from kq.partitions import partitions_upto, z_lambda
 from kq.pseries import PSeries
-from referees import (BETA, ONE, ZERO, Qb, bra_apply_b, classical_q, deformed_q, flat_terms,
-                      is_zero, p_beta, pair, rows_at, series_coefficient, star_bra,
+from referees import (BETA, ONE, ZERO, Qb, bra_apply_b, classical_q, deformed_power, deformed_q,
+                      flat_terms, is_zero, p_beta, pair, rows_at, series_coefficient, star_bra,
                       strict_partitions_upto, truncate, two_row_q)
 
 D = 6
@@ -92,7 +91,7 @@ def h_operator_rows(flavor, row_bound, degree_bound):
     def apply_h(state):
         out = {}
         for k in range(1, row_bound + 1, 2):
-            pk = _power_image(flavor, k, degree_bound) * Fraction(2, k)
+            pk = deformed_power(flavor, k, degree_bound) * Fraction(2, k)
             for key, c in bra_apply_b(state, k).items():
                 if sum(key[0]) < -row_bound:
                     continue
@@ -377,3 +376,10 @@ def test_odd_bra_word_is_rejected(terms, flavor):
     # the exit takes, would otherwise be dropped unseen
     with pytest.raises(ValueError, match=re.escape("(3,)")):
         vacuum_expectation(fock.FockState(terms), flavor, 6)
+
+
+@pytest.mark.parametrize("state", [{}, None, PSeries({(1,): 1}, 4)], ids=["dict", "None", "PSeries"])
+def test_non_state_bra_is_a_type_error(state):
+    # the exit takes a fock.FockState, as bilinear_pair takes series
+    with pytest.raises(TypeError, match=f"FockState, got {type(state).__name__}"):
+        vacuum_expectation(state, "paren", 4)
