@@ -27,6 +27,20 @@ zero.  Each sum over one-row coefficients or table entries is one
 pseries.combination of (series, b-power, rational) triples; a two-index
 sum reads each GQ_m GQ_n from one memoised table per bound (_pair).
 
+Both Pfaffian routes work modulo b^(s+1), s = D - |lambda|.  With deg
+p_n = n and deg b = -1, GQ_lambda is homogeneous of degree |lambda|
+(Ikeda-Naruse), so a term b^k p_mu of it has |mu| = |lambda| + k, and at
+the bound D only k <= s survives.  Every entry, generator product and
+b-shift of the expansion has b-powers >= 0, so reducing mod b^(s+1) is a
+ring map and commutes with the expansion: the routes cut each entry at b^s
+(combination's and contract's _cap; the padding column and formula II's
+twist window stop at s) and the Pfaffian is GQ_lambda mod b^(s+1).  The
+cut entries are still homogeneous, entry (i, j) of degree lambda_i +
+lambda_j, so every product of them is homogeneous of degree |lambda| and
+its terms within the bound have k <= s: nothing above b^s is left over,
+and the result is GQ_lambda itself.  gq_two_index, a public value, is
+never cut; formula II cuts its twisted sums of them.
+
 The finite-variable symmetrization oracle (module oracle) referees all of
 them through from_finite, and tests/test_gq.py re-expands GQ_(a,b) from
 its definition, independently of the f-tables.  Note that GQ_emptyset is
@@ -70,8 +84,9 @@ def gq_series(degree_bound):
     one shared tuple per bound.
 
     GQ_n = sum_k (-beta)^k Exp_{n+k}, Exp_j the z^j part of _exp_parts;
-    Exp_j for j > D has lowest p-weight > D, so the sum stops at k = D - n.
-    GQ_0 assembles to 1.  The row stops at both ends: GQ_n for n < 0 is the
+    Exp_j for j > D has lowest p-weight > D, so the sum stops at k = D - n,
+    and GQ_D = Exp_D, GQ_n = Exp_n - beta GQ_{n+1} below it.  GQ_0
+    assembles to 1.  The row stops at both ends: GQ_n for n < 0 is the
     constant (-beta)^{-n}, a b-shift that its readers apply, and GQ_n for
     n > D has lowest degree n and truncates to zero.
     """
@@ -80,10 +95,12 @@ def gq_series(degree_bound):
 
 @lru_cache(maxsize=None)
 def _gq_series(D):
-    """gq_series at a checked bound."""
+    """gq_series at a checked bound, by the recurrence, from GQ_D down."""
     parts = _exp_parts(D)
-    return tuple(combination(((parts[n + k], k, -1 if k % 2 else 1)
-                              for k in range(D - n + 1)), D) for n in range(D + 1))
+    row = [parts[D]]
+    for n in range(D - 1, -1, -1):
+        row.append(combination(((parts[n], 0, 1), (row[-1], 1, -1)), D))
+    return tuple(reversed(row))
 
 
 # degree_bound -> {(m, n): GQ_m GQ_n} for 1 <= m <= n, m + n <= degree_bound,
@@ -117,7 +134,7 @@ def _pair(m, n, degree_bound):
     return f, 0, 1
 
 
-def _f_entry(i, j, r_prime, li, lj, degree_bound):
+def _f_entry(i, j, r_prime, li, lj, degree_bound, cap=None):
     """Entry (i, j) of formula I: GQ_{li+p} GQ_{lj+q} contracted against
     f_table(i, j, r'), whose cells are keyed (q, p).
 
@@ -126,15 +143,18 @@ def _f_entry(i, j, r_prime, li, lj, degree_bound):
     laurent.contract takes one combination over memoised generator
     products, GQ_{li+p} GQ_{lj+q} from _pair.  The window p <= D - li (and
     q <= D - lj) is exact because GQ_n is zero past the bound; tests re-run
-    one entry with a doubled window to confirm that.
+    one entry with a doubled window to confirm that.  cap, the route's
+    D - |lambda|, takes the entry mod b^(cap+1) (module docstring), so the
+    padding column stops at p = cap too; None takes it whole.
     """
     D = degree_bound
     if lj is None:
         row = gq_series(D)
+        top = D - li if cap is None else cap  # a route's cap is <= D - li
         return combination(((row[li + p], p, c)
-                            for p, c in _univariate(D - li, r_prime - i - 1).items()), D)
+                            for p, c in _univariate(top, r_prime - i - 1).items()), D, cap)
     return contract(f_table(i, j, r_prime, (D - lj, D - li)),
-                    lambda q, p: _pair(li + p, lj + q, D), D)
+                    lambda q, p: _pair(li + p, lj + q, D), D, cap)
 
 
 def gq_two_index(a, b, degree_bound):
@@ -168,13 +188,14 @@ def gq_pfaffian_1(lam, degree_bound):
     """GQ_lambda as a Pfaffian of f-table contractions of one-row series.
 
     Rows of odd-length partitions are padded with a zero part; the extra
-    column contracts against the univariate table.
+    column contracts against the univariate table.  Every entry is cut at
+    b^(D - |lambda|) (module docstring).
     """
     lam = check_strict_weight(lam, degree_bound)
-    rp = even_ceil(len(lam))
+    rp, cap = even_ceil(len(lam)), degree_bound - sum(lam)
     return padded_pfaffian(
         lam, PSeries.one(degree_bound),
-        lambda i, j, li, lj: _f_entry(i, j, rp, li, lj, degree_bound))
+        lambda i, j, li, lj: _f_entry(i, j, rp, li, lj, degree_bound, cap=cap))
 
 
 def gq_pfaffian_2(lam, degree_bound):
@@ -182,27 +203,28 @@ def gq_pfaffian_2(lam, degree_bound):
 
     Entry (i, j) is sum_{k,l >= 0} C(i+1-r', k) C(j-r', l) beta^{k+l}
     GQ_(lambda_i+k, lambda_j+l); the padding column drops the second
-    factor.  Since GQ_(a,b) vanishes for a + b > D, the window stops at
-    k + l = D - lambda_i - lambda_j.  Both upper entries are -n with
-    n >= 0, so the weights are laurent's univariate tables, one per row
-    and one per column of an entry, and none of them is zero.  Times the
-    r = 2 prefactor (1 + b t_1)^{-1} of GQ_(a,b), the twists are formula
-    I's prefactors (1 + b t_i)^{-(r'-i)} (1 + b t_j)^{-(r'-j)}, so every
-    entry equals formula I's; the padding column, sum_k C(i+1-r', k) b^k
+    factor.  Every entry is cut at b^s, s = D - |lambda| (module
+    docstring), so the window stops at k + l = s; GQ_(a,b) vanishes for
+    a + b > D, and s <= D - lambda_i - lambda_j keeps the window inside
+    that.  Both upper entries are -n with n >= 0, so the weights are
+    laurent's univariate tables, one per row and one per column of an
+    entry, and none of them is zero.  Times the r = 2 prefactor
+    (1 + b t_1)^{-1} of GQ_(a,b), the twists are formula I's prefactors
+    (1 + b t_i)^{-(r'-i)} (1 + b t_j)^{-(r'-j)}, so every entry equals
+    formula I's; the padding column, sum_k C(i+1-r', k) b^k
     GQ_{lambda_i+k}, is formula I's term for term, and is read from it.
     """
     lam = check_strict_weight(lam, degree_bound)
     D = degree_bound
-    rp = even_ceil(len(lam))
+    rp, cap = even_ceil(len(lam)), D - sum(lam)
 
     def entry(i, j, li, lj):
         if lj is None:
-            return _f_entry(i, j, rp, li, None, D)
-        top = D - li - lj
-        rows, cols = _univariate(top, rp - i - 1), _univariate(top, rp - j)
+            return _f_entry(i, j, rp, li, None, D, cap=cap)
+        rows, cols = _univariate(cap, rp - i - 1), _univariate(cap, rp - j)
         return combination(((gq_two_index(li + k, lj + l, D), k + l, ck * cl)
                             for k, ck in rows.items()
-                            for l, cl in cols.items() if k + l <= top), D)
+                            for l, cl in cols.items() if k + l <= cap), D, cap)
 
     return padded_pfaffian(lam, PSeries.one(D), entry)
 

@@ -144,10 +144,14 @@ def g_table(i: int, j: int, windows) -> MappingProxyType:
     return _kernel_table(i, j, _check_windows(windows))
 
 
-def contract(table, pair, degree_bound: int):
+def contract(table, pair, degree_bound: int, _cap=None):
     """sum of c b^(x+y) A A' over the entries (x, y): c of a two-variable
     table, A A' the cell's product of one-row generators, in one
     pseries.combination over the distinct products.
+
+    _cap, when not None, takes the sum mod b^(_cap+1), as combination
+    does: products carry b-powers >= 0, so a cell with x + y > _cap is
+    never read, and its product is never built.
 
     pair(x, y) gives the cell's generator product as a triple (f, e, s),
     standing for s b^e f, or None where the product is zero; the family
@@ -158,10 +162,12 @@ def contract(table, pair, degree_bound: int):
     """
     sums, products = {}, {}
     for (x, y), c in table.items():
+        if _cap is not None and x + y > _cap:
+            continue
         got = pair(x, y)
         if got is not None:
             f, e, s = got
             products[id(f)] = f
             key = (id(f), x + y + e)
             sums[key] = sums.get(key, 0) + c * s
-    return combination(((products[i], k, c) for (i, k), c in sums.items()), degree_bound)
+    return combination(((products[i], k, c) for (i, k), c in sums.items()), degree_bound, _cap)

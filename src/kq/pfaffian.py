@@ -72,15 +72,21 @@ def pfaffian_from_upper(upper, one=1):
         if idx in cache:
             return cache[idx]
         a = idx[0]
-        acc = one * 0
-        # Pf = sum_j (-1)^j A[i0][ij] Pf(rest), j the position of the partner
+        acc = None
+        # Pf = sum_j (-1)^j A[i0][ij] Pf(rest), j the position of the partner;
+        # the sum starts at its first term, and a row of zeros gives one * 0
         for pos in range(1, len(idx)):
             entry = upper.get((a, idx[pos]))
             if entry is None:
                 continue
             rest = idx[1:pos] + idx[pos + 1:]
             term = entry * pf(rest) if rest else entry  # no product by one
-            acc = acc - term if pos % 2 == 0 else acc + term
+            if acc is None:
+                acc = term * -1 if pos % 2 == 0 else term
+            else:
+                acc = acc - term if pos % 2 == 0 else acc + term
+        if acc is None:
+            acc = one * 0
         cache[idx] = acc
         return acc
 

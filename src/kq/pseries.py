@@ -41,7 +41,8 @@ tables (gq_series, the lru_cached generators) hand the same object to
 every caller; the deformed images of bases are int rows, not series.
 Each series carries a private memo, the _rings slot: the frozenset of
 flavors whose deformed ring bases._check_ring has found it in, or that
-bases._image_sum gave the image it made.  The memo lives exactly as long
+bases._image_sum gave the image it made; a product keeps the paren
+verdict that both its factors carry.  The memo lives exactly as long
 as the series object; it is never part of == or hash, and only pseries
 and bases touch it.
 """
@@ -57,6 +58,7 @@ from .partitions import (check_degree_bound, check_partition, graded_key, merge,
 from .scalars import BetaScalar, _from_monomials, _monomials
 
 _SCALARS = (int, Fraction, BetaScalar)
+_PAREN = frozenset(("paren",))
 
 # mu -> {nu: (mu u nu, z_(mu u nu) / (z_mu z_nu))}, filled by products
 _PAIRS: dict = {}
@@ -192,7 +194,11 @@ class PSeries:
                             out[key] = s
                         else:
                             del out[key]
-        return PSeries._trusted(*_reduced(out, self.den * other.den), bound)
+        product = PSeries._trusted(*_reduced(out, self.den * other.den), bound)
+        # paren images only raise the degree, so the truncated product of
+        # two images is the image of the product; bracket ones lower it
+        product._rings = self._rings & other._rings & _PAREN
+        return product
 
     __rmul__ = __mul__
 
@@ -220,13 +226,18 @@ class PSeries:
                                       key=lambda kv: graded_key(kv[0]))]
 
 
-def combination(parts, degree_bound: int) -> PSeries:
+def combination(parts, degree_bound: int, _cap=None) -> PSeries:
     """sum c b^e f over the triples (f, e, c) of parts, in one pass.
 
     f is a PSeries at degree_bound, e an int >= 0 and c an int or a
     Fraction; parts may be any iterable, and a zero c or a zero f is
     skipped.  The sum keeps one running den and rescales what it holds only
     when a part's f.den * c.denominator does not divide it.
+
+    _cap, when not None, is the sum mod b^(_cap+1): every term whose
+    b-power, the part's shift e included, passes _cap is skipped.  None is
+    no cap at all, not a cap at the degree bound, since b-powers are not
+    bounded by it (GQ_n for n < 0 is (-b)^(-n)).
     """
     den, out = 1, {}
     for f, e, c in parts:
@@ -234,7 +245,8 @@ def combination(parts, degree_bound: int) -> PSeries:
             raise ValueError(f"degree bounds differ: {degree_bound} vs {f.degree_bound}")
         if e < 0:
             raise ValueError(f"b^{e} is not in Q[b]")
-        if not c or not f.terms:
+        room = None if _cap is None else _cap - e
+        if not c or not f.terms or room is not None and room < 0:
             continue
         part_den = f.den * c.denominator
         if den % part_den:
@@ -244,6 +256,8 @@ def combination(parts, degree_bound: int) -> PSeries:
                 out[key] *= up
         scale = c.numerator * (den // part_den)
         for (mu, k), v in f.terms.items():
+            if room is not None and k > room:
+                continue
             key = (mu, k + e)
             s = out.get(key, 0) + v * scale
             if s:

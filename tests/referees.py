@@ -316,20 +316,28 @@ def kernel_entries_by_convolution(a: int, c: int, x_max: int, y_max: int) -> dic
     return entries
 
 
-def contract_by_rows(table, left, right, degree_bound: int) -> PSeries:
+def contract_by_rows(table, left, right, degree_bound: int, cap=None) -> PSeries:
     """laurent.contract row by row: sum of c b^(p+q) left(p) right(q) over
-    the entries (p, q): c of a two-variable table.
+    the entries (p, q): c of a two-variable table, mod b^(cap+1) unless cap
+    is None.
 
     Each row p whose left(p) is nonzero takes one combination of its
     right(q), carrying the whole b-power p+q (p alone may be negative), and
-    one series product with left(p); nothing is shared between rows.
+    one series product with left(p); nothing is shared between rows.  The
+    cap drops cells with p + q > cap before the rows are summed and the
+    terms past b^cap of the whole sum after.
     """
     rows: dict = {}
     for (p, q), c in table.items():
-        rows.setdefault(p, []).append((q, c))
-    return combination(
+        if cap is None or p + q <= cap:
+            rows.setdefault(p, []).append((q, c))
+    whole = combination(
         ((f * combination(((right(q), p + q, c) for q, c in row), degree_bound), 0, 1)
          for p, row in rows.items() if (f := left(p))), degree_bound)
+    if cap is None:
+        return whole
+    return PSeries({mu: _from_monomials((k, x) for k, x in enumerate(c.as_polynomial()) if k <= cap)
+                    for mu, c in whole.sorted_items()}, degree_bound)
 
 
 # -- evaluation at a value of b --------------------------------------------

@@ -17,7 +17,7 @@ from kq.dualq import (
     o_two_index,
     q_bracket_series,
 )
-from kq.gq import gq_fermionic, gq_pfaffian_1
+from kq.gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
 from kq.laurent import _univariate, g_table
 from kq.partitions import (
     even_ceil,
@@ -379,8 +379,9 @@ def test_off_ring_raises_where_the_pairing_would_be_zero(off):
                                            (gp, "bracket")], ids=["gq_fermionic", "o_fermionic", "gp"])
 def test_fock_outputs_are_born_in_their_ring(route, flavor):
     # the exit images odd coordinates only, so its output carries its
-    # flavor's verdict, the one the derivative test finds; a sum or a
-    # product of outputs is a new series and starts with none
+    # flavor's verdict, the one the derivative test finds; a sum of
+    # outputs is a new series and starts with none, and a product keeps
+    # the paren verdict alone
     D = 8
     for lam in strict_partitions_upto(D):
         f = route(lam, D)
@@ -388,7 +389,60 @@ def test_fock_outputs_are_born_in_their_ring(route, flavor):
         fresh = f + PSeries.zero(D)
         assert fresh == f and not fresh._rings
         bases._check_ring(fresh, flavor)
-        assert not (f + f)._rings and not (f * f)._rings
+        assert not (f + f)._rings
+        assert (f * f)._rings == ({flavor} if flavor == "paren" else set()), lam
+
+
+def test_paren_products_keep_their_verdict():
+    # a truncated product of two paren images is the image of the product,
+    # so a product of GQ's carries the paren verdict, and the derivative
+    # test agrees on a fresh copy; a factor without a verdict, or with the
+    # bracket one, gives none
+    D = 6
+    lams = strict_partitions_upto(D)
+    for lam in lams:
+        for mu in lams:
+            if sum(lam) + sum(mu) > D:
+                continue
+            f = gq_fermionic(lam, D) * gq_fermionic(mu, D)
+            assert f._rings == {"paren"}, (lam, mu)
+            bases._check_ring(f + PSeries.zero(D), "paren")
+    f = gq_fermionic((2, 1), D)
+    assert not (f * power_sum(1, D))._rings
+    assert not (f * o_fermionic((1,), D))._rings
+
+
+def test_pairing_a_fock_product_checks_no_ring(monkeypatch):
+    # a product of gq_fermionic outputs and a gp both carry their verdict,
+    # so pairing them computes no derivative
+    D = 6
+    f = gq_fermionic((2, 1), D) * gq_fermionic((1,), D)
+    g = gp((3, 1), D)
+    want = bilinear_pair(f + PSeries.zero(D), g)  # a fresh copy is checked
+    calls = []
+    original = bases.comb
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bases, "comb", counted)
+    assert bilinear_pair(f, g) == want
+    assert not calls
+
+
+def test_bracket_products_carry_no_verdict():
+    # bracket images lower the degree, so a truncated product of two of
+    # them can leave the ring: o_(1) o_(3) at D = 3 loses its degree-4
+    # terms, which the image needs (at D = 4 the product is in the ring),
+    # and the derivative test rejects it
+    D = 3
+    f, g = o_fermionic((1,), D), o_fermionic((3,), D)
+    assert f._rings == g._rings == {"bracket"}
+    product = f * g
+    assert not product._rings
+    with pytest.raises(ValueError, match="not in the bracket ring"):
+        bases._check_ring(product, "bracket")
 
 
 def test_born_verdicts_stay_with_their_flavor():
@@ -495,9 +549,10 @@ def test_bumped_pairs_raise_exactly_off_the_rings(seed):
 
 def test_second_pairing_repeats_no_ring_check(monkeypatch):
     # the verdict is kept on each series: pairing the same objects again
-    # computes no derivative
+    # computes no derivative (the Pfaffian routes' outputs, unlike the
+    # Fock ones and their products, are born without one)
     D = 8
-    f = gq_fermionic((3, 1), D) * gq_fermionic((2,), D)
+    f = gq_pfaffian_1((3, 1), D) * gq_pfaffian_1((2,), D)
     g = gp((4, 2), D)
     calls = []
     original = bases.comb
@@ -719,8 +774,9 @@ def test_gp_monomial_coefficients_are_integral():
                 assert any(exps)
 
 
-@pytest.mark.parametrize("route, sign", [(gq_fermionic, 1), (o_pfaffian_1, -1), (gp, -1)],
-                         ids=["gq_fermionic", "o_pfaffian_1", "gp"])
+@pytest.mark.parametrize("route, sign", [(gq_fermionic, 1), (gq_pfaffian_1, 1), (gq_pfaffian_2, 1),
+                                         (o_pfaffian_1, -1), (gp, -1)],
+                         ids=["gq_fermionic", "gq_pfaffian_1", "gq_pfaffian_2", "o_pfaffian_1", "gp"])
 def test_coefficients_are_homogeneous_in_b(route, sign):
     # with deg b = -1 each family is homogeneous of degree |lambda|, so the
     # p_mu coefficient is a single monomial c b^{sign (|mu| - |lambda|)}

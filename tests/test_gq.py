@@ -119,6 +119,17 @@ def test_nonpositive_coefficients_are_the_closed_form():
         assert gq_series(D)[0] == gq_coefficient(0, D)
 
 
+def test_row_recurrence_is_the_sum():
+    # the row is built by GQ_n = Exp_n - b GQ_{n+1} from GQ_D = Exp_D; it
+    # must be the defining sum sum_k (-b)^k Exp_{n+k} at every n and bound
+    for D in range(13):
+        parts = _exp_parts(D)
+        for n in range(D + 1):
+            want = combination(((parts[n + k], k, -1 if k % 2 else 1)
+                                for k in range(D - n + 1)), D)
+            assert gq_series(D)[n] == want, (D, n)
+
+
 def test_shared_series_is_not_grown_by_requests():
     # indices below and past the row are answered without touching it
     s = gq_series(4)
@@ -312,11 +323,11 @@ def test_pfaffian_2_beta_zero_is_classical():
 
 
 def test_pfaffian_routes_agree():
-    D = 7
-    for lam in strict_partitions_upto(D):
-        a = gq_pfaffian_1(lam, D)
-        assert a == gq_pfaffian_2(lam, D), lam
-        assert a == gq_fermionic(lam, D), lam
+    for D in (7, 10):
+        for lam in strict_partitions_upto(D):
+            a = gq_pfaffian_1(lam, D)
+            assert a == gq_pfaffian_2(lam, D), (lam, D)
+            assert a == gq_fermionic(lam, D), (lam, D)
 
 
 def test_routes_against_oracle_deeper():

@@ -425,6 +425,30 @@ def test_warm_pfaffian_entries_take_no_product(monkeypatch):
     assert products == []
 
 
+def test_gq_pfaffian_entries_stop_at_the_cap(monkeypatch):
+    # GQ_lambda is homogeneous of degree |lambda| with deg b = -1, so both
+    # GQ Pfaffian routes take every entry mod b^(s+1), s = D - |lambda|:
+    # each of the six entries of (4, 2, 1) at D = 10 is one combination
+    # cut at s; the uncut sums are the one-row series and gq_two_index's
+    # public values
+    D, lam = 10, (4, 2, 1)
+    original = laurent.combination
+    for route in (gq.gq_pfaffian_1, gq.gq_pfaffian_2):
+        want = route(lam, D)
+        caps = []
+
+        def recorded(parts, degree_bound, _cap=None):
+            if _cap is not None:
+                caps.append(_cap)
+            return original(parts, degree_bound, _cap)
+
+        monkeypatch.setattr(gq, "combination", recorded)
+        monkeypatch.setattr(laurent, "combination", recorded)
+        assert route(lam, D) == want
+        assert caps == [D - sum(lam)] * 6, route
+        monkeypatch.undo()
+
+
 def test_cold_formula_two_multiplies_each_generator_pair_once(monkeypatch):
     # a cold gq_pfaffian_2((3,2,1), 12) multiplies each pair GQ_m GQ_n,
     # 1 <= m <= n, m + n <= 12, at most once: at most 36 generator

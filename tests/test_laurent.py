@@ -435,21 +435,22 @@ def test_generator_products_match_fresh_products(D):
 
 def test_contract_matches_row_referee_on_route_tables(monkeypatch):
     # every table the four Pfaffian routes contract, for all strict lambda
-    # at D <= 9, against the row-by-row contraction of the same table
+    # at D <= 9, against the row-by-row contraction of the same table at
+    # the same cap (the GQ routes cut their entries at b^(D - |lambda|))
     context, seen = [], {}
 
     def entering(family, entry):
-        def wrapped(*args):  # ..., li, lj, degree_bound
+        def wrapped(*args, **kwargs):  # ..., li, lj, degree_bound
             context.append((family, *args[-3:]))
             try:
-                return entry(*args)
+                return entry(*args, **kwargs)
             finally:
                 context.pop()
         return wrapped
 
-    def recorded(table, pair, degree_bound):
-        got = laurent.contract(table, pair, degree_bound)
-        seen.setdefault((*context[-1], tuple(table.items())), got)
+    def recorded(table, pair, degree_bound, _cap=None):
+        got = laurent.contract(table, pair, degree_bound, _cap)
+        seen.setdefault((*context[-1], _cap, tuple(table.items())), got)
         return got
 
     monkeypatch.setattr(gq, "_f_entry", entering("gq", gq._f_entry))
@@ -464,14 +465,15 @@ def test_contract_matches_row_referee_on_route_tables(monkeypatch):
                           dualq.o_pfaffian_1, dualq.o_pfaffian_2):
                 route(lam, D)
     assert {key[0] for key in seen} == {"gq", "dual"}
-    for (family, li, lj, D, items), got in seen.items():
+    assert {key[4] is None for key in seen} == {True, False}
+    for (family, li, lj, D, cap, items), got in seen.items():
         if family == "gq":  # f tables are keyed (q, p)
             left, right = ((lambda q: gq_coefficient(lj + q, D)),
                            (lambda p: gq_coefficient(li + p, D)))
         else:
             qb = dualq._q_bracket_upto(max(D, li + lj), D)
             left, right = (lambda p: qb[li - p]), (lambda q: qb[lj - q])
-        assert contract_by_rows(dict(items), left, right, D) == got, (family, li, lj, D)
+        assert contract_by_rows(dict(items), left, right, D, cap) == got, (family, li, lj, D, cap)
 
 
 def test_memoised_products_survive_a_sweep():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kq.dualq import o_pfaffian_1, o_pfaffian_2
 from kq.gq import gq_pfaffian_1, gq_pfaffian_2
 from kq.pfaffian import check_pfaffian_length, pfaffian_from_upper
+from kq.pseries import PSeries
 from referees import BETA, ONE
 
 
@@ -161,6 +162,19 @@ def test_from_upper_pads_to_even():
     assert val == 3
     # 3 indices pad to 4; lone pair (0,2) pairs index 1 with the padding zero
     assert pfaffian_from_upper({(0, 2): Fraction(5)}) == 0
+
+
+def test_row_sums_start_at_their_first_term():
+    # a 2 x 2 Pfaffian is its entry itself, a first partner at an even
+    # position enters negated, and a row of zeros gives one * 0 in the
+    # entries' ring
+    D = 4
+    f, g = gq_pfaffian_1((2,), D), gq_pfaffian_1((1,), D)
+    assert pfaffian_from_upper({(0, 1): f}, one=PSeries.one(D)) is f
+    assert pfaffian_from_upper({(0, 2): f, (1, 3): g}, one=PSeries.one(D)) == f * g * -1
+    assert pfaffian_from_upper({(0, 2): Fraction(5), (1, 3): Fraction(2)}) == -10
+    zero = pfaffian_from_upper({(1, 2): f, (2, 3): g}, one=PSeries.one(D))
+    assert isinstance(zero, PSeries) and zero == PSeries.zero(D)
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1, 0), (2, 2), (0, 1.0), (True, 2),

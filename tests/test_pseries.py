@@ -160,6 +160,27 @@ def test_combination_is_the_fold_of_its_parts(parts):
     assert got == PSeries(coeffs, D)
 
 
+@given(combination_parts(), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_capped_combination_drops_the_terms_past_the_cap(parts, cap):
+    # mod b^(cap+1): the whole sum with its terms past b^cap dropped,
+    # shifts included, and nothing else changed
+    got = combination(parts, D, cap)
+    assert_invariants(got)
+    whole = combination(parts, D)
+    want = {mu: sum((Qb.beta_power(k, x) for k, x in enumerate(c.as_polynomial()) if k <= cap),
+                    ZERO) for mu, c in whole.sorted_items()}
+    assert got == PSeries(want, D)
+
+
+def test_uncapped_combination_keeps_b_powers_past_the_bound():
+    # None is no cap, not a cap at the bound: (-b)^(D+3) stays
+    f = PSeries({(): Qb.beta_power(D + 3, -1)}, D)
+    assert combination([(f, 1, 1)], D) == PSeries({(): Qb.beta_power(D + 4, -1)}, D)
+    assert not combination([(f, 1, 1)], D, D)
+    assert not combination([(PSeries.one(D), 2, 1)], D, 1)
+
+
 @given(combination_parts())
 @settings(max_examples=30, deadline=None)
 def test_combination_consumes_a_generator_once(parts):
