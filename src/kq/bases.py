@@ -100,8 +100,7 @@ def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
     """sum (c / den) b^k (image of p~_nu) over flat coordinates
     {(nu, k): c}, every nu into odd parts: one int pass over the rows at
     the den (den 2^D), and the result carries the flavor's ring verdict
-    (module docstring)."""
-    check_flavor(flavor)
+    (module docstring); the flavor is the caller's to check."""
     out: dict = {}
     for (nu, k), c in flat.items():
         if not c:

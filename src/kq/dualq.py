@@ -200,7 +200,7 @@ def _dual_ket(lam, lows, degree_bound):
     Y_i is one row action of finitely many plain modes per grade
     (fock._row_modes), so no exponential is built.
     """
-    state = fock.FockState({((0,) if len(lam) % 2 else (), 0): Fraction(1, 2 ** len(lam))})
+    state = fock.FockState._reduced({((0,) if len(lam) % 2 else (), 0): 1}, 1 << len(lam))
     for i, (n, low) in reversed(tuple(enumerate(zip(lam, lows), 1))):
         state = fock._phihat_row(state, n, low, i)
     return vacuum_expectation(state, "bracket", degree_bound)

@@ -36,12 +36,12 @@ Fractions on the monomial coordinates.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .partitions import check_degree_bound, check_partition, partitions_of
 from .pseries import PSeries, _integral
+from .scalars import _is_coefficient
 
 
 class SymmetricPoly:
@@ -62,7 +62,7 @@ class SymmetricPoly:
                 ok = check_partition(nu) == nu and len(nu) <= nvars and operator.index(k) >= 0
             except (TypeError, ValueError):
                 ok = False
-            if not ok or bool in (type(k), type(a)) or not isinstance(a, (int, Fraction)):
+            if not ok or type(k) is bool or not _is_coefficient(a):
                 raise ValueError(f"bad term {a!r} s_{nu!r} b^{k!r} for {nvars} variables")
         self.nvars = nvars
         self.terms = {key: a for key, a in terms.items() if a}

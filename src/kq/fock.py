@@ -62,6 +62,7 @@ from math import comb, lcm
 from types import MappingProxyType
 
 from . import pseries
+from .scalars import _is_coefficient
 
 
 class FockState:
@@ -73,11 +74,13 @@ class FockState:
 
     def __init__(self, terms):
         """terms maps (canonical word, b-power) to int or Fraction values;
-        a bool mode, b-power or value raises ValueError."""
+        a bool mode or b-power, or a value that is not an int or a
+        Fraction, raises ValueError."""
         fracs = {}
         for (word, k), c in terms.items():
-            if bool in (type(k), type(c), *map(type, word)):
-                raise ValueError(f"bad term {c!r} {word} b^{k!r}: a bool is not a number")
+            if bool in (type(k), *map(type, word)) or not _is_coefficient(c):
+                raise ValueError(f"bad term {c!r} {word} b^{k!r}: modes and b-powers are ints"
+                                 " and values ints or Fractions, none a bool")
             word, k = tuple(map(operator.index, word)), operator.index(k)
             if (k < 0 or any(a <= b for a, b in zip(word, word[1:]))
                     or word and word[0] > 0 > word[-1]):
@@ -91,8 +94,8 @@ class FockState:
     @classmethod
     def _reduced(cls, terms, den):
         """terms over den, divided by gcd(den, *terms) as series are
-        (pseries._reduced); only this module calls it, on terms its own
-        arithmetic built from canonical words."""
+        (pseries._reduced); the trusted entry, called on terms that the
+        library's own arithmetic built from canonical words."""
         out = object.__new__(cls)
         out.terms, out.den = pseries._reduced(terms, den)
         return out

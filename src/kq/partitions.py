@@ -82,22 +82,14 @@ def z_lambda(p) -> int:
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n: int, max_part: int | None = None,
-                  max_len: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n with parts <= max_part and at most max_len parts,
-    decreasing lex order."""
+def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n with parts <= max_part, decreasing lex order."""
     if n == 0:
         return ((),)
-    if max_len == 0:
-        return ()
     if max_part is None:
         max_part = n
-    rest_len = None if max_len is None else max_len - 1
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first, rest_len):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(min(n, max_part), 0, -1)
+                 for rest in partitions_of(n - first, first))
 
 
 def partitions_upto(bound: int):

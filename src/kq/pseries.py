@@ -15,9 +15,9 @@ partitions, so a product multiplies ints; every sum of terms c b^e f, a
 sum or difference of two series and a scalar multiple included, is one
 pass of combination with one running den; and exponentials are closed
 forms (exp_power_sums).  Fractions appear only at the boundary: the
-public constructor and _from_flat take coefficients of p_lambda, and
-sorted_items() hands each out as a BetaScalar, a value that holds the
-coefficient's b-power terms and does no arithmetic.
+public constructor takes coefficients of p_lambda, and sorted_items()
+hands each out as a BetaScalar, a value that holds the coefficient's
+b-power terms and does no arithmetic.
 
 Series add to and subtract series only, so f + 1 raises TypeError; an
 int, Fraction or BetaScalar scales a series, and f == c compares f with
@@ -28,13 +28,17 @@ Invariant: degree_bound is an int >= 0; terms maps pairs (lambda, k),
 lambda a partition in the canonical form of check_partition of weight <=
 degree_bound and k an int >= 0, to nonzero ints; den is an int >= 1 with
 gcd(den, *numerators) == 1, so 1 for the zero series, and == and hash
-compare values.  The public constructor enforces it on any input.  The
-ring operations keep it, once _reduced has divided out a common factor:
-the pair cache keeps keys canonical, the product skips pairs above the
-bound, and zero sums are dropped; combination too.  So their results are
-wrapped by the private PSeries._trusted, which skips the checks, and so
-are the integral coordinates that finitevars.from_finite solves for and
-the deformed images that bases._image_sum sums, through _integral.
+compare values.  There are two ways in.  The public constructor, the
+one checked entry, enforces the invariant on any input: it checks each
+key once and makes each coefficient a Fraction once.  The private
+PSeries._trusted checks nothing and divides out the common factor
+(_reduced); it wraps what this module's own code built, whose terms meet
+the invariant bar that factor: the pair cache keeps keys canonical, the
+product skips pairs above the bound, and zero sums are dropped;
+combination, exp_power_sums, zero and one (which check their bound) too.
+The integral coordinates that finitevars.from_finite solves for and the
+deformed images that bases._image_sum sums enter through _integral, its
+one export.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators) hand the same object to
@@ -49,7 +53,6 @@ and bases touch it.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -88,55 +91,48 @@ class PSeries:
     __slots__ = ("terms", "den", "degree_bound", "_rings")
 
     def __init__(self, terms, degree_bound: int):
-        """terms maps partitions to int, Fraction or BetaScalar values; a
-        bool value raises ValueError."""
-        flat = {}
+        """The series sum c_lambda p_lambda over terms {lambda: c_lambda},
+        each c_lambda an int, a Fraction, a BetaScalar or BetaScalar's
+        tuple form, at degree_bound: the one checked entry.  Each key is
+        checked once and each coefficient made a Fraction once; terms above
+        the bound and zero values are dropped.  A bad key raises
+        ValueError, and so does a bool coefficient, named with its key; any
+        other coefficient raises TypeError."""
+        degree_bound = check_degree_bound(degree_bound)
+        scaled = {}
         for key, val in terms.items():
             if isinstance(val, bool):
                 raise ValueError(f"bad term {val!r} p_{key!r}: a bool is not a coefficient")
-            flat.update(((check_partition(key), k), c) for k, c in _monomials(val))
-        made = PSeries._from_flat(flat, degree_bound)
-        self.terms, self.den, self.degree_bound = made.terms, made.den, made.degree_bound
+            key, pairs = check_partition(key), _monomials(val)
+            if sum(key) <= degree_bound:
+                scaled.update(((key, k), c * z_lambda(key)) for k, c in pairs)
+        den = lcm(*(c.denominator for c in scaled.values()))
+        self.terms, self.den = _reduced(
+            {key: c.numerator * (den // c.denominator) for key, c in scaled.items()}, den)
+        self.degree_bound = degree_bound
         self._rings = frozenset()
 
     @classmethod
     def _trusted(cls, terms, den: int, degree_bound: int) -> "PSeries":
-        """Wrap terms, den and degree_bound, which must already meet the
-        invariant; only this module calls it, on dicts its own arithmetic built."""
+        """The series sum (n / den) b^k p~_lambda over terms {(lambda, k): n},
+        divided by the common factor (_reduced).  terms, den and
+        degree_bound must meet the invariant bar that factor; only this
+        module calls it, on dicts its own arithmetic built."""
         out = object.__new__(cls)
-        out.terms = terms
-        out.den = den
+        out.terms, out.den = _reduced(terms, den)
         out.degree_bound = degree_bound
         out._rings = frozenset()
         return out
-
-    @classmethod
-    def _from_flat(cls, terms, degree_bound: int) -> "PSeries":
-        """A series from flat terms {(lambda, k): rational coefficient of
-        b^k p_lambda}, checked as the public constructor checks: keys
-        canonical, k >= 0, terms above the bound and zero values dropped."""
-        degree_bound = check_degree_bound(degree_bound)
-        scaled = {}
-        for (key, k), c in terms.items():
-            key = check_partition(key)
-            k = operator.index(k)
-            if k < 0:
-                raise ValueError(f"b^{k} is not in Q[b]")
-            if sum(key) <= degree_bound and c:
-                scaled[(key, k)] = Fraction(c) * z_lambda(key)
-        den = lcm(*(c.denominator for c in scaled.values()))
-        terms = {key: c.numerator * (den // c.denominator) for key, c in scaled.items()}
-        return cls._trusted(*_reduced(terms, den), degree_bound)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, degree_bound: int) -> "PSeries":
-        return cls({}, degree_bound)
+        return cls._trusted({}, 1, check_degree_bound(degree_bound))
 
     @classmethod
     def one(cls, degree_bound: int) -> "PSeries":
-        return cls({(): 1}, degree_bound)
+        return cls._trusted({((), 0): 1}, 1, check_degree_bound(degree_bound))
 
     # -- structure ------------------------------------------------------
 
@@ -194,7 +190,7 @@ class PSeries:
                             out[key] = s
                         else:
                             del out[key]
-        product = PSeries._trusted(*_reduced(out, self.den * other.den), bound)
+        product = PSeries._trusted(out, self.den * other.den, bound)
         # paren images only raise the degree, so the truncated product of
         # two images is the image of the product; bracket ones lower it
         product._rings = self._rings & other._rings & _PAREN
@@ -264,7 +260,7 @@ def combination(parts, degree_bound: int, _cap=None) -> PSeries:
                 out[key] = s
             else:
                 del out[key]
-    return PSeries._trusted(*_reduced(out, den), degree_bound)
+    return PSeries._trusted(out, den, degree_bound)
 
 
 def _integral(terms, den: int, degree_bound: int) -> PSeries:
@@ -275,7 +271,7 @@ def _integral(terms, den: int, degree_bound: int) -> PSeries:
     finitevars.from_finite solves into this form, and bases._image_sum sums
     into it.
     """
-    return PSeries._trusted(*_reduced(terms, den), degree_bound)
+    return PSeries._trusted(terms, den, degree_bound)
 
 
 def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:

@@ -24,7 +24,10 @@ helpers _monomials and _from_monomials convert between scalars and
 
 Invariant: terms maps ints k >= 0 to nonzero Fractions, so equality is
 structural and hashing is safe.  The public constructor enforces it on any
-input, and _from_monomials keeps it on the pairs it is handed.
+input, and _from_monomials keeps it on the pairs it is handed.  An outside
+coefficient, here and in every store, is an int or a Fraction and never a
+bool (_is_coefficient): a float, a str or a Decimal raises, rather than
+entering as an inexact or parsed Fraction.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ from fractions import Fraction
 _F0 = Fraction(0)
 
 
+def _is_coefficient(c) -> bool:
+    """Whether c is an int or a Fraction, never a bool: the one test of an
+    outside coefficient, in BetaScalar (and so PSeries), FockState and
+    SymmetricPoly."""
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+
 class BetaScalar:
     """sum c*b^k over terms {k: c}, each c a nonzero Fraction."""
 
@@ -41,15 +51,15 @@ class BetaScalar:
 
     def __init__(self, num=0):
         """num is an int, a Fraction, a BetaScalar, or the tuple of the
-        coefficients of b^0, b^1, ...; a bool anywhere raises ValueError."""
+        coefficients of b^0, b^1, ..., each an int or a Fraction; a bool
+        anywhere raises ValueError, and any other value TypeError."""
         if isinstance(num, BetaScalar):
             self.terms = num.terms
             return
-        dense = (num,) if isinstance(num, (int, Fraction)) else num
-        if not isinstance(dense, tuple):
-            raise TypeError(f"cannot build BetaScalar from {type(num).__name__}")
-        if any(isinstance(c, bool) for c in dense):
-            raise ValueError(f"bad coefficient {num!r}: a bool is not a number")
+        dense = num if isinstance(num, tuple) else (num,)
+        if not all(map(_is_coefficient, dense)):
+            bad = ValueError if any(isinstance(c, bool) for c in dense) else TypeError
+            raise bad(f"bad coefficient {num!r}: an int or a Fraction, never a bool")
         self.terms = {k: c for k, c in enumerate(map(Fraction, dense)) if c}
 
     def __bool__(self) -> bool:
@@ -63,7 +73,7 @@ class BetaScalar:
         return tuple(dense)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_coefficient(other):
             return self.terms == ({0: other} if other else {})
         if not isinstance(other, BetaScalar):
             return NotImplemented
@@ -98,7 +108,7 @@ def _monomials(v) -> list[tuple[int, Fraction]]:
     v is an int, a Fraction, a BetaScalar or what the constructor takes;
     anything else raises TypeError, a bool ValueError.
     """
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+    if _is_coefficient(v):
         return [(0, Fraction(v))] if v else []
     if not isinstance(v, BetaScalar):
         v = BetaScalar(v)

@@ -572,6 +572,15 @@ def from_deformed_basis(coeffs, flavor: str, degree_bound: int) -> PSeries:
     return image_sum(flat, 1, flavor, degree_bound)
 
 
+def flat_series(terms, degree_bound: int) -> PSeries:
+    """The series sum c b^k p_lambda over flat terms {(lambda, k): c}, each
+    c a Fraction, through the checked public constructor."""
+    grouped: dict = {}
+    for (mu, k), c in terms.items():
+        grouped.setdefault(mu, []).append((k, c))
+    return PSeries({mu: _from_monomials(pairs) for mu, pairs in grouped.items()}, degree_bound)
+
+
 def _eliminate(f: PSeries, flavor: str) -> PSeries:
     """Coordinates of f in the deformed basis by triangular elimination,
     degree by degree: up from the bottom for paren, down from the top for
@@ -588,7 +597,7 @@ def _eliminate(f: PSeries, flavor: str) -> PSeries:
         rep = rep - image_sum(level, rep.den, flavor, bound)
     if not is_zero(rep):
         raise ArithmeticError("triangular elimination left a residue")
-    return PSeries._from_flat(out, bound)
+    return flat_series(out, bound)
 
 
 def pair_by_elimination(f: PSeries, g: PSeries) -> Qb:
@@ -879,7 +888,7 @@ def from_finite_by_fractions(g: SymmetricPoly, degree_bound: int) -> PSeries:
                     if lam != mu:
                         got = rest.setdefault(lam, {})
                         got[k] = got.get(k, 0) - c * count
-    return PSeries._from_flat(coeffs, degree_bound)
+    return flat_series(coeffs, degree_bound)
 
 
 # -- laurent: region-committed Laurent blocks --------------------------------

@@ -130,8 +130,9 @@ def test_trusted_constructors_stay_in_their_module():
 
 def test_series_sums_rescale_in_one_place():
     # every sum of series, + and - included, is one pseries.combination,
-    # which keeps one running den; apart from it only _from_flat, which
-    # clears the denominators of its input, takes an lcm in pseries
+    # which keeps one running den; apart from it only the public
+    # constructor, which clears the denominators of its input, takes an
+    # lcm in pseries
     path = Path(kq.__file__).parent / "pseries.py"
     tree = ast.parse(path.read_text(), filename=str(path))
 
@@ -143,7 +144,7 @@ def test_series_sums_rescale_in_one_place():
 
     callers = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and lcm_calls(node)}
-    assert callers == {"_from_flat", "combination"}, callers
+    assert callers == {"__init__", "combination"}, callers
     inside = sum(lcm_calls(node) for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef) and node.name in callers)
     assert lcm_calls(tree) == inside
@@ -360,22 +361,67 @@ print(json.dumps([repr(f.sorted_items()) for f in results]))
 """
 
 
-def test_routes_build_no_scalars():
-    # series keep ints over one den, and a kernel sum goes through
-    # pseries.combination: a BetaScalar is built only where a value leaves
-    # a series.  A fresh interpreter, so no cached table built earlier in
-    # the test session can hide a construction.
+# Runs all seven routes with the checked constructors of PSeries and
+# FockState refusing every call, then prints sorted_items() of each result;
+# with "plain" as argument it runs them unpatched.  The trusted entries
+# (PSeries._trusted, FockState._reduced) build through object.__new__, so
+# they never reach the gate.
+ROUTES_WITHOUT_CHECKED_STORES = """
+import json, sys
+from kq.dualq import gp, o_fermionic, o_pfaffian_1, o_pfaffian_2
+from kq.fock import FockState
+from kq.gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
+from kq.pseries import PSeries
+
+def refuse(self, *args, **kwargs):
+    raise AssertionError(f"a route built a {type(self).__name__} through its checked constructor")
+
+if sys.argv[1] == "patched":
+    PSeries.__init__ = FockState.__init__ = refuse
+    for build in (lambda: PSeries({}, 1), lambda: FockState({})):
+        try:
+            build()
+        except AssertionError:
+            continue
+        sys.exit("the gate let a checked construction through")
+routes = (gq_pfaffian_1, gq_pfaffian_2, gq_fermionic, o_pfaffian_1, o_pfaffian_2,
+          o_fermionic, gp)
+results = [route(lam, 5) for route in routes for lam in ((1,), (2, 1), (3, 1))]
+print(json.dumps([repr(f.sorted_items()) for f in results]))
+"""
+
+
+def _routes_patched_and_plain(script):
+    """The printed results of script run "patched" and "plain", each in a
+    fresh interpreter, so no cached table built earlier in the test
+    session can hide a construction."""
     env = {**os.environ, "PYTHONPATH": str(Path(kq.__file__).parent.parent)}
 
     def run(mode):
-        done = subprocess.run([sys.executable, "-c", ROUTES_WITHOUT_SCALARS, mode],
+        done = subprocess.run([sys.executable, "-c", script, mode],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
         return json.loads(done.stdout)
 
-    patched = run("patched")
+    return run("patched"), run("plain")
+
+
+def test_routes_build_no_scalars():
+    # series keep ints over one den, and a kernel sum goes through
+    # pseries.combination: a BetaScalar is built only where a value leaves
+    # a series
+    patched, plain = _routes_patched_and_plain(ROUTES_WITHOUT_SCALARS)
     assert len(patched) == 21 and all(patched)
-    assert patched == run("plain")
+    assert patched == plain
+
+
+def test_routes_build_no_checked_stores():
+    # each value is checked once, where it enters from outside: a route
+    # builds its series and Fock states, units and starting bras included,
+    # through the trusted entries, never through a checked constructor
+    patched, plain = _routes_patched_and_plain(ROUTES_WITHOUT_CHECKED_STORES)
+    assert len(patched) == 21 and all(patched)
+    assert patched == plain
 
 
 def test_formula_two_computes_no_zero_weighted_value(monkeypatch):

@@ -125,10 +125,8 @@ def test_counts():
 def test_bounded_partitions_are_a_filter_of_all():
     for n in range(10):
         for top in range(n + 2):
-            for rows in range(n + 2):
-                want = tuple(p for p in pt.partitions_of(n)
-                             if len(p) <= rows and (not p or p[0] <= top))
-                assert pt.partitions_of(n, top, rows) == want, (n, top, rows)
+            want = tuple(p for p in pt.partitions_of(n) if not p or p[0] <= top)
+            assert pt.partitions_of(n, top) == want, (n, top)
 
 
 def test_strict_upto_matches_acceptance_inventory():

@@ -358,14 +358,13 @@ def test_json_ordering_is_graded_lex():
 
 
 def test_flat_constructor_checks_like_the_public_one():
-    # modules that build flat terms themselves go through these checks
-    f = PSeries._from_flat({((2, 1), 1): Fraction(3), ((4,), 0): 1, ((1,), 2): 0}, 3)
-    assert f == PSeries({(2, 1): 3 * BETA}, 3)
+    # the public constructor is the one checked entry: it drops terms above
+    # the bound and zero values, and refuses a key that is not canonical
+    f = PSeries({(2, 1): (0, 3), (4,): 1, (1,): (0, 0, 0)}, 3)
+    assert f == PSeries({(2, 1): 3 * BETA}, 3) and f.terms == {((2, 1), 1): 6}  # 3 z_(2,1)
     assert_invariants(f)
     with pytest.raises(ValueError):
-        PSeries._from_flat({((1, 2), 0): 1}, 3)
-    with pytest.raises(ValueError):
-        PSeries._from_flat({((1,), -1): 1}, 3)
+        PSeries({(1, 2): 1}, 3)
     # a bool is no coefficient: the public constructor names the bad term,
     # and a series compares unequal to one rather than raising
     with pytest.raises(ValueError, match=r"True p_\(1,\)"):

@@ -1,5 +1,6 @@
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 
 import kq
 from kq.dualq import bilinear_pair, gp, o_fermionic, o_pfaffian_1, o_pfaffian_2
+from kq.finitevars import SymmetricPoly
+from kq.fock import FockState
 from kq.gq import gq_fermionic, gq_pfaffian_1, gq_pfaffian_2
+from kq.pseries import PSeries
 from kq.scalars import BetaScalar
 from referees import (BETA, ONE, ZERO, Qb, at_b, binom_general, check_boundary_scalar,
                       strict_partitions_upto)
@@ -77,6 +81,23 @@ def test_no_rational_functions():
     assert BetaScalar(1) != True
     with pytest.raises(TypeError):
         BetaScalar(1.5)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1")], ids=["float", "str", "Decimal"])
+@pytest.mark.parametrize("build, error", [
+    (BetaScalar, TypeError),
+    (lambda c: BetaScalar((c,)), TypeError),
+    (lambda c: PSeries({(1,): c}, 2), TypeError),
+    (lambda c: PSeries({(1,): (0, c)}, 2), TypeError),
+    (lambda c: FockState({((-1,), 0): c}), ValueError),
+    (lambda c: SymmetricPoly(2, {((1,), 0): c}), ValueError),
+], ids=["scalar", "scalar-tuple", "series", "series-tuple", "fock", "symmetric"])
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_raises(build, error, bad):
+    # one rule for an outside coefficient: a float would enter as an
+    # inexact Fraction (0.1 is 3602879701896397 / 2^55), and a str or a
+    # Decimal would be parsed
+    with pytest.raises(error, match=re.escape(repr(bad))):
+        build(bad)
 
 
 @given(scalars, scalars, scalars)
