@@ -8,9 +8,12 @@ independent routes (two Pfaffian formulas, a free-fermion contraction, a
 finite-variable symmetrization) and the dual family (o_lambda, gp_lambda),
 together with the bilinear pairing that makes the two families dual bases.
 
-Power-sum series store an int per (partition, power of b) on the basis
-p_lambda / z_lambda over one denominator, and Fock states an int per (word,
-power of b) over one denominator; sums of series go through
+Every exact value is one integral store (pseries._Store): an int per
+(key, power of b) over one denominator, the key a partition on the basis
+p_lambda / z_lambda for power-sum series, a word for Fock states and a
+Schur index for the oracle's answers.  Each store has two ways in: a
+checked public constructor for outside values, and a trusted one for what
+the library's own arithmetic built.  Sums of series go through
 pseries.combination, and every Pfaffian coefficient in those sums is an
 int from the tables of module laurent.
 BetaScalar, the public Q[b] scalar, is the value a coefficient becomes once

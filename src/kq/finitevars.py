@@ -16,8 +16,10 @@ f = sum_nu a_nu s_nu, and s_nu = sum_mu chi^nu(mu) p_mu / z_mu (I (7.8)),
 chi^nu(mu) the irreducible character of S_|nu| at cycle type mu.  The
 coordinate on p~_mu = p_mu / z_mu that PSeries stores is therefore
 sum_nu a_nu chi^nu(mu), an integer whenever the a_nu are: characters are
-integers.  A Fraction input is scaled by den, the lcm of its
-denominators, and handed to the series with that den.
+integers.  A SymmetricPoly keeps its a_nu as ints over one den, in the
+store of series (pseries._Store), so from_finite sums ints and hands the
+series the same den.  Its public constructor is the checked entry, and
+SymmetricPoly._reduced the trusted one, through which the oracle answers.
 
 The characters come from the Murnaghan-Nakayama rule (I.7 Ex. 5), on
 beads: nu + delta as the set bits of a mask, delta = (l-1, ..., 1, 0) for
@@ -37,39 +39,37 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import lcm
 
 from .partitions import check_degree_bound, check_partition, partitions_of
-from .pseries import PSeries, _integral
-from .scalars import _is_coefficient
+from .pseries import PSeries, _integral, _Store
+from .scalars import _coefficient
 
 
-class SymmetricPoly:
-    """sum a b^k s_nu(x_1..x_nvars) over terms {(nu, k): a}.
+class SymmetricPoly(_Store):
+    """sum (n / den) b^k s_nu(x_1..x_nvars) over terms {(nu, k): n}, in the
+    integral store of series (pseries._Store).
 
     nu is a partition in the canonical form of check_partition with at most
-    nvars parts, k an int >= 0 and a an int or Fraction, neither a bool;
-    anything else raises ValueError.  Zero values are dropped, so ==
-    compares values.
+    nvars parts and k an int >= 0.  The checked entry takes values that are
+    ints or Fractions, none a bool, and anything else raises ValueError
+    naming the term; _reduced(terms, den, nvars) is the trusted entry.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms):
         nvars = check_degree_bound(nvars, "variable count")
+        fracs = {}
         for (nu, k), a in terms.items():
             try:
-                ok = check_partition(nu) == nu and len(nu) <= nvars and operator.index(k) >= 0
+                if check_partition(nu) != nu or len(nu) > nvars or type(k) is bool or k < 0:
+                    raise ValueError
+                fracs[(nu, operator.index(k))] = _coefficient(a)
             except (TypeError, ValueError):
-                ok = False
-            if not ok or type(k) is bool or not _is_coefficient(a):
-                raise ValueError(f"bad term {a!r} s_{nu!r} b^{k!r} for {nvars} variables")
+                raise ValueError(
+                    f"bad term {a!r} s_{nu!r} b^{k!r} for {nvars} variables") from None
+        self._settle(fracs)
         self.nvars = nvars
-        self.terms = {key: a for key, a in terms.items() if a}
-
-    def __eq__(self, other):
-        return (isinstance(other, SymmetricPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +93,8 @@ def from_finite(g: SymmetricPoly, degree_bound: int) -> PSeries:
     """Recover power-sum coordinates of a symmetric polynomial.
 
     Requires nvars >= degree_bound so the p_lambda with |lambda| <= bound
-    stay linearly independent, and total degree <= bound.
+    stay linearly independent, and total degree <= bound.  The character sums
+    of g's ints are handed to the series over g's den.
     """
     degree_bound = check_degree_bound(degree_bound)
     if not isinstance(g, SymmetricPoly):
@@ -105,12 +106,10 @@ def from_finite(g: SymmetricPoly, degree_bound: int) -> PSeries:
     if top > degree_bound:
         raise ValueError(f"degree {top} exceeds the requested bound {degree_bound}")
 
-    den = lcm(*(a.denominator for a in g.terms.values()))
     coeffs: dict = {}
     for (nu, k), a in g.terms.items():
-        a = a.numerator * (den // a.denominator)
         beads = sum(1 << part + len(nu) - 1 - i for i, part in enumerate(nu))
         for mu in partitions_of(sum(nu)):
             if chi := _character(beads, mu):
                 coeffs[(mu, k)] = coeffs.get((mu, k), 0) + a * chi
-    return _integral({key: c for key, c in coeffs.items() if c}, den, degree_bound)
+    return _integral({key: c for key, c in coeffs.items() if c}, g.den, degree_bound)

@@ -41,9 +41,12 @@ Heisenberg generators b_m enter through theta and through the vacuum rows
 <0| prod 2 b_m of hexpansion, all with odd m (Theta only through its
 commutator with the modes); b_0 is not normal-ordered and never built.
 
-States are flat and integral, as series are (module pseries): a FockState
-maps (word, k) to the nonzero int n of the term (n / den) b^k word, over one
-int den >= 1 with gcd(den, *numerators) == 1, so == compares values.  Every
+States are flat and integral, in the store of series (pseries._Store): a
+FockState maps (word, k) to the nonzero int n of the term (n / den) b^k
+word, over one int den >= 1 with gcd(den, *numerators) == 1, so == compares
+values.  The public constructor is the checked entry, and the store's
+FockState._reduced the trusted one, through which every action, vacuum()
+and the dual kets of dualq build their states.  Every
 operator here is (1/d) sum c b^e X_m over int c, one d per action: binomials
 times powers of 1/2 for phi^(beta) and the rows, 1/(n 2^n) for the b_n of
 theta (the 1/2 of b_n included, since _bra_word_b tables twice <0| word
@@ -56,58 +59,41 @@ out.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from types import MappingProxyType
 
 from . import pseries
-from .scalars import _is_coefficient
+from .scalars import _coefficient
 
 
-class FockState:
+class FockState(pseries._Store):
     """A bra or ket state: terms maps (word, k) to the nonzero int n of the
-    term (n / den) b^k word, den >= 1 and gcd(den, *numerators) == 1.  A
-    value, as a series is: terms must not be mutated after construction."""
+    term (n / den) b^k word, in the integral store of series
+    (pseries._Store), whose _reduced is its trusted entry."""
 
-    __slots__ = ("terms", "den")
+    __slots__ = ()
 
     def __init__(self, terms):
-        """terms maps (canonical word, b-power) to int or Fraction values;
-        a bool mode or b-power, or a value that is not an int or a
-        Fraction, raises ValueError."""
+        """terms maps (canonical word, b-power) to int or Fraction values:
+        the checked entry.  A key that is not such a pair, a mode or
+        b-power that is not an int or is a bool, and a value that is not an
+        int or a Fraction raise ValueError, naming the term."""
         fracs = {}
-        for (word, k), c in terms.items():
-            if bool in (type(k), *map(type, word)) or not _is_coefficient(c):
-                raise ValueError(f"bad term {c!r} {word} b^{k!r}: modes and b-powers are ints"
-                                 " and values ints or Fractions, none a bool")
-            word, k = tuple(map(operator.index, word)), operator.index(k)
+        for key, c in terms.items():
+            try:
+                word, k = key
+                if bool in (type(k), *map(type, word)):
+                    raise ValueError
+                word, k = tuple(map(operator.index, word)), operator.index(k)
+                fracs[(word, k)] = _coefficient(c)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad term {c!r} {key!r}: keys are (word, b-power) pairs of"
+                                 " ints and values ints or Fractions, none a bool") from None
             if (k < 0 or any(a <= b for a, b in zip(word, word[1:]))
                     or word and word[0] > 0 > word[-1]):
                 raise ValueError(f"{word} b^{k} is not a canonical word over Q[b]")
-            if c:
-                fracs[(word, k)] = Fraction(c)
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        self.den = lcm(*(c.denominator for c in fracs.values()))
-        self.terms = {key: c.numerator * (self.den // c.denominator) for key, c in fracs.items()}
-
-    @classmethod
-    def _reduced(cls, terms, den):
-        """terms over den, divided by gcd(den, *terms) as series are
-        (pseries._reduced); the trusted entry, called on terms that the
-        library's own arithmetic built from canonical words."""
-        out = object.__new__(cls)
-        out.terms, out.den = pseries._reduced(terms, den)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, FockState) and (self.den, self.terms) == (other.den, other.terms)
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
+        self._settle(fracs)
 
 
 def vacuum() -> FockState:

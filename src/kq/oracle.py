@@ -241,9 +241,9 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
     trunc = nvars if trunc is None else check_degree_bound(trunc)
     r = len(lam)
     if r > nvars or sum(lam) > trunc:
-        return SymmetricPoly(nvars, {})
+        return SymmetricPoly._reduced({}, 1, nvars)
     if not lam:  # GQ_() = 1, and a tail of nvars parts would recurse nvars deep
-        return SymmetricPoly(nvars, {((), 0): 1})
+        return SymmetricPoly._reduced({((), 0): 1}, 1, nvars)
     drop = r * nvars - r * (r + 1) // 2  # x-degree lost from P0 to the output
     # the beta cap keeps P0 to x-degree <= trunc + drop, all that the
     # output's x-degree <= trunc part comes from
@@ -290,7 +290,7 @@ def gq_oracle(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
                         at = (hm | gm, k)
                         v = -count * c if (gm & above).bit_count() & 1 else count * c
                         schur[at] = schur.get(at, 0) + v
-    return SymmetricPoly(nvars, {(_nu(mask), k): c for (mask, k), c in schur.items() if c})
+    return SymmetricPoly._reduced({(_nu(m), k): c for (m, k), c in schur.items() if c}, 1, nvars)
 
 
 def _nu(mask):

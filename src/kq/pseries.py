@@ -24,21 +24,30 @@ int, Fraction or BetaScalar scales a series, and f == c compares f with
 the constant c.  A series has no printer: sorted_items() is its one
 ordered view.
 
-Invariant: degree_bound is an int >= 0; terms maps pairs (lambda, k),
-lambda a partition in the canonical form of check_partition of weight <=
-degree_bound and k an int >= 0, to nonzero ints; den is an int >= 1 with
-gcd(den, *numerators) == 1, so 1 for the zero series, and == and hash
-compare values.  There are two ways in.  The public constructor, the
-one checked entry, enforces the invariant on any input: it checks each
-key once and makes each coefficient a Fraction once.  The private
-PSeries._trusted checks nothing and divides out the common factor
-(_reduced); it wraps what this module's own code built, whose terms meet
-the invariant bar that factor: the pair cache keeps keys canonical, the
-product skips pairs above the bound, and zero sums are dropped;
-combination, exp_power_sums, zero and one (which check their bound) too.
-The integral coordinates that finitevars.from_finite solves for and the
-deformed images that bases._image_sum sums enter through _integral, its
-one export.
+One store class, _Store, holds this format for series, Fock states
+(fock.FockState) and Schur coordinates (finitevars.SymmetricPoly); each
+adds its own key checks and fields, the slots it declares that are not
+private.  _Store's invariant: terms maps (key, k), k an int >= 0, to
+nonzero ints, and den is an int >= 1 with gcd(den, *numerators) == 1, so 1
+for the zero value; == and hash compare the class, the fields, den and
+terms.  There are two ways into each store.  Its public constructor, the
+one checked entry, enforces the invariant on any input: it checks each key
+once and makes each coefficient a Fraction once (scalars._coefficient, the
+one rule for an outside coefficient), and _Store._settle clears their
+denominators.  The trusted entry checks nothing and divides out the common
+factor (_reduced); it wraps what the library's own arithmetic built, whose
+terms meet the invariant bar that factor.  For a series it is
+PSeries._trusted, which also starts the memo, and for the other two
+stores _Store._reduced, which takes the fields after den.
+
+A series adds: degree_bound is an int >= 0, and each key lambda is a
+partition in the canonical form of check_partition of weight <=
+degree_bound.  PSeries._trusted is called by this module's own code only:
+the pair cache keeps keys canonical, the product skips pairs above the
+bound, and zero sums are dropped; combination, exp_power_sums, zero and one
+(which check their bound) too.  The integral coordinates that
+finitevars.from_finite solves for and the deformed images that
+bases._image_sum sums enter through _integral, its one export.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators) hand the same object to
@@ -87,17 +96,59 @@ def _reduced(terms, den):
     return {key: v // g for key, v in terms.items()}, den // g
 
 
-class PSeries:
-    __slots__ = ("terms", "den", "degree_bound", "_rings")
+class _Store:
+    """Nonzero ints per (key, b-power) over one den, as the module docstring
+    sets out: the class of series, Fock states and Schur coordinates.  A
+    value: terms must not be mutated after construction."""
+
+    __slots__ = ("terms", "den")
+
+    def _settle(self, fracs):
+        """The checked entry's last step: terms and den from fracs {(key, k):
+        Fraction}, as ints over the lcm of their denominators, zeros
+        dropped."""
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self.terms, self.den = _reduced(
+            {key: c.numerator * (den // c.denominator) for key, c in fracs.items() if c}, den)
+
+    @classmethod
+    def _reduced(cls, terms, den, *fields):
+        """The trusted entry: terms {(key, k): n} over den, divided by the
+        common factor, with the store's own slots set to fields in order.
+        terms must meet the invariant bar that factor, as what the
+        library's own arithmetic builds does."""
+        out = object.__new__(cls)
+        out.terms, out.den = _reduced(terms, den)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(out, name, value)
+        return out
+
+    def _fields(self):
+        """The store's fields: the values of its own slots that are not
+        private (degree_bound for a series, nvars for Schur coordinates)."""
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (self._fields(), self.den, self.terms) == (other._fields(), other.den, other.terms))
+
+    def __hash__(self):
+        return hash((*self._fields(), self.den, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class PSeries(_Store):
+    __slots__ = ("degree_bound", "_rings")
 
     def __init__(self, terms, degree_bound: int):
         """The series sum c_lambda p_lambda over terms {lambda: c_lambda},
         each c_lambda an int, a Fraction, a BetaScalar or BetaScalar's
         tuple form, at degree_bound: the one checked entry.  Each key is
         checked once and each coefficient made a Fraction once; terms above
-        the bound and zero values are dropped.  A bad key raises
-        ValueError, and so does a bool coefficient, named with its key; any
-        other coefficient raises TypeError."""
+        the bound and zero values are dropped.  A bad key or coefficient
+        raises ValueError, a bool coefficient named with its key."""
         degree_bound = check_degree_bound(degree_bound)
         scaled = {}
         for key, val in terms.items():
@@ -106,9 +157,7 @@ class PSeries:
             key, pairs = check_partition(key), _monomials(val)
             if sum(key) <= degree_bound:
                 scaled.update(((key, k), c * z_lambda(key)) for k, c in pairs)
-        den = lcm(*(c.denominator for c in scaled.values()))
-        self.terms, self.den = _reduced(
-            {key: c.numerator * (den // c.denominator) for key, c in scaled.items()}, den)
+        self._settle(scaled)
         self.degree_bound = degree_bound
         self._rings = frozenset()
 
@@ -201,16 +250,9 @@ class PSeries:
     def __eq__(self, other):
         if isinstance(other, _SCALARS) and not isinstance(other, bool):
             other = PSeries({(): other}, self.degree_bound)
-        if not isinstance(other, PSeries):
-            return NotImplemented
-        return (self.degree_bound == other.degree_bound and self.den == other.den
-                and self.terms == other.terms)
+        return _Store.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.degree_bound, self.den, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
+    __hash__ = _Store.__hash__
 
     # -- ordered view ----------------------------------------------------------
 

@@ -7,11 +7,11 @@ b = -1 the connective ones.  Q[b] is enough because no library path divides
 by a polynomial in b: every object computed here is a polynomial in b, and
 the only divisions are by nonzero rational constants.
 
-No library path does arithmetic on scalars.  Series and Fock states keep one
-int per (key, b-power) over one denominator per object, the term
-(n/den)*b^k*X under the key (X, k), so a product or sum of two terms is an
-int operation, and a route sums c*b^e*f as (f, e, c) triples through
-pseries.combination.
+No library path does arithmetic on scalars.  Series, Fock states and Schur
+coordinates keep one int per (key, b-power) over one denominator per
+object (pseries._Store), the term (n/den)*b^k*X under the key (X, k), so a
+product or sum of two terms is an int operation, and a route sums c*b^e*f
+as (f, e, c) triples through pseries.combination.
 
 BetaScalar is only a boundary value: constructor input, a coefficient once
 it leaves a series (sorted_items, the value of bilinear_pair), and BETA,
@@ -26,8 +26,8 @@ Invariant: terms maps ints k >= 0 to nonzero Fractions, so equality is
 structural and hashing is safe.  The public constructor enforces it on any
 input, and _from_monomials keeps it on the pairs it is handed.  An outside
 coefficient, here and in every store, is an int or a Fraction and never a
-bool (_is_coefficient): a float, a str or a Decimal raises, rather than
-entering as an inexact or parsed Fraction.
+bool (_coefficient): a float, a str or a Decimal raises ValueError, as a
+bool does, rather than entering as an inexact or parsed Fraction.
 """
 
 from __future__ import annotations
@@ -37,11 +37,15 @@ from fractions import Fraction
 _F0 = Fraction(0)
 
 
-def _is_coefficient(c) -> bool:
-    """Whether c is an int or a Fraction, never a bool: the one test of an
-    outside coefficient, in BetaScalar (and so PSeries), FockState and
-    SymmetricPoly."""
-    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+def _coefficient(c, whole=None) -> Fraction:
+    """c as a Fraction, c an int or a Fraction and never a bool: the one
+    check of an outside coefficient, in BetaScalar (and so PSeries),
+    FockState and SymmetricPoly.  Anything else raises ValueError, naming
+    whole, the value c came in, or c itself."""
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        return Fraction(c)
+    raise ValueError(f"bad coefficient {c if whole is None else whole!r}:"
+                     " an int or a Fraction, never a bool")
 
 
 class BetaScalar:
@@ -51,16 +55,13 @@ class BetaScalar:
 
     def __init__(self, num=0):
         """num is an int, a Fraction, a BetaScalar, or the tuple of the
-        coefficients of b^0, b^1, ..., each an int or a Fraction; a bool
-        anywhere raises ValueError, and any other value TypeError."""
+        coefficients of b^0, b^1, ..., each an int or a Fraction; any other
+        value raises ValueError (_coefficient)."""
         if isinstance(num, BetaScalar):
             self.terms = num.terms
             return
         dense = num if isinstance(num, tuple) else (num,)
-        if not all(map(_is_coefficient, dense)):
-            bad = ValueError if any(isinstance(c, bool) for c in dense) else TypeError
-            raise bad(f"bad coefficient {num!r}: an int or a Fraction, never a bool")
-        self.terms = {k: c for k, c in enumerate(map(Fraction, dense)) if c}
+        self.terms = {k: c for k, c in enumerate(_coefficient(c, num) for c in dense) if c}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -73,11 +74,11 @@ class BetaScalar:
         return tuple(dense)
 
     def __eq__(self, other):
-        if _is_coefficient(other):
-            return self.terms == ({0: other} if other else {})
-        if not isinstance(other, BetaScalar):
+        if isinstance(other, BetaScalar):
+            return self.terms == other.terms
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == ({0: other} if other else {})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -106,13 +107,12 @@ def _monomials(v) -> list[tuple[int, Fraction]]:
     """The (k, c) pairs, c nonzero, of a scalar v = sum c*b^k.
 
     v is an int, a Fraction, a BetaScalar or what the constructor takes;
-    anything else raises TypeError, a bool ValueError.
+    anything else raises ValueError (_coefficient).
     """
-    if _is_coefficient(v):
-        return [(0, Fraction(v))] if v else []
-    if not isinstance(v, BetaScalar):
-        v = BetaScalar(v)
-    return list(v.terms.items())
+    if isinstance(v, (BetaScalar, tuple)):
+        return list(BetaScalar(v).terms.items())
+    c = _coefficient(v)
+    return [(0, c)] if c else []
 
 
 def _from_monomials(pairs) -> BetaScalar:

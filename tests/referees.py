@@ -777,13 +777,14 @@ def _schur_poly(nu: tuple[int, ...], n: int) -> dict:
 
 
 def expand(sym: SymmetricPoly) -> FinitePoly:
-    """The polynomial of Schur coordinates, every s_nu written out."""
+    """The polynomial of Schur coordinates, every s_nu written out; the
+    coordinate of s_nu b^k is n / den over the store's {(nu, k): n}."""
     n = sym.nvars
     out: dict = {}
     for (nu, k), a in sym.terms.items():
         for exps, c in _schur_poly(nu, n).items():
             out[(exps, k)] = out.get((exps, k), 0) + a * c
-    return FinitePoly._from_flat(n, {key: Fraction(v) for key, v in out.items()})
+    return FinitePoly._from_flat(n, {key: Fraction(v, sym.den) for key, v in out.items()})
 
 
 def schur_coordinates(g: FinitePoly) -> SymmetricPoly:

@@ -531,11 +531,27 @@ def test_constructor_reduces_and_checks_words():
         with pytest.raises(ValueError):
             FockState({(word, k): 1})
     # a bool mode, b-power or value is refused by name, not read as an int
-    for terms, bad in [({((0,), True): 1}, r"1 \(0,\) b\^True"),
-                       ({((-1,), 0): True}, r"True \(-1,\) b\^0"),
-                       ({((False, -1), 0): 1}, r"1 \(False, -1\) b\^0")]:
+    for terms, bad in [({((0,), True): 1}, r"1 \(\(0,\), True\)"),
+                       ({((-1,), 0): True}, r"True \(\(-1,\), 0\)"),
+                       ({((False, -1), 0): 1}, r"1 \(\(False, -1\), 0\)")]:
         with pytest.raises(ValueError, match=bad):
             FockState(terms)
+
+
+@pytest.mark.parametrize("terms, bad", [
+    ({((-1.0,), 0): 1}, r"1 \(\(-1\.0,\), 0\)"),
+    ({(("a",), 0): 1}, r"1 \(\('a',\), 0\)"),
+    ({((-1,), 1.0): 1}, r"1 \(\(-1,\), 1\.0\)"),
+    ({((-1,),): 1}, r"1 \(\(-1,\),\)"),
+    ({((-1,), 0, 0): 1}, r"1 \(\(-1,\), 0, 0\)"),
+    ({-1: 1}, r"1 -1"),
+    ({(-1, 0): 1}, r"1 \(-1, 0\)"),
+], ids=["float-mode", "str-mode", "float-power", "short-key", "long-key", "int-key", "int-word"])
+def test_constructor_names_a_malformed_key(terms, bad):
+    # a key that is not a (word of int modes, int b-power) pair is named
+    # with ValueError, as every other bad term of every store is
+    with pytest.raises(ValueError, match=bad):
+        FockState(terms)
 
 
 def test_Theta_cut_holds_on_input_words():

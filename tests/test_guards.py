@@ -9,10 +9,11 @@ from pathlib import Path
 
 import kq
 from kq import dualq, fock, gq, laurent
-from kq.finitevars import from_finite
+from kq.finitevars import SymmetricPoly, from_finite
+from kq.fock import FockState
 from kq.gq import gq_pfaffian_1
 from kq.oracle import gq_oracle
-from kq.pseries import PSeries
+from kq.pseries import PSeries, _Store
 from kq.scalars import BetaScalar
 
 
@@ -130,9 +131,9 @@ def test_trusted_constructors_stay_in_their_module():
 
 def test_series_sums_rescale_in_one_place():
     # every sum of series, + and - included, is one pseries.combination,
-    # which keeps one running den; apart from it only the public
-    # constructor, which clears the denominators of its input, takes an
-    # lcm in pseries
+    # which keeps one running den; apart from it only the checked entries'
+    # shared last step (_Store._settle), which clears the denominators of
+    # their input, takes an lcm in pseries
     path = Path(kq.__file__).parent / "pseries.py"
     tree = ast.parse(path.read_text(), filename=str(path))
 
@@ -144,10 +145,30 @@ def test_series_sums_rescale_in_one_place():
 
     callers = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and lcm_calls(node)}
-    assert callers == {"__init__", "combination"}, callers
+    assert callers == {"_settle", "combination"}, callers
     inside = sum(lcm_calls(node) for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef) and node.name in callers)
     assert lcm_calls(tree) == inside
+
+
+def test_stores_share_one_integral_store():
+    # series, Fock states and Schur coordinates keep ints over one den in
+    # pseries._Store, which alone clears denominators, reduces and compares:
+    # the other two stores add their key checks and fields only
+    shared = {"_settle", "_reduced", "__eq__", "__hash__", "__bool__"}
+    assert shared <= set(vars(_Store))
+    for store in (PSeries, FockState, SymmetricPoly):
+        assert store.__mro__[1] is _Store, store
+    for store in (FockState, SymmetricPoly):
+        assert not shared & set(vars(store)), vars(store)
+    package = Path(kq.__file__).parent
+    for name in ("fock.py", "finitevars.py"):
+        tree = ast.parse((package / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in ("FockState", "SymmetricPoly"):
+                called = {sub.func.id for sub in ast.walk(node)
+                          if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+                assert not called & {"lcm", "gcd", "Fraction"}, (name, called)
 
 
 def test_series_memo_stays_in_two_modules():
@@ -391,6 +412,39 @@ print(json.dumps([repr(f.sorted_items()) for f in results]))
 """
 
 
+# Runs gq_oracle and from_finite for every strict lambda with |lambda| <= 5
+# at n = 5 with the checked constructors of SymmetricPoly and PSeries
+# refusing every call, then prints the terms and den of each answer and
+# sorted_items() of each series; with "plain" as argument it runs them
+# unpatched.
+BRIDGE_WITHOUT_CHECKED_STORES = """
+import json, sys
+from kq.finitevars import SymmetricPoly, from_finite
+from kq.oracle import gq_oracle
+from kq.partitions import partitions_upto
+from kq.pseries import PSeries
+
+def refuse(self, *args, **kwargs):
+    raise AssertionError(f"the bridge built a {type(self).__name__} through its checked constructor")
+
+if sys.argv[1] == "patched":
+    SymmetricPoly.__init__ = PSeries.__init__ = refuse
+    for build in (lambda: PSeries({}, 1), lambda: SymmetricPoly(1, {})):
+        try:
+            build()
+        except AssertionError:
+            continue
+        sys.exit("the gate let a checked construction through")
+out = []
+for lam in partitions_upto(5):
+    if all(a > b for a, b in zip(lam, lam[1:])):
+        g = gq_oracle(lam, 5)
+        out.append([repr(sorted(g.terms.items())), g.den, g.nvars,
+                    repr(from_finite(g, 5).sorted_items())])
+print(json.dumps(out))
+"""
+
+
 def _routes_patched_and_plain(script):
     """The printed results of script run "patched" and "plain", each in a
     fresh interpreter, so no cached table built earlier in the test
@@ -421,6 +475,15 @@ def test_routes_build_no_checked_stores():
     # through the trusted entries, never through a checked constructor
     patched, plain = _routes_patched_and_plain(ROUTES_WITHOUT_CHECKED_STORES)
     assert len(patched) == 21 and all(patched)
+    assert patched == plain
+
+
+def test_verify_bridge_builds_no_checked_stores():
+    # the oracle answers through SymmetricPoly's trusted entry, and
+    # from_finite reads its ints over den into a series through the
+    # pseries export: neither checks a value a second time
+    patched, plain = _routes_patched_and_plain(BRIDGE_WITHOUT_CHECKED_STORES)
+    assert len(patched) == 10 and all(terms != "[]" for terms, *_ in patched)
     assert patched == plain
 
 

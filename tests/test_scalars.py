@@ -79,24 +79,24 @@ def test_no_rational_functions():
         with pytest.raises(ValueError, match=re.escape(f"bad coefficient {bad!r}")):
             BetaScalar(bad)
     assert BetaScalar(1) != True
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         BetaScalar(1.5)
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1")], ids=["float", "str", "Decimal"])
-@pytest.mark.parametrize("build, error", [
-    (BetaScalar, TypeError),
-    (lambda c: BetaScalar((c,)), TypeError),
-    (lambda c: PSeries({(1,): c}, 2), TypeError),
-    (lambda c: PSeries({(1,): (0, c)}, 2), TypeError),
-    (lambda c: FockState({((-1,), 0): c}), ValueError),
-    (lambda c: SymmetricPoly(2, {((1,), 0): c}), ValueError),
+@pytest.mark.parametrize("build", [
+    BetaScalar,
+    lambda c: BetaScalar((c,)),
+    lambda c: PSeries({(1,): c}, 2),
+    lambda c: PSeries({(1,): (0, c)}, 2),
+    lambda c: FockState({((-1,), 0): c}),
+    lambda c: SymmetricPoly(2, {((1,), 0): c}),
 ], ids=["scalar", "scalar-tuple", "series", "series-tuple", "fock", "symmetric"])
-def test_a_coefficient_that_is_not_an_int_or_a_fraction_raises(build, error, bad):
-    # one rule for an outside coefficient: a float would enter as an
-    # inexact Fraction (0.1 is 3602879701896397 / 2^55), and a str or a
-    # Decimal would be parsed
-    with pytest.raises(error, match=re.escape(repr(bad))):
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_raises(build, bad):
+    # one rule and one exception class for an outside coefficient, in
+    # every store: a float would enter as an inexact Fraction (0.1 is
+    # 3602879701896397 / 2^55), and a str or a Decimal would be parsed
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
         build(bad)
 
 
