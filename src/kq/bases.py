@@ -35,13 +35,15 @@ for paren, j <= |nu| for bracket, whose rows the exit reads only at
 the den (bra den) 2^D, and its output is born in its ring: it is the
 image of odd coordinates at the bound, as paren images only raise the
 degree, so cutting at D commutes with them, and bracket images of
-weight <= D are exact.  It carries that verdict.
+weight <= D are exact.  It hands that verdict to PSeries._reduced, so
+the image is built with it.
 
 Memoised here: the rows, per (flavor, nu, bound), in one process-wide
 table, read-only; and each ring verdict on the series it describes (its
 private _rings slot, the frozenset of flavors whose ring holds it), so it
-lives exactly as long as that series object.  The memo relies on series
-never being mutated after construction.
+lives exactly as long as that series object.  A series gets its verdict
+when it is built; _check_ring is the one place that adds to it later.
+The memo relies on series never being mutated after construction.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from math import comb, lcm
 from types import MappingProxyType
 
 from .partitions import merge, z_lambda
-from .pseries import PSeries, _integral
+from .pseries import PSeries
 
 FLAVORS = ("paren", "bracket")
 
@@ -99,8 +101,8 @@ def _image_row(flavor: str, nu: tuple[int, ...], degree_bound: int):
 def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
     """sum (c / den) b^k (image of p~_nu) over flat coordinates
     {(nu, k): c}, every nu into odd parts: one int pass over the rows at
-    the den (den 2^D), and the result carries the flavor's ring verdict
-    (module docstring); the flavor is the caller's to check."""
+    the den (den 2^D), and the result is born with the flavor's ring
+    verdict (module docstring); the flavor is the caller's to check."""
     out: dict = {}
     for (nu, k), c in flat.items():
         if not c:
@@ -108,9 +110,8 @@ def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
         for (mu, e), v in _image_row(flavor, nu, degree_bound).items():
             key = (mu, k + e)
             out[key] = out.get(key, 0) + c * v
-    image = _integral({key: v for key, v in out.items() if v}, den << degree_bound, degree_bound)
-    image._rings = frozenset((flavor,))
-    return image
+    return PSeries._reduced({key: v for key, v in out.items() if v}, den << degree_bound,
+                            degree_bound, frozenset((flavor,)))
 
 
 def _check_ring(f: PSeries, flavor: str):

@@ -41,7 +41,7 @@ import operator
 from functools import lru_cache
 
 from .partitions import check_degree_bound, check_partition, partitions_of
-from .pseries import PSeries, _integral, _Store
+from .pseries import PSeries, _Store
 from .scalars import _coefficient
 
 
@@ -60,14 +60,16 @@ class SymmetricPoly(_Store):
     def __init__(self, nvars: int, terms):
         nvars = check_degree_bound(nvars, "variable count")
         fracs = {}
-        for (nu, k), a in terms.items():
+        for key, a in terms.items():
             try:
+                nu, k = key
                 if check_partition(nu) != nu or len(nu) > nvars or type(k) is bool or k < 0:
                     raise ValueError
                 fracs[(nu, operator.index(k))] = _coefficient(a)
             except (TypeError, ValueError):
-                raise ValueError(
-                    f"bad term {a!r} s_{nu!r} b^{k!r} for {nvars} variables") from None
+                term = (f"s_{key[0]!r} b^{key[1]!r}" if type(key) is tuple and len(key) == 2
+                        else f"at the key {key!r}")
+                raise ValueError(f"bad term {a!r} {term} for {nvars} variables") from None
         self._settle(fracs)
         self.nvars = nvars
 
@@ -94,7 +96,9 @@ def from_finite(g: SymmetricPoly, degree_bound: int) -> PSeries:
 
     Requires nvars >= degree_bound so the p_lambda with |lambda| <= bound
     stay linearly independent, and total degree <= bound.  The character sums
-    of g's ints are handed to the series over g's den.
+    of g's ints are handed over g's den to PSeries._reduced, the trusted
+    entry, as they meet the store's invariant: canonical keys of weight
+    <= bound, k >= 0 and zero sums dropped.
     """
     degree_bound = check_degree_bound(degree_bound)
     if not isinstance(g, SymmetricPoly):
@@ -112,4 +116,4 @@ def from_finite(g: SymmetricPoly, degree_bound: int) -> PSeries:
         for mu in partitions_of(sum(nu)):
             if chi := _character(beads, mu):
                 coeffs[(mu, k)] = coeffs.get((mu, k), 0) + a * chi
-    return _integral({key: c for key, c in coeffs.items() if c}, g.den, degree_bound)
+    return PSeries._reduced({key: c for key, c in coeffs.items() if c}, g.den, degree_bound)

@@ -45,7 +45,7 @@ def padded_pfaffian(lam, one, entry):
 
 
 def pfaffian_from_upper(upper, one=1):
-    """Pfaffian by expansion along the first remaining row, memoized.
+    """Pfaffian by expansion along the first remaining row.
 
     INPUT:  upper -- {(i, j): entry} for ints 0 <= i < j; any other key
             raises a ValueError that names it.  Missing pairs are zero,
@@ -64,13 +64,10 @@ def pfaffian_from_upper(upper, one=1):
     n = even_ceil(n)
     if n > MAX_SIZE:
         raise ValueError(f"matrix size {n} exceeds supported bound {MAX_SIZE}")
-    cache = {}
 
     def pf(idx):
         if not idx:
             return one
-        if idx in cache:
-            return cache[idx]
         a = idx[0]
         acc = None
         # Pf = sum_j (-1)^j A[i0][ij] Pf(rest), j the position of the partner;
@@ -85,9 +82,6 @@ def pfaffian_from_upper(upper, one=1):
                 acc = term * -1 if pos % 2 == 0 else term
             else:
                 acc = acc - term if pos % 2 == 0 else acc + term
-        if acc is None:
-            acc = one * 0
-        cache[idx] = acc
-        return acc
+        return one * 0 if acc is None else acc
 
     return pf(tuple(range(n)))

@@ -34,30 +34,31 @@ terms.  There are two ways into each store.  Its public constructor, the
 one checked entry, enforces the invariant on any input: it checks each key
 once and makes each coefficient a Fraction once (scalars._coefficient, the
 one rule for an outside coefficient), and _Store._settle clears their
-denominators.  The trusted entry checks nothing and divides out the common
-factor (_reduced); it wraps what the library's own arithmetic built, whose
-terms meet the invariant bar that factor.  For a series it is
-PSeries._trusted, which also starts the memo, and for the other two
-stores _Store._reduced, which takes the fields after den.
+denominators.  The one trusted entry, _Store._reduced(terms, den,
+*fields), checks nothing and divides out the common factor; it wraps what
+the library's own arithmetic built, whose terms meet the invariant bar
+that factor, and takes the store's own slots after den.
 
 A series adds: degree_bound is an int >= 0, and each key lambda is a
 partition in the canonical form of check_partition of weight <=
-degree_bound.  PSeries._trusted is called by this module's own code only:
-the pair cache keeps keys canonical, the product skips pairs above the
-bound, and zero sums are dropped; combination, exp_power_sums, zero and one
-(which check their bound) too.  The integral coordinates that
-finitevars.from_finite solves for and the deformed images that
-bases._image_sum sums enter through _integral, its one export.
+degree_bound.  Its trusted entry is _reduced(terms, den, degree_bound,
+rings), rings the memo's verdict below, empty by default.  The pair cache
+keeps the keys of a product canonical, the product skips pairs above the
+bound, and every builder drops zero sums: combination, the product,
+exp_power_sums, zero and one (which check their bound) here, and
+bases._image_sum and finitevars.from_finite, which sum ints of their own.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators) hand the same object to
 every caller; the deformed images of bases are int rows, not series.
 Each series carries a private memo, the _rings slot: the frozenset of
-flavors whose deformed ring bases._check_ring has found it in, or that
-bases._image_sum gave the image it made; a product keeps the paren
-verdict that both its factors carry.  The memo lives exactly as long
-as the series object; it is never part of == or hash, and only pseries
-and bases touch it.
+flavors whose deformed ring it is known to lie in.  A series gets its
+verdict when it is built, as the rings argument of _reduced: a product
+keeps the paren verdict that both its factors carry, and bases._image_sum
+gives the image it makes its flavor; after that only bases._check_ring
+adds to it, when it finds the series in a ring.  The memo lives exactly
+as long as the series object; it is never part of == or hash, and only
+pseries and bases touch it.
 """
 
 from __future__ import annotations
@@ -162,26 +163,21 @@ class PSeries(_Store):
         self._rings = frozenset()
 
     @classmethod
-    def _trusted(cls, terms, den: int, degree_bound: int) -> "PSeries":
-        """The series sum (n / den) b^k p~_lambda over terms {(lambda, k): n},
-        divided by the common factor (_reduced).  terms, den and
-        degree_bound must meet the invariant bar that factor; only this
-        module calls it, on dicts its own arithmetic built."""
-        out = object.__new__(cls)
-        out.terms, out.den = _reduced(terms, den)
-        out.degree_bound = degree_bound
-        out._rings = frozenset()
-        return out
+    def _reduced(cls, terms, den, degree_bound, rings=frozenset()):
+        """_Store._reduced with the memo's verdict rings, none by default:
+        the series sum (n / den) b^k p~_lambda over terms {(lambda, k): n}
+        at degree_bound."""
+        return super()._reduced(terms, den, degree_bound, rings)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, degree_bound: int) -> "PSeries":
-        return cls._trusted({}, 1, check_degree_bound(degree_bound))
+        return cls._reduced({}, 1, check_degree_bound(degree_bound))
 
     @classmethod
     def one(cls, degree_bound: int) -> "PSeries":
-        return cls._trusted({((), 0): 1}, 1, check_degree_bound(degree_bound))
+        return cls._reduced({((), 0): 1}, 1, check_degree_bound(degree_bound))
 
     # -- structure ------------------------------------------------------
 
@@ -239,11 +235,10 @@ class PSeries(_Store):
                             out[key] = s
                         else:
                             del out[key]
-        product = PSeries._trusted(out, self.den * other.den, bound)
         # paren images only raise the degree, so the truncated product of
         # two images is the image of the product; bracket ones lower it
-        product._rings = self._rings & other._rings & _PAREN
-        return product
+        return PSeries._reduced(out, self.den * other.den, bound,
+                                self._rings & other._rings & _PAREN)
 
     __rmul__ = __mul__
 
@@ -302,18 +297,7 @@ def combination(parts, degree_bound: int, _cap=None) -> PSeries:
                 out[key] = s
             else:
                 del out[key]
-    return PSeries._trusted(out, den, degree_bound)
-
-
-def _integral(terms, den: int, degree_bound: int) -> PSeries:
-    """The series sum (n / den) b^k p~_lambda over terms {(lambda, k): n}.
-
-    terms must already meet the invariant, bar the common factor: canonical
-    keys of weight <= degree_bound, k >= 0 and nonzero ints; den an int >= 1.
-    finitevars.from_finite solves into this form, and bases._image_sum sums
-    into it.
-    """
-    return PSeries._trusted(terms, den, degree_bound)
+    return PSeries._reduced(out, den, degree_bound)
 
 
 def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:
@@ -337,4 +321,4 @@ def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:
             products[mu] = {key: v for key, v in prod.items() if v}
         for (j, e), u in products[mu].items():
             slots[j][(mu, e)] = u
-    return [PSeries._trusted(terms, 1, degree_bound) for terms in slots]
+    return [PSeries._reduced(terms, 1, degree_bound) for terms in slots]

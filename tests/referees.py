@@ -64,7 +64,7 @@ from kq.oracle import _mul as _positive_mul
 from kq.partitions import (check_degree_bound, check_partition, check_strict_weight, graded_key,
                            partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
-from kq.pseries import PSeries, _integral, combination, exp_power_sums
+from kq.pseries import PSeries, combination, exp_power_sums
 from kq.scalars import BetaScalar, _from_monomials, _monomials
 
 
@@ -540,7 +540,7 @@ def truncate(f: PSeries, new_bound: int) -> PSeries:
     if new_bound > f.degree_bound:
         raise ValueError("cannot raise a degree bound after the fact")
     kept = {key: c for key, c in f.terms.items() if sum(key[0]) <= new_bound}
-    return _integral(kept, f.den, new_bound)
+    return PSeries._reduced(kept, f.den, new_bound)
 
 
 def deformed_q(mu, flavor: str, degree_bound: int) -> PSeries:

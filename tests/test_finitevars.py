@@ -155,6 +155,9 @@ def test_from_finite_refuses_a_polynomial_given_monomial_by_monomial():
     (2, {((1,), 0): True}, r"True s_\(1,\) b\^0"),  # a bool value
     (2, {((1,), True): 3}, r"3 s_\(1,\) b\^True"),  # a bool b-power
     (2, {((True,), 0): 1}, r"1 s_\(True,\) b\^0"),  # a bool part
+    (2, {5: 1}, "at the key 5 for 2"),  # a key that is not a pair
+    (2, {((1,),): 1}, r"at the key \(\(1,\),\) for 2"),  # a key of one item
+    (2, {((1,), 0, 2): 1}, r"at the key \(\(1,\), 0, 2\) for 2"),  # a key of three items
 ])
 def test_symmetric_poly_names_a_bad_term(nvars, terms, bad):
     with pytest.raises(ValueError, match=bad):

@@ -106,27 +106,51 @@ def test_verify_bridge_stays_independent():
     assert "kq.pseries" in _kq_imports(path)  # the walk sees relative imports
 
 
-def test_trusted_constructors_stay_in_their_module():
-    # a _trusted constructor skips the checks of __init__, so only the
-    # module that defines it may call it, on values its own code built
-    definers, uses = {}, []
-    for path in sorted(Path(kq.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(
-                    isinstance(f, ast.FunctionDef) and f.name == "_trusted"
-                    for f in node.body):
-                definers[node.name] = path.name
-            elif isinstance(node, ast.Attribute) and node.attr == "_trusted":
-                owner = node.value.id if isinstance(node.value, ast.Name) else None
-                uses.append((path.name, node.lineno, owner))
-            elif isinstance(node, ast.ImportFrom) and any(
-                    alias.name == "_trusted" for alias in node.names):
-                uses.append((path.name, node.lineno, None))
-    assert set(definers.values()) == {"pseries.py"}, definers
-    found = [f"{name}:{line}" for name, line, owner in uses
-             if owner not in ("cls", "self") and definers.get(owner) != name]
-    assert not found, found
+def _scoped_nodes(path):
+    """(scope, node) for every node of a module, scope the dotted name of
+    the innermost def or class around the node ("" at module level)."""
+    stack = [("", ast.parse(path.read_text(), filename=str(path)))]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def test_only_the_trusted_entries_call_new():
+    # __new__ makes an object that no constructor checked, so only the
+    # stores' one trusted entry and the scalars' one may call it
+    found = {(path.name, scope)
+             for path in sorted(Path(kq.__file__).parent.glob("*.py"))
+             for scope, node in _scoped_nodes(path)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__"}
+    assert found == {("pseries.py", "_Store._reduced"), ("scalars.py", "_from_monomials")}, found
+
+
+def test_ring_verdicts_are_given_at_birth():
+    # a series gets its ring verdict as an argument of its trusted entry;
+    # only the checked entry starts the memo and only the ring check adds
+    # to it on a series that exists
+    found = {(path.name, scope)
+             for path in sorted(Path(kq.__file__).parent.glob("*.py"))
+             for scope, node in _scoped_nodes(path)
+             if isinstance(node, ast.Attribute) and node.attr == "_rings"
+             and isinstance(node.ctx, ast.Store)}
+    assert found == {("pseries.py", "PSeries.__init__"), ("bases.py", "_check_ring")}, found
+
+
+def test_trusted_series_multiply_add_and_pair():
+    # PSeries._reduced with the default verdict builds a whole series:
+    # its products, sums and pairings are those of the series it copies
+    D = 6
+    f, g = gq.gq_fermionic((2, 1), D), dualq.gp((2, 1), D)
+    f2, g2 = (PSeries._reduced(h.terms, h.den, D) for h in (f, g))
+    assert not f2._rings and not g2._rings
+    assert f2 * g2 == f * g and f2 * f2 == f * f
+    assert f2 + g2 == f + g
+    assert dualq.bilinear_pair(f2, g2) == dualq.bilinear_pair(f, g) == 1
 
 
 def test_series_sums_rescale_in_one_place():
@@ -384,9 +408,9 @@ print(json.dumps([repr(f.sorted_items()) for f in results]))
 
 # Runs all seven routes with the checked constructors of PSeries and
 # FockState refusing every call, then prints sorted_items() of each result;
-# with "plain" as argument it runs them unpatched.  The trusted entries
-# (PSeries._trusted, FockState._reduced) build through object.__new__, so
-# they never reach the gate.
+# with "plain" as argument it runs them unpatched.  The one trusted entry
+# of both stores (_Store._reduced) builds through object.__new__, so it
+# never reaches the gate.
 ROUTES_WITHOUT_CHECKED_STORES = """
 import json, sys
 from kq.dualq import gp, o_fermionic, o_pfaffian_1, o_pfaffian_2
@@ -480,8 +504,8 @@ def test_routes_build_no_checked_stores():
 
 def test_verify_bridge_builds_no_checked_stores():
     # the oracle answers through SymmetricPoly's trusted entry, and
-    # from_finite reads its ints over den into a series through the
-    # pseries export: neither checks a value a second time
+    # from_finite reads its ints over den into a series through
+    # PSeries._reduced: neither checks a value a second time
     patched, plain = _routes_patched_and_plain(BRIDGE_WITHOUT_CHECKED_STORES)
     assert len(patched) == 10 and all(terms != "[]" for terms, *_ in patched)
     assert patched == plain
