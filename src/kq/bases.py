@@ -101,8 +101,9 @@ def _image_row(flavor: str, nu: tuple[int, ...], degree_bound: int):
 def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
     """sum (c / den) b^k (image of p~_nu) over flat coordinates
     {(nu, k): c}, every nu into odd parts: one int pass over the rows at
-    the den (den 2^D), and the result is born with the flavor's ring
-    verdict (module docstring); the flavor is the caller's to check."""
+    the den (den 2^D), whose zero sums the trusted entry drops, and the
+    result is born with the flavor's ring verdict (module docstring); the
+    flavor is the caller's to check."""
     out: dict = {}
     for (nu, k), c in flat.items():
         if not c:
@@ -110,8 +111,7 @@ def _image_sum(flat, den: int, flavor: str, degree_bound: int) -> PSeries:
         for (mu, e), v in _image_row(flavor, nu, degree_bound).items():
             key = (mu, k + e)
             out[key] = out.get(key, 0) + c * v
-    return PSeries._reduced({key: v for key, v in out.items() if v}, den << degree_bound,
-                            degree_bound, frozenset((flavor,)))
+    return PSeries._reduced(out, den << degree_bound, degree_bound, frozenset((flavor,)))
 
 
 def _check_ring(f: PSeries, flavor: str):

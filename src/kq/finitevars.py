@@ -97,8 +97,8 @@ def from_finite(g: SymmetricPoly, degree_bound: int) -> PSeries:
     Requires nvars >= degree_bound so the p_lambda with |lambda| <= bound
     stay linearly independent, and total degree <= bound.  The character sums
     of g's ints are handed over g's den to PSeries._reduced, the trusted
-    entry, as they meet the store's invariant: canonical keys of weight
-    <= bound, k >= 0 and zero sums dropped.
+    entry, as they meet the store's invariant but for the zero sums, which
+    that entry drops: canonical keys of weight <= bound and k >= 0.
     """
     degree_bound = check_degree_bound(degree_bound)
     if not isinstance(g, SymmetricPoly):
@@ -116,4 +116,4 @@ def from_finite(g: SymmetricPoly, degree_bound: int) -> PSeries:
         for mu in partitions_of(sum(nu)):
             if chi := _character(beads, mu):
                 coeffs[(mu, k)] = coeffs.get((mu, k), 0) + a * chi
-    return PSeries._reduced({key: c for key, c in coeffs.items() if c}, g.den, degree_bound)
+    return PSeries._reduced(coeffs, g.den, degree_bound)

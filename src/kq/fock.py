@@ -46,7 +46,8 @@ FockState maps (word, k) to the nonzero int n of the term (n / den) b^k
 word, over one int den >= 1 with gcd(den, *numerators) == 1, so == compares
 values.  The public constructor is the checked entry, and the store's
 FockState._reduced the trusted one, through which every action, vacuum()
-and the dual kets of dualq build their states.  Every
+and the dual kets of dualq build their states: the actions only
+accumulate, and that entry drops the sums that cancel.  Every
 operator here is (1/d) sum c b^e X_m over int c, one d per action: binomials
 times powers of 1/2 for phi^(beta) and the rows, 1/(n 2^n) for the b_n of
 theta (the 1/2 of b_n included, since _bra_word_b tables twice <0| word
@@ -101,14 +102,6 @@ def vacuum() -> FockState:
     return FockState._reduced({((), 0): 1}, 1)
 
 
-def _merge(target, key, coeff):
-    total = target.get(key, 0) + coeff
-    if total:
-        target[key] = total
-    else:
-        target.pop(key, None)
-
-
 def _lowest_grade(state):
     return min((sum(word) for word, _ in state.terms), default=0)
 
@@ -122,11 +115,7 @@ def _act(state, table, modes, den):
             c0 = coeff * scal
             for w, c in table(word, m).items():
                 key = (w, k + e)
-                s = out.get(key, 0) + c0 * c  # c0 * c != 0: s == 0 only on a stored key
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + c0 * c
     return FockState._reduced(out, state.den * den)
 
 
@@ -246,15 +235,15 @@ def _bra_word_b(word, m):
         for i in range(-(m // 2), 1):
             for w, c in _bra_insert((), -i - m).items():
                 for w2, c2 in _bra_insert(w, i).items():
-                    _merge(out, w2, -c * c2 if i % 2 else c * c2)
-        return MappingProxyType(out)
-    head, n = word[:-1], word[-1]
-    for w, c in _bra_word_b(head, m).items():
-        for w2, c2 in _bra_insert(w, n).items():
-            _merge(out, w2, c * c2)
-    for w, c in _bra_insert(head, n - m).items():
-        _merge(out, w, -2 * c)
-    return MappingProxyType(out)
+                    out[w2] = out.get(w2, 0) + (-c * c2 if i % 2 else c * c2)
+    else:
+        head, n = word[:-1], word[-1]
+        for w, c in _bra_word_b(head, m).items():
+            for w2, c2 in _bra_insert(w, n).items():
+                out[w2] = out.get(w2, 0) + c * c2
+        for w, c in _bra_insert(head, n - m).items():
+            out[w] = out.get(w, 0) - 2 * c
+    return MappingProxyType({w: c for w, c in out.items() if c})
 
 
 # -- theta exponentials -----------------------------------------------------
@@ -290,5 +279,5 @@ def bra_apply_Theta_exp_star(state: FockState, top: int) -> FockState:
     for term in terms:
         scale = den // term.den
         for key, c in term.terms.items():
-            _merge(total, key, c * scale)
+            total[key] = total.get(key, 0) + c * scale
     return FockState._reduced(total, den)

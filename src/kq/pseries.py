@@ -35,18 +35,21 @@ one checked entry, enforces the invariant on any input: it checks each key
 once and makes each coefficient a Fraction once (scalars._coefficient, the
 one rule for an outside coefficient), and _Store._settle clears their
 denominators.  The one trusted entry, _Store._reduced(terms, den,
-*fields), checks nothing and divides out the common factor; it wraps what
-the library's own arithmetic built, whose terms meet the invariant bar
-that factor, and takes the store's own slots after den.
+*fields), checks nothing else but drops zero numerators and divides out
+the common factor; it wraps what the library's own arithmetic built, whose
+terms meet the invariant bar zeros and that factor, and takes the store's
+own slots after den.  So a builder only accumulates: a sum that cancels
+leaves the store through the trusted entry, in one place.
 
 A series adds: degree_bound is an int >= 0, and each key lambda is a
 partition in the canonical form of check_partition of weight <=
 degree_bound.  Its trusted entry is _reduced(terms, den, degree_bound,
 rings), rings the memo's verdict below, empty by default.  The pair cache
-keeps the keys of a product canonical, the product skips pairs above the
-bound, and every builder drops zero sums: combination, the product,
-exp_power_sums, zero and one (which check their bound) here, and
-bases._image_sum and finitevars.from_finite, which sum ints of their own.
+keeps the keys of a product canonical and the product skips pairs above
+the bound.  Every builder hands its sums, zero ones included, to that
+entry: combination, the product, exp_power_sums, zero and one (which check
+their bound) here, and bases._image_sum and finitevars.from_finite, which
+sum ints of their own.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators) hand the same object to
@@ -86,38 +89,38 @@ def _by_partition(terms):
 
 
 def _reduced(terms, den):
-    """(terms, den) divided by gcd(den, *terms); the zero series gets den 1."""
-    if den == 1 or not terms:
-        return terms, 1
-    g = den
-    for v in terms.values():
-        g = gcd(g, v)
-        if g == 1:
-            return terms, den
-    return {key: v // g for key, v in terms.items()}, den // g
+    """(terms, den) without its zero numerators and divided by g =
+    gcd(den, *terms), which zeros leave as it is; the zero series gets
+    den 1, as there g = den."""
+    g = gcd(den, *terms.values())
+    if g > 1 or 0 in terms.values():
+        terms = {key: v // g for key, v in terms.items() if v}
+    return terms, den // g
 
 
 class _Store:
     """Nonzero ints per (key, b-power) over one den, as the module docstring
-    sets out: the class of series, Fock states and Schur coordinates.  A
-    value: terms must not be mutated after construction."""
+    sets out: the class of series, Fock states and Schur coordinates, whose
+    trusted entry _reduced alone drops zero numerators.  A value: terms must
+    not be mutated after construction."""
 
     __slots__ = ("terms", "den")
 
     def _settle(self, fracs):
         """The checked entry's last step: terms and den from fracs {(key, k):
-        Fraction}, as ints over the lcm of their denominators, zeros
-        dropped."""
+        Fraction}, as ints over the lcm of their denominators, handed to
+        _reduced, which drops the zeros."""
         den = lcm(*(c.denominator for c in fracs.values()))
         self.terms, self.den = _reduced(
-            {key: c.numerator * (den // c.denominator) for key, c in fracs.items() if c}, den)
+            {key: c.numerator * (den // c.denominator) for key, c in fracs.items()}, den)
 
     @classmethod
     def _reduced(cls, terms, den, *fields):
-        """The trusted entry: terms {(key, k): n} over den, divided by the
-        common factor, with the store's own slots set to fields in order.
-        terms must meet the invariant bar that factor, as what the
-        library's own arithmetic builds does."""
+        """The trusted entry: terms {(key, k): n} over den, without its zero
+        numerators and divided by the common factor, with the store's own
+        slots set to fields in order.  terms must meet the invariant bar
+        zeros and that factor, as what the library's own arithmetic builds
+        does."""
         out = object.__new__(cls)
         out.terms, out.den = _reduced(terms, den)
         for name, value in zip(cls.__slots__, fields):
@@ -186,11 +189,6 @@ class PSeries(_Store):
             return None
         return max(sum(mu) for mu, _ in self.terms)
 
-    def _check_bound(self, other: "PSeries"):
-        if self.degree_bound != other.degree_bound:
-            raise ValueError(
-                f"degree bounds differ: {self.degree_bound} vs {other.degree_bound}")
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
@@ -208,17 +206,17 @@ class PSeries(_Store):
             return combination(((self, e, c) for e, c in _monomials(other)), self.degree_bound)
         if not isinstance(other, PSeries):
             return NotImplemented
-        self._check_bound(other)
         bound = self.degree_bound
-        # the right operand's partitions by degree, once: each left
-        # partition then stops at the first degree that would pass the
-        # bound (keys are distinct, so the sort never compares the lists)
-        right = sorted((sum(kb), kb, vb) for kb, vb in _by_partition(other.terms).items())
+        _check_bound(bound, other)
+        # the right operand's terms by degree, once: each left term then
+        # stops at the first degree that would pass the bound; sums that
+        # cancel leave through the trusted entry
+        right = sorted((sum(kb), kb, eb, cb) for (kb, eb), cb in other.terms.items())
         out: dict[tuple[tuple[int, ...], int], int] = {}
-        for ka, va in _by_partition(self.terms).items():
+        for (ka, ea), ca in self.terms.items():
             room = bound - sum(ka)
             pairs = _PAIRS.setdefault(ka, {})
-            for db, kb, vb in right:
+            for db, kb, eb, cb in right:
                 if db > room:
                     break
                 got = pairs.get(kb)
@@ -226,15 +224,8 @@ class PSeries(_Store):
                     mu = merge(ka, kb)
                     got = pairs[kb] = (mu, z_lambda(mu) // (z_lambda(ka) * z_lambda(kb)))
                 mu, m = got
-                for ea, ca in va:
-                    ca *= m
-                    for eb, cb in vb:
-                        key = (mu, ea + eb)
-                        s = out.get(key, 0) + ca * cb
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
+                key = (mu, ea + eb)
+                out[key] = out.get(key, 0) + ca * cb * m
         # paren images only raise the degree, so the truncated product of
         # two images is the image of the product; bracket ones lower it
         return PSeries._reduced(out, self.den * other.den, bound,
@@ -247,7 +238,11 @@ class PSeries(_Store):
             other = PSeries({(): other}, self.degree_bound)
         return _Store.__eq__(self, other)
 
-    __hash__ = _Store.__hash__
+    def __hash__(self):
+        # a constant series equals its coefficient, so it hashes as that
+        if any(mu for mu, _ in self.terms):
+            return _Store.__hash__(self)
+        return hash(dict(self.sorted_items()).get((), 0))
 
     # -- ordered view ----------------------------------------------------------
 
@@ -257,6 +252,13 @@ class PSeries(_Store):
                                      for k, n in got))
                 for mu, got in sorted(_by_partition(self.terms).items(),
                                       key=lambda kv: graded_key(kv[0]))]
+
+
+def _check_bound(degree_bound, f):
+    """Raise ValueError unless f is at degree_bound: mixed-bound arithmetic
+    is a bug, in a product as in a sum."""
+    if f.degree_bound != degree_bound:
+        raise ValueError(f"degree bounds differ: {degree_bound} vs {f.degree_bound}")
 
 
 def combination(parts, degree_bound: int, _cap=None) -> PSeries:
@@ -274,8 +276,7 @@ def combination(parts, degree_bound: int, _cap=None) -> PSeries:
     """
     den, out = 1, {}
     for f, e, c in parts:
-        if f.degree_bound != degree_bound:
-            raise ValueError(f"degree bounds differ: {degree_bound} vs {f.degree_bound}")
+        _check_bound(degree_bound, f)
         if e < 0:
             raise ValueError(f"b^{e} is not in Q[b]")
         room = None if _cap is None else _cap - e
@@ -292,11 +293,7 @@ def combination(parts, degree_bound: int, _cap=None) -> PSeries:
             if room is not None and k > room:
                 continue
             key = (mu, k + e)
-            s = out.get(key, 0) + v * scale
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            out[key] = out.get(key, 0) + v * scale
     return PSeries._reduced(out, den, degree_bound)
 
 

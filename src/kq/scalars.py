@@ -81,6 +81,9 @@ class BetaScalar:
         return self.terms == ({0: other} if other else {})
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it hashes as that
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):

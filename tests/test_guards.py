@@ -129,6 +129,21 @@ def test_only_the_trusted_entries_call_new():
     assert found == {("pseries.py", "_Store._reduced"), ("scalars.py", "_from_monomials")}, found
 
 
+def test_zeros_leave_a_store_through_the_trusted_entry():
+    # builders only accumulate: no function of kq deletes a dict entry, so
+    # a sum that cancels leaves its store in one place, the trusted entry
+    found = []
+    for path in sorted(Path(kq.__file__).parent.glob("*.py")):
+        for scope, node in _scoped_nodes(path):
+            deletes = isinstance(node, ast.Delete) and any(
+                isinstance(target, ast.Subscript) for target in node.targets)
+            pops = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("pop", "popitem"))
+            if deletes or pops:
+                found.append(f"{path.name}:{node.lineno} {scope}")
+    assert not found, found
+
+
 def test_ring_verdicts_are_given_at_birth():
     # a series gets its ring verdict as an argument of its trusted entry;
     # only the checked entry starts the memo and only the ring check adds

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kq.dualq import _q_bracket_upto, gp, o_fermionic
+from kq.finitevars import SymmetricPoly
+from kq.fock import FockState
 from kq.gq import _exp_parts, gq_fermionic, gq_series
 from kq.partitions import check_partition, partitions_upto
 from kq.pseries import PSeries, combination
@@ -134,6 +136,33 @@ def test_values_with_denominators_compare_and_hash_as_values(a, b, c):
     assert back == a and hash(back) == hash(a)
     for f in (left, back, a * Fraction(2, 3), (a + b) * Fraction(1, 2) * 2):
         assert_invariants(f)
+
+
+STORE_KEYS = {
+    # the store's fields after den, and keys it takes with any b-power
+    PSeries: ((D,), list(partitions_upto(D))),
+    FockState: ((), [(), (0,), (-1,), (0, -2), (-1, -3), (0, -1, -4), (3, 1), (2, 1, 0)]),
+    SymmetricPoly: ((3,), [nu for nu in partitions_upto(D) if len(nu) <= 3]),
+}
+
+
+@pytest.mark.parametrize("store", list(STORE_KEYS), ids=lambda store: store.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_trusted_entry_drops_zero_numerators(store, data):
+    # builders only accumulate, so a sum that cancels reaches the trusted
+    # entry as a zero numerator: it leaves the store there, and the value is
+    # the one built from the nonzero terms, reduced as the invariant asks
+    fields, keys = STORE_KEYS[store]
+    key = st.tuples(st.sampled_from(keys), st.integers(0, 3))
+    kept = data.draw(st.dictionaries(key, st.integers(-40, 40).filter(bool), max_size=6))
+    zeros = data.draw(st.lists(key.filter(lambda k: k not in kept), min_size=1, max_size=3))
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    mixed = dict(data.draw(st.permutations([*kept.items(), *((k, 0) for k in zeros)])))
+    got = store._reduced(mixed, den, *fields)
+    assert got == store._reduced(kept, den, *fields)
+    assert type(got.den) is int and got.den >= 1 and gcd(got.den, *got.terms.values()) == 1
+    assert all(type(c) is int and c for c in got.terms.values())
 
 
 def combination_parts(bound=D):

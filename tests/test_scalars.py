@@ -145,6 +145,26 @@ def test_hash_consistency(a):
     assert a == b and hash(a) == hash(b)
 
 
+def test_constants_hash_as_the_numbers_they_equal():
+    # ONE == 1, so a set or dict must not hold both
+    assert 1 in {kq.ONE} and len({kq.ONE, 1}) == 1 and hash(kq.ZERO) == hash(0)
+    assert PSeries.one(3) in {1} and len({PSeries.zero(3), 0, kq.ZERO}) == 1
+
+
+@given(polys.map(BetaScalar), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_equal_values_hash_alike(a, D):
+    # x == c implies hash(x) == hash(c) over ints, Fractions, BetaScalars
+    # and constant series
+    values = [a, PSeries({(): a}, D)]
+    if a.terms.keys() <= {0}:
+        c = a.terms.get(0, Fraction(0))
+        values += [c, int(c)] if c.denominator == 1 else [c]
+    for x in values:
+        for y in values:
+            assert x == y and hash(x) == hash(y), (x, y)
+
+
 @given(scalars, st.fractions(min_value=-6, max_value=6, max_denominator=3))
 @settings(max_examples=60, deadline=None)
 def test_specialize_is_a_homomorphism(a, v):
