@@ -36,7 +36,7 @@ from .hexpansion import vacuum_expectation
 from .laurent import _univariate, contract, g_table
 from .partitions import _check_int, check_degree_bound, check_strict_weight, z_lambda
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries, _by_partition, combination, exp_power_sums
+from .pseries import PSeries, _by_partition, _exp_products, combination
 from .scalars import _from_monomials
 
 
@@ -46,17 +46,21 @@ def _q_bracket_upto(top, degree_bound):
 
     log q^[b](z) = sum_n (p_n/n) c_n with
         c_n = sum_{j>=n} (delta_{nj} + (-1)^{j+1} C(j-1, j-n) b^{j-n}) z^j,
-    cut at z^top, so the closed form of exp_power_sums applies.  Every
-    term of the z^j part has p-weight <= j, so q^[b]_j is a polynomial of
-    top degree at most j and the truncation only matters for j > degree_bound.
+    cut at z^top.  Each term of c_n has b-power j - n, so the z^j
+    coefficient of prod_i c_(mu_i) is b^(j - |mu|) times its value at
+    b = 1, the row of pseries._exp_products: q^[b]_j at p~_mu reads that
+    row at z^j.  Every term of the z^j part has p-weight <= j, so q^[b]_j
+    is a polynomial of top degree at most j and the truncation only
+    matters for j > degree_bound.
     """
-    logs = {}
-    for n in range(1, min(top, degree_bound) + 1):
-        c = {(j, j - n): (1 if j % 2 else -1) * comb(j - 1, j - n)
-             for j in range(n, top + 1)}
-        c[(n, 0)] += 1
-        logs[n] = c
-    return tuple(exp_power_sums(logs, top, degree_bound))
+    logs = {n: {j: (-1) ** (j + 1) * comb(j - 1, j - n) + (j == n) for j in range(n, top + 1)}
+            for n in range(1, min(top, degree_bound) + 1)}
+    slots = [{} for _ in range(top + 1)]
+    for mu, row in _exp_products(logs, top, degree_bound):
+        w = sum(mu)
+        for j in range(w, top + 1):
+            slots[j][(mu, j - w)] = row[j]
+    return tuple(PSeries._reduced(terms, 1, degree_bound) for terms in slots)
 
 
 def q_bracket_series(degree_bound):

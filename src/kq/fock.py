@@ -23,7 +23,9 @@ written once:
     e^{i Theta}: the i-th row of a dual ket with the e^{-Theta} of every
     row folded in, one list of plain modes per grade;
   * GQ_lambda: bra_apply_phi_beta_star, n >= 0, and
-    bra_apply_Theta_exp_star, the star of e^{Theta}.
+    bra_apply_Theta_exp_star, the star of e^{Theta}, the two public
+    actions, which refuse a state that is not a FockState (TypeError) and
+    a grade cut top that is not an int >= 0 (ValueError).
 
 The other signs of beta and of the exponents (e^{-Theta} on bras among
 them), phihat_c at general c and phi^(beta)_n on bras live in
@@ -45,16 +47,16 @@ States are flat and integral, in the store of series (pseries._Store): a
 FockState maps (word, k) to the nonzero int n of the term (n / den) b^k
 word, over one int den >= 1 with gcd(den, *numerators) == 1, so == compares
 values.  The public constructor is the checked entry, and the store's
-FockState._reduced the trusted one, through which every action, vacuum()
-and the dual kets of dualq build their states: the actions only
-accumulate, and that entry drops the sums that cancel.  Every
-operator here is (1/d) sum c b^e X_m over int c, one d per action: binomials
-times powers of 1/2 for phi^(beta) and the rows, 1/(n 2^n) for the b_n of
-theta (the 1/2 of b_n included, since _bra_word_b tables twice <0| word
-b_n), and the 1/k of the exponential's k-th term.  Applying one multiplies
-ints and multiplies den once.  Fractions enter only through the public
-constructor; hexpansion.vacuum_expectation divides by den once on the way
-out.
+FockState._reduced the trusted one, through which every action, vacuum(),
+the first word of gq's ket and the dual kets of dualq build their states:
+the actions only accumulate, and that entry drops the sums that cancel.
+Every operator here is (1/d) sum c b^e X_m over int c, one d per action:
+binomials times powers of 1/2 for phi^(beta) and the rows, 1/(n 2^n) for
+the b_n of theta (the 1/2 of b_n included, since _bra_word_b tables twice
+<0| word b_n), and the 1/k of the exponential's k-th term.  Applying one
+multiplies ints and multiplies den once.  Fractions enter only through
+the public constructor; hexpansion.vacuum_expectation divides by den once
+on the way out.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from math import comb, lcm
 from types import MappingProxyType
 
 from . import pseries
+from .partitions import check_degree_bound
 from .scalars import _coefficient
 
 
@@ -212,9 +215,21 @@ def _phihat_row(state, n, low, i):
     return _act(state, _bra_insert, lambda g: modes[:cuts[-g]], d)
 
 
+def _check_action(state, top):
+    """top as an int >= 0, once state is a FockState: the misuse of a
+    public action raises, a state of another type TypeError and a bad top
+    ValueError, never an answer."""
+    if not isinstance(state, FockState):
+        raise TypeError(f"a Fock action needs a FockState, got {type(state).__name__}")
+    return check_degree_bound(top, "top")
+
+
 def bra_apply_phi_beta_star(state: FockState, n: int, top: int) -> FockState:
     """Right action of (phi^(beta)_n)^*, n >= 0, on bras, whose star is the
-    left action of phi^(beta)_n on kets; grades < -top dropped."""
+    left action of phi^(beta)_n on kets; grades < -top dropped.  A state
+    that is not a FockState raises TypeError, and an n or top that is not
+    an int >= 0 ValueError."""
+    top, n = _check_action(state, top), check_degree_bound(n, "n")
     d, modes = _phi_beta_modes(n, top)
     return _act(state, _bra_insert, lambda g: modes[:max(0, top + g - n + 1)], d)
 
@@ -253,7 +268,9 @@ def _bra_word_b(word, m):
 # Theta^* lowers them, and terminates once cut.  Each acts on kets as the
 # star of the other.  The dual kets fold their e^{-Theta} into the rows
 # (_row_modes), so the routes exponentiate on bras only e^{theta}, for the
-# GQ ket.
+# GQ ket, and only between its parts: at the vacuum end <0| e^theta and
+# <0| phi_0 e^theta are one (phi^(beta)_0)^* action on one word
+# (gq.gq_fermionic has the proof).
 
 @lru_cache(maxsize=None)
 def _theta_modes(reach):
@@ -267,7 +284,10 @@ def _theta_modes(reach):
 
 def bra_apply_Theta_exp_star(state: FockState, top: int) -> FockState:
     """Right action of (e^{Theta})^* = e^{theta} on bras, whose star is the
-    left action of e^{Theta} on kets; grades < -top dropped, input included."""
+    left action of e^{Theta} on kets; grades < -top dropped, input included.
+    A state that is not a FockState raises TypeError, and a top that is not
+    an int >= 0 ValueError."""
+    top = _check_action(state, top)
     state = FockState._reduced({key: c for key, c in state.terms.items()
                                 if sum(key[0]) >= -top}, state.den)
     d, modes = _theta_modes(top)

@@ -18,12 +18,16 @@ GQ_lambda for a strict partition lambda:
     are laurent's univariate tables, as formula I's padding column is;
   * gq_fermionic evaluates <0| e^{H^(beta)} prod_i (phi^(beta)_{lambda_i}
     e^Theta) |0> on the neutral-fermion Fock space, as one ket, built in
-    bra form and handed as that bra to hexpansion.vacuum_expectation.
+    bra form from a closed form of its vacuum end and handed as that bra
+    to hexpansion.vacuum_expectation.
 
 The one-row coefficients are a plain row, gq_series(D) = (GQ_0, ...,
 GQ_D), as dualq keeps q^[b]: GQ_n for n < 0 is the constant (-beta)^{-n},
 a b-shift that the readers apply themselves, and GQ_n past D truncates to
-zero.  Each sum over one-row coefficients or table entries is one
+zero.  Both rows are read off one univariate closed form of their
+exponential, an int row of z-coefficients per partition
+(pseries._exp_products), with no recurrence and no sum of series.  Each
+sum over one-row coefficients or table entries is one
 pseries.combination of (series, b-power, rational) triples; a two-index
 sum reads each GQ_m GQ_n from one memoised table per bound (_pair).
 
@@ -57,50 +61,41 @@ from .hexpansion import vacuum_expectation
 from .laurent import _univariate, contract, f_table
 from .partitions import _check_int, check_degree_bound, check_strict_weight, even_ceil
 from .pfaffian import padded_pfaffian
-from .pseries import PSeries, combination, exp_power_sums
-
-
-def _exp_parts(degree_bound):
-    """z^0..z^D coefficients of theta(z) / (theta(-beta) theta(-z-beta)).
-
-    The log is sum_n (p_n/n) c_n with c_n = z^n - (-beta)^n - (-z-beta)^n,
-    homogeneous of degree n in z and beta, so the closed form of
-    exp_power_sums applies.  The z^j part has lowest p-weight >= j, so
-    cutting z-degrees and p-weights at D together loses nothing that the
-    assembled GQ_n (n <= D) could see.
-    """
-    logs = {}
-    for n in range(1, degree_bound + 1):
-        sign = 1 if n % 2 else -1  # (-1)^(n+1)
-        c = {(j, n - j): sign * comb(n, j) for j in range(n + 1)}
-        c[(0, n)] += sign
-        c[(n, 0)] += 1
-        logs[n] = c
-    return tuple(exp_power_sums(logs, degree_bound, degree_bound))
+from .pseries import PSeries, _exp_products, combination
 
 
 def gq_series(degree_bound):
     """The row (GQ_0, GQ_1, ..., GQ_D) of Laurent coefficients of GQ(z),
     one shared tuple per bound.
 
-    GQ_n = sum_k (-beta)^k Exp_{n+k}, Exp_j the z^j part of _exp_parts;
-    Exp_j for j > D has lowest p-weight > D, so the sum stops at k = D - n,
-    and GQ_D = Exp_D, GQ_n = Exp_n - beta GQ_{n+1} below it.  GQ_0
-    assembles to 1.  The row stops at both ends: GQ_n for n < 0 is the
-    constant (-beta)^{-n}, a b-shift that its readers apply, and GQ_n for
-    n > D has lowest degree n and truncates to zero.
+    GQ(z) = (1 + beta z^{-1})^{-1} exp(sum_n (p_n/n) c_n), with
+    c_n = z^n - (-beta)^n - (-z-beta)^n homogeneous of degree n in z and
+    beta.  So the z^j coefficient of prod_i c_(mu_i) is beta^(|mu| - j)
+    times its value at beta = 1, the row of pseries._exp_products, and
+    GQ_n = sum_k (-beta)^k [z^(n+k)] exp(...) is, at p~_mu,
+    beta^(|mu| - n) times the alternating sum of that row from z^n up.
+    The row of mu stops at z^|mu|, so GQ_n at p~_mu is zero for n > |mu|,
+    and GQ_0 assembles to 1.  The table stops at both ends: GQ_n for
+    n < 0 is the constant (-beta)^{-n}, a b-shift that its readers apply,
+    and GQ_n for n > D has lowest degree n and truncates to zero.
     """
     return _gq_series(check_degree_bound(degree_bound))
 
 
 @lru_cache(maxsize=None)
 def _gq_series(D):
-    """gq_series at a checked bound, by the recurrence, from GQ_D down."""
-    parts = _exp_parts(D)
-    row = [parts[D]]
-    for n in range(D - 1, -1, -1):
-        row.append(combination(((parts[n], 0, 1), (row[-1], 1, -1)), D))
-    return tuple(reversed(row))
+    """gq_series at a checked bound: one pass over the partitions of
+    weight <= D, each row summed from its top z-power down."""
+    # c_n at beta = 1: z^n - (-1)^n - (-z-1)^n
+    logs = {n: {j: (-1) ** (n + 1) * (comb(n, j) + (j == 0)) + (j == n) for j in range(n + 1)}
+            for n in range(1, D + 1)}
+    slots = [{} for _ in range(D + 1)]
+    for mu, row in _exp_products(logs, D, D):
+        w, tail = sum(mu), 0
+        for n in range(w, -1, -1):
+            tail = row[n] - tail
+            slots[n][(mu, w - n)] = tail
+    return tuple(PSeries._reduced(terms, 1, D) for terms in slots)
 
 
 # degree_bound -> {(m, n): GQ_m GQ_n} for 1 <= m <= n, m + n <= degree_bound,
@@ -232,20 +227,52 @@ def gq_pfaffian_2(lam, degree_bound):
 def gq_fermionic(lam, degree_bound):
     """GQ_lambda = <0| e^{H^(beta)} prod_i phi^(beta)_{lambda_i} e^Theta |0>.
 
-    The ket is built once, innermost factor first, in bra form: the star
-    of <0| e^theta (phi^(beta)_n)^* ..., a bra that vacuum_expectation
-    pairs as the ket it stands for, in the paren flavor; odd-length partitions get the
-    usual phi^(beta)_0 e^Theta padding factor on the right.  Every factor
-    only raises the ket grade, phi^(beta)_n by at least n, and a word of
-    grade > D pairs to degree > D: so each step drops grades above D minus
-    the parts still to apply (and, for the e^Theta before part n, minus n).
+    The ket is built once, vacuum end first, in bra form: the star of
+    <0| e^theta (phi^(beta)_{lambda_r})^* ... e^theta (phi^(beta)_{lambda_1})^*,
+    a bra that vacuum_expectation pairs as the ket it stands for, in the
+    paren flavor; odd-length partitions get the usual phi^(beta)_0 e^Theta
+    padding factor at the vacuum end.  Every factor only raises the ket
+    grade, phi^(beta)_n by at least n, and a word of grade > D pairs to
+    degree > D: so each step drops grades above D minus the parts still to
+    apply (and, for an e^Theta before part n, minus n).
+
+    The vacuum end has a closed form.  With psi = (phi^(beta)_0)^* =
+    sum_{m>=0} (-b/2)^m phi_{-m}, cut at m <= top = D - |lambda| like the
+    step it replaces:
+
+      (A) <0| e^theta = <0| phi_0 psi,
+      (B) <0| e^theta psi = <0| phi_0,
+      (C) <0| phi_0 e^theta = <0| psi,
+
+    so the ket starts from <0| phi_0 psi for even l(lambda) and from
+    <0| psi for odd, one action on one word, and e^theta only runs between
+    parts.  (A): theta = sum_{n odd} (p_n/n) 2 b_n at p_n = (b/2)^n, the
+    exponent of hexpansion's vacuum row specialized to the one variable
+    x = b/2, so <0| e^theta = sum_mu (-1)^{|mu|} 2^{-l(mu)} Q_mu(x) <0|
+    word(mu), over strict mu, word(mu) the reversed negated padding of mu.
+    In one variable Q_mu = 0 for l(mu) >= 2 (Macdonald III.8) and
+    Q_(m) = 2 x^m, which leaves <0| + sum_{m>=1} (-b/2)^m <0| phi_0
+    phi_{-m}, and phi_0 phi_0 = 1 makes it <0| phi_0 psi.  (B): psi psi =
+    (1/2) [psi, psi]_+, and [phi_{-m}, phi_{-m'}]_+ = 0 unless m + m' = 0,
+    which for m, m' >= 0 leaves [phi_0, phi_0]_+ = 2: psi psi = 1, and
+    (A) gives <0| e^theta psi = <0| phi_0 psi psi = <0| phi_0.  (C):
+    conjugation as in fock._row_modes, with [b_n, phi_j] = phi_{j-n},
+    gives e^{-theta} phi_0 e^theta = phi_0 + 2 sum_{t>=1} (-b/2)^t
+    phi_{-t} = 2 psi - phi_0, so by (B) and (A) <0| phi_0 e^theta =
+    <0| e^theta (2 psi - phi_0) = 2 <0| phi_0 - <0| phi_0 psi phi_0, and
+    psi phi_0 = 2 - phi_0 psi makes it <0| psi.  Every factor lowers bra
+    grades, so cutting after each one cuts the whole: the identities hold
+    cut at top as they do uncut.
     """
     lam = check_strict_weight(lam, degree_bound)
-    ops = list(lam) + ([0] if len(lam) % 2 else [])
+    if not lam:
+        return vacuum_expectation(fock.vacuum(), "paren", degree_bound)
     top = degree_bound - sum(lam)
-    state = fock.vacuum()
-    for n in reversed(ops):
-        state = fock.bra_apply_Theta_exp_star(state, top)
+    start = fock.FockState._reduced({(() if len(lam) % 2 else (0,), 0): 1}, 1)
+    state = fock.bra_apply_phi_beta_star(start, 0, top)
+    for i, n in enumerate(reversed(lam)):
+        if i:
+            state = fock.bra_apply_Theta_exp_star(state, top)
         top += n
         state = fock.bra_apply_phi_beta_star(state, n, top)
     return vacuum_expectation(state, "paren", degree_bound)

@@ -4,7 +4,7 @@ H is the half-boson Hamiltonian 2 sum_{n>=1} (p_n/n) b_n^flavor built from
 either deformed family; reorganized over plain generators it reads
 sum_{k odd} (p_k^flavor / k) 2 b_k.  The odd b_k commute, so the
 exponential has the closed form of Macdonald, Symmetric Functions and Hall
-Polynomials, I (2.14), as pseries.exp_power_sums uses it:
+Polynomials, I (2.14), as pseries._exp_products uses it:
 
     <0|e^H = sum_nu p~_nu^flavor R_nu,    R_nu = <0| prod_i 2 b_(nu_i),
 

@@ -13,11 +13,12 @@ one int den >= 1 per series.  There p~_mu p~_nu = prod_i C(m_i(mu) +
 m_i(nu), m_i(mu)) p~_(mu u nu), a multiplicity cached once per pair of
 partitions, so a product multiplies ints; every sum of terms c b^e f, a
 sum or difference of two series and a scalar multiple included, is one
-pass of combination with one running den; and exponentials are closed
-forms (exp_power_sums).  Fractions appear only at the boundary: the
-public constructor takes coefficients of p_lambda, and sorted_items()
-hands each out as a BetaScalar, a value that holds the coefficient's
-b-power terms and does no arithmetic.
+pass of combination with one running den; and the one-row tables of gq
+and dualq read their coordinates off the closed form of an exponential,
+one int row of z-coefficients per partition (_exp_products).  Fractions
+appear only at the boundary: the public constructor takes coefficients of
+p_lambda, and sorted_items() hands each out as a BetaScalar, a value that
+holds the coefficient's b-power terms and does no arithmetic.
 
 Series add to and subtract series only, so f + 1 raises TypeError; an
 int, Fraction or BetaScalar scales a series, and f == c compares f with
@@ -47,9 +48,9 @@ degree_bound.  Its trusted entry is _reduced(terms, den, degree_bound,
 rings), rings the memo's verdict below, empty by default.  The pair cache
 keeps the keys of a product canonical and the product skips pairs above
 the bound.  Every builder hands its sums, zero ones included, to that
-entry: combination, the product, exp_power_sums, zero and one (which check
-their bound) here, and bases._image_sum and finitevars.from_finite, which
-sum ints of their own.
+entry: combination, the product, zero and one (which check their bound)
+here, and the one-row tables of gq and dualq, bases._image_sum and
+finitevars.from_finite, which sum ints of their own.
 
 A series is a value: terms must not be mutated after construction.  Shared
 tables (gq_series, the lru_cached generators) hand the same object to
@@ -297,25 +298,27 @@ def combination(parts, degree_bound: int, _cap=None) -> PSeries:
     return PSeries._reduced(out, den, degree_bound)
 
 
-def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:
-    """The z^0..z^cap coefficients of exp(sum_n c_n p_n / n), at degree_bound.
+def _exp_products(logs, cap: int, degree_bound: int):
+    """(mu, row) for every partition mu of weight <= degree_bound, row the
+    int coefficients of z^0..z^cap of prod_i c_(mu_i) at b = 1.
 
-    logs maps n to c_n as {(j, e): int coefficient of z^j b^e}, j, e >= 0, or
-    leaves c_n = 0 out.  The closed form is sum_mu (prod_i c_(mu_i)) p~_mu
-    (Macdonald, Symmetric Functions and Hall Polynomials, I (2.14)); each
-    product extends that of mu without its last part, cut at z^cap.
+    exp(sum_n c_n p_n / n) = sum_mu (prod_i c_(mu_i)) p~_mu (Macdonald,
+    Symmetric Functions and Hall Polynomials, I (2.14)).  logs maps n to
+    c_n at b = 1 as {j: int coefficient of z^j}, j ascending, or leaves
+    c_n = 0 out.  Each c_n of the library is homogeneous in z and b, so
+    b = 1 loses nothing: the reader puts the b-power back, b^|j - |mu||
+    on the z^j coefficient.  Each row extends that of mu without its last
+    part, cut at z^cap; a row is shared, so it is read, not changed.
     """
-    degree_bound = check_degree_bound(degree_bound)
-    slots: list[dict] = [{} for _ in range(cap + 1)]
-    products = {(): {(0, 0): 1}}
+    rows = {(): [1] + [0] * cap}
     for mu in partitions_upto(degree_bound):
         if mu:
-            prod: dict = {}
-            for (j, e), u in products[mu[:-1]].items():
-                for (jn, en), v in logs.get(mu[-1], {}).items():
-                    if j + jn <= cap:
-                        prod[(j + jn, e + en)] = prod.get((j + jn, e + en), 0) + u * v
-            products[mu] = {key: v for key, v in prod.items() if v}
-        for (j, e), u in products[mu].items():
-            slots[j][(mu, e)] = u
-    return [PSeries._reduced(terms, 1, degree_bound) for terms in slots]
+            row, log = [0] * (cap + 1), logs.get(mu[-1], {}).items()
+            for j, u in enumerate(rows[mu[:-1]]):
+                if u:
+                    for jn, v in log:
+                        if j + jn > cap:
+                            break
+                        row[j + jn] += u * v
+            rows[mu] = row
+        yield mu, rows[mu]

@@ -7,7 +7,10 @@ __init__.py, so pytest puts this directory on sys.path.
 None of this is production code.  Each section names the library module it
 referees: the strict partitions up to a weight, which only tests list; the
 zero test of a series, the exponential of a series, and of a z-graded
-family of them (z_exp), term by term against the closed forms; Schur Q_mu
+family of them (z_exp), term by term against the closed forms; the closed
+form of an exponential in two variables (exp_power_sums) and the one-row
+tables of GQ and q^[b] built from it, which referee the library's
+univariate closed form; Schur Q_mu
 by the two-row Pfaffian and its deformed images, which referee the vacuum
 rows of hexpansion, those rows built in one table up to a bound, the
 deformed power sums written from their substitutions and the image of
@@ -64,7 +67,7 @@ from kq.oracle import _mul as _positive_mul
 from kq.partitions import (check_degree_bound, check_partition, check_strict_weight, graded_key,
                            partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
-from kq.pseries import PSeries, combination, exp_power_sums
+from kq.pseries import PSeries, combination
 from kq.scalars import BetaScalar, _from_monomials, _monomials
 
 
@@ -416,6 +419,62 @@ def z_exp(parts):
             break
         out = [s + t for s, t in zip(out, term)]
     return out
+
+
+def exp_power_sums(logs, cap: int, degree_bound: int) -> list[PSeries]:
+    """The z^0..z^cap coefficients of exp(sum_n c_n p_n / n), at degree_bound,
+    in two variables: the referee of the library's univariate closed form
+    (pseries._exp_products), which needs each c_n homogeneous.
+
+    logs maps n to c_n as {(j, e): int coefficient of z^j b^e}, j, e >= 0, or
+    leaves c_n = 0 out.  The closed form is sum_mu (prod_i c_(mu_i)) p~_mu
+    (Macdonald, Symmetric Functions and Hall Polynomials, I (2.14)); each
+    product extends that of mu without its last part, cut at z^cap.
+    """
+    degree_bound = check_degree_bound(degree_bound)
+    slots: list[dict] = [{} for _ in range(cap + 1)]
+    products = {(): {(0, 0): 1}}
+    for mu in partitions_upto(degree_bound):
+        if mu:
+            prod: dict = {}
+            for (j, e), u in products[mu[:-1]].items():
+                for (jn, en), v in logs.get(mu[-1], {}).items():
+                    if j + jn <= cap:
+                        prod[(j + jn, e + en)] = prod.get((j + jn, e + en), 0) + u * v
+            products[mu] = {key: v for key, v in prod.items() if v}
+        for (j, e), u in products[mu].items():
+            slots[j][(mu, e)] = u
+    return [PSeries._reduced(terms, 1, degree_bound) for terms in slots]
+
+
+def gq_exp_parts(degree_bound: int) -> tuple[PSeries, ...]:
+    """z^0..z^D coefficients of theta(z) / (theta(-beta) theta(-z-beta)),
+    by the two-variable closed form: the log is sum_n (p_n/n) c_n with
+    c_n = z^n - (-beta)^n - (-z-beta)^n.  The z^j part has lowest p-weight
+    >= j, so cutting z-degrees and p-weights at D together loses nothing
+    that GQ_n (n <= D) could see."""
+    logs = {}
+    for n in range(1, degree_bound + 1):
+        sign = 1 if n % 2 else -1  # (-1)^(n+1)
+        c = {(j, n - j): sign * comb(n, j) for j in range(n + 1)}
+        c[(0, n)] += sign
+        c[(n, 0)] += 1
+        logs[n] = c
+    return tuple(exp_power_sums(logs, degree_bound, degree_bound))
+
+
+def q_bracket_exp_parts(top: int, degree_bound: int) -> tuple[PSeries, ...]:
+    """q^[b]_0..q^[b]_top truncated past degree_bound, by the two-variable
+    closed form of log q^[b](z) = sum_n (p_n/n) c_n, c_n = sum_{j>=n}
+    (delta_{nj} + (-1)^{j+1} C(j-1, j-n) b^{j-n}) z^j, cut at z^top: the
+    referee of dualq._q_bracket_upto."""
+    logs = {}
+    for n in range(1, min(top, degree_bound) + 1):
+        c = {(j, j - n): (1 if j % 2 else -1) * comb(j - 1, j - n)
+             for j in range(n, top + 1)}
+        c[(n, 0)] += 1
+        logs[n] = c
+    return tuple(exp_power_sums(logs, top, degree_bound))
 
 
 # -- bases and hexpansion: Schur Q by Pfaffian, and deformed coordinates -----

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kq import bases, dualq, fock
 from kq.dualq import (
+    _q_bracket_upto,
     bilinear_pair,
     gp,
     o_fermionic,
@@ -49,6 +50,7 @@ from referees import (
     pair_coordinates,
     pairing_i,
     power_sum,
+    q_bracket_exp_parts,
     q_series,
     ref_bra_apply_phi_beta,
     ref_bra_apply_phihat_star,
@@ -106,6 +108,14 @@ def test_q_bracket_top_degree():
     qb = q_bracket_series(5)
     for n in range(1, 6):
         assert qb[n].top_degree() == n
+
+
+@pytest.mark.parametrize("D", range(13))
+def test_q_bracket_rows_are_the_two_variable_closed_form(D):
+    # the library reads q^[b]_j at z^j of one univariate row per partition;
+    # the referee keeps the b-power of every term, rows past D included
+    for top in range(D + 5):
+        assert _q_bracket_upto(top, D) == q_bracket_exp_parts(top, D), top
 
 
 # -- the one-row duals o_n -----------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kq import fock
 from kq.fock import FockState
+from kq.gq import gq_fermionic
 from referees import (
     BETA,
     ONE,
@@ -552,6 +553,63 @@ def test_constructor_names_a_malformed_key(terms, bad):
     # with ValueError, as every other bad term of every store is
     with pytest.raises(ValueError, match=bad):
         FockState(terms)
+
+
+# -- the vacuum end of the GQ ket in closed form ------------------------------
+
+
+def vacuum_end(top, word):
+    """sum_{m=0}^{top} (-b/2)^m <0| word(m), in Fractions."""
+    return FockState({(word(m), m): Fraction(-1, 2) ** m for m in range(top + 1)})
+
+
+@pytest.mark.parametrize("top", range(21))
+def test_vacuum_end_closed_forms(top):
+    # with psi = (phi^(beta)_0)^*, cut at top as the actions cut:
+    # (A) <0| e^theta = <0| + sum_{m>=1} (-b/2)^m <0| phi_0 phi_{-m} = <0| phi_0 psi,
+    # (B) <0| e^theta psi = <0| phi_0,
+    # (C) <0| phi_0 e^theta = sum_{m>=0} (-b/2)^m <0| phi_{-m} = <0| psi
+    vac, phi0 = fock.vacuum(), bra_word((0,))
+    a = vacuum_end(top, lambda m: (0, -m) if m else ())
+    c = vacuum_end(top, lambda m: (-m,))
+    theta_vac = fock.bra_apply_Theta_exp_star(vac, top)
+    assert theta_vac == a
+    assert fock.bra_apply_phi_beta_star(phi0, 0, top) == a
+    assert fock.bra_apply_phi_beta_star(theta_vac, 0, top) == phi0
+    assert fock.bra_apply_Theta_exp_star(phi0, top) == c
+    assert fock.bra_apply_phi_beta_star(vac, 0, top) == c
+
+
+# -- misuse of the public actions ---------------------------------------------
+
+
+PUBLIC_ACTIONS = {
+    "phi_beta_star": lambda state, top: fock.bra_apply_phi_beta_star(state, 1, top),
+    "Theta_exp_star": fock.bra_apply_Theta_exp_star,
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_ACTIONS)
+def test_actions_refuse_a_state_that_is_not_a_FockState(name):
+    # a series is not read as a state, nor is a dict of terms
+    for state in (gq_fermionic((1,), 3), {((), 0): 1}, None):
+        with pytest.raises(TypeError, match="FockState"):
+            PUBLIC_ACTIONS[name](state, 3)
+
+
+@pytest.mark.parametrize("name", PUBLIC_ACTIONS)
+def test_actions_refuse_a_bad_top(name):
+    # top is an int >= 0: no empty answer below 0, no bool read as an int,
+    # no TypeError from deep inside
+    for top in (-1, True, False, 1.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="top"):
+            PUBLIC_ACTIONS[name](fock.vacuum(), top)
+
+
+def test_phi_beta_star_refuses_a_bad_index():
+    for n in (-1, True, 1.0, None):
+        with pytest.raises(ValueError, match="n must"):
+            fock.bra_apply_phi_beta_star(fock.vacuum(), n, 3)
 
 
 def test_Theta_cut_holds_on_input_words():

@@ -5,7 +5,6 @@ import pytest
 from kq import fock
 from kq.finitevars import from_finite
 from kq.gq import (
-    _exp_parts,
     _pair,
     gq_fermionic,
     gq_pfaffian_1,
@@ -18,7 +17,7 @@ from kq.laurent import _univariate, f_table
 from kq.oracle import gq_oracle
 from kq.pseries import PSeries, combination
 from referees import (ONE, Qb, at_b, binom_general, check_kq_cancellation, classical_q,
-                      eval_finite, exp, gq_coefficient, is_zero, ket_apply_phi_beta,
+                      eval_finite, exp, gq_coefficient, gq_exp_parts, is_zero, ket_apply_phi_beta,
                       ket_apply_Theta_exp, kernel_coefficient, p_beta, power_sum, q_series,
                       ref_bra_apply_Theta_exp_star, scalar_terms, series_coefficient, star_bra,
                       strict_partitions_upto, to_deformed_basis, truncate, two_row_q)
@@ -108,10 +107,10 @@ def test_series_extends_below_default_window():
 
 def test_nonpositive_coefficients_are_the_closed_form():
     # GQ_n = (-beta)^{-n} for n <= 0, which the readers of the row apply as
-    # a b-shift without assembling; the assembly from the exp parts must
-    # agree, below -D too, and the row's GQ_0 is that assembly
+    # a b-shift without assembling; the assembly from the two-variable exp
+    # parts must agree, below -D too, and the row's GQ_0 is that assembly
     for D in range(11):
-        parts = _exp_parts(D)
+        parts = gq_exp_parts(D)
         for n in range(-D - 3, 1):
             got = combination(((parts[n + k], k, -1 if k % 2 else 1)
                                for k in range(max(0, -n), D - n + 1)), D)
@@ -120,10 +119,11 @@ def test_nonpositive_coefficients_are_the_closed_form():
 
 
 def test_row_recurrence_is_the_sum():
-    # the row is built by GQ_n = Exp_n - b GQ_{n+1} from GQ_D = Exp_D; it
-    # must be the defining sum sum_k (-b)^k Exp_{n+k} at every n and bound
+    # the row is read off one univariate row per partition by alternating
+    # sums; it must be the defining sum sum_k (-b)^k Exp_{n+k} of the
+    # two-variable exp parts at every n and bound
     for D in range(13):
-        parts = _exp_parts(D)
+        parts = gq_exp_parts(D)
         for n in range(D + 1):
             want = combination(((parts[n + k], k, -1 if k % 2 else 1)
                                 for k in range(D - n + 1)), D)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from kq.dualq import _q_bracket_upto, gp, o_fermionic
 from kq.finitevars import SymmetricPoly
 from kq.fock import FockState
-from kq.gq import _exp_parts, gq_fermionic, gq_series
+from kq.gq import gq_fermionic, gq_series
 from kq.partitions import check_partition, partitions_upto
 from kq.pseries import PSeries, combination
 from kq.scalars import BetaScalar
 from referees import (BETA, ONE, ZERO, Qb, at_b, binom_general, check_boundary_scalar, exp,
-                      is_zero, power_sum, q_series, series_coefficient, strict_partitions_upto,
-                      truncate, z_exp)
+                      gq_exp_parts, is_zero, power_sum, q_bracket_exp_parts, q_series,
+                      series_coefficient, strict_partitions_upto, truncate, z_exp)
 
 D = 5
 
@@ -440,11 +440,21 @@ def q_log_parts(D):
 
 @pytest.mark.parametrize("D", range(11))
 def test_closed_form_exponentials_match_z_exp(D):
-    assert _exp_parts(D) == tuple(z_exp(gq_log_parts(D)))
-    assert _q_bracket_upto(D, D) == tuple(z_exp(q_bracket_log_parts(D, D)))
+    # the two-variable closed form (the referee) and the library's rows,
+    # GQ_n = sum_k (-b)^k Exp_{n+k} and q^[b]_j, against z_exp
+    parts = tuple(z_exp(gq_log_parts(D)))
+    assert gq_exp_parts(D) == parts
+    assert gq_series(D) == tuple(combination(((parts[n + k], k, -1 if k % 2 else 1)
+                                              for k in range(D - n + 1)), D)
+                                 for n in range(D + 1))
+    qb = tuple(z_exp(q_bracket_log_parts(D, D)))
+    assert q_bracket_exp_parts(D, D) == qb
+    assert _q_bracket_upto(D, D) == qb
     assert q_series(D) == z_exp(q_log_parts(D))
 
 
 def test_closed_form_cuts_z_past_the_degree_bound():
     # the g-entries ask for q^[b]_j with j > D, truncated at D
-    assert _q_bracket_upto(9, 5) == tuple(z_exp(q_bracket_log_parts(9, 5)))
+    want = tuple(z_exp(q_bracket_log_parts(9, 5)))
+    assert q_bracket_exp_parts(9, 5) == want
+    assert _q_bracket_upto(9, 5) == want
