@@ -29,9 +29,10 @@ tables; the kernel
 (z-w)/(z+w+b) in a closed form of its own, generic Laurent blocks that
 cross-check the closed-form kernel tables, a direct convolution that
 checks their recurrences, and the row-by-row contraction that checks
-laurent.contract, the oracle's P0 monomial by monomial (gq_oracle_full)
-and its tail product factor by factor,
-which check the tail orbits and their alternant tables, the oracle's
+laurent.contract, the packed monomial layout in which the oracle's
+referees multiply P0 out, P0 monomial by monomial (gq_oracle_full) and
+its tail factor multiplied out factor by factor, which check the oracle's
+head fold and the closed form of its tail factor, the oracle's
 symmetrization as a chain of divided differences and literally, which check
 its bialternant pass, the Fock actions in Fractions, at every sign and
 index, of which the library keeps only those its routes apply, the ket
@@ -62,8 +63,6 @@ from kq.fock import _bra_insert
 from kq.gq import gq_series
 from kq.hexpansion import vacuum_expectation
 from kq.laurent import _dual_kernel_rational
-from kq.oracle import _MASK, _W, _bracket_power, _check_fits, _p0_degree, _pair_factor
-from kq.oracle import _mul as _positive_mul
 from kq.partitions import (check_degree_bound, check_partition, check_strict_weight, graded_key,
                            partitions_upto, z_lambda)
 from kq.pfaffian import padded_pfaffian
@@ -1737,10 +1736,69 @@ def check_dual_cancellation(g, nvars):
 
 # -- oracle: P0 monomial by monomial, the symmetrization as a chain of divided
 # differences, and literally --
+#
+# The referees pack a monomial b^beta x^exps into one int, six bits per x
+# exponent of x_0..x_{n-1}, with the beta exponent above them on top, so
+# that multiplication of monomials is integer addition.  A field that
+# overflowed would carry into its neighbour and silently change the
+# answer, so each referee raises ValueError unless the exponents it can
+# keep fit a field.  The library's oracle keeps exponent sets as masks and
+# has no such limit; none of this is shared with it.
+
+# key layout, least significant first: x_0 .. x_{n-1}, then beta on top
+_W = 6
+_MASK = (1 << _W) - 1
+
+
+def _check_fits(top):
+    """Raise unless exponents up to top fit the key fields."""
+    if top > _MASK:
+        raise ValueError(f"exponents up to {top} do not fit the referees' "
+                         f"{_W}-bit key fields (at most {_MASK})")
+
+
+def _p0_degree(lam, n):
+    """Top x-degree of P0: [[x_i]]^{l_i} has l_i + 1, each pair factor 3."""
+    r = len(lam)
+    pairs = r * n - r * (r + 1) // 2
+    return sum(lam) + r + 3 * pairs
+
+
+def _bracket_power(n, a, power):
+    """[[x_a]]^p = (2 + b x_a) x_a^p; p >= 1 here."""
+    x = _W * a
+    return {power << x: 2, (1 << _W * n) + ((power + 1) << x): 1}
+
+
+def _pair_factor(n, a, c):
+    """(x_a + x_c + b x_a x_c)(1 + b x_c), expanded into its five terms."""
+    xa = 1 << _W * a
+    xc = 1 << _W * c
+    b = 1 << _W * n
+    return {xa: 1, xc: 1, b + xa + xc: 2, b + 2 * xc: 1, 2 * b + xa + 2 * xc: 1}
+
+
+def _positive_mul(a, b, n, bcap):
+    """Product of packed polynomials without the terms of beta degree > bcap.
+
+    The beta field is read as everything above the x fields, so a carry
+    out of an overflowing x field can only make it read higher.  The terms
+    that cancel are kept, which no product of factors with positive
+    coefficients, as P0's are, has.
+    """
+    limit = (bcap + 1) << _W * n  # the first key of beta degree bcap + 1
+    out = {}
+    get = out.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            key = ka + kb
+            if key < limit:
+                out[key] = get(key, 0) + ca * cb
+    return out
+
 
 def _mul(a, b, n, bcap):
-    """oracle._mul with the terms that cancel dropped: the library multiplies
-    factors with positive coefficients only, the referees signed ones too."""
+    """_positive_mul with the terms that cancel dropped, for signed factors."""
     return {k: c for k, c in _positive_mul(a, b, n, bcap).items() if c}
 
 
@@ -2006,8 +2064,9 @@ def gq_oracle_full(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
     """gq_oracle with P0 kept monomial by monomial in all nvars fields.
 
     P0 is multiplied out pair by pair under the same b cap, and the
-    bialternant pass visits each of its monomials, so neither the tail
-    orbits nor the per-orbit alternant tables are shared with the library.
+    bialternant pass visits each of its monomials, so neither the head fold
+    nor the Pieri bumps of the library's exponent-set state are shared with
+    it.
     """
     lam = check_partition(lam, strict=True)
     nvars = check_degree_bound(nvars, "variable count")
@@ -2030,22 +2089,6 @@ def gq_oracle_full(lam, nvars: int, trunc: int | None = None) -> SymmetricPoly:
 def _lift(key, r, n):
     """A head key (r x fields, b on top) in the layout of n variables."""
     return (key & ((1 << _W * r) - 1)) | (key >> _W * r << _W * n)
-
-
-def tail_orbits_written_out(orbits, r):
-    """{T: {head key: c}} monomial by monomial in r + len(T) variables: c on
-    every distinct rearrangement of T in the tail fields."""
-    out = {}
-    for tail, poly in orbits.items():
-        n = r + len(tail)
-        for sigma in set(permutations(tail)):
-            x = sum(e << _W * (r + j) for j, e in enumerate(sigma))
-            for h, c in poly.items():
-                key = _lift(h, r, n) + x
-                if key in out:
-                    raise AssertionError(f"monomial {key} written twice")
-                out[key] = c
-    return out
 
 
 def tail_product_brute(head, r, m, bcap):

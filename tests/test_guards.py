@@ -643,7 +643,7 @@ PROCESS_WIDE_TABLES = {
     "gq._gq_series",
     "gq._gq_two_index", "hexpansion._rows",
     "hexpansion._state", "laurent._KERNEL_TABLES", "laurent._kernel_table",
-    "oracle._alternant", "partitions.partitions_of",
+    "oracle._bumps", "partitions.partitions_of",
     "partitions.z_lambda", "pseries._PAIRS",
 }
 

@@ -1,6 +1,9 @@
+import ast
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +11,13 @@ from hypothesis import strategies as st
 
 from kq.finitevars import SymmetricPoly, from_finite
 from kq.finitevars import _character
-from kq.oracle import _MASK, _W, _alternant, _tail_product, gq_oracle
+from kq.oracle import _bumps, _tail_terms, gq_oracle
 from kq.partitions import partitions_of
-from referees import (BETA, ZERO, FinitePoly, _add_into, _divide_pair, _divided_difference, _mono,
-                      _mul, _pair_difference, _schur_poly, at_b, classical_q, eval_finite, expand,
-                      gq_oracle_divided, gq_oracle_full, gq_oracle_literal, hook_count,
-                      scalar_terms, strict_partitions_upto, tail_orbits_written_out,
-                      tail_product_brute)
+from referees import (_MASK, _W, BETA, ZERO, FinitePoly, _add_into, _bracket_power, _divide_pair,
+                      _divided_difference, _mono, _mul, _pair_difference, _pair_factor,
+                      _schur_poly, at_b, classical_q, eval_finite, expand, gq_oracle_divided,
+                      gq_oracle_full, gq_oracle_literal, hook_count, scalar_terms,
+                      strict_partitions_upto, tail_product_brute)
 
 FULL = 10**6
 
@@ -80,7 +83,7 @@ def test_bialternant_matches_divided_differences(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_tail_orbits_match_full_p0(n):
-    # the tail-orbit product and its alternant tables against P0 kept
+    # the head fold and the exponent-set state of the tail against P0 kept
     # monomial by monomial and a pass over every monomial
     for lam in strict_partitions_upto(7):
         for t in (n, n + 2):
@@ -108,55 +111,58 @@ def test_bitmask_pass_at_its_edges(lam, n, t):
     assert got == gq_oracle_full(lam, n, t)
 
 
-@st.composite
-def tail_products(draw):
-    r = draw(st.integers(0, 3))
-    m = draw(st.integers(0, 4))
-    bcap = draw(st.integers(0, 4))
-    monomials = st.tuples(st.integers(0, bcap), st.tuples(*[st.integers(0, 4)] * r))
-    terms = draw(st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
-                                 min_size=1, max_size=6))
-    return r, m, bcap, {_mono(r, b, exps): c for (b, exps), c in terms.items()}
+def test_bumps_are_pieri_on_alternants():
+    # a_gamma e_j written out monomial by monomial, gamma every r-set of
+    # exponents below 8, and folded back: each monomial with distinct
+    # exponents onto its set, signed by its sort.  Each a_gamma' in the
+    # product folds back to r! times itself, so the fold over r! is the
+    # coefficient of a_gamma'
+    for r in range(5):
+        for gamma in combinations(range(7, -1, -1), r):  # each set sorted down
+            alternant = {}
+            for w in permutations(range(r)):
+                odd = sum(w[i] > w[k] for i in range(r) for k in range(i + 1, r)) % 2
+                alternant[tuple(gamma[i] for i in w)] = -1 if odd else 1
+            for j in range(r + 1):
+                folded = {}
+                for exps, c in alternant.items():
+                    for subset in combinations(range(r), j):
+                        alpha = [e + (i in subset) for i, e in enumerate(exps)]
+                        if len(set(alpha)) == r:
+                            odd = sum(a < e for i, a in enumerate(alpha) for e in alpha[i + 1:]) % 2
+                            mask = sum(1 << a for a in alpha)
+                            folded[mask] = folded.get(mask, 0) + (-c if odd else c)
+                want = {m: c // factorial(r) for m, c in folded.items() if c}
+                got = _bumps(sum(1 << e for e in gamma), j)
+                assert len(set(got)) == len(got)
+                assert dict.fromkeys(got, 1) == want, (gamma, j)
 
 
-@given(tail_products())
-@settings(max_examples=80, deadline=None)
-def test_tail_product_is_the_brute_product(case):
-    # with r >= 1 and m >= 2 the tails repeat exponents, as (0, 0) from
-    # G's x_i term twice, so a scatter that also fed (e,) + T from parts
-    # above min(T) would count such orbits more than once.  _mul keeps the
-    # terms that cancel, which only a signed head can make: gq_oracle's
-    # heads are positive
-    r, m, bcap, head = case
-    orbits = _tail_product(head, r, m, bcap)
-    assert all(len(tail) == m and list(tail) == sorted(tail) for tail in orbits)
-    written = tail_orbits_written_out(orbits, r)
-    if all(c > 0 for c in head.values()):
-        assert all(written.values())
-    assert {k: c for k, c in written.items() if c} == tail_product_brute(head, r, m, bcap)
-
-
-@given(st.lists(st.integers(0, 4), max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_alternant_table_by_brute_force(parts):
-    tail = tuple(sorted(parts))
-    m = len(tail)
-    want = {}
-    for sigma in set(permutations(tail)):
-        alpha = [e + m - 1 - j for j, e in enumerate(sigma)]
-        if len(set(alpha)) < m:
-            continue
-        odd = sum(a < e for j, a in enumerate(alpha) for e in alpha[j + 1:]) % 2
-        mask = sum(1 << a for a in alpha)  # gamma, alpha sorted down, as its set bits
-        want[mask] = want.get(mask, 0) + (-1 if odd else 1)
-    assert dict(_alternant(tail)) == {g: c for g, c in want.items() if c}
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("bcap", range(5))
+def test_tail_terms_are_the_tail_factor(r, bcap):
+    # G(t) = prod_i (x_i + t + b x_i t)(1 + b t) multiplied out factor by
+    # factor, t in field r, against sum C(2r-k, s-k) b^{s-k} e_{r-k} t^s as
+    # _tail_terms lists it for a state at b^kb, under the cap bcap - kb
+    for kb, by_s in enumerate(_tail_terms(r, bcap)):
+        got = {}
+        for s, terms in by_s:
+            assert terms
+            for j, b, w in terms:
+                for subset in combinations(range(r), j):
+                    exps = [int(i in subset) for i in range(r)] + [s]
+                    key = _mono(r + 1, b - kb, exps)
+                    assert key not in got
+                    got[key] = w
+        assert got == tail_product_brute({0: 1}, r, 1, bcap - kb), kb
 
 
 def test_oracle_allocation_stays_small():
-    # P0 kept monomial by monomial peaks near 3 MB here, the tail orbits
-    # near 0.3 MB; the memo tables are cleared so that they count too, and
-    # from_finite's characters run with the oracle, as kq verify runs them
-    _alternant.cache_clear()
+    # P0 kept monomial by monomial peaks near 3 MB here, the exponent-set
+    # state near 0.15 MB; the memo tables are cleared so that they count
+    # too, and from_finite's characters run with the oracle, as kq verify
+    # runs them
+    _bumps.cache_clear()
     _character.cache_clear()
     tracemalloc.start()
     try:
@@ -269,29 +275,27 @@ def test_kostka_ignores_the_order_of_the_content():
 
 
 def test_a_head_class_that_cancels():
-    # at (3,2,1), n = 3, trunc 6 the tail is empty, and the heads of P0 with
-    # exponent set {2, 3, 4} at b^0 sum, each signed by the sort of its
-    # exponents, to zero: the pass skips that class, and the answer is
-    # still the one of the referee that keeps P0 monomial by monomial
+    # at (3,2,1), n = 3, trunc 6 the tail is empty and P0 is the head.  Its
+    # monomials with exponent set {2, 3, 4} at b^0 sum, each signed by the
+    # sort of its exponents, to zero, so the head fold leaves that alternant
+    # out, and the answer is still the one of the referee that keeps P0
+    # monomial by monomial
     lam, n, t = (3, 2, 1), 3, 6
-    seen = []
-
-    def kept(*args):
-        seen.append(_tail_product(*args))
-        return seen[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("kq.oracle._tail_product", kept)
-        got = gq_oracle(lam, n, t)
-    (orbits,) = seen
+    head = {0: 1}
+    for i, part in enumerate(lam):
+        head = _mul(head, _bracket_power(n, i, part), n, t - sum(lam))
+    for i in range(n):
+        for j in range(i + 1, n):
+            head = _mul(head, _pair_factor(n, i, j), n, t - sum(lam))
     classes = {}
-    for h, c in orbits[()].items():
+    for h, c in head.items():
         exps = [(h >> _W * i) & _MASK for i in range(n)]
         odd = sum(a < e for i, a in enumerate(exps) for e in exps[i + 1:]) % 2
         key = (frozenset(exps), h >> _W * n)
         classes.setdefault(key, []).append(-c if odd else c)
     heads = classes[(frozenset({2, 3, 4}), 0)]
     assert len(heads) > 1 and all(heads) and sum(heads) == 0
+    got = gq_oracle(lam, n, t)
     assert got.terms
     assert got == gq_oracle_full(lam, n, t)
 
@@ -360,17 +364,18 @@ def test_q_cancellation_property():
             assert got == want * clear ** top
 
 
-def test_key_field_overflow_raises():
-    # b x^64 needs a 7-bit exponent, which would carry into the b field
-    with pytest.raises(ValueError):
-        gq_oracle((63,), 1, 64)
+def test_exponents_past_six_bits_answer():
+    # b x^64 needs a 7-bit exponent; the oracle keeps exponent sets as
+    # masks as wide as they need.  The stores are compared directly, since
+    # the referees' expand keeps six bits per exponent
+    assert gq_oracle((63,), 1, 64) == SymmetricPoly(1, {((63,), 0): 2, ((64,), 1): 1})
     assert expand(gq_oracle((62,), 1, 63)) == FinitePoly(1, {(62,): 2, (63,): BETA})
 
 
 def test_field_carry_is_dropped_with_its_b_degree():
-    # Q_(62)(x, y): P0 reaches x-degree 66 but trunc + len(u) = 63 fits, so
-    # the raw product term b x_0^64, which would carry into x_1's field,
-    # must go for its b-degree
+    # Q_(62)(x, y) at trunc 62: P0 reaches x-degree 66, and its terms past
+    # x-degree 63, such as b x_0^64, must go for their b-degree alone.
+    # expand writes the answer out in the referees' six-bit fields
     want = {(62, 0): 2, (0, 62): 2} | {(a, 62 - a): 4 for a in range(1, 62)}
     assert expand(gq_oracle((62,), 2, 62)) == FinitePoly(2, want)
 
@@ -386,3 +391,20 @@ def test_bad_counts_rejected(args, bad):
     # GQ_empty is 1, so the zero of a negative bound would be a wrong answer
     with pytest.raises(ValueError, match=bad):
         gq_oracle(*args)
+
+
+@pytest.mark.parametrize("trunc", [-2, 2.5, True])
+def test_bad_trunc_is_named(trunc):
+    with pytest.raises(ValueError, match="trunc"):
+        gq_oracle((), 3, trunc)
+
+
+def test_referees_share_nothing_with_the_oracle():
+    # gq_oracle_full, gq_oracle_divided, gq_oracle_literal and expand
+    # referee the oracle, so they build P0 and its layout on their own
+    tree = ast.parse((Path(__file__).parent / "referees.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not [name for name in imported if name.split(".")[:2] == ["kq", "oracle"]]
